@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use wimpi_engine::expr::{col, date, dec2};
 use wimpi_engine::plan::{AggExpr, PlanBuilder, SortKey};
-use wimpi_engine::{exec, execute_query};
+use wimpi_engine::{exec, execute_query, execute_query_governed, EngineConfig, QueryContext};
 use wimpi_storage::Catalog;
 use wimpi_tpch::Generator;
 
@@ -46,6 +46,36 @@ fn bench_operators(c: &mut Criterion) {
                 vec![(col("l_returnflag"), "f"), (col("l_linestatus"), "s")],
                 vec![AggExpr::sum(col("l_quantity"), "q"), AggExpr::count_star("n")],
             )
+            .build();
+        b.iter(|| black_box(execute_query(&plan, &cat).expect("runs")));
+    });
+
+    // One group per order: the group map's hash-and-insert dominates.
+    let by_orderkey = PlanBuilder::scan("lineitem")
+        .aggregate(
+            vec![(col("l_orderkey"), "k")],
+            vec![AggExpr::sum(col("l_quantity"), "q"), AggExpr::count_star("n")],
+        )
+        .build();
+    g.bench_function("hash_aggregate_high_cardinality", |b| {
+        b.iter(|| black_box(execute_query(&by_orderkey, &cat).expect("runs")));
+    });
+    // The same aggregate degraded to Grace partitioning: 128 KiB holds about
+    // 1 400 of its 75 000 group-table entries.
+    g.bench_function("grace_aggregate_128k", |b| {
+        b.iter(|| {
+            let ctx = QueryContext::with_budget(128 << 10);
+            let out = execute_query_governed(&by_orderkey, &cat, &EngineConfig::serial(), &ctx);
+            assert!(ctx.fallbacks() > 0, "the budget must engage the Grace rung");
+            black_box(out.expect("runs"))
+        });
+    });
+
+    // Build on all of `orders`, probe with `customer`: the build dominates.
+    g.bench_function("hash_join_build_probe_orders", |b| {
+        let plan = PlanBuilder::scan("customer")
+            .inner_join(PlanBuilder::scan("orders"), vec![("c_custkey", "o_custkey")])
+            .aggregate(vec![], vec![AggExpr::count_star("n")])
             .build();
         b.iter(|| black_box(execute_query(&plan, &cat).expect("runs")));
     });

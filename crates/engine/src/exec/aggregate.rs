@@ -16,15 +16,18 @@
 //! (DESIGN.md §7).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
+use super::hash::{FxMap, SmallSet};
 use super::join::MAX_GRACE_PARTS;
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig};
-use super::{ensure_u32_indexable, key_values, partition_of};
+use super::partition::Partitioner;
+use super::spill::{note_spill_delta, SpillRowReader, SpillSet, MAX_SPILL_PARTS};
+use super::{ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::eval::Evaluator;
-use crate::governor::QueryContext;
+use crate::governor::{QueryContext, Reservation};
 use crate::plan::{AggExpr, AggFunc};
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
@@ -97,17 +100,7 @@ pub fn exec_aggregate(
     let empty_states = || inputs.iter().map(AggState::empty_like).collect();
     let (first_rows, mut gstates) = match merge_partials(partials, &empty_states, width, ctx) {
         Some(table) => table,
-        // Out-of-core rung (DESIGN.md §16): when even Grace's doubling cap
-        // cannot fit a partition's table, stage partition routing on the
-        // spill disk and keep doubling. Only the budget failure escalates
-        // there; other errors pass through untouched.
-        None => match grace_aggregate(&ranges, &encoded, &inputs, width, ctx) {
-            Ok(table) => table,
-            Err(EngineError::ResourceExhausted { .. }) if ctx.spill().is_some() => {
-                spill_aggregate(&ranges, &encoded, &inputs, width, ctx, prof)?
-            }
-            Err(e) => return Err(e),
-        },
+        None => Ladder::new(&ranges, &encoded, &inputs, width, ctx).run(prof)?,
     };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     for st in &mut gstates {
@@ -142,9 +135,8 @@ pub fn exec_aggregate(
 }
 
 /// Merges the morsel partials into one global table (in morsel order — see
-/// the module doc), growing a reservation by `width` bytes per distinct
-/// group. Returns `None` as soon as a new group no longer fits the query
-/// budget; the caller then takes the Grace-style partitioned path (the fused
+/// the module doc). Returns `None` as soon as a new group no longer fits the
+/// query budget; the caller then takes the partitioned ladder (the fused
 /// executor instead re-runs the pipeline through the materializing engine).
 /// The reservation is released on return either way: the table's peak is
 /// already recorded, and what survives the merge is the output itself.
@@ -154,356 +146,242 @@ pub(super) fn merge_partials(
     width: u64,
     ctx: &QueryContext,
 ) -> Option<(Vec<u32>, Vec<AggState>)> {
-    let mut guard = ctx.try_reserve(0)?;
-    let mut gmap: KeyMap = KeyMap::default();
-    let mut first_rows: Vec<u32> = Vec::new();
-    let mut gstates: Vec<AggState> = empty_states();
+    let mut table = GroupTable::new(empty_states(), width, ctx)?;
     for partial in partials {
-        let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
-        for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
-            match gmap.get(&k) {
-                Some(&g) => gid_map.push(g),
-                None => {
-                    if !guard.grow(width) {
-                        return None;
-                    }
-                    let g = first_rows.len() as u32;
-                    gmap.insert(k, g);
-                    first_rows.push(fr);
-                    gid_map.push(g);
-                }
-            }
-        }
-        for (gst, lst) in gstates.iter_mut().zip(partial.states) {
-            gst.grow_to(first_rows.len());
-            gst.merge_from(lst, &gid_map);
+        if !table.absorb(partial) {
+            return None;
         }
     }
-    Some((first_rows, gstates))
+    Some((table.first_rows, table.states))
 }
 
-/// Grace-style budget fallback: partition the groups by key hash and run the
-/// aggregation once per partition, sequentially, each against its own
-/// reservation that is released before the next partition starts. Doubles
-/// the partition count until every partition's table fits the budget.
-///
-/// Bit-exactness: every row of a group lands in the same partition, so each
-/// group's accumulator sees exactly the per-morsel partial values of the
-/// unpartitioned merge, folded in the same morsel order. Distinct groups
-/// have distinct first rows, so sorting the stitched groups by first row
-/// reproduces the unpartitioned first-appearance group order exactly.
-fn grace_aggregate(
-    ranges: &[std::ops::Range<usize>],
-    encoded: &[Vec<i64>],
-    inputs: &[AggInput],
+/// One budgeted group table — the whole input's, or one partition's: a
+/// reservation grown by `width` bytes per distinct group (the same constant
+/// the work profile charges to `hash_bytes`), the key → group map, and the
+/// accumulated states. Dropping the table releases the reservation.
+struct GroupTable {
+    guard: Reservation,
     width: u64,
-    ctx: &QueryContext,
-) -> Result<(Vec<u32>, Vec<AggState>)> {
-    let mut nparts = 2usize;
-    // The doubling below restarts the whole attempt (`continue 'attempt`),
-    // so mutating the inner `0..nparts` bound is the point, not a bug.
-    #[allow(clippy::mut_range_bound)]
-    'attempt: loop {
+    map: KeyMap,
+    first_rows: Vec<u32>,
+    states: Vec<AggState>,
+}
+
+impl GroupTable {
+    fn new(states: Vec<AggState>, width: u64, ctx: &QueryContext) -> Option<Self> {
+        let guard = ctx.try_reserve(0)?;
+        Some(GroupTable { guard, width, map: KeyMap::default(), first_rows: Vec::new(), states })
+    }
+
+    /// Folds one morsel partial in. Returns `false` — leaving the table
+    /// unusable — as soon as a new group no longer fits the budget.
+    fn absorb(&mut self, partial: MorselAgg) -> bool {
+        let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
+        for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
+            let next = self.first_rows.len() as u32;
+            gid_map.push(match self.map.entry(k) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    if !self.guard.grow(self.width) {
+                        return false;
+                    }
+                    self.first_rows.push(fr);
+                    *e.insert(next)
+                }
+            });
+        }
+        for (gst, lst) in self.states.iter_mut().zip(partial.states) {
+            gst.grow_to(self.first_rows.len());
+            gst.merge_from(lst, &gid_map);
+        }
+        true
+    }
+
+    /// Folds one partition's `(row id, key)` stream in, rows ascending: the
+    /// rows of each morsel (`row / morsel_len`) form one partial, absorbed in
+    /// morsel order. Within a morsel a group's rows are the rows the
+    /// unpartitioned partial saw, so its local sums are identical.
+    fn absorb_rows(
+        &mut self,
+        rows: impl Iterator<Item = (u32, Key)>,
+        morsel_len: usize,
+        inputs: &[AggInput],
+    ) -> bool {
+        let mut rows = rows.peekable();
+        while let Some(&(row0, _)) = rows.peek() {
+            let morsel = row0 as usize / morsel_len;
+            let mut partial = MorselAgg::new(inputs);
+            while let Some((row, k)) = rows.next_if(|(r, _)| *r as usize / morsel_len == morsel) {
+                partial.push_keyed(k, row, inputs);
+            }
+            if !self.absorb(partial) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The budget ladder below the in-memory merge: partition the groups by key
+/// hash and aggregate one partition at a time, sequentially, each against its
+/// own reservation that is released before the next partition starts,
+/// doubling the fan-out until every partition's table fits the budget. Keys
+/// are hashed once, at construction, for every attempt of both rungs:
+///
+/// - **Grace** walks each partition's rows straight from the partitioner's
+///   buckets, at fan-outs from 2 up to `MAX_GRACE_PARTS`.
+/// - **Spill** (DESIGN.md §16; only with a spill disk, only when Grace's cap
+///   cannot fit a partition's table) resumes the doubling past that cap and
+///   round-trips the routing — each partition's `(row id, key slots)` records
+///   — through the disk (checksum-verified, fault-retried). Aggregate *input*
+///   values are still read from the resident columns by row id.
+///
+/// Bit-exactness: every row of a group lands in the same partition and a
+/// partition's rows are walked in ascending order, cut into partials at the
+/// morsel stride, so each group's accumulator sees exactly the per-morsel
+/// partial values of the unpartitioned merge, folded in the same morsel
+/// order. Distinct groups have distinct first rows, so sorting the stitched
+/// groups by first row reproduces the unpartitioned first-appearance group
+/// order exactly.
+struct Ladder<'a> {
+    part: Partitioner,
+    morsel_len: usize,
+    encoded: &'a [Vec<i64>],
+    inputs: &'a [AggInput<'a>],
+    width: u64,
+    ctx: &'a QueryContext,
+}
+
+impl<'a> Ladder<'a> {
+    fn new(
+        ranges: &[std::ops::Range<usize>],
+        encoded: &'a [Vec<i64>],
+        inputs: &'a [AggInput<'a>],
+        width: u64,
+        ctx: &'a QueryContext,
+    ) -> Self {
+        let n = ranges.last().map_or(0, |r| r.end);
+        let morsel_len = ranges.first().map_or(1, |r| r.len());
+        ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
+        let part = Partitioner::new(n, |i| key_at(encoded, i));
+        Ladder { part, morsel_len, encoded, inputs, width, ctx }
+    }
+
+    /// Grace, then the spill rung. Only the budget failure escalates; other
+    /// errors pass through untouched.
+    fn run(&self, prof: &mut WorkProfile) -> Result<(Vec<u32>, Vec<AggState>)> {
+        match (self.rung(false), self.ctx.spill()) {
+            (Err(EngineError::ResourceExhausted { .. }), Some(disk)) => {
+                let before = disk.counters();
+                let result = self.rung(true);
+                // Ledger even when the rung escalates: DiskFull bytes were priced.
+                note_spill_delta(prof, disk.counters().delta_since(&before));
+                result
+            }
+            (grace, _) => grace,
+        }
+    }
+
+    fn rung(&self, spilling: bool) -> Result<(Vec<u32>, Vec<AggState>)> {
+        let (mut nparts, cap) =
+            if spilling { (MAX_GRACE_PARTS * 2, MAX_SPILL_PARTS) } else { (2, MAX_GRACE_PARTS) };
+        loop {
+            if let Some(table) = self.attempt(nparts, nparts >= cap, spilling)? {
+                self.ctx.note_fallback(nparts as u32);
+                return Ok(table);
+            }
+            nparts *= 2;
+        }
+    }
+
+    /// One attempt at fan-out `nparts`. `Ok(None)` asks for a doubled
+    /// fan-out: some partition's table outgrew the budget. When doubling
+    /// cannot help — a partition of one group cannot shrink further, and past
+    /// the doubling cap (`last`) the budget is declared impossible — that
+    /// failure is the typed `ResourceExhausted` instead.
+    fn attempt(
+        &self,
+        nparts: usize,
+        last: bool,
+        spilling: bool,
+    ) -> Result<Option<(Vec<u32>, Vec<AggState>)>> {
+        let &Ladder { morsel_len, encoded, inputs, width, ctx, .. } = self;
+        let empty_states = || inputs.iter().map(AggState::empty_like).collect::<Vec<_>>();
+        let buckets = self.part.buckets(nparts);
+        // `SpillSet` frees the staged chunks on every exit, so a failed
+        // attempt returns its disk space before the next one stages.
+        let staged = match spilling {
+            true => {
+                let mut set = SpillSet::new(ctx, "aggregate").expect("disk attached");
+                let chunks = set.stage(&buckets, encoded, ctx)?;
+                Some((set, chunks))
+            }
+            false => None,
+        };
         // (first row, partition, local gid) of every group, in discovery
-        // order, plus each partition's accumulated states.
+        // order, plus each partition's group count and accumulated states.
         let mut order: Vec<(u32, u32, u32)> = Vec::new();
-        let mut part_states: Vec<Vec<AggState>> = Vec::with_capacity(nparts);
-        let mut part_counts: Vec<usize> = Vec::with_capacity(nparts);
+        let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(nparts);
         for p in 0..nparts {
             ctx.checkpoint()?;
-            let mut guard = ctx.try_reserve(0).expect("an empty reservation always fits");
-            let mut gmap: KeyMap = KeyMap::default();
-            let mut first_rows: Vec<u32> = Vec::new();
-            let mut gstates: Vec<AggState> = inputs.iter().map(AggState::empty_like).collect();
-            for r in ranges {
-                // Re-scan the morsel restricted to this partition's rows:
-                // within a morsel a group's rows are the same rows the
-                // unpartitioned partial saw, so its local sum is identical.
-                let mut partial = MorselAgg::new(inputs);
-                for i in r.clone() {
-                    if partition_of(&key_at(encoded, i), nparts) == p {
-                        partial.push_row(i, encoded, inputs);
+            let mut table = GroupTable::new(empty_states(), width, ctx)
+                .expect("an empty reservation always fits");
+            let fit = match &staged {
+                None => {
+                    let rows = buckets.rows(p).iter().map(|&i| (i, key_at(encoded, i as usize)));
+                    table.absorb_rows(rows, morsel_len, inputs)
+                }
+                Some((set, chunks)) => match chunks[p] {
+                    None => true,
+                    Some(chunk) => {
+                        let bytes = set.read(chunk)?;
+                        let mut rd = SpillRowReader::new(&bytes, encoded.len());
+                        let rows = std::iter::from_fn(|| {
+                            rd.next().map(|(row, slots)| (row, Key::from_row(slots)))
+                        });
+                        table.absorb_rows(rows, morsel_len, inputs)
                     }
+                },
+            };
+            if !fit {
+                if table.first_rows.is_empty() || last {
+                    return Err(EngineError::ResourceExhausted {
+                        requested: table.guard.bytes() + width,
+                        budget: ctx.budget(),
+                        operator: "aggregate".to_string(),
+                    });
                 }
-                let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
-                for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
-                    match gmap.get(&k) {
-                        Some(&g) => gid_map.push(g),
-                        None => {
-                            if !guard.grow(width) {
-                                if first_rows.is_empty() || nparts >= MAX_GRACE_PARTS {
-                                    // A partition of one group cannot shrink
-                                    // further, and past the doubling cap the
-                                    // budget is declared impossible.
-                                    return Err(EngineError::ResourceExhausted {
-                                        requested: guard.bytes() + width,
-                                        budget: ctx.budget(),
-                                        operator: "aggregate".to_string(),
-                                    });
-                                }
-                                nparts *= 2;
-                                continue 'attempt;
-                            }
-                            let g = first_rows.len() as u32;
-                            gmap.insert(k, g);
-                            first_rows.push(fr);
-                            gid_map.push(g);
-                        }
-                    }
-                }
-                for (gst, lst) in gstates.iter_mut().zip(partial.states) {
-                    gst.grow_to(first_rows.len());
-                    gst.merge_from(lst, &gid_map);
-                }
+                return Ok(None);
             }
-            for (lg, &fr) in first_rows.iter().enumerate() {
-                order.push((fr, p as u32, lg as u32));
-            }
-            part_counts.push(first_rows.len());
-            part_states.push(gstates);
-            // `guard` drops here: the partition's table scratch is released
-            // before the next partition reserves its own.
+            let groups = table.first_rows.iter().enumerate();
+            order.extend(groups.map(|(lg, &fr)| (fr, p as u32, lg as u32)));
+            part_states.push((table.first_rows.len(), table.states));
+            // `table.guard` drops here: the partition's table scratch is
+            // released before the next partition reserves its own.
         }
         // Every partition fit. Stitch the global table in first-appearance
         // order; folding each partition total into a fresh accumulator is
         // exact (0 + x, None → x, set ∪ ∅).
         order.sort_unstable_by_key(|&(fr, _, _)| fr);
         let first_rows: Vec<u32> = order.iter().map(|&(fr, _, _)| fr).collect();
-        let mut gid_maps: Vec<Vec<u32>> = part_counts.iter().map(|&c| vec![0u32; c]).collect();
+        let mut gid_maps: Vec<Vec<u32>> = part_states.iter().map(|&(c, _)| vec![0; c]).collect();
         for (g, &(_, p, lg)) in order.iter().enumerate() {
             gid_maps[p as usize][lg as usize] = g as u32;
         }
-        let mut gstates: Vec<AggState> = inputs.iter().map(AggState::empty_like).collect();
+        let mut gstates = empty_states();
         for st in &mut gstates {
             st.grow_to(first_rows.len());
         }
-        for (p, pstates) in part_states.into_iter().enumerate() {
+        for ((_, pstates), gid_map) in part_states.into_iter().zip(&gid_maps) {
             for (gst, lst) in gstates.iter_mut().zip(pstates) {
-                gst.merge_from(lst, &gid_maps[p]);
+                gst.merge_from(lst, gid_map);
             }
         }
-        ctx.note_fallback(nparts as u32);
-        return Ok((first_rows, gstates));
+        Ok(Some((first_rows, gstates)))
     }
 }
 
-/// The spill rung past the Grace aggregate (DESIGN.md §16): resume the
-/// fan-out doubling beyond `MAX_GRACE_PARTS`, staging each partition's
-/// `(row id, key slots)` records on the spill disk instead of re-scanning
-/// every morsel once per partition. Read-back (checksum-verified, fault-
-/// retried) rebuilds the per-morsel partials — rows were staged in
-/// ascending row order and morsel boundaries are recovered from the fixed
-/// morsel stride — and merges them in morsel order, which is exactly the
-/// fold the unpartitioned merge performs; the Grace bit-exactness argument
-/// then applies verbatim. Aggregate *input* values are still read from the
-/// resident columns by row id; the partition routing (row ids + keys) is
-/// what round-trips through the disk.
-fn spill_aggregate(
-    ranges: &[std::ops::Range<usize>],
-    encoded: &[Vec<i64>],
-    inputs: &[AggInput],
-    width: u64,
-    ctx: &QueryContext,
-    prof: &mut WorkProfile,
-) -> Result<(Vec<u32>, Vec<AggState>)> {
-    let disk = Arc::clone(ctx.spill().expect("spill_aggregate requires a disk"));
-    let before = disk.counters();
-    let result = spill_aggregate_inner(ranges, encoded, inputs, width, ctx);
-    // Ledger even when the rung escalates: DiskFull bytes were still priced.
-    super::spill::note_spill_delta(prof, disk.counters().delta_since(&before));
-    result
-}
-
-fn spill_aggregate_inner(
-    ranges: &[std::ops::Range<usize>],
-    encoded: &[Vec<i64>],
-    inputs: &[AggInput],
-    width: u64,
-    ctx: &QueryContext,
-) -> Result<(Vec<u32>, Vec<AggState>)> {
-    use super::spill::{
-        encode_spill_row, spill_row_bytes, SpillRowReader, SpillSet, MAX_SPILL_PARTS,
-    };
-
-    let n = ranges.last().map(|r| r.end).unwrap_or(0);
-    let nkeys = encoded.len();
-    let morsel_len = ranges.first().map(|r| r.len()).unwrap_or(1).max(1);
-    let mut nparts = MAX_GRACE_PARTS * 2;
-    // As in `grace_aggregate`, the doubling restarts the whole attempt.
-    #[allow(clippy::mut_range_bound)]
-    'attempt: loop {
-        // Stage every row's (row id, key slots), partitioned by key hash, in
-        // ascending row order. `SpillSet` frees the chunks on every exit —
-        // including the `continue 'attempt` restart below.
-        let mut set = SpillSet::new(ctx, "aggregate").expect("disk attached");
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); nparts];
-        for i in 0..n {
-            let p = partition_of(&key_at(encoded, i), nparts);
-            encode_spill_row(&mut bufs[p], i as u32, encoded, i);
-        }
-        ctx.track((n * spill_row_bytes(nkeys)) as u64);
-        let mut chunks: Vec<Option<usize>> = vec![None; nparts];
-        for (p, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                chunks[p] = Some(set.write(buf)?);
-                *buf = Vec::new();
-            }
-        }
-        drop(bufs);
-
-        let mut order: Vec<(u32, u32, u32)> = Vec::new();
-        let mut part_states: Vec<Vec<AggState>> = Vec::with_capacity(nparts);
-        let mut part_counts: Vec<usize> = Vec::with_capacity(nparts);
-        for (p, chunk) in chunks.iter().enumerate() {
-            ctx.checkpoint()?;
-            let mut guard = ctx.try_reserve(0).expect("an empty reservation always fits");
-            let mut gmap: KeyMap = KeyMap::default();
-            let mut first_rows: Vec<u32> = Vec::new();
-            let mut gstates: Vec<AggState> = inputs.iter().map(AggState::empty_like).collect();
-            if let Some(ci) = *chunk {
-                let bytes = set.read(ci)?;
-                let mut rd = SpillRowReader::new(&bytes, nkeys);
-                let mut pending = rd.next().map(|(r, s)| (r, s.to_vec()));
-                while let Some((row0, _)) = &pending {
-                    // One morsel's worth of this partition's rows → one
-                    // partial, merged immediately (morsel order).
-                    let mi = *row0 as usize / morsel_len;
-                    let mut partial = MorselAgg::new(inputs);
-                    while let Some((row, slots)) = pending.take() {
-                        if row as usize / morsel_len != mi {
-                            pending = Some((row, slots));
-                            break;
-                        }
-                        let g = partial.group_of(Key::from_row(&slots), row);
-                        for (st, input) in partial.states.iter_mut().zip(inputs) {
-                            st.push(g as usize, row as usize, input);
-                        }
-                        pending = rd.next().map(|(r, s)| (r, s.to_vec()));
-                    }
-                    let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
-                    for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
-                        match gmap.get(&k) {
-                            Some(&g) => gid_map.push(g),
-                            None => {
-                                if !guard.grow(width) {
-                                    if first_rows.is_empty() || nparts >= MAX_SPILL_PARTS {
-                                        // One group per partition cannot
-                                        // shrink further; past the cap the
-                                        // budget is declared impossible.
-                                        return Err(EngineError::ResourceExhausted {
-                                            requested: guard.bytes() + width,
-                                            budget: ctx.budget(),
-                                            operator: "aggregate".to_string(),
-                                        });
-                                    }
-                                    nparts *= 2;
-                                    continue 'attempt;
-                                }
-                                let g = first_rows.len() as u32;
-                                gmap.insert(k, g);
-                                first_rows.push(fr);
-                                gid_map.push(g);
-                            }
-                        }
-                    }
-                    for (gst, lst) in gstates.iter_mut().zip(partial.states) {
-                        gst.grow_to(first_rows.len());
-                        gst.merge_from(lst, &gid_map);
-                    }
-                }
-            }
-            for (lg, &fr) in first_rows.iter().enumerate() {
-                order.push((fr, p as u32, lg as u32));
-            }
-            part_counts.push(first_rows.len());
-            part_states.push(gstates);
-        }
-        // Stitch in first-appearance order — identical to `grace_aggregate`.
-        order.sort_unstable_by_key(|&(fr, _, _)| fr);
-        let first_rows: Vec<u32> = order.iter().map(|&(fr, _, _)| fr).collect();
-        let mut gid_maps: Vec<Vec<u32>> = part_counts.iter().map(|&c| vec![0u32; c]).collect();
-        for (g, &(_, p, lg)) in order.iter().enumerate() {
-            gid_maps[p as usize][lg as usize] = g as u32;
-        }
-        let mut gstates: Vec<AggState> = inputs.iter().map(AggState::empty_like).collect();
-        for st in &mut gstates {
-            st.grow_to(first_rows.len());
-        }
-        for (p, pstates) in part_states.into_iter().enumerate() {
-            for (gst, lst) in gstates.iter_mut().zip(pstates) {
-                gst.merge_from(lst, &gid_maps[p]);
-            }
-        }
-        ctx.note_fallback(nparts as u32);
-        return Ok((first_rows, gstates));
-    }
-}
-
-/// Deterministic multiply-xor hasher (the FxHash construction) for the
-/// group maps: the default SipHash spends more per-row time hashing a
-/// two-slot key than the aggregation spends accumulating it. Iteration
-/// order of the maps is never observed — group order always comes from
-/// `first_rows` / insertion-ordered `keys` — so swapping the hasher cannot
-/// change any result.
-#[derive(Clone, Default)]
-struct FxBuild;
-
-impl std::hash::BuildHasher for FxBuild {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0)
-    }
-}
-
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v)
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.add(v as u64)
-    }
-}
-
-type KeyMap = HashMap<Key, u32, FxBuild>;
+type KeyMap = FxMap<Key, u32>;
 
 /// A group key: the common 0/1/2-column cases avoid heap allocation. Keys
 /// hold `key_values`-encoded slots, so the fused executor's VM (which emits
@@ -630,9 +508,15 @@ impl MorselAgg {
 
     #[inline]
     fn push_row(&mut self, i: usize, encoded: &[Vec<i64>], inputs: &[AggInput]) {
-        let g = self.group_of(key_at(encoded, i), i as u32);
+        self.push_keyed(key_at(encoded, i), i as u32, inputs);
+    }
+
+    /// Accumulates row `row`, whose group key is `k`.
+    #[inline]
+    fn push_keyed(&mut self, k: Key, row: u32, inputs: &[AggInput]) {
+        let g = self.group_of(k, row);
         for (st, input) in self.states.iter_mut().zip(inputs) {
-            st.push(g as usize, i, input);
+            st.push(g as usize, row as usize, input);
         }
     }
 
@@ -664,19 +548,19 @@ impl MorselAgg {
 
     #[inline]
     fn group_of(&mut self, k: Key, row_id: u32) -> u32 {
-        match self.map.get(&k) {
-            Some(&g) => g,
-            None => {
-                let g = self.keys.len() as u32;
-                self.map.insert(k.clone(), g);
-                self.keys.push(k);
-                self.first_rows.push(row_id);
-                for st in &mut self.states {
-                    st.grow_to(g as usize + 1);
-                }
-                g
-            }
+        // `get` first, not `entry`: rows of known groups dominate, and the
+        // entry API measured 10 % slower on them (it moves the key around).
+        if let Some(&g) = self.map.get(&k) {
+            return g;
         }
+        let g = self.keys.len() as u32;
+        self.keys.push(k.clone());
+        self.map.insert(k, g);
+        self.first_rows.push(row_id);
+        for st in &mut self.states {
+            st.grow_to(g as usize + 1);
+        }
+        g
     }
 }
 
@@ -733,7 +617,7 @@ impl SlotAgg {
 /// Per-aggregate accumulator state, one slot per group.
 pub(super) enum AggState {
     Count(Vec<i64>),
-    Distinct(Vec<HashSet<i64>>),
+    Distinct(Vec<SmallSet>),
     SumDec(Vec<i128>, u8),
     SumInt(Vec<i64>),
     SumFloat(Vec<f64>),
@@ -764,7 +648,7 @@ impl AggState {
     pub(super) fn grow_to(&mut self, ngroups: usize) {
         match self {
             AggState::Count(v) | AggState::SumInt(v) => v.resize(ngroups, 0),
-            AggState::Distinct(v) => v.resize_with(ngroups, HashSet::new),
+            AggState::Distinct(v) => v.resize_with(ngroups, SmallSet::default),
             AggState::SumDec(v, _) => v.resize(ngroups, 0),
             AggState::SumFloat(v) => v.resize(ngroups, 0.0),
             AggState::AvgFixed { sum, cnt, .. } => {
@@ -880,7 +764,7 @@ impl AggState {
             }
             (AggState::Distinct(g), AggState::Distinct(l)) => {
                 for (lg, set) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize].extend(set);
+                    g[gid_map[lg] as usize].absorb(set);
                 }
             }
             (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
@@ -1201,7 +1085,10 @@ mod tests {
                     .unwrap();
             assert_eq!(out, base, "grace aggregate diverged at {threads} threads");
             assert_eq!(prof, base_prof, "grace profile diverged at {threads} threads");
-            assert!(ctx.fallbacks() > 0, "640 B budget must take the Grace path");
+            // Pinned: partition assignment decides the fan-out, and must not
+            // drift silently.
+            assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 4));
+            assert_eq!(prof.spilled_bytes, 0);
             assert_eq!(ctx.used(), 0, "all reservations released after the query");
         }
         // A budget below one table entry cannot be partitioned around.
@@ -1268,11 +1155,10 @@ mod tests {
                 super::exec_aggregate(&rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx)
                     .unwrap();
             assert_eq!(out, base, "spill aggregate diverged at {threads} threads");
-            assert!(prof.spilled_bytes > 0, "the spill rung must engage");
-            assert!(
-                ctx.max_fallback_parts() > MAX_GRACE_PARTS as u32,
-                "fan-out must pass the Grace cap"
-            );
+            // Pinned (see the Grace test): three staged attempts of 5 000
+            // 12-byte records, the last at 8 192 partitions.
+            assert_eq!(prof.spilled_bytes, 180_000, "the spill rung must engage");
+            assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 8192));
             assert_eq!(disk.used(), 0, "all spill chunks freed");
             assert_eq!(ctx.used(), 0, "all reservations released");
         }

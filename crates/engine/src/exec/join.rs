@@ -13,12 +13,16 @@
 //! morsel order — the output row order is bit-identical to the serial join
 //! at any thread count (see `exec::parallel`).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
 
+use super::aggregate::Key;
+use super::hash::{fx_map, fx_slot, FxMap};
 use super::parallel::{morsel_ranges, run_morsels, run_morsels_spanned, EngineConfig};
+use super::partition::Partitioner;
+use super::spill::{note_spill_delta, SpillRowReader, SpillSet, MAX_SPILL_PARTS};
 use super::{ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::governor::QueryContext;
@@ -161,7 +165,17 @@ pub fn exec_join(
     Ok(out)
 }
 
-use super::partition_of;
+/// Links build row `row` into its key's chain: `head` maps a key to its most
+/// recent build row, `next` threads through the earlier ones.
+#[inline]
+fn chain<K: Hash + Eq>(head: &mut FxMap<K, u32>, next: &mut [u32], k: K, row: u32) {
+    match head.entry(k) {
+        Entry::Occupied(mut e) => next[row as usize] = e.insert(row),
+        Entry::Vacant(e) => {
+            e.insert(row);
+        }
+    }
+}
 
 /// Appends the (left, right) output rows that left row `i` contributes given
 /// its head-chain hit — the per-row core shared by the serial and parallel
@@ -219,10 +233,10 @@ fn emit_row(
 /// parallel path, so trace structure is identical at any thread count.
 ///
 /// The whole build table is reserved against the query budget up front; when
-/// it does not fit, [`grace_probe`] degrades to a partitioned build with the
-/// same output and trace structure. Worker threads bail out at morsel
-/// boundaries once cancellation is signalled (the partial result is
-/// discarded — the final checkpoint turns it into `Cancelled`).
+/// it does not fit, [`partitioned_probe`] degrades to a Grace-partitioned
+/// build with the same output and trace structure. Worker threads bail out
+/// at morsel boundaries once cancellation is signalled (the partial result
+/// is discarded — the final checkpoint turns it into `Cancelled`).
 #[allow(clippy::too_many_arguments)]
 fn probe<K: Hash + Eq + Send + Sync>(
     cfg: &EngineConfig,
@@ -237,7 +251,9 @@ fn probe<K: Hash + Eq + Send + Sync>(
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let build_bytes = nright as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
     let Some(_guard) = ctx.try_reserve(build_bytes) else {
-        return grace_probe(cfg, nleft, nright, lkey, rkey, join_type, tracer, ctx, nkeys);
+        return partitioned_probe(
+            cfg, nleft, nright, lkey, rkey, join_type, tracer, ctx, nkeys, None,
+        );
     };
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
@@ -245,19 +261,10 @@ fn probe<K: Hash + Eq + Send + Sync>(
     if cfg.threads <= 1 {
         // Serial fast path: one build map, one probe scan.
         // head: key -> most recent build row; next: chain through earlier rows.
-        let mut head: HashMap<K, u32> = HashMap::with_capacity(nright * 2);
+        let mut head: FxMap<K, u32> = fx_map(nright);
         let mut next: Vec<u32> = vec![NONE_ROW; nright];
-        #[allow(clippy::needless_range_loop)] // `i` is the row id being chained
         for i in 0..nright {
-            match head.entry(rkey(i)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    next[i] = *e.get();
-                    *e.get_mut() = i as u32;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i as u32);
-                }
-            }
+            chain(&mut head, &mut next, rkey(i), i as u32);
         }
         let build_ns = elapsed_ns(&build_started);
         let probe_started = traced.then(std::time::Instant::now);
@@ -313,30 +320,28 @@ fn probe<K: Hash + Eq + Send + Sync>(
     }
 
     // Partitioned parallel build: partition owner `p` scans every build key
-    // and inserts only the rows hashing to `p`, in global row order — all
+    // and inserts only the rows routed to `p`, in global row order — all
     // rows of one key share a partition, so each chain is laid out exactly
     // as the serial build lays it out. (No morsel spans here: the partition
     // count follows the thread count, so per-partition children would break
-    // trace-structure determinism.)
+    // trace-structure determinism — and for the same reason the routing is
+    // unobservable, so it uses the table hasher, not the fallbacks' SipHash.)
     let nparts = cfg.threads;
     let part_ranges: Vec<Range<usize>> = (0..nparts).map(|p| p..p + 1).collect();
     let built = run_morsels(cfg, &part_ranges, |p, _| {
-        let mut head: HashMap<K, u32> = HashMap::new();
+        let mut head: FxMap<K, u32> = FxMap::default();
         let mut edges: Vec<(u32, u32)> = Vec::new();
         if ctx.interrupted() {
             return (head, edges);
         }
         for i in 0..nright {
             let k = rkey(i);
-            if partition_of(&k, nparts) != p {
+            if fx_slot(&k, nparts) != p {
                 continue;
             }
             match head.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    edges.push((i as u32, *e.get()));
-                    *e.get_mut() = i as u32;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Occupied(mut e) => edges.push((i as u32, e.insert(i as u32))),
+                Entry::Vacant(e) => {
                     e.insert(i as u32);
                 }
             }
@@ -344,7 +349,7 @@ fn probe<K: Hash + Eq + Send + Sync>(
         (head, edges)
     });
     let mut next: Vec<u32> = vec![NONE_ROW; nright];
-    let mut heads: Vec<HashMap<K, u32>> = Vec::with_capacity(nparts);
+    let mut heads: Vec<FxMap<K, u32>> = Vec::with_capacity(nparts);
     for (head, edges) in built {
         for (row, prev) in edges {
             next[row as usize] = prev;
@@ -365,7 +370,7 @@ fn probe<K: Hash + Eq + Send + Sync>(
         }
         for i in r {
             let k = lkey(i);
-            let hit = heads[partition_of(&k, nparts)].get(&k).copied();
+            let hit = heads[fx_slot(&k, nparts)].get(&k).copied();
             emit_row(i, hit, &next, join_type, &mut lsel, &mut rsel);
         }
         (lsel, rsel)
@@ -381,54 +386,71 @@ fn probe<K: Hash + Eq + Send + Sync>(
     Ok((lsel, rsel))
 }
 
-/// The Grace-style degraded build: partition the build keys by their
-/// deterministic hash, process partitions *sequentially* (one partition's
-/// hash table lives at a time), then splice the per-partition outputs back
-/// into global left-row order.
+/// What the spill rung adds to [`partitioned_probe`]: both sides' key slots,
+/// staged on the disk as `(row id, key slots)` records, and the key a
+/// read-back record's slots rebuild.
+struct Staging<'a, K> {
+    lslots: &'a [Vec<i64>],
+    rslots: &'a [Vec<i64>],
+    key_of: fn(&[i64]) -> K,
+}
+
+/// The degraded build below the resident one: partition both sides by their
+/// deterministic key hash (each row hashed once — see [`Partitioner`]),
+/// process partitions *sequentially* (one partition's hash table lives at a
+/// time), then splice the per-partition outputs back into global left-row
+/// order. The fan-out doubles until the *largest* partition's build table
+/// fits the budget: the Grace rung (`staging` = `None`) from 2 up to
+/// `MAX_GRACE_PARTS`, walking the partitioner's buckets directly; the spill
+/// rung (DESIGN.md §16) from there up to `MAX_SPILL_PARTS`, round-tripping
+/// both sides' partition inputs through the spill disk (checksum-verified,
+/// fault-retried) instead. A hot key that still does not fit at the cap
+/// raises the typed `ResourceExhausted`, and a full disk raises the same
+/// error with the spill-disk marker in its operator.
 ///
 /// Determinism argument: all rows of one key hash to one partition, and each
 /// partition inserts its build rows in ascending global row order — so every
 /// chain is laid out exactly as the serial build lays it out, and each left
 /// row's matches are emitted in the same order the serial probe emits them.
-/// The merge then visits left rows 0..nleft in order, which reproduces the
+/// The splice then visits left rows 0..nleft in order, which reproduces the
 /// serial output byte for byte. Partition choice depends only on row counts
 /// and the budget, never on the thread count.
 #[allow(clippy::too_many_arguments)]
-fn grace_probe<K: Hash + Eq + Send + Sync>(
+fn partitioned_probe<K: Hash + Eq>(
     cfg: &EngineConfig,
     nleft: usize,
     nright: usize,
-    lkey: impl Fn(usize) -> K + Sync,
-    rkey: impl Fn(usize) -> K + Sync,
+    lkey: impl Fn(usize) -> K,
+    rkey: impl Fn(usize) -> K,
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
     nkeys: usize,
+    staging: Option<Staging<K>>,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
     let build_started = traced.then(std::time::Instant::now);
-    // Linear bookkeeping (partition lists, the shared chain array — 4 B/row
-    // each side, ×2) is *measured* but not capped: like selection vectors
-    // and materialized outputs it streams sequentially, and only the
+    // Linear bookkeeping (partition hashes and buckets, the shared chain
+    // array — about 8 B/row) is *measured* but not capped: like selection
+    // vectors and materialized outputs it streams sequentially, and only the
     // random-access hash table is what thrashes a wimpy node (the same line
     // the cluster's MemoryModel draws around `hash_bytes`).
     ctx.track((nleft + nright) as u64 * 8);
 
-    // Double the fan-out until the *largest* partition's build table fits.
-    let mut nparts = 2usize;
-    let counts = loop {
-        let mut counts = vec![0u32; nparts];
-        for i in 0..nright {
-            counts[partition_of(&rkey(i), nparts)] += 1;
+    let table_bytes = |rows: usize| rows as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
+    let (mut nparts, cap) = match staging {
+        Some(_) => (MAX_GRACE_PARTS * 2, MAX_SPILL_PARTS),
+        None => (2, MAX_GRACE_PARTS),
+    };
+    let rpart = Partitioner::new(nright, &rkey);
+    let rbuckets = loop {
+        let buckets = rpart.buckets(nparts);
+        let need = table_bytes(buckets.max_len());
+        if ctx.try_reserve(need).is_some() {
+            break buckets;
         }
-        let maxcount = counts.iter().copied().max().unwrap_or(0) as u64;
-        let need = maxcount * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
-        if let Some(probe_fit) = ctx.try_reserve(need) {
-            drop(probe_fit);
-            break counts;
-        }
-        if nparts >= MAX_GRACE_PARTS {
+        if nparts >= cap {
             return Err(EngineError::ResourceExhausted {
                 requested: need,
                 budget: ctx.budget(),
@@ -438,19 +460,18 @@ fn grace_probe<K: Hash + Eq + Send + Sync>(
         nparts *= 2;
     };
     ctx.note_fallback(nparts as u32);
-
-    // Partition both sides (ascending row order within each partition).
-    let mut rrows: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c as usize)).collect();
-    for i in 0..nright {
-        rrows[partition_of(&rkey(i), nparts)].push(i as u32);
-    }
-    let mut lpart: Vec<u32> = Vec::with_capacity(nleft);
-    let mut lrows: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-    for i in 0..nleft {
-        let p = partition_of(&lkey(i), nparts);
-        lpart.push(p as u32);
-        lrows[p].push(i as u32);
-    }
+    let lpart = Partitioner::new(nleft, &lkey);
+    let lbuckets = lpart.buckets(nparts);
+    // `SpillSet` frees every staged chunk on any exit.
+    let staged = match &staging {
+        Some(st) => {
+            let mut set = SpillSet::new(ctx, "join build").expect("disk attached");
+            let rchunks = set.stage(&rbuckets, st.rslots, ctx)?;
+            let lchunks = set.stage(&lbuckets, st.lslots, ctx)?;
+            Some((set, rchunks, lchunks, st.key_of))
+        }
+        None => None,
+    };
     let build_ns = elapsed_ns(&build_started);
     let probe_started = traced.then(std::time::Instant::now);
 
@@ -459,25 +480,38 @@ fn grace_probe<K: Hash + Eq + Send + Sync>(
     let mut part_sels: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(nparts);
     for p in 0..nparts {
         ctx.checkpoint()?;
-        let _table =
-            ctx.reserve(counts[p] as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64, "join build")?;
-        let mut head: HashMap<K, u32> = HashMap::with_capacity(counts[p] as usize * 2);
-        for &i in &rrows[p] {
-            match head.entry(rkey(i as usize)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    next[i as usize] = *e.get();
-                    *e.get_mut() = i;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-            }
-        }
+        let rrows = rbuckets.rows(p);
+        let _table = ctx.reserve(table_bytes(rrows.len()), "join build")?;
+        let mut head: FxMap<K, u32> = fx_map(rrows.len());
         let mut lsel = Vec::new();
         let mut rsel = Vec::new();
-        for &i in &lrows[p] {
-            let hit = head.get(&lkey(i as usize)).copied();
-            emit_row(i as usize, hit, &next, join_type, &mut lsel, &mut rsel);
+        match &staged {
+            None => {
+                for &i in rrows {
+                    chain(&mut head, &mut next, rkey(i as usize), i);
+                }
+                for &i in lbuckets.rows(p) {
+                    let hit = head.get(&lkey(i as usize)).copied();
+                    emit_row(i as usize, hit, &next, join_type, &mut lsel, &mut rsel);
+                }
+            }
+            Some((set, rchunks, lchunks, key_of)) => {
+                if let Some(chunk) = rchunks[p] {
+                    let bytes = set.read(chunk)?;
+                    let mut rd = SpillRowReader::new(&bytes, nkeys);
+                    while let Some((row, slots)) = rd.next() {
+                        chain(&mut head, &mut next, key_of(slots), row);
+                    }
+                }
+                if let Some(chunk) = lchunks[p] {
+                    let bytes = set.read(chunk)?;
+                    let mut rd = SpillRowReader::new(&bytes, nkeys);
+                    while let Some((row, slots)) = rd.next() {
+                        let hit = head.get(&key_of(slots)).copied();
+                        emit_row(row as usize, hit, &next, join_type, &mut lsel, &mut rsel);
+                    }
+                }
+            }
         }
         part_sels.push((lsel, rsel));
     }
@@ -487,8 +521,8 @@ fn grace_probe<K: Hash + Eq + Send + Sync>(
     let mut cursors = vec![0usize; nparts];
     let mut lsel = Vec::new();
     let mut rsel = Vec::new();
-    for (i, &p) in lpart.iter().enumerate() {
-        let p = p as usize;
+    for i in 0..nleft {
+        let p = lpart.part(i, nparts);
         let (pl, pr) = &part_sels[p];
         let c = &mut cursors[p];
         while *c < pl.len() && pl[*c] == i as u32 {
@@ -512,22 +546,11 @@ fn grace_probe<K: Hash + Eq + Send + Sync>(
     Ok((lsel, rsel))
 }
 
-/// The spill rung past Grace: resume the fan-out doubling beyond
-/// `MAX_GRACE_PARTS`, but stage both sides' partition inputs — `(row id,
-/// key slots)` records — on the spill disk instead of holding partition
-/// lists for a resident re-scan. Partitions are then read back (checksum-
-/// verified, fault-retried) and processed one at a time exactly like
-/// [`grace_probe`]: build in ascending row order, probe in ascending row
-/// order, splice per-partition outputs back via the left partition map.
-/// The determinism argument is Grace's verbatim — partition choice depends
-/// only on row counts and the budget, chains are laid out in serial order,
-/// and the splice restores global left-row order — so the output is
-/// bit-exact vs. the in-memory join at any thread count.
-///
-/// Keys are hashed as [`Key`] values (the aggregate's spill rung shares the
-/// codec); a hot key that still does not fit at `MAX_SPILL_PARTS` re-raises
-/// the typed `ResourceExhausted`, and a full disk raises the same error
-/// with the spill-disk marker in its operator.
+/// The spill rung past Grace: [`partitioned_probe`] resumed beyond
+/// `MAX_GRACE_PARTS` with both sides staged on the spill disk. Keys are
+/// hashed as [`Key`] values (the aggregate's spill rung shares the codec).
+/// Bit-exact vs. the in-memory join at any thread count, by the same
+/// determinism argument.
 #[allow(clippy::too_many_arguments)]
 fn spill_probe(
     cfg: &EngineConfig,
@@ -540,143 +563,20 @@ fn spill_probe(
     ctx: &QueryContext,
     prof: &mut WorkProfile,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
-    use super::aggregate::Key;
-    use super::spill::{
-        encode_spill_row, note_spill_delta, spill_row_bytes, SpillRowReader, SpillSet,
-        MAX_SPILL_PARTS,
-    };
-
-    let nkeys = lkeys.len();
     let disk = Arc::clone(ctx.spill().expect("spill_probe requires a disk"));
     let before = disk.counters();
-    let result = (|| {
-        let traced = tracer.is_enabled();
-        let sink = tracer.morsel_sink();
-        let build_started = traced.then(std::time::Instant::now);
-        ctx.track((nleft + nright) as u64 * 8);
-
-        // Resume the doubling where Grace stopped, still requiring only the
-        // largest partition's hash table to fit.
-        let mut nparts = MAX_GRACE_PARTS * 2;
-        let counts = loop {
-            let mut counts = vec![0u32; nparts];
-            for i in 0..nright {
-                counts[partition_of(&Key::from_slots(rkeys, i), nparts)] += 1;
-            }
-            let maxcount = counts.iter().copied().max().unwrap_or(0) as u64;
-            let need = maxcount * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
-            if let Some(fit) = ctx.try_reserve(need) {
-                drop(fit);
-                break counts;
-            }
-            if nparts >= MAX_SPILL_PARTS {
-                return Err(EngineError::ResourceExhausted {
-                    requested: need,
-                    budget: ctx.budget(),
-                    operator: "join build".to_string(),
-                });
-            }
-            nparts *= 2;
-        };
-        ctx.note_fallback(nparts as u32);
-
-        // Stage both sides partition-by-partition, rows in ascending global
-        // row order. The staging buffers are transient sequential writes
-        // (tracked, not capped); `SpillSet` frees every chunk on any exit.
-        let mut set = SpillSet::new(ctx, "join build").expect("disk attached");
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); nparts];
-        for i in 0..nright {
-            let p = partition_of(&Key::from_slots(rkeys, i), nparts);
-            encode_spill_row(&mut bufs[p], i as u32, rkeys, i);
-        }
-        ctx.track((nright * spill_row_bytes(nkeys)) as u64);
-        let mut rchunks: Vec<Option<usize>> = vec![None; nparts];
-        for (p, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                rchunks[p] = Some(set.write(buf)?);
-                *buf = Vec::new();
-            }
-        }
-        let mut lpart: Vec<u32> = Vec::with_capacity(nleft);
-        for i in 0..nleft {
-            let p = partition_of(&Key::from_slots(lkeys, i), nparts);
-            lpart.push(p as u32);
-            encode_spill_row(&mut bufs[p], i as u32, lkeys, i);
-        }
-        ctx.track((nleft * spill_row_bytes(nkeys)) as u64);
-        let mut lchunks: Vec<Option<usize>> = vec![None; nparts];
-        for (p, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                lchunks[p] = Some(set.write(buf)?);
-                *buf = Vec::new();
-            }
-        }
-        drop(bufs);
-        let build_ns = elapsed_ns(&build_started);
-        let probe_started = traced.then(std::time::Instant::now);
-
-        // One partition at a time: read back, build, probe, drop.
-        let mut next: Vec<u32> = vec![NONE_ROW; nright];
-        let mut part_sels: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(nparts);
-        for p in 0..nparts {
-            ctx.checkpoint()?;
-            let _table = ctx
-                .reserve(counts[p] as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64, "join build")?;
-            let mut head: HashMap<Key, u32> = HashMap::with_capacity(counts[p] as usize * 2);
-            if let Some(ci) = rchunks[p] {
-                let bytes = set.read(ci)?;
-                let mut rd = SpillRowReader::new(&bytes, nkeys);
-                while let Some((row, slots)) = rd.next() {
-                    match head.entry(Key::from_row(slots)) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            next[row as usize] = *e.get();
-                            *e.get_mut() = row;
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(row);
-                        }
-                    }
-                }
-            }
-            let mut lsel = Vec::new();
-            let mut rsel = Vec::new();
-            if let Some(ci) = lchunks[p] {
-                let bytes = set.read(ci)?;
-                let mut rd = SpillRowReader::new(&bytes, nkeys);
-                while let Some((row, slots)) = rd.next() {
-                    let hit = head.get(&Key::from_row(slots)).copied();
-                    emit_row(row as usize, hit, &next, join_type, &mut lsel, &mut rsel);
-                }
-            }
-            part_sels.push((lsel, rsel));
-        }
-
-        // Splice back to global left-row order (as in the Grace rung).
-        let mut cursors = vec![0usize; nparts];
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        for (i, &p) in lpart.iter().enumerate() {
-            let p = p as usize;
-            let (pl, pr) = &part_sels[p];
-            let c = &mut cursors[p];
-            while *c < pl.len() && pl[*c] == i as u32 {
-                lsel.push(i as u32);
-                if !pr.is_empty() {
-                    rsel.push(pr[*c]);
-                }
-                *c += 1;
-            }
-        }
-
-        // Budget-invariant trace structure, as in the other paths.
-        if sink.is_enabled() {
-            for (mi, r) in morsel_ranges(nleft, cfg.morsel_rows).into_iter().enumerate() {
-                sink.record(MorselSpan { index: mi, rows: r.len() as u64, worker: 0, wall_ns: 0 });
-            }
-        }
-        attach_phases(tracer, nright, build_ns, nleft, &lsel, &probe_started, sink);
-        Ok((lsel, rsel))
-    })();
+    let result = partitioned_probe(
+        cfg,
+        nleft,
+        nright,
+        |i| Key::from_slots(lkeys, i),
+        |i| Key::from_slots(rkeys, i),
+        join_type,
+        tracer,
+        ctx,
+        lkeys.len(),
+        Some(Staging { lslots: lkeys, rslots: rkeys, key_of: Key::from_row }),
+    );
     // The ledger reflects spill traffic even when the rung ultimately
     // escalates (DiskFull bytes were still written and priced).
     note_spill_delta(prof, disk.counters().delta_since(&before));
@@ -895,7 +795,10 @@ mod tests {
                 let mut p = WorkProfile::new();
                 let got = exec_join(&l, &r, &on, jt, &mut p, &cfg, Tracer::off(), &ctx).unwrap();
                 assert_eq!(got, want, "{jt:?} grace diverged at {threads} threads");
-                assert!(ctx.fallbacks() > 0, "{jt:?}: budget must engage the fallback");
+                // Pinned: partition assignment decides the fan-out, and must
+                // not drift silently.
+                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 4), "{jt:?}");
+                assert_eq!(p.spilled_bytes, 0);
                 assert_eq!(ctx.mem.used(), 0, "{jt:?}: all reservations released");
             }
         }
@@ -962,11 +865,9 @@ mod tests {
                 let mut p = WorkProfile::new();
                 let got = exec_join(&l, &r, &on, jt, &mut p, &cfg, Tracer::off(), &ctx).unwrap();
                 assert_eq!(got, want, "{jt:?} spill diverged at {threads} threads");
-                assert!(p.spilled_bytes > 0, "{jt:?}: the spill rung must engage");
-                assert!(
-                    ctx.max_fallback_parts() > MAX_GRACE_PARTS as u32,
-                    "{jt:?}: fan-out must pass the Grace cap"
-                );
+                // Pinned (see the Grace test): 22 000 staged 12-byte records.
+                assert_eq!(p.spilled_bytes, 264_000, "{jt:?}: the spill rung must engage");
+                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 16384), "{jt:?}");
                 assert_eq!(disk.used(), 0, "{jt:?}: all spill chunks freed");
                 assert_eq!(ctx.mem.used(), 0, "{jt:?}: all reservations released");
             }

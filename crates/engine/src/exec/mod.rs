@@ -14,8 +14,10 @@ pub mod aggregate;
 pub mod bytecode;
 pub mod filter;
 mod fused;
+mod hash;
 pub mod join;
 pub mod parallel;
+mod partition;
 mod prune;
 pub mod sort;
 mod spill;
@@ -342,19 +344,6 @@ pub(crate) fn expr_sketch(e: &Expr) -> String {
         }
         format!("{}...", &full[..cut])
     }
-}
-
-/// Deterministic key→partition assignment for the Grace-style fallbacks,
-/// identical on every thread. `DefaultHasher::new()` uses fixed SipHash keys
-/// (unlike a `HashMap`'s per-instance `RandomState`), which both the join's
-/// chain-layout determinism and the budget fallbacks' partition choice rely
-/// on.
-#[inline]
-pub(crate) fn partition_of<K: std::hash::Hash>(k: &K, nparts: usize) -> usize {
-    use std::hash::Hasher;
-    let mut h = std::hash::DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() % nparts as u64) as usize
 }
 
 /// Rejects row counts the engine's `u32` selection vectors cannot index.

@@ -12,6 +12,7 @@
 
 use wimpi_storage::spill::{SpillChunkId, SpillDisk, SpillError};
 
+use super::partition::Buckets;
 use crate::error::EngineError;
 use crate::governor::QueryContext;
 use crate::stats::WorkProfile;
@@ -123,6 +124,34 @@ impl<'a> SpillSet<'a> {
         let id = self.disk.write(payload).map_err(|e| spill_to_engine(e, self.operator))?;
         self.ids.push(id);
         Ok(self.ids.len() - 1)
+    }
+
+    /// Stages one operator input's partition routing: one chunk per non-empty
+    /// partition, in partition order, holding the `(row id, key slots)` record
+    /// of each of its rows in ascending row order. Returns each partition's
+    /// chunk index. The staging buffer is a transient sequential write —
+    /// tracked, not capped.
+    pub(super) fn stage(
+        &mut self,
+        buckets: &Buckets,
+        slots: &[Vec<i64>],
+        ctx: &QueryContext,
+    ) -> crate::error::Result<Vec<Option<usize>>> {
+        ctx.track((buckets.max_len() * spill_row_bytes(slots.len())) as u64);
+        let mut buf = Vec::new();
+        (0..buckets.nparts())
+            .map(|p| {
+                let rows = buckets.rows(p);
+                if rows.is_empty() {
+                    return Ok(None);
+                }
+                buf.clear();
+                for &row in rows {
+                    encode_spill_row(&mut buf, row, slots, row as usize);
+                }
+                self.write(&buf).map(Some)
+            })
+            .collect()
     }
 
     /// Reads chunk `idx` back; checksum verification and priced retries

@@ -2,9 +2,12 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use wimpi_engine::eval::Evaluator;
 use wimpi_engine::expr::{col, date, dec2};
 use wimpi_engine::plan::{AggExpr, PlanBuilder, SortKey};
-use wimpi_engine::{exec, execute_query, execute_query_governed, EngineConfig, QueryContext};
+use wimpi_engine::{
+    exec, execute_query, execute_query_governed, EngineConfig, QueryContext, Relation, WorkProfile,
+};
 use wimpi_storage::Catalog;
 use wimpi_tpch::Generator;
 
@@ -95,6 +98,22 @@ fn bench_operators(c: &mut Criterion) {
             .build();
         b.iter(|| black_box(execute_query(&plan, &cat).expect("runs")));
     });
+
+    // Full-column expression evaluation, as projections and aggregate inputs
+    // run it. These two forms were the ones the bytecode VM ran slower than
+    // the recursive interpreter it replaced, while it still filled `i64`
+    // slots for the whole column and converted them in a second pass.
+    let lineitem = Relation::from_table(cat.table("lineitem").expect("generated"), None)
+        .expect("relation over lineitem");
+    let case = col("l_discount").gt(dec2("0.05")).case(col("l_extendedprice"), dec2("0"));
+    for (name, expr) in [("eval_case", case), ("eval_extract_year", col("l_shipdate").year())] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut prof = WorkProfile::new();
+                black_box(Evaluator::new(&lineitem, &mut prof).eval(&expr).expect("evaluates"))
+            });
+        });
+    }
 
     // Optimizer value: the same plan with and without optimization.
     g.bench_function("q3_optimized", |b| {

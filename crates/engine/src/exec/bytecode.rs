@@ -1,34 +1,43 @@
-//! Compile-once expression bytecode for the fused executor (DESIGN.md §13).
+//! The expression evaluator (DESIGN.md §2, §13): compile once, run over
+//! morsels.
 //!
 //! [`Program::compile`] lowers an [`Expr`] tree into a flat postfix program
-//! (`Arc<Vec<Op>>`) evaluated by a tiny stack VM, replacing the recursive
-//! column-at-a-time walks of [`crate::eval`] in the fused executor's hot
-//! loop. Every slot is an `i64` in exactly the [`super::key_values`]
-//! encoding — decimal mantissas, dictionary codes, `f64::to_bits`, widened
-//! narrow integers — so the compiled path is bit-identical per row to the
-//! materializing evaluator: same fixed-point rescale factors, same
-//! `f64` conversions (scalar constants go through [`Value::as_f64`] at
-//! compile time, just as [`crate::eval`] does at run time), same both-sides
-//! evaluation of AND/OR. String predicates compile to per-dictionary-value
-//! masks indexed by code, mirroring the evaluator's dictionary idiom.
+//! evaluated by a small vectorized stack VM. Every slot is an `i64` in
+//! exactly the [`super::key_values`] encoding — decimal mantissas,
+//! dictionary codes, `f64::to_bits`, widened narrow integers. Both executors
+//! run it: the fused pipeline per morsel over selection vectors
+//! ([`Program::filter_range`], [`Program::filter_sel`],
+//! [`Program::eval_sel`]), the materializing operators column-at-a-time
+//! through [`Program::eval_column`] and the same filter kernels.
 //!
-//! Anything the ISA cannot express — column-vs-column string comparison,
-//! `SUBSTR`, `CASE` over strings, operands the evaluator would reject —
-//! makes [`Program::compile`] return `None` and the caller falls back to
-//! the materializing path, which then either succeeds or reports the exact
-//! error the query would have produced anyway.
+//! Compilation is total over well-typed expressions and is where type errors
+//! surface, as the [`EngineError`] the query reports. String predicates
+//! compile to per-dictionary-value masks indexed by code; computed strings
+//! (`SUBSTR`, string literals) to a code remap into a dictionary the program
+//! carries; string column-vs-column compares decode both sides row-wise.
+//!
+//! Compilation also yields the expression's [`Cost`]: the work MonetDB-style
+//! full materialization performs for it — one primitive per node, streaming
+//! its operands in and its result out — as per-row rates plus the
+//! per-dictionary constants. `Executor::Materialize` charges that form for
+//! the rows its loop evaluated; `Executor::Fused` charges only the base
+//! columns it streams ([`Program::width_bytes`]). The VM's own loop
+//! structure is never what is priced.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
+use super::parallel::{morsel_ranges, run_morsels, EngineConfig};
+use crate::error::{EngineError, Result};
 use crate::eval::{self, POW10};
 use crate::expr::{BinOp, Expr};
 use crate::like::like_match;
 use crate::relation::Relation;
-use wimpi_storage::{Column, DataType, Date32, Value};
+use crate::stats::WorkProfile;
+use wimpi_storage::{Column, DataType, Date32, DictBuilder, DictColumn, StorageError, Value};
 
-/// Compile-time type of a VM slot; mirrors the column types the evaluator
-/// would materialize for the same sub-expression.
+/// Compile-time type of a VM slot, and of the column it materializes as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ty {
     /// Raw `i64`.
@@ -48,7 +57,7 @@ pub enum Ty {
 }
 
 impl Ty {
-    fn of_column(c: &Column) -> Ty {
+    pub(crate) fn of_column(c: &Column) -> Ty {
         match c {
             Column::Int64(_) => Ty::I64,
             Column::Int32(_) => Ty::I32,
@@ -60,7 +69,7 @@ impl Ty {
         }
     }
 
-    /// The column type the evaluator would produce for this slot type.
+    /// The column type this slot type materializes as.
     pub fn data_type(self) -> DataType {
         match self {
             Ty::I64 => DataType::Int64,
@@ -73,7 +82,7 @@ impl Ty {
         }
     }
 
-    /// Fixed-point scale, if this type is on the evaluator's fixed path.
+    /// Fixed-point scale, if this type is on the fixed-point path.
     fn fixed_scale(self) -> Option<u8> {
         match self {
             Ty::I64 | Ty::I32 | Ty::Date => Some(0),
@@ -82,14 +91,24 @@ impl Ty {
         }
     }
 
-    /// Streamed bytes per row, matching the evaluator's charge model.
-    fn width(self) -> u64 {
+    /// Streamed bytes per row: dates and `i32`s stream 4 B, boolean masks
+    /// 1 B, dictionary strings their 4-byte codes — the difference decides
+    /// whether Q6 is memory-bound on a Pi (DESIGN.md §2).
+    pub(crate) fn width(self) -> u64 {
         match self {
             Ty::I64 | Ty::Dec(_) | Ty::F64 => 8,
             Ty::I32 | Ty::Date | Ty::Str => 4,
             Ty::Bool => 1,
         }
     }
+}
+
+/// Which dictionary a `Str` slot's codes index: a bound column's own, or
+/// one the program carries for a computed string.
+#[derive(Debug, Clone, Copy)]
+enum Dict {
+    Col(u16),
+    Pool(u16),
 }
 
 /// One postfix VM instruction. Operands live on an `i64` stack.
@@ -145,6 +164,16 @@ enum Op {
     DictMask {
         mask: u16,
     },
+    /// Pop a code; push its image in pooled dictionary `table` (`SUBSTR`).
+    Remap {
+        table: u16,
+    },
+    /// Pop codes b, a; push the comparison of the strings they decode to.
+    CmpStr {
+        op: BinOp,
+        a: Dict,
+        b: Dict,
+    },
     /// Pop a mantissa; push `lists[list].contains(m) != negated`.
     InFixed {
         list: u16,
@@ -159,24 +188,6 @@ enum Op {
         ft: i64,
         fo: i64,
     },
-}
-
-fn op_stack_effect(op: &Op) -> i32 {
-    match op {
-        Op::Load(_) | Op::Const(_) => 1,
-        Op::CmpFixed { .. }
-        | Op::AddFixed { .. }
-        | Op::SubFixed { .. }
-        | Op::MulFixed
-        | Op::MulFixedCapped { .. }
-        | Op::DivFixed { .. }
-        | Op::CmpF64 { .. }
-        | Op::ArithF64 { .. }
-        | Op::And
-        | Op::Or => -1,
-        Op::Not | Op::DictMask { .. } | Op::InFixed { .. } | Op::Year | Op::FixedToF64 { .. } => 0,
-        Op::CaseRaw | Op::CaseFixed { .. } => -2,
-    }
 }
 
 /// Specialized single-pass predicate forms recognized by a peephole pass,
@@ -315,6 +326,44 @@ fn case_batch(stack: &mut Vec<Slot>, ft: i64, fo: i64) {
     stack.push(out);
 }
 
+/// The full-materialization work of one expression, linear in the rows it
+/// is evaluated over: per-row rates summed over the expression's nodes, plus
+/// the per-dictionary constants (one comparison per distinct value for a
+/// string compare, `cardinality × list length` for a string `IN`), which are
+/// paid even over zero rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Cost {
+    ops: u64,
+    read: u64,
+    written: u64,
+    dict_ops: u64,
+}
+
+impl Cost {
+    /// `nodes` `AND`/`OR` primitives: two masks in, one out, each.
+    pub(crate) fn logical(nodes: u64) -> Cost {
+        Cost { ops: nodes, read: 2 * nodes, written: nodes, dict_ops: 0 }
+    }
+
+    fn node(&mut self, ops: u64, read: u64, written: u64) {
+        self.add(&Cost { ops, read, written, dict_ops: 0 });
+    }
+
+    pub(crate) fn add(&mut self, o: &Cost) {
+        self.ops += o.ops;
+        self.read += o.read;
+        self.written += o.written;
+        self.dict_ops += o.dict_ops;
+    }
+
+    /// Charges one evaluation over `rows` rows.
+    pub(crate) fn charge(&self, rows: u64, prof: &mut WorkProfile) {
+        prof.cpu_ops += rows * self.ops + self.dict_ops;
+        prof.seq_read_bytes += rows * self.read;
+        prof.seq_write_bytes += rows * self.written;
+    }
+}
+
 /// A compiled expression: postfix ops plus the constant pools and column
 /// bindings they index. Compiled once per query, shared across workers.
 pub struct Program {
@@ -322,14 +371,18 @@ pub struct Program {
     cols: Vec<Arc<Column>>,
     masks: Vec<Vec<bool>>,
     lists: Vec<Vec<i64>>,
+    /// Computed-string dictionaries: `values()` is the dictionary, `codes()`
+    /// the remap from the source dictionary's codes into it.
+    remaps: Vec<DictColumn>,
     out: Ty,
-    max_stack: usize,
+    out_dict: Option<Dict>,
+    cost: Cost,
     quick: Option<Quick>,
 }
 
 /// Result of compiling one sub-expression: a (possibly empty) op fragment
-/// plus what it leaves behind — a constant the evaluator would fold, or a
-/// typed slot on the stack.
+/// plus what it leaves behind — a constant that folds, or a typed slot on
+/// the stack.
 struct Frag {
     ops: Vec<Op>,
     out: Out,
@@ -338,6 +391,7 @@ struct Frag {
 enum Out {
     Scalar(Value),
     Col(Ty),
+    Str(Dict),
 }
 
 impl Frag {
@@ -345,8 +399,42 @@ impl Frag {
         Frag { ops: Vec::new(), out: Out::Scalar(v) }
     }
     fn is_str(&self) -> bool {
-        matches!(self.out, Out::Col(Ty::Str)) || matches!(&self.out, Out::Scalar(Value::Str(_)))
+        matches!(self.out, Out::Str(_) | Out::Scalar(Value::Str(_)))
     }
+    /// Streamed bytes per row this operand contributes (0 for scalars).
+    fn width(&self) -> u64 {
+        match self.out {
+            Out::Scalar(_) => 0,
+            Out::Col(ty) => ty.width(),
+            Out::Str(_) => Ty::Str.width(),
+        }
+    }
+}
+
+fn plan(msg: impl Into<String>) -> EngineError {
+    EngineError::Plan(msg.into())
+}
+
+/// The error a typed column accessor reports for the wrong column type.
+fn mismatch(expected: &str, actual: Ty) -> EngineError {
+    EngineError::Storage(StorageError::TypeMismatch {
+        expected: expected.to_string(),
+        actual: actual.data_type().to_string(),
+    })
+}
+
+fn non_numeric(out: &Out) -> EngineError {
+    let what = match out {
+        Out::Scalar(v) => format!("scalar {v:?}"),
+        Out::Col(ty) => format!("column of type {}", ty.data_type()),
+        Out::Str(_) => format!("column of type {}", DataType::Utf8),
+    };
+    plan(format!("expected numeric operand, got {what}"))
+}
+
+/// The 1-based, `len`-character substring SQL's `SUBSTRING` takes.
+fn substr(v: &str, start: usize, len: usize) -> String {
+    v.chars().skip(start.saturating_sub(1)).take(len).collect()
 }
 
 struct Compiler<'r> {
@@ -354,112 +442,141 @@ struct Compiler<'r> {
     cols: Vec<(String, Arc<Column>)>,
     masks: Vec<Vec<bool>>,
     lists: Vec<Vec<i64>>,
+    remaps: Vec<DictColumn>,
+    cost: Cost,
+}
+
+/// Pushes into a constant pool addressed by `u16`.
+fn pool<T>(pool: &mut Vec<T>, item: T) -> Result<u16> {
+    let i = u16::try_from(pool.len())
+        .map_err(|_| EngineError::Unsupported("expression exceeds 65536 pool entries".into()))?;
+    pool.push(item);
+    Ok(i)
 }
 
 impl<'r> Compiler<'r> {
-    fn col_index(&mut self, name: &str) -> Option<(u16, Ty)> {
+    fn col_index(&mut self, name: &str) -> Result<u16> {
         if let Some(i) = self.cols.iter().position(|(n, _)| n == name) {
-            return Some((i as u16, Ty::of_column(&self.cols[i].1)));
+            return Ok(i as u16);
         }
-        let c = Arc::clone(self.rel.column(name).ok()?);
-        let ty = Ty::of_column(&c);
-        let i = self.cols.len();
-        if i > u16::MAX as usize {
-            return None;
-        }
-        self.cols.push((name.to_string(), c));
-        Some((i as u16, ty))
+        let c = Arc::clone(self.rel.column(name)?);
+        pool(&mut self.cols, (name.to_string(), c))
     }
 
-    /// Materializes a scalar as a constant slot, mirroring how the
-    /// evaluator's `Column::repeat` would type it.
-    fn emit_scalar(ops: &mut Vec<Op>, v: &Value) -> Option<Ty> {
-        let (slot, ty) = match v {
-            Value::I64(x) => (*x, Ty::I64),
-            Value::I32(x) => (*x as i64, Ty::I32),
-            Value::Date(d) => (d.0 as i64, Ty::Date),
-            Value::Dec(d) => (d.mantissa(), Ty::Dec(d.scale())),
-            Value::Bool(b) => (*b as i64, Ty::Bool),
-            Value::F64(f) => (f.to_bits() as i64, Ty::F64),
-            Value::Str(_) => return None,
+    fn dict_values(&self, d: Dict) -> &[String] {
+        match d {
+            Dict::Col(i) => match &*self.cols[i as usize].1 {
+                Column::Str(d) => d.values(),
+                _ => unreachable!("Dict::Col names a string column"),
+            },
+            Dict::Pool(i) => self.remaps[i as usize].values(),
+        }
+    }
+
+    /// Materializes a fragment as a typed slot: a scalar becomes the
+    /// constant column `Column::repeat` would broadcast it to.
+    fn to_slot(frag: Frag) -> (Vec<Op>, Ty) {
+        let mut ops = frag.ops;
+        let (slot, ty) = match frag.out {
+            Out::Col(ty) => return (ops, ty),
+            Out::Str(_) => return (ops, Ty::Str),
+            Out::Scalar(v) => match v {
+                Value::I64(x) => (x, Ty::I64),
+                Value::I32(x) => (x as i64, Ty::I32),
+                Value::Date(d) => (d.0 as i64, Ty::Date),
+                Value::Dec(d) => (d.mantissa(), Ty::Dec(d.scale())),
+                Value::Bool(b) => (b as i64, Ty::Bool),
+                Value::F64(f) => (f.to_bits() as i64, Ty::F64),
+                // Code 0 of the one-value dictionary `str_slot` pools.
+                Value::Str(_) => (0, Ty::Str),
+            },
         };
         ops.push(Op::Const(slot));
-        Some(ty)
+        (ops, ty)
     }
 
-    /// Forces a fragment into an emitted slot (materializing scalars).
-    fn to_slot(frag: Frag) -> Option<(Vec<Op>, Ty)> {
+    /// Materializes a string fragment together with the dictionary its
+    /// codes index; a literal gets a one-value pooled dictionary.
+    fn str_slot(&mut self, frag: Frag) -> Result<(Vec<Op>, Dict)> {
         match frag.out {
-            Out::Col(ty) => Some((frag.ops, ty)),
-            Out::Scalar(v) => {
-                let mut ops = frag.ops;
-                let ty = Self::emit_scalar(&mut ops, &v)?;
-                Some((ops, ty))
+            Out::Str(d) => Ok((frag.ops, d)),
+            Out::Scalar(Value::Str(s)) => {
+                let d = pool(&mut self.remaps, std::iter::once(s.as_str()).collect())?;
+                Ok((vec![Op::Const(0)], Dict::Pool(d)))
             }
+            _ => Err(mismatch("utf8", Self::to_slot(frag).1)),
         }
     }
 
-    /// Appends the conversion the evaluator's `float_view` applies, if any.
+    /// Appends the conversion of a `ty` slot to an `f64` slot; `None` for
+    /// types with no numeric reading (dates, booleans, strings).
+    fn f64_ops(mut ops: Vec<Op>, ty: Ty) -> Option<Vec<Op>> {
+        match ty {
+            Ty::F64 => {}
+            Ty::I64 | Ty::I32 => ops.push(Op::FixedToF64 { div: 1.0 }),
+            Ty::Dec(s) => ops.push(Op::FixedToF64 { div: POW10[s as usize] as f64 }),
+            Ty::Date | Ty::Bool | Ty::Str => return None,
+        }
+        Some(ops)
+    }
+
+    /// An operand on the float path: scalars convert here, through
+    /// [`Value::as_f64`]; slots convert per row.
     fn to_f64_slot(frag: Frag) -> Option<Vec<Op>> {
-        match frag.out {
-            Out::Scalar(v) => {
-                let f = v.as_f64()?;
-                let mut ops = frag.ops;
-                ops.push(Op::Const(f.to_bits() as i64));
-                Some(ops)
-            }
-            Out::Col(ty) => {
-                let mut ops = frag.ops;
-                match ty {
-                    Ty::F64 => {}
-                    Ty::I64 | Ty::I32 => ops.push(Op::FixedToF64 { div: 1.0 }),
-                    Ty::Dec(s) => ops.push(Op::FixedToF64 { div: POW10[s as usize] as f64 }),
-                    // `float_view` has no Date/Bool/Str conversion: the
-                    // evaluator errors here, so the fused path falls back.
-                    Ty::Date | Ty::Bool | Ty::Str => return None,
-                }
-                Some(ops)
-            }
+        if let Out::Scalar(v) = &frag.out {
+            return Some(vec![Op::Const(v.as_f64()?.to_bits() as i64)]);
         }
+        let (ops, ty) = Self::to_slot(frag);
+        Self::f64_ops(ops, ty)
     }
 
-    fn compile(&mut self, e: &Expr) -> Option<Frag> {
+    fn compile(&mut self, e: &Expr) -> Result<Frag> {
         match e {
             Expr::Col(name) => {
-                let (i, ty) = self.col_index(name)?;
-                Some(Frag { ops: vec![Op::Load(i)], out: Out::Col(ty) })
+                let i = self.col_index(name)?;
+                let out = match Ty::of_column(&self.cols[i as usize].1) {
+                    Ty::Str => Out::Str(Dict::Col(i)),
+                    ty => Out::Col(ty),
+                };
+                Ok(Frag { ops: vec![Op::Load(i)], out })
             }
-            Expr::Lit(v) => Some(Frag::scalar(v.clone())),
+            Expr::Lit(v) => Ok(Frag::scalar(v.clone())),
             Expr::Bin { op, left, right } => self.compile_bin(*op, left, right),
             Expr::Not(inner) => {
                 let f = self.compile(inner)?;
                 match f.out {
-                    Out::Scalar(Value::Bool(b)) => Some(Frag::scalar(Value::Bool(!b))),
-                    Out::Scalar(_) => None,
+                    Out::Scalar(Value::Bool(b)) => Ok(Frag::scalar(Value::Bool(!b))),
+                    Out::Scalar(v) => Err(plan(format!("NOT applied to non-boolean {v:?}"))),
                     Out::Col(Ty::Bool) => {
+                        self.cost.node(1, 1, 1);
                         let mut ops = f.ops;
                         ops.push(Op::Not);
-                        Some(Frag { ops, out: Out::Col(Ty::Bool) })
+                        Ok(Frag { ops, out: Out::Col(Ty::Bool) })
                     }
-                    Out::Col(_) => None,
+                    _ => Err(mismatch("bool", Self::to_slot(f).1)),
                 }
             }
             Expr::Like { expr, pattern, negated } => {
                 let f = self.compile(expr)?;
                 match f.out {
                     Out::Scalar(Value::Str(s)) => {
-                        Some(Frag::scalar(Value::Bool(like_match(&s, pattern) != *negated)))
+                        Ok(Frag::scalar(Value::Bool(like_match(&s, pattern) != *negated)))
                     }
-                    Out::Scalar(_) => None,
-                    Out::Col(Ty::Str) => {
-                        self.dict_predicate(f.ops, |v| like_match(v, pattern) != *negated)
+                    Out::Scalar(v) => Err(plan(format!("LIKE on non-string {v:?}"))),
+                    Out::Str(d) => {
+                        // Executed over the dictionary, but charged per
+                        // *row* over raw strings — what MonetDB (no
+                        // dictionary on text) pays; see DESIGN.md §2 on the
+                        // comment-pool substitution.
+                        self.cost.node(2 + pattern.len() as u64 / 4, 32, 1);
+                        self.dict_predicate(f.ops, d, |v| like_match(v, pattern) != *negated)
                     }
-                    Out::Col(_) => None,
+                    Out::Col(ty) => Err(mismatch("utf8", ty)),
                 }
             }
             Expr::InList { expr, list, negated } => self.compile_in(expr, list, *negated),
             Expr::Between { expr, low, high } => {
-                // Same desugaring as the evaluator: expr >= low AND expr <= high.
+                // Desugar: expr >= low AND expr <= high.
                 let desugared = (*expr.clone())
                     .gte(Expr::Lit(low.clone()))
                     .and((*expr.clone()).lte(Expr::Lit(high.clone())));
@@ -468,46 +585,52 @@ impl<'r> Compiler<'r> {
             Expr::Case { when, then, otherwise } => self.compile_case(when, then, otherwise),
             Expr::ExtractYear(inner) => {
                 let f = self.compile(inner)?;
-                let (mut ops, ty) = Self::to_slot(f)?;
+                let (mut ops, ty) = Self::to_slot(f);
                 if ty != Ty::Date {
-                    return None;
+                    return Err(mismatch("date", ty));
                 }
+                self.cost.node(1, 4, 4);
                 ops.push(Op::Year);
-                Some(Frag { ops, out: Out::Col(Ty::I32) })
+                Ok(Frag { ops, out: Out::Col(Ty::I32) })
             }
-            Expr::Substr { .. } => None,
+            Expr::Substr { expr, start, len } => {
+                let f = self.compile(expr)?;
+                let (mut ops, d) = self.str_slot(f)?;
+                self.cost.node(1, 4, 4);
+                // One substring per dictionary value, interned in code
+                // order: the builder's codes are the remap table.
+                let mut subs = DictBuilder::new();
+                for v in self.dict_values(d) {
+                    subs.push(&substr(v, *start, *len));
+                }
+                let table = pool(&mut self.remaps, subs.finish())?;
+                ops.push(Op::Remap { table });
+                Ok(Frag { ops, out: Out::Str(Dict::Pool(table)) })
+            }
         }
     }
 
-    /// Compiles a dictionary-mask predicate over a `Str` slot. The ops must
-    /// end in the `Load` of the string column (the only Str producer), whose
-    /// dictionary the mask is computed against at compile time.
-    fn dict_predicate(&mut self, ops: Vec<Op>, pred: impl Fn(&str) -> bool) -> Option<Frag> {
-        let col = match ops.last() {
-            Some(Op::Load(i)) => *i,
-            _ => return None,
-        };
-        let dict = self.cols[col as usize].1.as_str().ok()?;
-        let mask: Vec<bool> = dict.values().iter().map(|v| pred(v)).collect();
-        let m = self.masks.len();
-        if m > u16::MAX as usize {
-            return None;
-        }
-        self.masks.push(mask);
-        let mut ops = ops;
-        ops.push(Op::DictMask { mask: m as u16 });
-        Some(Frag { ops, out: Out::Col(Ty::Bool) })
+    /// Compiles a predicate over a `Str` slot as a mask over the values of
+    /// the dictionary its codes index, computed here, once.
+    fn dict_predicate(
+        &mut self,
+        mut ops: Vec<Op>,
+        dict: Dict,
+        pred: impl Fn(&str) -> bool,
+    ) -> Result<Frag> {
+        let mask = self.dict_values(dict).iter().map(|v| pred(v)).collect();
+        ops.push(Op::DictMask { mask: pool(&mut self.masks, mask)? });
+        Ok(Frag { ops, out: Out::Col(Ty::Bool) })
     }
 
-    fn compile_bin(&mut self, op: BinOp, l: &Expr, r: &Expr) -> Option<Frag> {
+    fn compile_bin(&mut self, op: BinOp, l: &Expr, r: &Expr) -> Result<Frag> {
         let lf = self.compile(l)?;
         let rf = self.compile(r)?;
         if op.is_logical() {
-            return Self::assemble_logical(op, lf, rf);
+            return self.assemble_logical(op, lf, rf);
         }
-        // Scalar-scalar folds exactly as the evaluator folds.
         if let (Out::Scalar(a), Out::Scalar(b)) = (&lf.out, &rf.out) {
-            return Some(Frag::scalar(eval::fold_scalar(op, a, b).ok()?));
+            return Ok(Frag::scalar(eval::fold_scalar(op, a, b)?));
         }
         if lf.is_str() || rf.is_str() {
             return self.assemble_str_cmp(op, lf, rf);
@@ -515,99 +638,91 @@ impl<'r> Compiler<'r> {
         self.assemble_numeric(op, lf, rf)
     }
 
-    fn assemble_logical(op: BinOp, lf: Frag, rf: Frag) -> Option<Frag> {
-        let to_bool = |f: Frag| -> Option<Vec<Op>> {
+    /// AND/OR evaluate both sides for every row and never fold: a boolean
+    /// scalar is broadcast like any other mask.
+    fn assemble_logical(&mut self, op: BinOp, lf: Frag, rf: Frag) -> Result<Frag> {
+        let to_bool = |f: Frag| -> Result<Vec<Op>> {
             match f.out {
-                Out::Scalar(Value::Bool(b)) => {
-                    let mut ops = f.ops;
-                    ops.push(Op::Const(b as i64));
-                    Some(ops)
-                }
-                Out::Scalar(_) => None,
-                Out::Col(Ty::Bool) => Some(f.ops),
-                Out::Col(_) => None,
+                Out::Scalar(Value::Bool(_)) | Out::Col(Ty::Bool) => Ok(Self::to_slot(f).0),
+                Out::Scalar(v) => Err(plan(format!("logical op on non-boolean {v:?}"))),
+                _ => Err(mismatch("bool", Self::to_slot(f).1)),
             }
         };
         let mut ops = to_bool(lf)?;
         ops.extend(to_bool(rf)?);
         ops.push(if op == BinOp::And { Op::And } else { Op::Or });
-        Some(Frag { ops, out: Out::Col(Ty::Bool) })
+        self.cost.add(&Cost::logical(1));
+        Ok(Frag { ops, out: Out::Col(Ty::Bool) })
     }
 
-    fn assemble_str_cmp(&mut self, op: BinOp, lf: Frag, rf: Frag) -> Option<Frag> {
-        // Only column-vs-scalar string comparison compiles; column-vs-column
-        // (row-wise decode) and str-vs-non-str (an evaluator error) fall back.
-        let (col_frag, scalar, flipped) = match (&lf.out, &rf.out) {
-            (Out::Col(Ty::Str), Out::Scalar(Value::Str(s))) => (lf.ops, s.clone(), false),
-            (Out::Scalar(Value::Str(s)), Out::Col(Ty::Str)) => {
-                let s = s.clone();
-                (rf.ops, s, true)
+    fn assemble_str_cmp(&mut self, op: BinOp, lf: Frag, rf: Frag) -> Result<Frag> {
+        let arithmetic = || plan("arithmetic on string operands");
+        let (col_ops, dict, scalar, flipped) = match (lf.out, rf.out) {
+            (Out::Str(d), Out::Scalar(Value::Str(s))) => (lf.ops, d, s, false),
+            (Out::Scalar(Value::Str(s)), Out::Str(d)) => (rf.ops, d, s, true),
+            (Out::Str(a), Out::Str(b)) => {
+                // Column-vs-column string comparison: decode row-wise.
+                if !op.is_comparison() {
+                    return Err(arithmetic());
+                }
+                self.cost.node(1, 8, 1);
+                let mut ops = lf.ops;
+                ops.extend(rf.ops);
+                ops.push(Op::CmpStr { op, a, b });
+                return Ok(Frag { ops, out: Out::Col(Ty::Bool) });
             }
-            _ => return None,
+            (Out::Col(ty), _) | (_, Out::Col(ty)) => return Err(mismatch("utf8", ty)),
+            _ => return Err(plan("string comparison requires a string column")),
         };
-        self.dict_predicate(col_frag, |v| {
+        // One comparison per dictionary value, then a code-indexed map.
+        if !op.is_comparison() {
+            return Err(arithmetic());
+        }
+        self.cost.node(1, 4, 1);
+        self.cost.dict_ops += self.dict_values(dict).len() as u64;
+        self.dict_predicate(col_ops, dict, |v| {
             let ord = if flipped { scalar.as_str().cmp(v) } else { v.cmp(scalar.as_str()) };
             eval::cmp_ord(op, ord)
         })
     }
 
-    fn assemble_numeric(&mut self, op: BinOp, lf: Frag, rf: Frag) -> Option<Frag> {
+    fn assemble_numeric(&mut self, op: BinOp, lf: Frag, rf: Frag) -> Result<Frag> {
         let fixed_of = |out: &Out| -> Option<u8> {
             match out {
                 Out::Col(ty) => ty.fixed_scale(),
-                Out::Scalar(v) => match v {
-                    Value::I64(_) | Value::I32(_) | Value::Date(_) => Some(0),
-                    Value::Dec(d) => Some(d.scale()),
-                    _ => None,
-                },
+                Out::Scalar(v) => eval::fixed_parts(v).map(|(_, s)| s),
+                Out::Str(_) => None,
             }
         };
+        let wout = if op.is_comparison() { 1 } else { 8 };
+        self.cost.node(1, lf.width() + rf.width(), wout);
         if let (Some(sa), Some(sb)) = (fixed_of(&lf.out), fixed_of(&rf.out)) {
-            // Fixed-point fast path, same rescale factors as the evaluator.
-            let (lops, _) = Self::to_slot(lf)?;
-            let (rops, _) = Self::to_slot(rf)?;
-            let mut ops = lops;
-            ops.extend(rops);
+            // Fixed-point path: rescale both mantissas to the wider scale.
+            let mut ops = Self::to_slot(lf).0;
+            ops.extend(Self::to_slot(rf).0);
             let s = sa.max(sb);
-            let (out, opcode) = if op.is_comparison() {
-                let fa = POW10[(s - sa) as usize] as i128;
-                let fb = POW10[(s - sb) as usize] as i128;
-                (Ty::Bool, Op::CmpFixed { op, fa, fb })
-            } else {
-                match op {
-                    BinOp::Add | BinOp::Sub => {
-                        let fa = POW10[(s - sa) as usize];
-                        let fb = POW10[(s - sb) as usize];
-                        let opc = if op == BinOp::Add {
-                            Op::AddFixed { fa, fb }
-                        } else {
-                            Op::SubFixed { fa, fb }
-                        };
-                        (Ty::Dec(s), opc)
-                    }
-                    BinOp::Mul => {
-                        let s = sa + sb;
-                        if s > eval::MAX_SCALE {
-                            let div = POW10[(s - eval::MAX_SCALE) as usize] as i128;
-                            (Ty::Dec(eval::MAX_SCALE), Op::MulFixedCapped { div })
-                        } else {
-                            (Ty::Dec(s), Op::MulFixed)
-                        }
-                    }
-                    BinOp::Div => {
-                        let da = POW10[sa as usize] as f64;
-                        let db = POW10[sb as usize] as f64;
-                        (Ty::F64, Op::DivFixed { da, db })
-                    }
-                    _ => unreachable!("logical ops handled earlier"),
+            let (fa, fb) = (POW10[(s - sa) as usize], POW10[(s - sb) as usize]);
+            let (out, opcode) = match op {
+                BinOp::Add => (Ty::Dec(s), Op::AddFixed { fa, fb }),
+                BinOp::Sub => (Ty::Dec(s), Op::SubFixed { fa, fb }),
+                BinOp::Mul if sa + sb > eval::MAX_SCALE => {
+                    let div = POW10[(sa + sb - eval::MAX_SCALE) as usize] as i128;
+                    (Ty::Dec(eval::MAX_SCALE), Op::MulFixedCapped { div })
                 }
+                BinOp::Mul => (Ty::Dec(sa + sb), Op::MulFixed),
+                BinOp::Div => {
+                    let (da, db) = (POW10[sa as usize] as f64, POW10[sb as usize] as f64);
+                    (Ty::F64, Op::DivFixed { da, db })
+                }
+                _ => (Ty::Bool, Op::CmpFixed { op, fa: fa as i128, fb: fb as i128 }),
             };
             ops.push(opcode);
-            return Some(Frag { ops, out: Out::Col(out) });
+            return Ok(Frag { ops, out: Out::Col(out) });
         }
-        // Float fallback path.
-        let mut ops = Self::to_f64_slot(lf)?;
-        ops.extend(Self::to_f64_slot(rf)?);
+        // Float path: some side has no fixed-point reading.
+        let (lerr, rerr) = (non_numeric(&lf.out), non_numeric(&rf.out));
+        let mut ops = Self::to_f64_slot(lf).ok_or(lerr)?;
+        ops.extend(Self::to_f64_slot(rf).ok_or(rerr)?);
         let out = if op.is_comparison() {
             ops.push(Op::CmpF64 { op });
             Ty::Bool
@@ -615,100 +730,111 @@ impl<'r> Compiler<'r> {
             ops.push(Op::ArithF64 { op });
             Ty::F64
         };
-        Some(Frag { ops, out: Out::Col(out) })
+        Ok(Frag { ops, out: Out::Col(out) })
     }
 
-    fn compile_in(&mut self, expr: &Expr, list: &[Value], negated: bool) -> Option<Frag> {
+    fn compile_in(&mut self, expr: &Expr, list: &[Value], negated: bool) -> Result<Frag> {
         let f = self.compile(expr)?;
+        let mismatched = || plan("IN list type mismatch");
         match f.out {
-            Out::Scalar(s) => Some(Frag::scalar(Value::Bool(list.contains(&s) != negated))),
-            Out::Col(Ty::Str) => {
-                let wanted: Vec<&str> = list.iter().filter_map(|v| v.as_str()).collect();
-                if wanted.len() != list.len() {
-                    return None; // evaluator: "IN list type mismatch"
-                }
-                self.dict_predicate(f.ops, |v| wanted.contains(&v) != negated)
+            Out::Scalar(s) => Ok(Frag::scalar(Value::Bool(list.contains(&s) != negated))),
+            Out::Str(d) => {
+                let wanted: Vec<&str> = list
+                    .iter()
+                    .map(|v| v.as_str().ok_or_else(mismatched))
+                    .collect::<Result<_>>()?;
+                self.cost.node(1, 4, 1);
+                self.cost.dict_ops += (self.dict_values(d).len() * wanted.len()) as u64;
+                self.dict_predicate(f.ops, d, |v| wanted.contains(&v) != negated)
             }
             Out::Col(ty) => {
-                let scale = ty.fixed_scale()?;
-                let wanted: Vec<i64> =
-                    list.iter().map(|l| eval::fixed_scalar(l, scale)).collect::<Option<_>>()?;
-                let li = self.lists.len();
-                if li > u16::MAX as usize {
-                    return None;
+                let scale = ty.fixed_scale().ok_or_else(|| non_numeric(&f.out))?;
+                let mut wanted = Vec::with_capacity(list.len());
+                for l in list {
+                    let (m, s) = eval::fixed_parts(l).ok_or_else(mismatched)?;
+                    // A literal with digits below the column's scale equals
+                    // no stored value: left out, `IN` never matches it and
+                    // `NOT IN` is not affected by it.
+                    if s <= scale {
+                        wanted.push(m * POW10[(scale - s) as usize]);
+                    } else if m % POW10[(s - scale) as usize] == 0 {
+                        wanted.push(m / POW10[(s - scale) as usize]);
+                    }
                 }
-                self.lists.push(wanted);
+                self.cost.node(wanted.len() as u64, 8, 1);
                 let mut ops = f.ops;
-                ops.push(Op::InFixed { list: li as u16, negated });
-                Some(Frag { ops, out: Out::Col(Ty::Bool) })
+                ops.push(Op::InFixed { list: pool(&mut self.lists, wanted)?, negated });
+                Ok(Frag { ops, out: Out::Col(Ty::Bool) })
             }
         }
     }
 
-    fn compile_case(&mut self, when: &Expr, then: &Expr, otherwise: &Expr) -> Option<Frag> {
-        let wf = self.compile(when)?;
-        let (wops, wty) = Self::to_slot(wf)?;
+    fn compile_case(&mut self, when: &Expr, then: &Expr, otherwise: &Expr) -> Result<Frag> {
+        let (mut ops, wty) = Self::to_slot(self.compile(when)?);
         if wty != Ty::Bool {
-            return None;
+            return Err(mismatch("bool", wty));
         }
         let tf = self.compile(then)?;
         let of = self.compile(otherwise)?;
-        let (tops, tt) = Self::to_slot(tf)?;
-        let (oops, to) = Self::to_slot(of)?;
-        let mut ops = wops;
+        self.cost.node(1, 16, 8);
+        let (tops, tt) = Self::to_slot(tf);
+        let (oops, to) = Self::to_slot(of);
         let (out, tail) = match (tt, to) {
             (Ty::Dec(sa), Ty::Dec(sb)) => {
                 let s = sa.max(sb);
-                let ft = POW10[(s - sa) as usize];
-                let fo = POW10[(s - sb) as usize];
                 ops.extend(tops);
                 ops.extend(oops);
+                let (ft, fo) = (POW10[(s - sa) as usize], POW10[(s - sb) as usize]);
                 (Ty::Dec(s), Op::CaseFixed { ft, fo })
             }
-            (Ty::I64, Ty::I64) => {
+            (Ty::I64, Ty::I64) | (Ty::F64, Ty::F64) => {
                 ops.extend(tops);
                 ops.extend(oops);
-                (Ty::I64, Op::CaseRaw)
-            }
-            (Ty::F64, Ty::F64) => {
-                ops.extend(tops);
-                ops.extend(oops);
-                (Ty::F64, Op::CaseRaw)
+                (tt, Op::CaseRaw)
             }
             _ => {
-                // Mixed numeric branches fall back to floats, like eval_case.
-                ops.extend(Self::to_f64_slot(Frag { ops: tops, out: Out::Col(tt) })?);
-                ops.extend(Self::to_f64_slot(Frag { ops: oops, out: Out::Col(to) })?);
+                // Mixed numeric branches meet in floats.
+                let not_numeric = || plan("CASE branch not numeric");
+                ops.extend(Self::f64_ops(tops, tt).ok_or_else(not_numeric)?);
+                ops.extend(Self::f64_ops(oops, to).ok_or_else(not_numeric)?);
                 (Ty::F64, Op::CaseRaw)
             }
         };
         ops.push(tail);
-        Some(Frag { ops, out: Out::Col(out) })
+        Ok(Frag { ops, out: Out::Col(out) })
     }
 }
 
 impl Program {
-    /// Compiles `expr` against `rel`'s schema, or returns `None` when the
-    /// expression needs a fallback to the materializing evaluator.
-    pub fn compile(expr: &Expr, rel: &Relation) -> Option<Program> {
-        let mut c = Compiler { rel, cols: Vec::new(), masks: Vec::new(), lists: Vec::new() };
+    /// Compiles `expr` against `rel`'s schema. Fails only on an ill-typed
+    /// expression (or an unknown column), with the error the query reports.
+    pub fn compile(expr: &Expr, rel: &Relation) -> Result<Program> {
+        let mut c = Compiler {
+            rel,
+            cols: Vec::new(),
+            masks: Vec::new(),
+            lists: Vec::new(),
+            remaps: Vec::new(),
+            cost: Cost::default(),
+        };
         let frag = c.compile(expr)?;
-        let (ops, out) = Compiler::to_slot(frag)?;
-        let mut depth = 0i32;
-        let mut max_stack = 0i32;
-        for op in &ops {
-            depth += op_stack_effect(op);
-            max_stack = max_stack.max(depth);
-        }
-        debug_assert_eq!(depth, 1, "a program leaves exactly one slot");
+        let (ops, out, out_dict) = if frag.is_str() {
+            let (ops, d) = c.str_slot(frag)?;
+            (ops, Ty::Str, Some(d))
+        } else {
+            let (ops, ty) = Compiler::to_slot(frag);
+            (ops, ty, None)
+        };
         let quick = Self::peephole(&ops);
-        Some(Program {
+        Ok(Program {
             ops: Arc::new(ops),
             cols: c.cols.into_iter().map(|(_, c)| c).collect(),
             masks: c.masks,
             lists: c.lists,
+            remaps: c.remaps,
             out,
-            max_stack: max_stack.max(1) as usize,
+            out_dict,
+            cost: c.cost,
             quick,
         })
     }
@@ -742,6 +868,15 @@ impl Program {
         self.out
     }
 
+    /// This program as a filter predicate: the type error a non-boolean
+    /// expression reports when used as one.
+    pub(crate) fn into_predicate(self) -> Result<Program> {
+        match self.out {
+            Ty::Bool => Ok(self),
+            ty => Err(mismatch("bool", ty)),
+        }
+    }
+
     /// `Some(b)` when the whole program folded to the boolean constant `b`
     /// (e.g. a literal-only conjunct). The fused filter drops constant-true
     /// conjuncts and short-circuits the morsel loop on constant-false.
@@ -750,6 +885,11 @@ impl Program {
             ([Op::Const(k)], Ty::Bool) => Some(*k != 0),
             _ => None,
         }
+    }
+
+    /// The expression's full-materialization cost form.
+    pub(crate) fn cost(&self) -> &Cost {
+        &self.cost
     }
 
     /// Streamed bytes per row across the distinct columns this program
@@ -785,6 +925,17 @@ impl Program {
         &self.lists[i]
     }
 
+    /// The values of the dictionary a `Str` slot's codes index.
+    fn dict(&self, d: Dict) -> &[String] {
+        match d {
+            Dict::Col(i) => match &*self.cols[i as usize] {
+                Column::Str(d) => d.values(),
+                _ => unreachable!("Dict::Col names a string column"),
+            },
+            Dict::Pool(i) => self.remaps[i as usize].values(),
+        }
+    }
+
     fn views(&self) -> Vec<ColView<'_>> {
         self.cols
             .iter()
@@ -809,7 +960,7 @@ impl Program {
     /// pooled `Load` buffers. The per-element arithmetic is identical to the
     /// old row VM, which is what keeps the result bit-exact.
     fn eval_batch(&self, views: &[ColView], rows: &Rows) -> Slot {
-        let mut stack: Vec<Slot> = Vec::with_capacity(self.max_stack);
+        let mut stack: Vec<Slot> = Vec::with_capacity(4);
 
         macro_rules! bin {
             (|$a:ident, $b:ident| $body:expr) => {{
@@ -921,6 +1072,14 @@ impl Program {
                     let m = &self.masks[*mask as usize];
                     un!(|a| m[a as usize] as i64)
                 }
+                Op::Remap { table } => {
+                    let t = self.remaps[*table as usize].codes();
+                    un!(|a| t[a as usize] as i64)
+                }
+                Op::CmpStr { op, a, b } => {
+                    let (op, da, db) = (*op, self.dict(*a), self.dict(*b));
+                    bin!(|a, b| eval::cmp_ord(op, da[a as usize].cmp(&db[b as usize])) as i64)
+                }
                 Op::InFixed { list, negated } => {
                     let (l, neg) = (&self.lists[*list as usize], *negated);
                     un!(|a| (l.contains(&a) != neg) as i64)
@@ -935,24 +1094,21 @@ impl Program {
 
     /// Runs a boolean program over a dense row range, appending survivors.
     /// Panics in debug if the program's output is not boolean.
-    pub fn filter_range(&self, range: std::ops::Range<usize>, sel: &mut Vec<u32>) {
-        debug_assert_eq!(self.out, Ty::Bool);
-        let views = self.views();
-        let rows = Rows::Dense(range);
-        match &self.quick {
-            Some(q) => self.quick_filter(q, &views, &rows, sel),
-            None => self.slow_filter(&views, &rows, sel),
-        }
+    pub fn filter_range(&self, range: Range<usize>, sel: &mut Vec<u32>) {
+        self.filter_rows(&Rows::Dense(range), sel)
     }
 
     /// Runs a boolean program over candidate rows, appending survivors.
     pub fn filter_sel(&self, cand: &[u32], out: &mut Vec<u32>) {
+        self.filter_rows(&Rows::Sparse(cand), out)
+    }
+
+    fn filter_rows(&self, rows: &Rows, out: &mut Vec<u32>) {
         debug_assert_eq!(self.out, Ty::Bool);
         let views = self.views();
-        let rows = Rows::Sparse(cand);
         match &self.quick {
-            Some(q) => self.quick_filter(q, &views, &rows, out),
-            None => self.slow_filter(&views, &rows, out),
+            Some(q) => self.quick_filter(q, &views, rows, out),
+            None => self.slow_filter(&views, rows, out),
         }
     }
 
@@ -1112,62 +1268,151 @@ impl Program {
         }
     }
 
-    /// Builds the column the materializing evaluator would have produced
-    /// from per-row slots; `None` for string outputs (dictionary codes
-    /// alone cannot rebuild a column — callers gather the source instead).
-    pub fn column_from_slots(&self, slots: Vec<i64>) -> Option<Column> {
-        Some(match self.out {
-            Ty::I64 => Column::Int64(slots),
-            Ty::I32 => Column::Int32(slots.into_iter().map(|x| x as i32).collect()),
-            Ty::Date => Column::Date(slots.into_iter().map(|x| x as i32).collect()),
-            Ty::Dec(s) => Column::Decimal(slots, s),
-            Ty::F64 => {
-                Column::Float64(slots.into_iter().map(|x| f64::from_bits(x as u64)).collect())
-            }
-            Ty::Bool => Column::Bool(slots.into_iter().map(|x| x != 0).collect()),
-            Ty::Str => return None,
-        })
+    /// Builds the output column from per-row slots.
+    pub fn column_from_slots(&self, slots: Vec<i64>) -> Column {
+        let mut out = Typed::new(self.out, slots.len());
+        out.push(&Slot::V(slots), 0);
+        self.finish(out)
     }
 
-    /// Evaluates the full column (test hook for the bytecode-vs-evaluator
-    /// property tests); `None` for string outputs.
-    pub fn eval_full(&self, num_rows: usize) -> Option<Column> {
-        let sel: Vec<u32> = (0..num_rows as u32).collect();
-        let mut slots = Vec::new();
-        self.eval_sel(&sel, &mut slots);
-        self.column_from_slots(slots)
+    /// Evaluates the program over rows `0..n` into one column,
+    /// column-at-a-time for the materializing operators: morsels evaluate
+    /// independently (in parallel under `cfg`) and append, already in their
+    /// output representation, in morsel order — so the column is identical
+    /// at any thread count and morsel size.
+    pub(crate) fn eval_column(&self, n: usize, cfg: &EngineConfig) -> Column {
+        let views = self.views();
+        let eval_into = |r: Range<usize>, out: &mut Typed| {
+            // `EXTRACT(YEAR FROM column)`, the form every TPC-H use takes,
+            // maps the dates straight to their `i32` years: widening to
+            // slots and narrowing back would cost two more passes.
+            if let ([Op::Load(c), Op::Year], Typed::I32(years)) = (self.ops.as_slice(), &mut *out) {
+                if let ColView::Date(days) = views[*c as usize] {
+                    return years.extend(days[r].iter().map(|&d| Date32(d).year()));
+                }
+            }
+            let len = r.len();
+            let slot = self.eval_batch(&views, &Rows::Dense(r));
+            out.push(&slot, len);
+            slot.free();
+        };
+        let ranges = morsel_ranges(n, cfg.morsel_rows);
+        let mut out = Typed::new(self.out, n);
+        if cfg.threads <= 1 || ranges.len() <= 1 {
+            ranges.into_iter().for_each(|r| eval_into(r, &mut out));
+        } else {
+            let parts = run_morsels(cfg, &ranges, |_, r| {
+                let mut part = Typed::new(self.out, r.len());
+                eval_into(r, &mut part);
+                part
+            });
+            parts.into_iter().for_each(|part| out.append(part));
+        }
+        self.finish(out)
+    }
+
+    fn finish(&self, out: Typed) -> Column {
+        match (out, self.out) {
+            (Typed::I64(v), Ty::Dec(s)) => Column::Decimal(v, s),
+            (Typed::I64(v), _) => Column::Int64(v),
+            (Typed::I32(v), Ty::Date) => Column::Date(v),
+            (Typed::I32(v), _) => Column::Int32(v),
+            (Typed::F64(v), _) => Column::Float64(v),
+            (Typed::Bool(v), _) => Column::Bool(v),
+            (Typed::Code(codes), _) => {
+                // The column keeps only the values its rows use, numbered by
+                // first appearance — the dictionary interning the strings
+                // row by row would build.
+                let dict = self.dict(self.out_dict.expect("string outputs carry a dictionary"));
+                let mut renumber = vec![u32::MAX; dict.len()];
+                let mut values = Vec::new();
+                let codes = codes
+                    .into_iter()
+                    .map(|c| {
+                        let new = &mut renumber[c as usize];
+                        if *new == u32::MAX {
+                            *new = values.len() as u32;
+                            values.push(dict[c as usize].clone());
+                        }
+                        *new
+                    })
+                    .collect();
+                Column::Str(DictColumn::from_parts(codes, values))
+            }
+        }
+    }
+}
+
+/// An output column under construction, in its final representation, so
+/// each morsel's slots convert once while still cache-resident.
+enum Typed {
+    I64(Vec<i64>),
+    I32(Vec<i32>),
+    F64(Vec<f64>),
+    Bool(Vec<bool>),
+    Code(Vec<u32>),
+}
+
+impl Typed {
+    fn new(ty: Ty, cap: usize) -> Typed {
+        match ty {
+            Ty::I64 | Ty::Dec(_) => Typed::I64(Vec::with_capacity(cap)),
+            Ty::I32 | Ty::Date => Typed::I32(Vec::with_capacity(cap)),
+            Ty::F64 => Typed::F64(Vec::with_capacity(cap)),
+            Ty::Bool => Typed::Bool(Vec::with_capacity(cap)),
+            Ty::Str => Typed::Code(Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Appends one batch result; a scalar slot stands for `len` equal rows.
+    fn push(&mut self, slot: &Slot, len: usize) {
+        fn fill<T: Clone>(out: &mut Vec<T>, slot: &Slot, len: usize, conv: impl Fn(i64) -> T) {
+            match slot {
+                Slot::S(k) => out.resize(out.len() + len, conv(*k)),
+                Slot::V(v) => out.extend(v.iter().map(|&x| conv(x))),
+            }
+        }
+        match self {
+            Typed::I64(o) => fill(o, slot, len, |x| x),
+            Typed::I32(o) => fill(o, slot, len, |x| x as i32),
+            Typed::F64(o) => fill(o, slot, len, |x| f64::from_bits(x as u64)),
+            Typed::Bool(o) => fill(o, slot, len, |x| x != 0),
+            Typed::Code(o) => fill(o, slot, len, |x| x as u32),
+        }
+    }
+
+    fn append(&mut self, other: Typed) {
+        match (self, other) {
+            (Typed::I64(o), Typed::I64(mut p)) => o.append(&mut p),
+            (Typed::I32(o), Typed::I32(mut p)) => o.append(&mut p),
+            (Typed::F64(o), Typed::F64(mut p)) => o.append(&mut p),
+            (Typed::Bool(o), Typed::Bool(mut p)) => o.append(&mut p),
+            (Typed::Code(o), Typed::Code(mut p)) => o.append(&mut p),
+            _ => unreachable!("parts of one program share its output type"),
+        }
     }
 }
 
 thread_local! {
-    /// Reusable VM stacks and slot buffers, so per-morsel evaluation does
-    /// not allocate in steady state (same idiom as the selection-vector
-    /// scratch pool in `wimpi-storage`).
-    static STACKS: RefCell<Vec<Vec<i64>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_stack(cap: usize) -> Vec<i64> {
-    let mut s = STACKS.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    s.clear();
-    s.reserve(cap);
-    s
-}
-
-fn put_stack(s: Vec<i64>) {
-    STACKS.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < 8 {
-            pool.push(s);
-        }
-    });
+    /// Reusable slot buffers, so per-morsel evaluation does not allocate in
+    /// steady state (same idiom as the selection-vector scratch pool in
+    /// `wimpi-storage`).
+    static SLOTS: RefCell<Vec<Vec<i64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Takes a reusable `i64` slot buffer from the thread-local pool.
 pub(crate) fn take_slots() -> Vec<i64> {
-    take_stack(0)
+    let mut s = SLOTS.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    s.clear();
+    s
 }
 
 /// Returns a slot buffer to the thread-local pool.
 pub(crate) fn put_slots(v: Vec<i64>) {
-    put_stack(v);
+    SLOTS.with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.len() < 8 {
+            pool.push(v);
+        }
+    });
 }

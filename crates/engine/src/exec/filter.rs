@@ -1,155 +1,227 @@
-//! Filter: MonetDB-style candidate-propagating selection.
+//! Filter: one operator, two loop orders over the same compiled conjuncts.
 //!
-//! A conjunctive predicate is evaluated conjunct by conjunct: the first
-//! conjunct scans its full columns, every later conjunct is evaluated only
-//! over the surviving candidates (gathering just the columns it touches).
-//! For selective scans like Q6 this reads a fraction of the bytes a naive
-//! evaluate-everything-fully filter would — exactly the candidate-list
-//! optimization MonetDB applies, and the reason Q6 is cheap even on a
-//! bandwidth-starved Pi (paper §II-D1).
+//! A conjunctive predicate is split into conjuncts, each compiled once
+//! ([`compile_conjunct`]) and run candidate-propagating: the first conjunct
+//! scans full columns, every later one only the surviving candidates,
+//! through selection vectors on the base columns — no mask column, no
+//! gathered sub-relation. For selective scans like Q6 this reads a fraction
+//! of the bytes a naive evaluate-everything-fully filter would — exactly
+//! the candidate-list optimization MonetDB applies, and the reason Q6 is
+//! cheap even on a bandwidth-starved Pi (paper §II-D1).
+//!
+//! `Executor::Materialize` runs conjunct-at-a-time — one pass over every
+//! morsel per conjunct, an `eval` span each — and charges what MonetDB's
+//! column-at-a-time execution would pay for that pass: the conjunct's
+//! full-materialization [`Cost`] over the candidates it saw, plus, once
+//! there is a candidate list, the gather of the columns it touches.
+//! `Executor::Fused` runs morsel-at-a-time — every conjunct over one morsel
+//! before the next morsel — and charges only the base-column bytes it
+//! streams. The survivors are identical, and gathered exactly once.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::time::Instant;
 
 use crate::error::Result;
-use crate::eval::Evaluator;
-use crate::exec::parallel::EngineConfig;
-use crate::exec::{ensure_u32_indexable, expr_sketch, prune};
+use crate::exec::bytecode::Ty;
+use crate::exec::fused::{compile_conjunct, compile_conjuncts, filter_morsel, Pred};
+use crate::exec::parallel::{morsel_ranges, run_morsels, EngineConfig, Executor};
+use crate::exec::prune::ScanPruner;
+use crate::exec::{ensure_u32_indexable, expr_sketch};
 use crate::expr::Expr;
 use crate::governor::QueryContext;
 use crate::optimizer::split_conjuncts;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
-use wimpi_obs::Tracer;
-use wimpi_storage::{selection, Column};
+use wimpi_obs::{Span, Tracer};
+use wimpi_storage::{selection, Table};
 
-/// Evaluates `predicate` with candidate propagation, then gathers the
-/// surviving rows of every column. Each non-constant conjunct becomes an
-/// `eval` child span when tracing (rows in = candidates it scanned, rows
-/// out = survivors).
+/// Filters `rel` by `predicate` and gathers the surviving rows of every
+/// column, in the loop order of `cfg.executor` (see the module docs).
 ///
 /// When `table` is the sealed table this filter scans (passed only under
-/// `cfg.prune_scans`), a zone-map pre-pass may seed the candidate list
-/// with whole morsels proven dead and elide conjuncts proven always-true
-/// (DESIGN.md §14) — same survivors, fewer bytes.
+/// `cfg.prune_scans`), its zone maps may prove whole morsels dead and
+/// conjuncts always-true (DESIGN.md §14) — same survivors, fewer bytes.
 pub fn exec_filter(
     rel: &Relation,
     predicate: &Expr,
-    table: Option<&wimpi_storage::Table>,
+    table: Option<&Table>,
     prof: &mut WorkProfile,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<Relation> {
     ensure_u32_indexable(rel.num_rows(), "filter")?;
-    let mut conjuncts = Vec::new();
-    split_conjuncts(predicate.clone(), &mut conjuncts);
-    let mut sel: Option<Vec<u32>> = None;
-    let mut always_true: Vec<bool> = Vec::new();
-    let mut widths: Vec<u64> = Vec::new();
-    if cfg.prune_scans {
-        if let Some(fp) =
-            table.and_then(|t| prune::prune_filter(&conjuncts, rel, t, cfg.morsel_rows))
-        {
-            prof.pruned_morsels += fp.pruned_morsels;
-            prof.pruned_bytes += fp.pruned_bytes;
-            if fp.pruned_morsels > 0 {
-                // Seed the candidate list with only the surviving morsels'
-                // rows; the first conjunct then scans candidates instead of
-                // full columns.
-                sel = Some(fp.keep);
-            }
-            always_true = fp.always_true;
-            widths = fp.widths;
-        }
-    }
-    for (ci, conjunct) in conjuncts.into_iter().enumerate() {
-        ctx.checkpoint()?;
-        if always_true.get(ci).copied().unwrap_or(false) {
-            // Proven true over every candidate morsel: skip the evaluation,
-            // crediting the bytes it would have streamed over the current
-            // candidates.
-            let cand = sel.as_ref().map_or(rel.num_rows(), Vec::len) as u64;
-            prof.pruned_bytes += cand * widths[ci];
-            continue;
-        }
-        let needed: BTreeSet<String> = conjunct.column_set();
-        if needed.is_empty() {
-            // Constant conjunct: evaluate it once on a 1-row dummy relation
-            // instead of gathering (or repeating over) full columns. A false
-            // constant empties the selection; a true one is a no-op.
-            let one = Relation::new(vec![("__const".into(), Arc::new(Column::Bool(vec![true])))])?;
-            prof.cpu_ops += 1;
-            let keep = Evaluator::new(&one, prof).eval_mask(&conjunct)?[0];
-            if !keep {
-                sel = Some(Vec::new());
-                break;
-            }
-            if sel.is_none() {
-                sel = Some(selection::identity(rel.num_rows()));
-            }
-            continue;
-        }
-        let traced = tracer.is_enabled();
-        if traced {
-            tracer.push("eval", &expr_sketch(&conjunct));
-        }
-        let before = *prof;
-        let rows_scanned;
-        let result: Result<Vec<u32>> = match sel.take() {
-            None => {
-                rows_scanned = rel.num_rows() as u64;
-                Evaluator::with_config(rel, prof, *cfg)
-                    .eval_mask(&conjunct)
-                    .map(|mask| selection::from_mask(&mask))
-            }
-            Some(candidates) => {
-                rows_scanned = candidates.len() as u64;
-                if candidates.is_empty() {
-                    if traced {
-                        tracer.pop(0, 0, Vec::new());
-                    }
-                    sel = Some(candidates);
-                    break;
-                }
-                // Gather only the columns this conjunct touches, only for
-                // the surviving candidates.
-                let fields = rel
-                    .fields()
-                    .iter()
-                    .filter(|(n, _)| needed.contains(n))
-                    .map(|(n, c)| (n.clone(), Arc::new(c.take(&candidates))))
-                    .collect::<Vec<_>>();
-                let sub = Relation::new(fields)?;
-                prof.seq_read_bytes += sub.stream_bytes() as u64;
-                prof.seq_write_bytes += sub.stream_bytes() as u64;
-                prof.cpu_ops += candidates.len() as u64;
-                Evaluator::with_config(&sub, prof, *cfg).eval_mask(&conjunct).map(|mask| {
-                    // Recycled thread-local buffer: the conjunct loop would
-                    // otherwise allocate a fresh survivor list per conjunct.
-                    let mut kept = selection::take_scratch();
-                    kept.reserve(candidates.len());
-                    for (&i, &m) in candidates.iter().zip(&mask) {
-                        if m {
-                            kept.push(i);
-                        }
-                    }
-                    selection::put_scratch(candidates);
-                    kept
-                })
-            }
-        };
-        if traced {
-            let survivors = result.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-            tracer.pop(rows_scanned, survivors, prof.delta_since(&before).counter_pairs());
-        }
-        sel = Some(result?);
-    }
-    let sel = sel.unwrap_or_default();
+    let mut parts = Vec::new();
+    split_conjuncts(predicate.clone(), &mut parts);
+    let sel = match cfg.executor {
+        Executor::Materialize => conjunct_at_a_time(rel, &parts, table, prof, cfg, tracer, ctx)?,
+        Executor::Fused => morsel_at_a_time(rel, &parts, table, prof, cfg, tracer, ctx)?,
+    };
     let out = rel.take(&sel);
     charge_gather(rel, &out, sel.len(), prof);
     selection::put_scratch(sel);
     Ok(out)
+}
+
+/// The materializing loop: one pass per conjunct, an `eval` child span each
+/// when tracing (rows in = candidates it scanned, rows out = survivors).
+fn conjunct_at_a_time(
+    rel: &Relation,
+    parts: &[Expr],
+    table: Option<&Table>,
+    prof: &mut WorkProfile,
+    cfg: &EngineConfig,
+    tracer: &Tracer,
+    ctx: &QueryContext,
+) -> Result<Vec<u32>> {
+    let n = rel.num_rows();
+    let (preds, costs): (Vec<_>, Vec<_>) = parts
+        .iter()
+        .map(|c| compile_conjunct(c, rel))
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
+    let ranges = morsel_ranges(n, cfg.morsel_rows);
+    // Per-morsel candidates; `None` is every row of the morsel. `seeded`
+    // says a candidate list exists at all — from then on a conjunct pays
+    // for gathering the columns it reads.
+    let mut cands: Vec<Option<Vec<u32>>> = vec![None; ranges.len()];
+    let mut seeded = false;
+    let mut always_true = vec![false; preds.len()];
+    if let Some(pruner) = table.and_then(|t| ScanPruner::new(t, &preds, n)) {
+        let (dead, proven) = pruner.sweep(&ranges);
+        always_true = proven;
+        // A dead morsel is credited with the first conjunct's scan of it —
+        // the bytes the unpruned filter is guaranteed to have streamed.
+        let first_width = preds.iter().map(Pred::width_bytes).find(|&w| w > 0).unwrap_or(0);
+        for (m, r) in ranges.iter().enumerate().filter(|(m, _)| dead[*m]) {
+            cands[m] = Some(Vec::new());
+            seeded = true;
+            prof.pruned_morsels += 1;
+            prof.pruned_bytes += r.len() as u64 * first_width;
+        }
+    }
+    let count = |cands: &[Option<Vec<u32>>]| -> u64 {
+        cands.iter().zip(&ranges).map(|(c, r)| c.as_ref().map_or(r.len(), Vec::len) as u64).sum()
+    };
+    for (k, (pred, cost)) in preds.iter().zip(&costs).enumerate() {
+        ctx.checkpoint()?;
+        let needed = parts[k].column_set();
+        if needed.is_empty() {
+            // Constant conjunct: decide it once, on one row. False empties
+            // the selection; true leaves the candidates as they are.
+            prof.cpu_ops += 1;
+            cost.charge(1, prof);
+            let mut one = Vec::new();
+            pred.filter_range(0..1, &mut one);
+            if one.is_empty() {
+                cands = vec![Some(Vec::new()); ranges.len()];
+                break;
+            }
+            seeded = true;
+            continue;
+        }
+        let rows = count(&cands);
+        if always_true[k] {
+            // Proven true over every candidate morsel: skip the pass,
+            // crediting the bytes it would have streamed.
+            prof.pruned_bytes += rows * pred.width_bytes();
+            continue;
+        }
+        let traced = tracer.is_enabled();
+        if traced {
+            tracer.push("eval", &expr_sketch(&parts[k]));
+        }
+        if seeded && rows == 0 {
+            if traced {
+                tracer.pop(0, 0, Vec::new());
+            }
+            break;
+        }
+        let before = *prof;
+        if seeded {
+            // The modelled gather: only the columns this conjunct touches,
+            // only for the surviving candidates.
+            let width: u64 = rel
+                .fields()
+                .iter()
+                .filter(|(name, _)| needed.contains(name))
+                .map(|(_, c)| Ty::of_column(c).width())
+                .sum();
+            prof.seq_read_bytes += rows * width;
+            prof.seq_write_bytes += rows * width;
+            prof.cpu_ops += rows;
+        }
+        cost.charge(rows, prof);
+        let next = run_morsels(cfg, &ranges, |m, r| {
+            filter_morsel(std::slice::from_ref(pred), None, r, cands[m].as_deref()).sel
+        });
+        for old in std::mem::replace(&mut cands, next.into_iter().map(Some).collect()) {
+            selection::put_scratch(old.unwrap_or_default());
+        }
+        seeded = true;
+        if traced {
+            tracer.pop(rows, count(&cands), prof.delta_since(&before).counter_pairs());
+        }
+    }
+    let mut sel = selection::take_scratch();
+    for (c, r) in cands.into_iter().zip(ranges) {
+        match c {
+            None => sel.extend(r.map(|i| i as u32)),
+            Some(c) => {
+                sel.extend_from_slice(&c);
+                selection::put_scratch(c);
+            }
+        }
+    }
+    Ok(sel)
+}
+
+/// The fused loop, for `Filter` nodes not consumed by a fused aggregate
+/// (e.g. below a join): every conjunct over one morsel before the next
+/// morsel, summarized as one `predicates` leaf when tracing.
+fn morsel_at_a_time(
+    rel: &Relation,
+    parts: &[Expr],
+    table: Option<&Table>,
+    prof: &mut WorkProfile,
+    cfg: &EngineConfig,
+    tracer: &Tracer,
+    ctx: &QueryContext,
+) -> Result<Vec<u32>> {
+    let n = rel.num_rows();
+    let (conjuncts, const_false) = compile_conjuncts(parts, rel)?;
+    let pruner = table.and_then(|t| ScanPruner::new(t, &conjuncts, n));
+    let started = tracer.is_enabled().then(Instant::now);
+    let results = run_morsels(cfg, &morsel_ranges(n, cfg.morsel_rows), |_, r| {
+        if ctx.interrupted() || const_false {
+            return filter_morsel(&[], None, 0..0, None);
+        }
+        filter_morsel(&conjuncts, pruner.as_ref(), r, None)
+    });
+    ctx.checkpoint()?;
+    let mut sel = selection::take_scratch();
+    let mut examined = vec![0u64; conjuncts.len()];
+    for morsel in results {
+        sel.extend_from_slice(&morsel.sel);
+        selection::put_scratch(morsel.sel);
+        for (total, rows) in examined.iter_mut().zip(morsel.examined) {
+            *total += rows;
+        }
+        prof.pruned_morsels += morsel.pruned_morsel as u64;
+        prof.pruned_bytes += morsel.pruned_bytes;
+    }
+    for (rows, conj) in examined.iter().zip(&conjuncts) {
+        prof.cpu_ops += rows;
+        prof.seq_read_bytes += rows * conj.width_bytes();
+    }
+    if let Some(started) = started {
+        let mut pred = Span::leaf("predicates", format!("{} conjuncts", conjuncts.len()));
+        pred.rows_in = n as u64;
+        pred.rows_out = sel.len() as u64;
+        pred.wall_ns = started.elapsed().as_nanos() as u64;
+        tracer.attach(pred);
+    }
+    Ok(sel)
 }
 
 /// Charges a gather/materialization. Selection vectors are sorted, so the

@@ -1,17 +1,17 @@
 //! Fused morsel-at-a-time execution (DESIGN.md §13).
 //!
-//! The materializing interpreter runs scan → filter → eval → aggregate as
+//! The materializing executor runs scan → filter → eval → aggregate as
 //! separate full-column passes, paying memory bandwidth — the scarcest
 //! resource on a wimpy node — for every intermediate. The fused executor
 //! collapses that pipeline: each worker walks one morsel of the *base*
-//! relation, evaluates the filter conjuncts into a reusable selection
-//! vector (candidate-propagating, like the materializing filter, but per
-//! morsel and without gathering sub-relations), evaluates group-key and
-//! aggregate-input expressions with compiled [`bytecode::Program`]s over
-//! the survivors, and folds the rows straight into a thread-local
-//! [`MorselAgg`] partial. Partials merge in morsel-index order — the same
-//! merge as the materializing aggregate — so results are bit-identical to
-//! the materializing executor at any thread count.
+//! relation, runs the filter conjuncts into a reusable selection vector
+//! ([`filter_morsel`] — the one candidate-propagating conjunct loop, which
+//! the materializing filter drives too, one conjunct per pass), evaluates
+//! group-key and aggregate-input [`Program`]s over the survivors, and folds
+//! the rows straight into a thread-local [`MorselAgg`] partial. Partials
+//! merge in morsel-index order — the same merge as the materializing
+//! aggregate — so results are bit-identical to the materializing executor
+//! at any thread count.
 //!
 //! Determinism argument: morsel boundaries depend only on the row count and
 //! morsel size; each partial sees exactly the rows of its morsel in row
@@ -22,21 +22,22 @@
 //! slots and [`SlotAgg`] accumulators mirror [`aggregate`]'s exact-arithmetic
 //! states, so no float is combined in a different order than before.
 //!
-//! Fallback rules: plan shapes or expressions the bytecode compiler cannot
-//! express (joins inside the pipeline stay as a materialized source; string
-//! column-vs-column compares, `SUBSTR`, float sums/avgs, min/max) run the
-//! materializing operators in place over the already-executed source —
-//! transparently, with identical results, errors, and charges to
-//! `Executor::Materialize`. A budget too small for the merged group table
-//! takes the same fallback, which then Grace-partitions exactly like the
-//! materializing aggregate.
+//! Both executors evaluate every expression with the same compiled
+//! programs, so no expression changes the code path. The materializing
+//! operators take over, in place and over the already-executed source, for
+//! exactly two reasons: an aggregate with no exact slot form (min/max, float
+//! sum/avg), and a budget too small for the merged group table, which the
+//! materializing aggregate then Grace-partitions. Either way results,
+//! errors, charges and governor behaviour are `Executor::Materialize`'s, and
+//! the trace carries a `fallback` leaf naming the reason.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use super::aggregate::{self, MorselAgg, SlotAgg};
-use super::bytecode::{self, Program};
-use super::parallel::{morsel_ranges, run_morsels, run_morsels_spanned, EngineConfig};
+use super::bytecode::{self, Cost, Program};
+use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::{ensure_u32_indexable, expr_sketch, filter, prune};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
@@ -67,10 +68,12 @@ pub(super) enum Pred {
     /// Disjuncts, each an AND-chain of programs; a row survives when any
     /// chain passes it.
     AnyOf(Vec<Vec<Program>>),
+    /// Folded at compile time: every row passes, or none does.
+    Const(bool),
 }
 
 impl Pred {
-    fn filter_range(&self, r: std::ops::Range<usize>, out: &mut Vec<u32>) {
+    pub(super) fn filter_range(&self, r: Range<usize>, out: &mut Vec<u32>) {
         match self {
             Pred::One(p) => p.filter_range(r, out),
             Pred::AnyOf(chains) => {
@@ -79,6 +82,7 @@ impl Pred {
                 or_cascade(chains, &cand, out);
                 selection::put_scratch(cand);
             }
+            Pred::Const(keep) => out.extend(r.filter(|_| *keep).map(|i| i as u32)),
         }
     }
 
@@ -86,16 +90,20 @@ impl Pred {
         match self {
             Pred::One(p) => p.filter_sel(cand, out),
             Pred::AnyOf(chains) => or_cascade(chains, cand, out),
+            Pred::Const(true) => out.extend_from_slice(cand),
+            Pred::Const(false) => {}
         }
     }
 
-    /// Bytes-per-row pricing: the flat program's width — the materializing
-    /// evaluator reads every arm for every row, and the charge model stays
-    /// invariant to how the cascade happened to prune.
+    /// The fused executor's bytes-per-row pricing: every program's base
+    /// columns, an OR's arms each counted — flat evaluation reads every arm
+    /// for every row, and the charge stays invariant to how the cascade
+    /// happened to prune.
     pub(super) fn width_bytes(&self) -> u64 {
         match self {
             Pred::One(p) => p.width_bytes(),
             Pred::AnyOf(chains) => chains.iter().flatten().map(Program::width_bytes).sum(),
+            Pred::Const(_) => 0,
         }
     }
 }
@@ -158,71 +166,135 @@ fn split_disjuncts(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// A conjunct after compilation: constant-folded away, or an executable
-/// predicate.
-pub(super) enum Compiled {
-    ConstTrue,
-    ConstFalse,
-    Pred(Pred),
-}
-
-/// Compiles one already-split conjunct, recognizing top-level OR chains.
-/// `None` means some sub-expression needs the materializing fallback.
-pub(super) fn compile_conjunct(c: &Expr, src: &Relation) -> Option<Compiled> {
+/// Compiles one already-split conjunct, recognizing top-level OR chains,
+/// together with the full-materialization cost of the *flat* expression:
+/// the cascade only changes which rows each arm looks at, never what
+/// evaluating the conjunct column-at-a-time is priced as.
+pub(super) fn compile_conjunct(c: &Expr, src: &Relation) -> Result<(Pred, Cost)> {
     let mut disjuncts = Vec::new();
     split_disjuncts(c, &mut disjuncts);
-    if disjuncts.len() > 1 {
-        let mut chains = Vec::new();
-        for d in &disjuncts {
-            let mut parts = Vec::new();
-            split_conjuncts(d.clone(), &mut parts);
-            let mut chain = Vec::new();
-            let mut dead = false;
-            for p in parts {
-                let prog = Program::compile(&p, src)?;
-                if prog.out() != bytecode::Ty::Bool {
-                    return None;
-                }
-                match prog.const_bool() {
-                    Some(true) => {}
-                    Some(false) => {
-                        dead = true;
-                        break;
-                    }
-                    None => chain.push(prog),
-                }
+    if disjuncts.len() == 1 {
+        let prog = Program::compile(c, src)?.into_predicate()?;
+        let cost = *prog.cost();
+        return Ok((prog.const_bool().map_or_else(|| Pred::One(prog), Pred::Const), cost));
+    }
+    let mut cost = Cost::default();
+    let (mut chains, mut nparts, mut any_true) = (Vec::new(), 0, false);
+    for d in &disjuncts {
+        let mut parts = Vec::new();
+        split_conjuncts(d.clone(), &mut parts);
+        nparts += parts.len();
+        let (mut chain, mut dead) = (Vec::new(), false);
+        for p in &parts {
+            let Ok(prog) = Program::compile(p, src)?.into_predicate() else {
+                // A non-boolean arm: the flat OR/AND tree names the error.
+                Program::compile(c, src)?;
+                unreachable!("the flat tree rejects a non-boolean operand");
+            };
+            cost.add(prog.cost());
+            match prog.const_bool() {
+                Some(keep) => dead |= !keep,
+                None => chain.push(prog),
             }
-            if dead {
-                continue; // a constant-false arm never accepts anything
-            }
-            if chain.is_empty() {
-                return Some(Compiled::ConstTrue); // a constant-true arm accepts everything
-            }
+        }
+        // A constant-false part kills its arm; an arm of only constant-true
+        // parts accepts every row.
+        if !dead {
+            any_true |= chain.is_empty();
             chains.push(chain);
         }
-        return Some(if chains.is_empty() {
-            Compiled::ConstFalse
-        } else {
-            Compiled::Pred(Pred::AnyOf(chains))
-        });
     }
-    let prog = Program::compile(c, src)?;
-    if prog.out() != bytecode::Ty::Bool {
-        return None;
+    cost.add(&Cost::logical(nparts as u64 - 1));
+    let pred =
+        if any_true || chains.is_empty() { Pred::Const(any_true) } else { Pred::AnyOf(chains) };
+    Ok((pred, cost))
+}
+
+/// Compiles conjuncts for morsel-at-a-time execution: constant-true ones
+/// dropped, and whether one folded to constant false (no row survives).
+pub(super) fn compile_conjuncts(parts: &[Expr], src: &Relation) -> Result<(Vec<Pred>, bool)> {
+    let (mut conjuncts, mut const_false) = (Vec::new(), false);
+    for c in parts {
+        match compile_conjunct(c, src)?.0 {
+            Pred::Const(keep) => const_false |= !keep,
+            pred => conjuncts.push(pred),
+        }
     }
-    Some(match prog.const_bool() {
-        Some(true) => Compiled::ConstTrue,
-        Some(false) => Compiled::ConstFalse,
-        None => Compiled::Pred(Pred::One(prog)),
-    })
+    Ok((conjuncts, const_false))
+}
+
+/// What the conjunct loop did over one morsel.
+pub(super) struct MorselFilter {
+    /// Surviving row ids, ascending (a `selection` scratch buffer).
+    pub sel: Vec<u32>,
+    /// Rows each conjunct was evaluated over (0 when skipped).
+    pub examined: Vec<u64>,
+    /// Bytes the zone maps proved need not be streamed, and whether they
+    /// proved the whole morsel dead.
+    pub pruned_bytes: u64,
+    pub pruned_morsel: bool,
+}
+
+/// The candidate-propagating conjunct loop over one morsel: the first
+/// conjunct scans the candidates it is given (`None` — every row of `r`),
+/// each later one only the survivors, through recycled selection vectors
+/// and with no intermediate column. With a pruner, a conjunct the zone maps
+/// prove true for the whole morsel is skipped, and a morsel they prove dead
+/// is not touched at all — credited with the first conjunct's scan of it,
+/// the bytes the unpruned loop is guaranteed to have streamed.
+pub(super) fn filter_morsel(
+    conjuncts: &[Pred],
+    pruner: Option<&prune::ScanPruner>,
+    r: Range<usize>,
+    cand: Option<&[u32]>,
+) -> MorselFilter {
+    let mut out = MorselFilter {
+        sel: selection::take_scratch(),
+        examined: vec![0; conjuncts.len()],
+        pruned_bytes: 0,
+        pruned_morsel: false,
+    };
+    let verdicts = pruner.map(|p| p.verdicts(&r));
+    if verdicts.as_ref().is_some_and(|v| v.contains(&prune::Verdict::False)) {
+        out.pruned_morsel = true;
+        out.pruned_bytes = r.len() as u64 * conjuncts[0].width_bytes();
+        return out;
+    }
+    // Until a conjunct has run, the candidates are the caller's, untouched.
+    let mut narrowed = false;
+    for (k, conj) in conjuncts.iter().enumerate() {
+        let rows = if narrowed { out.sel.len() } else { cand.map_or(r.len(), <[u32]>::len) };
+        if verdicts.as_ref().is_some_and(|v| v[k] == prune::Verdict::True) {
+            out.pruned_bytes += rows as u64 * conj.width_bytes();
+            continue;
+        }
+        out.examined[k] = rows as u64;
+        if rows == 0 {
+            break;
+        }
+        let mut next = selection::take_scratch();
+        match (narrowed, cand) {
+            (true, _) => conj.filter_sel(&out.sel, &mut next),
+            (false, Some(c)) => conj.filter_sel(c, &mut next),
+            (false, None) => conj.filter_range(r.clone(), &mut next),
+        }
+        selection::put_scratch(std::mem::replace(&mut out.sel, next));
+        narrowed = true;
+    }
+    if !narrowed {
+        match cand {
+            Some(c) => out.sel.extend_from_slice(c),
+            None => out.sel.extend(r.map(|i| i as u32)),
+        }
+    }
+    out
 }
 
 /// A fully compiled scan→filter→eval→aggregate pipeline.
 struct Pipeline {
-    /// Filter conjuncts in execution order (innermost filter first), with
-    /// constant-true conjuncts dropped at compile time.
+    /// Filter conjuncts in execution order (innermost filter first); see
+    /// [`compile_conjuncts`].
     conjuncts: Vec<Pred>,
-    /// A conjunct folded to constant false: no row survives.
     const_false: bool,
     keys: Vec<KeyPlan>,
     /// One program per aggregate input; `None` for `count(*)`.
@@ -232,56 +304,52 @@ struct Pipeline {
 
 impl Pipeline {
     /// Compiles the filters, keys, and aggregate inputs against the source
-    /// relation; `None` means the shape needs the materializing fallback.
+    /// relation. The inner `Err` is the reason the shape needs the
+    /// materializing operators: an aggregate with no slot form.
     fn compile(
         filters: &[&Expr],
         group_by: &[(Expr, String)],
         aggs: &[AggExpr],
         src: &Relation,
-    ) -> Option<Pipeline> {
-        let mut conjuncts = Vec::new();
-        let mut const_false = false;
+    ) -> Result<std::result::Result<Pipeline, String>> {
+        let mut parts = Vec::new();
         for f in filters {
-            let mut parts = Vec::new();
             split_conjuncts((*f).clone(), &mut parts);
-            for c in parts {
-                match compile_conjunct(&c, src)? {
-                    Compiled::ConstTrue => {}
-                    Compiled::ConstFalse => const_false = true,
-                    Compiled::Pred(p) => conjuncts.push(p),
-                }
-            }
         }
+        let (conjuncts, const_false) = compile_conjuncts(&parts, src)?;
         let mut keys = Vec::with_capacity(group_by.len());
         for (e, _) in group_by {
-            let prog = Program::compile(e, src)?;
             let source = match e {
-                Expr::Col(name) => Some(Arc::clone(src.column(name).ok()?)),
+                Expr::Col(name) => Some(Arc::clone(src.column(name)?)),
                 _ => None,
             };
-            if source.is_none() && prog.out() == bytecode::Ty::Str {
-                return None; // computed string keys cannot be rebuilt from slots
-            }
-            keys.push(KeyPlan { prog, source });
+            keys.push(KeyPlan { prog: Program::compile(e, src)?, source });
         }
         let mut agg_progs = Vec::with_capacity(aggs.len());
         let mut kinds = Vec::with_capacity(aggs.len());
         for agg in aggs {
-            match (&agg.expr, agg.func) {
+            let kind = match (&agg.expr, agg.func) {
                 (None, AggFunc::CountStar) => {
                     agg_progs.push(None);
-                    kinds.push(SlotAgg::CountStar);
+                    Some(SlotAgg::CountStar)
                 }
                 (Some(e), func) if func != AggFunc::CountStar => {
                     let prog = Program::compile(e, src)?;
-                    let kind = SlotAgg::bind(func, Some(prog.out().data_type()))?;
+                    let kind = SlotAgg::bind(func, Some(prog.out().data_type()));
                     agg_progs.push(Some(prog));
-                    kinds.push(kind);
+                    kind
                 }
-                _ => return None, // malformed pairing: let the evaluator report it
+                _ => None, // malformed pairing: the materializing aggregate reports it
+            };
+            match kind {
+                Some(kind) => kinds.push(kind),
+                None => {
+                    let func = format!("{:?}", agg.func).to_lowercase();
+                    return Ok(Err(format!("aggregate has no slot form: {func}")));
+                }
             }
         }
-        Some(Pipeline { conjuncts, const_false, keys, agg_progs, kinds })
+        Ok(Ok(Pipeline { conjuncts, const_false, keys, agg_progs, kinds }))
     }
 }
 
@@ -313,9 +381,12 @@ pub(super) fn exec_fused(
     let rows_in = src.num_rows() as u64;
     ensure_u32_indexable(src.num_rows(), "fused")?;
 
-    let pipe = match Pipeline::compile(&filters, group_by, aggs, &src) {
-        Some(p) => p,
-        None => return materializing_tail(src, &filters, group_by, aggs, prof, cfg, tracer, ctx),
+    let tail = |reason: &str, prof: &mut WorkProfile| {
+        materializing_tail(&src, &filters, group_by, aggs, reason, prof, cfg, tracer, ctx)
+    };
+    let pipe = match Pipeline::compile(&filters, group_by, aggs, &src)? {
+        Ok(pipe) => pipe,
+        Err(reason) => return tail(&reason, prof),
     };
 
     // Zone-map pruning (opt-in, DESIGN.md §14): only when the pipeline's
@@ -338,52 +409,11 @@ pub(super) fn exec_fused(
     let ranges = morsel_ranges(n, cfg.morsel_rows);
     let results = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
         let mut partial = MorselAgg::for_slots(&pipe.kinds);
-        let mut examined = vec![0u64; nconj];
-        let mut pruned = (0u64, 0u64); // (morsels skipped, bytes skipped)
-        if ctx.interrupted() {
-            return (partial, examined, 0u64, pruned);
+        if ctx.interrupted() || pipe.const_false {
+            return (partial, vec![0; nconj], 0, (0, 0));
         }
-        let verdicts = pruner.as_ref().map(|p| p.verdicts(&r));
-        if verdicts.as_ref().is_some_and(|v| v.contains(&prune::Verdict::False)) {
-            // No row in this morsel can pass: skip it without touching the
-            // data. The credited bytes are the first conjunct's full-column
-            // scan — what the unpruned loop is guaranteed to have streamed.
-            pruned = (1, r.len() as u64 * pipe.conjuncts[0].width_bytes());
-            return (partial, examined, 0u64, pruned);
-        }
-        // Filter stage: candidate propagation through a recycled selection
-        // vector, no intermediate columns. `dense` tracks whether `sel`
-        // still implicitly means "every row of the morsel" (no conjunct has
-        // run yet), so an always-true first conjunct can be skipped too.
-        let mut sel = selection::take_scratch();
-        let mut dense = true;
-        if !pipe.const_false {
-            for (k, conj) in pipe.conjuncts.iter().enumerate() {
-                if verdicts.as_ref().is_some_and(|v| v[k] == prune::Verdict::True) {
-                    // Proven true for every row here: elide the evaluation
-                    // and credit the bytes it would have streamed.
-                    let rows = if dense { r.len() } else { sel.len() } as u64;
-                    pruned.1 += rows * conj.width_bytes();
-                    continue;
-                }
-                if dense {
-                    examined[k] = r.len() as u64;
-                    conj.filter_range(r.clone(), &mut sel);
-                    dense = false;
-                } else {
-                    examined[k] = sel.len() as u64;
-                    if sel.is_empty() {
-                        break;
-                    }
-                    let mut next = selection::take_scratch();
-                    conj.filter_sel(&sel, &mut next);
-                    selection::put_scratch(std::mem::replace(&mut sel, next));
-                }
-            }
-        }
-        if dense && !pipe.const_false {
-            sel.extend(r.clone().map(|i| i as u32));
-        }
+        let MorselFilter { sel, examined, pruned_bytes, pruned_morsel } =
+            filter_morsel(&pipe.conjuncts, pruner.as_ref(), r, None);
         let nsel = sel.len() as u64;
         // Eval + fold stage: run each program once over the survivors, then
         // push rows into the morsel-local table keyed by *global* row ids.
@@ -411,7 +441,7 @@ pub(super) fn exec_fused(
             bytecode::put_slots(buf);
         }
         selection::put_scratch(sel);
-        (partial, examined, nsel, pruned)
+        (partial, examined, nsel, (pruned_morsel as u64, pruned_bytes))
     });
     ctx.checkpoint()?;
 
@@ -439,9 +469,7 @@ pub(super) fn exec_fused(
             // Budget too small for the merged table: rerun through the
             // materializing operators, whose aggregate Grace-partitions under
             // the same budget (deterministically) before erroring.
-            None => {
-                return materializing_tail(src, &filters, group_by, aggs, prof, cfg, tracer, ctx)
-            }
+            None => return tail("budget", prof),
         };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     for st in &mut gstates {
@@ -498,7 +526,7 @@ pub(super) fn exec_fused(
             None => {
                 let mut slots = Vec::new();
                 kp.prog.eval_sel(&first_rows, &mut slots);
-                kp.prog.column_from_slots(slots).expect("non-string checked at compile")
+                kp.prog.column_from_slots(slots)
             }
         };
         out_fields.push((name.clone(), Arc::new(col)));
@@ -510,28 +538,30 @@ pub(super) fn exec_fused(
     Ok((rows_in, Relation::new(out_fields)?))
 }
 
-/// The transparent fallback: run the peeled filters and the aggregate
-/// through the materializing operators, in place, over the already-executed
-/// source — reproducing `Executor::Materialize`'s results, errors, charges,
-/// and governor behavior exactly. Each operator gets its own child span
-/// inside the open `fused` span, plus a `fallback` marker leaf.
+/// The fallback: run the peeled filters and the aggregate through the
+/// materializing operators, in place, over the already-executed source —
+/// reproducing `Executor::Materialize`'s results, errors, charges, and
+/// governor behavior exactly. Each operator gets its own child span inside
+/// the open `fused` span, after a `fallback` leaf labelled with the reason.
 #[allow(clippy::too_many_arguments)]
 fn materializing_tail(
-    src: Relation,
+    src: &Relation,
     filters: &[&Expr],
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
+    reason: &str,
     prof: &mut WorkProfile,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<(u64, Relation)> {
+    let cfg = &cfg.with_executor(Executor::Materialize);
     let rows_in = src.num_rows() as u64;
     let traced = tracer.is_enabled();
     if traced {
-        tracer.attach(Span::leaf("fallback", "materializing path"));
+        tracer.attach(Span::leaf("fallback", reason));
     }
-    let mut rel = src;
+    let mut rel = src.clone();
     for f in filters {
         ctx.checkpoint()?;
         if traced {
@@ -577,119 +607,4 @@ fn materializing_tail(
             Err(e)
         }
     }
-}
-
-/// Bytecode-compiled standalone filter, used for `Filter` nodes that are not
-/// consumed by a fused aggregate (e.g. below a join). Candidates propagate
-/// through recycled per-morsel selection vectors and the surviving rows are
-/// gathered exactly once, instead of the materializing path's per-conjunct
-/// mask columns and sub-relation gathers. Results are bit-identical; the
-/// profile drops the intermediate write traffic. Falls back to the
-/// materializing filter when any conjunct fails to compile.
-pub(super) fn exec_filter_fused(
-    rel: &Relation,
-    predicate: &Expr,
-    table: Option<&wimpi_storage::Table>,
-    prof: &mut WorkProfile,
-    cfg: &EngineConfig,
-    tracer: &Tracer,
-    ctx: &QueryContext,
-) -> Result<Relation> {
-    ensure_u32_indexable(rel.num_rows(), "filter")?;
-    let mut parts = Vec::new();
-    split_conjuncts(predicate.clone(), &mut parts);
-    let mut conjuncts = Vec::new();
-    let mut const_false = false;
-    let compiled = parts.iter().try_for_each(|c| {
-        match compile_conjunct(c, rel)? {
-            Compiled::ConstTrue => {}
-            Compiled::ConstFalse => const_false = true,
-            Compiled::Pred(p) => conjuncts.push(p),
-        }
-        Some(())
-    });
-    if compiled.is_none() {
-        if tracer.is_enabled() {
-            tracer.attach(Span::leaf("fallback", "materializing path"));
-        }
-        return filter::exec_filter(rel, predicate, table, prof, cfg, tracer, ctx);
-    }
-
-    let pruner = if cfg.prune_scans && !conjuncts.is_empty() {
-        table.and_then(|t| prune::ScanPruner::new(t, &conjuncts, rel.num_rows()))
-    } else {
-        None
-    };
-
-    let n = rel.num_rows();
-    let nconj = conjuncts.len();
-    let traced = tracer.is_enabled();
-    let started = traced.then(Instant::now);
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    let results = run_morsels(cfg, &ranges, |_, r| {
-        let mut examined = vec![0u64; nconj];
-        let mut pruned = (0u64, 0u64);
-        let mut sel = selection::take_scratch();
-        if ctx.interrupted() || const_false {
-            return (sel, examined, pruned);
-        }
-        let verdicts = pruner.as_ref().map(|p| p.verdicts(&r));
-        if verdicts.as_ref().is_some_and(|v| v.contains(&prune::Verdict::False)) {
-            pruned = (1, r.len() as u64 * conjuncts[0].width_bytes());
-            return (sel, examined, pruned);
-        }
-        let mut dense = true;
-        for (k, conj) in conjuncts.iter().enumerate() {
-            if verdicts.as_ref().is_some_and(|v| v[k] == prune::Verdict::True) {
-                let rows = if dense { r.len() } else { sel.len() } as u64;
-                pruned.1 += rows * conj.width_bytes();
-                continue;
-            }
-            if dense {
-                examined[k] = r.len() as u64;
-                conj.filter_range(r.clone(), &mut sel);
-                dense = false;
-            } else {
-                examined[k] = sel.len() as u64;
-                if sel.is_empty() {
-                    break;
-                }
-                let mut next = selection::take_scratch();
-                conj.filter_sel(&sel, &mut next);
-                selection::put_scratch(std::mem::replace(&mut sel, next));
-            }
-        }
-        if dense {
-            sel.extend(r.clone().map(|i| i as u32));
-        }
-        (sel, examined, pruned)
-    });
-    ctx.checkpoint()?;
-    let mut sel: Vec<u32> = Vec::new();
-    let mut examined = vec![0u64; nconj];
-    for (morsel_sel, ex, pr) in results {
-        sel.extend_from_slice(&morsel_sel);
-        selection::put_scratch(morsel_sel);
-        for (total, morsel) in examined.iter_mut().zip(ex) {
-            *total += morsel;
-        }
-        prof.pruned_morsels += pr.0;
-        prof.pruned_bytes += pr.1;
-    }
-    for (k, conj) in conjuncts.iter().enumerate() {
-        prof.cpu_ops += examined[k];
-        prof.seq_read_bytes += examined[k] * conj.width_bytes();
-    }
-    if traced {
-        let mut pred = Span::leaf("predicates", format!("{nconj} conjuncts"));
-        pred.rows_in = n as u64;
-        pred.rows_out = sel.len() as u64;
-        if let Some(started) = started {
-            pred.wall_ns = started.elapsed().as_nanos() as u64;
-        }
-        tracer.attach(pred);
-    }
-    let out = rel.take(&sel);
-    filter::charge_gather(rel, &out, sel.len(), prof);
-    Ok(out)
 }

@@ -182,12 +182,7 @@ fn exec_node_inner(
                 }
                 _ => None,
             };
-            let out = if cfg.executor == Executor::Fused {
-                fused::exec_filter_fused(&rel, predicate, table, prof, cfg, tracer, ctx)?
-            } else {
-                filter::exec_filter(&rel, predicate, table, prof, cfg, tracer, ctx)?
-            };
-            Ok((rows_in, out))
+            Ok((rows_in, filter::exec_filter(&rel, predicate, table, prof, cfg, tracer, ctx)?))
         }
         LogicalPlan::Project { input, exprs } => {
             let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;

@@ -252,28 +252,6 @@ where
     results.into_iter().map(|t| t.expect("every morsel executed exactly once")).collect()
 }
 
-/// Maps `f` over morsels of `0..n` and concatenates the per-morsel vectors
-/// in morsel order — the workhorse for element-wise kernels, whose output
-/// under any chunking equals the single-chunk output.
-///
-/// The serial/small case calls `f(0..n)` once: zero allocation or dispatch
-/// overhead relative to the pre-parallel engine.
-pub(crate) fn par_map_concat<T, F>(cfg: &EngineConfig, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    if cfg.threads <= 1 || n <= cfg.morsel_rows {
-        return f(0..n);
-    }
-    let parts = run_morsels(cfg, &morsel_ranges(n, cfg.morsel_rows), |_, r| f(r));
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,16 +277,6 @@ mod tests {
         for (i, (idx, start, end)) in out.iter().enumerate() {
             assert_eq!(*idx, i, "results in morsel order");
             assert_eq!((*start, *end), (i * 10, (i + 1) * 10));
-        }
-    }
-
-    #[test]
-    fn par_map_concat_matches_serial_map() {
-        let serial = EngineConfig::serial().with_morsel_rows(7);
-        let parallel = EngineConfig::with_threads(4).with_morsel_rows(7);
-        let f = |r: std::ops::Range<usize>| -> Vec<u64> { r.map(|i| (i as u64) * 3 + 1).collect() };
-        for n in [0usize, 1, 6, 7, 8, 100, 1023] {
-            assert_eq!(par_map_concat(&serial, n, f), par_map_concat(&parallel, n, f), "n={n}");
         }
     }
 

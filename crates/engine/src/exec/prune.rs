@@ -1,6 +1,6 @@
 //! Zone-map scan pruning (DESIGN.md §14): per-morsel predicate verdicts
-//! from sealed [`ZoneMap`] summaries, consulted by both executors before
-//! any column byte is streamed.
+//! from sealed [`ZoneMap`] summaries, through the one [`ScanPruner`] both
+//! executors' filters consult before any column byte is streamed.
 //!
 //! The prunable predicate forms are exactly the bytecode peephole's
 //! [`Quick`] shapes — `col <cmp> const`, dictionary membership, numeric
@@ -24,7 +24,6 @@ use super::bytecode::{Program, Quick};
 use super::fused::Pred;
 use crate::eval;
 use crate::expr::BinOp;
-use crate::relation::Relation;
 use wimpi_storage::{Table, ZoneMap};
 
 /// What a zone summary proves about one conjunct over one morsel.
@@ -244,6 +243,7 @@ fn quick_zone<'a>(prog: &'a Program, table: &'a Table) -> Option<QuickZone<'a>> 
 
 fn conj_zone<'a>(pred: &'a Pred, table: &'a Table) -> ConjZone<'a> {
     match pred {
+        Pred::Const(_) => ConjZone::Opaque,
         Pred::One(p) => quick_zone(p, table).map_or(ConjZone::Opaque, ConjZone::One),
         Pred::AnyOf(chains) => ConjZone::AnyOf(
             chains
@@ -288,100 +288,34 @@ impl<'a> ScanPruner<'a> {
     pub(crate) fn verdicts(&self, rows: &Range<usize>) -> Vec<Verdict> {
         self.conjuncts.iter().map(|c| c.verdict(self.zones, rows)).collect()
     }
-}
 
-/// The materializing filter's prune pre-pass: compiles the split conjuncts
-/// (best-effort; conjuncts the bytecode can't express stay `Unknown`),
-/// takes one verdict sweep over the morsel grid, and reports which morsels
-/// to skip and which conjuncts never need evaluating.
-pub(crate) struct FilterPrune {
-    /// Rows of every surviving morsel, ascending — the seed candidate list.
-    /// Meaningful only when `pruned_morsels > 0`.
-    pub keep: Vec<u32>,
-    /// Conjuncts (in split order) proven true over every surviving morsel.
-    pub always_true: Vec<bool>,
-    /// Streamed-bytes-per-row of each compiled conjunct (0 if uncompiled),
-    /// for pricing an elided evaluation.
-    pub widths: Vec<u64>,
-    pub pruned_morsels: u64,
-    pub pruned_bytes: u64,
-}
-
-/// Runs the pre-pass, or `None` when it proves nothing (no morsel skipped
-/// and no conjunct always-true) — the caller then filters exactly as if
-/// pruning were off.
-pub(crate) fn prune_filter(
-    conjuncts: &[crate::expr::Expr],
-    rel: &Relation,
-    table: &Table,
-    morsel_rows: usize,
-) -> Option<FilterPrune> {
-    let compiled: Vec<Option<Pred>> = conjuncts
-        .iter()
-        .map(|c| match super::fused::compile_conjunct(c, rel) {
-            Some(super::fused::Compiled::Pred(p)) => Some(p),
-            // Constants are the evaluator's job; uncompilable stays Unknown.
-            _ => None,
-        })
-        .collect();
-    // Keep the compiled conjuncts and which split slot each came from.
-    let mut slots = Vec::new();
-    let mut preds = Vec::new();
-    for (i, p) in compiled.into_iter().enumerate() {
-        if let Some(p) = p {
-            slots.push(i);
-            preds.push(p);
-        }
+    /// One verdict sweep over the whole morsel grid, for conjunct-at-a-time
+    /// execution: which morsels are dead, and which conjuncts are proven
+    /// true over every live morsel (and so never need a pass).
+    pub(crate) fn sweep(&self, ranges: &[Range<usize>]) -> (Vec<bool>, Vec<bool>) {
+        let mut always_true = vec![true; self.conjuncts.len()];
+        let dead = ranges
+            .iter()
+            .map(|r| {
+                let verdicts = self.verdicts(r);
+                let dead = verdicts.contains(&Verdict::False);
+                if !dead {
+                    for (proven, v) in always_true.iter_mut().zip(&verdicts) {
+                        *proven &= *v == Verdict::True;
+                    }
+                }
+                dead
+            })
+            .collect();
+        (dead, always_true)
     }
-    let pruner = ScanPruner::new(table, &preds, rel.num_rows())?;
-    let widths: Vec<u64> = {
-        let mut w = vec![0u64; conjuncts.len()];
-        for (slot, p) in slots.iter().zip(&preds) {
-            w[*slot] = p.width_bytes();
-        }
-        w
-    };
-    let first_width = preds.first().map_or(0, Pred::width_bytes);
-
-    let ranges = wimpi_storage::morsel::morsel_ranges(rel.num_rows(), morsel_rows);
-    let mut keep: Vec<u32> = Vec::new();
-    let mut always_true = vec![true; conjuncts.len()];
-    let (mut pruned_morsels, mut pruned_bytes) = (0u64, 0u64);
-    for r in &ranges {
-        let verdicts = pruner.verdicts(r);
-        if verdicts.contains(&Verdict::False) {
-            pruned_morsels += 1;
-            // Credit the first conjunct's full-column scan over this morsel
-            // — the bytes the unpruned filter is guaranteed to have
-            // streamed (later conjuncts only read survivors, unknowable
-            // without running).
-            pruned_bytes += r.len() as u64 * first_width;
-            continue;
-        }
-        keep.extend(r.clone().map(|i| i as u32));
-        for (slot, v) in slots.iter().zip(&verdicts) {
-            if *v != Verdict::True {
-                always_true[*slot] = false;
-            }
-        }
-    }
-    // A conjunct is only provably redundant over morsels the sweep saw;
-    // uncompiled conjuncts were never proven anything.
-    for (i, w) in widths.iter().enumerate() {
-        if *w == 0 {
-            always_true[i] = false;
-        }
-    }
-    if pruned_morsels == 0 && !always_true.iter().any(|&t| t) {
-        return None;
-    }
-    Some(FilterPrune { keep, always_true, widths, pruned_morsels, pruned_bytes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit, Expr};
+    use crate::relation::Relation;
     use wimpi_storage::{Column, DataType, Field, Schema, Value};
 
     /// 300 rows sealed on a 100-row zone grid: `k` ascending 0..300, `p`
@@ -410,10 +344,7 @@ mod tests {
     fn compile(rel: &Relation, exprs: &[Expr]) -> Vec<Pred> {
         exprs
             .iter()
-            .map(|e| match super::super::fused::compile_conjunct(e, rel) {
-                Some(super::super::fused::Compiled::Pred(p)) => p,
-                _ => panic!("test conjunct must compile to a predicate"),
-            })
+            .map(|e| super::super::fused::compile_conjunct(e, rel).expect("well-typed").0)
             .collect()
     }
 
@@ -508,20 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn prune_filter_reports_skips_and_redundant_conjuncts() {
+    fn sweep_reports_dead_morsels_and_redundant_conjuncts() {
         let t = table();
         let rel = Relation::from_table(&t, None).unwrap();
-        let conjuncts = vec![col("k").lt(lit(100i64)), col("f").lt(lit(1e9))];
-        let fp = prune_filter(&conjuncts, &rel, &t, 100).expect("prunes two morsels");
-        assert_eq!(fp.pruned_morsels, 2);
-        assert_eq!(fp.keep, (0..100).collect::<Vec<u32>>());
-        // k < 100 is always true over the one surviving morsel; the float
-        // conjunct never compiled to a quick form and must stay enforced.
-        assert_eq!(fp.always_true, [true, false]);
-        assert_eq!(fp.widths[0], 8);
-        assert_eq!(fp.pruned_bytes, 200 * 8);
-        // Nothing provable → no pre-pass result at all.
-        let nothing = vec![col("f").lt(lit(1e9))];
-        assert!(prune_filter(&nothing, &rel, &t, 100).is_none());
+        let preds = compile(&rel, &[col("k").lt(lit(100i64)), col("f").lt(lit(1e9))]);
+        let pruner = ScanPruner::new(&t, &preds, t.num_rows()).expect("prunable");
+        let grid = [0..100, 100..200, 200..300];
+        // k < 100 kills two morsels and is always true over the survivor;
+        // the float conjunct has no quick form and must stay enforced.
+        assert_eq!(pruner.sweep(&grid), (vec![false, true, true], vec![true, false]));
+        // A conjunct true over only some live morsels still needs its pass.
+        let preds = compile(&rel, &[col("k").lt(lit(250i64))]);
+        let pruner = ScanPruner::new(&t, &preds, t.num_rows()).expect("prunable");
+        assert_eq!(pruner.sweep(&grid), (vec![false, false, false], vec![false]));
     }
 }

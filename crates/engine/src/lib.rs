@@ -51,19 +51,6 @@ pub fn execute_query_with(
     exec::execute_with(&optimized, catalog, cfg)
 }
 
-/// Optimizes and executes a plan with operator-level tracing enabled,
-/// returning the query's span tree alongside the result. Tracing adds a
-/// per-operator timing wrapper but never changes results or work profiles;
-/// the root span's counters equal the returned [`WorkProfile`] exactly.
-pub fn execute_query_traced(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-) -> Result<(Relation, WorkProfile, Span)> {
-    let optimized = optimizer::optimize(plan.clone(), catalog)?;
-    exec::execute_traced(&optimized, catalog, cfg)
-}
-
 /// Optimizes and executes a plan under a resource governor: the context's
 /// memory budget caps operator scratch (with deterministic Grace-partitioned
 /// fallbacks before any error), and its cancel token/deadline stop the query
@@ -79,8 +66,11 @@ pub fn execute_query_governed(
     exec::execute_governed(&optimized, catalog, cfg, ctx)
 }
 
-/// [`execute_query_governed`] with operator-level tracing; `EXPLAIN ANALYZE`
-/// uses this to report measured per-operator peak bytes.
+/// [`execute_query_governed`] with operator-level tracing enabled, returning
+/// the query's span tree alongside the result; `EXPLAIN ANALYZE` uses this to
+/// report measured per-operator peak bytes. Tracing adds a per-operator
+/// timing wrapper but never changes results or work profiles; the root
+/// span's counters equal the returned [`WorkProfile`] exactly.
 pub fn execute_query_traced_governed(
     plan: &LogicalPlan,
     catalog: &Catalog,

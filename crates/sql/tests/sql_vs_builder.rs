@@ -233,3 +233,20 @@ fn select_star_passthrough() {
     assert_eq!(rel.num_rows(), 5);
     assert_eq!(rel.num_columns(), 3);
 }
+
+/// A numeric `IN` literal with more fractional digits than the column holds
+/// equals no stored value. It used to be truncated to the column's scale,
+/// so `l_discount IN (0.055)` kept every 0.05 row while `= 0.055` kept none.
+#[test]
+fn in_list_literal_finer_than_the_column_matches_no_row() {
+    let cat = catalog();
+    let count = |predicate: &str| {
+        let sql = format!("select count(*) as n from lineitem where {predicate}");
+        let (rel, _) = execute_sql(&sql, &cat).expect("runs");
+        rel.value(0, "n").expect("one row")
+    };
+    assert_eq!(count("l_discount in (0.055)"), count("l_discount = 0.055"));
+    assert_eq!(count("l_discount in (0.055)"), count("l_discount < 0"));
+    assert_eq!(count("l_discount in (0.055, 0.050)"), count("l_discount = 0.05"));
+    assert_eq!(count("l_discount not in (0.055)"), count("l_discount >= 0"));
+}

@@ -259,21 +259,43 @@ fn fused_unsupported_aggregates_fall_back_transparently() {
     }
 }
 
+mod reference_eval;
+
 mod bytecode_vs_evaluator {
-    //! Property test: on random expressions the bytecode VM must agree
-    //! bit-for-bit with the recursive evaluator wherever it compiles.
+    //! Property test: on random expressions the production path — the
+    //! compiled `Program`, run over morsels and charged through its
+    //! compile-time cost form — must agree with the reference interpreter
+    //! (`tests/reference_eval`, the recursive evaluator the engine used to
+    //! run) on the column bit for bit, on the `WorkProfile`, and on the
+    //! error variant, at threads 1/2/4 × two morsel sizes.
+    //!
     //! Expressions are grown from a drawn opcode stream (the vendored
     //! proptest shim has no recursive strategies), covering arithmetic over
     //! mixed int/decimal/float columns, mixed-scale decimal rescales
     //! (literal scales 0–4 against scale-1/2 columns), comparisons, logical
-    //! combinations, LIKE / IN / BETWEEN / CASE / EXTRACT(YEAR), and scalar
-    //! folding.
+    //! combinations, LIKE / IN / BETWEEN / CASE / EXTRACT(YEAR), `SUBSTR`,
+    //! string column-vs-column compares, scalar-only trees, and ill-typed
+    //! shapes (CASE over strings, NOT of a number, mixed-type IN lists, …).
+    //!
+    //! One charge is defined differently on purpose, and the generator keeps
+    //! it out of the row subsets where it would show: a predicate over a
+    //! *computed* string (`SUBSTR(s, …) = 'x'`) pays one comparison per
+    //! value of the dictionary the program carries — every substring the
+    //! source dictionary can produce — where the interpreter re-interned
+    //! the substrings row by row and paid per value present in the rows it
+    //! happened to see. The two agree whenever the rows cover the
+    //! dictionary (any base-table scan), so such predicates are generated
+    //! only for full-relation inputs (`covering`).
 
+    use super::reference_eval::{reference_filter, Interpreter};
     use proptest::prelude::*;
     use std::sync::Arc;
     use wimpi::engine::eval::Evaluator;
-    use wimpi::engine::exec::bytecode::Program;
-    use wimpi::engine::{col, lit, Expr, Relation, WorkProfile};
+    use wimpi::engine::exec::filter::exec_filter;
+    use wimpi::engine::expr::BinOp;
+    use wimpi::engine::{
+        col, lit, EngineConfig, EngineError, Expr, QueryContext, Relation, Tracer, WorkProfile,
+    };
     use wimpi::storage::{Column, Decimal64, DictColumn, Value};
 
     /// A small relation exercising every column type the VM handles.
@@ -288,6 +310,8 @@ mod bytecode_vs_evaluator {
         let bools: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let modes = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL"];
         let strs: DictColumn = (0..n).map(|i| modes[i * 11 % modes.len()]).collect();
+        let others = ["SHIP", "AIR", "REG AIR", "FOB"];
+        let strs2: DictColumn = (0..n).map(|i| others[i * 7 % others.len()]).collect();
         Relation::new(vec![
             ("i".to_string(), Arc::new(Column::Int64(i64s))),
             ("j".to_string(), Arc::new(Column::Int32(i32s))),
@@ -297,6 +321,7 @@ mod bytecode_vs_evaluator {
             ("t".to_string(), Arc::new(Column::Date(dates))),
             ("b".to_string(), Arc::new(Column::Bool(bools))),
             ("s".to_string(), Arc::new(Column::Str(strs))),
+            ("u".to_string(), Arc::new(Column::Str(strs2))),
         ])
         .expect("relation builds")
     }
@@ -313,17 +338,72 @@ mod bytecode_vs_evaluator {
         }
     }
 
+    fn rel_bit_eq(a: &Relation, b: &Relation) -> bool {
+        a.fields().len() == b.fields().len()
+            && a.fields().iter().zip(b.fields()).all(|(x, y)| x.0 == y.0 && bit_eq(&x.1, &y.1))
+    }
+
+    /// How a production outcome departs from the reference's, if it does:
+    /// both must succeed with equal values and equal charges, or both fail
+    /// with the same error variant.
+    fn divergence<T>(
+        produced: (&Result<T, EngineError>, &WorkProfile),
+        reference: (&Result<T, EngineError>, &WorkProfile),
+        same: impl Fn(&T, &T) -> bool,
+    ) -> Option<String> {
+        match (produced.0, reference.0) {
+            (Ok(got), Ok(want)) if !same(got, want) => Some("values diverged".to_string()),
+            (Ok(_), Ok(_)) if produced.1 != reference.1 => {
+                Some(format!("charges diverged: {:?} vs {:?}", produced.1, reference.1))
+            }
+            (Ok(_), Ok(_)) => None,
+            (Err(e), Err(want)) if std::mem::discriminant(e) == std::mem::discriminant(want) => {
+                None
+            }
+            (Err(e), Err(want)) => Some(format!("error `{e}`, reference `{want}`")),
+            (Ok(_), Err(want)) => Some(format!("production succeeded, reference failed: {want}")),
+            (Err(e), Ok(_)) => Some(format!("production failed, reference succeeded: {e}")),
+        }
+    }
+
     /// Deterministic expression growth from a drawn opcode stream.
     struct Gen<'a> {
         stream: &'a [u32],
         pos: std::cell::Cell<usize>,
+        /// The input rows cover every dictionary value, so predicates over
+        /// computed strings may be generated (see the module docs).
+        covering: bool,
+        /// One ill-typed shape is still to be planted.
+        ill: std::cell::Cell<bool>,
     }
 
     impl<'a> Gen<'a> {
+        fn new(stream: &'a [u32], covering: bool, ill: bool) -> Self {
+            Gen { stream, pos: std::cell::Cell::new(0), covering, ill: std::cell::Cell::new(ill) }
+        }
+
         fn next(&self) -> u32 {
             let p = self.pos.get();
             self.pos.set(p + 1);
             self.stream[p % self.stream.len()].wrapping_add((p / self.stream.len()) as u32)
+        }
+
+        /// An expression the type checker must reject.
+        fn ill_typed(&self) -> Expr {
+            match self.next() % 7 {
+                0 => col("b").case(col("s"), col("u")),
+                1 => lit(5i64).negate(),
+                2 => col("i").negate(),
+                3 => col("i").in_list(vec![Value::I64(1), Value::Str("x".to_string())]),
+                4 => col("s").in_list(vec![Value::Str("AIR".to_string()), Value::I64(1)]),
+                5 => col("t").add(lit(1.5)),
+                6 => col("i").like("%1%"),
+                _ => unreachable!(),
+            }
+        }
+
+        fn take_ill(&self) -> bool {
+            self.ill.get() && self.next().is_multiple_of(3) && self.ill.replace(false)
         }
 
         fn num_leaf(&self) -> Expr {
@@ -341,27 +421,65 @@ mod bytecode_vs_evaluator {
                 // and scale-2 columns these force both widening and
                 // narrowing rescales, pinning the VM to the evaluator's
                 // rounding convention on every mixed-scale path.
-                9 => lit(Value::Dec(Decimal64::new(
-                    (self.next() % 4000) as i64 - 2000,
-                    (self.next() % 5) as u8,
-                ))),
+                9 => self.dec_lit(),
                 _ => unreachable!(),
             }
         }
 
+        fn dec_lit(&self) -> Expr {
+            lit(self.dec_value())
+        }
+
+        fn dec_value(&self) -> Value {
+            Value::Dec(Decimal64::new((self.next() % 4000) as i64 - 2000, (self.next() % 5) as u8))
+        }
+
+        /// A literal-only numeric tree: folds at compile time.
+        fn scalar_num(&self, depth: u32) -> Expr {
+            if depth == 0 {
+                return match self.next() % 3 {
+                    0 => lit((self.next() % 20) as i64 - 10),
+                    1 => self.dec_lit(),
+                    _ => lit((self.next() % 40) as f64 / 8.0),
+                };
+            }
+            let (a, b) = (self.scalar_num(depth - 1), self.scalar_num(depth - 1));
+            match self.next() % 4 {
+                0 => a.add(b),
+                1 => a.sub(b),
+                2 => a.mul(b),
+                _ => a.div(b),
+            }
+        }
+
         fn num(&self, depth: u32) -> Expr {
+            if self.take_ill() {
+                return self.ill_typed();
+            }
             if depth == 0 {
                 return self.num_leaf();
             }
-            match self.next() % 8 {
+            match self.next() % 9 {
                 0..=2 => self.num_leaf(),
                 3 => self.num(depth - 1).add(self.num(depth - 1)),
                 4 => self.num(depth - 1).sub(self.num(depth - 1)),
                 5 => self.num(depth - 1).mul(self.num(depth - 1)),
                 6 => self.num(depth - 1).div(self.num(depth - 1)),
                 7 => self.boolean(depth - 1).case(self.num(depth - 1), self.num(depth - 1)),
+                8 => self.scalar_num(depth),
                 _ => unreachable!(),
             }
+        }
+
+        /// A string-valued expression: a column, a literal, or `SUBSTR`s.
+        fn string(&self, depth: u32) -> Expr {
+            let leaf = match self.next() % 5 {
+                0 | 1 => col("s"),
+                2 | 3 => col("u"),
+                _ => lit(["AIR", "SHIPMENT", ""][self.next() as usize % 3]),
+            };
+            (0..depth.min(self.next() % 3))
+                .fold(leaf, |e, _| e.substr((self.next() % 5) as usize, (self.next() % 5) as usize))
         }
 
         fn cmp(&self, a: Expr, b: Expr) -> Expr {
@@ -376,11 +494,25 @@ mod bytecode_vs_evaluator {
             }
         }
 
+        /// A predicate over a computed string (covering inputs only).
+        fn computed_string_pred(&self) -> Expr {
+            let e = self.string(2);
+            let strs = |v: &[&str]| v.iter().map(|s| Value::Str(s.to_string())).collect();
+            match self.next() % 3 {
+                0 => self.cmp(e, lit(["AI", "SH", "R", ""][self.next() as usize % 4])),
+                1 => e.in_list(strs(&["AI", "RA", "IP", "HIP"])),
+                _ => e.like(["%A%", "S_", "%"][self.next() as usize % 3]),
+            }
+        }
+
         fn boolean(&self, depth: u32) -> Expr {
+            if self.take_ill() {
+                return self.ill_typed();
+            }
             if depth == 0 {
                 return self.cmp(self.num_leaf(), self.num_leaf());
             }
-            match self.next() % 12 {
+            match self.next() % 17 {
                 0..=3 => self.cmp(self.num(depth - 1), self.num(depth - 1)),
                 4 => self.boolean(depth - 1).and(self.boolean(depth - 1)),
                 5 => self.boolean(depth - 1).or(self.boolean(depth - 1)),
@@ -397,32 +529,127 @@ mod bytecode_vs_evaluator {
                     col("i").between(lo, lo + (self.next() % 20) as i64)
                 }
                 11 => self.cmp(col("t").year(), lit(1994i64 + (self.next() % 6) as i64)),
+                // String column-vs-column compares decode row-wise.
+                12 => self.cmp(col("s"), col("u")),
+                // Numeric IN lists at scales the column cannot represent.
+                13 => {
+                    let list = (0..1 + self.next() % 3).map(|_| self.dec_value()).collect();
+                    let probe = [col("d"), col("e"), col("i"), col("j")];
+                    let probe = probe[self.next() as usize % 4].clone();
+                    if self.next().is_multiple_of(2) {
+                        probe.in_list(list)
+                    } else {
+                        probe.not_in_list(list)
+                    }
+                }
+                14 if self.covering => self.computed_string_pred(),
+                14 => self.cmp(col("s"), lit(["AIR", "MAIL", "ZZZ"][self.next() as usize % 3])),
+                // Scalar-only predicates: folded, or a broadcast AND/OR.
+                15 => match self.next() % 4 {
+                    0 => self.cmp(self.scalar_num(1), self.scalar_num(1)),
+                    1 => lit(self.next().is_multiple_of(2)).and(lit(self.next().is_multiple_of(2))),
+                    2 => lit("AIRMAIL").like(["AIR%", "%X"][self.next() as usize % 2]),
+                    _ => lit(5i64).in_list(vec![Value::I64(1), Value::I64(5)]),
+                },
+                16 => lit(!self.next().is_multiple_of(4)),
                 _ => unreachable!(),
             }
         }
     }
 
+    /// Every production configuration a result must not depend on.
+    fn configs() -> Vec<EngineConfig> {
+        let mut out = Vec::new();
+        for morsel_rows in [64, wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS] {
+            for threads in [1, 2, 4] {
+                out.push(EngineConfig::with_threads(threads).with_morsel_rows(morsel_rows));
+            }
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// `Evaluator::eval` (the aggregate-input / group-key / projection
+        /// path) against the interpreter, over the full relation and — for
+        /// expressions whose charges do not depend on dictionary coverage —
+        /// over zero rows that still carry the full dictionaries (the
+        /// per-dictionary constants are charged even at `n = 0`).
         #[test]
-        fn bytecode_matches_recursive_evaluator(
+        fn eval_matches_the_reference_interpreter(
             stream in prop::collection::vec(0u32..u32::MAX, 8..40),
-            as_bool in any::<bool>(),
+            kind in 0u32..3,
             depth in 1u32..4,
+            covering in any::<bool>(),
+            ill in 0u32..4,
         ) {
-            let rel = test_relation();
-            let g = Gen { stream: &stream, pos: std::cell::Cell::new(0) };
-            let expr = if as_bool { g.boolean(depth) } else { g.num(depth) };
-            let Some(prog) = Program::compile(&expr, &rel) else {
-                return; // fused execution would fall back; nothing to compare
+            let full = test_relation();
+            let g = Gen::new(&stream, covering, ill == 0);
+            let expr = match kind {
+                0 => g.boolean(depth),
+                1 => g.num(depth),
+                _ => g.string(depth),
             };
-            let mut prof = WorkProfile::new();
-            let evaluated = Evaluator::new(&rel, &mut prof)
-                .eval(&expr)
-                .expect("the compiler only accepts expressions the evaluator accepts");
-            if let Some(vm) = prog.eval_full(rel.num_rows()) {
-                prop_assert!(bit_eq(&vm, &evaluated), "VM diverged on {expr:?}");
+            let inputs = if covering { vec![full] } else { vec![full.take(&[]), full] };
+            for rel in &inputs {
+                let mut ref_prof = WorkProfile::new();
+                let reference = Interpreter::new(rel, &mut ref_prof).eval(&expr);
+                for cfg in configs() {
+                    let mut prof = WorkProfile::new();
+                    let produced = Evaluator::with_config(rel, &mut prof, cfg).eval(&expr);
+                    let diff = divergence((&produced, &prof), (&reference, &ref_prof), |a, b| bit_eq(a, b));
+                    prop_assert!(diff.is_none(), "{expr:?} ({cfg:?}): {}", diff.unwrap());
+                }
+            }
+        }
+
+        /// The materializing filter against the interpreter's conjunct loop:
+        /// same survivors, same charges — dense first conjunct, modelled
+        /// gathers after it, constants decided on one row, and nothing
+        /// charged once a conjunct has emptied the candidates.
+        #[test]
+        fn filter_matches_the_reference_conjunct_loop(
+            stream in prop::collection::vec(0u32..u32::MAX, 8..40),
+            nconj in 1usize..4,
+            depth in 0u32..3,
+            covering in any::<bool>(),
+            reject_all_at in 0usize..6,
+            ill in 0u32..4,
+        ) {
+            let full = test_relation();
+            // A covering case is one conjunct over the full relation: a
+            // top-level AND is kept from splitting by an `OR false`.
+            let g = Gen::new(&stream, covering, ill == 0);
+            let conjuncts: Vec<Expr> = (0..if covering { 1 } else { nconj })
+                .map(|k| match (k == reject_all_at, g.boolean(depth)) {
+                    (true, _) => col("i").gt(lit(1000i64)),
+                    (_, and @ Expr::Bin { op: BinOp::And, .. }) if covering => and.or(lit(false)),
+                    (_, conjunct) => conjunct,
+                })
+                .collect();
+            let pred = conjuncts.iter().cloned().reduce(Expr::and).expect("at least one conjunct");
+            // Production type-checks every conjunct before running any; the
+            // interpreter only those a row reaches. Hoist its check — each
+            // conjunct over zero rows — so both report the first ill-typed
+            // conjunct whatever the data (`filter_semantics.rs` pins that).
+            let empty = full.take(&[]);
+            let typecheck = conjuncts.iter().try_for_each(|c| {
+                Interpreter::new(&empty, &mut WorkProfile::new()).eval_mask(c).map(|_| ())
+            });
+            let inputs = if covering { vec![full] } else { vec![full.take(&[]), full] };
+            for rel in &inputs {
+                let mut ref_prof = WorkProfile::new();
+                let reference =
+                    typecheck.clone().and_then(|()| reference_filter(rel, &pred, &mut ref_prof));
+                for cfg in configs() {
+                    let mut prof = WorkProfile::new();
+                    let ctx = QueryContext::default();
+                    let produced =
+                        exec_filter(rel, &pred, None, &mut prof, &cfg, Tracer::off(), &ctx);
+                    let diff = divergence((&produced, &prof), (&reference, &ref_prof), rel_bit_eq);
+                    prop_assert!(diff.is_none(), "{pred:?} ({cfg:?}): {}", diff.unwrap());
+                }
             }
         }
     }

@@ -1,9 +1,15 @@
 //! # wimpi-bench
 //!
-//! Shared harness for the experiment-regenerator binaries (`table1`, `fig2`,
-//! `table2`, `table3`, `fig3`–`fig7`, `all`). Each binary prints the paper's
-//! table/figure as aligned text and writes both `.txt` and `.json` artifacts
-//! under `results/`.
+//! Shared harness for the experiment-regenerator binaries: the paper's
+//! `table1`–`table3`, `fig2`–`fig7` and `all`, plus this repo's `nam`,
+//! `faults` and `extensions` tables. Each binary is a thin wrapper over a
+//! `wimpi_core::Study` method: it prints the table/figure as aligned text
+//! and writes both `.txt` and `.json` artifacts under `results/`. Apart
+//! from `fig2`'s host-anchor panel (the paper's microbenchmark kernels run
+//! on this machine), every number is simulated time or a work count. Host
+//! timings of the engine live in `benchmark/` (the repo's regression
+//! benchmark) and the Criterion benches under `benches/`; invariants live
+//! in the test suites.
 //!
 //! Flags (also readable from environment variables):
 //!
@@ -13,11 +19,10 @@
 //! * `--out <dir>` / `WIMPI_OUT` — artifact directory (default `results`).
 //! * `--sizes a,b,c` — cluster sizes for Table III (default the paper's
 //!   4,8,12,16,20,24).
-//! * `--trace-json <path>` / `WIMPI_TRACE_JSON` — also write operator-level
-//!   trace trees (one JSON document) to `<path>`.
-//! * `--queries a,b,c` — restrict trace-aware binaries to these TPC-H
-//!   query numbers.
-//! * `--check` — validate emitted trace JSON against the schema checker.
+//!
+//! Anything else — an unknown flag, a missing or unparsable value — prints
+//! a usage line and exits non-zero: `results/` is tracked, and a typo must
+//! not silently regenerate it at the default scale.
 //!
 //! Status chatter goes through [`wimpi_obs::status`] (stderr, silenced by
 //! `WIMPI_QUIET=1`); stdout carries only table/figure data.
@@ -28,8 +33,11 @@ use std::path::{Path, PathBuf};
 use wimpi_analysis::TextFigure;
 use wimpi_obs::status;
 
+const USAGE: &str = "usage: [--sf <scale factor > 0>] [--out <dir>] [--sizes <n,n,...>] \
+                     (environment: WIMPI_SF, WIMPI_OUT)";
+
 /// Parsed harness options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// Host-measured scale factor.
     pub sf: f64,
@@ -37,124 +45,61 @@ pub struct Args {
     pub out: PathBuf,
     /// Cluster sizes for distributed experiments.
     pub sizes: Vec<u32>,
-    /// Where to write operator-level trace JSON (`None` = tracing off).
-    pub trace_json: Option<PathBuf>,
-    /// TPC-H query numbers for trace-aware binaries (empty = binary default).
-    pub queries: Vec<usize>,
-    /// Validate emitted trace JSON against the schema checker.
-    pub check: bool,
 }
 
 impl Default for Args {
     fn default() -> Self {
-        Self {
-            sf: 0.2,
-            out: PathBuf::from("results"),
-            sizes: vec![4, 8, 12, 16, 20, 24],
-            trace_json: None,
-            queries: Vec::new(),
-            check: false,
-        }
+        Self { sf: 0.2, out: PathBuf::from("results"), sizes: vec![4, 8, 12, 16, 20, 24] }
     }
 }
 
 impl Args {
-    /// Parses `std::env` (args override environment variables).
+    /// Parses `std::env` (args override environment variables). On a bad
+    /// command line, prints the reason and a usage line to stderr and exits
+    /// with status 2.
     pub fn parse() -> Self {
-        Self::parse_with(Args::default())
+        let mut tokens = Vec::new();
+        for (var, flag) in [("WIMPI_SF", "--sf"), ("WIMPI_OUT", "--out")] {
+            if let Ok(v) = std::env::var(var) {
+                tokens.extend([flag.to_string(), v]);
+            }
+        }
+        tokens.extend(std::env::args().skip(1));
+        Self::parse_from(&tokens).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parses `std::env` on top of custom defaults — for binaries whose
-    /// natural scale differs from the harness default (e.g. `scaling` runs
-    /// at SF 1, the paper's single-node scale).
-    pub fn parse_with(base: Args) -> Self {
-        let mut out = base;
-        if let Ok(v) = std::env::var("WIMPI_SF") {
-            if let Ok(sf) = v.parse() {
-                out.sf = sf;
-            }
-        }
-        if let Ok(v) = std::env::var("WIMPI_OUT") {
-            out.out = PathBuf::from(v);
-        }
-        if let Ok(v) = std::env::var("WIMPI_TRACE_JSON") {
-            if !v.is_empty() {
-                out.trace_json = Some(PathBuf::from(v));
-            }
-        }
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
+    /// Parses a flag list (environment values first, so later command-line
+    /// flags override them) on top of the defaults.
+    fn parse_from(tokens: &[String]) -> Result<Self, String> {
+        let mut out = Args::default();
+        let mut it = tokens.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--sf" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.sf = v;
-                    }
-                    i += 2;
+                    let v = value()?;
+                    out.sf = match v.parse::<f64>() {
+                        Ok(sf) if sf.is_finite() && sf > 0.0 => sf,
+                        _ => return Err(format!("--sf: {v:?} is not a positive number")),
+                    };
                 }
-                "--out" => {
-                    if let Some(v) = argv.get(i + 1) {
-                        out.out = PathBuf::from(v);
-                    }
-                    i += 2;
-                }
+                "--out" => out.out = PathBuf::from(value()?),
                 "--sizes" => {
-                    if let Some(v) = argv.get(i + 1) {
-                        let parsed: Vec<u32> =
-                            v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                        if !parsed.is_empty() {
-                            out.sizes = parsed;
-                        }
-                    }
-                    i += 2;
+                    let v = value()?;
+                    out.sizes = v
+                        .split(',')
+                        .map(|s| s.trim().parse())
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| format!("--sizes: {v:?} is not a list of node counts"))?;
                 }
-                "--trace-json" => {
-                    if let Some(v) = argv.get(i + 1) {
-                        out.trace_json = Some(PathBuf::from(v));
-                    }
-                    i += 2;
-                }
-                "--queries" => {
-                    if let Some(v) = argv.get(i + 1) {
-                        out.queries = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                    }
-                    i += 2;
-                }
-                "--check" => {
-                    out.check = true;
-                    i += 1;
-                }
-                other => {
-                    status!("ignoring unknown flag {other}");
-                    i += 1;
-                }
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        assert!(out.sf > 0.0, "--sf must be positive");
-        out
+        Ok(out)
     }
-}
-
-/// Runs `queries` with operator-level tracing and renders one trace-JSON
-/// document: `{"sf": …, "queries": [{"query": n, "trace": <span>}, …]}` —
-/// the schema `wimpi_core::validate_trace_document` checks.
-pub fn trace_document(
-    sf: f64,
-    queries: &[usize],
-    catalog: &wimpi_storage::Catalog,
-    cfg: &wimpi_engine::EngineConfig,
-) -> String {
-    let mut doc = format!("{{\"sf\": {sf}, \"queries\": [");
-    for (i, &qn) in queries.iter().enumerate() {
-        let (_, _, span) = wimpi_queries::run_traced(&wimpi_queries::query(qn), catalog, cfg)
-            .unwrap_or_else(|e| panic!("Q{qn} traces: {e}"));
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&format!("{{\"query\": {qn}, \"trace\": {}}}", span.to_json()));
-    }
-    doc.push_str("]}");
-    doc
 }
 
 /// Prints a figure and writes its `.txt`/`.json` artifacts.
@@ -192,11 +137,45 @@ pub fn write_artifact(dir: &Path, name: &str, contents: &str) {
 mod tests {
     use super::*;
 
+    fn parse(tokens: &[&str]) -> Result<Args, String> {
+        Args::parse_from(&tokens.iter().map(|t| t.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn defaults_match_paper_sweep() {
-        let a = Args::default();
+        let a = parse(&[]).unwrap();
+        assert_eq!(a, Args::default());
         assert_eq!(a.sizes, vec![4, 8, 12, 16, 20, 24]);
         assert!(a.sf > 0.0);
+    }
+
+    #[test]
+    fn later_flags_override_earlier_ones() {
+        let a = parse(&["--sf", "1.0", "--out", "x", "--sizes", "3, 4", "--sf", "0.05"]).unwrap();
+        assert_eq!(a, Args { sf: 0.05, out: PathBuf::from("x"), sizes: vec![3, 4] });
+    }
+
+    #[test]
+    fn unparsable_scale_factor_is_rejected() {
+        for bad in ["abc", "0", "-1", "NaN", "inf"] {
+            let err = parse(&["--sf", bad]).unwrap_err();
+            assert!(err.starts_with("--sf"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn unparsable_sizes_are_rejected() {
+        for bad in ["x", "4,x", "4,,8", ""] {
+            let err = parse(&["--sizes", bad]).unwrap_err();
+            assert!(err.starts_with("--sizes"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_rejected() {
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
+        assert_eq!(parse(&["--sf", "0.1", "extra"]).unwrap_err(), "unknown flag extra");
+        assert_eq!(parse(&["--out"]).unwrap_err(), "--out needs a value");
     }
 
     #[test]

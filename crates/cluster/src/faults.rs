@@ -10,9 +10,9 @@
 //!
 //! * a seeded, deterministic [`FaultPlan`] scheduling per-node crash,
 //!   transient-OOM, slow-node (straggler), and degraded-NIC faults, and
-//! * a [`RecoveryPolicy`] bounding retries (capped exponential backoff in
-//!   *simulated* seconds), straggler speculation, and degraded-mode
-//!   (partial-answer) behaviour.
+//! * a [`RecoveryPolicy`] bounding retries (each waiting
+//!   [`wimpi_engine::backoff_s`] *simulated* seconds), straggler
+//!   speculation, and degraded-mode (partial-answer) behaviour.
 //!
 //! Everything here is about the simulated clock; no wall-clock time enters
 //! the model.
@@ -157,10 +157,6 @@ impl FaultPlan {
 pub struct RecoveryPolicy {
     /// Retry budget for transient faults before the node is declared dead.
     pub max_retries: u32,
-    /// First backoff delay; doubles per retry (capped exponential).
-    pub backoff_base_s: f64,
-    /// Backoff ceiling.
-    pub backoff_cap_s: f64,
     /// Heartbeat timeout before a crashed node's partition is reassigned.
     pub detect_s: f64,
     /// A node slower than `threshold × median` healthy-node runtime gets a
@@ -183,8 +179,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_retries: 3,
-            backoff_base_s: 0.05,
-            backoff_cap_s: 1.0,
             detect_s: 0.2,
             straggler_threshold: 2.0,
             speculation: true,
@@ -198,12 +192,6 @@ impl RecoveryPolicy {
     /// A policy that tolerates partial answers (degraded mode).
     pub fn degraded() -> Self {
         Self { degraded_ok: true, ..Self::default() }
-    }
-
-    /// Backoff delay before retry number `attempt` (0-based), in simulated
-    /// seconds: `base × 2^attempt`, capped.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        (self.backoff_base_s * 2f64.powi(attempt.min(30) as i32)).min(self.backoff_cap_s)
     }
 }
 
@@ -322,13 +310,6 @@ mod tests {
         let plan = FaultPlan::crash(1).with(1, FaultKind::SlowNode { multiplier: 4.0 });
         assert_eq!(plan.fault(1), Some(FaultKind::Crash));
         assert_eq!(plan.fault(0), None);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let p = RecoveryPolicy::default();
-        assert!(p.backoff_s(1) > p.backoff_s(0));
-        assert!(p.backoff_s(20) <= p.backoff_cap_s);
     }
 
     #[test]

@@ -44,8 +44,8 @@ use wimpi_queries::QueryPlan;
 use wimpi_storage::{Catalog, Column, Field, Schema, Table};
 use wimpi_tpch::Generator;
 
-/// Histogram bounds for simulated backoff delays (policy default: base
-/// 0.05 s doubling to a 1 s cap).
+/// Histogram bounds for simulated backoff delays
+/// ([`wimpi_engine::backoff_s`]: 0.05 s doubling to a 1 s cap).
 const BACKOFF_BUCKETS: [f64; 5] = [0.05, 0.1, 0.25, 0.5, 1.0];
 
 /// Histogram bounds for per-run recovery seconds.
@@ -656,10 +656,10 @@ impl WimpiCluster {
         })
     }
 
-    /// The policy's backoff delay for `attempt`, recorded into the backoff
-    /// histogram on the way out.
+    /// The backoff delay for `attempt`, recorded into the backoff histogram
+    /// on the way out.
     fn observed_backoff_s(&self, attempt: u32) -> f64 {
-        let delay = self.policy.backoff_s(attempt);
+        let delay = wimpi_engine::backoff_s(attempt);
         self.metrics.observe("cluster_backoff_seconds", &BACKOFF_BUCKETS, delay);
         delay
     }

@@ -4,15 +4,21 @@
 //! configurable `measure_sf`), scales the measured work profiles to the
 //! paper's scale factor, and prices them under the ten hardware models.
 
+use std::sync::Arc;
+
 use wimpi_analysis::{Series, TextFigure};
 use wimpi_cluster::distribute::Strategy;
 use wimpi_cluster::faults::FaultPlan;
 use wimpi_cluster::memory::MemoryModel;
 use wimpi_cluster::{scan_bytes, ClusterConfig, WimpiCluster};
-use wimpi_engine::{EngineError, Result, WorkProfile};
+use wimpi_engine::{EngineConfig, EngineError, Executor, QueryContext, Result, WorkProfile};
 use wimpi_hwsim::micro;
 use wimpi_hwsim::{all_profiles, predict_all_cores, predict_single_core, HwProfile};
-use wimpi_queries::{query, run as run_query, QueryPlan, CHOKEPOINT_QUERIES};
+use wimpi_queries::{
+    query, run as run_query, run_governed, run_with, QueryPlan, CHOKEPOINT_QUERIES,
+};
+use wimpi_storage::morsel::DEFAULT_MORSEL_ROWS;
+use wimpi_storage::spill::{SpillConfig, SpillDisk};
 use wimpi_storage::Catalog;
 use wimpi_strategies::{Paradigm, STRATEGY_QUERIES};
 use wimpi_tpch::Generator;
@@ -180,6 +186,65 @@ impl AvailabilityTable {
             ));
         }
         vec![f1, f2]
+    }
+}
+
+/// Modelled gains of this repo's engine extensions — morsel parallelism,
+/// the fused executor, zone-map pruning, the spill rung — for the
+/// choke-point queries on the Pi 3B+ and op-e5. Not in the paper: every
+/// figure is a ratio of hwsim predictions over measured [`WorkProfile`]s,
+/// so no host clock enters it and two runs print the same table. Host
+/// timings of the same code paths are `benchmark/run.sh` metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExtensionsTable {
+    /// Scale factor the profiles were measured at.
+    pub measure_sf: f64,
+    /// Query numbers, row order.
+    pub queries: Vec<usize>,
+    /// Machines compared: the Pi 3B+ first, then op-e5.
+    pub machines: Vec<String>,
+    /// `modeled_speedup` of the materializing profile at 2 and at 4
+    /// threads, `[machine][query]`.
+    pub speedup_2t: Vec<Vec<f64>>,
+    /// See [`ExtensionsTable::speedup_2t`].
+    pub speedup_4t: Vec<Vec<f64>>,
+    /// `modeled_fused_gain` (materializing ÷ fused), `[machine][query]`.
+    pub fused_gain: Vec<Vec<f64>>,
+    /// `modeled_prune_gain` on the date-clustered catalog, `[machine][query]`.
+    pub prune_gain: Vec<Vec<f64>>,
+    /// `modeled_spill_penalty` under [`Study::extensions`]'s budget
+    /// (1 = the query never touched the disk), `[machine][query]`.
+    pub spill_penalty: Vec<Vec<f64>>,
+}
+
+impl ExtensionsTable {
+    /// Renders one panel per extension, machines side by side.
+    pub fn to_figures(&self) -> Vec<TextFigure> {
+        let panel = |title: &str, columns: &[(&str, &Vec<Vec<f64>>)]| {
+            let mut f = TextFigure::new(
+                format!("Extensions — {title} (profiles measured at SF {})", self.measure_sf),
+                "query",
+            );
+            f.rows = self.queries.iter().map(|q| format!("Q{q}")).collect();
+            for (suffix, values) in columns {
+                for (m, name) in self.machines.iter().enumerate() {
+                    f.push_series(Series::new(format!("{name}{suffix}"), values[m].clone()));
+                }
+            }
+            f
+        };
+        vec![
+            panel(
+                "modelled morsel-parallel speedup over 1 thread",
+                &[(" 2T", &self.speedup_2t), (" 4T", &self.speedup_4t)],
+            ),
+            panel("modelled fused-executor gain over materializing", &[("", &self.fused_gain)]),
+            panel(
+                "modelled zone-map prune gain, date-clustered catalog",
+                &[("", &self.prune_gain)],
+            ),
+            panel("modelled spill penalty over in-memory", &[("", &self.spill_penalty)]),
+        ]
     }
 }
 
@@ -406,6 +471,64 @@ impl Study {
             overhead,
             recovery_seconds: recovery,
             coverage,
+        })
+    }
+
+    /// The extensions' modelled gains (see [`ExtensionsTable`]). Each
+    /// choke-point query runs four times at `measure_sf` — materializing and
+    /// fused on the raw catalog, fused with pruning on the clustered one,
+    /// and materializing under a budget small enough to push the largest
+    /// builds past Grace onto a spill disk — and hwsim prices the profiles,
+    /// scaled to SF 1 like every other table. Zone-map grid and budget shrink
+    /// with `measure_sf`, so a morsel spans the share of the date domain, and
+    /// the budget the share of a build, that the default 64 Ki-row grid and
+    /// 200 KiB would at SF 1: the table barely moves with `measure_sf`.
+    pub fn extensions(&self) -> Result<ExtensionsTable> {
+        let raw = generate(self.measure_sf)?;
+        let grid =
+            ((DEFAULT_MORSEL_ROWS as f64 * self.measure_sf) as usize).clamp(1, DEFAULT_MORSEL_ROWS);
+        let mut clustered =
+            wimpi_tpch::clustered_catalog(self.measure_sf).map_err(EngineError::Storage)?;
+        let names: Vec<String> = clustered.names().map(String::from).collect();
+        for name in names {
+            let fine = clustered.table(&name)?.as_ref().clone().with_zone_maps_at(grid);
+            clustered.register(&name, fine);
+        }
+        let budget = (200.0 * 1024.0 * self.measure_sf) as u64;
+        let serial = EngineConfig::serial();
+        let fused = serial.with_executor(Executor::Fused);
+        let pruning = fused.with_morsel_rows(grid).with_prune_scans(true);
+
+        // Per query: materializing, fused, pruned and spilled profiles at SF 1.
+        let scale = 1.0 / self.measure_sf;
+        let mut runs = Vec::with_capacity(CHOKEPOINT_QUERIES.len());
+        for &q in &CHOKEPOINT_QUERIES {
+            let plan = query(q);
+            let disk = Arc::new(SpillDisk::new(SpillConfig::with_capacity(u64::MAX)));
+            let ctx = QueryContext::with_budget(budget).with_spill(disk);
+            runs.push([
+                run_with(&plan, &raw, &serial)?.1.scale(scale),
+                run_with(&plan, &raw, &fused)?.1.scale(scale),
+                run_with(&plan, &clustered, &pruning)?.1.scale(scale),
+                run_governed(&plan, &raw, &serial, &ctx)?.1.scale(scale),
+            ]);
+        }
+        let machines =
+            [wimpi_hwsim::pi3b(), wimpi_hwsim::profile("op-e5").expect("profile exists")];
+        let price = |gain: &dyn Fn(&HwProfile, &[WorkProfile; 4]) -> f64| -> Vec<Vec<f64>> {
+            machines.iter().map(|hw| runs.iter().map(|r| gain(hw, r)).collect()).collect()
+        };
+        Ok(ExtensionsTable {
+            measure_sf: self.measure_sf,
+            queries: CHOKEPOINT_QUERIES.to_vec(),
+            machines: machines.iter().map(|m| m.name.to_string()).collect(),
+            speedup_2t: price(&|hw, [mat, ..]| wimpi_hwsim::modeled_speedup(hw, mat, 2)),
+            speedup_4t: price(&|hw, [mat, ..]| wimpi_hwsim::modeled_speedup(hw, mat, 4)),
+            fused_gain: price(&|hw, [mat, fus, ..]| wimpi_hwsim::modeled_fused_gain(hw, mat, fus)),
+            prune_gain: price(&|hw, [_, _, pruned, _]| wimpi_hwsim::modeled_prune_gain(hw, pruned)),
+            spill_penalty: price(&|hw, [.., spilled]| {
+                wimpi_hwsim::modeled_spill_penalty(hw, spilled)
+            }),
         })
     }
 
@@ -735,6 +858,37 @@ mod tests {
         let figs = t.to_figures();
         assert_eq!(figs.len(), 2);
         assert!(!figs[0].render().is_empty());
+    }
+
+    #[test]
+    fn extensions_gains_are_finite_simulated_and_favour_the_pi() {
+        let study = Study::new(0.01);
+        let t = study.extensions().unwrap();
+        assert_eq!(t.queries, CHOKEPOINT_QUERIES);
+        assert_eq!(t.machines, ["pi3b+", "op-e5"]);
+        let (pi, e5) = (0, 1);
+        for table in [&t.speedup_2t, &t.speedup_4t, &t.fused_gain, &t.prune_gain, &t.spill_penalty]
+        {
+            assert_eq!(table.len(), 2);
+            for row in table {
+                assert_eq!(row.len(), 8);
+                assert!(row.iter().all(|g| g.is_finite() && *g > 0.0), "{row:?}");
+            }
+        }
+        // Fusion erases write traffic: never a loss on the one-channel Pi.
+        // On compute-bound op-e5 its extra per-row ops may cost Q3 a hair.
+        assert!(t.fused_gain[pi].iter().all(|&g| g >= 1.0), "{:?}", t.fused_gain[pi]);
+        assert!(t.fused_gain[e5].iter().all(|&g| g > 0.99), "{:?}", t.fused_gain[e5]);
+        // Q6's shipdate window is a sliver of the clustered domain: the
+        // skipped bytes are worth more where bandwidth is scarce.
+        let q6 = t.queries.iter().position(|&q| q == 6).unwrap();
+        assert!(t.prune_gain[pi][q6] > 1.0, "Q6 must skip morsels: {:?}", t.prune_gain[pi]);
+        assert!(t.prune_gain[pi][q6] >= t.prune_gain[e5][q6]);
+        assert!(t.spill_penalty.iter().flatten().all(|&p| p >= 1.0));
+        assert!(t.spill_penalty[pi].iter().any(|&p| p > 1.0), "some query must reach the disk");
+        // Simulated time only — no host clock in it.
+        assert_eq!(study.extensions().unwrap(), t);
+        assert_eq!(t.to_figures().len(), 4);
     }
 
     #[test]

@@ -13,12 +13,10 @@ pub mod reference;
 pub mod report;
 pub mod trace_check;
 
-pub use trace_check::{
-    parse_json, validate_chaos_document, validate_spill_document, validate_trace_document,
-    validate_trace_json, ChaosRung, Json, SpillRun, SpillRung, TraceStats,
-};
+pub use trace_check::{parse_json, validate_trace_json, Json, TraceStats};
 
 pub use experiments::{
-    fig3, fig5, fig6, fig7, AvailabilityTable, DistributedTable, SingleNodeTable, Study,
+    fig3, fig5, fig6, fig7, AvailabilityTable, DistributedTable, ExtensionsTable, SingleNodeTable,
+    Study,
 };
 pub use report::{compare_table2, compare_table3, median, Comparison};

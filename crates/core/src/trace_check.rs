@@ -1,8 +1,9 @@
 //! Trace-JSON schema validation.
 //!
-//! `--trace-json` artifacts and `EXPLAIN ANALYZE` output share one schema
-//! (see `wimpi-obs`): a span is an object with `op`, `label`, `rows_in`,
-//! `rows_out`, `wall_ns`, `total`, `self`, and `children`. This module
+//! Every emitted trace — `EXPLAIN ANALYZE`, `Span::to_json`, the
+//! benchmark's traced run — shares one schema (see `wimpi-obs`): a span is
+//! an object with `op`, `label`, `rows_in`, `rows_out`, `wall_ns`, `total`,
+//! `self`, and `children`. This module
 //! parses that JSON with a small hand-rolled reader (the workspace has no
 //! serde) and checks the *accounting invariant* that makes traces
 //! trustworthy: for every counter, the self-values over the whole tree sum
@@ -236,269 +237,7 @@ pub struct TraceStats {
 /// recursively for children) and accounting (for every counter in the root's
 /// `total`, the `self` values over the whole tree sum to it exactly).
 pub fn validate_trace_json(doc: &str) -> Result<TraceStats, String> {
-    let root = parse_json(doc)?;
-    validate_span_value(&root)
-}
-
-/// Validates a `--trace-json` document: `{"sf": …, "queries": [{"query": n,
-/// "trace": <span>}, …]}`. Returns per-query stats in document order.
-pub fn validate_trace_document(doc: &str) -> Result<Vec<(u64, TraceStats)>, String> {
-    let root = parse_json(doc)?;
-    let queries = root
-        .get("queries")
-        .and_then(|q| match q {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        })
-        .ok_or("document has no \"queries\" array")?;
-    let mut out = Vec::new();
-    for (i, entry) in queries.iter().enumerate() {
-        let qn = entry
-            .get("query")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("queries[{i}] has no numeric \"query\""))?;
-        let trace = entry.get("trace").ok_or_else(|| format!("queries[{i}] has no \"trace\""))?;
-        let stats = validate_span_value(trace).map_err(|e| format!("queries[{i}] (Q{qn}): {e}"))?;
-        out.push((qn as u64, stats));
-    }
-    Ok(out)
-}
-
-/// One validated rung of a chaos-serving document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosRung {
-    /// Closed-loop clients at this rung.
-    pub clients: u64,
-    /// Requests the clients offered.
-    pub requests: u64,
-    /// Requests that completed with an answer (cache hits included).
-    pub completed: u64,
-    /// Result-cache hits among the completions.
-    pub cache_hits: u64,
-    /// Completions that were degraded (partial coverage).
-    pub degraded: u64,
-}
-
-/// Validates a `results/chaos.json` document written by `bench --bin chaos`:
-///
-/// ```text
-/// {"sf": …, "seed": …, "nodes": …, "rungs": [
-///   {"clients": …, "requests": …, "completed": …, "cache_hits": …,
-///    "hit_rate": …, "p50_s": …, "p99_s": …, "degraded": …, "hedges": …,
-///    "retries": …, "invalidations": …,
-///    "ledger": {"submitted": …, "completed": …, "cancelled": …,
-///               "exhausted": …, "failed": …, "panicked": …}}, …]}
-/// ```
-///
-/// Beyond the schema, it re-checks the serving invariants the bench asserts
-/// live: per rung the admission-ledger identity `submitted = completed +
-/// cancelled + exhausted + failed + panicked` must reconcile exactly, the
-/// hit rate must be a probability, and completions cannot exceed offers.
-/// Returns the rungs in document order.
-pub fn validate_chaos_document(doc: &str) -> Result<Vec<ChaosRung>, String> {
-    let root = parse_json(doc)?;
-    let num = |v: &Json, path: &str, key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(Json::as_num)
-            .filter(|n| *n >= 0.0)
-            .ok_or_else(|| format!("{path}: missing non-negative number \"{key}\""))
-    };
-    if num(&root, "document", "sf")? <= 0.0 {
-        return Err("document: \"sf\" must be positive".to_string());
-    }
-    num(&root, "document", "seed")?;
-    if num(&root, "document", "nodes")? < 2.0 {
-        return Err("document: a chaos ladder needs at least 2 nodes".to_string());
-    }
-    let rungs = root
-        .get("rungs")
-        .and_then(|r| match r {
-            Json::Arr(items) if !items.is_empty() => Some(items),
-            _ => None,
-        })
-        .ok_or("document has no non-empty \"rungs\" array")?;
-    let mut out = Vec::new();
-    for (i, rung) in rungs.iter().enumerate() {
-        let path = format!("rungs[{i}]");
-        for key in ["hedges", "retries", "invalidations", "p50_s", "p99_s"] {
-            num(rung, &path, key)?;
-        }
-        let clients = num(rung, &path, "clients")? as u64;
-        let requests = num(rung, &path, "requests")? as u64;
-        let completed = num(rung, &path, "completed")? as u64;
-        let cache_hits = num(rung, &path, "cache_hits")? as u64;
-        let degraded = num(rung, &path, "degraded")? as u64;
-        let hit_rate = num(rung, &path, "hit_rate")?;
-        if !(0.0..=1.0).contains(&hit_rate) {
-            return Err(format!("{path}: hit_rate {hit_rate} is not a probability"));
-        }
-        if completed > requests {
-            return Err(format!("{path}: completed {completed} exceeds requests {requests}"));
-        }
-        if cache_hits > completed || degraded > completed {
-            return Err(format!("{path}: cache_hits/degraded exceed completions"));
-        }
-        let ledger = rung.get("ledger").ok_or_else(|| format!("{path}: missing \"ledger\""))?;
-        let lpath = format!("{path}/ledger");
-        let submitted = num(ledger, &lpath, "submitted")? as u64;
-        let terminal: u64 = ["completed", "cancelled", "exhausted", "failed", "panicked"]
-            .iter()
-            .map(|k| num(ledger, &lpath, k).map(|n| n as u64))
-            .sum::<Result<u64, String>>()?;
-        if submitted != terminal {
-            return Err(format!(
-                "{lpath}: identity broken — submitted {submitted} != terminal outcomes {terminal}"
-            ));
-        }
-        out.push(ChaosRung { clients, requests, completed, cache_hits, degraded });
-    }
-    Ok(out)
-}
-
-/// One validated run (one query at one budget) of a spill-ladder document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillRun {
-    /// TPC-H query number.
-    pub query: u64,
-    /// How the run degraded: `inmem`, `grace`, `spill`, `exhausted`, or
-    /// `disk_full`.
-    pub mode: String,
-    /// Bytes staged on the spill disk.
-    pub spilled_bytes: u64,
-    /// Checksum-failed chunk reads that were retried.
-    pub spill_read_retries: u64,
-    /// Corruptions the read path detected (torn or bit-flipped views).
-    pub spill_corruptions_detected: u64,
-}
-
-/// One validated rung (one memory budget) of a spill-ladder document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillRung {
-    /// Per-operator memory budget in bytes at this rung.
-    pub budget: u64,
-    /// Spill-disk capacity in bytes at this rung.
-    pub disk_capacity: u64,
-    /// The per-query runs at this rung, in document order.
-    pub runs: Vec<SpillRun>,
-}
-
-/// Validates a `results/spill.json` document written by `bench --bin spill`:
-///
-/// ```text
-/// {"sf": …, "seed": …, "rungs": [
-///   {"budget": …, "disk_capacity": …,
-///    "runs": [{"query": …, "mode": "inmem|grace|spill|exhausted|disk_full",
-///              "bit_exact": true|false, "spilled_bytes": …,
-///              "spill_read_retries": …, "spill_corruptions_detected": …}, …],
-///    "ledger": {"spilled_bytes": …, "spill_read_retries": …,
-///               "spill_corruptions_detected": …}}, …]}
-/// ```
-///
-/// Beyond the schema, it re-checks the degradation invariants the bench
-/// asserts live: budgets must walk strictly down the ladder, every run's
-/// mode must be one of the five degradation modes, every *completed* run
-/// (`inmem`/`grace`/`spill`) must be bit-exact, `inmem`/`grace` runs must
-/// not have spilled, `spill` runs must have, and each rung's ledger must
-/// equal the sum of its runs' counters exactly. Returns the rungs in
-/// document order.
-pub fn validate_spill_document(doc: &str) -> Result<Vec<SpillRung>, String> {
-    let root = parse_json(doc)?;
-    let num = |v: &Json, path: &str, key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(Json::as_num)
-            .filter(|n| *n >= 0.0)
-            .ok_or_else(|| format!("{path}: missing non-negative number \"{key}\""))
-    };
-    if num(&root, "document", "sf")? <= 0.0 {
-        return Err("document: \"sf\" must be positive".to_string());
-    }
-    num(&root, "document", "seed")?;
-    let rungs = root
-        .get("rungs")
-        .and_then(|r| match r {
-            Json::Arr(items) if !items.is_empty() => Some(items),
-            _ => None,
-        })
-        .ok_or("document has no non-empty \"rungs\" array")?;
-    let mut out: Vec<SpillRung> = Vec::new();
-    for (i, rung) in rungs.iter().enumerate() {
-        let path = format!("rungs[{i}]");
-        let budget = num(rung, &path, "budget")? as u64;
-        let disk_capacity = num(rung, &path, "disk_capacity")? as u64;
-        if budget == 0 {
-            return Err(format!("{path}: budget must be positive"));
-        }
-        if let Some(prev) = out.last() {
-            if budget >= prev.budget {
-                return Err(format!(
-                    "{path}: budget {budget} does not descend the ladder (previous {})",
-                    prev.budget
-                ));
-            }
-        }
-        let runs = rung
-            .get("runs")
-            .and_then(|r| match r {
-                Json::Arr(items) if !items.is_empty() => Some(items),
-                _ => None,
-            })
-            .ok_or_else(|| format!("{path} has no non-empty \"runs\" array"))?;
-        let mut parsed = Vec::new();
-        let mut sums = [0u64; 3];
-        for (j, run) in runs.iter().enumerate() {
-            let rpath = format!("{path}/runs[{j}]");
-            let query = num(run, &rpath, "query")? as u64;
-            let mode = match run.get("mode") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => return Err(format!("{rpath}: missing string \"mode\"")),
-            };
-            if !["inmem", "grace", "spill", "exhausted", "disk_full"].contains(&mode.as_str()) {
-                return Err(format!("{rpath}: unknown mode {mode:?}"));
-            }
-            let bit_exact = match run.get("bit_exact") {
-                Some(Json::Bool(b)) => *b,
-                _ => return Err(format!("{rpath}: missing bool \"bit_exact\"")),
-            };
-            let completed = matches!(mode.as_str(), "inmem" | "grace" | "spill");
-            if completed && !bit_exact {
-                return Err(format!("{rpath}: completed {mode} run is not bit-exact"));
-            }
-            let spilled_bytes = num(run, &rpath, "spilled_bytes")? as u64;
-            let retries = num(run, &rpath, "spill_read_retries")? as u64;
-            let corruptions = num(run, &rpath, "spill_corruptions_detected")? as u64;
-            if matches!(mode.as_str(), "inmem" | "grace") && spilled_bytes > 0 {
-                return Err(format!("{rpath}: {mode} run spilled {spilled_bytes} bytes"));
-            }
-            if mode == "spill" && spilled_bytes == 0 {
-                return Err(format!("{rpath}: spill run spilled nothing"));
-            }
-            sums[0] += spilled_bytes;
-            sums[1] += retries;
-            sums[2] += corruptions;
-            parsed.push(SpillRun {
-                query,
-                mode,
-                spilled_bytes,
-                spill_read_retries: retries,
-                spill_corruptions_detected: corruptions,
-            });
-        }
-        let ledger = rung.get("ledger").ok_or_else(|| format!("{path}: missing \"ledger\""))?;
-        let lpath = format!("{path}/ledger");
-        for (k, key) in
-            ["spilled_bytes", "spill_read_retries", "spill_corruptions_detected"].iter().enumerate()
-        {
-            let total = num(ledger, &lpath, key)? as u64;
-            if total != sums[k] {
-                return Err(format!("{lpath}: {key} {total} != sum of runs {}", sums[k]));
-            }
-        }
-        out.push(SpillRung { budget, disk_capacity, runs: parsed });
-    }
-    Ok(out)
-}
-
-fn validate_span_value(v: &Json) -> Result<TraceStats, String> {
+    let v = &parse_json(doc)?;
     check_span_schema(v, "root")?;
     let mut self_sums = BTreeMap::new();
     let spans = sum_self(v, &mut self_sums);
@@ -658,90 +397,5 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{}trailing").is_err());
         assert!(parse_json(r#"{"a" 1}"#).is_err());
-    }
-
-    #[test]
-    fn validates_trace_documents() {
-        let doc = format!(
-            r#"{{"sf": 0.1, "queries": [{{"query": 1, "trace": {}}}]}}"#,
-            sample_tree().to_json()
-        );
-        let per_query = validate_trace_document(&doc).unwrap();
-        assert_eq!(per_query.len(), 1);
-        assert_eq!(per_query[0].0, 1);
-        assert_eq!(per_query[0].1.spans, 3);
-        assert!(validate_trace_document(r#"{"sf": 1}"#).is_err());
-    }
-
-    fn chaos_doc(submitted: u64) -> String {
-        format!(
-            r#"{{"sf": 0.01, "seed": 42, "nodes": 6, "rungs": [
-                {{"clients": 2, "requests": 24, "completed": 22, "cache_hits": 8,
-                  "hit_rate": 0.364, "p50_s": 0.5, "p99_s": 2.5, "degraded": 1,
-                  "hedges": 3, "retries": 5, "invalidations": 2,
-                  "ledger": {{"submitted": {submitted}, "completed": 14, "cancelled": 0,
-                             "exhausted": 0, "failed": 0, "panicked": 0}}}}]}}"#
-        )
-    }
-
-    #[test]
-    fn validates_chaos_documents() {
-        let rungs = validate_chaos_document(&chaos_doc(14)).expect("valid document");
-        assert_eq!(rungs.len(), 1);
-        assert_eq!((rungs[0].clients, rungs[0].requests), (2, 24));
-        assert_eq!((rungs[0].completed, rungs[0].cache_hits, rungs[0].degraded), (22, 8, 1));
-    }
-
-    #[test]
-    fn chaos_validation_rejects_a_broken_ledger_identity() {
-        let err = validate_chaos_document(&chaos_doc(15)).expect_err("identity broken");
-        assert!(err.contains("identity broken"), "{err}");
-        assert!(validate_chaos_document(r#"{"sf": 0.01, "seed": 1, "nodes": 6}"#).is_err());
-        assert!(
-            validate_chaos_document(r#"{"sf": 0.01, "seed": 1, "nodes": 1, "rungs": []}"#).is_err()
-        );
-    }
-
-    fn spill_doc(ledger_bytes: u64, mode2: &str, exact2: bool) -> String {
-        format!(
-            r#"{{"sf": 0.01, "seed": 42, "rungs": [
-                {{"budget": 65536, "disk_capacity": 1048576,
-                  "runs": [{{"query": 1, "mode": "inmem", "bit_exact": true,
-                             "spilled_bytes": 0, "spill_read_retries": 0,
-                             "spill_corruptions_detected": 0}}],
-                  "ledger": {{"spilled_bytes": 0, "spill_read_retries": 0,
-                             "spill_corruptions_detected": 0}}}},
-                {{"budget": 4096, "disk_capacity": 1048576,
-                  "runs": [{{"query": 1, "mode": "{mode2}", "bit_exact": {exact2},
-                             "spilled_bytes": 9000, "spill_read_retries": 3,
-                             "spill_corruptions_detected": 3}}],
-                  "ledger": {{"spilled_bytes": {ledger_bytes}, "spill_read_retries": 3,
-                             "spill_corruptions_detected": 3}}}}]}}"#
-        )
-    }
-
-    #[test]
-    fn validates_spill_documents() {
-        let rungs = validate_spill_document(&spill_doc(9000, "spill", true)).expect("valid");
-        assert_eq!(rungs.len(), 2);
-        assert_eq!((rungs[0].budget, rungs[1].budget), (65536, 4096));
-        assert_eq!(rungs[1].runs[0].mode, "spill");
-        assert_eq!(rungs[1].runs[0].spilled_bytes, 9000);
-        // disk_full runs may carry partial spill bytes and need not be exact.
-        validate_spill_document(&spill_doc(9000, "disk_full", false)).expect("valid");
-    }
-
-    #[test]
-    fn spill_validation_rejects_broken_invariants() {
-        let err = validate_spill_document(&spill_doc(9001, "spill", true)).unwrap_err();
-        assert!(err.contains("sum of runs"), "{err}");
-        let err = validate_spill_document(&spill_doc(9000, "spill", false)).unwrap_err();
-        assert!(err.contains("not bit-exact"), "{err}");
-        let err = validate_spill_document(&spill_doc(9000, "thrash", true)).unwrap_err();
-        assert!(err.contains("unknown mode"), "{err}");
-        // grace runs must not spill; ladder budgets must descend.
-        let err = validate_spill_document(&spill_doc(9000, "grace", true)).unwrap_err();
-        assert!(err.contains("grace run spilled"), "{err}");
-        assert!(validate_spill_document(r#"{"sf": 0.01, "seed": 1, "rungs": []}"#).is_err());
     }
 }

@@ -28,7 +28,9 @@ pub use governor::{BudgetParseError, CancelToken, MemoryReservation, QueryContex
 pub use params::{bind_params, bind_params_spanning, strip_params};
 pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PlanBuilder, SortKey};
 pub use relation::Relation;
-pub use service::{QuerySpec, ScrubReport, Service, ServiceConfig, ServiceError, Ticket};
+pub use service::{
+    backoff_s, QuerySpec, ScrubReport, Service, ServiceConfig, ServiceError, Ticket,
+};
 pub use stats::WorkProfile;
 pub use wimpi_obs::{Span, Tracer};
 

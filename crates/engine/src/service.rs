@@ -30,9 +30,10 @@
 //! budget* — the same shape as the cluster's `budgeted_retry`: a governed
 //! run below physical capacity that lets joins and aggregates degrade to
 //! Grace-partitioned builds instead of dying. The retry's backoff delay is
-//! capped exponential **in simulated seconds** (pure arithmetic, recorded in
-//! the metrics histogram, never slept), exactly like `cluster::faults` — so
-//! tests are deterministic and fast.
+//! [`backoff_s`] — capped exponential **in simulated seconds** (pure
+//! arithmetic, recorded in the metrics histogram, never slept), the same
+//! function the cluster's recovery engine prices its retries with — so tests
+//! are deterministic and fast.
 //!
 //! Because a query's budget is decided by the coordinator (declared estimate
 //! first, full node budget on the one retry) and never depends on what else
@@ -66,9 +67,22 @@ use wimpi_storage::{Catalog, Column};
 use crate::error::EngineError;
 use crate::governor::{CancelToken, MemoryReservation, QueryContext, UNLIMITED};
 
-/// Histogram bounds for simulated backoff delays (mirrors the cluster's
-/// policy: base 0.05 s doubling to a 1 s cap).
+/// First retry's backoff, in simulated seconds.
+const BACKOFF_BASE_S: f64 = 0.05;
+/// Ceiling on any backoff, in simulated seconds.
+const BACKOFF_CAP_S: f64 = 1.0;
+
+/// Histogram bounds for simulated backoff delays (0.05 s doubling to 1 s).
 const BACKOFF_BUCKETS: [f64; 5] = [0.05, 0.1, 0.25, 0.5, 1.0];
+
+/// The repo's one retry backoff — before retry number `attempt` (0-based),
+/// in **simulated** seconds: 0.05 s × 2^attempt, capped at 1 s. Pure
+/// arithmetic, never slept. The service's budget retry and chunk repairs
+/// and the cluster's transient-fault, repair and reroute retries all price
+/// their waits with it.
+pub fn backoff_s(attempt: u32) -> f64 {
+    (BACKOFF_BASE_S * 2f64.powi(attempt.min(30) as i32)).min(BACKOFF_CAP_S)
+}
 
 /// Histogram bounds for admission-wait and submit-to-terminal latency
 /// (wall seconds).
@@ -91,10 +105,6 @@ pub struct ServiceConfig {
     /// How many small-class admissions may bypass a waiting large-class head
     /// before the service stops admitting smalls until the head fits.
     pub max_small_bypass: u32,
-    /// Base backoff before the budget retry, in simulated seconds.
-    pub backoff_base_s: f64,
-    /// Cap on the simulated backoff.
-    pub backoff_cap_s: f64,
     /// Whether an exhausted attempt gets the one full-node-budget retry.
     pub budget_retry: bool,
     /// Estimate used when a [`QuerySpec`] does not declare one.
@@ -109,8 +119,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             small_cutoff: 1 << 20,
             max_small_bypass: 8,
-            backoff_base_s: 0.05,
-            backoff_cap_s: 1.0,
             budget_retry: true,
             default_estimate: 16 << 20,
         }
@@ -122,13 +130,6 @@ impl ServiceConfig {
     /// defaults.
     pub fn new(node_budget: u64, workers: usize) -> Self {
         ServiceConfig { node_budget, workers, ..Self::default() }
-    }
-
-    /// Backoff before retry number `attempt` (0-based), in **simulated**
-    /// seconds: `base × 2^attempt`, capped. Identical shape to
-    /// `cluster::RecoveryPolicy::backoff_s`, and just as deterministic.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        (self.backoff_base_s * 2f64.powi(attempt.min(30) as i32)).min(self.backoff_cap_s)
     }
 }
 
@@ -509,7 +510,7 @@ impl Service {
             self.shared.metrics.inc("service_shed_total", 1);
             return Err(ServiceError::Overloaded {
                 queue_depth: depth,
-                retry_after_hint_s: (cfg.backoff_base_s * depth as f64).min(cfg.backoff_cap_s),
+                retry_after_hint_s: (BACKOFF_BASE_S * depth as f64).min(BACKOFF_CAP_S),
             });
         }
         let id = st.next_id;
@@ -851,7 +852,7 @@ fn run_admitted(shared: &Arc<Shared>, p: Pending, grant: Grant) {
                 && p.grant < shared.cfg.node_budget
                 && !p.cancel.is_cancelled();
             if retry {
-                let backoff = shared.cfg.backoff_s(p.attempt);
+                let backoff = backoff_s(p.attempt);
                 shared.metrics.inc("service_retries_total", 1);
                 shared.metrics.observe("service_backoff_sim_seconds", &BACKOFF_BUCKETS, backoff);
                 let retried =
@@ -903,7 +904,7 @@ fn run_admitted(shared: &Arc<Shared>, p: Pending, grant: Grant) {
                 // One repair-and-retry, mirroring the budget retry's shape:
                 // simulated backoff, then head-of-class re-admission with
                 // the same grant (the query's memory needs didn't change).
-                let backoff = shared.cfg.backoff_s(p.repairs);
+                let backoff = backoff_s(p.repairs);
                 shared.metrics.observe("service_backoff_sim_seconds", &BACKOFF_BUCKETS, backoff);
                 let retried = Pending { repairs: p.repairs + 1, ..p };
                 let mut st = shared.state.lock().unwrap();
@@ -1220,12 +1221,12 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_and_capped() {
-        let cfg = ServiceConfig::default();
-        assert_eq!(cfg.backoff_s(0), 0.05);
-        assert_eq!(cfg.backoff_s(1), 0.1);
-        assert!(cfg.backoff_s(30) <= cfg.backoff_cap_s);
-        assert_eq!(cfg.backoff_s(2), cfg.backoff_s(2), "pure function of attempt");
+    fn backoff_is_capped_exponential() {
+        assert_eq!(backoff_s(0), 0.05);
+        assert_eq!(backoff_s(1), 0.1);
+        assert_eq!(backoff_s(4), 0.8);
+        assert_eq!(backoff_s(5), 1.0, "capped");
+        assert_eq!(backoff_s(u32::MAX), 1.0, "huge attempt counts stay finite");
     }
 
     #[test]

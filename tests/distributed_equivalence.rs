@@ -223,8 +223,18 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
     use wimpi::engine::EngineConfig;
     use wimpi::queries::run_with;
     use wimpi::storage::integrity::flip_bits;
-    let mut catalog = reference_catalog();
+    let unsealed = reference_catalog();
+    let mut catalog = unsealed.clone();
     catalog.seal_integrity();
+    // Zero cost when off: with verification disabled (the default), a sealed
+    // catalog yields the same results and work profiles as an unsealed one.
+    for &q in &CHOKEPOINT_QUERIES {
+        let off = EngineConfig::serial();
+        let sealed = run_with(&query(q), &catalog, &off).expect("sealed, verification off");
+        let plain = run_with(&query(q), &unsealed, &off).expect("unsealed");
+        assert_eq!(sealed.0, plain.0, "Q{q}: sealing alone changed the answer");
+        assert_eq!(sealed.1, plain.1, "Q{q}: sealing alone changed the work profile");
+    }
     let baseline: Vec<_> = CHOKEPOINT_QUERIES
         .iter()
         .map(|&q| {
@@ -261,6 +271,131 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
             other => panic!("expected integrity violation at {threads} threads, got {other}"),
         }
     }
+}
+
+/// Chaos serving (DESIGN.md §15): closed-loop clients play a hot/cold mix
+/// through a fresh [`Coordinator`] per rung — Q1/Q6 repeat hot, the other
+/// choke-points and two-phase Q15 arrive cold — and every third request
+/// carries a seeded `FaultPlan::random` schedule (crash, transient OOM,
+/// straggler, degraded NIC and bit flips all sampled). Every non-degraded
+/// answer, cache hits included, equals the clean driver run bit for bit; a
+/// degraded answer is never served from cache; and the service's admission
+/// ledger, the coordinator's sub-run ledger and its cache-hit and degraded
+/// counters all reconcile with what the clients saw.
+#[test]
+fn coordinator_serves_bit_exact_under_seeded_chaos() {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use wimpi::cluster::coordinator::{Coordinator, CoordinatorConfig, QueryRequest};
+    use wimpi::engine::{EngineError, ServiceConfig, ServiceError};
+
+    const SEED: u64 = 42;
+    const CHAOS_SF: f64 = 0.005;
+    const NODES: u32 = 4;
+    const MIX: [usize; 17] = [1, 6, 6, 3, 1, 6, 4, 6, 1, 13, 6, 5, 1, 6, 14, 19, 15];
+
+    let cluster =
+        Arc::new(WimpiCluster::build(ClusterConfig::new(NODES, CHAOS_SF)).expect("builds"));
+    // The referee: one clean fault-free driver run per distinct query.
+    // `WimpiCluster::run` serves single plans only, so two-phase Q15 is
+    // refereed by a single-node run over the full unpartitioned catalog.
+    let full = Generator::new(CHAOS_SF).generate_catalog().expect("full catalog");
+    let mut baselines = HashMap::new();
+    for &qn in &MIX {
+        baselines.entry(qn).or_insert_with(|| {
+            if qn == 15 {
+                run(&query(qn), &full).expect("Q15 clean baseline").0
+            } else {
+                let clean = cluster.run(&query(qn), Strategy::PartialAggPushdown);
+                clean.unwrap_or_else(|e| panic!("Q{qn} clean baseline: {e}")).result
+            }
+        });
+    }
+
+    let mut hits_on_the_ladder = 0;
+    for clients in [1usize, 2] {
+        let coord = Coordinator::new(
+            Arc::clone(&cluster),
+            CoordinatorConfig {
+                service: ServiceConfig { workers: 2, ..ServiceConfig::default() },
+                ..CoordinatorConfig::default()
+            },
+        );
+        // [completed, cache hits, degraded, refused], summed over clients.
+        let mut tally = [0u64; 4];
+        std::thread::scope(|s| {
+            let (coord, baselines) = (&coord, &baselines);
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    s.spawn(move || {
+                        let mut tally = [0u64; 4];
+                        for (seq, &qn) in MIX.iter().enumerate() {
+                            let mut req = QueryRequest::new(format!("c{c}s{seq}q{qn}"), query(qn));
+                            if seq.is_multiple_of(3) {
+                                // Deterministic per (client, seq): the same
+                                // ladder replays the same chaos schedule.
+                                let seed = SEED ^ ((c as u64) << 32) ^ seq as u64;
+                                req = req.with_faults(FaultPlan::random(seed, NODES));
+                            }
+                            match coord.run_blocking(req) {
+                                Ok(a) => {
+                                    tally[0] += 1;
+                                    tally[1] += a.from_cache as u64;
+                                    if a.degraded {
+                                        assert!(!a.from_cache, "Q{qn} c{c}s{seq}: degraded hit");
+                                        tally[2] += 1;
+                                    } else {
+                                        assert_eq!(
+                                            a.result, baselines[&qn],
+                                            "Q{qn} c{c}s{seq}: non-degraded answer (from_cache \
+                                             = {}) must equal the clean run",
+                                            a.from_cache
+                                        );
+                                    }
+                                }
+                                Err(
+                                    ServiceError::Overloaded { .. }
+                                    | ServiceError::ShuttingDown
+                                    | ServiceError::Engine(EngineError::Cancelled),
+                                ) => tally[3] += 1,
+                                Err(e) => panic!("Q{qn} c{c}s{seq}: untyped outcome {e}"),
+                            }
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            for h in handles {
+                let t = h.join().expect("client threads must not panic");
+                for (sum, n) in tally.iter_mut().zip(t) {
+                    *sum += n;
+                }
+            }
+        });
+        coord.shutdown();
+        let [completed, hits, degraded, refused] = tally;
+        assert_eq!(completed + refused, (clients * MIX.len()) as u64, "an outcome went missing");
+
+        // Cache hits answer before admission: the service saw only misses.
+        let m = coord.service_metrics();
+        let terminals: u64 = ["completed", "cancelled", "exhausted", "failed", "panicked"]
+            .iter()
+            .map(|k| m.counter(&format!("service_{k}_total")))
+            .sum();
+        assert_eq!(m.counter("service_submitted_total"), terminals, "{clients} clients: service");
+        let cm = coord.metrics();
+        assert_eq!(
+            cm.counter("coord_subruns_total"),
+            cm.counter("coord_subruns_ok_total")
+                + cm.counter("coord_subruns_failed_total")
+                + cm.counter("coord_subruns_cancelled_total"),
+            "{clients} clients: sub-run ledger identity must reconcile"
+        );
+        assert_eq!(cm.counter("coord_result_cache_hits_total"), hits);
+        assert_eq!(cm.counter("coord_degraded_answers_total"), degraded);
+        hits_on_the_ladder += hits;
+    }
+    assert!(hits_on_the_ladder > 0, "a hot/cold mix with repeats must hit the result cache");
 }
 
 #[test]

@@ -143,17 +143,17 @@ fn cancellation_mid_join_is_prompt_and_thread_deterministic() {
 #[test]
 fn grace_degraded_runs_stay_bit_exact_across_threads() {
     let cat = catalog();
-    for qn in [1usize, 3, 13] {
+    // Budgets that force each query's largest build at SF 0.01 into Grace
+    // partitioning without exhausting anything.
+    for (qn, budget) in [(1usize, 1u64 << 10), (3, 16 << 10), (13, 64 << 10)] {
         let q = query(qn);
         let (baseline, _) = run_governed(&q, &cat, &EngineConfig::serial(), &QueryContext::new())
             .expect("unbudgeted baseline");
 
-        // 64 KB forces the larger builds at SF 0.01 into Grace partitioning
-        // without exhausting anything (see results/pressure_modes.txt).
-        let budget = 64 << 10;
         let serial = QueryContext::with_budget(budget);
         let (rel0, prof0) =
             run_governed(&q, &cat, &EngineConfig::serial(), &serial).expect("budgeted serial");
+        assert!(serial.fallbacks() > 0, "Q{qn} under {budget} B must take the Grace fallback");
         assert_eq!(rel0, baseline, "Q{qn}: budgeted answer must be bit-exact");
         assert_eq!(serial.used(), 0, "Q{qn}: budget fully restored");
 

@@ -3,7 +3,7 @@
 //! (DESIGN.md §11) — any answer the service completes is bit-exact with the
 //! serial unconstrained run, at any worker count.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use wimpi::engine::{
@@ -193,6 +193,111 @@ fn service_answers_are_bit_exact_with_serial_unconstrained_runs() {
         assert_eq!(svc.node_used(), 0);
         assert_eq!(svc.metrics().counter("service_completed_total"), 2 * subset.len() as u64);
     }
+}
+
+/// Overload: eight closed-loop clients pile onto two workers and a depth-4
+/// queue. The node budget is the measured single-query peak and declared
+/// estimates are a 2048th of it — past the edge where Grace's ~1024-way
+/// fan-out still fits — so Q13 exhausts under its grant and takes the retry
+/// at the full node budget, which has to wait for every other grant to
+/// drain. A live sampler races the admissions: the node reservation never
+/// exceeds the budget at any instant. Every submission ends in exactly one
+/// terminal outcome, every answer is bit-exact with the serial unconstrained
+/// run, and the clients' tally — sheds included — equals the service's own
+/// ledger.
+#[test]
+fn contended_closed_loop_never_oversubscribes_and_tallies_match_the_ledger() {
+    const CLIENTS: usize = 8;
+    const QUEUE_DEPTH: usize = 4;
+    let cat = catalog();
+    let qns = [1usize, 6, 13];
+    let mut baselines = Vec::new();
+    let mut max_peak = 0u64;
+    for &qn in &qns {
+        let ctx = QueryContext::new();
+        let (rel, _) =
+            run_governed(&query(qn), &cat, &EngineConfig::serial(), &ctx).expect("baseline");
+        max_peak = max_peak.max(ctx.high_water());
+        baselines.push(rel);
+    }
+    let node_budget = max_peak.max(1);
+    let estimate = (max_peak / 2048).max(256);
+    let svc = Service::new(ServiceConfig {
+        node_budget,
+        workers: 2,
+        queue_depth: QUEUE_DEPTH,
+        small_cutoff: estimate,
+        ..ServiceConfig::default()
+    });
+
+    // [completed, shed, exhausted, cancelled], summed over the clients.
+    let mut tally = [0u64; 4];
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (svc, stop, cat, baselines) = (&svc, &stop, &cat, &baselines);
+        let sampler = s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let used = svc.node_used();
+                assert!(used <= node_budget, "oversubscribed mid-flight: {used} > {node_budget}");
+                std::thread::yield_now();
+            }
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                s.spawn(move || {
+                    let mut tally = [0u64; 4];
+                    for (qi, &qn) in qns.iter().enumerate() {
+                        let cat = Arc::clone(cat);
+                        let spec = QuerySpec::new(format!("c{c}q{qn}")).with_estimate(estimate);
+                        let outcome = svc.run_blocking(spec, move |ctx| {
+                            run_governed(&query(qn), &cat, &EngineConfig::serial(), ctx)
+                                .map(|(rel, _)| rel)
+                        });
+                        match outcome {
+                            Ok(rel) => {
+                                assert_eq!(rel, baselines[qi], "Q{qn} (client {c}) diverged");
+                                tally[0] += 1;
+                            }
+                            Err(ServiceError::Overloaded { queue_depth, retry_after_hint_s }) => {
+                                assert!(queue_depth >= QUEUE_DEPTH, "shed below the depth");
+                                assert!(retry_after_hint_s > 0.0, "hint must be actionable");
+                                tally[1] += 1;
+                            }
+                            Err(ServiceError::Engine(EngineError::ResourceExhausted {
+                                ..
+                            })) => tally[2] += 1,
+                            Err(ServiceError::Engine(EngineError::Cancelled)) => tally[3] += 1,
+                            Err(e) => panic!("Q{qn} (client {c}): untyped outcome {e}"),
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        for h in clients {
+            let t = h.join().expect("client threads must not panic");
+            for (sum, n) in tally.iter_mut().zip(t) {
+                *sum += n;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        sampler.join().expect("sampler must not panic");
+    });
+    svc.shutdown();
+
+    assert!(svc.node_high_water() <= node_budget, "high water exceeds the node budget");
+    assert_eq!(svc.node_used(), 0, "grants must drain at quiescence");
+    let [completed, shed, exhausted, cancelled] = tally;
+    let offered = (CLIENTS * qns.len()) as u64;
+    assert_eq!(completed + shed + exhausted + cancelled, offered, "an outcome went missing");
+    assert!(completed > 0, "a closed loop over two workers must complete something");
+    let m = svc.metrics();
+    assert_eq!(m.counter("service_shed_total"), shed);
+    assert_eq!(m.counter("service_completed_total"), completed);
+    assert_eq!(m.counter("service_exhausted_total"), exhausted);
+    assert_eq!(m.counter("service_cancelled_total"), cancelled);
+    assert_eq!(m.counter("service_submitted_total"), offered - shed, "accepted = offered - shed");
+    assert_eq!(m.counter("service_failed_total") + m.counter("service_panicked_total"), 0);
 }
 
 /// The shutdown-vs-submit race satellite: threads hammer `submit` through a

@@ -11,7 +11,7 @@
 //! 3. The emitted JSON round-trips through `wimpi-core`'s independent
 //!    hand-rolled checker, including the Σ self == root-total invariant.
 
-use wimpi::core::{validate_trace_document, validate_trace_json};
+use wimpi::core::validate_trace_json;
 use wimpi::engine::EngineConfig;
 use wimpi::queries::{query, run_traced, run_with};
 use wimpi::sql::{explain_analyze, strip_explain_analyze};
@@ -89,11 +89,6 @@ fn emitted_json_passes_the_independent_checker() {
             .unwrap_or_else(|e| panic!("Q{qn} trace rejected: {e}"));
         assert_eq!(stats.spans, span.len(), "Q{qn}: checker span count");
     }
-    let doc = wimpi_bench::trace_document(SF, &[1, 6], &cat, &EngineConfig::serial());
-    let per_query = validate_trace_document(&doc).expect("document validates");
-    assert_eq!(per_query.len(), 2);
-    assert_eq!(per_query[0].0, 1);
-    assert_eq!(per_query[1].0, 6);
 }
 
 #[test]
@@ -122,6 +117,54 @@ fn pruned_counters_reconcile_through_the_trace_checker() {
     let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096).with_prune_scans(true);
     let (_, prof, _) = run_traced(&query(6), &cat, &cfg).expect("traced run");
     assert!(prof.pruned_morsels > 0, "Q6 must skip morsels on the clustered catalog");
+}
+
+#[test]
+fn spill_ledgers_reconcile_across_disk_profile_and_trace() {
+    // A query pushed past Grace onto a fault-injecting spill disk (torn
+    // views, bit flips and stragglers, one roll in eight each) keeps three
+    // ledgers of the same events: the disk's own counters, the work
+    // profile's spill fields, and the traced root span. They must agree
+    // counter for counter, every detected corruption must have been retried
+    // exactly once, and none of it may change a byte of the answer.
+    use std::sync::Arc;
+    use wimpi::engine::QueryContext;
+    use wimpi::queries::run_traced_governed;
+    use wimpi::storage::spill::{SpillConfig, SpillDisk, SpillFaults};
+
+    let cat = catalog();
+    let mut corruptions = 0;
+    // Budgets under which each query's largest build spills at SF 0.01.
+    for (qn, budget) in [(3usize, 2u64 << 10), (13, 1 << 10), (14, 64)] {
+        let (baseline, _) = run_with(&query(qn), &cat, &EngineConfig::serial()).expect("baseline");
+        // At ≈ 0.23 failures per read attempt, 17 attempts make a permanent
+        // failure astronomically unlikely while retries stay common.
+        let disk = Arc::new(SpillDisk::new(
+            SpillConfig::with_capacity(256 << 20)
+                .with_faults(SpillFaults::every(42 + qn as u64, 8))
+                .with_max_read_retries(16),
+        ));
+        let ctx = QueryContext::with_budget(budget).with_spill(Arc::clone(&disk));
+        let (rel, prof, span) =
+            run_traced_governed(&query(qn), &cat, &EngineConfig::serial(), &ctx)
+                .unwrap_or_else(|e| panic!("Q{qn} at budget {budget}: {e}"));
+        assert_eq!(rel, baseline, "Q{qn}: spilled answer must be bit-exact");
+        let d = disk.counters();
+        assert!(d.spilled_bytes > 0, "Q{qn} at budget {budget} must actually spill");
+        for (name, profv, diskv) in [
+            ("spilled_bytes", prof.spilled_bytes, d.spilled_bytes),
+            ("spill_read_retries", prof.spill_read_retries, d.read_retries),
+            ("spill_corruptions_detected", prof.spill_corruptions_detected, d.corruptions_detected),
+        ] {
+            assert_eq!(profv, diskv, "Q{qn}: profile {name} must equal the disk ledger");
+            assert_eq!(span.counter(name), profv, "Q{qn}: root span {name} must equal the profile");
+        }
+        assert_eq!(d.read_retries, d.corruptions_detected, "Q{qn}: one retry per corruption");
+        assert_eq!(disk.used(), 0, "Q{qn}: all spill capacity must be freed");
+        validate_trace_json(&span.to_json()).unwrap_or_else(|e| panic!("Q{qn} rejected: {e}"));
+        corruptions += d.corruptions_detected;
+    }
+    assert!(corruptions > 0, "the fault plan must have corrupted at least one spill read");
 }
 
 #[test]

@@ -6,7 +6,8 @@ use wimpi_engine::eval::Evaluator;
 use wimpi_engine::expr::{col, date, dec2};
 use wimpi_engine::plan::{AggExpr, PlanBuilder, SortKey};
 use wimpi_engine::{
-    exec, execute_query, execute_query_governed, EngineConfig, QueryContext, Relation, WorkProfile,
+    exec, execute_query, execute_query_with, EngineConfig, QueryContext, Relation, Tracer,
+    WorkProfile,
 };
 use wimpi_storage::Catalog;
 use wimpi_tpch::Generator;
@@ -68,7 +69,13 @@ fn bench_operators(c: &mut Criterion) {
     g.bench_function("grace_aggregate_128k", |b| {
         b.iter(|| {
             let ctx = QueryContext::with_budget(128 << 10);
-            let out = execute_query_governed(&by_orderkey, &cat, &EngineConfig::serial(), &ctx);
+            let out = execute_query_with(
+                &by_orderkey,
+                &cat,
+                &EngineConfig::serial(),
+                &ctx,
+                Tracer::off(),
+            );
             assert!(ctx.fallbacks() > 0, "the budget must engage the Grace rung");
             black_box(out.expect("runs"))
         });
@@ -132,7 +139,10 @@ fn bench_operators(c: &mut Criterion) {
             wimpi_queries::QueryPlan::Single(p) => p,
             _ => unreachable!(),
         };
-        b.iter(|| black_box(exec::execute(&q, &cat).expect("runs")));
+        b.iter(|| {
+            let (cfg, ctx) = (EngineConfig::serial(), QueryContext::default());
+            black_box(exec::execute(&q, &cat, &cfg, &ctx, Tracer::off()).expect("runs"))
+        });
     });
 
     g.finish();

@@ -41,20 +41,15 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::distribute::{distribute, Distributed, Strategy, PARTIALS_TABLE};
-use crate::faults::{FaultKind, FaultPlan, Reassignment, RecoveryReport};
-use crate::{
-    concat_relations, least_busy, median_of, relation_to_table, ClusterError, NodeOutcome, Priced,
-    Result, WimpiCluster,
-};
+use crate::distribute::{distribute, Distributed, Strategy};
+use crate::faults::{FaultPlan, Reassignment, RecoveryReport};
+use crate::{least_busy, median_of, ClusterError, NodeOutcome, Result, WimpiCluster};
 use wimpi_engine::{
-    bind_params_spanning, strip_params, EngineConfig, EngineError, MemoryReservation, QueryContext,
-    QuerySpec, Relation, Service, ServiceConfig, ServiceError, Ticket,
+    bind_params_spanning, strip_params, EngineError, MemoryReservation, QueryContext, QuerySpec,
+    Relation, Service, ServiceConfig, ServiceError, Ticket,
 };
-use wimpi_hwsim::predict;
 use wimpi_obs::Registry;
-use wimpi_queries::QueryPlan;
-use wimpi_storage::{Catalog, Value};
+use wimpi_queries::{run_phases, QueryPlan};
 
 /// Histogram bounds for end-to-end simulated latency (seconds).
 pub const LATENCY_BUCKETS: [f64; 9] = [0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0];
@@ -557,41 +552,36 @@ impl Coordinator {
 impl Inner {
     /// Executes one admitted request end to end (runs on a service worker).
     ///
-    /// Two-phase scalar queries (Q15-style) route through the same machinery
-    /// phase by phase: the scalar-producing inner plan runs first — routed
-    /// across the cluster when it touches lineitem, so node loss during the
-    /// pre-pass is recovered like any other run — then the outer plan is
-    /// instantiated with the extracted scalar and served the same way. The
-    /// phases share the admission context, and their costs and recovery
-    /// reports merge into one answer.
+    /// Two-phase scalar queries (Q15-style) go through the queries layer's
+    /// [`run_phases`] with "run one plan" meaning [`Self::execute_plan`]: the
+    /// scalar-producing inner plan is routed across the cluster when it
+    /// touches lineitem, so node loss during the pre-pass is recovered like
+    /// any other run, and the outer plan is served the same way. The phases
+    /// share the admission context; only the merge of their two answers
+    /// (costs and recovery reports add) lives here.
     fn execute(&self, req: &QueryRequest, ctx: &QueryContext) -> Result<Answer> {
-        let answer = match &req.query {
-            QueryPlan::Single(p) => self.execute_plan(&req.label, p, &req.faults, ctx)?,
-            QueryPlan::TwoPhase { first, scalar_col, second } => {
-                self.metrics.inc("coord_two_phase_total", 1);
-                let label1 = format!("{} (scalar)", req.label);
-                let a1 = self.execute_plan(&label1, first, &req.faults, ctx)?;
-                // The queries layer's convention: an empty phase-1 result
-                // means the scalar is a neutral 0.0 (keeps both paths
-                // bit-identical).
-                let scalar = if a1.result.num_rows() == 0 {
-                    Value::F64(0.0)
-                } else {
-                    a1.result.value(0, scalar_col).map_err(ClusterError::from)?
-                };
-                let a2 = self.execute_plan(&req.label, &second(scalar), &req.faults, ctx)?;
-                Answer {
-                    result: a2.result,
-                    coverage: a1.coverage.min(a2.coverage),
-                    degraded: a1.degraded || a2.degraded,
-                    from_cache: false,
-                    sim_seconds: a1.sim_seconds + a2.sim_seconds,
-                    hedges: a1.hedges + a2.hedges,
-                    retries: a1.retries + a2.retries,
-                    recovery: merge_recovery(a1.recovery, a2.recovery),
+        let answer = run_phases(
+            &req.query,
+            |plan, scalar_pass| {
+                let mut label = req.label.clone();
+                if scalar_pass {
+                    self.metrics.inc("coord_two_phase_total", 1);
+                    label.push_str(" (scalar)");
                 }
-            }
-        };
+                self.execute_plan(&label, plan, &req.faults, ctx)
+            },
+            |a| &a.result,
+            |a1, a2| Answer {
+                result: a2.result,
+                coverage: a1.coverage.min(a2.coverage),
+                degraded: a1.degraded || a2.degraded,
+                from_cache: false,
+                sim_seconds: a1.sim_seconds + a2.sim_seconds,
+                hedges: a1.hedges + a2.hedges,
+                retries: a1.retries + a2.retries,
+                recovery: merge_recovery(a1.recovery, a2.recovery),
+            },
+        )?;
         // Deterministic invalidation: any event that may have rewritten
         // table bytes (integrity repair, partition regeneration on a
         // survivor) voids every cached answer depending on those tables
@@ -927,8 +917,8 @@ impl Inner {
                             // stopped through its cooperative token at
                             // `done`; everything it did is waste.
                             hedge_wins += 1;
-                            subruns.push(Subrun::Ok);
-                            // The home sub-run's terminal becomes Cancelled.
+                            // The home sub-run's terminal becomes Cancelled;
+                            // the duplicate's is the one new Ok.
                             if let Some(s) = subruns.iter_mut().find(|s| **s == Subrun::Ok) {
                                 *s = Subrun::Cancelled;
                             }
@@ -967,73 +957,23 @@ impl Inner {
             }
         }
 
-        // Phase 4 — ship partials to the driver (degraded NICs priced).
-        let row_scale = match self.cfg.strategy {
-            Strategy::PartialAggPushdown => 1.0,
-            Strategy::ShipRows => cl.config.model_scale,
-        };
-        let mut bytes_shipped = 0u64;
-        let mut nic_extra_s = 0.0f64;
-        let mut shippers = 0usize;
-        for (p, rel) in partials.iter().enumerate() {
-            let Some(rel) = rel else { continue };
-            let b = (rel.stream_bytes() as f64 * row_scale) as u64;
-            bytes_shipped += b;
-            shippers += 1;
-            if let Some(FaultKind::DegradedNic { multiplier }) = faults.fault(executor[p]) {
-                let base_s = cl.config.net.transfer_s(b) - cl.config.net.latency_ms / 1e3;
-                nic_extra_s += base_s * (multiplier.max(1.0) - 1.0);
-            }
-        }
-        let network_seconds = cl.config.net.transfer_s(bytes_shipped)
-            + cl.config.net.latency_ms / 1e3 * shippers as f64
-            + nic_extra_s;
-        report.recovery_seconds += nic_extra_s;
-
-        // Phase 5 — merge on the driver; compute coverage.
-        let covered: Vec<Relation> = partials.iter().flatten().cloned().collect();
-        let (covered_rows, total_rows) = cl.coverage_rows(&partials);
-        report.coverage =
-            if total_rows == 0 { 1.0 } else { covered_rows as f64 / total_rows as f64 };
-        report.degraded = covered_rows < total_rows;
-        let merged_input = concat_relations(&covered)?;
-        let mut merge_cat = Catalog::new();
-        merge_cat.register(PARTIALS_TABLE, relation_to_table(&merged_input)?);
-        // Driver-side plans may reference replicated tables above the
-        // decomposition point (e.g. Q15's supplier join); share node 0's
-        // replica — replicated tables are identical on every node.
-        for t in dist.merge_plan.tables() {
-            if t != PARTIALS_TABLE {
-                merge_cat.register_shared(&t, Arc::clone(cl.node_catalogs[0].table(&t)?));
-            }
-        }
-        let merge_base = (merged_input.stream_bytes() as f64 * row_scale) as u64;
-        let priced = cl.priced_execution(
-            &EngineConfig::serial(),
+        // Phases 4–5 — ship partials to the driver and merge there, exactly
+        // as the cluster driver does.
+        let (result, network_seconds, merge_seconds, _) = match cl.ship_and_merge(
+            label,
+            self.cfg.strategy,
             &dist.merge_plan,
-            &merge_cat,
-            merge_base,
-            row_scale,
-        );
-        let (result, mut merge_prof, merge_penalty) = match priced {
-            Ok(Priced::Fit { rel, prof, penalty_s, budgeted, .. }) => {
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                (rel, prof, penalty_s)
-            }
-            Ok(Priced::Oom { needed }) => {
-                self.tally_subruns(&subruns, retries, hedges, hedge_wins);
-                return Err(ClusterError::NodeOom { query: label.into(), node: 0, needed });
-            }
+            &partials,
+            &executor,
+            faults,
+            &mut report,
+        ) {
+            Ok(merged) => merged,
             Err(e) => {
                 self.tally_subruns(&subruns, retries, hedges, hedge_wins);
                 return Err(e);
             }
         };
-        merge_prof.network_bytes = bytes_shipped;
-        let merge_seconds =
-            predict(&cl.pi, &merge_prof, cl.config.node_threads).total_s() + merge_penalty;
         let sim_seconds =
             busy.iter().cloned().fold(0.0, f64::max) + network_seconds + merge_seconds;
         cl.record_run_metrics(faults, &report);
@@ -1061,6 +1001,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultKind;
     use crate::ClusterConfig;
     use wimpi_queries::query;
 
@@ -1224,13 +1165,15 @@ mod tests {
         assert!(a.hedges >= 1, "a 7× straggler must trigger a hedge");
         let m = coord.metrics();
         assert!(m.counter("coord_hedges_total") >= 1);
-        // Ledger identity over sub-runs.
-        assert_eq!(
-            m.counter("coord_subruns_total"),
-            m.counter("coord_subruns_ok_total")
-                + m.counter("coord_subruns_failed_total")
-                + m.counter("coord_subruns_cancelled_total")
-        );
+        // Exact ledger: nothing failed, so every node's partition ends in
+        // one Ok sub-run (the home's, or the duplicate's when it won) and
+        // every hedge adds exactly one Cancelled (the loser of its race).
+        let hedges = m.counter("coord_hedges_total");
+        assert_eq!(hedges, a.hedges as u64);
+        assert_eq!(m.counter("coord_subruns_failed_total"), 0);
+        assert_eq!(m.counter("coord_subruns_ok_total"), 3);
+        assert_eq!(m.counter("coord_subruns_cancelled_total"), hedges);
+        assert_eq!(m.counter("coord_subruns_total"), 3 + hedges);
         coord.shutdown();
     }
 

@@ -17,6 +17,8 @@
 //! Everything here is about the simulated clock; no wall-clock time enters
 //! the model.
 
+use wimpi_storage::SplitMix64;
+
 /// One kind of injected fault on one node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -128,21 +130,21 @@ impl FaultPlan {
             return plan; // a 1-node cluster has no survivor to recover on
         }
         let max_faults = (nodes - 1).min(3);
-        let count = 1 + (rng.next() % max_faults as u64) as u32;
+        let count = 1 + (rng.next_u64() % max_faults as u64) as u32;
         let mut targets: Vec<usize> = (0..nodes as usize).collect();
         for k in 0..count as usize {
             // Partial Fisher–Yates: pick the k-th distinct target.
-            let j = k + (rng.next() as usize) % (targets.len() - k);
+            let j = k + (rng.next_u64() as usize) % (targets.len() - k);
             targets.swap(k, j);
             let node = targets[k];
-            let kind = match rng.next() % NUM_FAULT_KINDS {
+            let kind = match rng.next_u64() % NUM_FAULT_KINDS {
                 0 => FaultKind::Crash,
-                1 => FaultKind::TransientOom { failures: 1 + (rng.next() % 2) as u32 },
-                2 => FaultKind::SlowNode { multiplier: 2.0 + (rng.next() % 6) as f64 },
-                3 => FaultKind::DegradedNic { multiplier: 2.0 + (rng.next() % 4) as f64 },
+                1 => FaultKind::TransientOom { failures: 1 + (rng.next_u64() % 2) as u32 },
+                2 => FaultKind::SlowNode { multiplier: 2.0 + (rng.next_u64() % 6) as f64 },
+                3 => FaultKind::DegradedNic { multiplier: 2.0 + (rng.next_u64() % 4) as f64 },
                 _ => FaultKind::BitFlip {
-                    chunks: 1 + (rng.next() % 3) as u32,
-                    bits_per_chunk: 1 + (rng.next() % 3) as u32,
+                    chunks: 1 + (rng.next_u64() % 3) as u32,
+                    bits_per_chunk: 1 + (rng.next_u64() % 3) as u32,
                 },
             };
             plan = plan.with(node, kind);
@@ -257,25 +259,6 @@ impl Default for RecoveryReport {
             integrity_detected: 0,
             integrity_repaired: 0,
         }
-    }
-}
-
-/// SplitMix64 — the same counter-based generator family the TPC-H
-/// generator uses, re-implemented here so fault plans stay deterministic
-/// without growing a dependency.
-pub(crate) struct SplitMix64(u64);
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 

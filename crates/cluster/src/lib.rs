@@ -31,17 +31,17 @@ use std::fmt;
 use std::sync::Arc;
 
 use distribute::{distribute, Distributed, Strategy, PARTIALS_TABLE};
-use faults::{FaultKind, FaultPlan, Reassignment, RecoveryPolicy, RecoveryReport, SplitMix64};
+use faults::{FaultKind, FaultPlan, Reassignment, RecoveryPolicy, RecoveryReport};
 use memory::{MeasuredPeak, MemoryModel};
 use wimpi_engine::{
-    optimizer, CancelToken, EngineConfig, EngineError, LogicalPlan, QueryContext, Relation,
+    optimizer, CancelToken, EngineConfig, EngineError, LogicalPlan, QueryContext, Relation, Tracer,
     WorkProfile,
 };
 use wimpi_hwsim::{pi3b, predict, HwProfile};
 use wimpi_microbench::NetModel;
 use wimpi_obs::Registry;
 use wimpi_queries::QueryPlan;
-use wimpi_storage::{Catalog, Column, Field, Schema, Table};
+use wimpi_storage::{Catalog, Column, Field, Schema, SplitMix64, Table};
 use wimpi_tpch::Generator;
 
 /// Histogram bounds for simulated backoff delays
@@ -568,70 +568,16 @@ impl WimpiCluster {
             }
         }
 
-        // Phase 4 — ship partials to the driver (its NIC is the bottleneck).
-        // Partial *aggregates* have SF-independent size; shipped *rows*
-        // scale with the modelled SF. A degraded executor NIC multiplies
-        // that partition's transfer time.
-        let row_scale = match strategy {
-            Strategy::PartialAggPushdown => 1.0,
-            Strategy::ShipRows => self.config.model_scale,
-        };
-        let mut bytes_shipped = 0u64;
-        let mut nic_extra_s = 0.0f64;
-        let mut shippers = 0usize;
-        for (p, rel) in partials.iter().enumerate() {
-            let Some(rel) = rel else { continue };
-            let b = (rel.stream_bytes() as f64 * row_scale) as u64;
-            bytes_shipped += b;
-            shippers += 1;
-            if let Some(FaultKind::DegradedNic { multiplier }) = faults.fault(executor[p]) {
-                let base_s = self.config.net.transfer_s(b) - self.config.net.latency_ms / 1e3;
-                nic_extra_s += base_s * (multiplier.max(1.0) - 1.0);
-            }
-        }
-        let network_seconds = self.config.net.transfer_s(bytes_shipped)
-            + self.config.net.latency_ms / 1e3 * shippers as f64
-            + nic_extra_s;
-        report.recovery_seconds += nic_extra_s;
-
-        // Phase 5 — merge on the driver node; compute coverage.
-        let covered: Vec<Relation> = partials.iter().flatten().cloned().collect();
-        let (covered_rows, total_rows) = self.coverage_rows(&partials);
-        report.coverage =
-            if total_rows == 0 { 1.0 } else { covered_rows as f64 / total_rows as f64 };
-        report.degraded = covered_rows < total_rows;
-        let merged_input = concat_relations(&covered)?;
-        let mut merge_cat = Catalog::new();
-        merge_cat.register(PARTIALS_TABLE, relation_to_table(&merged_input)?);
-        // Driver-side plans may reference replicated tables above the
-        // decomposition point (e.g. Q15's supplier join); share node 0's
-        // replica — replicated tables are identical on every node.
-        for t in merge_plan.tables() {
-            if t != PARTIALS_TABLE {
-                merge_cat.register_shared(&t, Arc::clone(self.node_catalogs[0].table(&t)?));
-            }
-        }
-        let merge_base = (merged_input.stream_bytes() as f64 * row_scale) as u64;
-        let (result, mut merge_prof, merge_penalty) = match self.priced_execution(
-            &EngineConfig::serial(),
+        // Phases 4–5 — ship partials to the driver and merge there.
+        let (result, network_seconds, merge_seconds, bytes_shipped) = self.ship_and_merge(
+            query,
+            strategy,
             &merge_plan,
-            &merge_cat,
-            merge_base,
-            row_scale,
-        )? {
-            Priced::Fit { rel, prof, penalty_s, budgeted, .. } => {
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                (rel, prof, penalty_s)
-            }
-            Priced::Oom { needed } => {
-                return Err(ClusterError::NodeOom { query: query.into(), node: 0, needed })
-            }
-        };
-        merge_prof.network_bytes = bytes_shipped;
-        let merge_seconds =
-            predict(&self.pi, &merge_prof, self.config.node_threads).total_s() + merge_penalty;
+            &partials,
+            &executor,
+            faults,
+            &mut report,
+        )?;
         let nodes_used = {
             let mut ex: Vec<usize> = partials
                 .iter()
@@ -654,6 +600,86 @@ impl WimpiCluster {
             nodes_used,
             recovery: report,
         })
+    }
+
+    /// The tail every distributed run shares, whoever routed it: ship each
+    /// covered partial from its `executor` to the driver (whose NIC is the
+    /// bottleneck), then merge there. Partial *aggregates* have
+    /// SF-independent size; shipped *rows* scale with the modelled SF. A
+    /// degraded executor NIC multiplies that partition's transfer time.
+    /// Fills `report`'s coverage; returns `(result, network seconds, merge
+    /// seconds, bytes shipped)`.
+    #[allow(clippy::too_many_arguments)]
+    fn ship_and_merge(
+        &self,
+        query: &str,
+        strategy: Strategy,
+        merge_plan: &LogicalPlan,
+        partials: &[Option<Relation>],
+        executor: &[usize],
+        faults: &FaultPlan,
+        report: &mut RecoveryReport,
+    ) -> Result<(Relation, f64, f64, u64)> {
+        let row_scale = match strategy {
+            Strategy::PartialAggPushdown => 1.0,
+            Strategy::ShipRows => self.config.model_scale,
+        };
+        let mut bytes_shipped = 0u64;
+        let mut nic_extra_s = 0.0f64;
+        let mut shippers = 0usize;
+        for (p, rel) in partials.iter().enumerate() {
+            let Some(rel) = rel else { continue };
+            let b = (rel.stream_bytes() as f64 * row_scale) as u64;
+            bytes_shipped += b;
+            shippers += 1;
+            if let Some(FaultKind::DegradedNic { multiplier }) = faults.fault(executor[p]) {
+                let base_s = self.config.net.transfer_s(b) - self.config.net.latency_ms / 1e3;
+                nic_extra_s += base_s * (multiplier.max(1.0) - 1.0);
+            }
+        }
+        let network_seconds = self.config.net.transfer_s(bytes_shipped)
+            + self.config.net.latency_ms / 1e3 * shippers as f64
+            + nic_extra_s;
+        report.recovery_seconds += nic_extra_s;
+
+        let covered: Vec<Relation> = partials.iter().flatten().cloned().collect();
+        let (covered_rows, total_rows) = self.coverage_rows(partials);
+        report.coverage =
+            if total_rows == 0 { 1.0 } else { covered_rows as f64 / total_rows as f64 };
+        report.degraded = covered_rows < total_rows;
+        let merged_input = concat_relations(&covered)?;
+        let mut merge_cat = Catalog::new();
+        merge_cat.register(PARTIALS_TABLE, relation_to_table(&merged_input)?);
+        // Driver-side plans may reference replicated tables above the
+        // decomposition point (e.g. Q15's supplier join); share node 0's
+        // replica — replicated tables are identical on every node.
+        for t in merge_plan.tables() {
+            if t != PARTIALS_TABLE {
+                merge_cat.register_shared(&t, Arc::clone(self.node_catalogs[0].table(&t)?));
+            }
+        }
+        let merge_base = (merged_input.stream_bytes() as f64 * row_scale) as u64;
+        let (result, mut merge_prof, merge_penalty) = match self.priced_execution(
+            &EngineConfig::serial(),
+            merge_plan,
+            &merge_cat,
+            merge_base,
+            row_scale,
+        )? {
+            Priced::Fit { rel, prof, penalty_s, budgeted, .. } => {
+                if budgeted {
+                    report.budget_degraded += 1;
+                }
+                (rel, prof, penalty_s)
+            }
+            Priced::Oom { needed } => {
+                return Err(ClusterError::NodeOom { query: query.into(), node: 0, needed })
+            }
+        };
+        merge_prof.network_bytes = bytes_shipped;
+        let merge_seconds =
+            predict(&self.pi, &merge_prof, self.config.node_threads).total_s() + merge_penalty;
+        Ok((result, network_seconds, merge_seconds, bytes_shipped))
     }
 
     /// The backoff delay for `attempt`, recorded into the backoff histogram
@@ -716,56 +742,35 @@ impl WimpiCluster {
         base: u64,
         scale: f64,
     ) -> Result<Priced> {
-        let ctx = QueryContext::new();
-        let run = wimpi_engine::execute_query_governed(plan, cat, cfg, &ctx);
-        self.note_integrity_checks(&ctx);
-        let (rel, prof) = run?;
-        let prof = prof.scale(scale);
-        match self.config.memory.evaluate_measured(base, &prof, scaled_peak(&ctx, scale)) {
-            Ok(penalty_s) => {
-                Ok(Priced::Fit { rel, prof, penalty_s, cancel: ctx.cancel, budgeted: false })
+        let mut needed = 0;
+        for budgeted in [false, true] {
+            let ctx = if budgeted {
+                let avail = self.config.memory.available() as f64;
+                QueryContext::with_budget(((avail / scale) as u64).max(1))
+            } else {
+                QueryContext::new()
+            };
+            let run = wimpi_engine::execute_query_with(plan, cat, cfg, &ctx, Tracer::off());
+            let checks = ctx.integrity_checks();
+            if checks > 0 {
+                self.metrics.inc("integrity_checks_total", checks);
             }
-            Err(needed) => self.budgeted_retry(cfg, plan, cat, base, scale, needed),
-        }
-    }
-
-    /// Folds a governed run's scan-verification check count into the
-    /// registry (no-op for unverified runs).
-    fn note_integrity_checks(&self, ctx: &QueryContext) {
-        let checks = ctx.integrity_checks();
-        if checks > 0 {
-            self.metrics.inc("integrity_checks_total", checks);
-        }
-    }
-
-    /// The one reduced-budget retry behind [`Self::priced_execution`].
-    fn budgeted_retry(
-        &self,
-        cfg: &EngineConfig,
-        plan: &LogicalPlan,
-        cat: &Catalog,
-        base: u64,
-        scale: f64,
-        needed: u64,
-    ) -> Result<Priced> {
-        let budget = ((self.config.memory.available() as f64 / scale) as u64).max(1);
-        let ctx = QueryContext::with_budget(budget);
-        let run = wimpi_engine::execute_query_governed(plan, cat, cfg, &ctx);
-        self.note_integrity_checks(&ctx);
-        match run {
-            Ok((rel, prof)) => {
-                let prof = prof.scale(scale);
-                match self.config.memory.evaluate_measured(base, &prof, scaled_peak(&ctx, scale)) {
-                    Ok(penalty_s) => {
+            let (rel, prof) = match run {
+                Err(EngineError::ResourceExhausted { .. }) if budgeted => break,
+                run => run?,
+            };
+            let prof = prof.scale(scale);
+            match self.config.memory.evaluate_measured(base, &prof, scaled_peak(&ctx, scale)) {
+                Ok(penalty_s) => {
+                    if budgeted {
                         self.metrics.inc("cluster_degraded_budget_runs_total", 1);
-                        Ok(Priced::Fit { rel, prof, penalty_s, cancel: ctx.cancel, budgeted: true })
                     }
-                    Err(still_needed) => Ok(Priced::Oom { needed: still_needed }),
+                    return Ok(Priced::Fit { rel, prof, penalty_s, cancel: ctx.cancel, budgeted });
                 }
+                Err(short) => needed = short,
             }
-            Err(EngineError::ResourceExhausted { .. }) => Ok(Priced::Oom { needed }),
-            Err(e) => Err(e.into()),
         }
+        Ok(Priced::Oom { needed })
     }
 
     /// One node's attempt at its home partition, with transient faults
@@ -990,8 +995,8 @@ impl WimpiCluster {
         );
         let mut dirty: Table = (**t).clone();
         for _ in 0..chunks.max(1) {
-            let kind = rng.next() % 8;
-            let seed = rng.next();
+            let kind = rng.next_u64() % 8;
+            let seed = rng.next_u64();
             if kind == 0 {
                 if let Some(m) = dirty.manifest() {
                     let poisoned = wimpi_storage::integrity::corrupt_manifest(m, seed);
@@ -1002,7 +1007,7 @@ impl WimpiCluster {
             if col_indices.is_empty() {
                 break;
             }
-            let ci = col_indices[(rng.next() as usize) % col_indices.len()];
+            let ci = col_indices[(rng.next_u64() as usize) % col_indices.len()];
             let col = Arc::clone(dirty.column(ci));
             if kind == 1 && matches!(col.as_ref(), Column::Str(_)) {
                 let poisoned = wimpi_storage::integrity::corrupt_dict_values(
@@ -1022,7 +1027,7 @@ impl WimpiCluster {
                 .map(|m| m.chunk_rows())
                 .unwrap_or(wimpi_storage::morsel::DEFAULT_MORSEL_ROWS);
             let ranges = wimpi_storage::morsel::morsel_ranges(n, chunk_rows);
-            let r = ranges[(rng.next() as usize) % ranges.len()].clone();
+            let r = ranges[(rng.next_u64() as usize) % ranges.len()].clone();
             let poisoned =
                 wimpi_storage::integrity::flip_bits(col.as_ref(), r, bits_per_chunk.max(1), seed);
             dirty = dirty.with_replaced_column(ci, poisoned)?;
@@ -1698,11 +1703,12 @@ mod tests {
         let hard: u64 = (0..2)
             .map(|i| {
                 let ctx = QueryContext::new();
-                wimpi_engine::execute_query_governed(
+                wimpi_engine::execute_query_with(
                     &node_plan,
                     probe_cluster.node_catalog(i),
                     &serial,
                     &ctx,
+                    Tracer::off(),
                 )
                 .unwrap();
                 ctx.hard_high_water()
@@ -1716,11 +1722,12 @@ mod tests {
             .find(|&avail| {
                 (0..2).all(|i| {
                     let ctx = QueryContext::with_budget(avail);
-                    wimpi_engine::execute_query_governed(
+                    wimpi_engine::execute_query_with(
                         &node_plan,
                         probe_cluster.node_catalog(i),
                         &serial,
                         &ctx,
+                        Tracer::off(),
                     )
                     .is_ok()
                         && ctx.fallbacks() > 0

@@ -14,9 +14,7 @@ use wimpi_cluster::{scan_bytes, ClusterConfig, WimpiCluster};
 use wimpi_engine::{EngineConfig, EngineError, Executor, QueryContext, Result, WorkProfile};
 use wimpi_hwsim::micro;
 use wimpi_hwsim::{all_profiles, predict_all_cores, predict_single_core, HwProfile};
-use wimpi_queries::{
-    query, run as run_query, run_governed, run_with, QueryPlan, CHOKEPOINT_QUERIES,
-};
+use wimpi_queries::{query, run as run_query, run_governed, QueryPlan, CHOKEPOINT_QUERIES};
 use wimpi_storage::morsel::DEFAULT_MORSEL_ROWS;
 use wimpi_storage::spill::{SpillConfig, SpillDisk};
 use wimpi_storage::Catalog;
@@ -507,9 +505,9 @@ impl Study {
             let disk = Arc::new(SpillDisk::new(SpillConfig::with_capacity(u64::MAX)));
             let ctx = QueryContext::with_budget(budget).with_spill(disk);
             runs.push([
-                run_with(&plan, &raw, &serial)?.1.scale(scale),
-                run_with(&plan, &raw, &fused)?.1.scale(scale),
-                run_with(&plan, &clustered, &pruning)?.1.scale(scale),
+                run_governed(&plan, &raw, &serial, &QueryContext::default())?.1.scale(scale),
+                run_governed(&plan, &raw, &fused, &QueryContext::default())?.1.scale(scale),
+                run_governed(&plan, &clustered, &pruning, &QueryContext::default())?.1.scale(scale),
                 run_governed(&plan, &raw, &serial, &ctx)?.1.scale(scale),
             ]);
         }

@@ -2,7 +2,7 @@
 //!
 //! The reproduced study itself: one experiment runner per table/figure of
 //! the paper ([`experiments`]), the paper's published numbers for
-//! side-by-side comparison ([`reference`]), and report generation
+//! side-by-side comparison ([`mod@reference`]), and report generation
 //! ([`report`]). The `wimpi-bench` binaries are thin wrappers over this
 //! crate.
 

@@ -12,7 +12,7 @@
 //! `Executor::Materialize` runs conjunct-at-a-time — one pass over every
 //! morsel per conjunct, an `eval` span each — and charges what MonetDB's
 //! column-at-a-time execution would pay for that pass: the conjunct's
-//! full-materialization [`Cost`] over the candidates it saw, plus, once
+//! full-materialization `Cost` over the candidates it saw, plus, once
 //! there is a candidate list, the gather of the columns it touches.
 //! `Executor::Fused` runs morsel-at-a-time — every conjunct over one morsel
 //! before the next morsel — and charges only the base-column bytes it
@@ -25,7 +25,7 @@ use crate::exec::bytecode::Ty;
 use crate::exec::fused::{compile_conjunct, compile_conjuncts, filter_morsel, Pred};
 use crate::exec::parallel::{morsel_ranges, run_morsels, EngineConfig, Executor};
 use crate::exec::prune::ScanPruner;
-use crate::exec::{ensure_u32_indexable, expr_sketch};
+use crate::exec::{ensure_u32_indexable, expr_sketch, Scope};
 use crate::expr::Expr;
 use crate::governor::QueryContext;
 use crate::optimizer::split_conjuncts;
@@ -127,17 +127,10 @@ fn conjunct_at_a_time(
             prof.pruned_bytes += rows * pred.width_bytes();
             continue;
         }
-        let traced = tracer.is_enabled();
-        if traced {
-            tracer.push("eval", &expr_sketch(&parts[k]));
-        }
+        let span = Scope::open(tracer, prof, || ("eval", expr_sketch(&parts[k])));
         if seeded && rows == 0 {
-            if traced {
-                tracer.pop(0, 0, Vec::new());
-            }
             break;
         }
-        let before = *prof;
         if seeded {
             // The modelled gather: only the columns this conjunct touches,
             // only for the surviving candidates.
@@ -159,9 +152,7 @@ fn conjunct_at_a_time(
             selection::put_scratch(old.unwrap_or_default());
         }
         seeded = true;
-        if traced {
-            tracer.pop(rows, count(&cands), prof.delta_since(&before).counter_pairs());
-        }
+        span.close(rows, count(&cands), prof);
     }
     let mut sel = selection::take_scratch();
     for (c, r) in cands.into_iter().zip(ranges) {

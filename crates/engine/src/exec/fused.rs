@@ -38,7 +38,7 @@ use std::time::Instant;
 use super::aggregate::{self, MorselAgg, SlotAgg};
 use super::bytecode::{self, Cost, Program};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
-use super::{ensure_u32_indexable, expr_sketch, filter, prune};
+use super::{ensure_u32_indexable, expr_sketch, filter, prune, Scope};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::governor::QueryContext;
@@ -557,54 +557,25 @@ fn materializing_tail(
 ) -> Result<(u64, Relation)> {
     let cfg = &cfg.with_executor(Executor::Materialize);
     let rows_in = src.num_rows() as u64;
-    let traced = tracer.is_enabled();
-    if traced {
+    if tracer.is_enabled() {
         tracer.attach(Span::leaf("fallback", reason));
     }
     let mut rel = src.clone();
     for f in filters {
         ctx.checkpoint()?;
-        if traced {
-            tracer.push("filter", &expr_sketch(f));
-        }
-        let before = *prof;
-        let fin = rel.num_rows() as u64;
-        let out = match filter::exec_filter(&rel, f, None, prof, cfg, tracer, ctx) {
-            Ok(out) => out,
-            Err(e) => {
-                if traced {
-                    tracer.pop(0, 0, Vec::new());
-                }
-                return Err(e);
-            }
-        };
+        let span = Scope::open(tracer, prof, || ("filter", expr_sketch(f)));
+        let out = filter::exec_filter(&rel, f, None, prof, cfg, tracer, ctx)?;
         ctx.track(out.stream_bytes() as u64);
         prof.peak_bytes = prof.peak_bytes.max(ctx.high_water());
-        if traced {
-            tracer.pop(fin, out.num_rows() as u64, prof.delta_since(&before).counter_pairs());
-        }
+        span.close(rel.num_rows() as u64, out.num_rows() as u64, prof);
         rel = out;
     }
     ctx.checkpoint()?;
-    if traced {
-        tracer.push("aggregate", &format!("{} keys, {} aggs", group_by.len(), aggs.len()));
-    }
-    let before = *prof;
-    let fin = rel.num_rows() as u64;
-    match aggregate::exec_aggregate(&rel, group_by, aggs, prof, cfg, tracer, ctx) {
-        Ok(out) => {
-            if traced {
-                tracer.pop(fin, out.num_rows() as u64, prof.delta_since(&before).counter_pairs());
-            }
-            // The enclosing exec_node wrapper tracks the output and ratchets
-            // the peak, exactly as it would for a materializing Aggregate.
-            Ok((rows_in, out))
-        }
-        Err(e) => {
-            if traced {
-                tracer.pop(0, 0, Vec::new());
-            }
-            Err(e)
-        }
-    }
+    let label = || format!("{} keys, {} aggs", group_by.len(), aggs.len());
+    let span = Scope::open(tracer, prof, || ("aggregate", label()));
+    let out = aggregate::exec_aggregate(&rel, group_by, aggs, prof, cfg, tracer, ctx)?;
+    span.close(rel.num_rows() as u64, out.num_rows() as u64, prof);
+    // The enclosing exec_node wrapper tracks the output and ratchets the
+    // peak, exactly as it would for a materializing Aggregate.
+    Ok((rows_in, out))
 }

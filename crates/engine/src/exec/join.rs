@@ -270,48 +270,22 @@ fn probe<K: Hash + Eq + Send + Sync>(
         let probe_started = traced.then(std::time::Instant::now);
         let mut lsel = Vec::new();
         let mut rsel = Vec::new();
-        if sink.is_enabled() {
-            // Chunk the scan by morsel boundaries (pure bookkeeping — the
-            // iteration order is unchanged) so the serial trace has the same
-            // morsel children the parallel probe records.
-            for (mi, r) in morsel_ranges(nleft, cfg.morsel_rows).into_iter().enumerate() {
-                if ctx.interrupted() {
-                    break;
-                }
-                let rows = r.len() as u64;
-                let m0 = std::time::Instant::now();
-                for i in r {
-                    emit_row(
-                        i,
-                        head.get(&lkey(i)).copied(),
-                        &next,
-                        join_type,
-                        &mut lsel,
-                        &mut rsel,
-                    );
-                }
-                sink.record(MorselSpan {
-                    index: mi,
-                    rows,
-                    worker: 0,
-                    wall_ns: m0.elapsed().as_nanos() as u64,
-                });
+        // The scan is chunked by morsel boundaries (pure bookkeeping — the
+        // iteration order is unchanged) so cancellation is checked per morsel
+        // and the serial trace has the same morsel children the parallel
+        // probe records.
+        for (mi, r) in morsel_ranges(nleft, cfg.morsel_rows).into_iter().enumerate() {
+            if ctx.interrupted() {
+                break;
             }
-        } else {
-            for r in morsel_ranges(nleft, cfg.morsel_rows) {
-                if ctx.interrupted() {
-                    break;
-                }
-                for i in r {
-                    emit_row(
-                        i,
-                        head.get(&lkey(i)).copied(),
-                        &next,
-                        join_type,
-                        &mut lsel,
-                        &mut rsel,
-                    );
-                }
+            let rows = r.len() as u64;
+            let m0 = traced.then(std::time::Instant::now);
+            for i in r {
+                emit_row(i, head.get(&lkey(i)).copied(), &next, join_type, &mut lsel, &mut rsel);
+            }
+            if let Some(m0) = m0 {
+                let wall_ns = m0.elapsed().as_nanos() as u64;
+                sink.record(MorselSpan { index: mi, rows, worker: 0, wall_ns });
             }
         }
         ctx.checkpoint()?;

@@ -2,13 +2,14 @@
 //! interpreter over [`LogicalPlan`] — the MonetDB execution style the paper
 //! benchmarks. Every operator charges its work to a [`WorkProfile`].
 //!
-//! Execution can be traced: [`execute_traced`] threads an enabled
-//! [`Tracer`] through the interpreter, and every operator becomes a span in
-//! a tree mirroring the plan. Span counters are *inclusive* (operator plus
-//! its inputs), measured as work-profile deltas around each subtree, so
-//! summing each span's `self` counters reproduces the query's total profile
-//! exactly. The default path passes [`Tracer::off`], which reduces every
-//! trace call to a branch on a `None`.
+//! Tracing is an argument, not a second entry point: [`execute`] threads the
+//! caller's [`Tracer`] through the interpreter, and under an enabled one
+//! every operator becomes a span in a tree mirroring the plan. Span counters
+//! are *inclusive* (operator plus its inputs), measured as work-profile
+//! deltas around each subtree, so summing each span's `self` counters
+//! reproduces the query's total profile exactly. Callers that want no trace
+//! pass [`Tracer::off`], which reduces every trace call to a branch on a
+//! `None` (see [`Scope`]).
 
 pub mod aggregate;
 pub mod bytecode;
@@ -30,82 +31,79 @@ use crate::plan::LogicalPlan;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use parallel::{EngineConfig, Executor};
-use wimpi_obs::{Span, Tracer};
+use wimpi_obs::Tracer;
 use wimpi_storage::Catalog;
 
-/// Executes a plan serially — today's default; identical to
-/// [`execute_with`] under [`EngineConfig::serial`].
-pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<(Relation, WorkProfile)> {
-    execute_with(plan, catalog, &EngineConfig::serial())
-}
-
-/// Executes a plan against a catalog under an execution configuration,
-/// returning the result relation and the work performed. Results and work
-/// profiles are bit-identical at any thread count (see [`parallel`]).
-pub fn execute_with(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-) -> Result<(Relation, WorkProfile)> {
-    execute_governed(plan, catalog, cfg, &QueryContext::default())
-}
-
-/// [`execute_with`] under a resource governor: the context's budget caps
-/// operator scratch allocations (joins/aggregates degrade to Grace
-/// partitioning before erroring), its token/deadline cancel cooperatively at
-/// morsel boundaries, and the measured peak lands in
-/// [`WorkProfile::peak_bytes`]. The default context reproduces ungoverned
-/// execution exactly.
-pub fn execute_governed(
+/// Executes a plan against a catalog — the interpreter's one entry point.
+///
+/// `cfg` picks the executor, thread count and scan options; results and work
+/// profiles are bit-identical at any thread count (see [`parallel`]). `ctx`
+/// is the resource governor: its budget caps operator scratch (joins and
+/// aggregates degrade to Grace partitioning before erroring), its
+/// token/deadline cancel cooperatively at morsel boundaries, and the measured
+/// peak lands in [`WorkProfile::peak_bytes`]; the default context is
+/// ungoverned. `tracer` is [`Tracer::off`] for an untraced run; an `EXPLAIN
+/// ANALYZE` caller passes [`Tracer::enabled`] and takes its root afterwards —
+/// a `query` span whose counters equal the returned profile exactly (one
+/// tracer records one call). Tracing never changes results or profiles.
+pub fn execute(
     plan: &LogicalPlan,
     catalog: &Catalog,
     cfg: &EngineConfig,
     ctx: &QueryContext,
+    tracer: &Tracer,
 ) -> Result<(Relation, WorkProfile)> {
     let mut prof = WorkProfile::new();
-    let rel = exec_node(plan, catalog, &mut prof, cfg, Tracer::off(), ctx)?;
+    let span = Scope::open(tracer, &prof, || ("query", String::new()));
+    let rel = exec_node(plan, catalog, &mut prof, cfg, tracer, ctx)?;
     prof.rows_out = rel.num_rows() as u64;
+    span.close(prof.rows_in, prof.rows_out, &prof);
     Ok((rel, prof))
 }
 
-/// Executes a plan with operator-level tracing, returning the result, the
-/// work profile, and the query's span tree. The root span's counters equal
-/// the returned profile exactly, and every span's `self` counters sum back
-/// to that root (the invariant `wimpi-core`'s trace checker enforces).
-pub fn execute_traced(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-) -> Result<(Relation, WorkProfile, Span)> {
-    execute_traced_governed(plan, catalog, cfg, &QueryContext::default())
+/// One open trace span around a stretch of work on a profile. [`Scope::close`]
+/// records the rows and the profile delta since [`Scope::open`]; a scope
+/// dropped unclosed — an early `?` — closes empty, which keeps the span stack
+/// balanced (the trace is discarded on error anyway). With the tracer off a
+/// scope is inert: no label is built, no profile snapshot taken.
+pub(crate) struct Scope<'a> {
+    tracer: &'a Tracer,
+    before: Option<WorkProfile>,
 }
 
-/// [`execute_traced`] under a resource governor (see [`execute_governed`]).
-pub fn execute_traced_governed(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile, Span)> {
-    let tracer = Tracer::enabled();
-    tracer.push("query", "");
-    let mut prof = WorkProfile::new();
-    let rel = match exec_node(plan, catalog, &mut prof, cfg, &tracer, ctx) {
-        Ok(rel) => rel,
-        Err(e) => {
-            tracer.pop(0, 0, Vec::new());
-            return Err(e);
+impl<'a> Scope<'a> {
+    pub(crate) fn open(
+        tracer: &'a Tracer,
+        prof: &WorkProfile,
+        head: impl FnOnce() -> (&'static str, String),
+    ) -> Self {
+        let before = tracer.is_enabled().then(|| {
+            let (op, label) = head();
+            tracer.push(op, &label);
+            *prof
+        });
+        Scope { tracer, before }
+    }
+
+    pub(crate) fn close(mut self, rows_in: u64, rows_out: u64, prof: &WorkProfile) {
+        if let Some(before) = self.before.take() {
+            self.tracer.pop(rows_in, rows_out, prof.delta_since(&before).counter_pairs());
         }
-    };
-    prof.rows_out = rel.num_rows() as u64;
-    tracer.pop(prof.rows_in, prof.rows_out, prof.counter_pairs());
-    let span = tracer.take_root().expect("traced execution produces a root span");
-    Ok((rel, prof, span))
+    }
 }
 
-/// Recursive node interpreter; wraps every node in a trace span when the
-/// tracer is enabled. Every node entry is a cancellation checkpoint, and
-/// every node exit ratchets the measured memory peak into the profile.
+impl Drop for Scope<'_> {
+    fn drop(&mut self) {
+        // A panicking operator abandons its trace; never pop while unwinding.
+        if self.before.is_some() && !std::thread::panicking() {
+            self.tracer.pop(0, 0, Vec::new());
+        }
+    }
+}
+
+/// Recursive node interpreter; every node runs inside a [`Scope`]. Every
+/// node entry is a cancellation checkpoint, and every node exit ratchets the
+/// measured memory peak into the profile.
 pub(crate) fn exec_node(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -115,26 +113,11 @@ pub(crate) fn exec_node(
     ctx: &QueryContext,
 ) -> Result<Relation> {
     ctx.checkpoint()?;
-    if !tracer.is_enabled() {
-        let (_, rel) = exec_node_inner(plan, catalog, prof, cfg, tracer, ctx)?;
-        finish_node(plan, &rel, prof, ctx);
-        return Ok(rel);
-    }
-    let (op, label) = span_head(plan, cfg);
-    tracer.push(op, &label);
-    let before = *prof;
-    match exec_node_inner(plan, catalog, prof, cfg, tracer, ctx) {
-        Ok((rows_in, rel)) => {
-            finish_node(plan, &rel, prof, ctx);
-            tracer.pop(rows_in, rel.num_rows() as u64, prof.delta_since(&before).counter_pairs());
-            Ok(rel)
-        }
-        Err(e) => {
-            // Keep the span stack balanced; the trace is discarded on error.
-            tracer.pop(0, 0, Vec::new());
-            Err(e)
-        }
-    }
+    let span = Scope::open(tracer, prof, || span_head(plan, cfg));
+    let (rows_in, rel) = exec_node_inner(plan, catalog, prof, cfg, tracer, ctx)?;
+    finish_node(plan, &rel, prof, ctx);
+    span.close(rows_in, rel.num_rows() as u64, prof);
+    Ok(rel)
 }
 
 /// Closes out one operator under the governor: materialized intermediates
@@ -189,16 +172,10 @@ fn exec_node_inner(
             let n = rel.num_rows() as u64;
             let mut fields = Vec::with_capacity(exprs.len());
             for (e, name) in exprs {
-                let traced = tracer.is_enabled();
-                if traced {
-                    tracer.push("eval", name);
-                }
-                let before = *prof;
-                let col = Evaluator::with_config(&rel, prof, *cfg).eval(e);
-                if traced {
-                    tracer.pop(n, n, prof.delta_since(&before).counter_pairs());
-                }
-                fields.push((name.clone(), col?));
+                let span = Scope::open(tracer, prof, || ("eval", name.clone()));
+                let col = Evaluator::with_config(&rel, prof, *cfg).eval(e)?;
+                span.close(n, n, prof);
+                fields.push((name.clone(), col));
             }
             if fields.is_empty() {
                 return Err(EngineError::Plan("empty projection".to_string()));

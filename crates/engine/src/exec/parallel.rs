@@ -84,31 +84,21 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    /// One worker per available hardware thread.
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self {
-            threads,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            verify_checksums: false,
-            executor: Executor::Materialize,
-            prune_scans: false,
-        }
+        Self::with_threads(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 }
 
 impl EngineConfig {
     /// Single-threaded execution (the pre-parallel engine, exactly).
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            verify_checksums: false,
-            executor: Executor::Materialize,
-            prune_scans: false,
-        }
+        Self::with_threads(1)
     }
 
-    /// A config with `threads` workers and the default morsel size.
+    /// A config with `threads` workers and every other knob at its default:
+    /// the default morsel size, the materializing executor, no checksum
+    /// verification, no scan pruning.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),

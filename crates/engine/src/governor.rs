@@ -13,7 +13,7 @@
 //!   allocation (join build table, aggregate hash table, sort key buffer,
 //!   materialized intermediate). Dropping it releases the bytes.
 //! - [`QueryContext`] bundles the budget with a [`CancelToken`] and an
-//!   optional deadline, and is what `execute_governed`/`run_governed` thread
+//!   optional deadline, and is what `exec::execute`/`run_governed` thread
 //!   through the operator tree. Operators call [`QueryContext::checkpoint`]
 //!   at morsel boundaries; a cancelled or expired query returns
 //!   `EngineError::Cancelled` with the catalog untouched.

@@ -3,9 +3,14 @@
 //! A from-scratch, in-memory, columnar OLAP engine in the MonetDB
 //! column-at-a-time style — the substrate standing in for the DBMS the paper
 //! benchmarks (DESIGN.md §2). Queries are built with
-//! [`plan::PlanBuilder`], optimized by [`optimizer::optimize`], and executed
-//! by [`exec::execute`], which also returns the [`stats::WorkProfile`] that
-//! `wimpi-hwsim` prices under each hardware model.
+//! [`plan::PlanBuilder`] and optimized by [`optimizer::optimize`].
+//!
+//! [`exec::execute`] interprets an optimized plan under an [`EngineConfig`],
+//! a [`QueryContext`] (budget, cancellation, spill disk) and a [`Tracer`],
+//! returning the result and the [`stats::WorkProfile`] that `wimpi-hwsim`
+//! prices under each hardware model. [`execute_query_with`] puts the optimizer
+//! in front and [`execute_query`] is its defaults shorthand; tracing and
+//! governance are arguments of that one call, never a separate entry point.
 
 pub mod error;
 pub mod eval;
@@ -21,8 +26,8 @@ pub mod service;
 pub mod stats;
 
 pub use error::{EngineError, Result};
+pub use exec::execute;
 pub use exec::parallel::{EngineConfig, Executor};
-pub use exec::{execute, execute_governed, execute_traced, execute_traced_governed, execute_with};
 pub use expr::{col, date, dec2, lit, Expr};
 pub use governor::{BudgetParseError, CancelToken, MemoryReservation, QueryContext, Reservation};
 pub use params::{bind_params, bind_params_spanning, strip_params};
@@ -36,49 +41,27 @@ pub use wimpi_obs::{Span, Tracer};
 
 use wimpi_storage::Catalog;
 
-/// Optimizes and executes a plan — the everyday (serial) entry point.
+/// Optimizes and executes a plan with every default: serial, ungoverned,
+/// untraced — [`execute_query_with`] under [`EngineConfig::serial`].
 pub fn execute_query(plan: &LogicalPlan, catalog: &Catalog) -> Result<(Relation, WorkProfile)> {
-    execute_query_with(plan, catalog, &EngineConfig::serial())
+    execute_query_with(
+        plan,
+        catalog,
+        &EngineConfig::serial(),
+        &QueryContext::default(),
+        Tracer::off(),
+    )
 }
 
-/// Optimizes and executes a plan under an execution configuration. The
-/// morsel-driven kernels keep results and work profiles bit-identical at any
-/// thread count (see [`exec::parallel`]).
+/// Optimizes and executes a plan — [`exec::execute`] with the optimizer in
+/// front; see there for what `cfg`, `ctx` and `tracer` select.
 pub fn execute_query_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
     cfg: &EngineConfig,
+    ctx: &QueryContext,
+    tracer: &Tracer,
 ) -> Result<(Relation, WorkProfile)> {
     let optimized = optimizer::optimize(plan.clone(), catalog)?;
-    exec::execute_with(&optimized, catalog, cfg)
-}
-
-/// Optimizes and executes a plan under a resource governor: the context's
-/// memory budget caps operator scratch (with deterministic Grace-partitioned
-/// fallbacks before any error), and its cancel token/deadline stop the query
-/// cooperatively at morsel boundaries. With `QueryContext::default()` this
-/// is exactly [`execute_query_with`].
-pub fn execute_query_governed(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile)> {
-    let optimized = optimizer::optimize(plan.clone(), catalog)?;
-    exec::execute_governed(&optimized, catalog, cfg, ctx)
-}
-
-/// [`execute_query_governed`] with operator-level tracing enabled, returning
-/// the query's span tree alongside the result; `EXPLAIN ANALYZE` uses this to
-/// report measured per-operator peak bytes. Tracing adds a per-operator
-/// timing wrapper but never changes results or work profiles; the root
-/// span's counters equal the returned [`WorkProfile`] exactly.
-pub fn execute_query_traced_governed(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile, Span)> {
-    let optimized = optimizer::optimize(plan.clone(), catalog)?;
-    exec::execute_traced_governed(&optimized, catalog, cfg, ctx)
+    exec::execute(&optimized, catalog, cfg, ctx, tracer)
 }

@@ -445,8 +445,11 @@ mod tests {
             .build();
         let opt = optimize(plan.clone(), &cat).unwrap();
         check(&opt, &cat).unwrap();
-        let (r1, _) = crate::exec::execute(&plan, &cat).unwrap();
-        let (r2, _) = crate::exec::execute(&opt, &cat).unwrap();
+        let run = |p: &LogicalPlan| {
+            let (cfg, ctx) = (crate::EngineConfig::serial(), crate::QueryContext::default());
+            crate::exec::execute(p, &cat, &cfg, &ctx, crate::Tracer::off()).unwrap().0
+        };
+        let (r1, r2) = (run(&plan), run(&opt));
         assert_eq!(
             r1.column("s").unwrap().as_i64().unwrap(),
             r2.column("s").unwrap().as_i64().unwrap()

@@ -61,6 +61,45 @@ pub struct WorkProfile {
     pub spill_corruptions_detected: u64,
 }
 
+/// The ledger's counters, named once: `merge`, `delta_since`, `scale`, `+`
+/// and `counter_pairs` all go through the two functions generated here. `zip`
+/// builds the struct from exactly these fields, so a counter added to
+/// [`WorkProfile`] but not to this table does not compile.
+macro_rules! counter_table {
+    ($($field:ident),* $(,)?) => {
+        const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+        impl WorkProfile {
+            /// `f(self.c, o.c)` for every counter `c`.
+            fn zip(&self, o: &WorkProfile, f: impl Fn(u64, u64) -> u64) -> WorkProfile {
+                WorkProfile { $($field: f(self.$field, o.$field)),* }
+            }
+
+            /// Every counter with its name, in declaration order.
+            fn named(&self) -> [(&'static str, u64); COUNTERS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+        }
+    };
+}
+
+counter_table!(
+    cpu_ops,
+    seq_read_bytes,
+    seq_write_bytes,
+    rand_accesses,
+    hash_bytes,
+    rows_in,
+    rows_out,
+    network_bytes,
+    pruned_morsels,
+    pruned_bytes,
+    peak_bytes,
+    spilled_bytes,
+    spill_read_retries,
+    spill_corruptions_detected,
+);
+
 impl WorkProfile {
     /// An empty profile.
     pub fn new() -> Self {
@@ -81,118 +120,37 @@ impl WorkProfile {
     /// tests in `tests/property_tests.rs` pin this down. Merging profiles
     /// charged from global row counts reproduces the serial totals exactly.
     pub fn merge(&mut self, o: &WorkProfile) {
-        self.cpu_ops = self.cpu_ops.saturating_add(o.cpu_ops);
-        self.seq_read_bytes = self.seq_read_bytes.saturating_add(o.seq_read_bytes);
-        self.seq_write_bytes = self.seq_write_bytes.saturating_add(o.seq_write_bytes);
-        self.rand_accesses = self.rand_accesses.saturating_add(o.rand_accesses);
-        self.hash_bytes = self.hash_bytes.saturating_add(o.hash_bytes);
-        self.rows_in = self.rows_in.saturating_add(o.rows_in);
-        self.rows_out = self.rows_out.saturating_add(o.rows_out);
-        self.network_bytes = self.network_bytes.saturating_add(o.network_bytes);
-        self.pruned_morsels = self.pruned_morsels.saturating_add(o.pruned_morsels);
-        self.pruned_bytes = self.pruned_bytes.saturating_add(o.pruned_bytes);
-        self.peak_bytes = self.peak_bytes.saturating_add(o.peak_bytes);
-        self.spilled_bytes = self.spilled_bytes.saturating_add(o.spilled_bytes);
-        self.spill_read_retries = self.spill_read_retries.saturating_add(o.spill_read_retries);
-        self.spill_corruptions_detected =
-            self.spill_corruptions_detected.saturating_add(o.spill_corruptions_detected);
+        *self = self.zip(o, u64::saturating_add);
     }
 
     /// Per-counter saturating difference `self - before`: the inclusive work
     /// performed between two profile snapshots, which is exactly what a trace
     /// span records (counters only grow, so this is exact in practice).
     pub fn delta_since(&self, before: &WorkProfile) -> WorkProfile {
-        WorkProfile {
-            cpu_ops: self.cpu_ops.saturating_sub(before.cpu_ops),
-            seq_read_bytes: self.seq_read_bytes.saturating_sub(before.seq_read_bytes),
-            seq_write_bytes: self.seq_write_bytes.saturating_sub(before.seq_write_bytes),
-            rand_accesses: self.rand_accesses.saturating_sub(before.rand_accesses),
-            hash_bytes: self.hash_bytes.saturating_sub(before.hash_bytes),
-            rows_in: self.rows_in.saturating_sub(before.rows_in),
-            rows_out: self.rows_out.saturating_sub(before.rows_out),
-            network_bytes: self.network_bytes.saturating_sub(before.network_bytes),
-            pruned_morsels: self.pruned_morsels.saturating_sub(before.pruned_morsels),
-            pruned_bytes: self.pruned_bytes.saturating_sub(before.pruned_bytes),
-            peak_bytes: self.peak_bytes.saturating_sub(before.peak_bytes),
-            spilled_bytes: self.spilled_bytes.saturating_sub(before.spilled_bytes),
-            spill_read_retries: self.spill_read_retries.saturating_sub(before.spill_read_retries),
-            spill_corruptions_detected: self
-                .spill_corruptions_detected
-                .saturating_sub(before.spill_corruptions_detected),
-        }
+        self.zip(before, u64::saturating_sub)
     }
 
     /// The counters as named pairs with zero entries omitted — the generic
     /// form `wimpi-obs` spans carry (obs sits below the engine in the
     /// dependency graph and cannot name `WorkProfile`).
     pub fn counter_pairs(&self) -> Vec<(String, u64)> {
-        [
-            ("cpu_ops", self.cpu_ops),
-            ("seq_read_bytes", self.seq_read_bytes),
-            ("seq_write_bytes", self.seq_write_bytes),
-            ("rand_accesses", self.rand_accesses),
-            ("hash_bytes", self.hash_bytes),
-            ("rows_in", self.rows_in),
-            ("rows_out", self.rows_out),
-            ("network_bytes", self.network_bytes),
-            ("pruned_morsels", self.pruned_morsels),
-            ("pruned_bytes", self.pruned_bytes),
-            ("peak_bytes", self.peak_bytes),
-            ("spilled_bytes", self.spilled_bytes),
-            ("spill_read_retries", self.spill_read_retries),
-            ("spill_corruptions_detected", self.spill_corruptions_detected),
-        ]
-        .into_iter()
-        .filter(|&(_, v)| v != 0)
-        .map(|(n, v)| (n.to_string(), v))
-        .collect()
+        self.named().into_iter().filter(|&(_, v)| v != 0).map(|(n, v)| (n.to_string(), v)).collect()
     }
 
     /// Scales every counter by an integer factor — used to extrapolate a
     /// measured SF to the paper's SF when the host can't hold the full data
     /// (all TPC-H choke-point work scales linearly in SF; DESIGN.md §4).
     pub fn scale(&self, factor: f64) -> WorkProfile {
-        let s = |v: u64| (v as f64 * factor).round() as u64;
-        WorkProfile {
-            cpu_ops: s(self.cpu_ops),
-            seq_read_bytes: s(self.seq_read_bytes),
-            seq_write_bytes: s(self.seq_write_bytes),
-            rand_accesses: s(self.rand_accesses),
-            hash_bytes: s(self.hash_bytes),
-            rows_in: s(self.rows_in),
-            rows_out: s(self.rows_out),
-            network_bytes: s(self.network_bytes),
-            pruned_morsels: s(self.pruned_morsels),
-            pruned_bytes: s(self.pruned_bytes),
-            peak_bytes: s(self.peak_bytes),
-            spilled_bytes: s(self.spilled_bytes),
-            spill_read_retries: s(self.spill_read_retries),
-            spill_corruptions_detected: s(self.spill_corruptions_detected),
-        }
+        self.zip(self, |v, _| (v as f64 * factor).round() as u64)
     }
 }
 
 impl Add for WorkProfile {
     type Output = WorkProfile;
 
+    /// Saturating, like [`WorkProfile::merge`]: the ledger has one addition.
     fn add(self, o: WorkProfile) -> WorkProfile {
-        WorkProfile {
-            cpu_ops: self.cpu_ops + o.cpu_ops,
-            seq_read_bytes: self.seq_read_bytes + o.seq_read_bytes,
-            seq_write_bytes: self.seq_write_bytes + o.seq_write_bytes,
-            rand_accesses: self.rand_accesses + o.rand_accesses,
-            hash_bytes: self.hash_bytes + o.hash_bytes,
-            rows_in: self.rows_in + o.rows_in,
-            rows_out: self.rows_out + o.rows_out,
-            network_bytes: self.network_bytes + o.network_bytes,
-            pruned_morsels: self.pruned_morsels + o.pruned_morsels,
-            pruned_bytes: self.pruned_bytes + o.pruned_bytes,
-            peak_bytes: self.peak_bytes + o.peak_bytes,
-            spilled_bytes: self.spilled_bytes + o.spilled_bytes,
-            spill_read_retries: self.spill_read_retries + o.spill_read_retries,
-            spill_corruptions_detected: self.spill_corruptions_detected
-                + o.spill_corruptions_detected,
-        }
+        self.zip(&o, u64::saturating_add)
     }
 }
 
@@ -207,31 +165,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_accumulates() {
-        let a = WorkProfile { cpu_ops: 10, seq_read_bytes: 100, ..Default::default() };
-        let b = WorkProfile { cpu_ops: 5, rand_accesses: 7, ..Default::default() };
-        let c = a + b;
-        assert_eq!(c.cpu_ops, 15);
-        assert_eq!(c.seq_read_bytes, 100);
-        assert_eq!(c.rand_accesses, 7);
-    }
-
-    #[test]
     fn seq_bytes_sums_read_write() {
         let p = WorkProfile { seq_read_bytes: 3, seq_write_bytes: 4, ..Default::default() };
         assert_eq!(p.seq_bytes(), 7);
     }
 
     #[test]
-    fn merge_matches_add_and_saturates() {
-        let a = WorkProfile { cpu_ops: 10, hash_bytes: 3, ..Default::default() };
-        let b = WorkProfile { cpu_ops: 5, rows_in: 2, ..Default::default() };
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m, a + b);
-        let mut s = WorkProfile { cpu_ops: u64::MAX - 1, ..Default::default() };
-        s.merge(&WorkProfile { cpu_ops: 7, ..Default::default() });
-        assert_eq!(s.cpu_ops, u64::MAX, "merge saturates instead of overflowing");
+    fn every_counter_takes_part_in_every_operation() {
+        // All fourteen fields spelled out: a fifteenth counter breaks this
+        // literal until it is added here (and `counter_table!` until it is
+        // added there), so it cannot be half-added.
+        let a = WorkProfile {
+            cpu_ops: 1,
+            seq_read_bytes: 2,
+            seq_write_bytes: 3,
+            rand_accesses: 4,
+            hash_bytes: 5,
+            rows_in: 6,
+            rows_out: 7,
+            network_bytes: 8,
+            pruned_morsels: 9,
+            pruned_bytes: 10,
+            peak_bytes: 11,
+            spilled_bytes: 12,
+            spill_read_retries: 13,
+            spill_corruptions_detected: 14,
+        };
+        let values =
+            |p: &WorkProfile| p.counter_pairs().iter().map(|(_, v)| *v).collect::<Vec<_>>();
+        assert_eq!(values(&a), (1..=14).collect::<Vec<u64>>(), "every field, declaration order");
+        assert_eq!(a.scale(1.0), a);
+        let b = a.scale(100.0);
+        let sum = a + b;
+        assert_eq!(values(&sum), (1..=14).map(|v| v * 101).collect::<Vec<u64>>());
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(merged, sum, "merge is the in-place `+`");
+        assert_eq!(sum.delta_since(&b), a);
+        assert_eq!(sum.delta_since(&a), b);
+        let mut top = WorkProfile { rows_out: u64::MAX - 1, ..a };
+        assert_eq!((top + a).rows_out, u64::MAX, "`+` saturates instead of overflowing");
+        top.merge(&a);
+        assert_eq!(top.rows_out, u64::MAX, "and so does merge");
     }
 
     #[test]

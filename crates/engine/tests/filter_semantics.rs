@@ -4,7 +4,9 @@
 
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, PlanBuilder};
-use wimpi_engine::{execute_with, EngineConfig, EngineError, Executor, Expr, Relation};
+use wimpi_engine::{
+    execute, EngineConfig, EngineError, Executor, Expr, QueryContext, Relation, Tracer,
+};
 use wimpi_storage::{Catalog, Column, DataType, Decimal64, Field, Schema, Table, Value};
 
 /// 300 rows sealed on a 100-row zone grid: `k` ascending, `d` a scale-1
@@ -46,7 +48,7 @@ fn configs() -> Vec<EngineConfig> {
 
 fn filtered(pred: Expr, cfg: &EngineConfig) -> Result<Relation, EngineError> {
     let plan = PlanBuilder::scan("t").filter(pred).build();
-    execute_with(&plan, &catalog(), cfg).map(|(rel, _)| rel)
+    execute(&plan, &catalog(), cfg, &QueryContext::default(), Tracer::off()).map(|(rel, _)| rel)
 }
 
 fn dec(mantissa: i64, scale: u8) -> Value {
@@ -107,11 +109,14 @@ fn string_forms_agree_across_executors() {
         .filter(col("s").substr(1, 2).eq(lit("al")).and(col("s").neq(col("u"))))
         .aggregate(vec![(col("u").substr(1, 3), "prefix")], vec![AggExpr::count_star("n")])
         .build();
-    let (reference, _) = execute_with(&plan, &cat, &EngineConfig::serial()).expect("runs");
+    let (reference, _) =
+        execute(&plan, &cat, &EngineConfig::serial(), &QueryContext::default(), Tracer::off())
+            .expect("runs");
     // alpha/alps rows (150) whose `u` differs, grouped by u's prefix.
     assert!(reference.num_rows() >= 2);
     for cfg in configs() {
-        let (rel, _) = execute_with(&plan, &cat, &cfg).expect("runs");
+        let (rel, _) =
+            execute(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off()).expect("runs");
         assert_eq!(rel, reference, "{cfg:?}");
     }
 }

@@ -54,8 +54,8 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Opens a span. Every `push` must be paired with exactly one [`pop`]
-    /// (`Tracer::pop`) on the same tracer, in LIFO order.
+    /// Opens a span. Every `push` must be paired with exactly one
+    /// [`Tracer::pop`] on the same tracer, in LIFO order.
     pub fn push(&self, op: &str, label: &str) {
         if let Some(stack) = &self.inner {
             let open = Open { span: Span::leaf(op, label), started: Instant::now() };

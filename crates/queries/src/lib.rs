@@ -6,6 +6,11 @@
 //! scalar subqueries become [`QueryPlan::TwoPhase`] (run the inner plan,
 //! extract one value, instantiate the outer plan with it).
 //!
+//! [`run_governed`] runs a [`QueryPlan`] under a config and a governor,
+//! [`run_traced_governed`] also returns the span tree, and [`run`] is the
+//! all-defaults shorthand. All go through [`run_phases`], the one place the
+//! two-phase protocol is written; the cluster coordinator shares it.
+//!
 //! `CHOKEPOINT_QUERIES` is the 8-query subset the paper uses for its
 //! distributed (SF 10) and execution-strategy experiments: Q1, Q3, Q4, Q5,
 //! Q6, Q13, Q14, Q19 (paper §II-D2, citing Boncz et al.'s choke-point
@@ -17,8 +22,8 @@ mod q12_17;
 mod q18_22;
 
 use wimpi_engine::{
-    execute_query_governed, execute_query_traced_governed, EngineConfig, LogicalPlan, QueryContext,
-    Relation, Result, Span, WorkProfile,
+    execute_query_with, EngineConfig, EngineError, LogicalPlan, QueryContext, Relation, Result,
+    Span, Tracer, WorkProfile,
 };
 use wimpi_storage::{Catalog, Value};
 
@@ -56,27 +61,84 @@ impl QueryPlan {
     }
 }
 
-/// Executes a query (all phases) serially, summing work profiles.
-pub fn run(q: &QueryPlan, catalog: &Catalog) -> Result<(Relation, WorkProfile)> {
-    run_with(q, catalog, &EngineConfig::serial())
+/// The two-phase protocol, written once: run `first`, read the scalar off
+/// row 0 of its result (an empty result means a neutral `0.0`), build and
+/// run `second` with it, and `merge` the two outcomes. A single-phase query
+/// is one call of `run_one`, which is handed each plan and whether it is a
+/// two-phase query's scalar pass; `result_of` finds the relation in whatever
+/// `run_one` returns.
+pub fn run_phases<T, E: From<EngineError>>(
+    q: &QueryPlan,
+    mut run_one: impl FnMut(&LogicalPlan, bool) -> std::result::Result<T, E>,
+    result_of: impl FnOnce(&T) -> &Relation,
+    merge: impl FnOnce(T, T) -> T,
+) -> std::result::Result<T, E> {
+    match q {
+        QueryPlan::Single(p) => run_one(p, false),
+        QueryPlan::TwoPhase { first, scalar_col, second } => {
+            let a = run_one(first, true)?;
+            let r1 = result_of(&a);
+            let scalar =
+                if r1.num_rows() == 0 { Value::F64(0.0) } else { r1.value(0, scalar_col)? };
+            let b = run_one(&second(scalar), false)?;
+            Ok(merge(a, b))
+        }
+    }
 }
 
-/// Executes a query (all phases) under an execution configuration. The
-/// morsel-driven engine keeps results bit-identical at any thread count.
-pub fn run_with(
+/// Runs every phase of `q` on one catalog, each with its own `new_tracer()`.
+/// Work profiles add. Single-phase queries return the engine's root span
+/// directly; two-phase queries nest each phase's tree under a synthetic root
+/// whose counters are the summed work profile, preserving the invariant that
+/// the root's totals equal the returned [`WorkProfile`].
+fn run_local(
     q: &QueryPlan,
     catalog: &Catalog,
     cfg: &EngineConfig,
-) -> Result<(Relation, WorkProfile)> {
-    run_governed(q, catalog, cfg, &QueryContext::default())
+    ctx: &QueryContext,
+    new_tracer: fn() -> Tracer,
+) -> Result<(Relation, WorkProfile, Option<Span>)> {
+    let run_one = |plan: &LogicalPlan, _| {
+        let tracer = new_tracer();
+        let (rel, prof) = execute_query_with(plan, catalog, cfg, ctx, &tracer)?;
+        Ok((rel, prof, tracer.take_root()))
+    };
+    run_phases(
+        q,
+        run_one,
+        |(rel, ..)| rel,
+        |(_, p1, s1), (r2, p2, s2)| {
+            let prof = p1 + p2;
+            let root = s1.zip(s2).map(|(mut s1, mut s2)| {
+                s1.op = "phase".to_string();
+                s1.label = "1 (scalar)".to_string();
+                s2.op = "phase".to_string();
+                s2.label = "2 (outer)".to_string();
+                let mut root = Span::leaf("query", "two-phase");
+                root.rows_in = prof.rows_in;
+                root.rows_out = prof.rows_out;
+                root.wall_ns = s1.wall_ns + s2.wall_ns;
+                root.counters = prof.counter_pairs();
+                root.children = vec![s1, s2];
+                root
+            });
+            (r2, prof, root)
+        },
+    )
 }
 
-/// Executes a query (all phases) under a resource governor. Both phases of a
-/// two-phase query share the one context: the budget, cancellation token,
-/// and deadline span the whole query, and the context's high-water mark is
-/// the true measured peak. Note that the summed profile's `peak_bytes`
-/// *overcounts* for two-phase queries (phase 2's ratchet starts from phase
-/// 1's peak, and the phase profiles are added) — read
+/// Executes a query (all phases) serially, summing work profiles.
+pub fn run(q: &QueryPlan, catalog: &Catalog) -> Result<(Relation, WorkProfile)> {
+    run_governed(q, catalog, &EngineConfig::serial(), &QueryContext::default())
+}
+
+/// Executes a query (all phases) under an execution configuration (results
+/// are bit-identical at any thread count) and a resource governor. Both
+/// phases of a two-phase query share the one context: the budget,
+/// cancellation token, and deadline span the whole query, and the context's
+/// high-water mark is the true measured peak. Note that the summed profile's
+/// `peak_bytes` *overcounts* for two-phase queries (phase 2's ratchet starts
+/// from phase 1's peak, and the phase profiles are added) — read
 /// [`QueryContext::high_water`] when the exact peak matters.
 pub fn run_governed(
     q: &QueryPlan,
@@ -84,62 +146,21 @@ pub fn run_governed(
     cfg: &EngineConfig,
     ctx: &QueryContext,
 ) -> Result<(Relation, WorkProfile)> {
-    match q {
-        QueryPlan::Single(p) => execute_query_governed(p, catalog, cfg, ctx),
-        QueryPlan::TwoPhase { first, scalar_col, second } => {
-            let (r1, p1) = execute_query_governed(first, catalog, cfg, ctx)?;
-            let scalar =
-                if r1.num_rows() == 0 { Value::F64(0.0) } else { r1.value(0, scalar_col)? };
-            let (r2, p2) = execute_query_governed(&second(scalar), catalog, cfg, ctx)?;
-            Ok((r2, p1 + p2))
-        }
-    }
+    run_local(q, catalog, cfg, ctx, Tracer::disabled).map(|(rel, prof, _)| (rel, prof))
 }
 
-/// Executes a query (all phases) with operator-level tracing, returning the
-/// span tree alongside the result. Single-phase queries return the engine's
-/// root span directly; two-phase queries nest each phase's tree under a
-/// synthetic root whose counters are the summed work profile, preserving the
-/// invariant that the root's totals equal the returned [`WorkProfile`].
-pub fn run_traced(
-    q: &QueryPlan,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-) -> Result<(Relation, WorkProfile, Span)> {
-    run_traced_governed(q, catalog, cfg, &QueryContext::default())
-}
-
-/// [`run_traced`] under a resource governor (see [`run_governed`] — the
-/// two-phase `peak_bytes` overcount applies to the synthetic root's totals
-/// too, which is what keeps the trace checker's additive invariant intact).
+/// [`run_governed`] with operator-level tracing, returning the span tree
+/// alongside the result (the two-phase `peak_bytes` overcount applies to the
+/// synthetic root's totals too, which is what keeps the trace checker's
+/// additive invariant intact).
 pub fn run_traced_governed(
     q: &QueryPlan,
     catalog: &Catalog,
     cfg: &EngineConfig,
     ctx: &QueryContext,
 ) -> Result<(Relation, WorkProfile, Span)> {
-    match q {
-        QueryPlan::Single(p) => execute_query_traced_governed(p, catalog, cfg, ctx),
-        QueryPlan::TwoPhase { first, scalar_col, second } => {
-            let (r1, p1, mut s1) = execute_query_traced_governed(first, catalog, cfg, ctx)?;
-            let scalar =
-                if r1.num_rows() == 0 { Value::F64(0.0) } else { r1.value(0, scalar_col)? };
-            let (r2, p2, mut s2) =
-                execute_query_traced_governed(&second(scalar), catalog, cfg, ctx)?;
-            let prof = p1 + p2;
-            s1.op = "phase".to_string();
-            s1.label = "1 (scalar)".to_string();
-            s2.op = "phase".to_string();
-            s2.label = "2 (outer)".to_string();
-            let mut root = Span::leaf("query", "two-phase");
-            root.rows_in = prof.rows_in;
-            root.rows_out = prof.rows_out;
-            root.wall_ns = s1.wall_ns + s2.wall_ns;
-            root.counters = prof.counter_pairs();
-            root.children = vec![s1, s2];
-            Ok((r2, prof, root))
-        }
-    }
+    run_local(q, catalog, cfg, ctx, Tracer::enabled)
+        .map(|(rel, prof, span)| (rel, prof, span.expect("an enabled tracer yields a root span")))
 }
 
 /// The query numbers evaluated in the paper's distributed and

@@ -13,8 +13,8 @@
 //! release-only (debug-build TPC-H generation plus 22 × 2 × 3 runs is too
 //! slow for the tier-1 loop).
 
-use wimpi_engine::{EngineConfig, Executor};
-use wimpi_queries::{query, run_with, CHOKEPOINT_QUERIES};
+use wimpi_engine::{EngineConfig, Executor, QueryContext};
+use wimpi_queries::{query, run_governed, CHOKEPOINT_QUERIES};
 use wimpi_storage::Catalog;
 use wimpi_tpch::{clustered_catalog, Generator};
 
@@ -33,15 +33,15 @@ fn assert_prune_invisible(
             // Baseline shares the morsel grid: float reduction boundaries
             // (and thus bit-exactness) depend on it.
             let base = EngineConfig::serial().with_executor(executor).with_morsel_rows(morsel_rows);
-            let (reference, ref_prof) =
-                run_with(&plan, cat, &base).unwrap_or_else(|e| panic!("Q{qn} baseline: {e}"));
+            let (reference, ref_prof) = run_governed(&plan, cat, &base, &QueryContext::default())
+                .unwrap_or_else(|e| panic!("Q{qn} baseline: {e}"));
             for threads in [1, 2, 4] {
                 let cfg = EngineConfig::with_threads(threads)
                     .with_executor(executor)
                     .with_morsel_rows(morsel_rows)
                     .with_prune_scans(true);
-                let (rel, prof) =
-                    run_with(&plan, cat, &cfg).unwrap_or_else(|e| panic!("Q{qn} pruned: {e}"));
+                let (rel, prof) = run_governed(&plan, cat, &cfg, &QueryContext::default())
+                    .unwrap_or_else(|e| panic!("Q{qn} pruned: {e}"));
                 assert_eq!(
                     rel, reference,
                     "Q{qn}: pruned {executor:?} at {threads} threads diverged"

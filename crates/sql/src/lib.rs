@@ -9,6 +9,10 @@
 //! Outside the subset — correlated or scalar subqueries, outer-join syntax,
 //! self-joins — the planner returns a precise [`SqlError::Unsupported`];
 //! `wimpi-queries` covers those query shapes through the plan-builder API.
+//!
+//! [`execute_sql_with`] runs SQL text under an engine config, a governor
+//! context and a tracer; [`execute_sql`] is its defaults shorthand. `EXPLAIN
+//! ANALYZE` is [`strip_explain_analyze`], an enabled tracer, and its root.
 
 pub mod ast;
 pub mod error;
@@ -19,7 +23,7 @@ pub mod token;
 
 pub use error::{Result, SqlError};
 
-use wimpi_engine::{EngineConfig, LogicalPlan, QueryContext, Relation, Span, WorkProfile};
+use wimpi_engine::{EngineConfig, LogicalPlan, QueryContext, Relation, Tracer, WorkProfile};
 use wimpi_storage::Catalog;
 
 /// Parses and plans one SELECT statement.
@@ -28,66 +32,28 @@ pub fn plan(sql: &str, catalog: &Catalog) -> Result<LogicalPlan> {
     planner::plan_query(&q, catalog)
 }
 
-/// Parses, plans, optimizes, and executes one SELECT statement.
+/// Parses, plans, optimizes, and executes one SELECT statement with every
+/// default: serial, ungoverned, untraced.
 pub fn execute_sql(sql: &str, catalog: &Catalog) -> Result<(Relation, WorkProfile)> {
-    execute_sql_governed(sql, catalog, &QueryContext::default())
+    execute_sql_with(sql, catalog, &EngineConfig::serial(), &QueryContext::default(), Tracer::off())
 }
 
-/// [`execute_sql`] under a resource governor: the context's memory budget
-/// caps operator scratch (joins/aggregates degrade to Grace partitioning
-/// before erroring) and its cancellation token/deadline stop the query
-/// cooperatively. The shell's `SET memory_budget` / `SET timeout_ms` route
-/// through here.
-pub fn execute_sql_governed(
-    sql: &str,
-    catalog: &Catalog,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile)> {
-    execute_sql_with(sql, catalog, &EngineConfig::serial(), ctx)
-}
-
-/// [`execute_sql_governed`] with an explicit [`EngineConfig`] — the shell's
-/// `SET verify_checksums` routes through here to turn scan-time integrity
-/// verification on for a governed run.
+/// [`plan`] + [`wimpi_engine::execute_query_with`] — what the shell's `SET`
+/// knobs route through: `cfg` carries `verify_checksums` / `executor` /
+/// `prune_scans`, `ctx` the governor (`memory_budget`, `timeout_ms`, spill).
+/// With an enabled `tracer` this is the engine's `EXPLAIN ANALYZE`: the
+/// tracer's root afterwards carries per-operator row counts, wall times, and
+/// work-profile deltas (including the measured `peak_bytes` reservation
+/// high-water mark), and its totals equal the returned [`WorkProfile`].
 pub fn execute_sql_with(
     sql: &str,
     catalog: &Catalog,
     cfg: &EngineConfig,
     ctx: &QueryContext,
+    tracer: &Tracer,
 ) -> Result<(Relation, WorkProfile)> {
     let p = plan(sql, catalog)?;
-    wimpi_engine::execute_query_governed(&p, catalog, cfg, ctx).map_err(SqlError::Engine)
-}
-
-/// Executes one SELECT statement with operator-level tracing — the engine's
-/// `EXPLAIN ANALYZE`. The returned [`Span`] tree carries per-operator row
-/// counts, wall times, and work-profile deltas (including the measured
-/// `peak_bytes` reservation high-water mark); its root totals equal the
-/// returned [`WorkProfile`] exactly.
-pub fn explain_analyze(sql: &str, catalog: &Catalog) -> Result<(Relation, WorkProfile, Span)> {
-    explain_analyze_governed(sql, catalog, &QueryContext::default())
-}
-
-/// [`explain_analyze`] under a resource governor (see
-/// [`execute_sql_governed`]).
-pub fn explain_analyze_governed(
-    sql: &str,
-    catalog: &Catalog,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile, Span)> {
-    explain_analyze_with(sql, catalog, &EngineConfig::serial(), ctx)
-}
-
-/// [`explain_analyze_governed`] with an explicit [`EngineConfig`] (see
-/// [`execute_sql_with`]).
-pub fn explain_analyze_with(
-    sql: &str,
-    catalog: &Catalog,
-    cfg: &EngineConfig,
-    ctx: &QueryContext,
-) -> Result<(Relation, WorkProfile, Span)> {
-    let p = plan(sql, catalog)?;
-    wimpi_engine::execute_query_traced_governed(&p, catalog, cfg, ctx).map_err(SqlError::Engine)
+    wimpi_engine::execute_query_with(&p, catalog, cfg, ctx, tracer).map_err(SqlError::Engine)
 }
 
 /// Strips a leading `EXPLAIN ANALYZE` prefix (case-insensitive, any
@@ -143,7 +109,8 @@ mod tests {
         assert!(skewed.num_rows() == 1);
         // Verification on: the scan refuses the corrupt chunk, typed.
         let cfg = wimpi_engine::EngineConfig::serial().with_verify_checksums(true);
-        let err = execute_sql_with(sql, &cat, &cfg, &QueryContext::new()).unwrap_err();
+        let err =
+            execute_sql_with(sql, &cat, &cfg, &QueryContext::new(), Tracer::off()).unwrap_err();
         match err {
             SqlError::Engine(wimpi_engine::EngineError::Integrity { table, column, .. }) => {
                 assert_eq!((table.as_str(), column.as_str()), ("t", "x"));

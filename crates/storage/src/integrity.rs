@@ -22,6 +22,7 @@ use crate::checksum::Crc32c;
 use crate::column::Column;
 use crate::dict::DictColumn;
 use crate::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
+use crate::splitmix::SplitMix64;
 use crate::table::Table;
 
 /// Domain-separation salts for the three corruption helpers, so one seed
@@ -298,20 +299,6 @@ pub fn dict_checksum(d: &DictColumn) -> u32 {
     h.finish()
 }
 
-/// Counter-based SplitMix64 — private copy for the corruption helpers (the
-/// cluster fault injector keeps its own; both are pure functions of a seed).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Flips one seeded bit of one stored value inside `col`'s row range `r`.
 fn flip_one(col: &mut Column, row: usize, draw: u64) {
     match col {
@@ -352,10 +339,10 @@ pub fn flip_bits(col: &Column, r: Range<usize>, bits: u32, seed: u64) -> Column 
     if r.is_empty() {
         return out;
     }
-    let mut rng = SplitMix64(seed ^ DATA_SALT);
+    let mut rng = SplitMix64::new(seed ^ DATA_SALT);
     for _ in 0..bits {
-        let row = r.start + (rng.next() as usize % r.len());
-        flip_one(&mut out, row, rng.next());
+        let row = r.start + (rng.next_u64() as usize % r.len());
+        flip_one(&mut out, row, rng.next_u64());
     }
     if out == *col {
         flip_one(&mut out, r.start, 0);
@@ -381,7 +368,7 @@ pub fn corrupt_dict_values(col: &Column, bits: u32, seed: u64) -> Column {
     if candidates.is_empty() {
         return col.clone();
     }
-    let mut rng = SplitMix64(seed ^ DICT_SALT);
+    let mut rng = SplitMix64::new(seed ^ DICT_SALT);
     let flip = |values: &mut Vec<String>, vi: usize, bit: u32| {
         let mut bytes = std::mem::take(&mut values[vi]).into_bytes();
         let ascii: Vec<usize> =
@@ -391,8 +378,8 @@ pub fn corrupt_dict_values(col: &Column, bits: u32, seed: u64) -> Column {
         values[vi] = String::from_utf8(bytes).expect("7-bit flips keep ASCII valid");
     };
     for _ in 0..bits.max(1) {
-        let vi = candidates[rng.next() as usize % candidates.len()];
-        flip(&mut values, vi, rng.next() as u32);
+        let vi = candidates[rng.next_u64() as usize % candidates.len()];
+        flip(&mut values, vi, rng.next_u64() as u32);
     }
     if values == d.values() {
         // Cancelled-out flips: force one (bit index 1 → XOR 0b10, never a
@@ -404,12 +391,12 @@ pub fn corrupt_dict_values(col: &Column, bits: u32, seed: u64) -> Column {
 
 /// Returns a copy of `m` with one seeded bit flipped inside a stored chunk
 /// checksum. The self-checksum is deliberately left stale — a real bit flip
-/// would not courteously re-seal the manifest — so [`verify_self`]
-/// (IntegrityManifest::verify_self) catches it before any data chunk is
+/// would not courteously re-seal the manifest — so
+/// [`IntegrityManifest::verify_self`] catches it before any data chunk is
 /// falsely accused.
 pub fn corrupt_manifest(m: &IntegrityManifest, seed: u64) -> IntegrityManifest {
     let mut out = m.clone();
-    let mut rng = SplitMix64(seed ^ MANIFEST_SALT);
+    let mut rng = SplitMix64::new(seed ^ MANIFEST_SALT);
     let mut slots: Vec<&mut u32> = Vec::new();
     for c in &mut out.columns {
         slots.extend(c.chunks.iter_mut());
@@ -421,8 +408,8 @@ pub fn corrupt_manifest(m: &IntegrityManifest, seed: u64) -> IntegrityManifest {
         out.self_checksum ^= 1;
         return out;
     }
-    let slot = rng.next() as usize % slots.len();
-    *slots[slot] ^= 1u32 << (rng.next() % 32);
+    let slot = rng.next_u64() as usize % slots.len();
+    *slots[slot] ^= 1u32 << (rng.next_u64() % 32);
     out
 }
 

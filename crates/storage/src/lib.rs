@@ -18,6 +18,7 @@ pub mod morsel;
 pub mod schema;
 pub mod selection;
 pub mod spill;
+pub mod splitmix;
 pub mod table;
 pub mod value;
 pub mod zonemap;
@@ -32,6 +33,7 @@ pub use integrity::{IntegrityManifest, IntegrityViolation};
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use selection::SelVec;
 pub use spill::{SpillChunkId, SpillConfig, SpillCounters, SpillDisk, SpillError, SpillFaults};
+pub use splitmix::SplitMix64;
 pub use table::{Catalog, Table};
 pub use value::Value;
 pub use zonemap::{ColumnZones, ZoneMap};

@@ -34,6 +34,7 @@ use std::fmt;
 use std::sync::Mutex;
 
 use crate::checksum::crc32c;
+use crate::splitmix::SplitMix64;
 
 /// Default cap on verified re-reads of one chunk before the read escalates.
 pub const DEFAULT_MAX_READ_RETRIES: u32 = 8;
@@ -248,26 +249,18 @@ const KIND_CORRUPT: u64 = 0x666c_6970; // "flip"
 const KIND_SLOW_READ: u64 = 0x736c_6f72; // "slor"
 const KIND_SLOW_WRITE: u64 = 0x736c_6f77; // "slow"
 
-/// splitmix64 finalizer — the same mixer the TPC-H RNG builds on.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One deterministic fault decision plus a derived offset for where the
 /// fault lands inside the chunk.
 fn fault_roll(seed: u64, kind: u64, chunk: u64, attempt: u32, every: u64) -> Option<u64> {
     if every == 0 {
         return None;
     }
-    let h = splitmix64(
-        seed ^ splitmix64(kind)
-            ^ splitmix64(chunk.wrapping_mul(0x2545_F491_4F6C_DD1D))
+    let h = SplitMix64::hash(
+        seed ^ SplitMix64::hash(kind)
+            ^ SplitMix64::hash(chunk.wrapping_mul(0x2545_F491_4F6C_DD1D))
             ^ attempt as u64,
     );
-    h.is_multiple_of(every).then(|| splitmix64(h))
+    h.is_multiple_of(every).then(|| SplitMix64::hash(h))
 }
 
 impl SpillDisk {

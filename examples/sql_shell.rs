@@ -58,7 +58,7 @@ use std::sync::Arc;
 use wimpi::cluster::coordinator::ResultCache;
 use wimpi::engine::governor::UNLIMITED;
 use wimpi::engine::{
-    governor, EngineConfig, Executor, QueryContext, QuerySpec, Service, ServiceConfig,
+    governor, EngineConfig, Executor, QueryContext, QuerySpec, Service, ServiceConfig, Tracer,
 };
 use wimpi::hwsim::{all_profiles, predict_all_cores};
 use wimpi::sql::{execute_sql_with, strip_explain_analyze};
@@ -318,8 +318,10 @@ fn main() {
                     .with_verify_checksums(verify)
                     .with_executor(executor)
                     .with_prune_scans(prune);
-                match wimpi::sql::explain_analyze_with(inner, &catalog, &cfg, &ctx) {
-                    Ok((rel, work, span)) => {
+                let tracer = Tracer::enabled();
+                match execute_sql_with(inner, &catalog, &cfg, &ctx, &tracer) {
+                    Ok((rel, work)) => {
+                        let span = tracer.take_root().expect("an enabled tracer yields a root");
                         print!("{}", span.render());
                         println!(
                             "(executor: {}; {} rows; {:.1} MB streamed, {} ops, peak {} B)",
@@ -355,7 +357,7 @@ fn main() {
                             .with_executor(executor)
                             .with_prune_scans(prune);
                         svc.run_blocking(make_spec(sql, timeout_ms), move |ctx| {
-                            execute_sql_with(&owned, &cat, &cfg, ctx)
+                            execute_sql_with(&owned, &cat, &cfg, ctx, Tracer::off())
                                 .map(|(rel, work)| (rel, work, ctx.fallbacks()))
                                 .map_err(|e| e.into_engine())
                         })
@@ -371,9 +373,10 @@ fn main() {
                                     .with_verify_checksums(verify)
                                     .with_executor(executor)
                                     .with_prune_scans(prune);
-                                let out = execute_sql_with(sql, &catalog, &cfg, &ctx)
-                                    .map(|(rel, work)| (rel, work, ctx.fallbacks()))
-                                    .map_err(|e| e.to_string());
+                                let out =
+                                    execute_sql_with(sql, &catalog, &cfg, &ctx, Tracer::off())
+                                        .map(|(rel, work)| (rel, work, ctx.fallbacks()))
+                                        .map_err(|e| e.to_string());
                                 let checks = ctx.integrity_checks();
                                 if checks > 0 {
                                     shell_metrics.inc("integrity_checks_total", checks);

@@ -220,8 +220,8 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
     // Scan-time verification must not perturb morsel-level determinism: with
     // checksums on, results and work profiles are bit-identical at 1, 2, and
     // 4 threads, and a corrupt chunk is detected at every thread count.
-    use wimpi::engine::EngineConfig;
-    use wimpi::queries::run_with;
+    use wimpi::engine::{EngineConfig, QueryContext};
+    use wimpi::queries::run_governed;
     use wimpi::storage::integrity::flip_bits;
     let unsealed = reference_catalog();
     let mut catalog = unsealed.clone();
@@ -230,8 +230,10 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
     // catalog yields the same results and work profiles as an unsealed one.
     for &q in &CHOKEPOINT_QUERIES {
         let off = EngineConfig::serial();
-        let sealed = run_with(&query(q), &catalog, &off).expect("sealed, verification off");
-        let plain = run_with(&query(q), &unsealed, &off).expect("unsealed");
+        let sealed = run_governed(&query(q), &catalog, &off, &QueryContext::default())
+            .expect("sealed, verification off");
+        let plain =
+            run_governed(&query(q), &unsealed, &off, &QueryContext::default()).expect("unsealed");
         assert_eq!(sealed.0, plain.0, "Q{q}: sealing alone changed the answer");
         assert_eq!(sealed.1, plain.1, "Q{q}: sealing alone changed the work profile");
     }
@@ -239,14 +241,14 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
         .iter()
         .map(|&q| {
             let cfg = EngineConfig::serial().with_verify_checksums(true);
-            run_with(&query(q), &catalog, &cfg)
+            run_governed(&query(q), &catalog, &cfg, &QueryContext::default())
                 .unwrap_or_else(|e| panic!("Q{q} serial verified failed: {e}"))
         })
         .collect();
     for threads in [2usize, 4] {
         for (i, &q) in CHOKEPOINT_QUERIES.iter().enumerate() {
             let cfg = EngineConfig::with_threads(threads).with_verify_checksums(true);
-            let (rel, work) = run_with(&query(q), &catalog, &cfg)
+            let (rel, work) = run_governed(&query(q), &catalog, &cfg, &QueryContext::default())
                 .unwrap_or_else(|e| panic!("Q{q}@{threads}t verified failed: {e}"));
             assert_eq!(rel, baseline[i].0, "Q{q}@{threads} threads: result drifted");
             assert_eq!(work, baseline[i].1, "Q{q}@{threads} threads: work profile drifted");
@@ -263,7 +265,8 @@ fn verified_scans_stay_bit_identical_across_thread_counts() {
     corrupted.register("lineitem", dirty);
     for threads in [1usize, 2, 4] {
         let cfg = EngineConfig::with_threads(threads).with_verify_checksums(true);
-        let err = run_with(&query(6), &corrupted, &cfg).expect_err("corruption must be detected");
+        let err = run_governed(&query(6), &corrupted, &cfg, &QueryContext::default())
+            .expect_err("corruption must be detected");
         match err {
             wimpi::engine::EngineError::Integrity { table, column, .. } => {
                 assert_eq!((table.as_str(), column.as_str()), ("lineitem", "l_quantity"));

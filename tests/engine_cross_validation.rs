@@ -3,6 +3,7 @@
 //! the hand-coded strategies. Agreement between them is strong evidence that
 //! both compute the specification's answer.
 
+use wimpi::engine::{EngineConfig, QueryContext, Tracer};
 use wimpi::queries::{query, run};
 use wimpi::storage::Catalog;
 use wimpi::strategies::{run as run_strategy, Paradigm};
@@ -98,7 +99,9 @@ fn optimizer_never_changes_answers() {
             _ => continue,
         };
         let (opt, _) = wimpi::engine::execute_query(&plan, &cat).expect("optimized runs");
-        let (raw, _) = wimpi::engine::exec::execute(&plan, &cat).expect("raw runs");
+        let (cfg, ctx) = (EngineConfig::serial(), QueryContext::default());
+        let (raw, _) =
+            wimpi::engine::exec::execute(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("raw runs");
         assert_eq!(opt.num_rows(), raw.num_rows(), "Q{n} row count");
         for name in opt.names() {
             let a = opt.column(name).expect("col");

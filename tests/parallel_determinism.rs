@@ -9,9 +9,9 @@
 //! Q1/Q6 smoke.
 
 use wimpi::engine::{
-    execute_query_with, EngineConfig, Executor, PlanBuilder, QueryContext, SortKey,
+    execute_query_with, EngineConfig, Executor, PlanBuilder, QueryContext, SortKey, Tracer,
 };
-use wimpi::queries::{query, run_governed, run_with};
+use wimpi::queries::{query, run_governed};
 use wimpi::storage::{Catalog, Value};
 use wimpi::tpch::Generator;
 
@@ -27,10 +27,12 @@ fn assert_bit_exact(qn: usize, cat: &Catalog) {
     let q = query(qn);
     for morsel_rows in [wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS, 4096] {
         let serial_cfg = EngineConfig::serial().with_morsel_rows(morsel_rows);
-        let (rel0, prof0) = run_with(&q, cat, &serial_cfg).expect("serial run");
+        let (rel0, prof0) =
+            run_governed(&q, cat, &serial_cfg, &QueryContext::default()).expect("serial run");
         for threads in [2, 4] {
             let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel_rows);
-            let (rel, prof) = run_with(&q, cat, &cfg).expect("parallel run");
+            let (rel, prof) =
+                run_governed(&q, cat, &cfg, &QueryContext::default()).expect("parallel run");
             assert_eq!(
                 rel, rel0,
                 "Q{qn}: result diverged at {threads} threads, morsel {morsel_rows}"
@@ -64,10 +66,19 @@ fn multi_key_string_and_decimal_desc_sort() {
             SortKey::desc("l_extendedprice"),
         ])
         .build();
-    let (rel0, prof0) = execute_query_with(&plan, &cat, &EngineConfig::serial()).expect("serial");
+    let (rel0, prof0) = execute_query_with(
+        &plan,
+        &cat,
+        &EngineConfig::serial(),
+        &QueryContext::default(),
+        Tracer::off(),
+    )
+    .expect("serial");
     for threads in [2, 4] {
         let cfg = EngineConfig::with_threads(threads);
-        let (rel, prof) = execute_query_with(&plan, &cat, &cfg).expect("parallel run");
+        let (rel, prof) =
+            execute_query_with(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off())
+                .expect("parallel run");
         assert_eq!(rel, rel0, "sort result diverged at {threads} threads");
         assert_eq!(prof, prof0, "sort work profile diverged at {threads} threads");
     }
@@ -109,14 +120,16 @@ fn all_22_queries_parallel_bit_exact() {
 /// be invariant to thread count and morsel size.
 fn assert_fused_bit_exact(qn: usize, cat: &Catalog) {
     let q = query(qn);
-    let (mat_rel, _) = run_with(&q, cat, &EngineConfig::serial()).expect("materializing run");
+    let (mat_rel, _) = run_governed(&q, cat, &EngineConfig::serial(), &QueryContext::default())
+        .expect("materializing run");
     let mut prof0 = None;
     for morsel_rows in [wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS, 4096] {
         for threads in [1, 2, 4] {
             let cfg = EngineConfig::with_threads(threads)
                 .with_morsel_rows(morsel_rows)
                 .with_executor(Executor::Fused);
-            let (rel, prof) = run_with(&q, cat, &cfg).expect("fused run");
+            let (rel, prof) =
+                run_governed(&q, cat, &cfg, &QueryContext::default()).expect("fused run");
             assert_eq!(
                 rel, mat_rel,
                 "Q{qn}: fused diverged from materializing at {threads} threads, morsel {morsel_rows}"
@@ -155,9 +168,11 @@ fn fused_collapses_materialized_write_traffic() {
     let cat = catalog();
     for qn in [1, 6, 19] {
         let q = query(qn);
-        let (_, mat) = run_with(&q, &cat, &EngineConfig::serial()).expect("materializing run");
+        let (_, mat) = run_governed(&q, &cat, &EngineConfig::serial(), &QueryContext::default())
+            .expect("materializing run");
         let fused_cfg = EngineConfig::serial().with_executor(Executor::Fused);
-        let (_, fused) = run_with(&q, &cat, &fused_cfg).expect("fused run");
+        let (_, fused) =
+            run_governed(&q, &cat, &fused_cfg, &QueryContext::default()).expect("fused run");
         assert!(
             fused.seq_write_bytes < mat.seq_write_bytes,
             "Q{qn}: fused wrote {} bytes, materializing {}",
@@ -199,7 +214,7 @@ fn fused_budgeted_runs_stay_bit_exact() {
 /// reproduce their results *and* work profile exactly.
 #[test]
 fn fused_budget_fallback_matches_materializing() {
-    use wimpi::engine::{col, execute_query_governed, AggExpr, PlanBuilder};
+    use wimpi::engine::{col, AggExpr, PlanBuilder};
     use wimpi::storage::{Column, DataType, Field, Schema, Table};
 
     let n = 50_000i64;
@@ -218,13 +233,14 @@ fn fused_budget_fallback_matches_materializing() {
     // 50k distinct 64-byte group slots blow a 64 KB budget; both executors
     // must degrade identically (fused falls back, materializing Graces).
     let mat_ctx = QueryContext::with_budget(64 << 10);
-    let (rel0, prof0) = execute_query_governed(&plan, &cat, &EngineConfig::serial(), &mat_ctx)
-        .expect("budgeted materializing run");
+    let (rel0, prof0) =
+        execute_query_with(&plan, &cat, &EngineConfig::serial(), &mat_ctx, Tracer::off())
+            .expect("budgeted materializing run");
     for threads in [1, 2, 4] {
         let ctx = QueryContext::with_budget(64 << 10);
         let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
         let (rel, prof) =
-            execute_query_governed(&plan, &cat, &cfg, &ctx).expect("budgeted fused run");
+            execute_query_with(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("budgeted fused run");
         assert_eq!(rel, rel0, "fallback result diverged at {threads} threads");
         assert_eq!(prof, prof0, "fallback profile diverged at {threads} threads");
     }
@@ -235,7 +251,7 @@ fn fused_budget_fallback_matches_materializing() {
 #[test]
 fn fused_unsupported_aggregates_fall_back_transparently() {
     use wimpi::engine::plan::{AggExpr, AggFunc};
-    use wimpi::engine::{col, execute_query_with, lit, PlanBuilder};
+    use wimpi::engine::{col, lit, PlanBuilder};
 
     let cat = catalog();
     let plan = PlanBuilder::scan("lineitem")
@@ -249,11 +265,19 @@ fn fused_unsupported_aggregates_fall_back_transparently() {
             }],
         )
         .build();
-    let (rel0, prof0) =
-        execute_query_with(&plan, &cat, &EngineConfig::serial()).expect("materializing run");
+    let (rel0, prof0) = execute_query_with(
+        &plan,
+        &cat,
+        &EngineConfig::serial(),
+        &QueryContext::default(),
+        Tracer::off(),
+    )
+    .expect("materializing run");
     for threads in [1, 2, 4] {
         let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
-        let (rel, prof) = execute_query_with(&plan, &cat, &cfg).expect("fused run");
+        let (rel, prof) =
+            execute_query_with(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off())
+                .expect("fused run");
         assert_eq!(rel, rel0, "fallback result diverged at {threads} threads");
         assert_eq!(prof, prof0, "fallback profile diverged at {threads} threads");
     }

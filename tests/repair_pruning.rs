@@ -7,8 +7,8 @@
 //! configured on (degrading to a full scan, never mis-pruning), and
 //! re-sealing restores pruning without perturbing the answer.
 
-use wimpi::engine::{EngineConfig, EngineError};
-use wimpi::queries::{query, run_with};
+use wimpi::engine::{EngineConfig, EngineError, QueryContext};
+use wimpi::queries::{query, run_governed};
 use wimpi::storage::integrity::flip_bits;
 use wimpi::storage::Catalog;
 
@@ -44,11 +44,16 @@ fn bitflip_repair_drops_zones_and_resealing_restores_pruning_bit_exactly() {
 
     // Baseline: pruned + verified Q6 equals the unpruned answer, and the
     // clustered layout makes pruning non-vacuous.
-    let (unpruned, _) =
-        run_with(&query(6), &cat, &EngineConfig::serial().with_verify_checksums(true))
-            .expect("unpruned baseline runs");
+    let (unpruned, _) = run_governed(
+        &query(6),
+        &cat,
+        &EngineConfig::serial().with_verify_checksums(true),
+        &QueryContext::default(),
+    )
+    .expect("unpruned baseline runs");
     let (baseline, base_prof) =
-        run_with(&query(6), &cat, &pruned_verified()).expect("pruned baseline runs");
+        run_governed(&query(6), &cat, &pruned_verified(), &QueryContext::default())
+            .expect("pruned baseline runs");
     assert_eq!(baseline, unpruned, "pruning must be a no-op on answers");
     assert!(base_prof.pruned_morsels > 0, "clustered Q6 must actually skip morsels");
 
@@ -66,7 +71,7 @@ fn bitflip_repair_drops_zones_and_resealing_restores_pruning_bit_exactly() {
 
     let mut corrupted = cat.clone();
     corrupted.register("lineitem", dirty);
-    let err = run_with(&query(6), &corrupted, &pruned_verified())
+    let err = run_governed(&query(6), &corrupted, &pruned_verified(), &QueryContext::default())
         .expect_err("verified scan must detect the flipped bits");
     match err {
         EngineError::Integrity { table, column, .. } => {
@@ -90,7 +95,8 @@ fn bitflip_repair_drops_zones_and_resealing_restores_pruning_bit_exactly() {
     let mut healed = cat.clone();
     healed.register("lineitem", repaired);
     let (after_repair, repair_prof) =
-        run_with(&query(6), &healed, &pruned_verified()).expect("repaired scan verifies clean");
+        run_governed(&query(6), &healed, &pruned_verified(), &QueryContext::default())
+            .expect("repaired scan verifies clean");
     assert_eq!(after_repair, baseline, "repaired answer must be bit-exact");
     assert_eq!(
         repair_prof.pruned_morsels, 0,
@@ -108,7 +114,8 @@ fn bitflip_repair_drops_zones_and_resealing_restores_pruning_bit_exactly() {
     assert!(resealed.zones().is_some(), "re-sealing must rebuild zone maps");
     healed.register("lineitem", resealed);
     let (after_reseal, reseal_prof) =
-        run_with(&query(6), &healed, &pruned_verified()).expect("resealed scan runs");
+        run_governed(&query(6), &healed, &pruned_verified(), &QueryContext::default())
+            .expect("resealed scan runs");
     assert_eq!(after_reseal, baseline, "re-sealed pruned answer must be bit-exact");
     assert_eq!(
         reseal_prof.pruned_morsels, base_prof.pruned_morsels,

@@ -12,9 +12,9 @@
 //!    hand-rolled checker, including the Σ self == root-total invariant.
 
 use wimpi::core::validate_trace_json;
-use wimpi::engine::EngineConfig;
-use wimpi::queries::{query, run_traced, run_with};
-use wimpi::sql::{explain_analyze, strip_explain_analyze};
+use wimpi::engine::{EngineConfig, QueryContext, Tracer};
+use wimpi::queries::{query, run_governed, run_traced_governed};
+use wimpi::sql::{execute_sql_with, strip_explain_analyze};
 use wimpi::storage::Catalog;
 use wimpi::tpch::Generator;
 
@@ -32,8 +32,13 @@ fn catalog() -> Catalog {
 fn root_span_counters_equal_work_profile() {
     let cat = catalog();
     for qn in TRACED {
-        let (_, prof, span) = run_traced(&query(qn), &cat, &EngineConfig::serial())
-            .unwrap_or_else(|e| panic!("Q{qn} traces: {e}"));
+        let (_, prof, span) = run_traced_governed(
+            &query(qn),
+            &cat,
+            &EngineConfig::serial(),
+            &QueryContext::default(),
+        )
+        .unwrap_or_else(|e| panic!("Q{qn} traces: {e}"));
         assert_eq!(
             span.counters,
             prof.counter_pairs(),
@@ -49,8 +54,10 @@ fn tracing_never_changes_results_or_profiles() {
     let cat = catalog();
     for qn in TRACED {
         let cfg = EngineConfig::with_threads(2);
-        let (rel0, prof0) = run_with(&query(qn), &cat, &cfg).expect("untraced run");
-        let (rel, prof, _) = run_traced(&query(qn), &cat, &cfg).expect("traced run");
+        let (rel0, prof0) =
+            run_governed(&query(qn), &cat, &cfg, &QueryContext::default()).expect("untraced run");
+        let (rel, prof, _) = run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
+            .expect("traced run");
         assert_eq!(rel, rel0, "Q{qn}: tracing changed the result");
         assert_eq!(prof, prof0, "Q{qn}: tracing changed the work profile");
     }
@@ -64,7 +71,9 @@ fn trace_structure_is_thread_count_invariant() {
             .iter()
             .map(|&t| {
                 let cfg = EngineConfig::with_threads(t);
-                run_traced(&query(qn), &cat, &cfg).expect("traced run").2
+                run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
+                    .expect("traced run")
+                    .2
             })
             .collect();
         for (i, s) in spans.iter().enumerate().skip(1) {
@@ -83,8 +92,13 @@ fn trace_structure_is_thread_count_invariant() {
 fn emitted_json_passes_the_independent_checker() {
     let cat = catalog();
     for qn in TRACED {
-        let (_, _, span) =
-            run_traced(&query(qn), &cat, &EngineConfig::with_threads(4)).expect("traced run");
+        let (_, _, span) = run_traced_governed(
+            &query(qn),
+            &cat,
+            &EngineConfig::with_threads(4),
+            &QueryContext::default(),
+        )
+        .expect("traced run");
         let stats = validate_trace_json(&span.to_json())
             .unwrap_or_else(|e| panic!("Q{qn} trace rejected: {e}"));
         assert_eq!(stats.spans, span.len(), "Q{qn}: checker span count");
@@ -106,16 +120,20 @@ fn pruned_counters_reconcile_through_the_trace_checker() {
     }
     for qn in [6, 14] {
         let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096).with_prune_scans(true);
-        let (rel, prof, span) = run_traced(&query(qn), &cat, &cfg)
-            .unwrap_or_else(|e| panic!("Q{qn} traces pruned: {e}"));
-        let (rel0, _) = run_with(&query(qn), &cat, &cfg.with_prune_scans(false)).expect("baseline");
+        let (rel, prof, span) =
+            run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
+                .unwrap_or_else(|e| panic!("Q{qn} traces pruned: {e}"));
+        let (rel0, _) =
+            run_governed(&query(qn), &cat, &cfg.with_prune_scans(false), &QueryContext::default())
+                .expect("baseline");
         assert_eq!(rel, rel0, "Q{qn}: pruning changed the traced result");
         assert_eq!(span.counters, prof.counter_pairs(), "Q{qn}: root counters == profile");
         validate_trace_json(&span.to_json()).unwrap_or_else(|e| panic!("Q{qn} rejected: {e}"));
     }
     // Non-vacuous: the clustered fine-morsel Q6 really skipped work.
     let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096).with_prune_scans(true);
-    let (_, prof, _) = run_traced(&query(6), &cat, &cfg).expect("traced run");
+    let (_, prof, _) =
+        run_traced_governed(&query(6), &cat, &cfg, &QueryContext::default()).expect("traced run");
     assert!(prof.pruned_morsels > 0, "Q6 must skip morsels on the clustered catalog");
 }
 
@@ -128,15 +146,15 @@ fn spill_ledgers_reconcile_across_disk_profile_and_trace() {
     // counter for counter, every detected corruption must have been retried
     // exactly once, and none of it may change a byte of the answer.
     use std::sync::Arc;
-    use wimpi::engine::QueryContext;
-    use wimpi::queries::run_traced_governed;
     use wimpi::storage::spill::{SpillConfig, SpillDisk, SpillFaults};
 
     let cat = catalog();
     let mut corruptions = 0;
     // Budgets under which each query's largest build spills at SF 0.01.
     for (qn, budget) in [(3usize, 2u64 << 10), (13, 1 << 10), (14, 64)] {
-        let (baseline, _) = run_with(&query(qn), &cat, &EngineConfig::serial()).expect("baseline");
+        let (baseline, _) =
+            run_governed(&query(qn), &cat, &EngineConfig::serial(), &QueryContext::default())
+                .expect("baseline");
         // At ≈ 0.23 failures per read attempt, 17 attempts make a permanent
         // failure astronomically unlikely while retries stay common.
         let disk = Arc::new(SpillDisk::new(
@@ -173,7 +191,11 @@ fn explain_analyze_traces_sql() {
     let sql = "EXPLAIN ANALYZE SELECT l_returnflag, count(*) AS n \
                FROM lineitem GROUP BY l_returnflag";
     let inner = strip_explain_analyze(sql).expect("prefix recognized");
-    let (rel, prof, span) = explain_analyze(inner, &cat).expect("explain analyze runs");
+    let tracer = Tracer::enabled();
+    let (cfg, ctx) = (EngineConfig::serial(), QueryContext::default());
+    let (rel, prof) =
+        execute_sql_with(inner, &cat, &cfg, &ctx, &tracer).expect("explain analyze runs");
+    let span = tracer.take_root().expect("an enabled tracer yields a root span");
     assert_eq!(rel.num_rows() as u64, prof.rows_out);
     assert_eq!(span.counters, prof.counter_pairs());
     let text = span.render();

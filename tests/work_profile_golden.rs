@@ -15,8 +15,8 @@
 //! runs fused. Regenerate the file only when a charge is changed on purpose:
 //! `WIMPI_BLESS_GOLDEN=1 cargo test --test work_profile_golden`.
 
-use wimpi::engine::{EngineConfig, Executor, Span};
-use wimpi::queries::{query, run_traced, run_with};
+use wimpi::engine::{EngineConfig, Executor, QueryContext, Span};
+use wimpi::queries::{query, run_governed, run_traced_governed};
 use wimpi::storage::Catalog;
 
 const SF: f64 = 0.01;
@@ -49,7 +49,8 @@ fn work_profiles_match_the_pinned_goldens() {
     for qn in 1..=22 {
         let q = query(qn);
         for (name, cat, cfg) in &configs {
-            let (_, prof) = run_with(&q, cat, cfg).unwrap_or_else(|e| panic!("Q{qn} {name}: {e}"));
+            let (_, prof) = run_governed(&q, cat, cfg, &QueryContext::default())
+                .unwrap_or_else(|e| panic!("Q{qn} {name}: {e}"));
             let counters: Vec<String> =
                 prof.counter_pairs().iter().map(|(k, v)| format!("{k}={v}")).collect();
             lines.push(format!("Q{qn}\t{name}\t{}", counters.join(",")));
@@ -85,7 +86,8 @@ fn only_q2_and_q15_fall_back_under_fused() {
     let cfg = EngineConfig::serial().with_executor(Executor::Fused);
     let mut census = Vec::new();
     for qn in 1..=22 {
-        let (_, _, span) = run_traced(&query(qn), &cat, &cfg).expect("traced fused run");
+        let (_, _, span) = run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
+            .expect("traced fused run");
         let mut labels = Vec::new();
         fallback_labels(&span, &mut labels);
         for label in labels {

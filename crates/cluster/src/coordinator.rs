@@ -788,14 +788,7 @@ impl Inner {
                     pending.push((p, 0.0));
                 }
                 Route::Attempt | Route::Probe => {
-                    match cl.attempt_home_partition(
-                        label,
-                        &dist.node_plan,
-                        cat,
-                        p,
-                        faults,
-                        &mut report,
-                    )? {
+                    match cl.attempt_home_partition(&dist.node_plan, cat, p, faults, &mut report)? {
                         NodeOutcome::Done(rel, _prof, secs, cancel) => {
                             subruns.push(Subrun::Ok);
                             self.record_success(p, secs);
@@ -852,11 +845,8 @@ impl Inner {
                 attempts_left -= 1;
                 retries += 1;
                 let backoff = cl.observed_backoff_s(attempt);
-                match cl.recover_partition(label, &dist.node_plan, p, j) {
-                    Ok((rel, _prof, regen_s, exec_s, budgeted)) => {
-                        if budgeted {
-                            report.budget_degraded += 1;
-                        }
+                match cl.recover_partition(label, &dist.node_plan, p, j, &mut report) {
+                    Ok((rel, _prof, regen_s, exec_s)) => {
                         subruns.push(Subrun::Ok);
                         self.record_success(j, exec_s);
                         let start = busy[j].max(available_at);
@@ -906,11 +896,8 @@ impl Inner {
                 ctx.checkpoint().map_err(ClusterError::from)?;
                 let j = least_busy(&others, &busy);
                 hedges += 1;
-                match cl.recover_partition(label, &dist.node_plan, p, j) {
-                    Ok((rel, _prof, regen_s, exec_s, budgeted)) => {
-                        if budgeted {
-                            report.budget_degraded += 1;
-                        }
+                match cl.recover_partition(label, &dist.node_plan, p, j, &mut report) {
+                    Ok((rel, _prof, regen_s, exec_s)) => {
                         let done = busy[j].max(threshold) + regen_s + exec_s;
                         if done < busy[p] {
                             // The duplicate won: the straggling home run is

@@ -253,10 +253,10 @@ struct RepairJob {
 
 /// One governed, memory-model-priced execution of a plan on one catalog.
 enum Priced {
-    /// The run fits (possibly only after the reduced-budget retry —
-    /// `budgeted` says which): result, scaled profile, thrash penalty, and
-    /// the cancellation token of the governed run.
-    Fit { rel: Relation, prof: WorkProfile, penalty_s: f64, cancel: CancelToken, budgeted: bool },
+    /// The run fits (possibly only after the reduced-budget retry): result,
+    /// scaled profile, simulated seconds (hardware model plus thrash
+    /// penalty), and the cancellation token of the governed run.
+    Fit { rel: Relation, prof: WorkProfile, exec_s: f64, cancel: CancelToken },
     /// Even the budget-governed retry could not fit: deterministic OOM.
     Oom { needed: u64 },
 }
@@ -436,14 +436,7 @@ impl WimpiCluster {
         // multi-fault schedules see the full picture.
         let mut outcomes: Vec<NodeOutcome> = Vec::with_capacity(n);
         for (i, cat) in self.node_catalogs.iter().enumerate() {
-            outcomes.push(self.attempt_home_partition(
-                query,
-                &node_plan,
-                cat,
-                i,
-                faults,
-                &mut report,
-            )?);
+            outcomes.push(self.attempt_home_partition(&node_plan, cat, i, faults, &mut report)?);
         }
 
         // Phase 2 — reassign lost partitions to the least-loaded survivors,
@@ -498,11 +491,8 @@ impl WimpiCluster {
             }
             let j = least_busy(&candidates, &busy);
             absorbed[j] += 1;
-            let (rel, prof, regen_s, exec_s, budgeted) =
-                self.recover_partition(query, &node_plan, p, j)?;
-            if budgeted {
-                report.budget_degraded += 1;
-            }
+            let (rel, prof, regen_s, exec_s) =
+                self.recover_partition(query, &node_plan, p, j, &mut report)?;
             let start = busy[j].max(available_at);
             busy[j] = start + regen_s + exec_s;
             report.recovery_seconds += regen_s + exec_s;
@@ -659,26 +649,19 @@ impl WimpiCluster {
             }
         }
         let merge_base = (merged_input.stream_bytes() as f64 * row_scale) as u64;
-        let (result, mut merge_prof, merge_penalty) = match self.priced_execution(
+        let (result, merge_seconds) = match self.priced_execution(
             &EngineConfig::serial(),
             merge_plan,
             &merge_cat,
             merge_base,
             row_scale,
+            report,
         )? {
-            Priced::Fit { rel, prof, penalty_s, budgeted, .. } => {
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                (rel, prof, penalty_s)
-            }
+            Priced::Fit { rel, exec_s, .. } => (rel, exec_s),
             Priced::Oom { needed } => {
                 return Err(ClusterError::NodeOom { query: query.into(), node: 0, needed })
             }
         };
-        merge_prof.network_bytes = bytes_shipped;
-        let merge_seconds =
-            predict(&self.pi, &merge_prof, self.config.node_threads).total_s() + merge_penalty;
         Ok((result, network_seconds, merge_seconds, bytes_shipped))
     }
 
@@ -733,7 +716,8 @@ impl WimpiCluster {
     /// mapped back to host scale — so joins and aggregates degrade to
     /// Grace-partitioned builds that shrink the real reservation peak. Only
     /// when even that budgeted run cannot fit (`ResourceExhausted`, or a
-    /// measured peak the partitioning cannot reduce) is the OOM final.
+    /// measured peak the partitioning cannot reduce) is the OOM final. A run
+    /// that fit only under the reduced budget is counted in `report`.
     fn priced_execution(
         &self,
         cfg: &EngineConfig,
@@ -741,6 +725,7 @@ impl WimpiCluster {
         cat: &Catalog,
         base: u64,
         scale: f64,
+        report: &mut RecoveryReport,
     ) -> Result<Priced> {
         let mut needed = 0;
         for budgeted in [false, true] {
@@ -764,8 +749,11 @@ impl WimpiCluster {
                 Ok(penalty_s) => {
                     if budgeted {
                         self.metrics.inc("cluster_degraded_budget_runs_total", 1);
+                        report.budget_degraded += 1;
                     }
-                    return Ok(Priced::Fit { rel, prof, penalty_s, cancel: ctx.cancel, budgeted });
+                    let exec_s =
+                        predict(&self.pi, &prof, self.config.node_threads).total_s() + penalty_s;
+                    return Ok(Priced::Fit { rel, prof, exec_s, cancel: ctx.cancel });
                 }
                 Err(short) => needed = short,
             }
@@ -778,7 +766,6 @@ impl WimpiCluster {
     /// seconds — no wall clock anywhere).
     fn attempt_home_partition(
         &self,
-        query: &str,
         node_plan: &LogicalPlan,
         cat: &Catalog,
         node: usize,
@@ -800,17 +787,11 @@ impl WimpiCluster {
             cat,
             base,
             self.config.model_scale,
+            report,
         )? {
-            Priced::Fit { rel, prof, penalty_s, cancel, budgeted } => {
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                let s = predict(&self.pi, &prof, self.config.node_threads).total_s() + penalty_s;
-                (rel, prof, s, cancel)
-            }
+            Priced::Fit { rel, prof, exec_s, cancel } => (rel, prof, exec_s, cancel),
             Priced::Oom { needed } => return Ok(NodeOutcome::Oom { needed }),
         };
-        let _ = query;
         match fault {
             Some(FaultKind::TransientOom { failures }) => {
                 let budget = self.policy.max_retries;
@@ -864,18 +845,13 @@ impl WimpiCluster {
         let verify_s = self.verification_seconds(base);
         let (ccat, target) =
             self.corrupted_catalog(node_plan, cat, node, chunks, bits_per_chunk)?;
-        match self.priced_execution(&verify_cfg, node_plan, &ccat, base, self.config.model_scale) {
-            Ok(Priced::Fit { rel, prof, penalty_s, cancel, budgeted }) => {
+        let scale = self.config.model_scale;
+        match self.priced_execution(&verify_cfg, node_plan, &ccat, base, scale, report) {
+            Ok(Priced::Fit { rel, prof, exec_s, cancel }) => {
                 // The flips found nothing to land on (e.g. an empty
                 // partition): the verified scan vouches for the bytes, so
                 // the answer is trustworthy as-is.
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                let s = predict(&self.pi, &prof, self.config.node_threads).total_s()
-                    + penalty_s
-                    + verify_s;
-                Ok(NodeOutcome::Done(rel, prof, s, cancel))
+                Ok(NodeOutcome::Done(rel, prof, exec_s + verify_s, cancel))
             }
             Ok(Priced::Oom { needed }) => Ok(NodeOutcome::Oom { needed }),
             Err(ClusterError::Engine(EngineError::Integrity { .. })) => {
@@ -926,18 +902,14 @@ impl WimpiCluster {
                 cat,
                 job.base,
                 self.config.model_scale,
+                report,
             ) {
-                Ok(Priced::Fit { rel, prof, penalty_s, cancel, budgeted }) => {
-                    if budgeted {
-                        report.budget_degraded += 1;
-                    }
+                Ok(Priced::Fit { rel, prof, exec_s, cancel }) => {
                     report.integrity_repaired += job.detected;
                     self.metrics.inc("integrity_repairs_total", job.detected as u64);
                     self.metrics.observe("integrity_repair_seconds", &RECOVERY_BUCKETS, waste);
                     report.recovery_seconds += waste;
-                    let exec_s = predict(&self.pi, &prof, self.config.node_threads).total_s()
-                        + penalty_s
-                        + job.verify_s;
+                    let exec_s = exec_s + job.verify_s;
                     return Ok(NodeOutcome::Done(rel, prof, waste + exec_s, cancel));
                 }
                 Ok(Priced::Oom { needed }) => return Ok(NodeOutcome::Oom { needed }),
@@ -1051,15 +1023,15 @@ impl WimpiCluster {
 
     /// Regenerates partition `p` via the chunk-deterministic generator and
     /// executes the node plan over it on survivor `j`. Returns the partial,
-    /// the scaled profile, the regeneration/execution seconds, and whether
-    /// the execution only fit under a reduced memory budget.
+    /// the scaled profile, and the regeneration/execution seconds.
     fn recover_partition(
         &self,
         query: &str,
         node_plan: &LogicalPlan,
         p: usize,
         j: usize,
-    ) -> Result<(Relation, WorkProfile, f64, f64, bool)> {
+        report: &mut RecoveryReport,
+    ) -> Result<(Relation, WorkProfile, f64, f64)> {
         let gen = Generator::new(self.config.sf);
         let (_, lineitem) = gen.orders_lineitem_chunk(p as u64, self.config.nodes as u64)?;
         let rows = lineitem.num_rows() as u64;
@@ -1070,23 +1042,21 @@ impl WimpiCluster {
         }
         rcat.register("lineitem", lineitem);
         let base = (scan_bytes(node_plan, &rcat)? as f64 * self.config.model_scale) as u64;
-        let (rel, prof, exec_s, budgeted) = match self.priced_execution(
+        let (rel, prof, exec_s) = match self.priced_execution(
             &EngineConfig::serial(),
             node_plan,
             &rcat,
             base,
             self.config.model_scale,
+            report,
         )? {
-            Priced::Fit { rel, prof, penalty_s, budgeted, .. } => {
-                let s = predict(&self.pi, &prof, self.config.node_threads).total_s() + penalty_s;
-                (rel, prof, s, budgeted)
-            }
+            Priced::Fit { rel, prof, exec_s, .. } => (rel, prof, exec_s),
             Priced::Oom { needed } => {
                 return Err(ClusterError::NodeOom { query: query.into(), node: j, needed })
             }
         };
         let regen_s = self.regeneration_seconds(rows, heap);
-        Ok((rel, prof, regen_s, exec_s, budgeted))
+        Ok((rel, prof, regen_s, exec_s))
     }
 
     /// Simulated seconds for a survivor to regenerate a lineitem chunk:
@@ -1209,14 +1179,9 @@ impl WimpiCluster {
             cat,
             base,
             self.config.model_scale,
+            &mut report,
         )? {
-            Priced::Fit { rel, prof, penalty_s, cancel, budgeted } => {
-                if budgeted {
-                    report.budget_degraded += 1;
-                }
-                let s = predict(&self.pi, &prof, self.config.node_threads).total_s() + penalty_s;
-                (rel, prof, s, cancel)
-            }
+            Priced::Fit { rel, prof, exec_s, cancel } => (rel, prof, exec_s, cancel),
             Priced::Oom { needed } => {
                 return Err(ClusterError::NodeOom { query: query.into(), node: exec_node, needed })
             }

@@ -20,10 +20,9 @@ use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use super::hash::{FxMap, SmallSet};
-use super::join::MAX_GRACE_PARTS;
+use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig};
 use super::partition::Partitioner;
-use super::spill::{note_spill_delta, SpillRowReader, SpillSet, MAX_SPILL_PARTS};
 use super::{ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::eval::Evaluator;
@@ -85,7 +84,7 @@ pub fn exec_aggregate(
             return p;
         }
         for i in r {
-            p.push_row(i, &encoded, &inputs);
+            p.push_keyed(Key::at(&encoded, i), i as u32, &inputs);
         }
         p
     });
@@ -94,13 +93,19 @@ pub fn exec_aggregate(
     // The coordinator merge reserves one `width`-byte table entry per
     // distinct group (the same constant the work profile charges to
     // `hash_bytes`). When the table would exceed the query budget the merge
-    // is abandoned and redone Grace-style: partition the groups by key hash
-    // and build one bounded table per partition, sequentially.
+    // is abandoned and redone down the ladder: partition the groups by key
+    // hash and build one bounded table per partition, sequentially.
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     let empty_states = || inputs.iter().map(AggState::empty_like).collect();
     let (first_rows, mut gstates) = match merge_partials(partials, &empty_states, width, ctx) {
         Some(table) => table,
-        None => Ladder::new(&ranges, &encoded, &inputs, width, ctx).run(prof)?,
+        None => {
+            let morsel_len = ranges.first().map_or(1, |r| r.len());
+            ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
+            ladder::descend(ctx, prof, "aggregate", &[(n, &encoded)], |att| {
+                attempt(att, morsel_len, &inputs, width, ctx)
+            })?
+        }
     };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     for st in &mut gstates {
@@ -222,19 +227,10 @@ impl GroupTable {
     }
 }
 
-/// The budget ladder below the in-memory merge: partition the groups by key
-/// hash and aggregate one partition at a time, sequentially, each against its
-/// own reservation that is released before the next partition starts,
-/// doubling the fan-out until every partition's table fits the budget. Keys
-/// are hashed once, at construction, for every attempt of both rungs:
-///
-/// - **Grace** walks each partition's rows straight from the partitioner's
-///   buckets, at fan-outs from 2 up to `MAX_GRACE_PARTS`.
-/// - **Spill** (DESIGN.md §16; only with a spill disk, only when Grace's cap
-///   cannot fit a partition's table) resumes the doubling past that cap and
-///   round-trips the routing — each partition's `(row id, key slots)` records
-///   — through the disk (checksum-verified, fault-retried). Aggregate *input*
-///   values are still read from the resident columns by row id.
+/// One attempt of the degradation ladder ([`ladder::descend`]) below the
+/// in-memory merge: aggregate one partition of the groups at a time, each
+/// against its own reservation. Aggregate *input* values are read from the
+/// resident columns by row id whether or not the routing was staged.
 ///
 /// Bit-exactness: every row of a group lands in the same partition and a
 /// partition's rows are walked in ascending order, cut into partials at the
@@ -243,142 +239,54 @@ impl GroupTable {
 /// order. Distinct groups have distinct first rows, so sorting the stitched
 /// groups by first row reproduces the unpartitioned first-appearance group
 /// order exactly.
-struct Ladder<'a> {
-    part: Partitioner,
+fn attempt(
+    att: &mut Attempt<'_, Key>,
     morsel_len: usize,
-    encoded: &'a [Vec<i64>],
-    inputs: &'a [AggInput<'a>],
+    inputs: &[AggInput],
     width: u64,
-    ctx: &'a QueryContext,
-}
-
-impl<'a> Ladder<'a> {
-    fn new(
-        ranges: &[std::ops::Range<usize>],
-        encoded: &'a [Vec<i64>],
-        inputs: &'a [AggInput<'a>],
-        width: u64,
-        ctx: &'a QueryContext,
-    ) -> Self {
-        let n = ranges.last().map_or(0, |r| r.end);
-        let morsel_len = ranges.first().map_or(1, |r| r.len());
-        ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
-        let part = Partitioner::new(n, |i| key_at(encoded, i));
-        Ladder { part, morsel_len, encoded, inputs, width, ctx }
-    }
-
-    /// Grace, then the spill rung. Only the budget failure escalates; other
-    /// errors pass through untouched.
-    fn run(&self, prof: &mut WorkProfile) -> Result<(Vec<u32>, Vec<AggState>)> {
-        match (self.rung(false), self.ctx.spill()) {
-            (Err(EngineError::ResourceExhausted { .. }), Some(disk)) => {
-                let before = disk.counters();
-                let result = self.rung(true);
-                // Ledger even when the rung escalates: DiskFull bytes were priced.
-                note_spill_delta(prof, disk.counters().delta_since(&before));
-                result
-            }
-            (grace, _) => grace,
+    ctx: &QueryContext,
+) -> Result<Verdict<(Vec<u32>, Vec<AggState>)>> {
+    let empty_states = || inputs.iter().map(AggState::empty_like).collect::<Vec<_>>();
+    let parts = att.stage()?;
+    // (first row, partition, local gid) of every group, in discovery
+    // order, plus each partition's group count and accumulated states.
+    let mut order: Vec<(u32, u32, u32)> = Vec::new();
+    let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(parts.len());
+    for p in parts.iter() {
+        let p = p?;
+        let mut table =
+            GroupTable::new(empty_states(), width, ctx).expect("an empty reservation always fits");
+        if !table.absorb_rows(parts.rows(0, p)?, morsel_len, inputs) {
+            // A partition of one group cannot shrink further.
+            let alone = table.first_rows.is_empty();
+            let verdict = if alone { Verdict::Hopeless } else { Verdict::Double };
+            return Ok(verdict(table.guard.bytes() + width));
         }
+        let groups = table.first_rows.iter().enumerate();
+        order.extend(groups.map(|(lg, &fr)| (fr, p as u32, lg as u32)));
+        part_states.push((table.first_rows.len(), table.states));
+        // `table.guard` drops here: the partition's table scratch is
+        // released before the next partition reserves its own.
     }
-
-    fn rung(&self, spilling: bool) -> Result<(Vec<u32>, Vec<AggState>)> {
-        let (mut nparts, cap) =
-            if spilling { (MAX_GRACE_PARTS * 2, MAX_SPILL_PARTS) } else { (2, MAX_GRACE_PARTS) };
-        loop {
-            if let Some(table) = self.attempt(nparts, nparts >= cap, spilling)? {
-                self.ctx.note_fallback(nparts as u32);
-                return Ok(table);
-            }
-            nparts *= 2;
+    // Every partition fit. Stitch the global table in first-appearance
+    // order; folding each partition total into a fresh accumulator is
+    // exact (0 + x, None → x, set ∪ ∅).
+    order.sort_unstable_by_key(|&(fr, _, _)| fr);
+    let first_rows: Vec<u32> = order.iter().map(|&(fr, _, _)| fr).collect();
+    let mut gid_maps: Vec<Vec<u32>> = part_states.iter().map(|&(c, _)| vec![0; c]).collect();
+    for (g, &(_, p, lg)) in order.iter().enumerate() {
+        gid_maps[p as usize][lg as usize] = g as u32;
+    }
+    let mut gstates = empty_states();
+    for st in &mut gstates {
+        st.grow_to(first_rows.len());
+    }
+    for ((_, pstates), gid_map) in part_states.into_iter().zip(&gid_maps) {
+        for (gst, lst) in gstates.iter_mut().zip(pstates) {
+            gst.merge_from(lst, gid_map);
         }
     }
-
-    /// One attempt at fan-out `nparts`. `Ok(None)` asks for a doubled
-    /// fan-out: some partition's table outgrew the budget. When doubling
-    /// cannot help — a partition of one group cannot shrink further, and past
-    /// the doubling cap (`last`) the budget is declared impossible — that
-    /// failure is the typed `ResourceExhausted` instead.
-    fn attempt(
-        &self,
-        nparts: usize,
-        last: bool,
-        spilling: bool,
-    ) -> Result<Option<(Vec<u32>, Vec<AggState>)>> {
-        let &Ladder { morsel_len, encoded, inputs, width, ctx, .. } = self;
-        let empty_states = || inputs.iter().map(AggState::empty_like).collect::<Vec<_>>();
-        let buckets = self.part.buckets(nparts);
-        // `SpillSet` frees the staged chunks on every exit, so a failed
-        // attempt returns its disk space before the next one stages.
-        let staged = match spilling {
-            true => {
-                let mut set = SpillSet::new(ctx, "aggregate").expect("disk attached");
-                let chunks = set.stage(&buckets, encoded, ctx)?;
-                Some((set, chunks))
-            }
-            false => None,
-        };
-        // (first row, partition, local gid) of every group, in discovery
-        // order, plus each partition's group count and accumulated states.
-        let mut order: Vec<(u32, u32, u32)> = Vec::new();
-        let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(nparts);
-        for p in 0..nparts {
-            ctx.checkpoint()?;
-            let mut table = GroupTable::new(empty_states(), width, ctx)
-                .expect("an empty reservation always fits");
-            let fit = match &staged {
-                None => {
-                    let rows = buckets.rows(p).iter().map(|&i| (i, key_at(encoded, i as usize)));
-                    table.absorb_rows(rows, morsel_len, inputs)
-                }
-                Some((set, chunks)) => match chunks[p] {
-                    None => true,
-                    Some(chunk) => {
-                        let bytes = set.read(chunk)?;
-                        let mut rd = SpillRowReader::new(&bytes, encoded.len());
-                        let rows = std::iter::from_fn(|| {
-                            rd.next().map(|(row, slots)| (row, Key::from_row(slots)))
-                        });
-                        table.absorb_rows(rows, morsel_len, inputs)
-                    }
-                },
-            };
-            if !fit {
-                if table.first_rows.is_empty() || last {
-                    return Err(EngineError::ResourceExhausted {
-                        requested: table.guard.bytes() + width,
-                        budget: ctx.budget(),
-                        operator: "aggregate".to_string(),
-                    });
-                }
-                return Ok(None);
-            }
-            let groups = table.first_rows.iter().enumerate();
-            order.extend(groups.map(|(lg, &fr)| (fr, p as u32, lg as u32)));
-            part_states.push((table.first_rows.len(), table.states));
-            // `table.guard` drops here: the partition's table scratch is
-            // released before the next partition reserves its own.
-        }
-        // Every partition fit. Stitch the global table in first-appearance
-        // order; folding each partition total into a fresh accumulator is
-        // exact (0 + x, None → x, set ∪ ∅).
-        order.sort_unstable_by_key(|&(fr, _, _)| fr);
-        let first_rows: Vec<u32> = order.iter().map(|&(fr, _, _)| fr).collect();
-        let mut gid_maps: Vec<Vec<u32>> = part_states.iter().map(|&(c, _)| vec![0; c]).collect();
-        for (g, &(_, p, lg)) in order.iter().enumerate() {
-            gid_maps[p as usize][lg as usize] = g as u32;
-        }
-        let mut gstates = empty_states();
-        for st in &mut gstates {
-            st.grow_to(first_rows.len());
-        }
-        for ((_, pstates), gid_map) in part_states.into_iter().zip(&gid_maps) {
-            for (gst, lst) in gstates.iter_mut().zip(pstates) {
-                gst.merge_from(lst, gid_map);
-            }
-        }
-        Ok(Some((first_rows, gstates)))
-    }
+    Ok(Verdict::Fit((first_rows, gstates)))
 }
 
 type KeyMap = FxMap<Key, u32>;
@@ -386,7 +294,7 @@ type KeyMap = FxMap<Key, u32>;
 /// A group key: the common 0/1/2-column cases avoid heap allocation. Keys
 /// hold `key_values`-encoded slots, so the fused executor's VM (which emits
 /// the same encoding) builds identical keys from its per-morsel buffers.
-#[derive(Clone, Hash, PartialEq, Eq)]
+#[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub(super) enum Key {
     Unit,
     One(i64),
@@ -394,34 +302,25 @@ pub(super) enum Key {
     Many(Vec<i64>),
 }
 
-impl Key {
-    /// Builds a key from one row of column-major encoded slots.
+impl FromSlots for Key {
     #[inline]
-    pub(super) fn from_slots(slots: &[Vec<i64>], i: usize) -> Key {
-        key_at(slots, i)
+    fn at(cols: &[Vec<i64>], i: usize) -> Key {
+        match cols.len() {
+            0 => Key::Unit,
+            1 => Key::One(cols[0][i]),
+            2 => Key::Two(cols[0][i], cols[1][i]),
+            _ => Key::Many(cols.iter().map(|k| k[i]).collect()),
+        }
     }
 
-    /// Builds a key from one row-major slot slice (a decoded spill row).
-    /// Must agree with [`Key::from_slots`] for the partition assignment and
-    /// chain layout of the spilled rungs to match.
     #[inline]
-    pub(super) fn from_row(slots: &[i64]) -> Key {
+    fn from_row(slots: &[i64]) -> Key {
         match slots.len() {
             0 => Key::Unit,
             1 => Key::One(slots[0]),
             2 => Key::Two(slots[0], slots[1]),
             _ => Key::Many(slots.to_vec()),
         }
-    }
-}
-
-#[inline]
-fn key_at(encoded: &[Vec<i64>], i: usize) -> Key {
-    match encoded.len() {
-        0 => Key::Unit,
-        1 => Key::One(encoded[0][i]),
-        2 => Key::Two(encoded[0][i], encoded[1][i]),
-        _ => Key::Many(encoded.iter().map(|k| k[i]).collect()),
     }
 }
 
@@ -506,11 +405,6 @@ impl MorselAgg {
         Self { map: KeyMap::default(), keys: Vec::new(), first_rows: Vec::new(), states }
     }
 
-    #[inline]
-    fn push_row(&mut self, i: usize, encoded: &[Vec<i64>], inputs: &[AggInput]) {
-        self.push_keyed(key_at(encoded, i), i as u32, inputs);
-    }
-
     /// Accumulates row `row`, whose group key is `k`.
     #[inline]
     fn push_keyed(&mut self, k: Key, row: u32, inputs: &[AggInput]) {
@@ -538,7 +432,7 @@ impl MorselAgg {
         gids.clear();
         gids.reserve(rows.len());
         for (vi, &row) in rows.iter().enumerate() {
-            let g = self.group_of(Key::from_slots(keybufs, vi), row);
+            let g = self.group_of(Key::at(keybufs, vi), row);
             gids.push(g);
         }
         for (st, (buf, &kind)) in self.states.iter_mut().zip(aggbufs.iter().zip(kinds)) {
@@ -1223,7 +1117,10 @@ mod tests {
             matches!(err, EngineError::ResourceExhausted { ref operator, .. } if operator == "aggregate"),
             "got {err:?}"
         );
-        assert_eq!(disk.used(), 0, "the failed attempt freed its chunks");
+        // Hopeless from the first attempt: a doomed query never reaches the disk.
+        assert_eq!(prof.spilled_bytes, 0);
+        assert_eq!(disk.sim_seconds(), 0.0);
+        assert_eq!(disk.used(), 0);
         assert_eq!(ctx.used(), 0);
     }
 }

@@ -18,11 +18,9 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
 
-use super::aggregate::Key;
 use super::hash::{fx_map, fx_slot, FxMap};
+use super::ladder::{self, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels, run_morsels_spanned, EngineConfig};
-use super::partition::Partitioner;
-use super::spill::{note_spill_delta, SpillRowReader, SpillSet, MAX_SPILL_PARTS};
 use super::{ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::governor::QueryContext;
@@ -36,10 +34,6 @@ use wimpi_storage::{Column, DataType, DictBuilder};
 /// constant the work profile charges to `hash_bytes`, so the governor's
 /// reservations and the cost model agree about what a build "weighs".
 const BUILD_BYTES_PER_ROW_KEY: u64 = 16;
-
-/// The Grace fallback stops doubling here; a build that cannot fit at 1024
-/// partitions is declared `ResourceExhausted`.
-pub(crate) const MAX_GRACE_PARTS: usize = 1024;
 
 /// Synthetic column marking matched rows in a left outer join.
 pub const MATCHED_COL: &str = "__matched";
@@ -79,59 +73,11 @@ pub fn exec_join(
     let rkeys: Vec<Vec<i64>> =
         on.iter().map(|(_, r)| key_values(right.column(r)?.as_ref())).collect::<Result<_>>()?;
 
-    let probed = match on.len() {
-        1 => probe(
-            cfg,
-            left.num_rows(),
-            right.num_rows(),
-            |i| lkeys[0][i],
-            |i| rkeys[0][i],
-            join_type,
-            tracer,
-            ctx,
-            1,
-        ),
-        2 => probe(
-            cfg,
-            left.num_rows(),
-            right.num_rows(),
-            |i| (lkeys[0][i], lkeys[1][i]),
-            |i| (rkeys[0][i], rkeys[1][i]),
-            join_type,
-            tracer,
-            ctx,
-            2,
-        ),
-        _ => probe(
-            cfg,
-            left.num_rows(),
-            right.num_rows(),
-            |i| lkeys.iter().map(|k| k[i]).collect::<Vec<_>>(),
-            |i| rkeys.iter().map(|k| k[i]).collect::<Vec<_>>(),
-            join_type,
-            tracer,
-            ctx,
-            on.len(),
-        ),
-    };
-    // Out-of-core rung (DESIGN.md §16): when even Grace could not fit the
-    // largest partition, stage partition inputs on the spill disk and resume
-    // the fan-out doubling. Only a budget failure escalates here — other
-    // errors (cancellation, integrity) pass through untouched.
-    let (lsel, rsel) = match probed {
-        Err(EngineError::ResourceExhausted { .. }) if ctx.spill().is_some() => spill_probe(
-            cfg,
-            left.num_rows(),
-            right.num_rows(),
-            &lkeys,
-            &rkeys,
-            join_type,
-            tracer,
-            ctx,
-            prof,
-        )?,
-        other => other?,
-    };
+    let (lsel, rsel) = match on.len() {
+        1 => probe::<i64>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
+        2 => probe::<(i64, i64)>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
+        _ => probe::<Vec<i64>>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
+    }?;
 
     // Work: build inserts + probe lookups are random accesses; the build
     // table footprint informs the LLC model. Charged once from global row
@@ -233,28 +179,25 @@ fn emit_row(
 /// parallel path, so trace structure is identical at any thread count.
 ///
 /// The whole build table is reserved against the query budget up front; when
-/// it does not fit, [`partitioned_probe`] degrades to a Grace-partitioned
-/// build with the same output and trace structure. Worker threads bail out
+/// it does not fit, [`partitioned_probe`] degrades to a partitioned build
+/// with the same output and trace structure. Worker threads bail out
 /// at morsel boundaries once cancellation is signalled (the partial result
 /// is discarded — the final checkpoint turns it into `Cancelled`).
-#[allow(clippy::too_many_arguments)]
-fn probe<K: Hash + Eq + Send + Sync>(
+fn probe<K: FromSlots + Send + Sync>(
     cfg: &EngineConfig,
-    nleft: usize,
-    nright: usize,
-    lkey: impl Fn(usize) -> K + Sync,
-    rkey: impl Fn(usize) -> K + Sync,
+    lkeys: &[Vec<i64>],
+    rkeys: &[Vec<i64>],
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
-    nkeys: usize,
+    prof: &mut WorkProfile,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
-    let build_bytes = nright as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
+    let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
+    let build_bytes = nright as u64 * BUILD_BYTES_PER_ROW_KEY * rkeys.len() as u64;
     let Some(_guard) = ctx.try_reserve(build_bytes) else {
-        return partitioned_probe(
-            cfg, nleft, nright, lkey, rkey, join_type, tracer, ctx, nkeys, None,
-        );
+        return partitioned_probe::<K>(cfg, lkeys, rkeys, join_type, tracer, ctx, prof);
     };
+    let (lkey, rkey) = (|i| K::at(lkeys, i), |i| K::at(rkeys, i));
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
     let build_started = traced.then(std::time::Instant::now);
@@ -360,27 +303,12 @@ fn probe<K: Hash + Eq + Send + Sync>(
     Ok((lsel, rsel))
 }
 
-/// What the spill rung adds to [`partitioned_probe`]: both sides' key slots,
-/// staged on the disk as `(row id, key slots)` records, and the key a
-/// read-back record's slots rebuild.
-struct Staging<'a, K> {
-    lslots: &'a [Vec<i64>],
-    rslots: &'a [Vec<i64>],
-    key_of: fn(&[i64]) -> K,
-}
-
-/// The degraded build below the resident one: partition both sides by their
-/// deterministic key hash (each row hashed once — see [`Partitioner`]),
-/// process partitions *sequentially* (one partition's hash table lives at a
-/// time), then splice the per-partition outputs back into global left-row
-/// order. The fan-out doubles until the *largest* partition's build table
-/// fits the budget: the Grace rung (`staging` = `None`) from 2 up to
-/// `MAX_GRACE_PARTS`, walking the partitioner's buckets directly; the spill
-/// rung (DESIGN.md §16) from there up to `MAX_SPILL_PARTS`, round-tripping
-/// both sides' partition inputs through the spill disk (checksum-verified,
-/// fault-retried) instead. A hot key that still does not fit at the cap
-/// raises the typed `ResourceExhausted`, and a full disk raises the same
-/// error with the spill-disk marker in its operator.
+/// The degraded build below the resident one, down the shared ladder
+/// ([`ladder::descend`]): build and probe one partition of both sides at a
+/// time, then splice the per-partition outputs back into global left-row
+/// order. An attempt fits when the *largest* partition's build table does —
+/// sized from the bucket lengths before anything is staged, so a join that
+/// spills stages once.
 ///
 /// Determinism argument: all rows of one key hash to one partition, and each
 /// partition inserts its build rows in ascending global row order — so every
@@ -389,19 +317,18 @@ struct Staging<'a, K> {
 /// The splice then visits left rows 0..nleft in order, which reproduces the
 /// serial output byte for byte. Partition choice depends only on row counts
 /// and the budget, never on the thread count.
-#[allow(clippy::too_many_arguments)]
-fn partitioned_probe<K: Hash + Eq>(
+fn partitioned_probe<K: FromSlots>(
     cfg: &EngineConfig,
-    nleft: usize,
-    nright: usize,
-    lkey: impl Fn(usize) -> K,
-    rkey: impl Fn(usize) -> K,
+    lkeys: &[Vec<i64>],
+    rkeys: &[Vec<i64>],
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
-    nkeys: usize,
-    staging: Option<Staging<K>>,
+    prof: &mut WorkProfile,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
+    const BUILD: usize = 0;
+    const PROBE: usize = 1;
+    let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
     let build_started = traced.then(std::time::Instant::now);
@@ -412,101 +339,56 @@ fn partitioned_probe<K: Hash + Eq>(
     // the cluster's MemoryModel draws around `hash_bytes`).
     ctx.track((nleft + nright) as u64 * 8);
 
-    let table_bytes = |rows: usize| rows as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64;
-    let (mut nparts, cap) = match staging {
-        Some(_) => (MAX_GRACE_PARTS * 2, MAX_SPILL_PARTS),
-        None => (2, MAX_GRACE_PARTS),
-    };
-    let rpart = Partitioner::new(nright, &rkey);
-    let rbuckets = loop {
-        let buckets = rpart.buckets(nparts);
-        let need = table_bytes(buckets.max_len());
-        if ctx.try_reserve(need).is_some() {
-            break buckets;
-        }
-        if nparts >= cap {
-            return Err(EngineError::ResourceExhausted {
-                requested: need,
-                budget: ctx.budget(),
-                operator: "join build".to_string(),
-            });
-        }
-        nparts *= 2;
-    };
-    ctx.note_fallback(nparts as u32);
-    let lpart = Partitioner::new(nleft, &lkey);
-    let lbuckets = lpart.buckets(nparts);
-    // `SpillSet` frees every staged chunk on any exit.
-    let staged = match &staging {
-        Some(st) => {
-            let mut set = SpillSet::new(ctx, "join build").expect("disk attached");
-            let rchunks = set.stage(&rbuckets, st.rslots, ctx)?;
-            let lchunks = set.stage(&lbuckets, st.lslots, ctx)?;
-            Some((set, rchunks, lchunks, st.key_of))
-        }
-        None => None,
-    };
-    let build_ns = elapsed_ns(&build_started);
-    let probe_started = traced.then(std::time::Instant::now);
+    let table_bytes = |rows: usize| rows as u64 * BUILD_BYTES_PER_ROW_KEY * rkeys.len() as u64;
+    let inputs = [(nright, rkeys), (nleft, lkeys)];
+    let (lsel, rsel, build_ns, probe_started) =
+        ladder::descend::<K, _>(ctx, prof, "join build", &inputs, |att| {
+            let need = table_bytes(att.largest(BUILD));
+            if ctx.try_reserve(need).is_none() {
+                return Ok(Verdict::Double(need));
+            }
+            let parts = att.stage()?;
+            let build_ns = elapsed_ns(&build_started);
+            let probe_started = traced.then(std::time::Instant::now);
 
-    // One partition at a time: build, probe, drop.
-    let mut next: Vec<u32> = vec![NONE_ROW; nright];
-    let mut part_sels: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(nparts);
-    for p in 0..nparts {
-        ctx.checkpoint()?;
-        let rrows = rbuckets.rows(p);
-        let _table = ctx.reserve(table_bytes(rrows.len()), "join build")?;
-        let mut head: FxMap<K, u32> = fx_map(rrows.len());
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        match &staged {
-            None => {
-                for &i in rrows {
-                    chain(&mut head, &mut next, rkey(i as usize), i);
+            // One partition at a time: build, probe, drop.
+            let mut next: Vec<u32> = vec![NONE_ROW; nright];
+            let mut part_sels: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(parts.len());
+            for p in parts.iter() {
+                let p = p?;
+                let _table = ctx.reserve(table_bytes(parts.rows_in(BUILD, p)), "join build")?;
+                let mut head: FxMap<K, u32> = fx_map(parts.rows_in(BUILD, p));
+                let mut lsel = Vec::new();
+                let mut rsel = Vec::new();
+                for (row, k) in parts.rows(BUILD, p)? {
+                    chain(&mut head, &mut next, k, row);
                 }
-                for &i in lbuckets.rows(p) {
-                    let hit = head.get(&lkey(i as usize)).copied();
-                    emit_row(i as usize, hit, &next, join_type, &mut lsel, &mut rsel);
+                for (row, k) in parts.rows(PROBE, p)? {
+                    let hit = head.get(&k).copied();
+                    emit_row(row as usize, hit, &next, join_type, &mut lsel, &mut rsel);
                 }
+                part_sels.push((lsel, rsel));
             }
-            Some((set, rchunks, lchunks, key_of)) => {
-                if let Some(chunk) = rchunks[p] {
-                    let bytes = set.read(chunk)?;
-                    let mut rd = SpillRowReader::new(&bytes, nkeys);
-                    while let Some((row, slots)) = rd.next() {
-                        chain(&mut head, &mut next, key_of(slots), row);
-                    }
-                }
-                if let Some(chunk) = lchunks[p] {
-                    let bytes = set.read(chunk)?;
-                    let mut rd = SpillRowReader::new(&bytes, nkeys);
-                    while let Some((row, slots)) = rd.next() {
-                        let hit = head.get(&key_of(slots)).copied();
-                        emit_row(row as usize, hit, &next, join_type, &mut lsel, &mut rsel);
-                    }
-                }
-            }
-        }
-        part_sels.push((lsel, rsel));
-    }
 
-    // Splice back to global left-row order (per-partition outputs are
-    // already ascending in the left row id).
-    let mut cursors = vec![0usize; nparts];
-    let mut lsel = Vec::new();
-    let mut rsel = Vec::new();
-    for i in 0..nleft {
-        let p = lpart.part(i, nparts);
-        let (pl, pr) = &part_sels[p];
-        let c = &mut cursors[p];
-        while *c < pl.len() && pl[*c] == i as u32 {
-            lsel.push(i as u32);
-            if !pr.is_empty() {
-                rsel.push(pr[*c]);
+            // Splice back to global left-row order (per-partition outputs are
+            // already ascending in the left row id).
+            let mut cursors = vec![0usize; parts.len()];
+            let mut lsel = Vec::new();
+            let mut rsel = Vec::new();
+            for i in 0..nleft {
+                let p = parts.part_of(PROBE, i);
+                let (pl, pr) = &part_sels[p];
+                let c = &mut cursors[p];
+                while *c < pl.len() && pl[*c] == i as u32 {
+                    lsel.push(i as u32);
+                    if !pr.is_empty() {
+                        rsel.push(pr[*c]);
+                    }
+                    *c += 1;
+                }
             }
-            *c += 1;
-        }
-    }
+            Ok(Verdict::Fit((lsel, rsel, build_ns, probe_started)))
+        })?;
 
     // Identical trace structure to the resident-build paths: the probe span
     // carries one child per left morsel (synthetic here — the fallback
@@ -518,43 +400,6 @@ fn partitioned_probe<K: Hash + Eq>(
     }
     attach_phases(tracer, nright, build_ns, nleft, &lsel, &probe_started, sink);
     Ok((lsel, rsel))
-}
-
-/// The spill rung past Grace: [`partitioned_probe`] resumed beyond
-/// `MAX_GRACE_PARTS` with both sides staged on the spill disk. Keys are
-/// hashed as [`Key`] values (the aggregate's spill rung shares the codec).
-/// Bit-exact vs. the in-memory join at any thread count, by the same
-/// determinism argument.
-#[allow(clippy::too_many_arguments)]
-fn spill_probe(
-    cfg: &EngineConfig,
-    nleft: usize,
-    nright: usize,
-    lkeys: &[Vec<i64>],
-    rkeys: &[Vec<i64>],
-    join_type: JoinType,
-    tracer: &Tracer,
-    ctx: &QueryContext,
-    prof: &mut WorkProfile,
-) -> Result<(Vec<u32>, Vec<u32>)> {
-    let disk = Arc::clone(ctx.spill().expect("spill_probe requires a disk"));
-    let before = disk.counters();
-    let result = partitioned_probe(
-        cfg,
-        nleft,
-        nright,
-        |i| Key::from_slots(lkeys, i),
-        |i| Key::from_slots(rkeys, i),
-        join_type,
-        tracer,
-        ctx,
-        lkeys.len(),
-        Some(Staging { lslots: lkeys, rslots: rkeys, key_of: Key::from_row }),
-    );
-    // The ledger reflects spill traffic even when the rung ultimately
-    // escalates (DiskFull bytes were still written and priced).
-    note_spill_delta(prof, disk.counters().delta_since(&before));
-    result
 }
 
 #[inline]
@@ -638,6 +483,21 @@ mod tests {
         let mut p = WorkProfile::new();
         let ctx = QueryContext::default();
         exec_join(l, r, &on, jt, &mut p, &EngineConfig::serial(), Tracer::off(), &ctx).unwrap()
+    }
+
+    /// Joins on `lk = rk` under `cfg` and `ctx`; the profile comes back even
+    /// when the join fails.
+    fn join(
+        l: &Relation,
+        r: &Relation,
+        jt: JoinType,
+        cfg: &EngineConfig,
+        ctx: &QueryContext,
+    ) -> (Result<Relation>, WorkProfile) {
+        let mut p = WorkProfile::new();
+        let on = [("lk".to_string(), "rk".to_string())];
+        let out = exec_join(l, r, &on, jt, &mut p, cfg, Tracer::off(), ctx);
+        (out, p)
     }
 
     #[test]
@@ -750,19 +610,8 @@ mod tests {
         ]);
         for jt in [JoinType::Inner, JoinType::Semi, JoinType::Anti, JoinType::LeftOuter] {
             let on = [("lk".to_string(), "rk".to_string())];
-            let mut sp = WorkProfile::new();
-            let unbounded = QueryContext::default();
-            let want = exec_join(
-                &l,
-                &r,
-                &on,
-                jt,
-                &mut sp,
-                &EngineConfig::serial(),
-                Tracer::off(),
-                &unbounded,
-            )
-            .unwrap();
+            let (want, _) = join(&l, &r, jt, &EngineConfig::serial(), &QueryContext::default());
+            let want = want.unwrap();
             for threads in [1, 2, 4] {
                 let cfg = EngineConfig::with_threads(threads).with_morsel_rows(13);
                 let ctx = QueryContext::with_budget(500);
@@ -779,18 +628,7 @@ mod tests {
         // A budget below one key's chain (keys repeat 3×: 48 B minimum even
         // at max fan-out) errors, typed.
         let ctx = QueryContext::with_budget(40);
-        let mut p = WorkProfile::new();
-        let err = exec_join(
-            &l,
-            &r,
-            &[("lk".to_string(), "rk".to_string())],
-            JoinType::Inner,
-            &mut p,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let err = join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &ctx).0.unwrap_err();
         assert!(
             matches!(err, EngineError::ResourceExhausted { ref operator, .. } if operator == "join build"),
             "got {err:?}"
@@ -820,18 +658,8 @@ mod tests {
         let (l, r) = spill_join_inputs();
         let on = [("lk".to_string(), "rk".to_string())];
         for jt in [JoinType::Inner, JoinType::Semi, JoinType::Anti, JoinType::LeftOuter] {
-            let mut sp = WorkProfile::new();
-            let want = exec_join(
-                &l,
-                &r,
-                &on,
-                jt,
-                &mut sp,
-                &EngineConfig::serial(),
-                Tracer::off(),
-                &QueryContext::default(),
-            )
-            .unwrap();
+            let (want, _) = join(&l, &r, jt, &EngineConfig::serial(), &QueryContext::default());
+            let want = want.unwrap();
             for threads in [1, 2, 4] {
                 let cfg = EngineConfig::with_threads(threads).with_morsel_rows(257);
                 let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(4 << 20));
@@ -852,19 +680,9 @@ mod tests {
     fn spill_rung_survives_injected_faults_bit_exactly() {
         use wimpi_storage::SpillFaults;
         let (l, r) = spill_join_inputs();
-        let on = [("lk".to_string(), "rk".to_string())];
-        let mut sp = WorkProfile::new();
-        let want = exec_join(
-            &l,
-            &r,
-            &on,
-            JoinType::Inner,
-            &mut sp,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &QueryContext::default(),
-        )
-        .unwrap();
+        let (want, _) =
+            join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &QueryContext::default());
+        let want = want.unwrap();
         // 1-in-8 per fault kind: thousands of partition chunks guarantee
         // many injected corruptions, while 16 retries make an exhausted
         // chunk (p ≈ 0.23¹⁷ per chunk) impossible in practice.
@@ -873,18 +691,8 @@ mod tests {
             .with_max_read_retries(16);
         let disk = spill_disk(cfg);
         let ctx = QueryContext::with_budget(128).with_spill(Arc::clone(&disk));
-        let mut p = WorkProfile::new();
-        let got = exec_join(
-            &l,
-            &r,
-            &on,
-            JoinType::Inner,
-            &mut p,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap();
+        let (got, p) = join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &ctx);
+        let got = got.unwrap();
         assert_eq!(got, want, "faulted spill run must stay bit-exact");
         assert!(p.spill_corruptions_detected > 0, "fault injection must fire");
         assert_eq!(
@@ -899,18 +707,8 @@ mod tests {
         let (l, r) = spill_join_inputs();
         let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(1024));
         let ctx = QueryContext::with_budget(128).with_spill(Arc::clone(&disk));
-        let mut p = WorkProfile::new();
-        let err = exec_join(
-            &l,
-            &r,
-            &[("lk".to_string(), "rk".to_string())],
-            JoinType::Inner,
-            &mut p,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let (err, p) = join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &ctx);
+        let err = err.unwrap_err();
         assert!(
             matches!(err, EngineError::ResourceExhausted { ref operator, .. }
                 if operator.contains("spill disk full")),
@@ -930,50 +728,34 @@ mod tests {
             .with_max_read_retries(2);
         let disk = spill_disk(cfg);
         let ctx = QueryContext::with_budget(128).with_spill(Arc::clone(&disk));
-        let mut p = WorkProfile::new();
-        let err = exec_join(
-            &l,
-            &r,
-            &[("lk".to_string(), "rk".to_string())],
-            JoinType::Inner,
-            &mut p,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let err = join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &ctx).0.unwrap_err();
         assert!(
             matches!(err, EngineError::Integrity { ref table, .. } if table == "__spill"),
             "got {err:?}"
         );
         assert_eq!(disk.used(), 0, "escalation still freed the chunks");
+        assert_eq!(ctx.used(), 0);
     }
 
     #[test]
     fn impossible_budget_still_errors_with_a_spill_disk() {
-        // Keys repeat 3×, so even MAX_SPILL_PARTS cannot shrink a partition
+        // Keys repeat 3×, so even the deepest fan-out cannot shrink a partition
         // below one 48 B chain — the typed error must survive the disk.
         let n = 200i64;
         let l = rel(vec![("lk", (0..n).map(|i| i % 17).collect())]);
         let r = rel(vec![("rk", (0..60).map(|i| i % 23).collect())]);
         let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(4 << 20));
         let ctx = QueryContext::with_budget(40).with_spill(Arc::clone(&disk));
-        let mut p = WorkProfile::new();
-        let err = exec_join(
-            &l,
-            &r,
-            &[("lk".to_string(), "rk".to_string())],
-            JoinType::Inner,
-            &mut p,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let (err, p) = join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &ctx);
+        let err = err.unwrap_err();
         assert!(
             matches!(err, EngineError::ResourceExhausted { ref operator, .. } if operator == "join build"),
             "got {err:?}"
         );
+        // Sized from the bucket lengths: a doomed query never reaches the disk.
+        assert_eq!(p.spilled_bytes, 0);
+        assert_eq!(disk.sim_seconds(), 0.0);
         assert_eq!(disk.used(), 0);
+        assert_eq!(ctx.used(), 0);
     }
 }

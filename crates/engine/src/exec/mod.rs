@@ -17,6 +17,7 @@ pub mod filter;
 mod fused;
 mod hash;
 pub mod join;
+mod ladder;
 pub mod parallel;
 mod partition;
 mod prune;

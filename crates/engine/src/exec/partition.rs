@@ -1,12 +1,12 @@
-//! Partition-once routing for the budget-fallback ladder (DESIGN.md §10, §16).
+//! Partition-once routing for the degradation ladder (DESIGN.md §10, §16).
 //!
-//! Grace and spill partitioning both retry at doubled fan-outs until every
-//! partition's table fits the budget. A [`Partitioner`] hashes each row's key
-//! exactly once, up front, and every attempt is then a counting sort of row
-//! ids over the stored hashes — O(n) integer work per attempt where hashing
-//! per partition per attempt was O(n·ΣP) SipHash calls. The bookkeeping is
-//! 6 B/row (2 B hash, 4 B bucketed row id): sequential, so callers `track` it
-//! against the high-water mark without capping it.
+//! The ladder retries at doubled fan-outs until every partition's table fits
+//! the budget. A [`Partitioner`] hashes each row's key exactly once, up
+//! front, and every attempt is then a counting sort of row ids over the
+//! stored hashes — O(n) integer work per attempt where hashing per partition
+//! per attempt was O(n·ΣP) SipHash calls. The bookkeeping is 6 B/row (2 B
+//! hash, 4 B bucketed row id): sequential, so callers `track` it against the
+//! high-water mark without capping it.
 
 use std::hash::{Hash, Hasher};
 
@@ -103,6 +103,7 @@ impl Buckets {
 #[cfg(test)]
 mod tests {
     use super::super::aggregate::Key;
+    use super::super::ladder::FromSlots;
     use super::*;
     use proptest::prelude::*;
 
@@ -135,7 +136,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// One case per key shape the operators hash: a join's `i64`, pair
-        /// and `Vec` keys, and the `Key` of the aggregate and the spill rungs.
+        /// and `Vec` keys, and the aggregate's `Key`.
         #[test]
         fn buckets_equal_filtering_by_partition_of(
             rows in proptest::collection::vec((-40i64..40, -(1i64 << 40)..1i64 << 40, 0i64..3), 0..120),

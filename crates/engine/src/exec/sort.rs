@@ -12,7 +12,7 @@ use crate::governor::QueryContext;
 use crate::plan::SortKey;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
-use wimpi_storage::Column;
+use wimpi_storage::{Column, DictColumn};
 
 /// One prepared sort key.
 enum KeyRep {
@@ -29,26 +29,15 @@ impl KeyRep {
             KeyRep::Rank(v) => v[a].cmp(&v[b]),
         }
     }
-
-    /// Bytes one comparison streams per row of this key: ranks are `u32`
-    /// (4 B), integer/float keys are 8 B. Cost accounting must charge the
-    /// width actually touched, or hwsim over-prices ORDER BY on dictionary
-    /// columns by 2×.
-    fn row_bytes(&self) -> u64 {
-        match self {
-            KeyRep::I64(_) | KeyRep::F64(_) => 8,
-            KeyRep::Rank(_) => 4,
-        }
-    }
 }
 
 /// Sorts the relation by `keys` (most significant first).
 ///
 /// Sorting has no Grace-style fallback — the key representations and the
 /// index vector are the algorithm — so the whole buffer is reserved up
-/// front. When it does not fit and a spill disk is attached, [`spill_sort`]
-/// degrades to an external merge sort (DESIGN.md §16); otherwise an
-/// impossible budget fails fast with `ResourceExhausted`.
+/// front. When it does not fit and a spill disk is attached, it degrades to
+/// [`external_order`] (DESIGN.md §16); otherwise an impossible budget fails
+/// fast with `ResourceExhausted`.
 pub fn exec_sort(
     rel: &Relation,
     keys: &[SortKey],
@@ -66,9 +55,11 @@ pub fn exec_sort(
     for k in keys {
         key_width += rel.column(&k.column)?.data_type().sort_key_bytes();
     }
-    let _guard = match ctx.try_reserve(n as u64 * key_width) {
-        Some(g) => g,
-        None if ctx.spill().is_some() => return spill_sort(rel, keys, n, key_width, prof, ctx),
+    let idx = match ctx.try_reserve(n as u64 * key_width) {
+        Some(_guard) => resident_order(rel, keys, n, ctx)?,
+        None if ctx.spill().is_some() => {
+            super::ladder::ledgered(ctx, prof, || external_order(rel, keys, n, ctx))?
+        }
         None => {
             return Err(EngineError::ResourceExhausted {
                 requested: n as u64 * key_width,
@@ -77,6 +68,29 @@ pub fn exec_sort(
             })
         }
     };
+    // n log n comparisons over all keys, plus the output gather. log2 is
+    // rounded to nearest — truncation undercharged by up to one comparison
+    // level per row (e.g. n=1000 paid for 9 of its ~10 levels). Each
+    // comparison streams the key representations at their real widths (4 B
+    // dictionary ranks, 8 B integer/float keys — charging 8 B for a rank
+    // would over-price ORDER BY on dictionary columns by 2×). The charges do
+    // not depend on which path ordered the rows (spill traffic is ledgered
+    // separately), so profiles stay budget-invariant.
+    let logn = (n.max(2) as f64).log2().round() as u64;
+    prof.cpu_ops += n as u64 * logn * keys.len() as u64;
+    prof.seq_read_bytes += n as u64 * (key_width - 4);
+    let out = rel.take(&idx);
+    super::filter::charge_gather(rel, &out, n, prof);
+    Ok(out)
+}
+
+/// The stable in-memory sort: the permutation that orders `rel` by `keys`.
+fn resident_order(
+    rel: &Relation,
+    keys: &[SortKey],
+    n: usize,
+    ctx: &QueryContext,
+) -> Result<Vec<u32>> {
     let mut reps = Vec::with_capacity(keys.len());
     for k in keys {
         let col = rel.column(&k.column)?;
@@ -93,21 +107,11 @@ pub fn exec_sort(
         }
         Ordering::Equal
     });
-    // n log n comparisons over all keys, plus the output gather. log2 is
-    // rounded to nearest — truncation undercharged by up to one comparison
-    // level per row (e.g. n=1000 paid for 9 of its ~10 levels).
-    let logn = (n.max(2) as f64).log2().round() as u64;
-    prof.cpu_ops += n as u64 * logn * keys.len() as u64;
-    // Each comparison streams the key representations at their real widths:
-    // 4 B dictionary ranks, 8 B integer/float keys.
-    prof.seq_read_bytes += n as u64 * reps.iter().map(|(rep, _)| rep.row_bytes()).sum::<u64>();
-    let out = rel.take(&idx);
-    super::filter::charge_gather(rel, &out, n, prof);
-    Ok(out)
+    Ok(idx)
 }
 
-/// The spill rung for sorts (DESIGN.md §16): an external merge sort over
-/// the spill disk.
+/// The sort below its resident path (DESIGN.md §16): an external merge
+/// sort over the spill disk.
 ///
 /// Each key is mapped to an order-preserving `u64` (sign-flipped integers,
 /// the IEEE total-order trick for floats, lexicographic dictionary ranks;
@@ -119,29 +123,12 @@ pub fn exec_sort(
 /// emits the globally least row each step. Everything is decided by row
 /// counts and the budget on the coordinator thread, so the permutation is
 /// bit-identical to the in-memory stable sort at any thread count.
-fn spill_sort(
+fn external_order(
     rel: &Relation,
     keys: &[SortKey],
     n: usize,
-    key_width: u64,
-    prof: &mut WorkProfile,
     ctx: &QueryContext,
-) -> Result<Relation> {
-    let disk = std::sync::Arc::clone(ctx.spill().expect("spill_sort requires a disk"));
-    let before = disk.counters();
-    let result = spill_sort_inner(rel, keys, n, key_width, prof, ctx);
-    super::spill::note_spill_delta(prof, disk.counters().delta_since(&before));
-    result
-}
-
-fn spill_sort_inner(
-    rel: &Relation,
-    keys: &[SortKey],
-    n: usize,
-    key_width: u64,
-    prof: &mut WorkProfile,
-    ctx: &QueryContext,
-) -> Result<Relation> {
+) -> Result<Vec<u32>> {
     use super::spill::{SpillRowReader, SpillSet};
 
     let nkeys = keys.len();
@@ -201,42 +188,36 @@ fn spill_sort_inner(
     // Merge: one resident page per run, emit the least (keys, row id) row.
     let _pages = ctx.reserve(nruns as u64 * page_rows as u64 * rb, "sort")?;
     struct Cursor {
-        chunks: Vec<usize>,
-        next_chunk: usize,
-        buf: Vec<u8>,
-        pos: usize,
+        chunks: std::vec::IntoIter<usize>,
+        /// The resident page.
+        page: SpillRowReader,
         cur_row: u32,
         cur_keys: Vec<u64>,
         exhausted: bool,
     }
     impl Cursor {
         fn advance(&mut self, set: &SpillSet, nkeys: usize, ctx: &QueryContext) -> Result<()> {
-            if self.pos >= self.buf.len() {
-                if self.next_chunk >= self.chunks.len() {
-                    self.exhausted = true;
+            loop {
+                if let Some((row, slots)) = self.page.next() {
+                    self.cur_row = row;
+                    self.cur_keys.clear();
+                    self.cur_keys.extend(slots.iter().map(|&s| s as u64));
                     return Ok(());
                 }
+                let Some(chunk) = self.chunks.next() else {
+                    self.exhausted = true;
+                    return Ok(());
+                };
                 ctx.checkpoint()?;
-                self.buf = set.read(self.chunks[self.next_chunk])?;
-                self.next_chunk += 1;
-                self.pos = 0;
+                self.page = SpillRowReader::new(set.read(chunk)?, nkeys);
             }
-            let mut rd = SpillRowReader::new(&self.buf[self.pos..], nkeys);
-            let (row, slots) = rd.next().expect("page holds whole rows");
-            self.cur_row = row;
-            self.cur_keys.clear();
-            self.cur_keys.extend(slots.iter().map(|&s| s as u64));
-            self.pos += 4 + 8 * nkeys;
-            Ok(())
         }
     }
     let mut cursors: Vec<Cursor> = run_chunks
         .into_iter()
         .map(|chunks| Cursor {
-            chunks,
-            next_chunk: 0,
-            buf: Vec::new(),
-            pos: 0,
+            chunks: chunks.into_iter(),
+            page: SpillRowReader::new(Vec::new(), nkeys),
             cur_row: 0,
             cur_keys: Vec::with_capacity(nkeys),
             exhausted: false,
@@ -249,39 +230,17 @@ fn spill_sort_inner(
     // materialized intermediate.
     ctx.track(n as u64 * 4);
     let mut idx: Vec<u32> = Vec::with_capacity(n);
-    loop {
-        let mut best: Option<usize> = None;
-        for (c, cur) in cursors.iter().enumerate() {
-            if cur.exhausted {
-                continue;
-            }
-            best = match best {
-                None => Some(c),
-                Some(b) => {
-                    let cb = &cursors[b];
-                    if (&cur.cur_keys, cur.cur_row) < (&cb.cur_keys, cb.cur_row) {
-                        Some(c)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        idx.push(cursors[b].cur_row);
-        cursors[b].advance(&set, nkeys, ctx)?;
+    while let Some(least) = cursors
+        .iter_mut()
+        .filter(|c| !c.exhausted)
+        .min_by(|a, b| (&a.cur_keys, a.cur_row).cmp(&(&b.cur_keys, b.cur_row)))
+    {
+        idx.push(least.cur_row);
+        least.advance(&set, nkeys, ctx)?;
     }
     debug_assert_eq!(idx.len(), n);
     ctx.note_fallback(nruns as u32);
-
-    // Identical work charges to the in-memory sort (the spill traffic is
-    // ledgered separately), so profiles stay budget-invariant.
-    let logn = (n.max(2) as f64).log2().round() as u64;
-    prof.cpu_ops += n as u64 * logn * nkeys as u64;
-    prof.seq_read_bytes += n as u64 * (key_width - 4);
-    let out = rel.take(&idx);
-    super::filter::charge_gather(rel, &out, n, prof);
-    Ok(out)
+    Ok(idx)
 }
 
 /// Per-row order-preserving `u64` key encoder for the external sort.
@@ -295,15 +254,7 @@ struct RowEnc<'a> {
 impl<'a> RowEnc<'a> {
     fn new(col: &'a Column, desc: bool) -> Self {
         let rank = match col {
-            Column::Str(d) => {
-                let mut order: Vec<u32> = (0..d.cardinality() as u32).collect();
-                order.sort_by(|&a, &b| d.decode(a).cmp(d.decode(b)));
-                let mut rank = vec![0u32; d.cardinality()];
-                for (r, &code) in order.iter().enumerate() {
-                    rank[code as usize] = r as u32;
-                }
-                Some(rank)
-            }
+            Column::Str(d) => Some(dict_ranks(d)),
             _ => None,
         };
         RowEnc { col, rank, desc }
@@ -357,16 +308,21 @@ fn prepare_key(col: &Column) -> KeyRep {
         Column::Bool(v) => KeyRep::I64(v.iter().map(|&b| b as i64).collect()),
         Column::Float64(v) => KeyRep::F64(v.clone()),
         Column::Str(d) => {
-            // Rank dictionary values lexicographically once.
-            let mut order: Vec<u32> = (0..d.cardinality() as u32).collect();
-            order.sort_by(|&a, &b| d.decode(a).cmp(d.decode(b)));
-            let mut rank = vec![0u32; d.cardinality()];
-            for (r, &code) in order.iter().enumerate() {
-                rank[code as usize] = r as u32;
-            }
+            let rank = dict_ranks(d);
             KeyRep::Rank(d.codes().iter().map(|&c| rank[c as usize]).collect())
         }
     }
+}
+
+/// The lexicographic rank of each dictionary code, computed once per key.
+fn dict_ranks(d: &DictColumn) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..d.cardinality() as u32).collect();
+    order.sort_by(|&a, &b| d.decode(a).cmp(d.decode(b)));
+    let mut rank = vec![0u32; d.cardinality()];
+    for (r, &code) in order.iter().enumerate() {
+        rank[code as usize] = r as u32;
+    }
+    rank
 }
 
 #[cfg(test)]

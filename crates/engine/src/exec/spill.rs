@@ -1,9 +1,9 @@
-//! Shared plumbing for the out-of-core spill rung (DESIGN.md §16).
+//! Shared plumbing for out-of-core execution (DESIGN.md §16).
 //!
-//! When Grace partitioning cannot shrink an operator's working set under the
-//! budget, the join/aggregate/sort operators stage partition inputs on the
-//! query's [`SpillDisk`] and stream them back partition-at-a-time. This
-//! module holds what those three rungs share: the fixed row wire format, the
+//! When in-memory partitioning cannot shrink an operator's working set under
+//! the budget, the ladder (join, aggregate) and the external sort stage
+//! partition inputs on the query's [`SpillDisk`] and stream them back one at
+//! a time. This module holds what they share: the fixed row wire format, the
 //! RAII chunk set that guarantees spill capacity is released on every exit
 //! path, and the mapping from [`SpillError`] onto the engine's existing
 //! typed errors (no new variants — a full disk is resource exhaustion, an
@@ -17,10 +17,10 @@ use crate::error::EngineError;
 use crate::governor::QueryContext;
 use crate::stats::WorkProfile;
 
-/// Hard cap on spill-partition fan-out; doubling starts where Grace's
-/// `MAX_GRACE_PARTS` gave up. A hot key that still does not fit at this
-/// fan-out cannot be split by hashing at all, so the operator re-raises the
-/// typed `ResourceExhausted` it would have raised without a disk.
+/// The ladder's cap with a spill disk attached (`MAX_GRACE_PARTS` without).
+/// A hot key that still does not fit at this fan-out cannot be split by
+/// hashing at all, so the ladder raises the same typed `ResourceExhausted`
+/// it raises without a disk.
 pub(super) const MAX_SPILL_PARTS: usize = 1 << 16;
 
 /// Serialized spill rows are `(global row id, key slots)`:
@@ -38,16 +38,17 @@ pub(super) fn encode_spill_row(buf: &mut Vec<u8>, row: u32, slots: &[Vec<i64>], 
     }
 }
 
-/// Iterates `(row, key slots)` pairs out of a verified spill chunk. The
-/// scratch slot buffer is reused across rows (callers copy what they keep).
-pub(super) struct SpillRowReader<'a> {
-    bytes: &'a [u8],
+/// Iterates `(row, key slots)` pairs out of a verified spill chunk, which it
+/// owns. The scratch slot buffer is reused across rows (callers copy what
+/// they keep).
+pub(super) struct SpillRowReader {
+    bytes: Vec<u8>,
     pos: usize,
     slots: Vec<i64>,
 }
 
-impl<'a> SpillRowReader<'a> {
-    pub(super) fn new(bytes: &'a [u8], nkeys: usize) -> Self {
+impl SpillRowReader {
+    pub(super) fn new(bytes: Vec<u8>, nkeys: usize) -> Self {
         debug_assert_eq!(bytes.len() % spill_row_bytes(nkeys), 0);
         SpillRowReader { bytes, pos: 0, slots: vec![0; nkeys] }
     }
@@ -184,7 +185,7 @@ mod tests {
             encode_spill_row(&mut buf, i as u32 * 10, &slots, i);
         }
         assert_eq!(buf.len(), 3 * spill_row_bytes(2));
-        let mut r = SpillRowReader::new(&buf, 2);
+        let mut r = SpillRowReader::new(buf, 2);
         for i in 0..3 {
             let (row, s) = r.next().unwrap();
             assert_eq!(row, i as u32 * 10);

@@ -249,19 +249,20 @@ pub struct QueryContext {
     pub cancel: CancelToken,
     /// Absolute deadline; queries past it return `Cancelled`.
     pub deadline: Option<Instant>,
-    /// Times the graceful-degradation path engaged (Grace-partitioned join
-    /// or aggregate builds) — telemetry, not control flow.
+    /// Operators that answered below their resident path: a join or
+    /// aggregate that descended the ladder (`exec::ladder`) and fit, or a
+    /// sort that merged externally — telemetry, not control flow.
     fallbacks: Arc<AtomicU32>,
-    /// Largest partition fan-out any fallback needed.
+    /// Largest partition fan-out (or sort run count) any fallback settled at.
     max_parts: Arc<AtomicU32>,
     /// Chunk checksum comparisons performed by scan-time verification
     /// (DESIGN.md §12) — telemetry the service/cluster ledgers fold into
     /// their `integrity_checks_total` counters.
     integrity_checks: Arc<AtomicU64>,
-    /// Optional spill disk (DESIGN.md §16). When present, join builds, hash
-    /// aggregates, and sorts that fail even the Grace rung stage partitions
-    /// here instead of erroring; when absent the pre-spill cliff behaviour
-    /// is unchanged.
+    /// Optional spill disk (DESIGN.md §16). When present, the ladder's cap
+    /// rises from 1024 to 2¹⁶ partitions — attempts past 1024 stage their
+    /// partitions here — and sorts that cannot reserve merge externally;
+    /// when absent the pre-spill cliff behaviour is unchanged.
     spill: Option<Arc<SpillDisk>>,
 }
 
@@ -382,7 +383,8 @@ impl QueryContext {
         self.cancel.is_cancelled()
     }
 
-    /// Notes one engagement of the Grace-partitioned fallback at `nparts`.
+    /// Notes one operator that answered below its resident path, at fan-out
+    /// (or sort run count) `nparts`.
     pub fn note_fallback(&self, nparts: u32) {
         self.fallbacks.fetch_add(1, Ordering::AcqRel);
         self.max_parts.fetch_max(nparts, Ordering::AcqRel);

@@ -67,8 +67,12 @@ mod tests {
 
     #[test]
     fn more_passes_scale_time_roughly_linearly() {
-        let one = read_bandwidth(4 << 20, 2);
-        let four = read_bandwidth(4 << 20, 8);
-        assert!(four.elapsed_s > one.elapsed_s * 1.5);
+        // Fastest of five probes each: preemption on a loaded host can only
+        // inflate a sample, so the minimum is the one it cannot move.
+        let fastest = |passes| {
+            (0..5).map(|_| read_bandwidth(4 << 20, passes).elapsed_s).fold(f64::INFINITY, f64::min)
+        };
+        let (two, eight) = (fastest(2), fastest(8));
+        assert!(eight > two * 1.5, "8 passes took {eight} s, 2 passes {two} s");
     }
 }

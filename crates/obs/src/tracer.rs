@@ -101,18 +101,6 @@ impl Tracer {
         }
     }
 
-    /// Attaches many children at once (order preserved).
-    pub fn attach_all(&self, children: Vec<Span>) {
-        if children.is_empty() {
-            return;
-        }
-        if let Some(stack) = &self.inner {
-            if let Some(open) = stack.lock().unwrap().last_mut() {
-                open.span.children.extend(children);
-            }
-        }
-    }
-
     /// A sink for per-morsel spans, enabled iff this tracer is. Workers
     /// record into it without touching the span stack (no ordering races);
     /// the operator merges the result deterministically afterwards.
@@ -144,12 +132,6 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 /// One morsel's execution record, produced by a worker thread.
 #[derive(Debug, Clone, Copy)]
 pub struct MorselSpan {
@@ -170,11 +152,6 @@ pub struct MorselSink {
 }
 
 impl MorselSink {
-    /// A sink that records nothing.
-    pub const fn disabled() -> Self {
-        MorselSink { inner: None }
-    }
-
     /// True when morsel spans are being collected.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -247,7 +224,8 @@ mod tests {
     fn attach_adds_children_to_open_span() {
         let t = Tracer::enabled();
         t.push("aggregate", "");
-        t.attach_all(vec![Span::leaf("morsel", "0"), Span::leaf("morsel", "1")]);
+        t.attach(Span::leaf("morsel", "0"));
+        t.attach(Span::leaf("morsel", "1"));
         t.pop(10, 2, vec![]);
         let root = t.take_root().unwrap();
         assert_eq!(root.children.len(), 2);

@@ -1530,15 +1530,17 @@ mod tests {
         assert!(matches!(err, ClusterError::NodeOom { .. }));
         assert!(err.to_string().contains("query["), "query label in message: {err}");
 
-        // 16 KiB — which hard-OOMed before the governor existed (the hash
-        // tables alone overflow) — now completes: the budgeted retry
-        // degrades the builds to Grace partitioning that fits.
+        // 4 KiB — under which the hash tables alone overflow (Q3's one
+        // remaining hash build, over filtered `customer`, is 4.8 KB; its
+        // other join and its group-by find their input in key order and
+        // build nothing) — completes: the budgeted retry degrades the build
+        // to Grace partitioning that fits.
         let mut config = ClusterConfig::new(2, 0.01);
-        config.memory.mem_bytes = 16 << 10;
+        config.memory.mem_bytes = 4 << 10;
         config.memory.os_reserve_bytes = 0;
         let c = WimpiCluster::build(config).unwrap();
         let run = c.run(&query(3), Strategy::ShipRows).unwrap();
-        assert!(run.recovery.budget_degraded > 0, "16 KiB must go through the degraded path");
+        assert!(run.recovery.budget_degraded > 0, "4 KiB must go through the degraded path");
     }
 
     #[test]

@@ -1,12 +1,25 @@
-//! Hash group-by aggregation, morsel-driven.
+//! Group-by aggregation, morsel-driven: a hash table per morsel, or — when the
+//! input already arrives in group-key order — no table at all.
 //!
 //! Group keys are arbitrary expressions; states are accumulated column-at-a-
-//! time. Each morsel builds a thread-local table (its own key→gid map plus
+//! time. Each morsel builds a thread-local partial (its own key→gid map plus
 //! per-aggregate state vectors); the partials are then merged **in morsel
 //! order**, so the global group order is exactly the serial first-appearance
 //! order and every float reduction tree depends only on the data and the
 //! morsel size — never on the thread count (bit-exact determinism; see
-//! `exec::parallel`). Decimal sums accumulate in `i128`, which is exact and
+//! `exec::parallel`).
+//!
+//! One early-exit pass over the encoded key vectors (`in_key_order`) picks
+//! the form (DESIGN.md §5). Key tuples that never decrease mean a group's
+//! rows are contiguous, so a row either belongs to the group before it or
+//! opens a new one: the **run form** resolves groups by comparing with the
+//! previous key — in the morsel partials and again in their merge — builds no
+//! map, reserves nothing (its memory is its output) and never needs the
+//! degradation ladder. It cuts and merges partials exactly as the hash form
+//! does, so every accumulator sees the same values in the same order and the
+//! output is bit-identical.
+//!
+//! Decimal sums accumulate in `i128`, which is exact and
 //! order-free; `avg` over fixed-point inputs (decimal/int) likewise sums
 //! mantissas in `i128` and divides once at the end, so its value is
 //! independent of morsel boundaries too — which is what lets the fused
@@ -16,6 +29,7 @@
 //! (DESIGN.md §7).
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -30,12 +44,13 @@ use crate::governor::{QueryContext, Reservation};
 use crate::plan::{AggExpr, AggFunc};
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
-use wimpi_obs::{Span, Tracer};
+use wimpi_obs::{MorselSink, Span, Tracer};
 use wimpi_storage::{Column, DataType, DictBuilder, StorageError, Value};
 
-/// Executes a hash aggregation; empty `group_by` means one global group.
-/// When tracing, a `partials` stage span (with per-morsel children) covering
-/// the morsel-local tables and their in-order merge is attached to the open
+/// Executes an aggregation; empty `group_by` means one global group. When
+/// tracing, a `partials` stage span (labelled `runs` or `hash` after the form
+/// the key vectors selected, with per-morsel children) covering the
+/// morsel-local partials and their in-order merge is attached to the open
 /// aggregate span.
 pub fn exec_aggregate(
     rel: &Relation,
@@ -74,45 +89,19 @@ pub fn exec_aggregate(
         .map(|(agg, c)| AggInput::bind(agg.func, c.as_deref()))
         .collect::<Result<_>>()?;
 
-    // 2. Morsel-local partial tables, then an in-order merge.
+    // 2. Morsel-local partials, then an in-order merge — in the run form
+    //    when the key vectors are already in order, else the hash form.
+    let runs = in_key_order(&encoded, n);
+    let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     let sink = tracer.morsel_sink();
     let stage_started = tracer.is_enabled().then(std::time::Instant::now);
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    let partials = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
-        let mut p = MorselAgg::new(&inputs);
-        if ctx.interrupted() {
-            return p;
-        }
-        for i in r {
-            p.push_keyed(Key::at(&encoded, i), i as u32, &inputs);
-        }
-        p
-    });
-    ctx.checkpoint()?;
-
-    // The coordinator merge reserves one `width`-byte table entry per
-    // distinct group (the same constant the work profile charges to
-    // `hash_bytes`). When the table would exceed the query budget the merge
-    // is abandoned and redone down the ladder: partition the groups by key
-    // hash and build one bounded table per partition, sequentially.
-    let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
-    let empty_states = || inputs.iter().map(AggState::empty_like).collect();
-    let (first_rows, mut gstates) = match merge_partials(partials, &empty_states, width, ctx) {
-        Some(table) => table,
-        None => {
-            let morsel_len = ranges.first().map_or(1, |r| r.len());
-            ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
-            ladder::descend(ctx, prof, "aggregate", &[(n, &encoded)], |att| {
-                attempt(att, morsel_len, &inputs, width, ctx)
-            })?
-        }
-    };
+    let (first_rows, mut gstates) = fold(&encoded, n, &inputs, runs, width, prof, cfg, &sink, ctx)?;
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     for st in &mut gstates {
         st.grow_to(ngroups);
     }
     if let Some(started) = stage_started {
-        let mut stage = Span::leaf("partials", "");
+        let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
         stage.rows_in = n as u64;
         stage.rows_out = ngroups as u64;
         stage.wall_ns = started.elapsed().as_nanos() as u64;
@@ -121,8 +110,10 @@ pub fn exec_aggregate(
     }
 
     prof.cpu_ops += n as u64 * (1 + aggs.len() as u64);
-    prof.rand_accesses += n as u64;
-    prof.hash_bytes += ngroups as u64 * 32 * (group_by.len() + aggs.len()).max(1) as u64;
+    if !runs {
+        prof.rand_accesses += n as u64;
+        prof.hash_bytes += ngroups as u64 * width;
+    }
     for agg in aggs {
         if agg.func == AggFunc::CountDistinct {
             prof.rand_accesses += n as u64;
@@ -139,10 +130,69 @@ pub fn exec_aggregate(
     Relation::new(out_fields)
 }
 
+/// Step 2 of [`exec_aggregate`] in one form: cuts the `n` rows into morsel
+/// partials (`runs`: the run form, else the hash form) and merges them in
+/// morsel order. Returns every group's first row and the merged states.
+///
+/// The hash form's coordinator merge reserves one `width`-byte table entry
+/// per distinct group (the same constant the work profile charges to
+/// `hash_bytes`). When the table would exceed the query budget the merge is
+/// abandoned and redone down the ladder: partition the groups by key hash and
+/// build one bounded table per partition, sequentially. The run form reserves
+/// nothing, so its merge always fits.
+#[allow(clippy::too_many_arguments)]
+fn fold(
+    encoded: &[Vec<i64>],
+    n: usize,
+    inputs: &[AggInput],
+    runs: bool,
+    width: u64,
+    prof: &mut WorkProfile,
+    cfg: &EngineConfig,
+    sink: &MorselSink,
+    ctx: &QueryContext,
+) -> Result<(Vec<u32>, Vec<AggState>)> {
+    let ranges = morsel_ranges(n, cfg.morsel_rows);
+    let partials = run_morsels_spanned(cfg, &ranges, sink, |_, r| {
+        let mut p = MorselAgg::new(inputs, runs);
+        if ctx.interrupted() {
+            return p;
+        }
+        for i in r {
+            p.push_keyed(Key::at(encoded, i), i as u32, inputs);
+        }
+        p
+    });
+    ctx.checkpoint()?;
+    let empty_states = || inputs.iter().map(AggState::empty_like).collect();
+    if let Some(table) = merge_partials(partials, &empty_states, width, ctx) {
+        return Ok(table);
+    }
+    let morsel_len = ranges.first().map_or(1, |r| r.len());
+    ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
+    ladder::descend(ctx, prof, "aggregate", &[(n, encoded)], |att| {
+        attempt(att, morsel_len, inputs, width, ctx)
+    })
+}
+
+/// True when the key tuples never decrease, lexicographically, over the `n`
+/// input rows — so every group's rows are contiguous and the run form
+/// applies. One pass that stops at the first inversion; zero key columns
+/// (the global group) are trivially in order.
+fn in_key_order(cols: &[Vec<i64>], n: usize) -> bool {
+    match cols {
+        [c] => c.windows(2).all(|w| w[0] <= w[1]),
+        _ => (1..n).all(|i| {
+            cols.iter().map(|c| c[i - 1].cmp(&c[i])).find(|o| o.is_ne()) != Some(Ordering::Greater)
+        }),
+    }
+}
+
 /// Merges the morsel partials into one global table (in morsel order — see
-/// the module doc). Returns `None` as soon as a new group no longer fits the
-/// query budget; the caller then takes the partitioned ladder (the fused
-/// executor instead re-runs the pipeline through the materializing engine).
+/// the module doc), in the form the partials were cut in. Returns `None` as
+/// soon as a new group no longer fits the query budget; the caller then takes
+/// the partitioned ladder (the fused executor instead re-runs the pipeline
+/// through the materializing engine).
 /// The reservation is released on return either way: the table's peak is
 /// already recorded, and what survives the merge is the output itself.
 pub(super) fn merge_partials(
@@ -163,11 +213,14 @@ pub(super) fn merge_partials(
 /// One budgeted group table — the whole input's, or one partition's: a
 /// reservation grown by `width` bytes per distinct group (the same constant
 /// the work profile charges to `hash_bytes`), the key → group map, and the
-/// accumulated states. Dropping the table releases the reservation.
+/// accumulated states. Dropping the table releases the reservation. Fed
+/// run-form partials it is only the states: the map stays empty, nothing is
+/// reserved, and `last` — the newest group's key — is all it compares with.
 struct GroupTable {
     guard: Reservation,
     width: u64,
     map: KeyMap,
+    last: Option<Key>,
     first_rows: Vec<u32>,
     states: Vec<AggState>,
 }
@@ -175,23 +228,37 @@ struct GroupTable {
 impl GroupTable {
     fn new(states: Vec<AggState>, width: u64, ctx: &QueryContext) -> Option<Self> {
         let guard = ctx.try_reserve(0)?;
-        Some(GroupTable { guard, width, map: KeyMap::default(), first_rows: Vec::new(), states })
+        let (map, last, first_rows) = (KeyMap::default(), None, Vec::new());
+        Some(GroupTable { guard, width, map, last, first_rows, states })
     }
 
     /// Folds one morsel partial in. Returns `false` — leaving the table
     /// unusable — as soon as a new group no longer fits the budget.
     fn absorb(&mut self, partial: MorselAgg) -> bool {
         let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
+        let runs = partial.map.is_none();
         for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
             let next = self.first_rows.len() as u32;
-            gid_map.push(match self.map.entry(k) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if !self.guard.grow(self.width) {
-                        return false;
-                    }
+            gid_map.push(if runs {
+                // A partial's first run may continue the table's last one;
+                // every other run is a new group.
+                if self.last.as_ref() == Some(&k) {
+                    next - 1
+                } else {
+                    self.last = Some(k);
                     self.first_rows.push(fr);
-                    *e.insert(next)
+                    next
+                }
+            } else {
+                match self.map.entry(k) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        if !self.guard.grow(self.width) {
+                            return false;
+                        }
+                        self.first_rows.push(fr);
+                        *e.insert(next)
+                    }
                 }
             });
         }
@@ -215,7 +282,7 @@ impl GroupTable {
         let mut rows = rows.peekable();
         while let Some(&(row0, _)) = rows.peek() {
             let morsel = row0 as usize / morsel_len;
-            let mut partial = MorselAgg::new(inputs);
+            let mut partial = MorselAgg::new(inputs, false);
             while let Some((row, k)) = rows.next_if(|(r, _)| *r as usize / morsel_len == morsel) {
                 partial.push_keyed(k, row, inputs);
             }
@@ -333,14 +400,14 @@ enum AggInput<'c> {
     Dec(&'c [i64], u8),
     I64(&'c [i64]),
     I32(&'c [i32]),
-    SumF64(Vec<f64>),
+    SumF64(&'c [f64]),
     /// `avg` over fixed-point inputs: mantissas (scale 0 for integers) summed
     /// exactly in `i128`, divided once at finish. Order-free, so the fused
     /// executor reproduces it bit-exactly whatever the fold boundaries.
     AvgFixed(Cow<'c, [i64]>, u8),
     /// `avg` over a float column: per-row f64 accumulation (morsel-order
     /// deterministic like every float sum; the fused path falls back).
-    Avg(Vec<f64>),
+    Avg(&'c [f64]),
     MinMax(&'c Column, bool),
 }
 
@@ -354,7 +421,7 @@ impl<'c> AggInput<'c> {
                 Column::Decimal(v, s) => AggInput::Dec(v, *s),
                 Column::Int64(v) => AggInput::I64(v),
                 Column::Int32(v) => AggInput::I32(v),
-                Column::Float64(v) => AggInput::SumF64(v.clone()),
+                Column::Float64(v) => AggInput::SumF64(v),
                 other => {
                     return Err(EngineError::Plan(format!(
                         "sum over non-numeric column of type {}",
@@ -368,7 +435,7 @@ impl<'c> AggInput<'c> {
                 Column::Int32(v) => {
                     AggInput::AvgFixed(Cow::Owned(v.iter().map(|&x| x as i64).collect()), 0)
                 }
-                Column::Float64(v) => AggInput::Avg(v.clone()),
+                Column::Float64(v) => AggInput::Avg(v),
                 other => {
                     return Err(EngineError::Plan(format!(
                         "avg over non-numeric column of type {}",
@@ -385,15 +452,18 @@ impl<'c> AggInput<'c> {
 
 /// One morsel's thread-local partial aggregation.
 pub(super) struct MorselAgg {
-    map: KeyMap,
+    /// Key → local group. `None` is the run form: rows arrive in key order,
+    /// so a row's group is the newest one or a new one.
+    map: Option<KeyMap>,
     keys: Vec<Key>,
     first_rows: Vec<u32>,
     states: Vec<AggState>,
 }
 
 impl MorselAgg {
-    fn new(inputs: &[AggInput]) -> Self {
-        Self::with_states(inputs.iter().map(AggState::empty_like).collect())
+    fn new(inputs: &[AggInput], runs: bool) -> Self {
+        let hashed = Self::with_states(inputs.iter().map(AggState::empty_like).collect());
+        Self { map: (!runs).then(KeyMap::default), ..hashed }
     }
 
     /// An empty partial for the fused executor's slot-fed aggregates.
@@ -402,7 +472,7 @@ impl MorselAgg {
     }
 
     fn with_states(states: Vec<AggState>) -> Self {
-        Self { map: KeyMap::default(), keys: Vec::new(), first_rows: Vec::new(), states }
+        Self { map: Some(KeyMap::default()), keys: Vec::new(), first_rows: Vec::new(), states }
     }
 
     /// Accumulates row `row`, whose group key is `k`.
@@ -444,12 +514,18 @@ impl MorselAgg {
     fn group_of(&mut self, k: Key, row_id: u32) -> u32 {
         // `get` first, not `entry`: rows of known groups dominate, and the
         // entry API measured 10 % slower on them (it moves the key around).
-        if let Some(&g) = self.map.get(&k) {
+        let known = match &self.map {
+            Some(map) => map.get(&k).copied(),
+            None => (self.keys.last() == Some(&k)).then(|| self.keys.len() as u32 - 1),
+        };
+        if let Some(g) = known {
             return g;
         }
         let g = self.keys.len() as u32;
-        self.keys.push(k.clone());
-        self.map.insert(k, g);
+        if let Some(map) = &mut self.map {
+            map.insert(k.clone(), g);
+        }
+        self.keys.push(k);
         self.first_rows.push(row_id);
         for st in &mut self.states {
             st.grow_to(g as usize + 1);
@@ -1122,5 +1198,219 @@ mod tests {
         assert_eq!(disk.sim_seconds(), 0.0);
         assert_eq!(disk.used(), 0);
         assert_eq!(ctx.used(), 0);
+    }
+
+    /// The hash form's answer for `rel`, assembled around `fold(.., runs =
+    /// false, ..)` the way `exec_aggregate` assembles its own — the oracle the
+    /// run form is held to, with no switch in the operator to force either.
+    fn hash_form(
+        rel: &Relation,
+        group: &[(crate::expr::Expr, String)],
+        aggs: &[AggExpr],
+        cfg: &EngineConfig,
+    ) -> Relation {
+        let (mut prof, ctx, n) = (WorkProfile::new(), QueryContext::default(), rel.num_rows());
+        let mut eval = |e| Evaluator::with_config(rel, &mut prof, *cfg).eval(e).unwrap();
+        let key_cols: Vec<Arc<Column>> = group.iter().map(|(e, _)| eval(e)).collect();
+        let in_cols: Vec<Option<Arc<Column>>> =
+            aggs.iter().map(|a| a.expr.as_ref().map(&mut eval)).collect();
+        let encoded: Vec<Vec<i64>> = key_cols.iter().map(|c| key_values(c).unwrap()).collect();
+        let inputs: Vec<AggInput> = aggs
+            .iter()
+            .zip(&in_cols)
+            .map(|(a, c)| AggInput::bind(a.func, c.as_deref()).unwrap())
+            .collect();
+        let sink = Tracer::off().morsel_sink();
+        let (first_rows, states) =
+            fold(&encoded, n, &inputs, false, 64, &mut prof, cfg, &sink, &ctx).unwrap();
+        let ngroups = if group.is_empty() { 1 } else { first_rows.len() };
+        let mut fields: Vec<(String, Arc<Column>)> = group
+            .iter()
+            .zip(&key_cols)
+            .map(|((_, name), c)| (name.clone(), Arc::new(c.take(&first_rows))))
+            .collect();
+        for (agg, mut st) in aggs.iter().zip(states) {
+            st.grow_to(ngroups);
+            fields.push((agg.name.clone(), Arc::new(st.finish().unwrap())));
+        }
+        Relation::new(fields).unwrap()
+    }
+
+    /// One row's (Int64, Date, dictionary-coded Str) keys.
+    type Keys = (i64, i64, i64);
+
+    /// The given rows' keys plus one input per accumulator kind, in row order.
+    fn keyed_rel(rows: &[Keys]) -> Relation {
+        let n = rows.len() as i64;
+        // A dictionary whose codes are the key values themselves.
+        let names =
+            (0..=rows.iter().map(|r| r.2).max().unwrap_or(0)).map(|v| format!("name#{v:03}"));
+        let names = wimpi_storage::DictColumn::from_parts(
+            rows.iter().map(|r| r.2 as u32).collect(),
+            names.collect(),
+        );
+        let fields: Vec<(&str, Column)> = vec![
+            ("k", Column::Int64(rows.iter().map(|r| r.0).collect())),
+            ("day", Column::Date(rows.iter().map(|r| r.1 as i32).collect())),
+            ("name", Column::Str(names)),
+            ("d", Column::Decimal((0..n).map(|i| (i * 37) % 101 - 50).collect(), 2)),
+            ("f", Column::Float64((0..n).map(|i| i as f64 * 0.31 - 7.0).collect())),
+            ("s", Column::Int64((0..n).map(|i| (i * 5) % 11).collect())),
+        ];
+        Relation::new(fields.into_iter().map(|(n, c)| (n.to_string(), Arc::new(c))).collect())
+            .unwrap()
+    }
+
+    fn every_kind_of_agg() -> Vec<AggExpr> {
+        vec![
+            AggExpr::sum(col("f"), "sf"),
+            AggExpr::avg(col("f"), "af"),
+            AggExpr::sum(col("d"), "sd"),
+            AggExpr::avg(col("d"), "ad"),
+            AggExpr::min(col("d"), "lo"),
+            AggExpr::max(col("f"), "hi"),
+            AggExpr::count_distinct(col("s"), "u"),
+            AggExpr::count_star("n"),
+        ]
+    }
+
+    /// `exec_aggregate` over `rel` — whose keys must be in order when `runs`
+    /// — equals the hash form bit for bit at 1/2/4 threads and two morsel
+    /// sizes, with one work profile throughout and the form's charges.
+    fn check_against_the_hash_form(rel: &Relation, keys: &[&str], runs: bool) {
+        let group: Vec<_> = keys.iter().map(|&k| (col(k), k.to_string())).collect();
+        let aggs = every_kind_of_agg();
+        let n = rel.num_rows() as u64;
+        let mut profs = Vec::new();
+        for morsel in [7, 64] {
+            let want =
+                hash_form(rel, &group, &aggs, &EngineConfig::serial().with_morsel_rows(morsel));
+            for threads in [1, 2, 4] {
+                let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                let (mut prof, ctx) = (WorkProfile::new(), QueryContext::default());
+                let got =
+                    super::exec_aggregate(rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx);
+                assert_eq!(got.unwrap(), want, "{keys:?}: {threads} threads, morsel {morsel}");
+                assert_eq!(ctx.used(), 0);
+                profs.push(prof);
+            }
+        }
+        assert!(profs.windows(2).all(|w| w[0] == w[1]), "{keys:?}: one profile at any config");
+        // Count-distinct's set inserts are charged in both forms; the table
+        // probes and the table itself only in the hash form.
+        assert_eq!(profs[0].rand_accesses, if runs { n } else { 2 * n }, "{keys:?}");
+        assert_eq!(profs[0].hash_bytes == 0, runs, "{keys:?}");
+    }
+
+    #[test]
+    fn run_form_matches_the_hash_form_on_the_edge_shapes() {
+        let sorted: Vec<Keys> = (0..100).map(|i| (i / 9, i / 4, i / 2)).collect();
+        let mut inverted = sorted.clone();
+        inverted.push((0, 0, 0)); // one inversion, at the very end
+        let extremes =
+            [(i64::MIN, 0, 0), (i64::MIN, 1, 1), (-1, 2, 2), (i64::MAX, 2, 3), (i64::MAX, 2, 3)];
+        // (rows, keys in order?)
+        let shapes: [(&[Keys], bool); 6] = [
+            (&sorted, true),
+            (&inverted, false),
+            (&[(3, 3, 3); 20], true),
+            (&[], true),
+            (&[(1, 2, 3)], true),
+            (&extremes, true),
+        ];
+        for (rows, ordered) in shapes {
+            let rel = keyed_rel(rows);
+            for keys in [&["k"][..], &["day"], &["name"], &["k", "day"], &["k", "day", "name"], &[]]
+            {
+                check_against_the_hash_form(&rel, keys, ordered || keys.is_empty());
+            }
+        }
+        // Ordered by the tuple, not by its second column alone.
+        let tuple: Vec<Keys> = (0..60).map(|i| (i / 10, 9 - (i % 10) / 2, i)).collect();
+        check_against_the_hash_form(&keyed_rel(&tuple), &["k", "name"], true);
+        check_against_the_hash_form(&keyed_rel(&tuple), &["day", "name"], false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn run_form_matches_the_hash_form_on_random_sorted_keys(
+            rows in proptest::collection::vec((-3i64..4, 0i64..5, 0i64..3), 0..120),
+        ) {
+            let mut rows = rows;
+            rows.sort_unstable();
+            let rel = keyed_rel(&rows);
+            for keys in [&["k"][..], &["k", "day"], &["k", "day", "name"]] {
+                check_against_the_hash_form(&rel, keys, true);
+            }
+        }
+    }
+
+    #[test]
+    fn key_order_is_the_tuples_lexicographic_order() {
+        let cols = |a: &[i64], b: &[i64]| [a.to_vec(), b.to_vec()];
+        assert!(in_key_order(&[], 5), "the global group");
+        assert!(in_key_order(&[vec![]], 0) && in_key_order(&[vec![4]], 1));
+        assert!(in_key_order(&[vec![1, 1, 2, 2, 9]], 5) && !in_key_order(&[vec![1, 2, 9, 8]], 4));
+        assert!(in_key_order(&[vec![i64::MIN, -1, i64::MAX]], 3));
+        assert!(
+            in_key_order(&cols(&[1, 1, 2], &[5, 5, 0]), 3),
+            "a later column may fall when an earlier one rises"
+        );
+        assert!(
+            !in_key_order(&cols(&[1, 1, 2], &[5, 4, 0]), 3),
+            "ties are broken by the next column"
+        );
+        assert!(!in_key_order(&cols(&[1, 1, 0], &[5, 5, 9]), 3));
+    }
+
+    /// The run form reserves nothing: under an 8 KiB budget with a spill disk
+    /// 20 000 groups in key order neither fall back nor spill (the same groups
+    /// out of order do), and cancellation leaves nothing behind.
+    #[test]
+    fn run_form_needs_no_budget_and_cancels_clean() {
+        let n = 60_000i64;
+        let ordered = (0..n).map(|i| i / 3).collect::<Vec<_>>();
+        let shuffled = (0..n).map(|i| (i * 7919) % 20_000).collect::<Vec<_>>();
+        let rel = |k: Vec<i64>| {
+            let d = Column::Decimal((0..n).map(|i| i % 50).collect(), 2);
+            let fields = [
+                ("k", Column::Int64(k)),
+                ("d", d),
+                ("s", Column::Int64((0..n).map(|i| i % 7).collect())),
+            ];
+            Relation::new(fields.into_iter().map(|(n, c)| (n.to_string(), Arc::new(c))).collect())
+                .unwrap()
+        };
+        let group = vec![(col("k"), "k".to_string())];
+        let aggs = vec![AggExpr::sum(col("d"), "sd"), AggExpr::count_distinct(col("s"), "u")];
+        let budgeted = |rel: &Relation, token: crate::governor::CancelToken| {
+            let disk = Arc::new(wimpi_storage::SpillDisk::new(
+                wimpi_storage::SpillConfig::with_capacity(64 << 20),
+            ));
+            let ctx = QueryContext::with_budget(8 << 10)
+                .with_spill(Arc::clone(&disk))
+                .with_cancel_token(token);
+            let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096);
+            let mut prof = WorkProfile::new();
+            let out =
+                super::exec_aggregate(rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx);
+            assert_eq!((ctx.used(), disk.used()), (0, 0));
+            (out, ctx.fallbacks(), prof.spilled_bytes)
+        };
+        let never = crate::governor::CancelToken::new;
+        let (out, fallbacks, spilled) = budgeted(&rel(ordered.clone()), never());
+        assert_eq!(out.unwrap().num_rows(), 20_000);
+        assert_eq!((fallbacks, spilled), (0, 0));
+        let (out, fallbacks, spilled) = budgeted(&rel(shuffled), never());
+        assert_eq!(out.unwrap().num_rows(), 20_000);
+        assert_eq!(
+            (fallbacks, spilled),
+            (1, 0),
+            "the hash form of the same groups needs the ladder"
+        );
+        let (out, ..) = budgeted(&rel(ordered), crate::governor::CancelToken::after_checks(0));
+        assert!(matches!(out, Err(EngineError::Cancelled)));
     }
 }

@@ -1,11 +1,17 @@
-//! Hash equi-joins: inner, semi, anti, and left outer — morsel-driven.
+//! Equi-joins: inner, semi, anti, and left outer — morsel-driven.
 //!
 //! The right input is the build side (query authors put the smaller relation
-//! there, as the TPC-H plans in `wimpi-queries` do). Duplicate build keys are
-//! handled with the classic head+next chain layout, avoiding per-key
-//! allocations.
+//! there, as the TPC-H plans in `wimpi-queries` do). *How* a probe key finds
+//! its build rows is not theirs to pick: every invocation looks at the key
+//! vectors it has just encoded and takes one of three `Form`s (DESIGN.md
+//! §5) — a forward cursor when both sides are already in key order, an array
+//! indexed by `key − min` when the build's key domain is compact, the hash
+//! table otherwise. All three resolve a probe row to the head of its build
+//! chain and hand it to one `emit_row`, so join types, duplicate expansion
+//! and output order exist once. Duplicate build keys use the classic
+//! head+next chain layout, avoiding per-key allocations.
 //!
-//! Parallel runs partition the build by a deterministic key hash: each
+//! Parallel hash builds partition the build by a deterministic key hash: each
 //! partition owner scans all build keys and inserts only its own rows, in
 //! global row order, so every chain is laid out exactly as the serial build
 //! would lay it out (most-recent-first). The probe then walks left-side
@@ -17,6 +23,7 @@ use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use super::hash::{fx_map, fx_slot, FxMap};
 use super::ladder::{self, FromSlots, Verdict};
@@ -28,7 +35,7 @@ use crate::plan::JoinType;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use wimpi_obs::{MorselSink, MorselSpan, Span, Tracer};
-use wimpi_storage::{Column, DataType, DictBuilder};
+use wimpi_storage::{Column, DataType};
 
 /// Estimated bytes per build-side row per key in the hash table — the same
 /// constant the work profile charges to `hash_bytes`, so the governor's
@@ -40,7 +47,71 @@ pub const MATCHED_COL: &str = "__matched";
 
 const NONE_ROW: u32 = u32::MAX;
 
-/// Executes a hash join.
+/// How probe keys find their build rows. Chosen per invocation by
+/// [`Form::observe`] from the encoded key vectors alone — never a knob, the
+/// budget or the thread count — so the form, the charges that follow from it
+/// and the `build` span label that names it are functions of the data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// One key, build strictly increasing, probe non-decreasing: a forward
+    /// cursor over the build keys per probe morsel. Nothing is built or
+    /// reserved, no access is random.
+    Cursor,
+    /// One key whose build domain `[min, min + span)` is compact: chain heads
+    /// in a `Vec<u32>` indexed by `key − min`, duplicates on the `next` chain.
+    Offsets { min: i64, span: usize },
+    /// Everything else: chain heads in a hash map.
+    Hash,
+}
+
+impl Form {
+    /// One early-exit order pass per side, then one min/max pass over the
+    /// build keys. The offset array is taken only when it weighs no more than
+    /// the hash table it replaces, so it fits whenever that would have.
+    fn observe(lkeys: &[Vec<i64>], rkeys: &[Vec<i64>]) -> Form {
+        let ([lk], [rk]) = (lkeys, rkeys) else { return Form::Hash };
+        if rk.windows(2).all(|w| w[0] < w[1]) && lk.windows(2).all(|w| w[0] <= w[1]) {
+            return Form::Cursor;
+        }
+        let Some(&first) = rk.first() else { return Form::Hash };
+        let (min, max) = rk.iter().fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        // In i128: `i64::MIN` and `i64::MAX` may both be build keys.
+        let span = max as i128 - min as i128 + 1;
+        let hash_bytes = Form::Hash.table_bytes(rk.len(), 1) as i128;
+        if 4 * (span + rk.len() as i128) <= hash_bytes {
+            Form::Offsets { min, span: span as usize }
+        } else {
+            Form::Hash
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Form::Cursor => "cursor",
+            Form::Offsets { .. } => "offsets",
+            Form::Hash => "hash",
+        }
+    }
+
+    /// The resident build's bytes: what it reserves against the query budget
+    /// and what the work profile charges to `hash_bytes`.
+    fn table_bytes(self, nright: usize, nkeys: usize) -> u64 {
+        match self {
+            Form::Cursor => 0,
+            Form::Offsets { span, .. } => 4 * (span + nright) as u64,
+            Form::Hash => nright as u64 * BUILD_BYTES_PER_ROW_KEY * nkeys as u64,
+        }
+    }
+}
+
+/// `k`'s slot in an offset array starting at `min`. Wrapping is exact: a key
+/// outside `[min, min + span)` lands at or past `span` (DESIGN.md §5).
+#[inline]
+fn offset(k: i64, min: i64) -> usize {
+    k.wrapping_sub(min) as u64 as usize
+}
+
+/// Executes an equi-join.
 #[allow(clippy::too_many_arguments)]
 pub fn exec_join(
     left: &Relation,
@@ -73,19 +144,25 @@ pub fn exec_join(
     let rkeys: Vec<Vec<i64>> =
         on.iter().map(|(_, r)| key_values(right.column(r)?.as_ref())).collect::<Result<_>>()?;
 
+    let form = Form::observe(&lkeys, &rkeys);
     let (lsel, rsel) = match on.len() {
-        1 => probe::<i64>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
-        2 => probe::<(i64, i64)>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
-        _ => probe::<Vec<i64>>(cfg, &lkeys, &rkeys, join_type, tracer, ctx, prof),
+        1 => probe::<i64>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
+        2 => probe::<(i64, i64)>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
+        _ => probe::<Vec<i64>>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
     }?;
 
-    // Work: build inserts + probe lookups are random accesses; the build
-    // table footprint informs the LLC model. Charged once from global row
-    // counts, so parallel and serial runs record identical profiles.
-    prof.rand_accesses += (left.num_rows() + right.num_rows()) as u64;
-    prof.cpu_ops += 2 * (left.num_rows() + right.num_rows()) as u64;
-    prof.hash_bytes += right.num_rows() as u64 * 16 * on.len() as u64;
-    prof.seq_read_bytes += ((left.num_rows() + right.num_rows()) * 8 * on.len()) as u64;
+    // Work: build inserts + probe lookups are random accesses — except under
+    // the cursor, which makes none — and the build table's real footprint
+    // informs the LLC model. Charged once from global row counts and the
+    // form, so parallel, serial and budget-degraded runs record identical
+    // profiles.
+    let rows = (left.num_rows() + right.num_rows()) as u64;
+    if form != Form::Cursor {
+        prof.rand_accesses += rows;
+    }
+    prof.cpu_ops += 2 * rows;
+    prof.hash_bytes += form.table_bytes(right.num_rows(), on.len());
+    prof.seq_read_bytes += rows * 8 * on.len() as u64;
 
     let out = match join_type {
         JoinType::Inner => {
@@ -124,8 +201,9 @@ fn chain<K: Hash + Eq>(head: &mut FxMap<K, u32>, next: &mut [u32], k: K, row: u3
 }
 
 /// Appends the (left, right) output rows that left row `i` contributes given
-/// its head-chain hit — the per-row core shared by the serial and parallel
-/// probes.
+/// its head-chain hit — the per-row core shared by every form and by the
+/// partitioned probe. A build row past the end of `next` has no chain (the
+/// cursor form, whose build keys are unique, passes an empty one).
 #[inline]
 fn emit_row(
     i: usize,
@@ -141,7 +219,7 @@ fn emit_row(
             while let Some(r) = cur {
                 lsel.push(i as u32);
                 rsel.push(r);
-                cur = (next[r as usize] != NONE_ROW).then(|| next[r as usize]);
+                cur = next.get(r as usize).copied().filter(|&n| n != NONE_ROW);
             }
         }
         JoinType::Semi => {
@@ -163,86 +241,100 @@ fn emit_row(
             while let Some(r) = cur {
                 lsel.push(i as u32);
                 rsel.push(r);
-                cur = (next[r as usize] != NONE_ROW).then(|| next[r as usize]);
+                cur = next.get(r as usize).copied().filter(|&n| n != NONE_ROW);
             }
         }
     }
 }
 
-/// Builds on the right, probes with the left. Returns selected row ids per
-/// side; for semi/anti the right vector is empty; for left outer, unmatched
-/// right slots hold `NONE_ROW`.
-///
-/// When tracing, `build` and `probe` phase spans are attached to the open
-/// join span; the probe span gets per-morsel children over the same
-/// `morsel_ranges(nleft, morsel_rows)` boundaries on both the serial and the
-/// parallel path, so trace structure is identical at any thread count.
+/// Builds on the right (in the form the key vectors allow), probes with the
+/// left. Returns selected row ids per side; for semi/anti the right vector is
+/// empty; for left outer, unmatched right slots hold `NONE_ROW`.
 ///
 /// The whole build table is reserved against the query budget up front; when
-/// it does not fit, [`partitioned_probe`] degrades to a partitioned build
-/// with the same output and trace structure. Worker threads bail out
-/// at morsel boundaries once cancellation is signalled (the partial result
-/// is discarded — the final checkpoint turns it into `Cancelled`).
+/// it does not fit, [`partitioned_probe`] degrades to a partitioned hash
+/// build with the same output and trace structure.
+#[allow(clippy::too_many_arguments)]
 fn probe<K: FromSlots + Send + Sync>(
     cfg: &EngineConfig,
     lkeys: &[Vec<i64>],
     rkeys: &[Vec<i64>],
+    form: Form,
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
     prof: &mut WorkProfile,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
-    let build_bytes = nright as u64 * BUILD_BYTES_PER_ROW_KEY * rkeys.len() as u64;
-    let Some(_guard) = ctx.try_reserve(build_bytes) else {
-        return partitioned_probe::<K>(cfg, lkeys, rkeys, join_type, tracer, ctx, prof);
+    let Some(_guard) = ctx.try_reserve(form.table_bytes(nright, rkeys.len())) else {
+        return partitioned_probe::<K>(cfg, lkeys, rkeys, form, join_type, tracer, ctx, prof);
     };
-    let (lkey, rkey) = (|i| K::at(lkeys, i), |i| K::at(rkeys, i));
-    let traced = tracer.is_enabled();
-    let sink = tracer.morsel_sink();
-    let build_started = traced.then(std::time::Instant::now);
-    if cfg.threads <= 1 {
-        // Serial fast path: one build map, one probe scan.
-        // head: key -> most recent build row; next: chain through earlier rows.
-        let mut head: FxMap<K, u32> = fx_map(nright);
-        let mut next: Vec<u32> = vec![NONE_ROW; nright];
-        for i in 0..nright {
-            chain(&mut head, &mut next, rkey(i), i as u32);
+    let build_started = tracer.is_enabled().then(Instant::now);
+    let phase = ProbePhase { cfg, form, join_type, tracer, ctx, nleft, nright, build_started };
+    let (lk, rk) = (&lkeys[0], &rkeys[0]);
+    match form {
+        // Binary-search each morsel's start so morsels stay independent,
+        // then only ever step forward: both sides ascend.
+        Form::Cursor => phase.run(&[], |start| {
+            let mut at = rk.partition_point(|&k| k < lk[start]);
+            move |i| {
+                while rk.get(at).is_some_and(|&k| k < lk[i]) {
+                    at += 1;
+                }
+                (rk.get(at) == Some(&lk[i])).then_some(at as u32)
+            }
+        }),
+        // Filled sequentially, in row order: each slot ends up holding its
+        // key's most recent build row, `next` the earlier ones — the chains
+        // the hash build lays out.
+        Form::Offsets { min, span } => {
+            let mut heads = vec![NONE_ROW; span];
+            let mut next = vec![NONE_ROW; nright];
+            for (i, &k) in rk.iter().enumerate() {
+                next[i] = std::mem::replace(&mut heads[offset(k, min)], i as u32);
+            }
+            phase.run(&next, |_| {
+                |i| heads.get(offset(lk[i], min)).copied().filter(|&r| r != NONE_ROW)
+            })
         }
-        let build_ns = elapsed_ns(&build_started);
-        let probe_started = traced.then(std::time::Instant::now);
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        // The scan is chunked by morsel boundaries (pure bookkeeping — the
-        // iteration order is unchanged) so cancellation is checked per morsel
-        // and the serial trace has the same morsel children the parallel
-        // probe records.
-        for (mi, r) in morsel_ranges(nleft, cfg.morsel_rows).into_iter().enumerate() {
-            if ctx.interrupted() {
-                break;
-            }
-            let rows = r.len() as u64;
-            let m0 = traced.then(std::time::Instant::now);
-            for i in r {
-                emit_row(i, head.get(&lkey(i)).copied(), &next, join_type, &mut lsel, &mut rsel);
-            }
-            if let Some(m0) = m0 {
-                let wall_ns = m0.elapsed().as_nanos() as u64;
-                sink.record(MorselSpan { index: mi, rows, worker: 0, wall_ns });
-            }
+        Form::Hash => {
+            let mut next = vec![NONE_ROW; nright];
+            let heads = build_hash::<K>(cfg, rkeys, &mut next, ctx);
+            phase.run(&next, |_| {
+                |i| {
+                    let k = K::at(lkeys, i);
+                    let slot = if heads.len() == 1 { 0 } else { fx_slot(&k, heads.len()) };
+                    heads[slot].get(&k).copied()
+                }
+            })
         }
-        ctx.checkpoint()?;
-        attach_phases(tracer, nright, build_ns, nleft, &lsel, &probe_started, sink);
-        return Ok((lsel, rsel));
     }
+}
 
-    // Partitioned parallel build: partition owner `p` scans every build key
-    // and inserts only the rows routed to `p`, in global row order — all
-    // rows of one key share a partition, so each chain is laid out exactly
-    // as the serial build lays it out. (No morsel spans here: the partition
-    // count follows the thread count, so per-partition children would break
-    // trace-structure determinism — and for the same reason the routing is
-    // unobservable, so it uses the table hasher, not the fallbacks' SipHash.)
+/// The hash build: key → most recent build row, one map per build thread,
+/// with `next` threading through each key's earlier rows.
+///
+/// With more than one thread, partition owner `p` scans every build key and
+/// inserts only the rows routed to `p`, in global row order — all rows of one
+/// key share a partition, so each chain is laid out exactly as the serial
+/// build lays it out. (No morsel spans here: the partition count follows the
+/// thread count, so per-partition children would break trace-structure
+/// determinism — and for the same reason the routing is unobservable, so it
+/// uses the table hasher, not the fallbacks' SipHash.)
+fn build_hash<K: FromSlots + Send + Sync>(
+    cfg: &EngineConfig,
+    rkeys: &[Vec<i64>],
+    next: &mut [u32],
+    ctx: &QueryContext,
+) -> Vec<FxMap<K, u32>> {
+    let nright = next.len();
+    if cfg.threads <= 1 {
+        let mut head: FxMap<K, u32> = fx_map(nright);
+        for i in 0..nright {
+            chain(&mut head, next, K::at(rkeys, i), i as u32);
+        }
+        return vec![head];
+    }
     let nparts = cfg.threads;
     let part_ranges: Vec<Range<usize>> = (0..nparts).map(|p| p..p + 1).collect();
     let built = run_morsels(cfg, &part_ranges, |p, _| {
@@ -252,7 +344,7 @@ fn probe<K: FromSlots + Send + Sync>(
             return (head, edges);
         }
         for i in 0..nright {
-            let k = rkey(i);
+            let k = K::at(rkeys, i);
             if fx_slot(&k, nparts) != p {
                 continue;
             }
@@ -265,42 +357,70 @@ fn probe<K: FromSlots + Send + Sync>(
         }
         (head, edges)
     });
-    let mut next: Vec<u32> = vec![NONE_ROW; nright];
-    let mut heads: Vec<FxMap<K, u32>> = Vec::with_capacity(nparts);
+    let mut heads = Vec::with_capacity(nparts);
     for (head, edges) in built {
         for (row, prev) in edges {
             next[row as usize] = prev;
         }
         heads.push(head);
     }
-    let build_ns = elapsed_ns(&build_started);
-    let probe_started = traced.then(std::time::Instant::now);
+    heads
+}
 
-    // Morsel-parallel probe; per-morsel selections concatenate in morsel
-    // order, reproducing the serial output order.
-    let probe_ranges = morsel_ranges(nleft, cfg.morsel_rows);
-    let parts = run_morsels_spanned(cfg, &probe_ranges, &sink, |_, r| {
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        if ctx.interrupted() {
-            return (lsel, rsel);
+/// The probe every resident form shares, called once its build (if any) is
+/// done: walks the left-side morsels — inline on one thread, in parallel on
+/// more — and concatenates the per-morsel selections in morsel order, which
+/// is the serial output order. `start(first row)` opens one morsel's resolver
+/// from probe row to chain head. Workers bail out at morsel boundaries once
+/// cancellation is signalled (the partial result is discarded — the final
+/// checkpoint turns it into `Cancelled`).
+///
+/// When tracing, `build` (labelled with the form) and `probe` phase spans are
+/// attached to the open join span; the probe span gets one child per
+/// `morsel_ranges(nleft, morsel_rows)` morsel at any thread count.
+struct ProbePhase<'a> {
+    cfg: &'a EngineConfig,
+    form: Form,
+    join_type: JoinType,
+    tracer: &'a Tracer,
+    ctx: &'a QueryContext,
+    nleft: usize,
+    nright: usize,
+    build_started: Option<Instant>,
+}
+
+impl ProbePhase<'_> {
+    fn run<R: FnMut(usize) -> Option<u32>>(
+        &self,
+        next: &[u32],
+        start: impl Fn(usize) -> R + Sync,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
+        let build_ns = elapsed_ns(&self.build_started);
+        let probe_started = self.tracer.is_enabled().then(Instant::now);
+        let sink = self.tracer.morsel_sink();
+        let ranges = morsel_ranges(self.nleft, self.cfg.morsel_rows);
+        let parts = run_morsels_spanned(self.cfg, &ranges, &sink, |_, r| {
+            let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+            if self.ctx.interrupted() {
+                return (lsel, rsel);
+            }
+            let mut resolve = start(r.start);
+            for i in r {
+                emit_row(i, resolve(i), next, self.join_type, &mut lsel, &mut rsel);
+            }
+            (lsel, rsel)
+        });
+        self.ctx.checkpoint()?;
+        let mut parts = parts.into_iter();
+        let (mut lsel, mut rsel) = parts.next().unwrap_or_default();
+        for (l, r) in parts {
+            lsel.extend(l);
+            rsel.extend(r);
         }
-        for i in r {
-            let k = lkey(i);
-            let hit = heads[fx_slot(&k, nparts)].get(&k).copied();
-            emit_row(i, hit, &next, join_type, &mut lsel, &mut rsel);
-        }
-        (lsel, rsel)
-    });
-    let mut lsel = Vec::new();
-    let mut rsel = Vec::new();
-    for (l, r) in parts {
-        lsel.extend(l);
-        rsel.extend(r);
+        let (nleft, nright) = (self.nleft, self.nright);
+        attach_phases(self.tracer, self.form, nright, build_ns, nleft, &lsel, &probe_started, sink);
+        Ok((lsel, rsel))
     }
-    ctx.checkpoint()?;
-    attach_phases(tracer, nright, build_ns, nleft, &lsel, &probe_started, sink);
-    Ok((lsel, rsel))
 }
 
 /// The degraded build below the resident one, down the shared ladder
@@ -317,10 +437,12 @@ fn probe<K: FromSlots + Send + Sync>(
 /// The splice then visits left rows 0..nleft in order, which reproduces the
 /// serial output byte for byte. Partition choice depends only on row counts
 /// and the budget, never on the thread count.
+#[allow(clippy::too_many_arguments)]
 fn partitioned_probe<K: FromSlots>(
     cfg: &EngineConfig,
     lkeys: &[Vec<i64>],
     rkeys: &[Vec<i64>],
+    form: Form,
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
@@ -331,7 +453,7 @@ fn partitioned_probe<K: FromSlots>(
     let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
-    let build_started = traced.then(std::time::Instant::now);
+    let build_started = traced.then(Instant::now);
     // Linear bookkeeping (partition hashes and buckets, the shared chain
     // array — about 8 B/row) is *measured* but not capped: like selection
     // vectors and materialized outputs it streams sequentially, and only the
@@ -339,7 +461,7 @@ fn partitioned_probe<K: FromSlots>(
     // the cluster's MemoryModel draws around `hash_bytes`).
     ctx.track((nleft + nright) as u64 * 8);
 
-    let table_bytes = |rows: usize| rows as u64 * BUILD_BYTES_PER_ROW_KEY * rkeys.len() as u64;
+    let table_bytes = |rows: usize| Form::Hash.table_bytes(rows, rkeys.len());
     let inputs = [(nright, rkeys), (nleft, lkeys)];
     let (lsel, rsel, build_ns, probe_started) =
         ladder::descend::<K, _>(ctx, prof, "join build", &inputs, |att| {
@@ -349,7 +471,7 @@ fn partitioned_probe<K: FromSlots>(
             }
             let parts = att.stage()?;
             let build_ns = elapsed_ns(&build_started);
-            let probe_started = traced.then(std::time::Instant::now);
+            let probe_started = traced.then(Instant::now);
 
             // One partition at a time: build, probe, drop.
             let mut next: Vec<u32> = vec![NONE_ROW; nright];
@@ -398,30 +520,34 @@ fn partitioned_probe<K: FromSlots>(
             sink.record(MorselSpan { index: mi, rows: r.len() as u64, worker: 0, wall_ns: 0 });
         }
     }
-    attach_phases(tracer, nright, build_ns, nleft, &lsel, &probe_started, sink);
+    attach_phases(tracer, form, nright, build_ns, nleft, &lsel, &probe_started, sink);
     Ok((lsel, rsel))
 }
 
 #[inline]
-fn elapsed_ns(started: &Option<std::time::Instant>) -> u64 {
+fn elapsed_ns(started: &Option<Instant>) -> u64 {
     started.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
 }
 
-/// Attaches `build` and `probe` phase spans (with the probe's morsel
-/// children) to the open join span. No-op when the tracer is disabled.
+/// Attaches `build` (labelled with the form the key vectors selected — also
+/// when the budget degraded it to partitions) and `probe` phase spans (with
+/// the probe's morsel children) to the open join span. No-op when the tracer
+/// is disabled.
+#[allow(clippy::too_many_arguments)]
 fn attach_phases(
     tracer: &Tracer,
+    form: Form,
     nright: usize,
     build_ns: u64,
     nleft: usize,
     lsel: &[u32],
-    probe_started: &Option<std::time::Instant>,
+    probe_started: &Option<Instant>,
     sink: MorselSink,
 ) {
     if !tracer.is_enabled() {
         return;
     }
-    let mut build = Span::leaf("build", "");
+    let mut build = Span::leaf("build", form.label());
     build.rows_in = nright as u64;
     build.rows_out = nright as u64;
     build.wall_ns = build_ns;
@@ -456,13 +582,7 @@ fn take_optional(col: &Column, sel: &[u32]) -> Column {
         Column::Bool(v) => {
             Column::Bool(sel.iter().map(|&i| i != NONE_ROW && v[i as usize]).collect())
         }
-        Column::Str(d) => {
-            let mut b = DictBuilder::with_capacity(sel.len());
-            for &i in sel {
-                b.push(if i == NONE_ROW { "" } else { d.get(i as usize) });
-            }
-            Column::Str(b.finish())
-        }
+        Column::Str(d) => Column::Str(d.take_or_empty(sel, NONE_ROW)),
     }
 }
 
@@ -600,8 +720,10 @@ mod tests {
     #[test]
     fn grace_fallback_is_bit_exact_and_budget_bounded() {
         // Duplicate keys exercise the chain layout the determinism argument
-        // leans on. 60 build rows × 16 B/key = 960 B resident build; a
-        // budget well under that forces the Grace path at every thread count.
+        // leans on. The 60 build rows' 23 compact keys get the offset array:
+        // 4 B × (23 slots + 60 chain links) = 332 B resident, where the hash
+        // table weighed 960 B. A budget under that forces the Grace path —
+        // hash partitions, as ever — at every thread count.
         let n = 200i64;
         let l = rel(vec![("lk", (0..n).map(|i| i % 17).collect()), ("lv", (0..n).collect())]);
         let r = rel(vec![
@@ -614,13 +736,13 @@ mod tests {
             let want = want.unwrap();
             for threads in [1, 2, 4] {
                 let cfg = EngineConfig::with_threads(threads).with_morsel_rows(13);
-                let ctx = QueryContext::with_budget(500);
+                let ctx = QueryContext::with_budget(300);
                 let mut p = WorkProfile::new();
                 let got = exec_join(&l, &r, &on, jt, &mut p, &cfg, Tracer::off(), &ctx).unwrap();
                 assert_eq!(got, want, "{jt:?} grace diverged at {threads} threads");
                 // Pinned: partition assignment decides the fan-out, and must
                 // not drift silently.
-                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 4), "{jt:?}");
+                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 8), "{jt:?}");
                 assert_eq!(p.spilled_bytes, 0);
                 assert_eq!(ctx.mem.used(), 0, "{jt:?}: all reservations released");
             }
@@ -645,7 +767,7 @@ mod tests {
     /// distinct build keys at a budget of ~8 table rows needs several
     /// thousand partitions.
     fn spill_join_inputs() -> (Relation, Relation) {
-        let l = rel(vec![("lk", (0..2_000i64).map(|i| (i * 7) % 20_000).collect())]);
+        let l = rel(vec![("lk", (0..2_000i64).rev().map(|i| (i * 7) % 20_000).collect())]);
         let r = rel(vec![
             ("rk", (0..20_000i64).collect()),
             ("rv", (0..20_000i64).map(|i| i * 3).collect()),
@@ -757,5 +879,276 @@ mod tests {
         assert_eq!(disk.sim_seconds(), 0.0);
         assert_eq!(disk.used(), 0);
         assert_eq!(ctx.used(), 0);
+    }
+    const ALL_TYPES: [JoinType; 4] =
+        [JoinType::Inner, JoinType::Semi, JoinType::Anti, JoinType::LeftOuter];
+
+    /// Row selections of `lk ⋈ rk` in `form`, called the way `exec_join`
+    /// calls it — the form is an argument here, never a switch out there.
+    fn sels(lk: &[i64], rk: &[i64], form: Form, jt: JoinType, cfg: &EngineConfig) -> Sels {
+        let (ctx, mut p) = (QueryContext::default(), WorkProfile::new());
+        let (lkeys, rkeys) = ([lk.to_vec()], [rk.to_vec()]);
+        let out = probe::<i64>(cfg, &lkeys, &rkeys, form, jt, Tracer::off(), &ctx, &mut p);
+        assert_eq!(ctx.used(), 0);
+        out.unwrap()
+    }
+    type Sels = (Vec<u32>, Vec<u32>);
+
+    /// Every form that is *valid* for the input (the observed one, and the
+    /// offset array over any domain small enough to allocate) selects exactly
+    /// the hash form's rows in the hash form's order, for every join type, at
+    /// 1/2/4 threads and two morsel sizes.
+    fn forms_match_the_hash_form(lk: &[i64], rk: &[i64]) {
+        let observed = Form::observe(&[lk.to_vec()], &[rk.to_vec()]);
+        let mut forms = vec![observed];
+        if let (Some(&min), Some(&max)) = (rk.iter().min(), rk.iter().max()) {
+            if let Some(span) = max.checked_sub(min).filter(|d| *d < 1 << 16) {
+                forms.push(Form::Offsets { min, span: span as usize + 1 });
+            }
+        }
+        let strictly_up = rk.windows(2).all(|w| w[0] < w[1]);
+        let up = lk.windows(2).all(|w| w[0] <= w[1]);
+        assert_eq!(observed == Form::Cursor, strictly_up && up, "cursor iff both sides in order");
+        for jt in ALL_TYPES {
+            let want = sels(lk, rk, Form::Hash, jt, &EngineConfig::serial());
+            for form in &forms {
+                for (threads, morsel) in [(1, 5), (2, 5), (4, 5), (1, 64), (2, 64), (4, 64)] {
+                    let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                    let got = sels(lk, rk, *form, jt, &cfg);
+                    assert_eq!(got, want, "{form:?} {jt:?} {threads} threads, morsel {morsel}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forms_match_the_hash_form_on_the_edge_shapes() {
+        let up: Vec<i64> = (0..40).map(|i| i * 3).collect();
+        let dups: Vec<i64> = (0..40).map(|i| i / 3).collect();
+        let mut inverted = up.clone();
+        inverted.push(0); // one inversion, at the very end
+        let extremes = [i64::MIN, -1, 0, i64::MAX];
+        let shapes: [&[i64]; 8] =
+            [&up, &dups, &inverted, &[7; 9], &[], &[5], &extremes, &[i64::MAX, i64::MIN]];
+        for lk in shapes {
+            for rk in shapes {
+                forms_match_the_hash_form(lk, rk);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn forms_match_the_hash_form_on_random_keys(
+            l in proptest::collection::vec(-20i64..60, 0..90),
+            r in proptest::collection::vec(-20i64..60, 0..50),
+            sort_l in proptest::prelude::any::<bool>(),
+            shape_r in 0usize..3,
+        ) {
+            let (mut l, mut r) = (l, r);
+            if sort_l {
+                l.sort_unstable();
+            }
+            match shape_r {
+                0 => {}
+                1 => r.sort_unstable(), // sorted with duplicates: the cursor must decline
+                _ => {
+                    r.sort_unstable();
+                    r.dedup();
+                }
+            }
+            forms_match_the_hash_form(&l, &r);
+        }
+    }
+
+    #[test]
+    fn observe_reads_the_form_off_the_key_vectors() {
+        let form = |lk: &[i64], rk: &[i64]| Form::observe(&[lk.to_vec()], &[rk.to_vec()]);
+        assert_eq!(form(&[1, 1, 4, 9], &[1, 4, 1000]), Form::Cursor);
+        assert_eq!(form(&[], &[]), Form::Cursor, "nothing to build, nothing to probe");
+        // Duplicate build keys, or a probe out of order: never the cursor.
+        assert_eq!(form(&[1, 4], &[1, 4, 4]), Form::Offsets { min: 1, span: 4 });
+        assert_eq!(form(&[4, 1], &[1, 4, 6]), Form::Offsets { min: 1, span: 6 });
+        assert_eq!(form(&[4, 1], &[1, 4, 1000]), Form::Hash, "1000 slots for 3 rows");
+        // Compact means 4 B × (slots + rows) ≤ the hash table's 16 B × rows.
+        assert_eq!(form(&[2, 1], &[0, 9, 3]), Form::Hash);
+        assert_eq!(form(&[2, 1], &[0, 8, 3]), Form::Offsets { min: 0, span: 9 });
+        assert_eq!(form(&[2, 1], &[9, 9, 9]), Form::Offsets { min: 9, span: 1 });
+        // `max − min + 1` is taken in i128.
+        assert_eq!(form(&[0, -1], &[i64::MAX, i64::MIN]), Form::Hash);
+        assert_eq!(form(&[0, 1], &[i64::MIN, i64::MAX]), Form::Cursor);
+        assert_eq!(
+            form(&[i64::MIN, 0], &[i64::MAX - 1, i64::MAX, i64::MAX - 1]).label(),
+            "offsets"
+        );
+        // More than one key column: the hash form.
+        let two = [vec![1i64, 2], vec![1, 2]];
+        assert_eq!(Form::observe(&two, &two), Form::Hash);
+    }
+
+    #[test]
+    fn offsets_chain_duplicates_most_recent_first() {
+        let got = sels(
+            &[7, 5, 6],
+            &[5, 7, 5, 5],
+            Form::Offsets { min: 5, span: 3 },
+            JoinType::Inner,
+            &EngineConfig::serial(),
+        );
+        assert_eq!(got, (vec![0, 1, 1, 1], vec![1, 3, 2, 0]));
+    }
+
+    /// Through `exec_join`: relations and work profiles are identical at every
+    /// thread count and morsel size whichever form the data selects, on
+    /// `Int32` and `Date` keys too; the cursor charges no random access and no
+    /// table, the offset array its real bytes.
+    #[test]
+    fn every_form_is_thread_and_morsel_invariant_with_the_stated_charges() {
+        let int32 =
+            |v: Vec<i64>| Arc::new(Column::Int32(v.into_iter().map(|x| x as i32).collect()));
+        let date = |v: Vec<i64>| Arc::new(Column::Date(v.into_iter().map(|x| x as i32).collect()));
+        let rel2 = |k: &str, kc: Arc<Column>, v: &str| {
+            let payload = Arc::new(Column::Int64((0..kc.len() as i64).collect()));
+            Relation::new(vec![(k.to_string(), kc), (v.to_string(), payload)]).unwrap()
+        };
+        let probe_sorted: Vec<i64> = (0..300).map(|i| i / 2).collect();
+        let probe_mixed: Vec<i64> = (0..300).map(|i| (i * 37) % 150).collect();
+        let build_unique: Vec<i64> = (0..100).map(|i| i * 2).collect();
+        let build_dups: Vec<i64> = (0..100).map(|i| (i * 7) % 40).collect();
+        let build_sparse: Vec<i64> = (0..100).map(|i| (i * 7919) % 5000).collect();
+        let cases = [
+            (
+                "cursor",
+                rel2("lk", int32(probe_sorted.clone()), "lv"),
+                rel2("rk", int32(build_unique.clone()), "rv"),
+                0,
+                0,
+            ),
+            (
+                "offsets",
+                rel2("lk", date(probe_mixed.clone()), "lv"),
+                rel2("rk", date(build_dups), "rv"),
+                400,
+                4 * (40 + 100),
+            ),
+            (
+                "hash",
+                rel2("lk", int32(probe_mixed), "lv"),
+                rel2("rk", int32(build_sparse), "rv"),
+                400,
+                1600,
+            ),
+        ];
+        for (label, l, r, rand, table) in &cases {
+            for jt in ALL_TYPES {
+                let tracer = Tracer::enabled();
+                tracer.push("join", "");
+                let on = [("lk".to_string(), "rk".to_string())];
+                let (ctx, mut base_prof) = (QueryContext::default(), WorkProfile::new());
+                let serial = EngineConfig::serial();
+                let base =
+                    exec_join(l, r, &on, jt, &mut base_prof, &serial, &tracer, &ctx).unwrap();
+                tracer.pop(0, 0, Vec::new());
+                let span = tracer.take_root().unwrap();
+                assert_eq!(
+                    (span.children[0].op.as_str(), span.children[0].label.as_str()),
+                    ("build", *label)
+                );
+                assert_eq!(
+                    (base_prof.rand_accesses, base_prof.hash_bytes),
+                    (*rand, *table),
+                    "{label} {jt:?}"
+                );
+                for (threads, morsel) in [(1, 7), (2, 7), (4, 7), (2, 64), (4, 64)] {
+                    let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                    let (got, prof) = join(l, r, jt, &cfg, &ctx);
+                    assert_eq!(
+                        got.unwrap(),
+                        base,
+                        "{label} {jt:?} at {threads} threads, morsel {morsel}"
+                    );
+                    assert_eq!(prof, base_prof, "{label} {jt:?} profile at {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// The cursor reserves nothing: under an 8 KiB budget with a spill disk a
+    /// 20 000-row build neither falls back nor spills, and a cancellation
+    /// mid-probe leaves no reservation and no chunk behind.
+    #[test]
+    fn cursor_join_needs_no_budget_and_cancels_clean() {
+        let l = rel(vec![("lk", (0..60_000i64).map(|i| i / 3 * 2).collect())]);
+        let r = rel(vec![("rk", (0..20_000i64).map(|i| i * 3).collect())]);
+        let (want, _) =
+            join(&l, &r, JoinType::Inner, &EngineConfig::serial(), &QueryContext::default());
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::with_threads(threads).with_morsel_rows(1000);
+            let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(4 << 20));
+            let ctx = QueryContext::with_budget(8 << 10).with_spill(Arc::clone(&disk));
+            let (got, p) = join(&l, &r, JoinType::Inner, &cfg, &ctx);
+            assert_eq!(got.as_ref().unwrap(), want.as_ref().unwrap());
+            assert_eq!((ctx.fallbacks(), p.spilled_bytes, disk.sim_seconds()), (0, 0, 0.0));
+            assert_eq!((ctx.used(), disk.used()), (0, 0));
+
+            // Cancelled between two probe morsels of a worker's queue.
+            let token = crate::governor::CancelToken::new();
+            let ctx = QueryContext::with_budget(8 << 10)
+                .with_spill(Arc::clone(&disk))
+                .with_cancel_token(token.clone());
+            let phase = ProbePhase {
+                cfg: &cfg,
+                form: Form::Cursor,
+                join_type: JoinType::Inner,
+                tracer: Tracer::off(),
+                ctx: &ctx,
+                nleft: 60_000,
+                nright: 20_000,
+                build_started: None,
+            };
+            let cancelled = phase.run(&[], |start| {
+                if start >= 30_000 {
+                    token.cancel();
+                }
+                |_| None
+            });
+            assert!(matches!(cancelled, Err(EngineError::Cancelled)), "{threads} threads");
+            assert_eq!((ctx.used(), disk.used()), (0, 0));
+        }
+    }
+
+    /// The left-outer string gather shares the build side's dictionary and
+    /// decodes exactly as the row-by-row rebuild it replaced.
+    #[test]
+    fn take_optional_gathers_strings_over_the_shared_dictionary() {
+        let rebuild = |d: &wimpi_storage::DictColumn, sel: &[u32]| -> Vec<String> {
+            sel.iter()
+                .map(|&i| if i == NONE_ROW { String::new() } else { d.get(i as usize).to_string() })
+                .collect()
+        };
+        let with_empty: wimpi_storage::DictColumn = ["b", "", "a", "b"].into_iter().collect();
+        let without: wimpi_storage::DictColumn = ["b", "c", "a", "b"].into_iter().collect();
+        for d in [&with_empty, &without] {
+            for sel in [&[3u32, 0, 2][..], &[NONE_ROW, 3, NONE_ROW, 1], &[NONE_ROW], &[]] {
+                let Column::Str(got) = take_optional(&Column::Str(d.clone()), sel) else {
+                    panic!("a string column")
+                };
+                let decoded: Vec<String> = got.iter().map(str::to_string).collect();
+                assert_eq!(decoded, rebuild(d, sel));
+                let grew = sel.contains(&NONE_ROW) && d.code_of("").is_none();
+                assert_eq!(
+                    got.cardinality(),
+                    d.cardinality() + grew as usize,
+                    "\"\" is coded at most once"
+                );
+                assert_eq!(
+                    std::ptr::eq(got.values().as_ptr(), d.values().as_ptr()),
+                    !grew,
+                    "shared unless it grew"
+                );
+            }
+        }
     }
 }

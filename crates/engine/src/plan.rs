@@ -157,7 +157,7 @@ pub enum LogicalPlan {
         /// Join variant.
         join_type: JoinType,
     },
-    /// Hash group-by aggregation (empty `group_by` = one global group).
+    /// Group-by aggregation (empty `group_by` = one global group).
     Aggregate {
         /// Input plan.
         input: Box<LogicalPlan>,

@@ -8,12 +8,14 @@
 //! trade-off against raw strings.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// An immutable dictionary-encoded string column.
+/// An immutable dictionary-encoded string column. Gathers and slices of it
+/// share its dictionary allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DictColumn {
     codes: Vec<u32>,
-    values: Vec<String>,
+    values: Arc<Vec<String>>,
 }
 
 impl DictColumn {
@@ -72,7 +74,7 @@ impl DictColumn {
             codes.iter().all(|&c| (c as usize) < values.len().max(1)),
             "every code must index the dictionary"
         );
-        DictColumn { codes, values }
+        DictColumn { codes, values: Arc::new(values) }
     }
 
     /// Looks up the code of an exact value, if present. O(cardinality); use
@@ -96,14 +98,34 @@ impl DictColumn {
     pub fn take(&self, sel: &[u32]) -> DictColumn {
         DictColumn {
             codes: sel.iter().map(|&i| self.codes[i as usize]).collect(),
-            values: self.values.clone(),
+            values: Arc::clone(&self.values),
         }
+    }
+
+    /// [`DictColumn::take`] where the index `none` selects no row and reads
+    /// as `""`. The dictionary is copied only to give `""` a code it lacks.
+    pub fn take_or_empty(&self, sel: &[u32], none: u32) -> DictColumn {
+        let mut values = Arc::clone(&self.values);
+        let mut empty = None;
+        let mut code_of_empty = || {
+            *empty.get_or_insert_with(|| {
+                self.code_of("").unwrap_or_else(|| {
+                    Arc::make_mut(&mut values).push(String::new());
+                    self.values.len() as u32
+                })
+            })
+        };
+        let codes = sel
+            .iter()
+            .map(|&i| if i == none { code_of_empty() } else { self.codes[i as usize] })
+            .collect();
+        DictColumn { codes, values }
     }
 
     /// Copies the contiguous code range `r`, reusing this column's
     /// dictionary (codes stay valid) — see [`crate::Column::slice`].
     pub fn slice(&self, r: std::ops::Range<usize>) -> DictColumn {
-        DictColumn { codes: self.codes[r].to_vec(), values: self.values.clone() }
+        DictColumn { codes: self.codes[r].to_vec(), values: Arc::clone(&self.values) }
     }
 
     /// Iterates decoded values in row order.
@@ -167,7 +189,7 @@ impl DictBuilder {
 
     /// Finalizes the column.
     pub fn finish(self) -> DictColumn {
-        DictColumn { codes: self.codes, values: self.values }
+        DictColumn { codes: self.codes, values: Arc::new(self.values) }
     }
 }
 
@@ -205,6 +227,18 @@ mod tests {
         assert_eq!(t.get(0), "RAIL");
         assert_eq!(t.get(1), "RAIL");
         assert_eq!(t.cardinality(), c.cardinality());
+    }
+
+    #[test]
+    fn gathers_and_slices_share_the_parent_dictionary() {
+        let c = sample();
+        let shares = |d: &DictColumn| Arc::ptr_eq(&d.values, &c.values);
+        assert!(shares(&c.take(&[1, 4])) && shares(&c.slice(2..5)));
+        assert!(shares(&c.take_or_empty(&[1, 4], u32::MAX)), "no unmatched row: nothing added");
+        let padded = c.take_or_empty(&[1, u32::MAX, u32::MAX], u32::MAX);
+        assert_eq!((padded.get(1), padded.cardinality()), ("", c.cardinality() + 1), "added once");
+        let again = padded.take_or_empty(&[0, u32::MAX], u32::MAX);
+        assert!(Arc::ptr_eq(&again.values, &padded.values), "a dictionary holding \"\" is shared");
     }
 
     #[test]

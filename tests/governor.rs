@@ -144,8 +144,10 @@ fn cancellation_mid_join_is_prompt_and_thread_deterministic() {
 fn grace_degraded_runs_stay_bit_exact_across_threads() {
     let cat = catalog();
     // Budgets that force each query's largest build at SF 0.01 into Grace
-    // partitioning without exhausting anything.
-    for (qn, budget) in [(1usize, 1u64 << 10), (3, 16 << 10), (13, 64 << 10)] {
+    // partitioning without exhausting anything. (Q3's `lineitem ⋈ orders` is
+    // a cursor and its group-by a run fold, neither of which reserves; what
+    // is left to squeeze is the 4.8 KB hash build over filtered `customer`.)
+    for (qn, budget) in [(1usize, 1u64 << 10), (3, 4 << 10), (13, 64 << 10)] {
         let q = query(qn);
         let (baseline, _) = run_governed(&q, &cat, &EngineConfig::serial(), &QueryContext::new())
             .expect("unbudgeted baseline");
@@ -170,6 +172,41 @@ fn grace_degraded_runs_stay_bit_exact_across_threads() {
                 "Q{qn}: Grace fan-out diverged"
             );
             assert!(ctx.hard_high_water() <= budget, "Q{qn}: reservations broke the budget");
+        }
+    }
+}
+
+/// Operators that find their input in key order build no table, so no budget
+/// can push them down the ladder: under 8 KiB with a spill disk attached,
+/// Q18's and Q21's `GROUP BY l_orderkey` and the `lineitem ⋈ orders` join
+/// answer bit-exactly with no fallback and not a byte spilled.
+#[test]
+fn ordered_inputs_need_no_budget() {
+    use wimpi::engine::{col, execute, AggExpr, PlanBuilder, Tracer};
+    let cat = catalog();
+    let by_order =
+        |agg| PlanBuilder::scan("lineitem").aggregate(vec![(col("l_orderkey"), "k")], vec![agg]);
+    let plans = [
+        by_order(AggExpr::sum(col("l_quantity"), "sum_qty")).build(),
+        by_order(AggExpr::count_distinct(col("l_suppkey"), "nsupp")).build(),
+        PlanBuilder::scan("lineitem")
+            .inner_join(PlanBuilder::scan("orders"), vec![("l_orderkey", "o_orderkey")])
+            .build(),
+    ];
+    for plan in &plans {
+        let free = QueryContext::new();
+        let (want, _) = execute(plan, &cat, &EngineConfig::serial(), &free, Tracer::off()).unwrap();
+        for threads in [1usize, 2, 4] {
+            let disk = Arc::new(wimpi::storage::SpillDisk::new(
+                wimpi::storage::SpillConfig::with_capacity(1 << 30),
+            ));
+            let ctx = QueryContext::with_budget(8 << 10).with_spill(Arc::clone(&disk));
+            let cfg = EngineConfig::with_threads(threads);
+            let (got, prof) =
+                execute(plan, &cat, &cfg, &ctx, Tracer::off()).expect("fits any budget");
+            assert_eq!(got, want);
+            assert_eq!((ctx.fallbacks(), prof.spilled_bytes, disk.sim_seconds()), (0, 0, 0.0));
+            assert_eq!((ctx.used(), disk.used(), ctx.hard_high_water()), (0, 0, 0));
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Exact work-count goldens and the fused-fallback census.
+//! Exact work-count goldens, the fused-fallback census and the form census.
 //!
 //! `sim_pi3b_s` is a pure function of the [`WorkProfile`], so a refactor
 //! that moves a single `cpu_ops` unit changes the paper-facing numbers. The
@@ -102,3 +102,68 @@ fn only_q2_and_q15_fall_back_under_fused() {
         ]
     );
 }
+
+/// The labels of every join `build` and aggregate `partials` stage span under
+/// `span`, in plan order: which form each join and aggregate took.
+fn form_labels(span: &Span, out: &mut Vec<String>) {
+    if span.op == "build" || span.op == "partials" {
+        out.push(span.label.clone());
+    }
+    for child in &span.children {
+        form_labels(child, out);
+    }
+}
+
+fn forms_of(qn: usize, cat: &Catalog) -> String {
+    let (_, _, span) =
+        run_traced_governed(&query(qn), cat, &EngineConfig::serial(), &QueryContext::default())
+            .expect("traced run");
+    let mut labels = Vec::new();
+    form_labels(&span, &mut labels);
+    labels.join(" ")
+}
+
+/// Which form every join (`cursor` / `offsets` / `hash`) and every aggregate
+/// (`runs` / `hash`) of the 22 queries takes on the raw, key-ordered catalog,
+/// in plan order (inputs before the operator that consumes them). The forms
+/// are read off the key vectors at run time, so nothing but this census stops
+/// a change of generator, plan or operator from silently sending a query back
+/// to hashing — which the benchmark would only report as "slower".
+#[test]
+fn every_join_and_aggregate_takes_its_pinned_form() {
+    let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
+    let census: Vec<String> = (1..=22).map(|qn| format!("Q{qn}: {}", forms_of(qn, &raw))).collect();
+    assert_eq!(census, PINNED_FORMS, "\n{}", census.join("\n"));
+
+    // The clustered catalog orders `lineitem` by `l_shipdate`: the plans
+    // pinned above as `runs` over `l_orderkey` (Q18's first aggregate, both
+    // of Q21's) must find no order there, and hash.
+    let clustered = wimpi::tpch::clustered_catalog(SF).expect("clustered catalog generates");
+    assert!(forms_of(18, &clustered).starts_with("hash "));
+    assert!(!forms_of(21, &clustered).contains("runs"));
+}
+
+const PINNED_FORMS: [&str; 22] = [
+    "Q1: hash",
+    "Q2: offsets offsets offsets hash offsets offsets hash runs cursor",
+    "Q3: hash cursor runs",
+    "Q4: offsets hash",
+    "Q5: offsets cursor offsets hash hash hash",
+    "Q6: runs",
+    "Q7: cursor offsets offsets offsets offsets hash",
+    "Q8: hash cursor offsets offsets hash offsets offsets hash",
+    "Q9: hash offsets hash cursor offsets hash",
+    "Q10: cursor offsets offsets hash",
+    "Q11: offsets hash runs offsets hash runs",
+    "Q12: cursor hash",
+    "Q13: offsets runs hash",
+    "Q14: offsets runs",
+    "Q15: hash runs hash cursor",
+    "Q16: cursor offsets hash",
+    "Q17: hash hash runs cursor runs",
+    "Q18: runs cursor cursor offsets runs",
+    "Q19: offsets runs",
+    "Q20: offsets cursor hash hash offsets",
+    "Q21: cursor offsets offsets runs cursor runs cursor hash",
+    "Q22: runs offsets hash",
+];

@@ -1,184 +1,267 @@
-//! Group-by aggregation, morsel-driven: a hash table per morsel, or — when the
-//! input already arrives in group-key order — no table at all.
+//! Group-by aggregation: one morsel-driven fold, under both executors.
 //!
-//! Group keys are arbitrary expressions; states are accumulated column-at-a-
-//! time. Each morsel builds a thread-local partial (its own key→gid map plus
-//! per-aggregate state vectors); the partials are then merged **in morsel
-//! order**, so the global group order is exactly the serial first-appearance
-//! order and every float reduction tree depends only on the data and the
-//! morsel size — never on the thread count (bit-exact determinism; see
-//! `exec::parallel`).
+//! [`exec_aggregate`] is the fused pipeline of DESIGN.md §13 with no filter
+//! conjunct; `fused::exec_fused` runs the same `fold` with the conjuncts it
+//! peeled off the plan. Group keys and aggregate inputs are arbitrary
+//! expressions, compiled once into [`Program`]s. Each worker takes one morsel
+//! of the source — a dense range, or the rows the conjuncts kept — evaluates
+//! the key programs into pooled slot buffers, resolves every row's group
+//! once, then evaluates and sweeps one aggregate input at a time with the
+//! accumulator dispatch outside the row loop. No intermediate column exists
+//! between the source and the fold. `Executor` decides only what the
+//! expression work is *priced* as: MonetDB's full materialization
+//! (`bytecode::Cost`) or the base columns streamed.
 //!
-//! One early-exit pass over the encoded key vectors (`in_key_order`) picks
-//! the form (DESIGN.md §5). Key tuples that never decrease mean a group's
-//! rows are contiguous, so a row either belongs to the group before it or
-//! opens a new one: the **run form** resolves groups by comparing with the
-//! previous key — in the morsel partials and again in their merge — builds no
-//! map, reserves nothing (its memory is its output) and never needs the
-//! degradation ladder. It cuts and merges partials exactly as the hash form
-//! does, so every accumulator sees the same values in the same order and the
-//! output is bit-identical.
+//! The morsel partials are merged **in morsel order**, so the global group
+//! order is exactly the serial first-appearance order and every float
+//! reduction tree depends only on the data and the morsel size — never on the
+//! thread count (bit-exact determinism; see `exec::parallel`).
 //!
-//! Decimal sums accumulate in `i128`, which is exact and
-//! order-free; `avg` over fixed-point inputs (decimal/int) likewise sums
-//! mantissas in `i128` and divides once at the end, so its value is
-//! independent of morsel boundaries too — which is what lets the fused
-//! executor (DESIGN.md §13) fold rows in base-table morsel order and still
-//! produce bit-identical averages. `avg` over an empty group yields `0.0` —
-//! SQL would say NULL, but no reproduced query aggregates an empty group
-//! (DESIGN.md §7).
+//! The form is observed where the keys are (DESIGN.md §5.1). A morsel whose
+//! key tuples never decrease (`in_key_order`, one early-exit pass over its
+//! key buffers) has contiguous groups: its partial is cut at the run
+//! boundaries and builds no map. When every partial is in that **run form**
+//! and no key falls across a morsel boundary the whole input is in key order,
+//! and the merge too compares with the previous key: no table, nothing
+//! reserved (its memory is its output), never the degradation ladder.
+//! Otherwise the merge is the hash form, which takes partials of either kind.
+//! Both forms cut and merge the same partials, so every accumulator sees the
+//! same values in the same order and the output is bit-identical.
+//!
+//! Decimal sums accumulate in `i128`, which is exact and order-free; `avg`
+//! over fixed-point inputs (decimal/int) likewise sums mantissas in `i128`
+//! and divides once at the end, and `min`/`max` keep the first extreme slot
+//! in the order of its type — all independent of where the morsels are cut,
+//! which is what lets a fused run fold base-table morsels and still equal the
+//! materializing one. Float `sum`/`avg` are exact in the morsels they were
+//! cut in only: under peeled filters the fold hands such a plan back
+//! (`fold`). `avg` over an empty group yields `0.0` — SQL would say NULL,
+//! but no reproduced query aggregates an empty group (DESIGN.md §7).
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
+use std::time::Instant;
 
+use super::bytecode::{self, Program, Rows, Ty};
+use super::fused::{compile_conjuncts, filter_morsel};
 use super::hash::{FxMap, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
-use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig};
+use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
-use super::{ensure_u32_indexable, key_values};
+use super::{ensure_u32_indexable, prune};
 use crate::error::{EngineError, Result};
-use crate::eval::Evaluator;
+use crate::expr::Expr;
 use crate::governor::{QueryContext, Reservation};
+use crate::optimizer::split_conjuncts;
 use crate::plan::{AggExpr, AggFunc};
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
-use wimpi_obs::{MorselSink, Span, Tracer};
-use wimpi_storage::{Column, DataType, DictBuilder, StorageError, Value};
+use wimpi_obs::{Span, Tracer};
+use wimpi_storage::{selection, Column, StorageError, Table};
 
-/// Executes an aggregation; empty `group_by` means one global group. When
-/// tracing, a `partials` stage span (labelled `runs` or `hash` after the form
-/// the key vectors selected, with per-morsel children) covering the
+/// Executes an aggregation over every row of `rel`; empty `group_by` means
+/// one global group. When tracing, a `partials` stage span (labelled `runs`
+/// or `hash` after the form merged, with per-morsel children) covering the
 /// morsel-local partials and their in-order merge is attached to the open
 /// aggregate span.
 pub fn exec_aggregate(
     rel: &Relation,
-    group_by: &[(crate::expr::Expr, String)],
+    group_by: &[(Expr, String)],
     aggs: &[AggExpr],
     prof: &mut WorkProfile,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<Relation> {
-    let n = rel.num_rows();
+    let folded = fold(rel, None, group_by, aggs, prof, cfg, tracer, ctx)?;
+    Ok(folded.unwrap_or_else(|why| unreachable!("nothing was peeled to unfuse: {why}")))
+}
+
+/// The filter chain a fused aggregate peeled off its input.
+pub(super) struct Peeled<'a> {
+    /// The predicates, innermost (first-executed) first.
+    pub filters: Vec<&'a Expr>,
+    /// The table the source scans, when its zone maps may prune morsels
+    /// (DESIGN.md §14).
+    pub table: Option<&'a Table>,
+}
+
+/// The one aggregation fold (see the module doc): the rows of `src` that pass
+/// the peeled filters — every row, with none — grouped and accumulated
+/// morsel by morsel, merged in morsel order and materialized.
+///
+/// With `peeled` filters the inner `Err` hands the plan back unrun, naming
+/// the reason, for the two shapes whose answer would not be the materializing
+/// operators': a float `sum`/`avg` under a filter (its morsels are not the
+/// filtered relation's), and a merged group table over budget (it wants the
+/// ladder, which partitions a relation, not a selection). Without, the fold
+/// always answers: an over-budget table descends the ladder here.
+///
+/// The hash form's coordinator merge reserves one `width`-byte table entry
+/// per distinct group (the same constant the work profile charges to
+/// `hash_bytes`); the run form reserves nothing, so its merge always fits.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn fold(
+    src: &Relation,
+    peeled: Option<&Peeled>,
+    group_by: &[(Expr, String)],
+    aggs: &[AggExpr],
+    prof: &mut WorkProfile,
+    cfg: &EngineConfig,
+    tracer: &Tracer,
+    ctx: &QueryContext,
+) -> Result<std::result::Result<Relation, &'static str>> {
+    let n = src.num_rows();
     ensure_u32_indexable(n, "aggregate")?;
-    // 1. Evaluate group keys and aggregate inputs as full columns (their
-    //    element-wise primitives parallelize inside the evaluator).
-    let mut key_cols: Vec<(String, Arc<Column>)> = Vec::with_capacity(group_by.len());
-    for (e, name) in group_by {
-        let c = Evaluator::with_config(rel, prof, *cfg).eval(e)?;
-        key_cols.push((name.clone(), c));
+    // 1. Compile the conjuncts, the keys and the aggregate inputs.
+    let mut parts = Vec::new();
+    for &f in peeled.iter().flat_map(|p| &p.filters) {
+        split_conjuncts(f.clone(), &mut parts);
     }
-    let encoded: Vec<Vec<i64>> =
-        key_cols.iter().map(|(_, c)| key_values(c.as_ref())).collect::<Result<_>>()?;
-
-    let mut input_cols: Vec<Option<Arc<Column>>> = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        input_cols.push(match (&agg.expr, agg.func) {
-            (None, AggFunc::CountStar) => None,
-            (None, f) => {
-                return Err(EngineError::Plan(format!("{f:?} requires an input expression")))
-            }
-            (Some(e), _) => Some(Evaluator::with_config(rel, prof, *cfg).eval(e)?),
-        });
-    }
-    let inputs: Vec<AggInput> = aggs
+    let (conjuncts, const_false) = compile_conjuncts(&parts, src)?;
+    let compile = |e: &Expr| Program::compile(e, src);
+    let keys = group_by.iter().map(|(e, _)| compile(e)).collect::<Result<Vec<_>>>()?;
+    let inputs = aggs
         .iter()
-        .zip(&input_cols)
-        .map(|(agg, c)| AggInput::bind(agg.func, c.as_deref()))
-        .collect::<Result<_>>()?;
-
-    // 2. Morsel-local partials, then an in-order merge — in the run form
-    //    when the key vectors are already in order, else the hash form.
-    let runs = in_key_order(&encoded, n);
-    let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
-    let sink = tracer.morsel_sink();
-    let stage_started = tracer.is_enabled().then(std::time::Instant::now);
-    let (first_rows, mut gstates) = fold(&encoded, n, &inputs, runs, width, prof, cfg, &sink, ctx)?;
-    let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
-    for st in &mut gstates {
-        st.grow_to(ngroups);
+        .map(|a| a.expr.as_ref().filter(|_| a.func != AggFunc::CountStar).map(compile).transpose())
+        .collect::<Result<Vec<_>>>()?;
+    let empty = aggs
+        .iter()
+        .zip(&inputs)
+        .map(|(a, input)| AggState::bind(a.func, input.as_ref()))
+        .collect::<Result<Vec<_>>>()?;
+    if !parts.is_empty() && empty.iter().any(AggState::sums_floats) {
+        return Ok(Err("float sum/avg under a filter"));
     }
+    let feed = Feed { keys: &keys, inputs: &inputs, empty: &empty };
+    let table = peeled.and_then(|p| p.table);
+    let pruner = table.and_then(|t| prune::ScanPruner::new(t, &conjuncts, n));
+
+    // 2. Morsel-local partials, then an in-order merge.
+    let sink = tracer.morsel_sink();
+    let stage_started = tracer.is_enabled().then(Instant::now);
+    let ranges = morsel_ranges(n, cfg.morsel_rows);
+    let morsels = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
+        if ctx.interrupted() || const_false {
+            return (MorselAgg::fold(&Rows::Dense(0..0), &feed), 0, None);
+        }
+        if conjuncts.is_empty() {
+            return (MorselAgg::fold(&Rows::Dense(r.clone()), &feed), r.len(), None);
+        }
+        let mut kept = filter_morsel(&conjuncts, pruner.as_ref(), r, None);
+        let sel = std::mem::take(&mut kept.sel);
+        let partial = MorselAgg::fold(&Rows::Sparse(&sel), &feed);
+        let nsel = sel.len();
+        selection::put_scratch(sel);
+        (partial, nsel, Some(kept))
+    });
+    ctx.checkpoint()?;
+    // Counts are summed over the morsels, so every charge below is invariant
+    // to the thread count and to which worker ran what.
+    let mut partials = Vec::with_capacity(morsels.len());
+    let (mut nsel, mut examined) = (0u64, vec![0u64; conjuncts.len()]);
+    for (partial, rows, kept) in morsels {
+        partials.push(partial);
+        nsel += rows as u64;
+        if let Some(kept) = kept {
+            examined.iter_mut().zip(kept.examined).for_each(|(total, rows)| *total += rows);
+            prof.pruned_morsels += kept.pruned_morsel as u64;
+            prof.pruned_bytes += kept.pruned_bytes;
+        }
+    }
+    let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
+    let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
+        Some(merged) => merged,
+        None if peeled.is_some() => return Ok(Err("budget")),
+        None => {
+            // Redo the merge down the ladder: partition the groups by key
+            // hash and build one bounded table per partition, sequentially.
+            let encoded: Vec<Vec<i64>> =
+                keys.iter().map(|k| k.slots_of(&Rows::Dense(0..n))).collect();
+            let morsel_len = ranges.first().map_or(1, |r| r.len());
+            ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
+            let (first_rows, states) =
+                ladder::descend(ctx, prof, "aggregate", &[(n, &encoded)], |att| {
+                    attempt(att, morsel_len, &feed, width, ctx)
+                })?;
+            (first_rows, states, false)
+        }
+    };
+    let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
+    states.iter_mut().for_each(|st| st.grow_to(ngroups));
     if let Some(started) = stage_started {
+        if peeled.is_some() {
+            let mut pred = Span::leaf("predicates", format!("{} conjuncts", conjuncts.len()));
+            pred.rows_in = n as u64;
+            pred.rows_out = nsel;
+            tracer.attach(pred);
+        }
         let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
-        stage.rows_in = n as u64;
+        stage.rows_in = nsel;
         stage.rows_out = ngroups as u64;
         stage.wall_ns = started.elapsed().as_nanos() as u64;
         stage.children = sink.into_spans();
         tracer.attach(stage);
     }
 
-    prof.cpu_ops += n as u64 * (1 + aggs.len() as u64);
+    // 3. Charge the work. The expression programs are priced in the
+    //    executor's cost form: full materialization streams every node's
+    //    operands in and its result out; the fused form reads the base
+    //    columns and *writes nothing* — the intermediate `seq_write_bytes`
+    //    term collapses to just the output.
+    let programs = || keys.iter().chain(inputs.iter().flatten());
+    match cfg.executor {
+        Executor::Materialize => programs().for_each(|p| p.cost().charge(nsel, prof)),
+        Executor::Fused => {
+            for (rows, conj) in examined.iter().zip(&conjuncts) {
+                prof.cpu_ops += rows;
+                prof.seq_read_bytes += rows * conj.width_bytes();
+            }
+            for p in programs() {
+                prof.cpu_ops += nsel;
+                prof.seq_read_bytes += nsel * p.width_bytes();
+            }
+        }
+    }
+    prof.cpu_ops += nsel * (1 + aggs.len() as u64);
     if !runs {
-        prof.rand_accesses += n as u64;
+        prof.rand_accesses += nsel;
         prof.hash_bytes += ngroups as u64 * width;
     }
-    for agg in aggs {
-        if agg.func == AggFunc::CountDistinct {
-            prof.rand_accesses += n as u64;
-        }
-    }
+    let distincts = aggs.iter().filter(|a| a.func == AggFunc::CountDistinct).count();
+    prof.rand_accesses += nsel * distincts as u64;
 
-    // 3. Materialize output columns.
-    let mut out_fields: Vec<(String, Arc<Column>)> =
-        key_cols.iter().map(|(name, c)| (name.clone(), Arc::new(c.take(&first_rows)))).collect();
-    for (agg, st) in aggs.iter().zip(gstates) {
-        out_fields.push((agg.name.clone(), Arc::new(st.finish()?)));
+    // 4. Materialize the output: every key at its group's first row, every
+    //    aggregate from its merged state.
+    let mut fields: Vec<(String, Arc<Column>)> = Vec::with_capacity(keys.len() + aggs.len());
+    for ((e, name), key) in group_by.iter().zip(&keys) {
+        let col = match e {
+            // A plain column is gathered as it is, dictionary and all.
+            Expr::Col(c) => src.column(c)?.take(&first_rows),
+            _ => key.column_from_slots(key.slots_of(&Rows::Sparse(&first_rows))),
+        };
+        fields.push((name.clone(), Arc::new(col)));
     }
-    prof.seq_write_bytes += out_fields.iter().map(|(_, c)| c.stream_bytes() as u64).sum::<u64>();
-    Relation::new(out_fields)
+    for ((agg, st), input) in aggs.iter().zip(states).zip(&inputs) {
+        fields.push((agg.name.clone(), Arc::new(st.finish(input.as_ref())?)));
+    }
+    prof.seq_write_bytes += fields.iter().map(|(_, c)| c.stream_bytes() as u64).sum::<u64>();
+    Ok(Ok(Relation::new(fields)?))
 }
 
-/// Step 2 of [`exec_aggregate`] in one form: cuts the `n` rows into morsel
-/// partials (`runs`: the run form, else the hash form) and merges them in
-/// morsel order. Returns every group's first row and the merged states.
-///
-/// The hash form's coordinator merge reserves one `width`-byte table entry
-/// per distinct group (the same constant the work profile charges to
-/// `hash_bytes`). When the table would exceed the query budget the merge is
-/// abandoned and redone down the ladder: partition the groups by key hash and
-/// build one bounded table per partition, sequentially. The run form reserves
-/// nothing, so its merge always fits.
-#[allow(clippy::too_many_arguments)]
-fn fold(
-    encoded: &[Vec<i64>],
-    n: usize,
-    inputs: &[AggInput],
-    runs: bool,
-    width: u64,
-    prof: &mut WorkProfile,
-    cfg: &EngineConfig,
-    sink: &MorselSink,
-    ctx: &QueryContext,
-) -> Result<(Vec<u32>, Vec<AggState>)> {
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    let partials = run_morsels_spanned(cfg, &ranges, sink, |_, r| {
-        let mut p = MorselAgg::new(inputs, runs);
-        if ctx.interrupted() {
-            return p;
-        }
-        for i in r {
-            p.push_keyed(Key::at(encoded, i), i as u32, inputs);
-        }
-        p
-    });
-    ctx.checkpoint()?;
-    let empty_states = || inputs.iter().map(AggState::empty_like).collect();
-    if let Some(table) = merge_partials(partials, &empty_states, width, ctx) {
-        return Ok(table);
-    }
-    let morsel_len = ranges.first().map_or(1, |r| r.len());
-    ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
-    ladder::descend(ctx, prof, "aggregate", &[(n, encoded)], |att| {
-        attempt(att, morsel_len, inputs, width, ctx)
-    })
+/// What every partial of one fold is built from: the compiled key and input
+/// programs (`None`: `count(*)`) and each aggregate's empty state.
+struct Feed<'p> {
+    keys: &'p [Program],
+    inputs: &'p [Option<Program>],
+    empty: &'p [AggState<'p>],
 }
 
 /// True when the key tuples never decrease, lexicographically, over the `n`
-/// input rows — so every group's rows are contiguous and the run form
-/// applies. One pass that stops at the first inversion; zero key columns
-/// (the global group) are trivially in order.
+/// rows — so every group's rows are contiguous and the run form applies. One
+/// pass that stops at the first inversion; zero key columns (the global
+/// group) are trivially in order.
 fn in_key_order(cols: &[Vec<i64>], n: usize) -> bool {
     match cols {
         [c] => c.windows(2).all(|w| w[0] <= w[1]),
@@ -188,58 +271,68 @@ fn in_key_order(cols: &[Vec<i64>], n: usize) -> bool {
     }
 }
 
-/// Merges the morsel partials into one global table (in morsel order — see
-/// the module doc), in the form the partials were cut in. Returns `None` as
-/// soon as a new group no longer fits the query budget; the caller then takes
-/// the partitioned ladder (the fused executor instead re-runs the pipeline
-/// through the materializing engine).
-/// The reservation is released on return either way: the table's peak is
-/// already recorded, and what survives the merge is the output itself.
-pub(super) fn merge_partials(
-    partials: Vec<MorselAgg>,
-    empty_states: &dyn Fn() -> Vec<AggState>,
+/// Every group's first row, the merged states, and whether the merge took the
+/// run form.
+type Merged<'p> = (Vec<u32>, Vec<AggState<'p>>, bool);
+
+/// Merges the morsel partials into one global table, in morsel order (see the
+/// module doc): in the run form when every non-empty partial was cut in it
+/// and starts at or after the key its predecessor ended on — the whole input
+/// is then in key order — else in the hash form. Returns `None` as soon as a
+/// new group no longer fits the query budget. The reservation is released on
+/// return either way: the table's peak is already recorded, and what survives
+/// the merge is the output itself.
+fn merge_partials<'p>(
+    partials: Vec<MorselAgg<'p>>,
+    feed: &Feed<'p>,
     width: u64,
     ctx: &QueryContext,
-) -> Option<(Vec<u32>, Vec<AggState>)> {
-    let mut table = GroupTable::new(empty_states(), width, ctx)?;
+) -> Option<Merged<'p>> {
+    let mut last = None;
+    let runs = partials.iter().filter(|p| !p.keys.is_empty()).all(|p| {
+        let follows = p.runs && last <= p.keys.first();
+        last = p.keys.last();
+        follows
+    });
+    let mut table = GroupTable::new(feed.empty.to_vec(), width, runs, ctx)?;
     for partial in partials {
         if !table.absorb(partial) {
             return None;
         }
     }
-    Some((table.first_rows, table.states))
+    Some((table.first_rows, table.states, runs))
 }
 
 /// One budgeted group table — the whole input's, or one partition's: a
 /// reservation grown by `width` bytes per distinct group (the same constant
 /// the work profile charges to `hash_bytes`), the key → group map, and the
-/// accumulated states. Dropping the table releases the reservation. Fed
-/// run-form partials it is only the states: the map stays empty, nothing is
-/// reserved, and `last` — the newest group's key — is all it compares with.
-struct GroupTable {
+/// accumulated states. Dropping the table releases the reservation. In the
+/// run form it is only the states: the map stays empty, nothing is reserved,
+/// and `last` — the newest group's key — is all it compares with.
+struct GroupTable<'p> {
     guard: Reservation,
     width: u64,
+    runs: bool,
     map: KeyMap,
     last: Option<Key>,
     first_rows: Vec<u32>,
-    states: Vec<AggState>,
+    states: Vec<AggState<'p>>,
 }
 
-impl GroupTable {
-    fn new(states: Vec<AggState>, width: u64, ctx: &QueryContext) -> Option<Self> {
+impl<'p> GroupTable<'p> {
+    fn new(states: Vec<AggState<'p>>, width: u64, runs: bool, ctx: &QueryContext) -> Option<Self> {
         let guard = ctx.try_reserve(0)?;
         let (map, last, first_rows) = (KeyMap::default(), None, Vec::new());
-        Some(GroupTable { guard, width, map, last, first_rows, states })
+        Some(GroupTable { guard, width, runs, map, last, first_rows, states })
     }
 
     /// Folds one morsel partial in. Returns `false` — leaving the table
     /// unusable — as soon as a new group no longer fits the budget.
-    fn absorb(&mut self, partial: MorselAgg) -> bool {
+    fn absorb(&mut self, partial: MorselAgg<'p>) -> bool {
         let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
-        let runs = partial.map.is_none();
         for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
             let next = self.first_rows.len() as u32;
-            gid_map.push(if runs {
+            gid_map.push(if self.runs {
                 // A partial's first run may continue the table's last one;
                 // every other run is a new group.
                 if self.last.as_ref() == Some(&k) {
@@ -268,36 +361,12 @@ impl GroupTable {
         }
         true
     }
-
-    /// Folds one partition's `(row id, key)` stream in, rows ascending: the
-    /// rows of each morsel (`row / morsel_len`) form one partial, absorbed in
-    /// morsel order. Within a morsel a group's rows are the rows the
-    /// unpartitioned partial saw, so its local sums are identical.
-    fn absorb_rows(
-        &mut self,
-        rows: impl Iterator<Item = (u32, Key)>,
-        morsel_len: usize,
-        inputs: &[AggInput],
-    ) -> bool {
-        let mut rows = rows.peekable();
-        while let Some(&(row0, _)) = rows.peek() {
-            let morsel = row0 as usize / morsel_len;
-            let mut partial = MorselAgg::new(inputs, false);
-            while let Some((row, k)) = rows.next_if(|(r, _)| *r as usize / morsel_len == morsel) {
-                partial.push_keyed(k, row, inputs);
-            }
-            if !self.absorb(partial) {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// One attempt of the degradation ladder ([`ladder::descend`]) below the
 /// in-memory merge: aggregate one partition of the groups at a time, each
-/// against its own reservation. Aggregate *input* values are read from the
-/// resident columns by row id whether or not the routing was staged.
+/// against its own reservation. Only the routing is staged: keys and inputs
+/// are evaluated from the resident source by row id, like any other morsel.
 ///
 /// Bit-exactness: every row of a group lands in the same partition and a
 /// partition's rows are walked in ascending order, cut into partials at the
@@ -306,14 +375,13 @@ impl GroupTable {
 /// order. Distinct groups have distinct first rows, so sorting the stitched
 /// groups by first row reproduces the unpartitioned first-appearance group
 /// order exactly.
-fn attempt(
+fn attempt<'p>(
     att: &mut Attempt<'_, Key>,
     morsel_len: usize,
-    inputs: &[AggInput],
+    feed: &Feed<'p>,
     width: u64,
     ctx: &QueryContext,
-) -> Result<Verdict<(Vec<u32>, Vec<AggState>)>> {
-    let empty_states = || inputs.iter().map(AggState::empty_like).collect::<Vec<_>>();
+) -> Result<Verdict<(Vec<u32>, Vec<AggState<'p>>)>> {
     let parts = att.stage()?;
     // (first row, partition, local gid) of every group, in discovery
     // order, plus each partition's group count and accumulated states.
@@ -321,9 +389,21 @@ fn attempt(
     let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(parts.len());
     for p in parts.iter() {
         let p = p?;
-        let mut table =
-            GroupTable::new(empty_states(), width, ctx).expect("an empty reservation always fits");
-        if !table.absorb_rows(parts.rows(0, p)?, morsel_len, inputs) {
+        let mut table = GroupTable::new(feed.empty.to_vec(), width, false, ctx)
+            .expect("an empty reservation always fits");
+        // The partition's rows of each morsel (`row / morsel_len`) form one
+        // partial: within a morsel a group's rows are the rows the
+        // unpartitioned partial saw, so its local sums are identical.
+        let mut rows = parts.rows(0, p)?.map(|(row, _)| row).peekable();
+        let (mut sel, mut fits) = (selection::take_scratch(), true);
+        while let (true, Some(&row0)) = (fits, rows.peek()) {
+            let morsel = row0 as usize / morsel_len;
+            sel.clear();
+            sel.extend(std::iter::from_fn(|| rows.next_if(|&r| r as usize / morsel_len == morsel)));
+            fits = table.absorb(MorselAgg::fold(&Rows::Sparse(&sel), feed));
+        }
+        selection::put_scratch(sel);
+        if !fits {
             // A partition of one group cannot shrink further.
             let alone = table.first_rows.is_empty();
             let verdict = if alone { Verdict::Hopeless } else { Verdict::Double };
@@ -344,7 +424,7 @@ fn attempt(
     for (g, &(_, p, lg)) in order.iter().enumerate() {
         gid_maps[p as usize][lg as usize] = g as u32;
     }
-    let mut gstates = empty_states();
+    let mut gstates = feed.empty.to_vec();
     for st in &mut gstates {
         st.grow_to(first_rows.len());
     }
@@ -358,10 +438,10 @@ fn attempt(
 
 type KeyMap = FxMap<Key, u32>;
 
-/// A group key: the common 0/1/2-column cases avoid heap allocation. Keys
-/// hold `key_values`-encoded slots, so the fused executor's VM (which emits
-/// the same encoding) builds identical keys from its per-morsel buffers.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
+/// A group key of `key_values`-encoded slots, as the key programs emit them:
+/// the common 0/1/2-column cases avoid heap allocation. Keys of one fold
+/// share a variant, so the derived order is the tuples' lexicographic one.
+#[derive(Clone, Debug, Hash, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) enum Key {
     Unit,
     One(i64),
@@ -391,231 +471,200 @@ impl FromSlots for Key {
     }
 }
 
-/// One aggregate's input, typed once up front so the per-row hot loop is a
-/// slice index, not a `Column` match.
-enum AggInput<'c> {
-    None,
-    Mask(&'c [bool]),
-    Encoded(Vec<i64>),
-    Dec(&'c [i64], u8),
-    I64(&'c [i64]),
-    I32(&'c [i32]),
-    SumF64(&'c [f64]),
-    /// `avg` over fixed-point inputs: mantissas (scale 0 for integers) summed
-    /// exactly in `i128`, divided once at finish. Order-free, so the fused
-    /// executor reproduces it bit-exactly whatever the fold boundaries.
-    AvgFixed(Cow<'c, [i64]>, u8),
-    /// `avg` over a float column: per-row f64 accumulation (morsel-order
-    /// deterministic like every float sum; the fused path falls back).
-    Avg(&'c [f64]),
-    MinMax(&'c Column, bool),
-}
-
-impl<'c> AggInput<'c> {
-    fn bind(func: AggFunc, col: Option<&'c Column>) -> Result<AggInput<'c>> {
-        Ok(match func {
-            AggFunc::CountStar => AggInput::None,
-            AggFunc::CountIf => AggInput::Mask(col.expect("checked above").as_bool()?),
-            AggFunc::CountDistinct => AggInput::Encoded(key_values(col.expect("checked above"))?),
-            AggFunc::Sum => match col.expect("checked above") {
-                Column::Decimal(v, s) => AggInput::Dec(v, *s),
-                Column::Int64(v) => AggInput::I64(v),
-                Column::Int32(v) => AggInput::I32(v),
-                Column::Float64(v) => AggInput::SumF64(v),
-                other => {
-                    return Err(EngineError::Plan(format!(
-                        "sum over non-numeric column of type {}",
-                        other.data_type()
-                    )))
-                }
-            },
-            AggFunc::Avg => match col.expect("checked above") {
-                Column::Decimal(v, s) => AggInput::AvgFixed(Cow::Borrowed(&v[..]), *s),
-                Column::Int64(v) => AggInput::AvgFixed(Cow::Borrowed(&v[..]), 0),
-                Column::Int32(v) => {
-                    AggInput::AvgFixed(Cow::Owned(v.iter().map(|&x| x as i64).collect()), 0)
-                }
-                Column::Float64(v) => AggInput::Avg(v),
-                other => {
-                    return Err(EngineError::Plan(format!(
-                        "avg over non-numeric column of type {}",
-                        other.data_type()
-                    )))
-                }
-            },
-            AggFunc::Min | AggFunc::Max => {
-                AggInput::MinMax(col.expect("checked above"), func == AggFunc::Min)
-            }
-        })
-    }
-}
-
 /// One morsel's thread-local partial aggregation.
-pub(super) struct MorselAgg {
-    /// Key → local group. `None` is the run form: rows arrive in key order,
-    /// so a row's group is the newest one or a new one.
-    map: Option<KeyMap>,
+struct MorselAgg<'p> {
+    /// Cut in the run form: the morsel's key tuples never decreased, so its
+    /// groups are its runs and `keys` ascends.
+    runs: bool,
     keys: Vec<Key>,
     first_rows: Vec<u32>,
-    states: Vec<AggState>,
+    states: Vec<AggState<'p>>,
 }
 
-impl MorselAgg {
-    fn new(inputs: &[AggInput], runs: bool) -> Self {
-        let hashed = Self::with_states(inputs.iter().map(AggState::empty_like).collect());
-        Self { map: (!runs).then(KeyMap::default), ..hashed }
-    }
-
-    /// An empty partial for the fused executor's slot-fed aggregates.
-    pub(super) fn for_slots(kinds: &[SlotAgg]) -> Self {
-        Self::with_states(kinds.iter().map(|k| k.empty_state()).collect())
-    }
-
-    fn with_states(states: Vec<AggState>) -> Self {
-        Self { map: Some(KeyMap::default()), keys: Vec::new(), first_rows: Vec::new(), states }
-    }
-
-    /// Accumulates row `row`, whose group key is `k`.
-    #[inline]
-    fn push_keyed(&mut self, k: Key, row: u32, inputs: &[AggInput]) {
-        let g = self.group_of(k, row);
-        for (st, input) in self.states.iter_mut().zip(inputs) {
-            st.push(g as usize, row as usize, input);
+impl<'p> MorselAgg<'p> {
+    /// Folds the given rows of the source: one group-resolution pass over
+    /// the key buffers, then one accumulation sweep per aggregate with the
+    /// state dispatch hoisted out of the row loop. `first_rows` carry the
+    /// source's own row ids, so the merged group order and the key gathers do
+    /// not depend on how the rows were selected.
+    fn fold(rows: &Rows, feed: &Feed<'p>) -> Self {
+        let keybufs: Vec<Vec<i64>> = feed.keys.iter().map(|k| k.slots_of(rows)).collect();
+        let runs = in_key_order(&keybufs, rows.len());
+        let (keys, first_rows, states) = (Vec::new(), Vec::new(), feed.empty.to_vec());
+        let mut partial = MorselAgg { runs, keys, first_rows, states };
+        let mut gids = selection::take_scratch();
+        match rows {
+            Rows::Dense(r) => partial.resolve(&keybufs, r.clone().map(|i| i as u32), &mut gids),
+            Rows::Sparse(s) => partial.resolve(&keybufs, s.iter().copied(), &mut gids),
         }
+        keybufs.into_iter().for_each(bytecode::put_slots);
+        let ngroups = partial.keys.len();
+        for (st, input) in partial.states.iter_mut().zip(feed.inputs) {
+            st.grow_to(ngroups);
+            let slots = input.as_ref().map(|p| p.slots_of(rows));
+            st.push_batch(&gids, slots.as_deref());
+            slots.into_iter().for_each(bytecode::put_slots);
+        }
+        selection::put_scratch(gids);
+        partial
     }
 
-    /// Fused-path morsel push: one group-resolution pass over the key
-    /// buffers, then one accumulation sweep per aggregate with the state
-    /// dispatch hoisted out of the row loop. Keys are built from per-morsel
-    /// VM buffers and `rows` carries *global* base-table row ids, so merged
-    /// `first_rows` (and with them the output group order and key gathers)
-    /// are identical to the materializing path's; each state sees its rows
-    /// in the same order row-at-a-time pushing would feed them.
-    pub(super) fn push_slot_batch(
+    /// Resolves each row's local group from the key buffers: in the run form
+    /// a row opens a group exactly when its key differs from the row before
+    /// it, in the hash form when the morsel's map has not seen its key.
+    fn resolve(
         &mut self,
         keybufs: &[Vec<i64>],
-        rows: &[u32],
-        aggbufs: &[Option<Vec<i64>>],
-        kinds: &[SlotAgg],
+        ids: impl Iterator<Item = u32>,
         gids: &mut Vec<u32>,
     ) {
-        gids.clear();
-        gids.reserve(rows.len());
-        for (vi, &row) in rows.iter().enumerate() {
-            let g = self.group_of(Key::at(keybufs, vi), row);
-            gids.push(g);
-        }
-        for (st, (buf, &kind)) in self.states.iter_mut().zip(aggbufs.iter().zip(kinds)) {
-            st.push_slot_batch(gids, buf.as_deref(), kind);
-        }
-    }
-
-    #[inline]
-    fn group_of(&mut self, k: Key, row_id: u32) -> u32 {
-        // `get` first, not `entry`: rows of known groups dominate, and the
-        // entry API measured 10 % slower on them (it moves the key around).
-        let known = match &self.map {
-            Some(map) => map.get(&k).copied(),
-            None => (self.keys.last() == Some(&k)).then(|| self.keys.len() as u32 - 1),
-        };
-        if let Some(g) = known {
-            return g;
-        }
-        let g = self.keys.len() as u32;
-        if let Some(map) = &mut self.map {
-            map.insert(k.clone(), g);
-        }
-        self.keys.push(k);
-        self.first_rows.push(row_id);
-        for st in &mut self.states {
-            st.grow_to(g as usize + 1);
-        }
-        g
-    }
-}
-
-/// How the fused executor feeds one VM-computed `i64` slot per row into an
-/// [`AggState`]. Slots carry the `key_values` encoding (decimal mantissas,
-/// bools as 0/1, …), so the states accumulate exactly the values the
-/// materializing path's typed inputs would. Aggregates without an exact
-/// slot form (float sums/avgs, min/max) are not represented — plans using
-/// them fall back to the materializing executor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum SlotAgg {
-    CountStar,
-    CountIf,
-    CountDistinct,
-    SumDec(u8),
-    SumInt,
-    AvgFixed(u8),
-}
-
-impl SlotAgg {
-    /// The slot form of `func` over an input of type `dtype` (`None` for
-    /// `count(*)`); `None` means the pairing has no exact slot form.
-    pub(super) fn bind(func: AggFunc, dtype: Option<DataType>) -> Option<SlotAgg> {
-        Some(match (func, dtype) {
-            (AggFunc::CountStar, _) => SlotAgg::CountStar,
-            (AggFunc::CountIf, Some(DataType::Bool)) => SlotAgg::CountIf,
-            (AggFunc::CountDistinct, Some(_)) => SlotAgg::CountDistinct,
-            (AggFunc::Sum, Some(DataType::Decimal(s))) => SlotAgg::SumDec(s),
-            (AggFunc::Sum, Some(DataType::Int64 | DataType::Int32)) => SlotAgg::SumInt,
-            (AggFunc::Avg, Some(DataType::Decimal(s))) => SlotAgg::AvgFixed(s),
-            (AggFunc::Avg, Some(DataType::Int64 | DataType::Int32)) => SlotAgg::AvgFixed(0),
-            _ => return None,
-        })
-    }
-
-    fn empty_state(self) -> AggState {
-        match self {
-            SlotAgg::CountStar | SlotAgg::CountIf => AggState::Count(Vec::new()),
-            SlotAgg::CountDistinct => AggState::Distinct(Vec::new()),
-            SlotAgg::SumDec(s) => AggState::SumDec(Vec::new(), s),
-            SlotAgg::SumInt => AggState::SumInt(Vec::new()),
-            SlotAgg::AvgFixed(s) => {
-                AggState::AvgFixed { sum: Vec::new(), cnt: Vec::new(), scale: s }
+        if self.runs {
+            for (i, row) in ids.enumerate() {
+                if i == 0 || keybufs.iter().any(|c| c[i - 1] != c[i]) {
+                    self.keys.push(Key::at(keybufs, i));
+                    self.first_rows.push(row);
+                }
+                gids.push(self.keys.len() as u32 - 1);
             }
+            return;
         }
-    }
-
-    /// Builds the empty global states for a fused aggregation.
-    pub(super) fn empty_states(kinds: &[SlotAgg]) -> Vec<AggState> {
-        kinds.iter().map(|k| k.empty_state()).collect()
+        let mut map = KeyMap::default();
+        for (i, row) in ids.enumerate() {
+            let key = Key::at(keybufs, i);
+            // `get` first, not `entry`: rows of known groups dominate, and the
+            // entry API measured 10 % slower on them (it moves the key around).
+            gids.push(map.get(&key).copied().unwrap_or_else(|| {
+                let g = self.keys.len() as u32;
+                map.insert(key.clone(), g);
+                self.keys.push(key);
+                self.first_rows.push(row);
+                g
+            }));
+        }
     }
 }
 
-/// Per-aggregate accumulator state, one slot per group.
-pub(super) enum AggState {
+/// The order of one `min`/`max` input's slots: that of the values they
+/// encode (`key_values` is injective, not monotone, for floats and strings).
+#[derive(Clone, Copy)]
+enum SlotOrder<'p> {
+    /// Integers, dates, decimal mantissas of one scale, booleans.
+    Fixed,
+    /// `f64::to_bits` slots, in `total_cmp` order.
+    Float,
+    /// Codes into the input program's dictionary.
+    Str(&'p [String]),
+}
+
+impl SlotOrder<'_> {
+    #[inline]
+    fn cmp(self, a: i64, b: i64) -> Ordering {
+        match self {
+            SlotOrder::Fixed => a.cmp(&b),
+            SlotOrder::Float => f64::from_bits(a as u64).total_cmp(&f64::from_bits(b as u64)),
+            SlotOrder::Str(dict) => dict[a as usize].cmp(&dict[b as usize]),
+        }
+    }
+
+    /// Offers `x` to a `min`/`max` entry: it is taken when the entry is empty
+    /// or `x` compares as `want` with what it holds — so ties keep the first.
+    #[inline]
+    fn offer(self, best: &mut Option<i64>, x: i64, want: Ordering) {
+        if best.is_none_or(|cur| self.cmp(x, cur) == want) {
+            *best = Some(x);
+        }
+    }
+}
+
+/// Per-aggregate accumulator state, one entry per group, fed one
+/// `key_values`-encoded slot per row (decimal mantissas, bools as 0/1,
+/// `f64::to_bits`, dictionary codes) — the encoding the programs emit.
+#[derive(Clone)]
+enum AggState<'p> {
+    /// `count(*)` (no input) and `count_if` (0/1 slots).
     Count(Vec<i64>),
     Distinct(Vec<SmallSet>),
     SumDec(Vec<i128>, u8),
     SumInt(Vec<i64>),
     SumFloat(Vec<f64>),
-    AvgFixed { sum: Vec<i128>, cnt: Vec<i64>, scale: u8 },
-    Avg { sum: Vec<f64>, cnt: Vec<i64> },
-    MinMax { best: Vec<Option<Value>>, want_min: bool, dtype: DataType },
+    /// `avg` over fixed-point inputs: mantissas (scale 0 for integers) summed
+    /// exactly in `i128`, divided once at finish. Order-free.
+    AvgFixed {
+        sum: Vec<i128>,
+        cnt: Vec<i64>,
+        scale: u8,
+    },
+    /// `avg` over floats: per-row `f64` accumulation (morsel-order
+    /// deterministic like every float sum).
+    Avg {
+        sum: Vec<f64>,
+        cnt: Vec<i64>,
+    },
+    /// `min`/`max`: the first slot no later one beats (`want` is how a better
+    /// slot compares with it), `None` until the group has a row.
+    Extreme {
+        best: Vec<Option<i64>>,
+        want: Ordering,
+        order: SlotOrder<'p>,
+    },
 }
 
-impl AggState {
-    /// An empty state matching the input/function pairing of `input`.
-    fn empty_like(input: &AggInput) -> AggState {
-        match input {
-            AggInput::None | AggInput::Mask(_) => AggState::Count(Vec::new()),
-            AggInput::Encoded(_) => AggState::Distinct(Vec::new()),
-            AggInput::Dec(_, s) => AggState::SumDec(Vec::new(), *s),
-            AggInput::I64(_) | AggInput::I32(_) => AggState::SumInt(Vec::new()),
-            AggInput::SumF64(_) => AggState::SumFloat(Vec::new()),
-            AggInput::AvgFixed(_, s) => {
-                AggState::AvgFixed { sum: Vec::new(), cnt: Vec::new(), scale: *s }
+impl<'p> AggState<'p> {
+    /// The empty state of `func` over the slots of `input` (`None`: the
+    /// aggregate names no input) — the one place an ill-typed aggregate is
+    /// rejected, under either executor.
+    fn bind(func: AggFunc, input: Option<&'p Program>) -> Result<AggState<'p>> {
+        let (input, ty) = match (func, input) {
+            (AggFunc::CountStar, _) => return Ok(AggState::Count(Vec::new())),
+            (_, None) => {
+                return Err(EngineError::Plan(format!("{func:?} requires an input expression")))
             }
-            AggInput::Avg(_) => AggState::Avg { sum: Vec::new(), cnt: Vec::new() },
-            AggInput::MinMax(c, want_min) => {
-                AggState::MinMax { best: Vec::new(), want_min: *want_min, dtype: c.data_type() }
+            (_, Some(input)) => (input, input.out()),
+        };
+        let non_numeric = |name: &str| {
+            Err(EngineError::Plan(format!(
+                "{name} over non-numeric column of type {}",
+                ty.data_type()
+            )))
+        };
+        Ok(match (func, ty) {
+            (AggFunc::CountIf, Ty::Bool) => AggState::Count(Vec::new()),
+            (AggFunc::CountIf, _) => {
+                let (expected, actual) = ("bool".to_string(), ty.data_type().to_string());
+                return Err(StorageError::TypeMismatch { expected, actual }.into());
             }
-        }
+            (AggFunc::CountDistinct, _) => AggState::Distinct(Vec::new()),
+            (AggFunc::Sum, Ty::Dec(s)) => AggState::SumDec(Vec::new(), s),
+            (AggFunc::Sum, Ty::I64 | Ty::I32) => AggState::SumInt(Vec::new()),
+            (AggFunc::Sum, Ty::F64) => AggState::SumFloat(Vec::new()),
+            (AggFunc::Sum, _) => return non_numeric("sum"),
+            (AggFunc::Avg, Ty::Dec(scale)) => {
+                AggState::AvgFixed { sum: Vec::new(), cnt: Vec::new(), scale }
+            }
+            (AggFunc::Avg, Ty::I64 | Ty::I32) => {
+                AggState::AvgFixed { sum: Vec::new(), cnt: Vec::new(), scale: 0 }
+            }
+            (AggFunc::Avg, Ty::F64) => AggState::Avg { sum: Vec::new(), cnt: Vec::new() },
+            (AggFunc::Avg, _) => return non_numeric("avg"),
+            (AggFunc::Min | AggFunc::Max, _) => AggState::Extreme {
+                best: Vec::new(),
+                want: if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater },
+                order: match (input.out_strings(), ty) {
+                    (Some(dict), _) => SlotOrder::Str(dict),
+                    (None, Ty::F64) => SlotOrder::Float,
+                    (None, _) => SlotOrder::Fixed,
+                },
+            },
+            (AggFunc::CountStar, _) => unreachable!("returned above"),
+        })
     }
 
-    pub(super) fn grow_to(&mut self, ngroups: usize) {
+    /// A float accumulation: exact only in the morsels it was cut in.
+    fn sums_floats(&self) -> bool {
+        matches!(self, AggState::SumFloat(_) | AggState::Avg { .. })
+    }
+
+    fn grow_to(&mut self, ngroups: usize) {
         match self {
             AggState::Count(v) | AggState::SumInt(v) => v.resize(ngroups, 0),
             AggState::Distinct(v) => v.resize_with(ngroups, SmallSet::default),
@@ -629,95 +678,33 @@ impl AggState {
                 sum.resize(ngroups, 0.0);
                 cnt.resize(ngroups, 0);
             }
-            AggState::MinMax { best, .. } => best.resize(ngroups, None),
+            AggState::Extreme { best, .. } => best.resize(ngroups, None),
         }
     }
 
-    #[inline]
-    fn push(&mut self, g: usize, i: usize, input: &AggInput) {
-        match (self, input) {
-            (AggState::Count(v), AggInput::None) => v[g] += 1,
-            (AggState::Count(v), AggInput::Mask(m)) => v[g] += i64::from(m[i]),
-            (AggState::Distinct(v), AggInput::Encoded(e)) => {
-                v[g].insert(e[i]);
-            }
-            (AggState::SumDec(v, _), AggInput::Dec(m, _)) => v[g] += m[i] as i128,
-            (AggState::SumInt(v), AggInput::I64(x)) => v[g] += x[i],
-            (AggState::SumInt(v), AggInput::I32(x)) => v[g] += x[i] as i64,
-            (AggState::SumFloat(v), AggInput::SumF64(x)) => v[g] += x[i],
-            (AggState::AvgFixed { sum, cnt, .. }, AggInput::AvgFixed(m, _)) => {
-                sum[g] += m[i] as i128;
+    /// Accumulates one morsel: row `i` belongs to group `gids[i]` and feeds
+    /// it `slots[i]` (no slots: `count(*)`), in row order.
+    fn push_batch(&mut self, gids: &[u32], slots: Option<&[i64]>) {
+        let rows = gids.iter().map(|&g| g as usize).zip(slots.unwrap_or_default().iter().copied());
+        match self {
+            AggState::Count(v) if slots.is_none() => gids.iter().for_each(|&g| v[g as usize] += 1),
+            AggState::Count(v) | AggState::SumInt(v) => rows.for_each(|(g, x)| v[g] += x),
+            AggState::Distinct(v) => rows.for_each(|(g, x)| {
+                v[g].insert(x);
+            }),
+            AggState::SumDec(v, _) => rows.for_each(|(g, x)| v[g] += x as i128),
+            AggState::SumFloat(v) => rows.for_each(|(g, x)| v[g] += f64::from_bits(x as u64)),
+            AggState::AvgFixed { sum, cnt, .. } => rows.for_each(|(g, x)| {
+                sum[g] += x as i128;
                 cnt[g] += 1;
-            }
-            (AggState::Avg { sum, cnt }, AggInput::Avg(x)) => {
-                sum[g] += x[i];
+            }),
+            AggState::Avg { sum, cnt } => rows.for_each(|(g, x)| {
+                sum[g] += f64::from_bits(x as u64);
                 cnt[g] += 1;
+            }),
+            AggState::Extreme { best, want, order } => {
+                rows.for_each(|(g, x)| order.offer(&mut best[g], x, *want))
             }
-            (AggState::MinMax { best, want_min, .. }, AggInput::MinMax(c, _)) => {
-                let v = c.value(i);
-                Self::consider(&mut best[g], v, *want_min);
-            }
-            _ => unreachable!("state/input pairing fixed at bind time"),
-        }
-    }
-
-    /// Fused-path push: one `key_values`-encoded slot per row (see
-    /// [`SlotAgg`]), swept a whole morsel at a time. Every arm accumulates
-    /// exactly what the matching [`AggInput`] arm of [`AggState::push`]
-    /// would, in the same row order.
-    fn push_slot_batch(&mut self, gids: &[u32], slots: Option<&[i64]>, kind: SlotAgg) {
-        let input = |name| slots.unwrap_or_else(|| panic!("{name} has an input column"));
-        match (self, kind) {
-            (AggState::Count(v), SlotAgg::CountStar) => {
-                for &g in gids {
-                    v[g as usize] += 1;
-                }
-            }
-            (AggState::Count(v), SlotAgg::CountIf) => {
-                for (&g, &x) in gids.iter().zip(input("count_if")) {
-                    v[g as usize] += x;
-                }
-            }
-            (AggState::Distinct(v), SlotAgg::CountDistinct) => {
-                for (&g, &x) in gids.iter().zip(input("count_distinct")) {
-                    v[g as usize].insert(x);
-                }
-            }
-            (AggState::SumDec(v, _), SlotAgg::SumDec(_)) => {
-                for (&g, &x) in gids.iter().zip(input("sum")) {
-                    v[g as usize] += x as i128;
-                }
-            }
-            (AggState::SumInt(v), SlotAgg::SumInt) => {
-                for (&g, &x) in gids.iter().zip(input("sum")) {
-                    v[g as usize] += x;
-                }
-            }
-            (AggState::AvgFixed { sum, cnt, .. }, SlotAgg::AvgFixed(_)) => {
-                for (&g, &x) in gids.iter().zip(input("avg")) {
-                    sum[g as usize] += x as i128;
-                    cnt[g as usize] += 1;
-                }
-            }
-            _ => unreachable!("state/kind pairing fixed at compile time"),
-        }
-    }
-
-    #[inline]
-    fn consider(slot: &mut Option<Value>, v: Value, want_min: bool) {
-        let replace = match slot {
-            None => true,
-            Some(cur) => {
-                let ord = v.total_cmp(cur);
-                if want_min {
-                    ord.is_lt()
-                } else {
-                    ord.is_gt()
-                }
-            }
-        };
-        if replace {
-            *slot = Some(v);
         }
     }
 
@@ -725,132 +712,83 @@ impl AggState {
     /// group ids to global ones. Merging in morsel order keeps float sums
     /// and min/max tie-breaks identical to the serial scan.
     fn merge_from(&mut self, other: AggState, gid_map: &[u32]) {
+        let global = |lg: usize| gid_map[lg] as usize;
         match (self, other) {
             (AggState::Count(g), AggState::Count(l))
             | (AggState::SumInt(g), AggState::SumInt(l)) => {
-                for (lg, x) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize] += x;
-                }
+                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
             }
             (AggState::Distinct(g), AggState::Distinct(l)) => {
-                for (lg, set) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize].absorb(set);
-                }
+                l.into_iter().enumerate().for_each(|(lg, set)| g[global(lg)].absorb(set))
             }
             (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
-                for (lg, x) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize] += x;
-                }
+                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
             }
             (AggState::SumFloat(g), AggState::SumFloat(l)) => {
-                for (lg, x) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize] += x;
-                }
+                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
             }
             (
                 AggState::AvgFixed { sum: gs, cnt: gc, .. },
                 AggState::AvgFixed { sum: ls, cnt: lc, .. },
             ) => {
                 for (lg, (s, c)) in ls.into_iter().zip(lc).enumerate() {
-                    gs[gid_map[lg] as usize] += s;
-                    gc[gid_map[lg] as usize] += c;
+                    gs[global(lg)] += s;
+                    gc[global(lg)] += c;
                 }
             }
             (AggState::Avg { sum: gs, cnt: gc }, AggState::Avg { sum: ls, cnt: lc }) => {
                 for (lg, (s, c)) in ls.into_iter().zip(lc).enumerate() {
-                    gs[gid_map[lg] as usize] += s;
-                    gc[gid_map[lg] as usize] += c;
+                    gs[global(lg)] += s;
+                    gc[global(lg)] += c;
                 }
             }
-            (AggState::MinMax { best: g, want_min, .. }, AggState::MinMax { best: l, .. }) => {
-                let want_min = *want_min;
-                for (lg, v) in l.into_iter().enumerate() {
-                    if let Some(v) = v {
-                        Self::consider(&mut g[gid_map[lg] as usize], v, want_min);
-                    }
+            (AggState::Extreme { best: g, want, order }, AggState::Extreme { best: l, .. }) => {
+                for (lg, x) in l.into_iter().enumerate().filter_map(|(lg, x)| Some((lg, x?))) {
+                    order.offer(&mut g[global(lg)], x, *want);
                 }
             }
             _ => unreachable!("partials share one state layout"),
         }
     }
 
-    pub(super) fn finish(self) -> Result<Column> {
-        match self {
-            AggState::Count(v) | AggState::SumInt(v) => Ok(Column::Int64(v)),
-            AggState::Distinct(v) => {
-                Ok(Column::Int64(v.into_iter().map(|s| s.len() as i64).collect()))
-            }
+    /// The aggregate's output column; `input` is the program whose slots a
+    /// `min`/`max` kept, which types (and decodes) them.
+    fn finish(self, input: Option<&Program>) -> Result<Column> {
+        let mean = |sum: f64, cnt: i64| if cnt == 0 { 0.0 } else { sum / cnt as f64 };
+        Ok(match self {
+            AggState::Count(v) | AggState::SumInt(v) => Column::Int64(v),
+            AggState::Distinct(v) => Column::Int64(v.into_iter().map(|s| s.len() as i64).collect()),
             AggState::SumDec(v, s) => {
-                let out: Vec<i64> = v
-                    .into_iter()
-                    .map(|x| i64::try_from(x).map_err(|_| StorageError::DecimalOverflow))
-                    .collect::<std::result::Result<_, _>>()?;
-                Ok(Column::Decimal(out, s))
+                let narrow = |x| i64::try_from(x).map_err(|_| StorageError::DecimalOverflow);
+                Column::Decimal(
+                    v.into_iter().map(narrow).collect::<std::result::Result<_, _>>()?,
+                    s,
+                )
             }
-            AggState::SumFloat(v) => Ok(Column::Float64(v)),
+            AggState::SumFloat(v) => Column::Float64(v),
             AggState::AvgFixed { sum, cnt, scale } => {
                 let div = crate::eval::POW10[scale as usize] as f64;
-                Ok(Column::Float64(
-                    sum.iter()
-                        .zip(&cnt)
-                        .map(|(&s, &c)| if c == 0 { 0.0 } else { (s as f64 / div) / c as f64 })
-                        .collect(),
-                ))
+                Column::Float64(
+                    sum.iter().zip(cnt).map(|(&s, c)| mean(s as f64 / div, c)).collect(),
+                )
             }
-            AggState::Avg { sum, cnt } => Ok(Column::Float64(
-                sum.iter()
-                    .zip(&cnt)
-                    .map(|(s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-                    .collect(),
-            )),
-            AggState::MinMax { best, dtype, .. } => column_from_values(dtype, best),
-        }
-    }
-}
-
-/// Builds a typed column from per-group optional values (None → type default,
-/// only reachable for empty global groups).
-fn column_from_values(dtype: DataType, vals: Vec<Option<Value>>) -> Result<Column> {
-    match dtype {
-        DataType::Int64 => Ok(Column::Int64(
-            vals.into_iter().map(|v| v.and_then(|v| v.as_i64()).unwrap_or(0)).collect(),
-        )),
-        DataType::Int32 => Ok(Column::Int32(
-            vals.into_iter().map(|v| v.and_then(|v| v.as_i64()).unwrap_or(0) as i32).collect(),
-        )),
-        DataType::Float64 => Ok(Column::Float64(
-            vals.into_iter().map(|v| v.and_then(|v| v.as_f64()).unwrap_or(0.0)).collect(),
-        )),
-        DataType::Decimal(s) => Ok(Column::Decimal(
-            vals.into_iter()
-                .map(|v| match v {
-                    Some(Value::Dec(d)) => d.mantissa(),
-                    _ => 0,
-                })
-                .collect(),
-            s,
-        )),
-        DataType::Date => Ok(Column::Date(
-            vals.into_iter()
-                .map(|v| match v {
-                    Some(Value::Date(d)) => d.0,
-                    _ => 0,
-                })
-                .collect(),
-        )),
-        DataType::Utf8 => {
-            let mut b = DictBuilder::with_capacity(vals.len());
-            for v in vals {
-                match v {
-                    Some(Value::Str(s)) => b.push(&s),
-                    _ => b.push(""),
+            AggState::Avg { sum, cnt } => {
+                Column::Float64(sum.into_iter().zip(cnt).map(|(s, c)| mean(s, c)).collect())
+            }
+            AggState::Extreme { best, .. } => {
+                let input = input.expect("min/max bound an input");
+                let ngroups = best.len();
+                match best.into_iter().collect::<Option<Vec<i64>>>() {
+                    Some(slots) => input.column_from_slots(slots),
+                    // Only the global group of no rows has seen nothing; it
+                    // reads as its type's zero value (DESIGN.md §7).
+                    None if input.out() == Ty::Str => {
+                        Column::Str(std::iter::repeat_n("", ngroups).collect())
+                    }
+                    None => input.column_from_slots(vec![0; ngroups]),
                 }
             }
-            Ok(Column::Str(b.finish()))
-        }
-        DataType::Bool => Ok(Column::Bool(
-            vals.into_iter().map(|v| matches!(v, Some(Value::Bool(true)))).collect(),
-        )),
+        })
     }
 }
 
@@ -858,6 +796,7 @@ fn column_from_values(dtype: DataType, vals: Vec<Option<Value>>) -> Result<Colum
 mod tests {
     use super::*;
     use crate::expr::col;
+    use wimpi_storage::Value;
 
     fn exec_aggregate(
         rel: &Relation,
@@ -1198,153 +1137,6 @@ mod tests {
         assert_eq!(disk.sim_seconds(), 0.0);
         assert_eq!(disk.used(), 0);
         assert_eq!(ctx.used(), 0);
-    }
-
-    /// The hash form's answer for `rel`, assembled around `fold(.., runs =
-    /// false, ..)` the way `exec_aggregate` assembles its own — the oracle the
-    /// run form is held to, with no switch in the operator to force either.
-    fn hash_form(
-        rel: &Relation,
-        group: &[(crate::expr::Expr, String)],
-        aggs: &[AggExpr],
-        cfg: &EngineConfig,
-    ) -> Relation {
-        let (mut prof, ctx, n) = (WorkProfile::new(), QueryContext::default(), rel.num_rows());
-        let mut eval = |e| Evaluator::with_config(rel, &mut prof, *cfg).eval(e).unwrap();
-        let key_cols: Vec<Arc<Column>> = group.iter().map(|(e, _)| eval(e)).collect();
-        let in_cols: Vec<Option<Arc<Column>>> =
-            aggs.iter().map(|a| a.expr.as_ref().map(&mut eval)).collect();
-        let encoded: Vec<Vec<i64>> = key_cols.iter().map(|c| key_values(c).unwrap()).collect();
-        let inputs: Vec<AggInput> = aggs
-            .iter()
-            .zip(&in_cols)
-            .map(|(a, c)| AggInput::bind(a.func, c.as_deref()).unwrap())
-            .collect();
-        let sink = Tracer::off().morsel_sink();
-        let (first_rows, states) =
-            fold(&encoded, n, &inputs, false, 64, &mut prof, cfg, &sink, &ctx).unwrap();
-        let ngroups = if group.is_empty() { 1 } else { first_rows.len() };
-        let mut fields: Vec<(String, Arc<Column>)> = group
-            .iter()
-            .zip(&key_cols)
-            .map(|((_, name), c)| (name.clone(), Arc::new(c.take(&first_rows))))
-            .collect();
-        for (agg, mut st) in aggs.iter().zip(states) {
-            st.grow_to(ngroups);
-            fields.push((agg.name.clone(), Arc::new(st.finish().unwrap())));
-        }
-        Relation::new(fields).unwrap()
-    }
-
-    /// One row's (Int64, Date, dictionary-coded Str) keys.
-    type Keys = (i64, i64, i64);
-
-    /// The given rows' keys plus one input per accumulator kind, in row order.
-    fn keyed_rel(rows: &[Keys]) -> Relation {
-        let n = rows.len() as i64;
-        // A dictionary whose codes are the key values themselves.
-        let names =
-            (0..=rows.iter().map(|r| r.2).max().unwrap_or(0)).map(|v| format!("name#{v:03}"));
-        let names = wimpi_storage::DictColumn::from_parts(
-            rows.iter().map(|r| r.2 as u32).collect(),
-            names.collect(),
-        );
-        let fields: Vec<(&str, Column)> = vec![
-            ("k", Column::Int64(rows.iter().map(|r| r.0).collect())),
-            ("day", Column::Date(rows.iter().map(|r| r.1 as i32).collect())),
-            ("name", Column::Str(names)),
-            ("d", Column::Decimal((0..n).map(|i| (i * 37) % 101 - 50).collect(), 2)),
-            ("f", Column::Float64((0..n).map(|i| i as f64 * 0.31 - 7.0).collect())),
-            ("s", Column::Int64((0..n).map(|i| (i * 5) % 11).collect())),
-        ];
-        Relation::new(fields.into_iter().map(|(n, c)| (n.to_string(), Arc::new(c))).collect())
-            .unwrap()
-    }
-
-    fn every_kind_of_agg() -> Vec<AggExpr> {
-        vec![
-            AggExpr::sum(col("f"), "sf"),
-            AggExpr::avg(col("f"), "af"),
-            AggExpr::sum(col("d"), "sd"),
-            AggExpr::avg(col("d"), "ad"),
-            AggExpr::min(col("d"), "lo"),
-            AggExpr::max(col("f"), "hi"),
-            AggExpr::count_distinct(col("s"), "u"),
-            AggExpr::count_star("n"),
-        ]
-    }
-
-    /// `exec_aggregate` over `rel` — whose keys must be in order when `runs`
-    /// — equals the hash form bit for bit at 1/2/4 threads and two morsel
-    /// sizes, with one work profile throughout and the form's charges.
-    fn check_against_the_hash_form(rel: &Relation, keys: &[&str], runs: bool) {
-        let group: Vec<_> = keys.iter().map(|&k| (col(k), k.to_string())).collect();
-        let aggs = every_kind_of_agg();
-        let n = rel.num_rows() as u64;
-        let mut profs = Vec::new();
-        for morsel in [7, 64] {
-            let want =
-                hash_form(rel, &group, &aggs, &EngineConfig::serial().with_morsel_rows(morsel));
-            for threads in [1, 2, 4] {
-                let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
-                let (mut prof, ctx) = (WorkProfile::new(), QueryContext::default());
-                let got =
-                    super::exec_aggregate(rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx);
-                assert_eq!(got.unwrap(), want, "{keys:?}: {threads} threads, morsel {morsel}");
-                assert_eq!(ctx.used(), 0);
-                profs.push(prof);
-            }
-        }
-        assert!(profs.windows(2).all(|w| w[0] == w[1]), "{keys:?}: one profile at any config");
-        // Count-distinct's set inserts are charged in both forms; the table
-        // probes and the table itself only in the hash form.
-        assert_eq!(profs[0].rand_accesses, if runs { n } else { 2 * n }, "{keys:?}");
-        assert_eq!(profs[0].hash_bytes == 0, runs, "{keys:?}");
-    }
-
-    #[test]
-    fn run_form_matches_the_hash_form_on_the_edge_shapes() {
-        let sorted: Vec<Keys> = (0..100).map(|i| (i / 9, i / 4, i / 2)).collect();
-        let mut inverted = sorted.clone();
-        inverted.push((0, 0, 0)); // one inversion, at the very end
-        let extremes =
-            [(i64::MIN, 0, 0), (i64::MIN, 1, 1), (-1, 2, 2), (i64::MAX, 2, 3), (i64::MAX, 2, 3)];
-        // (rows, keys in order?)
-        let shapes: [(&[Keys], bool); 6] = [
-            (&sorted, true),
-            (&inverted, false),
-            (&[(3, 3, 3); 20], true),
-            (&[], true),
-            (&[(1, 2, 3)], true),
-            (&extremes, true),
-        ];
-        for (rows, ordered) in shapes {
-            let rel = keyed_rel(rows);
-            for keys in [&["k"][..], &["day"], &["name"], &["k", "day"], &["k", "day", "name"], &[]]
-            {
-                check_against_the_hash_form(&rel, keys, ordered || keys.is_empty());
-            }
-        }
-        // Ordered by the tuple, not by its second column alone.
-        let tuple: Vec<Keys> = (0..60).map(|i| (i / 10, 9 - (i % 10) / 2, i)).collect();
-        check_against_the_hash_form(&keyed_rel(&tuple), &["k", "name"], true);
-        check_against_the_hash_form(&keyed_rel(&tuple), &["day", "name"], false);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn run_form_matches_the_hash_form_on_random_sorted_keys(
-            rows in proptest::collection::vec((-3i64..4, 0i64..5, 0i64..3), 0..120),
-        ) {
-            let mut rows = rows;
-            rows.sort_unstable();
-            let rel = keyed_rel(&rows);
-            for keys in [&["k"][..], &["k", "day"], &["k", "day", "name"]] {
-                check_against_the_hash_form(&rel, keys, true);
-            }
-        }
     }
 
     #[test]

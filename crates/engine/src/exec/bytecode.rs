@@ -227,15 +227,16 @@ impl ColView<'_> {
     }
 }
 
-/// The row set one batch evaluation runs over: a dense morsel range or the
-/// surviving rows of an upstream selection vector.
-enum Rows<'a> {
-    Dense(std::ops::Range<usize>),
+/// The row set one batch evaluation runs over: a dense morsel range, or
+/// ascending row ids — the survivors of an upstream selection vector, or one
+/// partition's share of a morsel.
+pub(crate) enum Rows<'a> {
+    Dense(Range<usize>),
     Sparse(&'a [u32]),
 }
 
 impl Rows<'_> {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Rows::Dense(r) => r.len(),
             Rows::Sparse(s) => s.len(),
@@ -925,6 +926,12 @@ impl Program {
         &self.lists[i]
     }
 
+    /// The dictionary the output slots' codes index, when the program yields
+    /// strings: what orders two such slots.
+    pub(crate) fn out_strings(&self) -> Option<&[String]> {
+        self.out_dict.map(|d| self.dict(d))
+    }
+
     /// The values of the dictionary a `Str` slot's codes index.
     fn dict(&self, d: Dict) -> &[String] {
         match d {
@@ -1250,16 +1257,28 @@ impl Program {
 
     /// Evaluates the program at each selected row into `out` slots.
     pub fn eval_sel(&self, sel: &[u32], out: &mut Vec<i64>) {
+        self.eval_rows(&Rows::Sparse(sel), out)
+    }
+
+    /// The program's slots at each row of `rows`, in a pooled buffer
+    /// ([`put_slots`] takes it back).
+    pub(crate) fn slots_of(&self, rows: &Rows) -> Vec<i64> {
+        let mut out = take_slots();
+        self.eval_rows(rows, &mut out);
+        out
+    }
+
+    fn eval_rows(&self, rows: &Rows, out: &mut Vec<i64>) {
         let views = self.views();
         // Single-op column references skip the interpreter entirely.
         if let [Op::Load(c)] = self.ops.as_slice() {
-            load_batch(&views[*c as usize], &Rows::Sparse(sel), out);
+            load_batch(&views[*c as usize], rows, out);
             return;
         }
-        match self.eval_batch(&views, &Rows::Sparse(sel)) {
+        match self.eval_batch(&views, rows) {
             Slot::S(k) => {
                 out.clear();
-                out.resize(sel.len(), k);
+                out.resize(rows.len(), k);
             }
             Slot::V(mut v) => {
                 std::mem::swap(out, &mut v);

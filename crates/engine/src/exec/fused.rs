@@ -1,62 +1,51 @@
-//! Fused morsel-at-a-time execution (DESIGN.md §13).
+//! Fused morsel-at-a-time execution (DESIGN.md §13): the conjunct machinery
+//! both loop orders of the filter share, and the peeling of an aggregate's
+//! filter chain.
 //!
 //! The materializing executor runs scan → filter → eval → aggregate as
 //! separate full-column passes, paying memory bandwidth — the scarcest
-//! resource on a wimpy node — for every intermediate. The fused executor
-//! collapses that pipeline: each worker walks one morsel of the *base*
-//! relation, runs the filter conjuncts into a reusable selection vector
+//! resource on a wimpy node — for every filtered intermediate. The fused
+//! executor collapses that pipeline: [`exec_fused`] peels the `Filter` chain
+//! under an `Aggregate` and hands the conjuncts to the one aggregation fold
+//! (`aggregate::fold`), where each worker walks one morsel of the *base*
+//! relation, runs the conjuncts into a reusable selection vector
 //! ([`filter_morsel`] — the one candidate-propagating conjunct loop, which
-//! the materializing filter drives too, one conjunct per pass), evaluates
-//! group-key and aggregate-input [`Program`]s over the survivors, and folds
-//! the rows straight into a thread-local [`MorselAgg`] partial. Partials
-//! merge in morsel-index order — the same merge as the materializing
-//! aggregate — so results are bit-identical to the materializing executor
-//! at any thread count.
+//! the materializing filter drives too, one conjunct per pass) and folds the
+//! survivors exactly as [`aggregate::exec_aggregate`] folds a whole relation.
 //!
 //! Determinism argument: morsel boundaries depend only on the row count and
 //! morsel size; each partial sees exactly the rows of its morsel in row
-//! order; `first_rows` hold *global* base-table row ids, so the merged
-//! group order (first appearance) and every accumulator value match the
+//! order; `first_rows` hold the base relation's row ids, so the merged group
+//! order (first appearance) and every order-free accumulator match the
 //! materializing path's, whose partials over the filtered relation see the
-//! same rows in the same relative order. The VM emits `key_values`-encoded
-//! slots and [`SlotAgg`] accumulators mirror [`aggregate`]'s exact-arithmetic
-//! states, so no float is combined in a different order than before.
+//! same rows in the same relative order — which also makes the form the
+//! aggregate observes (`runs` or `hash`) the same under both executors.
 //!
-//! Both executors evaluate every expression with the same compiled
-//! programs, so no expression changes the code path. The materializing
-//! operators take over, in place and over the already-executed source, for
-//! exactly two reasons: an aggregate with no exact slot form (min/max, float
-//! sum/avg), and a budget too small for the merged group table, which the
-//! materializing aggregate then Grace-partitions. Either way results,
-//! errors, charges and governor behaviour are `Executor::Materialize`'s, and
-//! the trace carries a `fallback` leaf naming the reason.
+//! The fold is the same code under both executors, so no expression and no
+//! aggregate function changes the code path. The peeled pipeline is handed
+//! back, and run one operator at a time over the already-executed source
+//! ([`unfused`]), for exactly two reasons: a float `sum`/`avg` under a
+//! filter, whose partial sums must be cut in the *filtered* relation's
+//! morsels, and a budget too small for the merged group table, which wants
+//! the degradation ladder. Either way results, errors, charges and governor
+//! behaviour are `Executor::Materialize`'s, and the trace carries a
+//! `fallback` leaf naming the reason.
 
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::Instant;
 
-use super::aggregate::{self, MorselAgg, SlotAgg};
-use super::bytecode::{self, Cost, Program};
-use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
-use super::{ensure_u32_indexable, expr_sketch, filter, prune, Scope};
+use super::aggregate::{self, Peeled};
+use super::bytecode::{Cost, Program};
+use super::parallel::{EngineConfig, Executor};
+use super::{expr_sketch, filter, prune, Scope};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::governor::QueryContext;
 use crate::optimizer::split_conjuncts;
-use crate::plan::{AggExpr, AggFunc, LogicalPlan};
+use crate::plan::{AggExpr, LogicalPlan};
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use wimpi_obs::{Span, Tracer};
-use wimpi_storage::{selection, Column};
-
-/// One compiled group key: the program computing its slots, plus the source
-/// column when the key is a plain column reference (its output is then a
-/// direct gather of the base column — bit-identical to the materializing
-/// take-of-filtered-take, including shared string dictionaries).
-struct KeyPlan {
-    prog: Program,
-    source: Option<Arc<Column>>,
-}
+use wimpi_storage::selection;
 
 /// One compiled filter conjunct. A top-level OR compiles to its disjuncts'
 /// separate AND-chains so the filter can cascade: each disjunct's own most
@@ -290,69 +279,6 @@ pub(super) fn filter_morsel(
     out
 }
 
-/// A fully compiled scan→filter→eval→aggregate pipeline.
-struct Pipeline {
-    /// Filter conjuncts in execution order (innermost filter first); see
-    /// [`compile_conjuncts`].
-    conjuncts: Vec<Pred>,
-    const_false: bool,
-    keys: Vec<KeyPlan>,
-    /// One program per aggregate input; `None` for `count(*)`.
-    agg_progs: Vec<Option<Program>>,
-    kinds: Vec<SlotAgg>,
-}
-
-impl Pipeline {
-    /// Compiles the filters, keys, and aggregate inputs against the source
-    /// relation. The inner `Err` is the reason the shape needs the
-    /// materializing operators: an aggregate with no slot form.
-    fn compile(
-        filters: &[&Expr],
-        group_by: &[(Expr, String)],
-        aggs: &[AggExpr],
-        src: &Relation,
-    ) -> Result<std::result::Result<Pipeline, String>> {
-        let mut parts = Vec::new();
-        for f in filters {
-            split_conjuncts((*f).clone(), &mut parts);
-        }
-        let (conjuncts, const_false) = compile_conjuncts(&parts, src)?;
-        let mut keys = Vec::with_capacity(group_by.len());
-        for (e, _) in group_by {
-            let source = match e {
-                Expr::Col(name) => Some(Arc::clone(src.column(name)?)),
-                _ => None,
-            };
-            keys.push(KeyPlan { prog: Program::compile(e, src)?, source });
-        }
-        let mut agg_progs = Vec::with_capacity(aggs.len());
-        let mut kinds = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            let kind = match (&agg.expr, agg.func) {
-                (None, AggFunc::CountStar) => {
-                    agg_progs.push(None);
-                    Some(SlotAgg::CountStar)
-                }
-                (Some(e), func) if func != AggFunc::CountStar => {
-                    let prog = Program::compile(e, src)?;
-                    let kind = SlotAgg::bind(func, Some(prog.out().data_type()));
-                    agg_progs.push(Some(prog));
-                    kind
-                }
-                _ => None, // malformed pairing: the materializing aggregate reports it
-            };
-            match kind {
-                Some(kind) => kinds.push(kind),
-                None => {
-                    let func = format!("{:?}", agg.func).to_lowercase();
-                    return Ok(Err(format!("aggregate has no slot form: {func}")));
-                }
-            }
-        }
-        Ok(Ok(Pipeline { conjuncts, const_false, keys, agg_progs, kinds }))
-    }
-}
-
 /// Executes an `Aggregate` node (and the chain of `Filter`s beneath it) as
 /// one fused pipeline over the materialized source. Called from the
 /// interpreter's `Aggregate` arm when `cfg.executor == Executor::Fused`; the
@@ -369,7 +295,7 @@ pub(super) fn exec_fused(
     ctx: &QueryContext,
 ) -> Result<(u64, Relation)> {
     // Peel the filter chain; everything below it (scan, joins, …) executes
-    // through the materializing interpreter and becomes the fused source.
+    // through the interpreter and becomes the fused source.
     let mut filters: Vec<&Expr> = Vec::new();
     let mut src_plan = input;
     while let LogicalPlan::Filter { input, predicate } = src_plan {
@@ -378,173 +304,32 @@ pub(super) fn exec_fused(
     }
     filters.reverse(); // innermost (first-executed) conjuncts first
     let src = super::exec_node(src_plan, catalog, prof, cfg, tracer, ctx)?;
-    let rows_in = src.num_rows() as u64;
-    ensure_u32_indexable(src.num_rows(), "fused")?;
-
-    let tail = |reason: &str, prof: &mut WorkProfile| {
-        materializing_tail(&src, &filters, group_by, aggs, reason, prof, cfg, tracer, ctx)
-    };
-    let pipe = match Pipeline::compile(&filters, group_by, aggs, &src)? {
-        Ok(pipe) => pipe,
-        Err(reason) => return tail(&reason, prof),
-    };
-
     // Zone-map pruning (opt-in, DESIGN.md §14): only when the pipeline's
     // source is a bare table scan can morsel offsets be resolved against the
     // table's sealed summaries. Verdicts are sound, so pruning changes no
     // survivor, group, or row count — only which bytes get streamed.
-    let pruner = match (cfg.prune_scans, src_plan) {
-        (true, LogicalPlan::Scan { table, .. }) => catalog
-            .table(table)
-            .ok()
-            .and_then(|t| prune::ScanPruner::new(t, &pipe.conjuncts, src.num_rows())),
+    let table = match (cfg.prune_scans, src_plan) {
+        (true, LogicalPlan::Scan { table, .. }) => catalog.table(table).ok().map(|t| t.as_ref()),
         _ => None,
     };
-
-    let n = src.num_rows();
-    let nconj = pipe.conjuncts.len();
-    let naggs = aggs.len();
-    let sink = tracer.morsel_sink();
-    let stage_started = tracer.is_enabled().then(Instant::now);
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    let results = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
-        let mut partial = MorselAgg::for_slots(&pipe.kinds);
-        if ctx.interrupted() || pipe.const_false {
-            return (partial, vec![0; nconj], 0, (0, 0));
+    let peeled = Peeled { filters, table };
+    let folded = aggregate::fold(&src, Some(&peeled), group_by, aggs, prof, cfg, tracer, ctx)?;
+    let out = match folded {
+        Ok(out) => out,
+        Err(reason) => {
+            unfused(&src, &peeled.filters, group_by, aggs, reason, prof, cfg, tracer, ctx)?
         }
-        let MorselFilter { sel, examined, pruned_bytes, pruned_morsel } =
-            filter_morsel(&pipe.conjuncts, pruner.as_ref(), r, None);
-        let nsel = sel.len() as u64;
-        // Eval + fold stage: run each program once over the survivors, then
-        // push rows into the morsel-local table keyed by *global* row ids.
-        let mut keybufs: Vec<Vec<i64>> = Vec::with_capacity(pipe.keys.len());
-        for kp in &pipe.keys {
-            let mut buf = bytecode::take_slots();
-            kp.prog.eval_sel(&sel, &mut buf);
-            keybufs.push(buf);
-        }
-        let mut aggbufs: Vec<Option<Vec<i64>>> = Vec::with_capacity(naggs);
-        for prog in &pipe.agg_progs {
-            aggbufs.push(prog.as_ref().map(|p| {
-                let mut buf = bytecode::take_slots();
-                p.eval_sel(&sel, &mut buf);
-                buf
-            }));
-        }
-        let mut gids = selection::take_scratch();
-        partial.push_slot_batch(&keybufs, &sel, &aggbufs, &pipe.kinds, &mut gids);
-        selection::put_scratch(gids);
-        for buf in keybufs {
-            bytecode::put_slots(buf);
-        }
-        for buf in aggbufs.into_iter().flatten() {
-            bytecode::put_slots(buf);
-        }
-        selection::put_scratch(sel);
-        (partial, examined, nsel, (pruned_morsel as u64, pruned_bytes))
-    });
-    ctx.checkpoint()?;
-
-    let mut partials = Vec::with_capacity(results.len());
-    let mut examined = vec![0u64; nconj];
-    let mut nsel = 0u64;
-    let (mut pruned_morsels, mut pruned_bytes) = (0u64, 0u64);
-    for (p, ex, ns, pr) in results {
-        partials.push(p);
-        for (total, morsel) in examined.iter_mut().zip(ex) {
-            *total += morsel;
-        }
-        nsel += ns;
-        pruned_morsels += pr.0;
-        pruned_bytes += pr.1;
-    }
-    prof.pruned_morsels += pruned_morsels;
-    prof.pruned_bytes += pruned_bytes;
-
-    let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
-    let empty_states = || SlotAgg::empty_states(&pipe.kinds);
-    let (first_rows, mut gstates) =
-        match aggregate::merge_partials(partials, &empty_states, width, ctx) {
-            Some(table) => table,
-            // Budget too small for the merged table: rerun through the
-            // materializing operators, whose aggregate Grace-partitions under
-            // the same budget (deterministically) before erroring.
-            None => return tail("budget", prof),
-        };
-    let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
-    for st in &mut gstates {
-        st.grow_to(ngroups);
-    }
-
-    if let Some(started) = stage_started {
-        let mut pred = Span::leaf("predicates", format!("{nconj} conjuncts"));
-        pred.rows_in = n as u64;
-        pred.rows_out = nsel;
-        tracer.attach(pred);
-        let mut stage = Span::leaf("partials", "");
-        stage.rows_in = nsel;
-        stage.rows_out = ngroups as u64;
-        stage.wall_ns = started.elapsed().as_nanos() as u64;
-        stage.children = sink.into_spans();
-        tracer.attach(stage);
-    }
-
-    // Charges, computed from globally summed per-morsel counts so they are
-    // invariant to thread count and identical whichever worker ran what.
-    // The headline difference from the materializing path: conjuncts and
-    // expression programs read their base columns but *write nothing* — the
-    // intermediate seq_write_bytes term collapses to just the output.
-    for (k, conj) in pipe.conjuncts.iter().enumerate() {
-        prof.cpu_ops += examined[k];
-        prof.seq_read_bytes += examined[k] * conj.width_bytes();
-    }
-    for kp in &pipe.keys {
-        prof.cpu_ops += nsel;
-        prof.seq_read_bytes += nsel * kp.prog.width_bytes();
-    }
-    for prog in pipe.agg_progs.iter().flatten() {
-        prof.cpu_ops += nsel;
-        prof.seq_read_bytes += nsel * prog.width_bytes();
-    }
-    prof.cpu_ops += nsel * (1 + naggs as u64);
-    prof.rand_accesses += nsel;
-    prof.hash_bytes += ngroups as u64 * width;
-    for kind in &pipe.kinds {
-        if *kind == SlotAgg::CountDistinct {
-            prof.rand_accesses += nsel;
-        }
-    }
-
-    // Materialize the output: key columns gather the base relation at the
-    // groups' first rows (or re-run the key program at just those rows),
-    // aggregate columns come straight from the merged states.
-    let mut out_fields: Vec<(String, Arc<Column>)> =
-        Vec::with_capacity(group_by.len() + aggs.len());
-    for (kp, (_, name)) in pipe.keys.iter().zip(group_by) {
-        let col = match &kp.source {
-            Some(c) => c.take(&first_rows),
-            None => {
-                let mut slots = Vec::new();
-                kp.prog.eval_sel(&first_rows, &mut slots);
-                kp.prog.column_from_slots(slots)
-            }
-        };
-        out_fields.push((name.clone(), Arc::new(col)));
-    }
-    for (agg, st) in aggs.iter().zip(gstates) {
-        out_fields.push((agg.name.clone(), Arc::new(st.finish()?)));
-    }
-    prof.seq_write_bytes += out_fields.iter().map(|(_, c)| c.stream_bytes() as u64).sum::<u64>();
-    Ok((rows_in, Relation::new(out_fields)?))
+    };
+    Ok((src.num_rows() as u64, out))
 }
 
-/// The fallback: run the peeled filters and the aggregate through the
-/// materializing operators, in place, over the already-executed source —
-/// reproducing `Executor::Materialize`'s results, errors, charges, and
-/// governor behavior exactly. Each operator gets its own child span inside
-/// the open `fused` span, after a `fallback` leaf labelled with the reason.
+/// The fallback: run the peeled filters and the aggregate one operator at a
+/// time, in place, over the already-executed source — reproducing
+/// `Executor::Materialize`'s results, errors, charges, and governor behavior
+/// exactly. Each operator gets its own child span inside the open `fused`
+/// span, after a `fallback` leaf labelled with the reason.
 #[allow(clippy::too_many_arguments)]
-fn materializing_tail(
+fn unfused(
     src: &Relation,
     filters: &[&Expr],
     group_by: &[(Expr, String)],
@@ -554,9 +339,8 @@ fn materializing_tail(
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
-) -> Result<(u64, Relation)> {
+) -> Result<Relation> {
     let cfg = &cfg.with_executor(Executor::Materialize);
-    let rows_in = src.num_rows() as u64;
     if tracer.is_enabled() {
         tracer.attach(Span::leaf("fallback", reason));
     }
@@ -577,5 +361,5 @@ fn materializing_tail(
     span.close(rel.num_rows() as u64, out.num_rows() as u64, prof);
     // The enclosing exec_node wrapper tracks the output and ratchets the
     // peak, exactly as it would for a materializing Aggregate.
-    Ok((rows_in, out))
+    Ok(out)
 }

@@ -190,6 +190,8 @@ fn exec_node_inner(
             Ok((rows_in, join::exec_join(&l, &r, on, *join_type, prof, cfg, tracer, ctx)?))
         }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
+            // One fold either way (`aggregate::fold`): the fused executor
+            // first peels the filters beneath the aggregate into it.
             if cfg.executor == Executor::Fused {
                 return fused::exec_fused(input, group_by, aggs, catalog, prof, cfg, tracer, ctx);
             }
@@ -334,11 +336,12 @@ pub(crate) fn ensure_u32_indexable(n: usize, op: &str) -> Result<()> {
     Ok(())
 }
 
-/// Extracts a join/group key column as `i64` values.
+/// Extracts a join key column as `i64` values — the slot encoding the
+/// expression programs emit, which is what group keys are read in.
 ///
-/// Strings use their dictionary codes (valid for grouping within one column;
-/// joins on strings are rejected at a higher level), decimals their
-/// mantissas, floats their IEEE bits — all injective encodings.
+/// Strings use their dictionary codes (valid within one column; joins on
+/// strings are rejected at a higher level), decimals their mantissas, floats
+/// their IEEE bits — all injective encodings.
 pub(crate) fn key_values(col: &wimpi_storage::Column) -> Result<Vec<i64>> {
     use wimpi_storage::Column;
     Ok(match col {

@@ -25,19 +25,25 @@ use std::sync::Mutex;
 
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
-/// Which executor runs the query pipeline (DESIGN.md §13).
+/// Which executor runs the query pipeline (DESIGN.md §13). Both evaluate
+/// every expression with the same compiled programs and fold every aggregate
+/// with the same code (`exec::aggregate`); they differ in the filter's loop
+/// order, in whether an aggregate's filters are peeled into its fold, and in
+/// the cost form the expression work is charged in — and in no result bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Column-at-a-time: every operator fully materializes its output
-    /// columns before the next one runs (the MonetDB style the engine
-    /// started with).
+    /// Column-at-a-time: a filter runs conjunct by conjunct and gathers its
+    /// survivors before the next operator runs, and expressions are priced as
+    /// MonetDB's full materialization — one primitive per node, streaming its
+    /// operands in and its result out (the execution style the paper
+    /// benchmarks).
     #[default]
     Materialize,
-    /// Morsel-at-a-time fusion: scan→filter→eval→aggregate pipelines run
-    /// per morsel with compiled expression bytecode and no intermediate
-    /// column materialization. Plan shapes the fused path does not cover
-    /// fall back to [`Executor::Materialize`] transparently — results are
-    /// bit-identical either way.
+    /// Morsel-at-a-time fusion: the filters under an aggregate are peeled
+    /// into its fold, so scan→filter→eval→aggregate runs per morsel with no
+    /// intermediate relation, and expressions are priced by the base columns
+    /// they stream. A float `sum`/`avg` under a filter and a group table over
+    /// budget are run one operator at a time instead, transparently.
     Fused,
 }
 
@@ -67,10 +73,9 @@ pub struct EngineConfig {
     /// first mismatch (DESIGN.md §12). Off by default and zero-cost when
     /// off, like the tracer: one branch per scan, no per-row work.
     pub verify_checksums: bool,
-    /// Which executor runs supported pipelines (DESIGN.md §13). Defaults to
-    /// the materializing engine; [`Executor::Fused`] opts eligible
-    /// aggregate-over-filter pipelines into morsel-at-a-time fusion with
-    /// compiled bytecode, falling back transparently everywhere else.
+    /// Which executor runs the pipeline (DESIGN.md §13). Defaults to the
+    /// materializing loop order and cost form; [`Executor::Fused`] peels
+    /// aggregate-over-filter pipelines into one morsel-at-a-time fold.
     pub executor: Executor,
     /// Consult sealed [`ZoneMap`](wimpi_storage::ZoneMap)s before filtering:
     /// morsels whose min/max range (or dictionary presence bitmap) proves a

@@ -211,14 +211,16 @@ fn fused_budgeted_runs_stay_bit_exact() {
 
 /// When the merged group table exceeds the budget, the fused executor falls
 /// back to the materializing operators — which Grace-partition — and must
-/// reproduce their results *and* work profile exactly.
+/// reproduce their results *and* work profile exactly. The keys are a
+/// permutation: in key order the aggregate would take the run form, which
+/// reserves nothing and cannot exceed a budget.
 #[test]
 fn fused_budget_fallback_matches_materializing() {
     use wimpi::engine::{col, AggExpr, PlanBuilder};
     use wimpi::storage::{Column, DataType, Field, Schema, Table};
 
     let n = 50_000i64;
-    let keys: Vec<i64> = (0..n).collect();
+    let keys: Vec<i64> = (0..n).map(|i| i * 7919 % n).collect();
     let vals: Vec<i64> = (0..n).map(|i| i * 3 % 101).collect();
     let mut cat = Catalog::new();
     let table = Table::new(
@@ -236,6 +238,8 @@ fn fused_budget_fallback_matches_materializing() {
     let (rel0, prof0) =
         execute_query_with(&plan, &cat, &EngineConfig::serial(), &mat_ctx, Tracer::off())
             .expect("budgeted materializing run");
+    assert_eq!(rel0.num_rows(), n as usize);
+    assert!(mat_ctx.fallbacks() > 0, "the merged table must really exceed the budget");
     for threads in [1, 2, 4] {
         let ctx = QueryContext::with_budget(64 << 10);
         let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
@@ -243,26 +247,34 @@ fn fused_budget_fallback_matches_materializing() {
             execute_query_with(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("budgeted fused run");
         assert_eq!(rel, rel0, "fallback result diverged at {threads} threads");
         assert_eq!(prof, prof0, "fallback profile diverged at {threads} threads");
+        assert_eq!(ctx.fallbacks(), mat_ctx.fallbacks(), "one descent, the materializing one");
     }
 }
 
-/// Aggregates the bytecode pipeline cannot express (min/max) fall back to
-/// the materializing operators transparently: identical results and charges.
+/// `min`/`max` fold fused like every other aggregate: the materializing
+/// answer bit for bit at any thread count, in the fused cost form — the
+/// filter's survivors are never gathered, so nothing is written but the
+/// output.
 #[test]
-fn fused_unsupported_aggregates_fall_back_transparently() {
+fn fused_min_max_stay_fused_and_bit_exact() {
     use wimpi::engine::plan::{AggExpr, AggFunc};
     use wimpi::engine::{col, lit, PlanBuilder};
 
     let cat = catalog();
+    let agg = |func, column: &str, name: &str| AggExpr {
+        func,
+        expr: Some(col(column)),
+        name: name.into(),
+    };
     let plan = PlanBuilder::scan("lineitem")
         .filter(col("l_quantity").lt(lit(25i64)))
         .aggregate(
             vec![(col("l_returnflag"), "f")],
-            vec![AggExpr {
-                func: AggFunc::Max,
-                expr: Some(col("l_extendedprice")),
-                name: "m".into(),
-            }],
+            vec![
+                agg(AggFunc::Max, "l_extendedprice", "hi"),
+                agg(AggFunc::Min, "l_shipdate", "first"),
+                agg(AggFunc::Max, "l_shipmode", "mode"),
+            ],
         )
         .build();
     let (rel0, prof0) = execute_query_with(
@@ -273,13 +285,17 @@ fn fused_unsupported_aggregates_fall_back_transparently() {
         Tracer::off(),
     )
     .expect("materializing run");
+    let mut fused_prof = None;
     for threads in [1, 2, 4] {
         let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
         let (rel, prof) =
             execute_query_with(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off())
                 .expect("fused run");
-        assert_eq!(rel, rel0, "fallback result diverged at {threads} threads");
-        assert_eq!(prof, prof0, "fallback profile diverged at {threads} threads");
+        assert_eq!(rel, rel0, "fused result diverged at {threads} threads");
+        assert_eq!(prof, *fused_prof.get_or_insert(prof), "fused profile varied with threads");
+        assert_eq!(prof.seq_write_bytes, rel.stream_bytes() as u64, "only the output is written");
+        assert!(prof.seq_write_bytes < prof0.seq_write_bytes);
+        assert_eq!((prof.rand_accesses, prof.hash_bytes), (prof0.rand_accesses, prof0.hash_bytes));
     }
 }
 

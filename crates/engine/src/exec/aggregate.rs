@@ -44,16 +44,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::bytecode::{self, Program, Rows, Ty};
-use super::fused::{compile_conjuncts, filter_morsel};
+use super::ensure_u32_indexable;
+use super::filter::Conjuncts;
 use super::hash::{FxMap, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
-use super::{ensure_u32_indexable, prune};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::governor::{QueryContext, Reservation};
-use crate::optimizer::split_conjuncts;
 use crate::plan::{AggExpr, AggFunc};
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
@@ -115,11 +114,7 @@ pub(super) fn fold(
     let n = src.num_rows();
     ensure_u32_indexable(n, "aggregate")?;
     // 1. Compile the conjuncts, the keys and the aggregate inputs.
-    let mut parts = Vec::new();
-    for &f in peeled.iter().flat_map(|p| &p.filters) {
-        split_conjuncts(f.clone(), &mut parts);
-    }
-    let (conjuncts, const_false) = compile_conjuncts(&parts, src)?;
+    let chain = Conjuncts::compile(peeled.map_or(&[][..], |p| &p.filters[..]), src)?;
     let compile = |e: &Expr| Program::compile(e, src);
     let keys = group_by.iter().map(|(e, _)| compile(e)).collect::<Result<Vec<_>>>()?;
     let inputs = aggs
@@ -131,44 +126,33 @@ pub(super) fn fold(
         .zip(&inputs)
         .map(|(a, input)| AggState::bind(a.func, input.as_ref()))
         .collect::<Result<Vec<_>>>()?;
-    if !parts.is_empty() && empty.iter().any(AggState::sums_floats) {
+    if !chain.is_empty() && empty.iter().any(AggState::sums_floats) {
         return Ok(Err("float sum/avg under a filter"));
     }
     let feed = Feed { keys: &keys, inputs: &inputs, empty: &empty };
-    let table = peeled.and_then(|p| p.table);
-    let pruner = table.and_then(|t| prune::ScanPruner::new(t, &conjuncts, n));
+    let pruner = chain.pruner(peeled.and_then(|p| p.table), n);
 
     // 2. Morsel-local partials, then an in-order merge.
     let sink = tracer.morsel_sink();
     let stage_started = tracer.is_enabled().then(Instant::now);
     let ranges = morsel_ranges(n, cfg.morsel_rows);
     let morsels = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
-        if ctx.interrupted() || const_false {
-            return (MorselAgg::fold(&Rows::Dense(0..0), &feed), 0, None);
+        let r = if ctx.interrupted() { 0..0 } else { r };
+        if chain.is_empty() {
+            return (MorselAgg::fold(&Rows::Dense(r.clone()), &feed), r.len(), chain.tally());
         }
-        if conjuncts.is_empty() {
-            return (MorselAgg::fold(&Rows::Dense(r.clone()), &feed), r.len(), None);
-        }
-        let mut kept = filter_morsel(&conjuncts, pruner.as_ref(), r, None);
-        let sel = std::mem::take(&mut kept.sel);
-        let partial = MorselAgg::fold(&Rows::Sparse(&sel), &feed);
-        let nsel = sel.len();
+        let (sel, tally) = chain.filter_morsel(pruner.as_ref(), r);
+        let folded = (MorselAgg::fold(&Rows::Sparse(&sel), &feed), sel.len(), tally);
         selection::put_scratch(sel);
-        (partial, nsel, Some(kept))
+        folded
     });
     ctx.checkpoint()?;
-    // Counts are summed over the morsels, so every charge below is invariant
-    // to the thread count and to which worker ran what.
     let mut partials = Vec::with_capacity(morsels.len());
-    let (mut nsel, mut examined) = (0u64, vec![0u64; conjuncts.len()]);
+    let (mut nsel, mut tally) = (0u64, chain.tally());
     for (partial, rows, kept) in morsels {
         partials.push(partial);
         nsel += rows as u64;
-        if let Some(kept) = kept {
-            examined.iter_mut().zip(kept.examined).for_each(|(total, rows)| *total += rows);
-            prof.pruned_morsels += kept.pruned_morsel as u64;
-            prof.pruned_bytes += kept.pruned_bytes;
-        }
+        tally.add(&kept);
     }
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
@@ -190,13 +174,9 @@ pub(super) fn fold(
     };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     states.iter_mut().for_each(|st| st.grow_to(ngroups));
+    // Settled only now: a fold handed back over budget reruns its filters.
+    chain.settle(&tally, n, nsel, None, prof, cfg, tracer);
     if let Some(started) = stage_started {
-        if peeled.is_some() {
-            let mut pred = Span::leaf("predicates", format!("{} conjuncts", conjuncts.len()));
-            pred.rows_in = n as u64;
-            pred.rows_out = nsel;
-            tracer.attach(pred);
-        }
         let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
         stage.rows_in = nsel;
         stage.rows_out = ngroups as u64;
@@ -214,10 +194,6 @@ pub(super) fn fold(
     match cfg.executor {
         Executor::Materialize => programs().for_each(|p| p.cost().charge(nsel, prof)),
         Executor::Fused => {
-            for (rows, conj) in examined.iter().zip(&conjuncts) {
-                prof.cpu_ops += rows;
-                prof.seq_read_bytes += rows * conj.width_bytes();
-            }
             for p in programs() {
                 prof.cpu_ops += nsel;
                 prof.seq_read_bytes += nsel * p.width_bytes();

@@ -5,10 +5,10 @@
 //! evaluated by a small vectorized stack VM. Every slot is an `i64` in
 //! exactly the [`super::key_values`] encoding — decimal mantissas,
 //! dictionary codes, `f64::to_bits`, widened narrow integers. Both executors
-//! run it: the fused pipeline per morsel over selection vectors
-//! ([`Program::filter_range`], [`Program::filter_sel`],
-//! [`Program::eval_sel`]), the materializing operators column-at-a-time
-//! through [`Program::eval_column`] and the same filter kernels.
+//! run it the same way: filters and the aggregation fold per morsel over
+//! selection vectors ([`Program::filter_range`], [`Program::filter_sel`],
+//! `Program::slots_of`), projections column-at-a-time through
+//! [`Program::eval_column`].
 //!
 //! Compilation is total over well-typed expressions and is where type errors
 //! surface, as the [`EngineError`] the query reports. String predicates
@@ -20,9 +20,9 @@
 //! full materialization performs for it — one primitive per node, streaming
 //! its operands in and its result out — as per-row rates plus the
 //! per-dictionary constants. `Executor::Materialize` charges that form for
-//! the rows its loop evaluated; `Executor::Fused` charges only the base
-//! columns it streams ([`Program::width_bytes`]). The VM's own loop
-//! structure is never what is priced.
+//! the rows each expression was evaluated over; `Executor::Fused` charges
+//! only the base columns it streams ([`Program::width_bytes`]). The loops
+//! are the same under both: what they are priced as is the only difference.
 
 use std::cell::RefCell;
 use std::ops::Range;

@@ -1,32 +1,38 @@
-//! Filter: one operator, two loop orders over the same compiled conjuncts.
+//! Filter: one candidate-propagating conjunct loop, under both executors.
 //!
 //! A conjunctive predicate is split into conjuncts, each compiled once
-//! ([`compile_conjunct`]) and run candidate-propagating: the first conjunct
-//! scans full columns, every later one only the surviving candidates,
-//! through selection vectors on the base columns — no mask column, no
-//! gathered sub-relation. For selective scans like Q6 this reads a fraction
-//! of the bytes a naive evaluate-everything-fully filter would — exactly
-//! the candidate-list optimization MonetDB applies, and the reason Q6 is
-//! cheap even on a bandwidth-starved Pi (paper §II-D1).
+//! ([`compile_conjunct`]) and run per morsel by `Conjuncts::filter_morsel`:
+//! the first conjunct scans the morsel, every later one only the surviving
+//! candidates, through selection vectors on the base columns — no mask
+//! column, no gathered sub-relation. For selective scans like Q6 this reads a
+//! fraction of the bytes a naive evaluate-everything-fully filter would —
+//! exactly the candidate-list optimization MonetDB applies, and the reason Q6
+//! is cheap even on a bandwidth-starved Pi (paper §II-D1). The same loop feeds
+//! the `Filter` operator ([`exec_filter`], which gathers the survivors once)
+//! and the aggregation fold a fused aggregate peeled its filters into.
 //!
-//! `Executor::Materialize` runs conjunct-at-a-time — one pass over every
-//! morsel per conjunct, an `eval` span each — and charges what MonetDB's
-//! column-at-a-time execution would pay for that pass: the conjunct's
-//! full-materialization `Cost` over the candidates it saw, plus, once
-//! there is a candidate list, the gather of the columns it touches.
-//! `Executor::Fused` runs morsel-at-a-time — every conjunct over one morsel
-//! before the next morsel — and charges only the base-column bytes it
-//! streams. The survivors are identical, and gathered exactly once.
+//! The loop is the same under both executors; `Executor` decides only what
+//! it is *priced* as, from the rows each conjunct examined
+//! (`Conjuncts::settle`). `Executor::Fused` charges the base-column bytes
+//! streamed. `Executor::Materialize` charges what MonetDB's column-at-a-time
+//! execution pays for one pass per conjunct: its full-materialization `Cost`
+//! over the rows it examined, plus, once a candidate list exists, the gather
+//! of the columns it touches; a constant conjunct is decided on one row.
+//!
+//! With a sealed table the zone maps decide per morsel (`prune::ScanPruner`,
+//! DESIGN.md §14): a morsel proven dead is not touched, and a conjunct proven
+//! true over a morsel is skipped there — same survivors, fewer bytes, the
+//! same verdicts under both executors.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use crate::error::Result;
-use crate::exec::bytecode::Ty;
-use crate::exec::fused::{compile_conjunct, compile_conjuncts, filter_morsel, Pred};
+use crate::exec::bytecode::{Cost, Program, Ty};
+use crate::exec::ensure_u32_indexable;
 use crate::exec::parallel::{morsel_ranges, run_morsels, EngineConfig, Executor};
-use crate::exec::prune::ScanPruner;
-use crate::exec::{ensure_u32_indexable, expr_sketch, Scope};
-use crate::expr::Expr;
+use crate::exec::prune::{ScanPruner, Verdict};
+use crate::expr::{BinOp, Expr};
 use crate::governor::QueryContext;
 use crate::optimizer::split_conjuncts;
 use crate::relation::Relation;
@@ -35,11 +41,11 @@ use wimpi_obs::{Span, Tracer};
 use wimpi_storage::{selection, Table};
 
 /// Filters `rel` by `predicate` and gathers the surviving rows of every
-/// column, in the loop order of `cfg.executor` (see the module docs).
+/// column, charged in `cfg.executor`'s cost form (see the module docs).
 ///
 /// When `table` is the sealed table this filter scans (passed only under
 /// `cfg.prune_scans`), its zone maps may prove whole morsels dead and
-/// conjuncts always-true (DESIGN.md §14) — same survivors, fewer bytes.
+/// conjuncts true over a morsel (DESIGN.md §14) — same survivors, fewer bytes.
 pub fn exec_filter(
     rel: &Relation,
     predicate: &Expr,
@@ -49,170 +55,28 @@ pub fn exec_filter(
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<Relation> {
-    ensure_u32_indexable(rel.num_rows(), "filter")?;
-    let mut parts = Vec::new();
-    split_conjuncts(predicate.clone(), &mut parts);
-    let sel = match cfg.executor {
-        Executor::Materialize => conjunct_at_a_time(rel, &parts, table, prof, cfg, tracer, ctx)?,
-        Executor::Fused => morsel_at_a_time(rel, &parts, table, prof, cfg, tracer, ctx)?,
-    };
+    let n = rel.num_rows();
+    ensure_u32_indexable(n, "filter")?;
+    let chain = Conjuncts::compile(&[predicate], rel)?;
+    let pruner = chain.pruner(table, n);
+    let started = tracer.is_enabled().then(Instant::now);
+    let morsels = run_morsels(cfg, &morsel_ranges(n, cfg.morsel_rows), |_, r| {
+        chain.filter_morsel(pruner.as_ref(), if ctx.interrupted() { 0..0 } else { r })
+    });
+    ctx.checkpoint()?;
+    let (mut sel, mut tally) = (selection::take_scratch(), chain.tally());
+    sel.reserve_exact(morsels.iter().map(|(kept, _)| kept.len()).sum());
+    for (kept, counts) in morsels {
+        sel.extend_from_slice(&kept);
+        selection::put_scratch(kept);
+        tally.add(&counts);
+    }
+    let wall_ns = started.map(|s| s.elapsed().as_nanos() as u64);
+    chain.settle(&tally, n, sel.len() as u64, wall_ns, prof, cfg, tracer);
     let out = rel.take(&sel);
     charge_gather(rel, &out, sel.len(), prof);
     selection::put_scratch(sel);
     Ok(out)
-}
-
-/// The materializing loop: one pass per conjunct, an `eval` child span each
-/// when tracing (rows in = candidates it scanned, rows out = survivors).
-fn conjunct_at_a_time(
-    rel: &Relation,
-    parts: &[Expr],
-    table: Option<&Table>,
-    prof: &mut WorkProfile,
-    cfg: &EngineConfig,
-    tracer: &Tracer,
-    ctx: &QueryContext,
-) -> Result<Vec<u32>> {
-    let n = rel.num_rows();
-    let (preds, costs): (Vec<_>, Vec<_>) = parts
-        .iter()
-        .map(|c| compile_conjunct(c, rel))
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .unzip();
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    // Per-morsel candidates; `None` is every row of the morsel. `seeded`
-    // says a candidate list exists at all — from then on a conjunct pays
-    // for gathering the columns it reads.
-    let mut cands: Vec<Option<Vec<u32>>> = vec![None; ranges.len()];
-    let mut seeded = false;
-    let mut always_true = vec![false; preds.len()];
-    if let Some(pruner) = table.and_then(|t| ScanPruner::new(t, &preds, n)) {
-        let (dead, proven) = pruner.sweep(&ranges);
-        always_true = proven;
-        // A dead morsel is credited with the first conjunct's scan of it —
-        // the bytes the unpruned filter is guaranteed to have streamed.
-        let first_width = preds.iter().map(Pred::width_bytes).find(|&w| w > 0).unwrap_or(0);
-        for (m, r) in ranges.iter().enumerate().filter(|(m, _)| dead[*m]) {
-            cands[m] = Some(Vec::new());
-            seeded = true;
-            prof.pruned_morsels += 1;
-            prof.pruned_bytes += r.len() as u64 * first_width;
-        }
-    }
-    let count = |cands: &[Option<Vec<u32>>]| -> u64 {
-        cands.iter().zip(&ranges).map(|(c, r)| c.as_ref().map_or(r.len(), Vec::len) as u64).sum()
-    };
-    for (k, (pred, cost)) in preds.iter().zip(&costs).enumerate() {
-        ctx.checkpoint()?;
-        let needed = parts[k].column_set();
-        if needed.is_empty() {
-            // Constant conjunct: decide it once, on one row. False empties
-            // the selection; true leaves the candidates as they are.
-            prof.cpu_ops += 1;
-            cost.charge(1, prof);
-            let mut one = Vec::new();
-            pred.filter_range(0..1, &mut one);
-            if one.is_empty() {
-                cands = vec![Some(Vec::new()); ranges.len()];
-                break;
-            }
-            seeded = true;
-            continue;
-        }
-        let rows = count(&cands);
-        if always_true[k] {
-            // Proven true over every candidate morsel: skip the pass,
-            // crediting the bytes it would have streamed.
-            prof.pruned_bytes += rows * pred.width_bytes();
-            continue;
-        }
-        let span = Scope::open(tracer, prof, || ("eval", expr_sketch(&parts[k])));
-        if seeded && rows == 0 {
-            break;
-        }
-        if seeded {
-            // The modelled gather: only the columns this conjunct touches,
-            // only for the surviving candidates.
-            let width: u64 = rel
-                .fields()
-                .iter()
-                .filter(|(name, _)| needed.contains(name))
-                .map(|(_, c)| Ty::of_column(c).width())
-                .sum();
-            prof.seq_read_bytes += rows * width;
-            prof.seq_write_bytes += rows * width;
-            prof.cpu_ops += rows;
-        }
-        cost.charge(rows, prof);
-        let next = run_morsels(cfg, &ranges, |m, r| {
-            filter_morsel(std::slice::from_ref(pred), None, r, cands[m].as_deref()).sel
-        });
-        for old in std::mem::replace(&mut cands, next.into_iter().map(Some).collect()) {
-            selection::put_scratch(old.unwrap_or_default());
-        }
-        seeded = true;
-        span.close(rows, count(&cands), prof);
-    }
-    let mut sel = selection::take_scratch();
-    for (c, r) in cands.into_iter().zip(ranges) {
-        match c {
-            None => sel.extend(r.map(|i| i as u32)),
-            Some(c) => {
-                sel.extend_from_slice(&c);
-                selection::put_scratch(c);
-            }
-        }
-    }
-    Ok(sel)
-}
-
-/// The fused loop, for `Filter` nodes not consumed by a fused aggregate
-/// (e.g. below a join): every conjunct over one morsel before the next
-/// morsel, summarized as one `predicates` leaf when tracing.
-fn morsel_at_a_time(
-    rel: &Relation,
-    parts: &[Expr],
-    table: Option<&Table>,
-    prof: &mut WorkProfile,
-    cfg: &EngineConfig,
-    tracer: &Tracer,
-    ctx: &QueryContext,
-) -> Result<Vec<u32>> {
-    let n = rel.num_rows();
-    let (conjuncts, const_false) = compile_conjuncts(parts, rel)?;
-    let pruner = table.and_then(|t| ScanPruner::new(t, &conjuncts, n));
-    let started = tracer.is_enabled().then(Instant::now);
-    let results = run_morsels(cfg, &morsel_ranges(n, cfg.morsel_rows), |_, r| {
-        if ctx.interrupted() || const_false {
-            return filter_morsel(&[], None, 0..0, None);
-        }
-        filter_morsel(&conjuncts, pruner.as_ref(), r, None)
-    });
-    ctx.checkpoint()?;
-    let mut sel = selection::take_scratch();
-    let mut examined = vec![0u64; conjuncts.len()];
-    for morsel in results {
-        sel.extend_from_slice(&morsel.sel);
-        selection::put_scratch(morsel.sel);
-        for (total, rows) in examined.iter_mut().zip(morsel.examined) {
-            *total += rows;
-        }
-        prof.pruned_morsels += morsel.pruned_morsel as u64;
-        prof.pruned_bytes += morsel.pruned_bytes;
-    }
-    for (rows, conj) in examined.iter().zip(&conjuncts) {
-        prof.cpu_ops += rows;
-        prof.seq_read_bytes += rows * conj.width_bytes();
-    }
-    if let Some(started) = started {
-        let mut pred = Span::leaf("predicates", format!("{} conjuncts", conjuncts.len()));
-        pred.rows_in = n as u64;
-        pred.rows_out = sel.len() as u64;
-        pred.wall_ns = started.elapsed().as_nanos() as u64;
-        tracer.attach(pred);
-    }
-    Ok(sel)
 }
 
 /// Charges a gather/materialization. Selection vectors are sorted, so the
@@ -230,6 +94,344 @@ pub(crate) fn charge_gather(
     prof.cpu_ops += (nsel * input.num_columns().max(1)) as u64;
 }
 
+/// A chain of filter conjuncts compiled once, in order, constants included.
+pub(super) struct Conjuncts {
+    preds: Vec<Pred>,
+    /// Per conjunct: its full-materialization cost, and the bytes per row of
+    /// the columns it reads — what the materializing gather of them streams.
+    /// Zero marks a constant: it reads no column, so it folded to a `Const`.
+    priced: Vec<(Cost, u64)>,
+}
+
+impl Conjuncts {
+    /// Splits `predicates` into conjuncts, in order, and compiles each
+    /// against `src` — every one, so a type error never depends on which
+    /// rows survive.
+    pub(super) fn compile(predicates: &[&Expr], src: &Relation) -> Result<Conjuncts> {
+        let mut parts = Vec::new();
+        predicates.iter().for_each(|&p| split_conjuncts(p.clone(), &mut parts));
+        let (mut preds, mut priced) = (Vec::new(), Vec::new());
+        for c in &parts {
+            let (pred, cost) = compile_conjunct(c, src)?;
+            let needed = c.column_set();
+            let fields = src.fields().iter().filter(|(name, _)| needed.contains(name));
+            preds.push(pred);
+            priced.push((cost, fields.map(|(_, col)| Ty::of_column(col).width()).sum()));
+        }
+        Ok(Conjuncts { preds, priced })
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.preds.is_empty()
+    }
+
+    /// The zone-map pruner over `table`, when it can decide anything for the
+    /// `n` rows filtered (see `ScanPruner::new`).
+    pub(super) fn pruner<'a>(&'a self, t: Option<&'a Table>, n: usize) -> Option<ScanPruner<'a>> {
+        t.and_then(|t| ScanPruner::new(t, &self.preds, n))
+    }
+
+    /// What no morsel did yet.
+    pub(super) fn tally(&self) -> Tally {
+        let k = self.preds.len();
+        Tally { examined: vec![0; k], proven: vec![0; k], dead_morsels: 0, dead_rows: 0 }
+    }
+
+    /// The conjunct loop over the morsel `r`: the first conjunct scans every
+    /// row, each later one only the survivors, through recycled selection
+    /// vectors and with no intermediate column. A morsel the zone maps prove
+    /// dead is not touched; a conjunct they prove true over it is skipped.
+    /// Returns the survivors, ascending (a `selection` scratch buffer).
+    pub(super) fn filter_morsel(
+        &self,
+        pruner: Option<&ScanPruner>,
+        r: Range<usize>,
+    ) -> (Vec<u32>, Tally) {
+        let (mut sel, mut tally) = (selection::take_scratch(), self.tally());
+        let verdicts = pruner.map(|p| p.verdicts(&r));
+        if verdicts.as_ref().is_some_and(|v| v.contains(&Verdict::False)) {
+            (tally.dead_morsels, tally.dead_rows) = (1, r.len() as u64);
+            return (sel, tally);
+        }
+        // Until a conjunct has run, the candidates are every row of `r`.
+        let mut narrowed = false;
+        for (k, pred) in self.preds.iter().enumerate() {
+            let rows = if narrowed { sel.len() } else { r.len() } as u64;
+            if verdicts.as_ref().is_some_and(|v| v[k] == Verdict::True) {
+                tally.proven[k] = rows;
+                continue;
+            }
+            tally.examined[k] = rows;
+            if rows == 0 {
+                break;
+            }
+            let mut next = selection::take_scratch();
+            if narrowed {
+                pred.filter_sel(&sel, &mut next);
+            } else {
+                pred.filter_range(r.clone(), &mut next);
+            }
+            selection::put_scratch(std::mem::replace(&mut sel, next));
+            narrowed = true;
+        }
+        if !narrowed {
+            sel.extend(r.map(|i| i as u32));
+        }
+        (sel, tally)
+    }
+
+    /// Settles the summed `tally` of the loop over `n` rows that kept `nsel`:
+    /// the pruning counters, the conjuncts' charge in `cfg.executor`'s cost
+    /// form, and — when tracing a non-empty chain — the one `predicates` leaf,
+    /// labelled with the rows each conjunct examined (Q6 at SF 0.01: `4
+    /// conjuncts: 60236 → 43398 → 9347 → 2558`). `wall_ns` is the loop's own
+    /// time, when it can be told apart from its consumer's.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn settle(
+        &self,
+        t: &Tally,
+        n: usize,
+        nsel: u64,
+        wall_ns: Option<u64>,
+        prof: &mut WorkProfile,
+        cfg: &EngineConfig,
+        tracer: &Tracer,
+    ) {
+        let widths: Vec<u64> = self.preds.iter().map(Pred::width_bytes).collect();
+        // A dead morsel is credited with the first conjunct's scan of it —
+        // the bytes the unpruned loop is guaranteed to have streamed.
+        let first = widths.iter().copied().find(|&w| w > 0).unwrap_or(0);
+        prof.pruned_morsels += t.dead_morsels;
+        prof.pruned_bytes += t.dead_rows * first;
+        prof.pruned_bytes += t.proven.iter().zip(&widths).map(|(rows, w)| rows * w).sum::<u64>();
+        match cfg.executor {
+            Executor::Materialize => self.charge_materialized(t, prof),
+            Executor::Fused => {
+                for (rows, w) in t.examined.iter().zip(&widths) {
+                    prof.cpu_ops += rows;
+                    prof.seq_read_bytes += rows * w;
+                }
+            }
+        }
+        if tracer.is_enabled() && !self.is_empty() {
+            let flow: Vec<String> = t.examined.iter().map(u64::to_string).collect();
+            let label = format!("{} conjuncts: {}", flow.len(), flow.join(" → "));
+            let mut leaf = Span::leaf("predicates", label);
+            (leaf.rows_in, leaf.rows_out) = (n as u64, nsel);
+            leaf.wall_ns = wall_ns.unwrap_or(0);
+            tracer.attach(leaf);
+        }
+    }
+
+    /// The materializing cost form: one column-at-a-time pass per conjunct,
+    /// priced from the rows it examined, until the candidates run out.
+    fn charge_materialized(&self, t: &Tally, prof: &mut WorkProfile) {
+        // Whether a candidate list exists — from then on a conjunct pays for
+        // gathering the columns it reads. Dead morsels start one.
+        let mut seeded = t.dead_morsels > 0;
+        for (k, (pred, (cost, gather))) in self.preds.iter().zip(&self.priced).enumerate() {
+            let rows = t.examined[k];
+            if *gather == 0 {
+                // A constant, decided on one row: false empties the
+                // selection, true leaves the candidates as they are.
+                prof.cpu_ops += 1;
+                cost.charge(1, prof);
+                if !matches!(pred, Pred::Const(true)) {
+                    break;
+                }
+            } else if rows == 0 && t.proven[k] > 0 {
+                // Proven true wherever it was reached: no pass at all.
+                continue;
+            } else if seeded && rows == 0 {
+                break;
+            } else {
+                if seeded {
+                    // The modelled gather: only the columns this conjunct
+                    // touches, only for the candidates it examined.
+                    prof.seq_read_bytes += rows * gather;
+                    prof.seq_write_bytes += rows * gather;
+                    prof.cpu_ops += rows;
+                }
+                cost.charge(rows, prof);
+            }
+            seeded = true;
+        }
+    }
+}
+
+/// What the conjunct loop did — over one morsel, or summed over all of them.
+/// Counts only, so every charge made from it is invariant to the thread
+/// count and to which worker ran what.
+pub(super) struct Tally {
+    /// Per conjunct: the rows it was evaluated over.
+    examined: Vec<u64>,
+    /// Per conjunct: the rows the zone maps proved it true over (skipped).
+    proven: Vec<u64>,
+    /// Morsels the zone maps proved dead, and their rows.
+    dead_morsels: u64,
+    dead_rows: u64,
+}
+
+impl Tally {
+    pub(super) fn add(&mut self, o: &Tally) {
+        self.examined.iter_mut().zip(&o.examined).for_each(|(a, b)| *a += b);
+        self.proven.iter_mut().zip(&o.proven).for_each(|(a, b)| *a += b);
+        self.dead_morsels += o.dead_morsels;
+        self.dead_rows += o.dead_rows;
+    }
+}
+
+/// One compiled filter conjunct. A top-level OR compiles to its disjuncts'
+/// separate AND-chains so the filter can cascade: each disjunct's own most
+/// selective conjunct (often a single-pass `Quick` form) prunes candidates
+/// before the wider arms are touched, instead of every arm evaluating over
+/// every row the way one flat program would.
+pub(super) enum Pred {
+    One(Program),
+    /// Disjuncts, each an AND-chain of programs; a row survives when any
+    /// chain passes it.
+    AnyOf(Vec<Vec<Program>>),
+    /// Folded at compile time: every row passes, or none does.
+    Const(bool),
+}
+
+impl Pred {
+    fn filter_range(&self, r: Range<usize>, out: &mut Vec<u32>) {
+        match self {
+            Pred::One(p) => p.filter_range(r, out),
+            Pred::AnyOf(chains) => {
+                let mut cand = selection::take_scratch();
+                cand.extend(r.map(|i| i as u32));
+                or_cascade(chains, &cand, out);
+                selection::put_scratch(cand);
+            }
+            Pred::Const(keep) => out.extend(r.filter(|_| *keep).map(|i| i as u32)),
+        }
+    }
+
+    fn filter_sel(&self, cand: &[u32], out: &mut Vec<u32>) {
+        match self {
+            Pred::One(p) => p.filter_sel(cand, out),
+            Pred::AnyOf(chains) => or_cascade(chains, cand, out),
+            Pred::Const(true) => out.extend_from_slice(cand),
+            Pred::Const(false) => {}
+        }
+    }
+
+    /// The fused executor's bytes-per-row pricing: every program's base
+    /// columns, an OR's arms each counted — flat evaluation reads every arm
+    /// for every row, and the charge stays invariant to how the cascade
+    /// happened to prune.
+    fn width_bytes(&self) -> u64 {
+        match self {
+            Pred::One(p) => p.width_bytes(),
+            Pred::AnyOf(chains) => chains.iter().flatten().map(Program::width_bytes).sum(),
+            Pred::Const(_) => 0,
+        }
+    }
+}
+
+/// Runs each disjunct's AND-chain over the candidates not yet accepted,
+/// unioning survivors. Disjunct sets are disjoint by construction (later
+/// chains only see rows earlier chains rejected), so sorting the
+/// concatenation restores ascending row order — exactly the rows a flat
+/// evaluation of the OR would keep.
+fn or_cascade(chains: &[Vec<Program>], cand: &[u32], out: &mut Vec<u32>) {
+    let mut remaining = selection::take_scratch();
+    remaining.extend_from_slice(cand);
+    let mut pass = selection::take_scratch();
+    let mut tmp = selection::take_scratch();
+    let start = out.len();
+    for chain in chains {
+        if remaining.is_empty() {
+            break;
+        }
+        pass.clear();
+        chain[0].filter_sel(&remaining, &mut pass);
+        for conj in &chain[1..] {
+            if pass.is_empty() {
+                break;
+            }
+            tmp.clear();
+            conj.filter_sel(&pass, &mut tmp);
+            std::mem::swap(&mut pass, &mut tmp);
+        }
+        if pass.is_empty() {
+            continue;
+        }
+        // remaining -= pass (both ascending).
+        tmp.clear();
+        let mut pi = 0;
+        for &row in remaining.iter() {
+            if pi < pass.len() && pass[pi] == row {
+                pi += 1;
+            } else {
+                tmp.push(row);
+            }
+        }
+        std::mem::swap(&mut remaining, &mut tmp);
+        out.extend_from_slice(&pass);
+    }
+    out[start..].sort_unstable();
+    selection::put_scratch(remaining);
+    selection::put_scratch(pass);
+    selection::put_scratch(tmp);
+}
+
+/// Splits an OR tree into disjuncts (mirror of `split_conjuncts`).
+fn split_disjuncts(e: &Expr, out: &mut Vec<Expr>) {
+    match e {
+        Expr::Bin { op: BinOp::Or, left, right } => {
+            split_disjuncts(left, out);
+            split_disjuncts(right, out);
+        }
+        other => out.push(other.clone()),
+    }
+}
+
+/// Compiles one already-split conjunct, recognizing top-level OR chains,
+/// together with the full-materialization cost of the *flat* expression:
+/// the cascade only changes which rows each arm looks at, never what
+/// evaluating the conjunct column-at-a-time is priced as.
+pub(super) fn compile_conjunct(c: &Expr, src: &Relation) -> Result<(Pred, Cost)> {
+    let mut disjuncts = Vec::new();
+    split_disjuncts(c, &mut disjuncts);
+    if disjuncts.len() == 1 {
+        let prog = Program::compile(c, src)?.into_predicate()?;
+        let cost = *prog.cost();
+        return Ok((prog.const_bool().map_or_else(|| Pred::One(prog), Pred::Const), cost));
+    }
+    let mut cost = Cost::default();
+    let (mut chains, mut nparts, mut any_true) = (Vec::new(), 0, false);
+    for d in &disjuncts {
+        let mut parts = Vec::new();
+        split_conjuncts(d.clone(), &mut parts);
+        nparts += parts.len();
+        let (mut chain, mut dead) = (Vec::new(), false);
+        for p in &parts {
+            let Ok(prog) = Program::compile(p, src)?.into_predicate() else {
+                // A non-boolean arm: the flat OR/AND tree names the error.
+                Program::compile(c, src)?;
+                unreachable!("the flat tree rejects a non-boolean operand");
+            };
+            cost.add(prog.cost());
+            match prog.const_bool() {
+                Some(keep) => dead |= !keep,
+                None => chain.push(prog),
+            }
+        }
+        // A constant-false part kills its arm; an arm of only constant-true
+        // parts accepts every row.
+        if !dead {
+            any_true |= chain.is_empty();
+            chains.push(chain);
+        }
+    }
+    cost.add(&Cost::logical(nparts as u64 - 1));
+    let pred =
+        if any_true || chains.is_empty() { Pred::Const(any_true) } else { Pred::AnyOf(chains) };
+    Ok((pred, cost))
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,5 +529,86 @@ mod tests {
         let pred = col("k").eq(lit(1i64)).or(col("k").eq(lit(4i64)));
         let out = exec_filter(&rel(), &pred, &mut p).unwrap();
         assert_eq!(out.column("k").unwrap().as_i64().unwrap(), &[1, 4]);
+    }
+
+    /// What filtering `full` (or its first zero rows) by each shape charges
+    /// under both executors on 25-row morsels — `[cpu_ops, seq_read_bytes,
+    /// seq_write_bytes, pruned_morsels, pruned_bytes]`, the gather included —
+    /// pinned from the two loops this one replaced. Every `Materialize` row is
+    /// the conjunct-at-a-time loop's to the unit. The `Fused` rows marked
+    /// `was` (the old `cpu_ops`, then `seq_read_bytes`) changed on purpose:
+    /// constants now run in the one loop like any conjunct, so a constant is
+    /// charged the rows it examined, and the real conjuncts before a constant
+    /// false run (the old fused loop dropped a constant true and returned
+    /// nothing, charging nothing, on a false).
+    #[test]
+    fn charges_on_edge_shapes_under_both_executors() {
+        use wimpi_storage::{DataType, Field, Schema, Value};
+        let n = 100i64;
+        let sealed = Table::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("v", DataType::Int64),
+                Field::new("s", DataType::Utf8),
+            ]),
+            vec![
+                Column::Int64((0..n).collect()),
+                Column::Int64((0..n).map(|i| i * 37 % 100).collect()),
+                Column::Str((0..n).map(|i| ["AIR", "RAIL", "SHIP"][i as usize % 3]).collect()),
+            ],
+        )
+        .unwrap()
+        .with_zone_maps_at(25);
+        let full = Relation::from_table(&sealed, None).unwrap();
+        let (k, v) = (|| col("k"), || col("v"));
+        let (yes, no) = (|| Expr::Lit(Value::Bool(true)), || Expr::Lit(Value::Bool(false)));
+        let shipped = k().lt(lit(10i64)).or(col("s").eq(lit("SHIP")));
+        // (shape, predicate, zero rows, pruned, materialize, fused)
+        #[rustfmt::skip]
+        let cases = [
+            ("true first", yes().and(k().lt(lit(50i64))), false, false,
+                [351, 2600, 1900, 0, 0], [350, 1800, 1000, 0, 0]), // was 250
+            ("true middle", k().lt(lit(50i64)).and(yes()).and(v().gt(lit(10i64))), false, false,
+                [333, 2480, 1430, 0, 0], [332, 2080, 880, 0, 0]), // was 282
+            ("true last", k().lt(lit(50i64)).and(yes()), false, false,
+                [251, 1800, 1100, 0, 0], [300, 1800, 1000, 0, 0]), // was 250
+            ("false first", no().and(k().lt(lit(50i64))), false, false,
+                [1, 0, 0, 0, 0], [100, 0, 0, 0, 0]), // was 0
+            ("false middle", k().lt(lit(50i64)).and(no()).and(v().gt(lit(10i64))), false, false,
+                [101, 800, 100, 0, 0], [150, 800, 0, 0, 0]), // was 0, 0
+            ("false last", k().lt(lit(50i64)).and(no()), false, false,
+                [101, 800, 100, 0, 0], [150, 800, 0, 0, 0]), // was 0, 0
+            ("or cascade", shipped.and(v().gt(lit(20i64))), false, false,
+                [473, 2640, 1260, 0, 0], [230, 2120, 600, 0, 0]),
+            ("ran out", k().gt(lit(200i64)).and(v().gt(lit(10i64))).and(yes()), false, false,
+                [100, 800, 100, 0, 0], [100, 800, 0, 0, 0]),
+            ("ran out, constant next", k().gt(lit(200i64)).and(yes()).and(v().gt(lit(10i64))),
+                false, false, [101, 800, 100, 0, 0], [100, 800, 0, 0, 0]),
+            ("0 rows", col("s").eq(lit("AIR")).and(k().lt(lit(50i64))), true, false,
+                [3, 0, 0, 0, 0], [0, 0, 0, 0, 0]),
+            ("dead morsels", k().lt(lit(50i64)).and(v().gt(lit(10i64))), false, true,
+                [232, 1680, 1330, 2, 800], [182, 1280, 880, 2, 800]),
+            ("dead, proven later", v().gt(lit(10i64)).and(k().lt(lit(50i64))), false, true,
+                [232, 1680, 1330, 2, 752], [182, 1280, 880, 2, 752]),
+        ];
+        let ctx = QueryContext::default();
+        for (shape, pred, zero_rows, pruned, materialize, fused) in cases {
+            let rel = if zero_rows { full.take(&[]) } else { full.clone() };
+            for (executor, want) in [(Executor::Materialize, materialize), (Executor::Fused, fused)]
+            {
+                let cfg = EngineConfig::serial().with_morsel_rows(25).with_executor(executor);
+                let mut p = WorkProfile::new();
+                let table = pruned.then_some(&sealed);
+                super::exec_filter(&rel, &pred, table, &mut p, &cfg, Tracer::off(), &ctx).unwrap();
+                let got = [
+                    p.cpu_ops,
+                    p.seq_read_bytes,
+                    p.seq_write_bytes,
+                    p.pruned_morsels,
+                    p.pruned_bytes,
+                ];
+                assert_eq!(got, want, "{shape} under {executor:?}");
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use parallel::{EngineConfig, Executor};
 use wimpi_obs::Tracer;
-use wimpi_storage::Catalog;
+use wimpi_storage::{Catalog, Table};
 
 /// Executes a plan against a catalog — the interpreter's one entry point.
 ///
@@ -157,15 +157,7 @@ fn exec_node_inner(
         LogicalPlan::Filter { input, predicate } => {
             let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
             let rows_in = rel.num_rows() as u64;
-            // A filter directly over a scan can consult the table's sealed
-            // zone maps (when `cfg.prune_scans` is on); anything else has no
-            // stable morsel-to-table alignment and runs unpruned.
-            let table = match (cfg.prune_scans, input.as_ref()) {
-                (true, LogicalPlan::Scan { table, .. }) => {
-                    catalog.table(table).ok().map(|t| t.as_ref())
-                }
-                _ => None,
-            };
+            let table = prunable(input, catalog, cfg);
             Ok((rows_in, filter::exec_filter(&rel, predicate, table, prof, cfg, tracer, ctx)?))
         }
         LogicalPlan::Project { input, exprs } => {
@@ -220,6 +212,22 @@ fn exec_node_inner(
     }
 }
 
+/// The sealed table whose zone maps a filter over `input` may consult
+/// (DESIGN.md §14): only under `cfg.prune_scans`, and only when `input` is a
+/// bare scan — anything else has no stable morsel-to-table alignment and
+/// runs unpruned. Verdicts are sound, so pruning changes no survivor, group
+/// or row count — only which bytes get streamed.
+fn prunable<'c>(
+    input: &LogicalPlan,
+    catalog: &'c Catalog,
+    cfg: &EngineConfig,
+) -> Option<&'c Table> {
+    match (cfg.prune_scans, input) {
+        (true, LogicalPlan::Scan { table, .. }) => catalog.table(table).ok().map(|t| t.as_ref()),
+        _ => None,
+    }
+}
+
 /// Scan-time integrity verification (DESIGN.md §12): recomputes the CRC32C
 /// of every morsel-aligned chunk of the columns this scan actually reads and
 /// compares them against the table's sealed manifest. Unsealed tables verify
@@ -228,7 +236,7 @@ fn exec_node_inner(
 /// manifest* is reported as such rather than falsely accusing a data chunk.
 fn verify_scan(
     name: &str,
-    table: &wimpi_storage::Table,
+    table: &Table,
     projection: Option<&[String]>,
     ctx: &QueryContext,
 ) -> Result<()> {

@@ -26,17 +26,18 @@ use std::sync::Mutex;
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
 /// Which executor runs the query pipeline (DESIGN.md §13). Both evaluate
-/// every expression with the same compiled programs and fold every aggregate
-/// with the same code (`exec::aggregate`); they differ in the filter's loop
-/// order, in whether an aggregate's filters are peeled into its fold, and in
-/// the cost form the expression work is charged in — and in no result bit.
+/// every expression with the same compiled programs, filter through the same
+/// per-morsel conjunct loop (`exec::filter`) and fold every aggregate with
+/// the same code (`exec::aggregate`); they differ only in the cost form the
+/// work is charged in and in whether an aggregate's filters are peeled into
+/// its fold — and in no result bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Column-at-a-time: a filter runs conjunct by conjunct and gathers its
-    /// survivors before the next operator runs, and expressions are priced as
-    /// MonetDB's full materialization — one primitive per node, streaming its
-    /// operands in and its result out (the execution style the paper
-    /// benchmarks).
+    /// Column-at-a-time pricing: a filter gathers its survivors before the
+    /// next operator runs, and is charged one pass per conjunct over the rows
+    /// it examined; expressions are priced as MonetDB's full materialization —
+    /// one primitive per node, streaming its operands in and its result out
+    /// (the execution style the paper benchmarks).
     #[default]
     Materialize,
     /// Morsel-at-a-time fusion: the filters under an aggregate are peeled
@@ -74,7 +75,7 @@ pub struct EngineConfig {
     /// off, like the tracer: one branch per scan, no per-row work.
     pub verify_checksums: bool,
     /// Which executor runs the pipeline (DESIGN.md §13). Defaults to the
-    /// materializing loop order and cost form; [`Executor::Fused`] peels
+    /// materializing cost form; [`Executor::Fused`] peels
     /// aggregate-over-filter pipelines into one morsel-at-a-time fold.
     pub executor: Executor,
     /// Consult sealed [`ZoneMap`](wimpi_storage::ZoneMap)s before filtering:

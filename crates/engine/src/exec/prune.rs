@@ -1,6 +1,7 @@
 //! Zone-map scan pruning (DESIGN.md §14): per-morsel predicate verdicts
-//! from sealed [`ZoneMap`] summaries, through the one [`ScanPruner`] both
-//! executors' filters consult before any column byte is streamed.
+//! from sealed [`ZoneMap`] summaries, through the one [`ScanPruner`] the one
+//! conjunct loop (`filter::Conjuncts`) consults per morsel, under either
+//! executor, before any column byte is streamed. There is no other protocol.
 //!
 //! The prunable predicate forms are exactly the bytecode peephole's
 //! [`Quick`] shapes — `col <cmp> const`, dictionary membership, numeric
@@ -21,7 +22,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use super::bytecode::{Program, Quick};
-use super::fused::Pred;
+use super::filter::Pred;
 use crate::eval;
 use crate::expr::BinOp;
 use wimpi_storage::{Table, ZoneMap};
@@ -267,47 +268,19 @@ impl<'a> ScanPruner<'a> {
     /// sealed zones, the scanned relation is the table's own rows (so morsel
     /// offsets index the sealed grid), and at least one conjunct's quick
     /// form reads a summarized column. `None` means "run unpruned".
-    pub(crate) fn new(
-        table: &'a Table,
-        conjuncts: &'a [Pred],
-        nrows: usize,
-    ) -> Option<ScanPruner<'a>> {
+    pub(crate) fn new(table: &'a Table, conjuncts: &'a [Pred], nrows: usize) -> Option<Self> {
         let zones = table.zones()?;
         if nrows != table.num_rows() {
             return None;
         }
         let plans: Vec<ConjZone<'a>> = conjuncts.iter().map(|p| conj_zone(p, table)).collect();
-        if plans.iter().any(|p| p.can_decide(zones)) {
-            Some(ScanPruner { zones, conjuncts: plans })
-        } else {
-            None
-        }
+        let decides = plans.iter().any(|p| p.can_decide(zones));
+        decides.then_some(ScanPruner { zones, conjuncts: plans })
     }
 
     /// Per-conjunct verdicts for one morsel, in conjunct order.
     pub(crate) fn verdicts(&self, rows: &Range<usize>) -> Vec<Verdict> {
         self.conjuncts.iter().map(|c| c.verdict(self.zones, rows)).collect()
-    }
-
-    /// One verdict sweep over the whole morsel grid, for conjunct-at-a-time
-    /// execution: which morsels are dead, and which conjuncts are proven
-    /// true over every live morsel (and so never need a pass).
-    pub(crate) fn sweep(&self, ranges: &[Range<usize>]) -> (Vec<bool>, Vec<bool>) {
-        let mut always_true = vec![true; self.conjuncts.len()];
-        let dead = ranges
-            .iter()
-            .map(|r| {
-                let verdicts = self.verdicts(r);
-                let dead = verdicts.contains(&Verdict::False);
-                if !dead {
-                    for (proven, v) in always_true.iter_mut().zip(&verdicts) {
-                        *proven &= *v == Verdict::True;
-                    }
-                }
-                dead
-            })
-            .collect();
-        (dead, always_true)
     }
 }
 
@@ -344,7 +317,7 @@ mod tests {
     fn compile(rel: &Relation, exprs: &[Expr]) -> Vec<Pred> {
         exprs
             .iter()
-            .map(|e| super::super::fused::compile_conjunct(e, rel).expect("well-typed").0)
+            .map(|e| super::super::filter::compile_conjunct(e, rel).expect("well-typed").0)
             .collect()
     }
 
@@ -436,21 +409,5 @@ mod tests {
         // Off-grid spans stay Unknown rather than pruning.
         let off_grid = std::slice::from_ref(&(0..1000));
         assert_eq!(verdicts_of(&t, col("k").lt(lit(0i64)), off_grid), [Verdict::Unknown]);
-    }
-
-    #[test]
-    fn sweep_reports_dead_morsels_and_redundant_conjuncts() {
-        let t = table();
-        let rel = Relation::from_table(&t, None).unwrap();
-        let preds = compile(&rel, &[col("k").lt(lit(100i64)), col("f").lt(lit(1e9))]);
-        let pruner = ScanPruner::new(&t, &preds, t.num_rows()).expect("prunable");
-        let grid = [0..100, 100..200, 200..300];
-        // k < 100 kills two morsels and is always true over the survivor;
-        // the float conjunct has no quick form and must stay enforced.
-        assert_eq!(pruner.sweep(&grid), (vec![false, true, true], vec![true, false]));
-        // A conjunct true over only some live morsels still needs its pass.
-        let preds = compile(&rel, &[col("k").lt(lit(250i64))]);
-        let pruner = ScanPruner::new(&t, &preds, t.num_rows()).expect("prunable");
-        assert_eq!(pruner.sweep(&grid), (vec![false, false, false], vec![false]));
     }
 }

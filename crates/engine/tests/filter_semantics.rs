@@ -120,3 +120,28 @@ fn string_forms_agree_across_executors() {
         assert_eq!(rel, reference, "{cfg:?}");
     }
 }
+
+#[test]
+fn both_executors_prune_by_the_same_per_morsel_verdicts() {
+    // On the 100-row grid `k >= 150` kills morsel 0 and is proven true over
+    // morsel 2 only, `k < 250` over morsel 1 only: each is skipped exactly
+    // where it is proven, under either executor.
+    let pred =
+        col("k").gte(lit(150i64)).and(col("k").lt(lit(250i64))).and(col("s").eq(lit("alpha")));
+    let plan = PlanBuilder::scan("t").filter(pred).build();
+    let pruned: Vec<(u64, u64)> = configs()
+        .iter()
+        .filter(|cfg| cfg.prune_scans)
+        .map(|cfg| {
+            let (rel, prof) =
+                execute(&plan, &catalog(), cfg, &QueryContext::default(), Tracer::off())
+                    .expect("runs");
+            assert_eq!(rel.num_rows(), 25, "{cfg:?}");
+            (prof.pruned_morsels, prof.pruned_bytes)
+        })
+        .collect();
+    assert_eq!(pruned[0], pruned[1], "materialize vs fused");
+    // Morsel 0's first-conjunct scan, `k < 250` over morsel 1's 50 survivors
+    // of `k >= 150`, `k >= 150` over all of morsel 2: 8-byte rows each.
+    assert_eq!(pruned[0], (1, (100 + 50 + 100) * 8));
+}

@@ -14,11 +14,9 @@
 pub mod micro;
 pub mod model;
 pub mod profiles;
-pub mod residuals;
 
 pub use model::{
     modeled_fused_gain, modeled_prune_gain, modeled_speedup, modeled_spill_penalty, predict,
     predict_all_cores, predict_single_core, Prediction,
 };
 pub use profiles::{all_profiles, pi3b, profile, Category, HwProfile};
-pub use residuals::{record_residuals, RESIDUAL_BUCKETS};

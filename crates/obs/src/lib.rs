@@ -9,8 +9,7 @@
 //!   trace *structure* is as deterministic as query results — only measured
 //!   wall times and worker ids vary run to run.
 //! - [`Registry`]: counters, gauges, and fixed-bucket histograms for event
-//!   streams (cluster faults/recoveries, hwsim modeled-vs-measured
-//!   residuals).
+//!   streams (cluster faults/recoveries, service and coordinator ledgers).
 //! - [`log::status`]: uniform stderr status lines for the bench bins,
 //!   silenced by `WIMPI_QUIET=1`, keeping stdout machine-clean.
 //!

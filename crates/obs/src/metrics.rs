@@ -3,10 +3,10 @@
 //! names are kept in a `BTreeMap`, so snapshots and renderings are always in
 //! lexicographic order regardless of registration order.
 //!
-//! Used by `cluster` (fault/recovery/backoff events) and `hwsim`
-//! (modeled-vs-measured residuals). Throughput is irrelevant at those call
-//! sites — events are per-partition or per-query, not per-row — so a mutexed
-//! map is the right trade against code size.
+//! Used by `cluster` (fault/recovery/backoff events), the query service and
+//! the coordinator. Throughput is irrelevant at those call sites — events
+//! are per-partition or per-query, not per-row — so a mutexed map is the
+//! right trade against code size.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -12,7 +12,7 @@
 //!    hand-rolled checker, including the Σ self == root-total invariant.
 
 use wimpi::core::validate_trace_json;
-use wimpi::engine::{EngineConfig, QueryContext, Tracer};
+use wimpi::engine::{EngineConfig, Executor, QueryContext, Span, Tracer};
 use wimpi::queries::{query, run_governed, run_traced_governed};
 use wimpi::sql::{execute_sql_with, strip_explain_analyze};
 use wimpi::storage::Catalog;
@@ -66,11 +66,13 @@ fn tracing_never_changes_results_or_profiles() {
 #[test]
 fn trace_structure_is_thread_count_invariant() {
     let cat = catalog();
-    for qn in TRACED {
+    for (qn, executor) in
+        TRACED.iter().flat_map(|&qn| [(qn, Executor::Materialize), (qn, Executor::Fused)])
+    {
         let spans: Vec<_> = [1, 2, 4]
             .iter()
             .map(|&t| {
-                let cfg = EngineConfig::with_threads(t);
+                let cfg = EngineConfig::with_threads(t).with_executor(executor);
                 run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
                     .expect("traced run")
                     .2
@@ -79,13 +81,47 @@ fn trace_structure_is_thread_count_invariant() {
         for (i, s) in spans.iter().enumerate().skip(1) {
             assert!(
                 s.structure_eq(&spans[0]),
-                "Q{qn}: trace structure diverged between 1 thread and {} threads:\n{}\nvs\n{}",
+                "Q{qn} {executor:?}: trace structure diverged between 1 and {} threads:\n{}\nvs\n{}",
                 [1, 2, 4][i],
                 spans[0].render(),
                 s.render()
             );
         }
     }
+}
+
+fn labels_of(span: &Span, op: &str, out: &mut Vec<String>) {
+    if span.op == op {
+        out.push(span.label.clone());
+    }
+    span.children.iter().for_each(|child| labels_of(child, op, out));
+}
+
+/// One conjunct loop, one `predicates` leaf: under either executor a filter
+/// reports the rows each of its conjuncts examined — the per-conjunct
+/// selectivity — and the materializing filter has no per-conjunct children.
+#[test]
+fn predicates_leaf_labels_each_conjuncts_examined_rows() {
+    let cat = catalog();
+    let lineitem = cat.table("lineitem").expect("generated").num_rows() as u64;
+    let mut labels = Vec::new();
+    for executor in [Executor::Materialize, Executor::Fused] {
+        let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096).with_executor(executor);
+        let (_, _, span) = run_traced_governed(&query(6), &cat, &cfg, &QueryContext::default())
+            .expect("traced run");
+        let mut leaves = Vec::new();
+        labels_of(&span, "predicates", &mut leaves);
+        let mut evals = Vec::new();
+        labels_of(&span, "eval", &mut evals);
+        assert_eq!((leaves.len(), evals.len()), (1, 0), "Q6 {executor:?}:\n{}", span.render());
+        labels.push(leaves.remove(0));
+    }
+    assert_eq!(labels[0], labels[1], "the same loop examines the same rows");
+    let (count, flow) = labels[0].split_once(" conjuncts: ").expect("`N conjuncts: a → b`");
+    let rows: Vec<u64> = flow.split(" → ").map(|r| r.parse().expect("a row count")).collect();
+    assert_eq!(rows.len(), count.parse::<usize>().unwrap(), "{}", labels[0]);
+    assert_eq!(rows[0], lineitem, "the first conjunct scans every row: {}", labels[0]);
+    assert!(rows.windows(2).all(|w| w[0] >= w[1]), "candidates only shrink: {}", labels[0]);
 }
 
 #[test]

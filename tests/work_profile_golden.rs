@@ -125,10 +125,10 @@ fn no_query_falls_back_under_fused() {
 /// The one plan shape left that falls back without a budget: a float sum is
 /// exact only in the morsels it was cut in, and under a peeled filter those
 /// are the filtered relation's. The answer and the charges are then the
-/// materializing executor's.
+/// materializing executor's — zone-map pruning included.
 #[test]
 fn a_float_sum_under_a_filter_is_the_one_unbudgeted_fallback() {
-    use wimpi::engine::{col, execute_query_with, lit, AggExpr, PlanBuilder, Tracer};
+    use wimpi::engine::{col, date, execute_query_with, lit, AggExpr, PlanBuilder, Tracer};
 
     let cat = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
     let unit_price = col("l_extendedprice").div(col("l_quantity"));
@@ -162,6 +162,26 @@ fn a_float_sum_under_a_filter_is_the_one_unbudgeted_fallback() {
     let (rel, _, labels) = run(false, Executor::Fused);
     assert_eq!(labels, Vec::<String>::new());
     assert_eq!(rel, run(false, Executor::Materialize).0);
+
+    // Pruned: the fallback's innermost filter still scans the sealed table
+    // (it used to run unpruned and be charged more than `Materialize`).
+    let clustered = clustered_fine();
+    let pruned = |executor| {
+        let plan = PlanBuilder::scan("lineitem")
+            .filter(col("l_shipdate").lt(date("1993-01-01")))
+            .aggregate(
+                vec![(col("l_returnflag"), "f")],
+                vec![AggExpr::sum(unit_price.clone(), "s")],
+            )
+            .build();
+        let cfg = EngineConfig::serial().with_executor(executor).with_morsel_rows(4096);
+        let ctx = QueryContext::default();
+        execute_query_with(&plan, &clustered, &cfg.with_prune_scans(true), &ctx, Tracer::off())
+            .expect("runs")
+    };
+    let (rel, prof) = pruned(Executor::Fused);
+    assert!(prof.pruned_morsels > 0, "the clustered filter must skip morsels");
+    assert_eq!((rel, prof), pruned(Executor::Materialize), "the pruned fallback");
 }
 
 /// The labels of every join `build` and aggregate `partials` stage span under

@@ -43,7 +43,8 @@ pub struct Distributed {
 /// The one partitioned table; everything else is replicated on every node.
 const PARTITIONED: &str = "lineitem";
 
-fn touches_partitioned(p: &LogicalPlan) -> bool {
+/// True when `p` reads the partitioned table, so it runs on every node.
+pub(crate) fn touches_partitioned(p: &LogicalPlan) -> bool {
     p.tables().iter().any(|t| t == PARTITIONED)
 }
 

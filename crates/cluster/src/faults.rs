@@ -5,14 +5,16 @@
 //! every failure recoverable: all non-lineitem tables are fully replicated
 //! (§II-D2) and each lineitem partition is regenerable on any node via the
 //! chunk-deterministic generator (`Generator::orders_lineitem_chunk`). This
-//! module provides the two pieces the recovery engine in
-//! [`crate::WimpiCluster::run_with_faults`] consumes:
+//! module provides the two pieces the one recovery machine behind
+//! [`crate::WimpiCluster::run_with`] and the serving coordinator consumes:
 //!
 //! * a seeded, deterministic [`FaultPlan`] scheduling per-node crash,
-//!   transient-OOM, slow-node (straggler), and degraded-NIC faults, and
+//!   transient-OOM, slow-node (straggler), degraded-NIC and bit-flip
+//!   faults, and
 //! * a [`RecoveryPolicy`] bounding retries (each waiting
-//!   [`wimpi_engine::backoff_s`] *simulated* seconds), straggler
-//!   speculation, and degraded-mode (partial-answer) behaviour.
+//!   [`wimpi_engine::backoff_s`] *simulated* seconds), reroutes, straggler
+//!   speculation, and degraded-mode (partial-answer) behaviour, beside the
+//!   fixed [`DETECT_S`] and [`STRAGGLER_THRESHOLD`].
 //!
 //! Everything here is about the simulated clock; no wall-clock time enters
 //! the model.
@@ -36,7 +38,7 @@ pub enum FaultKind {
     },
     /// The node still answers, but runs `multiplier`× slower (thermal
     /// throttling, a failing SD card). Subject to speculative re-execution
-    /// past [`RecoveryPolicy::straggler_threshold`].
+    /// past [`STRAGGLER_THRESHOLD`].
     SlowNode {
         /// Runtime multiplier, ≥ 1.
         multiplier: f64,
@@ -153,18 +155,24 @@ impl FaultPlan {
     }
 }
 
+/// Heartbeat timeout, in simulated seconds, before a crashed node's
+/// partition is reassigned.
+pub const DETECT_S: f64 = 0.2;
+
+/// A slow node past this multiple of the median runtime of the run's
+/// non-slow survivors gets a speculative copy of its partition on the
+/// least-loaded other node, when [`RecoveryPolicy::speculation`] is on. A
+/// query over replicated tables only measures its one partition against
+/// its own healthy runtime; a partitioned run with no non-slow survivor
+/// makes no copy.
+pub const STRAGGLER_THRESHOLD: f64 = 2.0;
+
 /// How the recovery engine responds to faults. All durations are simulated
 /// seconds priced alongside the hwsim/net models.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryPolicy {
     /// Retry budget for transient faults before the node is declared dead.
     pub max_retries: u32,
-    /// Heartbeat timeout before a crashed node's partition is reassigned.
-    pub detect_s: f64,
-    /// A node slower than `threshold × median` healthy-node runtime gets a
-    /// speculative copy of its partition launched on the least-loaded
-    /// survivor (when `speculation` is on).
-    pub straggler_threshold: f64,
     /// Enables speculative re-execution of stragglers.
     pub speculation: bool,
     /// Most lost partitions a single survivor may absorb before recovery
@@ -179,14 +187,7 @@ pub struct RecoveryPolicy {
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self {
-            max_retries: 3,
-            detect_s: 0.2,
-            straggler_threshold: 2.0,
-            speculation: true,
-            reassign_cap: usize::MAX,
-            degraded_ok: false,
-        }
+        Self { max_retries: 3, speculation: true, reassign_cap: usize::MAX, degraded_ok: false }
     }
 }
 

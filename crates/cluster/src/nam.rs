@@ -10,7 +10,6 @@
 //! merge).
 
 use crate::distribute::Strategy;
-use crate::faults::FaultPlan;
 use crate::{DistRun, Result, WimpiCluster};
 use wimpi_hwsim::{predict_all_cores, HwProfile};
 use wimpi_microbench::NetModel;
@@ -33,22 +32,11 @@ impl NamCluster {
     }
 
     /// Runs a query: Pi nodes execute their partitions exactly as in the
-    /// all-Pi deployment, but partials ship to the server, which merges
-    /// them with its own compute/bandwidth and without memory pressure.
+    /// all-Pi deployment, recovery included, but partials ship to the
+    /// server, which merges them with its own compute/bandwidth and without
+    /// memory pressure.
     pub fn run(&self, q: &QueryPlan, strategy: Strategy) -> Result<DistRun> {
-        self.run_with_faults(q, strategy, &FaultPlan::none())
-    }
-
-    /// [`Self::run`] under an injected fault schedule: worker-side recovery
-    /// (retries, reassignment, speculation) happens exactly as in the all-Pi
-    /// cluster; only the shipping and merge legs are re-priced on the server.
-    pub fn run_with_faults(
-        &self,
-        q: &QueryPlan,
-        strategy: Strategy,
-        faults: &FaultPlan,
-    ) -> Result<DistRun> {
-        let base = self.workers.run_with_faults(q, strategy, faults)?;
+        let base = self.workers.run(q, strategy)?;
         if base.nodes_used == 1 {
             // Single-node queries (Q13): NAM can host them on the server
             // outright — the §III-C1 "tasks that require a large amount of
@@ -59,17 +47,14 @@ impl NamCluster {
         }
         // Re-price the shipping and the merge on the server.
         let network_seconds = self.server_net.transfer_s(base.bytes_shipped);
-        let merge_prof = *base.node_profiles.last().expect("nodes ran");
-        // The recorded merge work is not kept separately in DistRun; the
-        // dominant terms are captured by re-running the merge predictor on
-        // the driver profile. Approximate with the same shape scaled by the
-        // server/pi rate ratio — exact for compute, conservative for memory.
+        // The merge's work is not kept separately in DistRun: scale the Pi
+        // driver's merge time by the server/Pi rate ratio — exact for
+        // compute, conservative for memory.
         let pi = wimpi_hwsim::pi3b();
         let rate_ratio = (self.server.olap_rate_1c()
             * self.server.effective_cores(self.server.threads))
             / (pi.olap_rate_1c() * pi.effective_cores(pi.threads));
         let merge_seconds = (base.merge_seconds / rate_ratio).min(base.merge_seconds);
-        let _ = merge_prof;
         Ok(DistRun { network_seconds, merge_seconds, ..base })
     }
 

@@ -374,7 +374,7 @@ impl Study {
             let mut row = Vec::with_capacity(CHOKEPOINT_QUERIES.len());
             for &q in &CHOKEPOINT_QUERIES {
                 let r = cluster
-                    .run_named(
+                    .run_with(
                         &format!("Q{q}"),
                         &query(q),
                         Strategy::PartialAggPushdown,
@@ -415,7 +415,7 @@ impl Study {
             let mut baseline_total = 0.0;
             for &q in &CHOKEPOINT_QUERIES {
                 let r = cluster
-                    .run_named(
+                    .run_with(
                         &format!("Q{q}"),
                         &query(q),
                         Strategy::PartialAggPushdown,
@@ -443,7 +443,7 @@ impl Study {
                 let mut cov = 1.0f64;
                 for &q in &CHOKEPOINT_QUERIES {
                     let r = cluster
-                        .run_named(
+                        .run_with(
                             &format!("Q{q}"),
                             &query(q),
                             Strategy::PartialAggPushdown,

@@ -78,7 +78,7 @@ fn main() {
     println!("{:<28} {:>9.4}s  (fault-free baseline)", "healthy", healthy.total_seconds());
     for (label, plan) in &drills {
         let run = cluster
-            .run_with_faults(&query(6), Strategy::PartialAggPushdown, plan)
+            .run_with("Q6", &query(6), Strategy::PartialAggPushdown, plan)
             .expect("recovers");
         println!(
             "{label:<28} {:>9.4}s  retries={} speculated={} moved={}",

@@ -105,7 +105,7 @@ fn single_node_failure_recovers_at_every_paper_scale() {
                 .run(&query(q), Strategy::PartialAggPushdown)
                 .unwrap_or_else(|e| panic!("Q{q}@{nodes} healthy failed: {e}"));
             let faulted = cluster
-                .run_with_faults(&query(q), Strategy::PartialAggPushdown, &plan)
+                .run_with(&format!("Q{q}"), &query(q), Strategy::PartialAggPushdown, &plan)
                 .unwrap_or_else(|e| panic!("Q{q}@{nodes} faulted failed: {e}"));
             assert_equivalent(q, &faulted.result, &healthy.result);
             assert!(
@@ -150,7 +150,7 @@ proptest! {
             .run(&query(q), Strategy::PartialAggPushdown)
             .expect("fault-free runs");
         let faulted = cluster
-            .run_with_faults(&query(q), Strategy::PartialAggPushdown, &plan)
+            .run_with(&format!("Q{q}"), &query(q), Strategy::PartialAggPushdown, &plan)
             .unwrap_or_else(|e| panic!("Q{q} under {plan:?} failed: {e}"));
         assert_equivalent(q, &faulted.result, &healthy.result);
         prop_assert!(!faulted.recovery.degraded);
@@ -195,7 +195,7 @@ proptest! {
             .run(&query(q), Strategy::PartialAggPushdown)
             .expect("fault-free runs");
         let faulted = cluster
-            .run_with_faults(&query(q), Strategy::PartialAggPushdown, &plan)
+            .run_with(&format!("Q{q}"), &query(q), Strategy::PartialAggPushdown, &plan)
             .unwrap_or_else(|e| panic!("Q{q} under {plan:?} failed: {e}"));
         // Bit-exact, not tolerance-based: the repair path re-executes on
         // pristine columns, so even floats must match exactly.

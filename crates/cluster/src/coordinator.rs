@@ -120,9 +120,8 @@ impl QueryRequest {
 pub struct Answer {
     /// The merged result (partial when `degraded`).
     pub result: Relation,
-    /// Fraction of lineitem rows the answer covers (1.0 unless degraded).
-    pub coverage: f64,
-    /// True when recovery was exhausted and the answer is partial.
+    /// True when recovery was exhausted and the answer is partial (the
+    /// fraction of lineitem rows it covers is `recovery.coverage`).
     pub degraded: bool,
     /// True when the answer came from the result cache without execution.
     pub from_cache: bool,
@@ -396,7 +395,9 @@ fn merge_recovery(a: RecoveryReport, b: RecoveryReport) -> RecoveryReport {
 }
 
 /// Maps a cluster failure onto the engine's typed errors so the service's
-/// ledger classifies it correctly (OOM → exhausted, the rest → failed).
+/// ledger classifies it correctly (OOM → exhausted, the rest → failed). A
+/// node OOM is reported against `budget: 0`, not the service's grant, so the
+/// service does not replay a query whose recovery the cluster already ran.
 fn to_engine(e: ClusterError) -> EngineError {
     match e {
         ClusterError::Engine(e) => e,
@@ -437,7 +438,6 @@ impl Coordinator {
                 self.inner.metrics.inc("coord_cache_answers_total", 1);
                 return Ok(Submitted::Cached(Answer {
                     result: rel,
-                    coverage: 1.0,
                     degraded: false,
                     from_cache: true,
                     sim_seconds: 0.0,
@@ -521,7 +521,6 @@ impl Inner {
             |a| &a.result,
             |a1, a2| Answer {
                 result: a2.result,
-                coverage: a1.coverage.min(a2.coverage),
                 degraded: a1.degraded || a2.degraded,
                 from_cache: false,
                 sim_seconds: a1.sim_seconds + a2.sim_seconds,
@@ -589,7 +588,6 @@ impl Inner {
         let sim_seconds = run.total_seconds();
         Ok(Answer {
             result: run.result,
-            coverage: run.recovery.coverage,
             degraded: run.recovery.degraded,
             from_cache: false,
             sim_seconds,
@@ -922,13 +920,36 @@ mod tests {
             .run_blocking(QueryRequest::new("q6-crash", query(6)).with_faults(FaultPlan::crash(0)))
             .expect("degrades instead of failing");
         assert!(a.degraded);
-        assert!(a.coverage < 1.0 && a.coverage > 0.0, "coverage {}", a.coverage);
+        let coverage = a.recovery.coverage;
+        assert!(coverage < 1.0 && coverage > 0.0, "coverage {coverage}");
         assert_eq!(coord.metrics().counter("coord_degraded_answers_total"), 1);
         // Degraded answers must never be cached.
         let b = coord.run_blocking(QueryRequest::new("q6-clean", query(6))).expect("serves");
         assert!(!b.from_cache, "a degraded answer must not satisfy later requests");
         assert!(!b.degraded);
         coord.shutdown();
+    }
+
+    #[test]
+    fn a_cluster_oom_is_served_once() {
+        // 256-byte nodes: the cluster's own governed retry cannot fit Q3
+        // either, so the run ends in `NodeOom` — a terminal the service
+        // must not replay at its full node budget.
+        let mut config = ClusterConfig::new(2, 0.01);
+        config.memory.mem_bytes = 256;
+        config.memory.os_reserve_bytes = 0;
+        let cl = Arc::new(WimpiCluster::build(config).expect("cluster builds"));
+        let coord = coordinator(&cl, CoordinatorConfig::default());
+        let err = coord.run_blocking(QueryRequest::new("q3", query(3))).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::Engine(EngineError::ResourceExhausted { .. })),
+            "{err}"
+        );
+        coord.shutdown();
+        assert_eq!(coord.metrics().counter("coord_subruns_total"), 2, "one run, two nodes");
+        let s = coord.service_metrics();
+        assert_eq!(s.counter("service_retries_total"), 0);
+        assert_eq!(s.counter("service_exhausted_total"), 1);
     }
 
     #[test]

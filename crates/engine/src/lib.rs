@@ -33,9 +33,7 @@ pub use governor::{BudgetParseError, CancelToken, MemoryReservation, QueryContex
 pub use params::{bind_params, bind_params_spanning, strip_params};
 pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PlanBuilder, SortKey};
 pub use relation::Relation;
-pub use service::{
-    backoff_s, QuerySpec, ScrubReport, Service, ServiceConfig, ServiceError, Ticket,
-};
+pub use service::{backoff_s, QuerySpec, Service, ServiceConfig, ServiceError, Ticket};
 pub use stats::WorkProfile;
 pub use wimpi_obs::{Span, Tracer};
 

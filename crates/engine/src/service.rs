@@ -18,24 +18,27 @@
 //! the node budget, and the shared tracker's high-water mark can never pass
 //! it. Waiting queries sit in a bounded FIFO queue split into a *small* and
 //! a *large* class (by estimate) so cheap choke-point queries are not stuck
-//! behind a giant build; a bypass cap (`max_small_bypass`) keeps the large
-//! head from starving. When the queue is full, [`Service::submit`] sheds the
-//! query with a typed [`ServiceError::Overloaded`] — never a panic, never an
-//! unbounded block.
+//! behind a giant build; a bypass cap (eight small admissions past a waiting
+//! large head) keeps the large head from starving. When the queue is full,
+//! [`Service::submit`] sheds the query with a typed
+//! [`ServiceError::Overloaded`] — never a panic, never an unbounded block.
 //!
 //! ## Retry, backoff, and determinism
 //!
-//! An attempt that ends in `ResourceExhausted` under its declared grant gets
-//! exactly one coordinator-decided retry, re-admitted at the *full node
-//! budget* — the same shape as the cluster's `budgeted_retry`: a governed
-//! run below physical capacity that lets joins and aggregates degrade to
-//! Grace-partitioned builds instead of dying. The retry's backoff delay is
-//! [`backoff_s`] — capped exponential **in simulated seconds** (pure
-//! arithmetic, recorded in the metrics histogram, never slept), the same
-//! function the cluster's recovery engine prices its retries with — so tests
-//! are deterministic and fast.
+//! An attempt that runs out of *its own grant* — `ResourceExhausted` whose
+//! `budget` is the grant it ran under — gets exactly one retry, re-admitted
+//! at the *full node budget*: a governed run below physical capacity that
+//! lets joins and aggregates degrade to Grace-partitioned builds instead of
+//! dying. An exhaustion reported against any other budget is final. A
+//! coordinator reports a cluster node's OOM that way, after the cluster's
+//! own recovery already ran, and replaying it would run the whole
+//! distributed query twice. A query whose cancel token fired is not retried.
+//! The retry's backoff delay is [`backoff_s`] — capped exponential **in
+//! simulated seconds** (pure arithmetic, recorded in the metrics histogram,
+//! never slept), the same function the cluster's recovery engine prices its
+//! retries with — so tests are deterministic and fast.
 //!
-//! Because a query's budget is decided by the coordinator (declared estimate
+//! Because a query's budget is decided by the service (declared estimate
 //! first, full node budget on the one retry) and never depends on what else
 //! is running, every governed run takes a deterministic path: any answer the
 //! service completes is bit-exact with the serial unconstrained run, at any
@@ -45,13 +48,17 @@
 //! ## Terminal outcomes
 //!
 //! Every submission resolves to exactly one of: an answer, `Overloaded`
-//! (shed at submit), `ResourceExhausted` (even the full-budget retry could
-//! not fit), or `Cancelled` (token, deadline, or shutdown drain). A panic
-//! inside a query is caught, its grant restored, and surfaced as the
-//! [`ServiceError::Panicked`] escape hatch rather than poisoning a worker.
-//! The accounting identity `submitted = completed + cancelled + exhausted +
-//! failed + panicked` holds at quiescence; sheds are counted separately
-//! because shed submissions are refused, not accepted.
+//! (shed at submit), `ResourceExhausted` (not its own grant, or even the
+//! full-budget retry could not fit), `Cancelled` ([`Ticket::cancel`],
+//! deadline, or shutdown drain), or the engine's other typed errors. An
+//! `Integrity` error is one of those: it is counted in
+//! `integrity_failures_total` and returned, never repaired here — repair is
+//! the cluster's (DESIGN.md §12). A panic inside a query is caught, its
+//! grant restored, and surfaced as the [`ServiceError::Panicked`] escape
+//! hatch rather than poisoning a worker. The accounting identity
+//! `submitted = completed + cancelled + exhausted + failed + panicked` holds
+//! at quiescence; sheds are counted separately because shed submissions are
+//! refused, not accepted.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,9 +67,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wimpi_obs::Registry;
-use wimpi_storage::integrity::{chunk_checksum, dict_checksum, IntegrityViolation};
-use wimpi_storage::morsel::morsel_ranges;
-use wimpi_storage::{Catalog, Column};
 
 use crate::error::EngineError;
 use crate::governor::{CancelToken, MemoryReservation, QueryContext, UNLIMITED};
@@ -77,9 +81,9 @@ const BACKOFF_BUCKETS: [f64; 5] = [0.05, 0.1, 0.25, 0.5, 1.0];
 
 /// The repo's one retry backoff — before retry number `attempt` (0-based),
 /// in **simulated** seconds: 0.05 s × 2^attempt, capped at 1 s. Pure
-/// arithmetic, never slept. The service's budget retry and chunk repairs
-/// and the cluster's transient-fault, repair and reroute retries all price
-/// their waits with it.
+/// arithmetic, never slept. The service's budget retry and the cluster's
+/// transient-fault, repair and reroute retries all price their waits with
+/// it.
 pub fn backoff_s(attempt: u32) -> f64 {
     (BACKOFF_BASE_S * 2f64.powi(attempt.min(30) as i32)).min(BACKOFF_CAP_S)
 }
@@ -87,6 +91,13 @@ pub fn backoff_s(attempt: u32) -> f64 {
 /// Histogram bounds for admission-wait and submit-to-terminal latency
 /// (wall seconds).
 const LATENCY_BUCKETS: [f64; 6] = [0.001, 0.01, 0.05, 0.25, 1.0, 10.0];
+
+/// Scratch estimate of a [`QuerySpec`] that declares none.
+const DEFAULT_ESTIMATE: u64 = 16 << 20;
+
+/// Small-class admissions that may bypass a waiting large-class head before
+/// the service admits only large queries until that head fits.
+const MAX_SMALL_BYPASS: u32 = 8;
 
 /// Tuning for a [`Service`].
 #[derive(Debug, Clone)]
@@ -102,26 +113,11 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Estimates at or below this many bytes queue in the small class.
     pub small_cutoff: u64,
-    /// How many small-class admissions may bypass a waiting large-class head
-    /// before the service stops admitting smalls until the head fits.
-    pub max_small_bypass: u32,
-    /// Whether an exhausted attempt gets the one full-node-budget retry.
-    pub budget_retry: bool,
-    /// Estimate used when a [`QuerySpec`] does not declare one.
-    pub default_estimate: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            node_budget: UNLIMITED,
-            workers: 4,
-            queue_depth: 64,
-            small_cutoff: 1 << 20,
-            max_small_bypass: 8,
-            budget_retry: true,
-            default_estimate: 16 << 20,
-        }
+        ServiceConfig { node_budget: UNLIMITED, workers: 4, queue_depth: 64, small_cutoff: 1 << 20 }
     }
 }
 
@@ -133,19 +129,16 @@ impl ServiceConfig {
     }
 }
 
-/// Per-submission declaration: label, scratch estimate, cancellation,
-/// optional deadline (measured from *admission*, not submit — queue wait
-/// does not burn a query's time budget).
+/// Per-submission declaration: label, scratch estimate, optional deadline
+/// (measured from *admission*, not submit — queue wait does not burn a
+/// query's time budget). Cancel through the returned [`Ticket`].
 #[derive(Debug, Clone, Default)]
 pub struct QuerySpec {
     /// Human-readable name for logs and error messages.
     pub label: String,
-    /// Declared/estimated scratch bytes (`None` → the config default). The
-    /// grant is clamped to the node budget.
+    /// Declared/estimated scratch bytes (`None` → 16 MiB). The grant is
+    /// clamped to the node budget.
     pub estimate: Option<u64>,
-    /// Cooperative cancellation token; cancelling it while queued resolves
-    /// the ticket without ever consuming budget.
-    pub cancel: CancelToken,
     /// Deadline applied once the query is admitted.
     pub timeout: Option<Duration>,
 }
@@ -162,29 +155,11 @@ impl QuerySpec {
         self
     }
 
-    /// Attaches an externally owned cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
     /// Gives the query a deadline `timeout` after admission.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
         self
     }
-}
-
-/// Outcome of one [`Service::scrub`] slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Chunk checksums verified in this slice.
-    pub checks: u64,
-    /// Violations found, each with the owning table named.
-    pub violations: Vec<(String, IntegrityViolation)>,
-    /// True when this slice reached the end of the catalog and the cursor
-    /// wrapped back to the start — one full scrub pass completed.
-    pub wrapped: bool,
 }
 
 /// Errors a submission can terminate with (beyond the engine's own).
@@ -251,11 +226,6 @@ impl<T> Ticket<T> {
         self.id
     }
 
-    /// The cancellation token shared with the running query.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Cancels the submission. A query still waiting in the admission queue
     /// is removed *synchronously* (it never consumes budget — no free worker
     /// is needed); a running query stops cooperatively at its next morsel
@@ -316,26 +286,9 @@ impl<T> TicketState<T> {
     }
 }
 
-/// How one attempt of a query ended, as seen by the scheduling worker.
-enum AttemptEnd {
-    /// Outcome already stored in the ticket (answer, cancellation, or a
-    /// non-retryable error).
-    Resolved(ResolvedKind),
-    /// `ResourceExhausted` under this attempt's grant; the coordinator
-    /// decides whether the query gets its one full-budget retry.
-    Exhausted(EngineError),
-    /// Scan-time verification caught silent corruption
-    /// (`EngineError::Integrity`); the coordinator may invoke the installed
-    /// repairer and grant the one repair-and-retry.
-    Corrupted(EngineError),
-}
-
-#[derive(Clone, Copy)]
-enum ResolvedKind {
-    Completed,
-    Cancelled,
-    Failed,
-}
+/// One attempt of a query: an answer goes straight into the ticket, an
+/// error comes back for the worker to route.
+type Attempt = dyn Fn(&QueryContext) -> crate::error::Result<()> + Send;
 
 /// One queued submission, type-erased. `run` is re-invocable because the one
 /// budget retry re-executes the same closure under a bigger grant.
@@ -343,14 +296,10 @@ struct Pending {
     id: u64,
     label: String,
     grant: u64,
-    attempt: u32,
-    /// Repair-and-retries already spent (capped at one, independently of
-    /// the one budget retry `attempt` counts).
-    repairs: u32,
     cancel: CancelToken,
     timeout: Option<Duration>,
     submitted: Instant,
-    run: Box<dyn Fn(&QueryContext) -> AttemptEnd + Send>,
+    run: Box<Attempt>,
     resolve_err: Box<dyn FnOnce(ServiceError) + Send>,
 }
 
@@ -365,23 +314,12 @@ struct Inner {
     next_id: u64,
 }
 
-/// The pluggable repair hook: receives the `EngineError::Integrity` a query
-/// tripped over and returns `true` once the underlying storage has been
-/// restored (e.g. the corrupt table regenerated and re-sealed), at which
-/// point the coordinator grants the one repair-and-retry.
-type Repairer = Arc<dyn Fn(&EngineError) -> bool + Send + Sync>;
-
 struct Shared {
     state: Mutex<Inner>,
     work: Condvar,
     node: MemoryReservation,
     metrics: Registry,
     cfg: ServiceConfig,
-    repairer: Mutex<Option<Repairer>>,
-    /// Background-scrubber resume point: a flat index into the catalog's
-    /// (table, column, chunk) units, persisted across [`Service::scrub`]
-    /// slices.
-    scrub_cursor: Mutex<u64>,
 }
 
 impl Shared {
@@ -453,8 +391,6 @@ impl Service {
             node: MemoryReservation::with_budget(cfg.node_budget),
             metrics: Registry::new(),
             cfg,
-            repairer: Mutex::new(None),
-            scrub_cursor: Mutex::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -479,27 +415,13 @@ impl Service {
         F: Fn(&QueryContext) -> crate::error::Result<T> + Send + 'static,
     {
         let cfg = &self.shared.cfg;
-        let grant = spec.estimate.unwrap_or(cfg.default_estimate).max(1).min(cfg.node_budget);
+        let grant = spec.estimate.unwrap_or(DEFAULT_ESTIMATE).max(1).min(cfg.node_budget);
         let state = Arc::new(TicketState { slot: Mutex::new(None), cv: Condvar::new() });
         let run_state = Arc::clone(&state);
-        let run = Box::new(move |ctx: &QueryContext| match f(ctx) {
-            Ok(v) => {
-                run_state.resolve(Ok(v));
-                AttemptEnd::Resolved(ResolvedKind::Completed)
-            }
-            Err(e @ EngineError::ResourceExhausted { .. }) => AttemptEnd::Exhausted(e),
-            Err(e @ EngineError::Integrity { .. }) => AttemptEnd::Corrupted(e),
-            Err(EngineError::Cancelled) => {
-                run_state.resolve(Err(ServiceError::Engine(EngineError::Cancelled)));
-                AttemptEnd::Resolved(ResolvedKind::Cancelled)
-            }
-            Err(e) => {
-                run_state.resolve(Err(ServiceError::Engine(e)));
-                AttemptEnd::Resolved(ResolvedKind::Failed)
-            }
-        });
+        let run = Box::new(move |ctx: &QueryContext| f(ctx).map(|v| run_state.resolve(Ok(v))));
         let err_state = Arc::clone(&state);
         let resolve_err = Box::new(move |e: ServiceError| err_state.resolve(Err(e)));
+        let cancel = CancelToken::new();
 
         let mut st = self.shared.state.lock().unwrap();
         if st.shutdown {
@@ -519,9 +441,7 @@ impl Service {
             id,
             label: spec.label,
             grant,
-            attempt: 0,
-            repairs: 0,
-            cancel: spec.cancel.clone(),
+            cancel: cancel.clone(),
             timeout: spec.timeout,
             submitted: Instant::now(),
             run,
@@ -536,7 +456,7 @@ impl Service {
         self.shared.update_queue_gauges(&st);
         drop(st);
         self.shared.work.notify_all();
-        Ok(Ticket { state, shared: Arc::clone(&self.shared), cancel: spec.cancel, id })
+        Ok(Ticket { state, shared: Arc::clone(&self.shared), cancel, id })
     }
 
     /// [`submit`](Service::submit) + [`Ticket::wait`].
@@ -579,106 +499,6 @@ impl Service {
     /// The configured node budget.
     pub fn node_budget(&self) -> u64 {
         self.shared.cfg.node_budget
-    }
-
-    /// Installs (or replaces) the integrity repairer: a hook the
-    /// coordinator invokes when a query's scan trips an
-    /// [`EngineError::Integrity`]. Returning `true` means the storage was
-    /// restored and the query earns its one repair-and-retry; `false` (or
-    /// no hook) fails the query with the typed error.
-    pub fn set_repairer<F>(&self, f: F)
-    where
-        F: Fn(&EngineError) -> bool + Send + Sync + 'static,
-    {
-        *self.shared.repairer.lock().unwrap() = Some(Arc::new(f));
-    }
-
-    /// One cooperative slice of the background scrubber: verifies up to
-    /// `max_chunks` sealed chunk checksums against `catalog`'s resident
-    /// bytes, resuming where the previous slice stopped (the cursor
-    /// persists across calls and wraps at the end of the catalog).
-    ///
-    /// Runs under the caller's [`QueryContext`], so the governor's
-    /// cancellation token and deadline apply at chunk granularity — a
-    /// scrubber sharing a node with foreground queries yields at the next
-    /// chunk boundary, and progress made before an interruption is kept.
-    /// Checks and violations are folded into `integrity_checks_total` /
-    /// `integrity_failures_total`.
-    pub fn scrub(
-        &self,
-        catalog: &Catalog,
-        max_chunks: u64,
-        ctx: &QueryContext,
-    ) -> crate::error::Result<ScrubReport> {
-        // Flat, deterministic unit list: every (table, column, data chunk)
-        // plus each dictionary pseudo-chunk, in catalog (sorted) order.
-        let mut units: Vec<(String, usize, usize)> = Vec::new();
-        for name in catalog.names() {
-            let t = catalog.table(name)?;
-            let Some(m) = t.manifest() else { continue };
-            for (ci, f) in t.schema().fields().iter().enumerate() {
-                let Some(sealed) = m.column(&f.name) else { continue };
-                for chunk in 0..sealed.chunks.len() {
-                    units.push((name.to_string(), ci, chunk));
-                }
-                if sealed.dict.is_some() {
-                    units.push((name.to_string(), ci, sealed.chunks.len()));
-                }
-            }
-        }
-        let mut report = ScrubReport::default();
-        if units.is_empty() {
-            return Ok(report);
-        }
-        let mut cursor = self.shared.scrub_cursor.lock().unwrap();
-        let start = (*cursor as usize) % units.len();
-        let outcome = (|| {
-            for i in 0..(max_chunks as usize).min(units.len()) {
-                ctx.checkpoint()?;
-                let (name, ci, chunk) = &units[(start + i) % units.len()];
-                let t = catalog.table(name)?;
-                let m = t.manifest().expect("unit listed only for sealed tables");
-                let col = t.column(*ci);
-                let field = &t.schema().fields()[*ci];
-                let sealed = m.column(&field.name).expect("unit listed only for sealed columns");
-                let (expected, actual) = if *chunk == sealed.chunks.len() {
-                    let d = match col.as_ref() {
-                        Column::Str(d) => d,
-                        _ => unreachable!("dict pseudo-chunk implies a Str column"),
-                    };
-                    (sealed.dict.unwrap_or(0), dict_checksum(d))
-                } else {
-                    let r = morsel_ranges(col.len(), m.chunk_rows())
-                        .get(*chunk)
-                        .cloned()
-                        .unwrap_or(0..0);
-                    (sealed.chunks[*chunk], chunk_checksum(col.as_ref(), r))
-                };
-                report.checks += 1;
-                if expected != actual {
-                    report.violations.push((
-                        name.clone(),
-                        IntegrityViolation {
-                            column: field.name.clone(),
-                            chunk: *chunk,
-                            expected,
-                            actual,
-                        },
-                    ));
-                }
-                let next = (start + i + 1) % units.len();
-                if next == 0 {
-                    report.wrapped = true;
-                }
-                *cursor = next as u64;
-            }
-            Ok(())
-        })();
-        self.shared.metrics.inc("integrity_checks_total", report.checks);
-        if !report.violations.is_empty() {
-            self.shared.metrics.inc("integrity_failures_total", report.violations.len() as u64);
-        }
-        outcome.map(|()| report)
     }
 
     /// Stops admissions, resolves every queued submission as `Cancelled`,
@@ -731,10 +551,10 @@ impl Drop for Service {
 
 /// Picks the next admissible query under the class policy and carves its
 /// grant. Small-first FIFO until the large head has been bypassed
-/// `max_small_bypass` times; then large-only until that head admits, so big
-/// queries cannot starve behind a stream of small ones.
+/// [`MAX_SMALL_BYPASS`] times; then large-only until that head admits, so
+/// big queries cannot starve behind a stream of small ones.
 fn admit_one(shared: &Arc<Shared>, st: &mut Inner) -> Option<(Pending, Grant)> {
-    let small_first = st.large.front().is_none() || st.large_bypass < shared.cfg.max_small_bypass;
+    let small_first = st.large.front().is_none() || st.large_bypass < MAX_SMALL_BYPASS;
     let classes: &[bool] = if small_first { &[true, false] } else { &[false] };
     for &small in classes {
         let queue = if small { &mut st.small } else { &mut st.large };
@@ -765,45 +585,21 @@ fn admit_one(shared: &Arc<Shared>, st: &mut Inner) -> Option<(Pending, Grant)> {
     None
 }
 
-/// Sweeps externally cancelled submissions out of both queues, resolving
-/// each as `Cancelled` without ever reserving its grant. (Cancellation via
-/// [`Ticket::cancel`] removes the entry synchronously; this sweep catches
-/// tokens cancelled directly.)
-fn purge_cancelled(shared: &Shared, st: &mut Inner) {
-    let mut removed = Vec::new();
-    for q in [&mut st.small, &mut st.large] {
-        let mut i = 0;
-        while i < q.len() {
-            if q[i].cancel.is_cancelled() {
-                removed.push(q.remove(i).expect("index checked"));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    if !removed.is_empty() {
-        shared.update_queue_gauges(st);
-    }
-    for p in removed {
-        shared.metrics.inc("service_cancelled_total", 1);
-        (p.resolve_err)(ServiceError::Engine(EngineError::Cancelled));
-    }
-}
-
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let admitted = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                purge_cancelled(&shared, &mut st);
                 if let Some(pair) = admit_one(&shared, &mut st) {
                     break Some(pair);
                 }
                 if st.shutdown && st.small.is_empty() && st.large.is_empty() {
                     break None;
                 }
-                // The timeout is belt-and-braces against a lost wakeup (e.g.
-                // an external token cancelled without nudging the service).
+                // A dropped `Grant` returns its bytes to the node reservation
+                // without this lock, so its wakeup can land between the
+                // failed `try_reserve` above and this wait; the timeout
+                // bounds that lost wakeup.
                 let (next, _) = shared.work.wait_timeout(st, Duration::from_millis(50)).unwrap();
                 st = next;
             }
@@ -814,7 +610,7 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 /// Runs one admitted attempt and routes its end: resolve, or re-queue for
-/// the single full-budget retry.
+/// the one full-budget retry.
 fn run_admitted(shared: &Arc<Shared>, p: Pending, grant: Grant) {
     let mut ctx = QueryContext::with_budget(p.grant).with_cancel_token(p.cancel.clone());
     if let Some(t) = p.timeout {
@@ -826,114 +622,56 @@ fn run_admitted(shared: &Arc<Shared>, p: Pending, grant: Grant) {
         shared.metrics.inc("integrity_checks_total", checks);
     }
     drop(ctx);
+    drop(grant); // return the carve before resolving or re-admitting
 
-    match end {
-        Err(payload) => {
-            drop(grant);
-            shared.metrics.inc("service_panicked_total", 1);
-            let msg = format!("{}: {}", p.label, panic_message(payload.as_ref()));
-            (p.resolve_err)(ServiceError::Panicked(msg));
-            finish_in_flight(shared, p.id, p.submitted);
-        }
-        Ok(AttemptEnd::Resolved(kind)) => {
-            drop(grant);
-            let counter = match kind {
-                ResolvedKind::Completed => "service_completed_total",
-                ResolvedKind::Cancelled => "service_cancelled_total",
-                ResolvedKind::Failed => "service_failed_total",
-            };
-            shared.metrics.inc(counter, 1);
-            finish_in_flight(shared, p.id, p.submitted);
-        }
-        Ok(AttemptEnd::Exhausted(err)) => {
-            drop(grant); // return the declared carve before re-admission
-            let retry = p.attempt == 0
-                && shared.cfg.budget_retry
-                && p.grant < shared.cfg.node_budget
-                && !p.cancel.is_cancelled();
-            if retry {
-                let backoff = backoff_s(p.attempt);
-                shared.metrics.inc("service_retries_total", 1);
-                shared.metrics.observe("service_backoff_sim_seconds", &BACKOFF_BUCKETS, backoff);
-                let retried =
-                    Pending { attempt: p.attempt + 1, grant: shared.cfg.node_budget, ..p };
+    let (counter, err): (&str, Option<ServiceError>) = match end {
+        Ok(Ok(())) => ("service_completed_total", None),
+        Ok(Err(e @ EngineError::Cancelled)) => ("service_cancelled_total", Some(e.into())),
+        Ok(Err(e @ EngineError::ResourceExhausted { budget, .. })) => {
+            // Only this attempt's own grant running out earns the retry; an
+            // exhaustion of any other budget is final.
+            if budget == p.grant && p.grant < shared.cfg.node_budget {
                 let mut st = shared.state.lock().unwrap();
-                st.in_flight -= 1;
-                st.in_flight_tokens.retain(|(id, _)| *id != retried.id);
-                if st.shutdown {
-                    shared.update_queue_gauges(&st);
-                    drop(st);
-                    shared.metrics.inc("service_cancelled_total", 1);
-                    (retried.resolve_err)(ServiceError::Engine(EngineError::Cancelled));
-                } else {
+                // `Ticket::cancel` and `shutdown` fire the token before they
+                // take this lock to look for the query in the queue, so a
+                // racing cancel either stops the retry here or removes it.
+                if !p.cancel.is_cancelled() {
+                    st.in_flight -= 1;
+                    st.in_flight_tokens.retain(|(id, _)| *id != p.id);
+                    shared.metrics.inc("service_retries_total", 1);
+                    let backoff = backoff_s(0);
+                    shared.metrics.observe(
+                        "service_backoff_sim_seconds",
+                        &BACKOFF_BUCKETS,
+                        backoff,
+                    );
                     // The retried query has already waited its turn once:
                     // re-admit it at the head of the big-query class.
-                    st.large.push_front(retried);
+                    st.large.push_front(Pending { grant: shared.cfg.node_budget, ..p });
                     shared.update_queue_gauges(&st);
                     drop(st);
                     shared.work.notify_all();
+                    return;
                 }
-            } else {
-                shared.metrics.inc("service_exhausted_total", 1);
-                (p.resolve_err)(ServiceError::Engine(err));
-                finish_in_flight(shared, p.id, p.submitted);
             }
+            ("service_exhausted_total", Some(e.into()))
         }
-        Ok(AttemptEnd::Corrupted(err)) => {
-            drop(grant);
-            shared.metrics.inc("integrity_failures_total", 1);
-            let repairer = shared.repairer.lock().unwrap().clone();
-            let eligible = p.repairs == 0 && !p.cancel.is_cancelled();
-            let repaired = match (repairer, eligible) {
-                (Some(repair), true) => {
-                    let started = Instant::now();
-                    let ok = repair(&err);
-                    if ok {
-                        shared.metrics.inc("integrity_repairs_total", 1);
-                        shared.metrics.observe(
-                            "integrity_repair_seconds",
-                            &LATENCY_BUCKETS,
-                            started.elapsed().as_secs_f64(),
-                        );
-                    }
-                    ok
-                }
-                _ => false,
-            };
-            if repaired {
-                // One repair-and-retry, mirroring the budget retry's shape:
-                // simulated backoff, then head-of-class re-admission with
-                // the same grant (the query's memory needs didn't change).
-                let backoff = backoff_s(p.repairs);
-                shared.metrics.observe("service_backoff_sim_seconds", &BACKOFF_BUCKETS, backoff);
-                let retried = Pending { repairs: p.repairs + 1, ..p };
-                let mut st = shared.state.lock().unwrap();
-                st.in_flight -= 1;
-                st.in_flight_tokens.retain(|(id, _)| *id != retried.id);
-                if st.shutdown {
-                    shared.update_queue_gauges(&st);
-                    drop(st);
-                    shared.metrics.inc("service_cancelled_total", 1);
-                    (retried.resolve_err)(ServiceError::Engine(EngineError::Cancelled));
-                } else {
-                    if retried.grant <= shared.cfg.small_cutoff {
-                        st.small.push_front(retried);
-                    } else {
-                        st.large.push_front(retried);
-                    }
-                    shared.update_queue_gauges(&st);
-                    drop(st);
-                    shared.work.notify_all();
-                }
-            } else {
-                // No repairer, repair refused, or the one repair already
-                // spent: surface the typed error.
-                shared.metrics.inc("service_failed_total", 1);
-                (p.resolve_err)(ServiceError::Engine(err));
-                finish_in_flight(shared, p.id, p.submitted);
+        Ok(Err(e)) => {
+            if matches!(e, EngineError::Integrity { .. }) {
+                shared.metrics.inc("integrity_failures_total", 1);
             }
+            ("service_failed_total", Some(e.into()))
         }
+        Err(payload) => {
+            let msg = format!("{}: {}", p.label, panic_message(payload.as_ref()));
+            ("service_panicked_total", Some(ServiceError::Panicked(msg)))
+        }
+    };
+    shared.metrics.inc(counter, 1);
+    if let Some(err) = err {
+        (p.resolve_err)(err);
     }
+    finish_in_flight(shared, p.id, p.submitted);
 }
 
 fn finish_in_flight(shared: &Shared, id: u64, submitted: Instant) {
@@ -967,13 +705,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn tiny(workers: usize, node_budget: u64, queue_depth: usize) -> Service {
-        Service::new(ServiceConfig {
-            workers,
-            node_budget,
-            queue_depth,
-            small_cutoff: 256,
-            ..ServiceConfig::default()
-        })
+        Service::new(ServiceConfig { workers, node_budget, queue_depth, small_cutoff: 256 })
     }
 
     /// A job that blocks until the returned sender is dropped or pinged,
@@ -1016,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_attempt_gets_one_full_budget_retry() {
+    fn an_exhausted_grant_is_retried_once_at_the_node_budget() {
         let svc = tiny(1, 1000, 8);
         let attempts = Arc::new(AtomicU32::new(0));
         let a = Arc::clone(&attempts);
@@ -1183,28 +915,58 @@ mod tests {
     }
 
     #[test]
+    fn an_exhaustion_of_another_budget_runs_once() {
+        // A coordinator reports a cluster node's OOM against `budget: 0`:
+        // the cluster already ran its recovery, so the service must not
+        // replay the query at the full node budget.
+        let svc = tiny(1, 1 << 20, 8);
+        let attempts = Arc::new(AtomicU32::new(0));
+        let a = Arc::clone(&attempts);
+        let err = svc
+            .run_blocking(QuerySpec::new("cluster oom").with_estimate(1 << 10), move |_ctx| {
+                a.fetch_add(1, Ordering::SeqCst);
+                Err::<u32, _>(EngineError::ResourceExhausted {
+                    requested: 1 << 30,
+                    budget: 0,
+                    operator: "cluster node".into(),
+                })
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, ServiceError::Engine(EngineError::ResourceExhausted { budget: 0, .. })),
+            "{err}"
+        );
+        assert_eq!(attempts.load(Ordering::SeqCst), 1, "not its grant: no retry");
+        svc.shutdown();
+        assert_eq!(svc.metrics().counter("service_retries_total"), 0);
+        assert_eq!(svc.metrics().counter("service_exhausted_total"), 1);
+    }
+
+    #[test]
     fn small_class_bypasses_large_but_not_forever() {
         let svc = Service::new(ServiceConfig {
             workers: 1,
             node_budget: 1000,
             queue_depth: 64,
             small_cutoff: 100,
-            max_small_bypass: 2,
-            ..ServiceConfig::default()
         });
         let order = Arc::new(Mutex::new(Vec::new()));
         let ran = Arc::new(AtomicU32::new(0));
         let (gate, job) = gate_job(Arc::clone(&ran));
         let busy = svc.submit(QuerySpec::new("busy").with_estimate(50), job).expect("admits");
         spin_until_running(&ran);
-        // While the single worker is pinned: queue one large then several
-        // smalls. With max_small_bypass = 2, execution must go s1, s2, L, s3.
+        // While the single worker is pinned: queue one large, then one more
+        // small than the bypass cap lets past it. Execution must go
+        // s1 … s{cap}, L, s{cap + 1}.
+        let cap = MAX_SMALL_BYPASS as usize;
+        let mut queued = vec![("L".to_string(), 900u64)];
+        queued.extend((1..=cap + 1).map(|i| (format!("s{i}"), 10)));
         let mut tickets = Vec::new();
-        for (label, est) in [("L", 900u64), ("s1", 10), ("s2", 10), ("s3", 10)] {
+        for (label, est) in queued {
             let o = Arc::clone(&order);
             tickets.push(
-                svc.submit(QuerySpec::new(label).with_estimate(est), move |_| {
-                    o.lock().unwrap().push(label);
+                svc.submit(QuerySpec::new(label.clone()).with_estimate(est), move |_| {
+                    o.lock().unwrap().push(label.clone());
                     Ok(0u32)
                 })
                 .expect("queues"),
@@ -1215,8 +977,10 @@ mod tests {
         for t in tickets {
             t.wait().expect("all queued queries run");
         }
-        let got = order.lock().unwrap().clone();
-        assert_eq!(got, vec!["s1", "s2", "L", "s3"], "bypass cap admits the large head");
+        let mut expected: Vec<String> = (1..=cap).map(|i| format!("s{i}")).collect();
+        expected.push("L".to_string());
+        expected.push(format!("s{}", cap + 1));
+        assert_eq!(*order.lock().unwrap(), expected, "bypass cap admits the large head");
         svc.shutdown();
     }
 
@@ -1253,151 +1017,28 @@ mod tests {
         assert_eq!(svc.metrics().counter("service_completed_total"), 32);
     }
 
-    fn integrity_err() -> EngineError {
-        EngineError::Integrity {
-            table: "t".into(),
-            column: "k".into(),
-            chunk: 0,
-            expected: 1,
-            actual: 2,
-        }
-    }
-
     #[test]
-    fn corrupted_query_gets_one_repair_and_retry() {
+    fn an_integrity_error_fails_typed_and_is_counted() {
+        // Repair is the cluster's; the service returns the typed error.
         let svc = tiny(1, 1000, 8);
-        let repaired = Arc::new(AtomicU32::new(0));
-        let hook_flag = Arc::clone(&repaired);
-        svc.set_repairer(move |e| {
-            assert!(matches!(e, EngineError::Integrity { .. }));
-            hook_flag.fetch_add(1, Ordering::SeqCst);
-            true
-        });
-        let probe = Arc::clone(&repaired);
-        let out = svc
+        let attempts = Arc::new(AtomicU32::new(0));
+        let a = Arc::clone(&attempts);
+        let err = svc
             .run_blocking(QuerySpec::new("q").with_estimate(100), move |_ctx| {
-                if probe.load(Ordering::SeqCst) == 0 {
-                    Err(integrity_err())
-                } else {
-                    Ok(7u32)
-                }
+                a.fetch_add(1, Ordering::SeqCst);
+                Err::<u32, _>(EngineError::Integrity {
+                    table: "t".into(),
+                    column: "k".into(),
+                    chunk: 0,
+                    expected: 1,
+                    actual: 2,
+                })
             })
-            .expect("repair-and-retry succeeds");
-        assert_eq!(out, 7);
-        assert_eq!(repaired.load(Ordering::SeqCst), 1, "repairer ran exactly once");
-        svc.shutdown();
-        let m = svc.metrics();
-        assert_eq!(m.counter("integrity_failures_total"), 1);
-        assert_eq!(m.counter("integrity_repairs_total"), 1);
-        assert_eq!(m.counter("service_completed_total"), 1);
-        assert_eq!(m.counter("service_failed_total"), 0);
-        assert!(m.render().contains("integrity_repair_seconds"));
-    }
-
-    #[test]
-    fn corruption_without_a_repairer_fails_typed() {
-        let svc = tiny(1, 1000, 8);
-        let err = svc
-            .run_blocking(QuerySpec::new("q").with_estimate(100), |_ctx| {
-                Err::<u32, _>(integrity_err())
-            })
-            .expect_err("no repairer installed");
+            .expect_err("an integrity error is terminal");
         assert!(matches!(err, ServiceError::Engine(EngineError::Integrity { .. })), "{err}");
+        assert_eq!(attempts.load(Ordering::SeqCst), 1, "never retried");
         svc.shutdown();
         assert_eq!(svc.metrics().counter("integrity_failures_total"), 1);
-        assert_eq!(svc.metrics().counter("integrity_repairs_total"), 0);
         assert_eq!(svc.metrics().counter("service_failed_total"), 1);
-    }
-
-    #[test]
-    fn persistent_corruption_is_repaired_at_most_once() {
-        let svc = tiny(1, 1000, 8);
-        let repairs = Arc::new(AtomicU32::new(0));
-        let hook_flag = Arc::clone(&repairs);
-        svc.set_repairer(move |_| {
-            hook_flag.fetch_add(1, Ordering::SeqCst);
-            true
-        });
-        let err = svc
-            .run_blocking(QuerySpec::new("q").with_estimate(100), |_ctx| {
-                // Keeps failing even after the "repair": the coordinator
-                // must not loop.
-                Err::<u32, _>(integrity_err())
-            })
-            .expect_err("second corruption is terminal");
-        assert!(matches!(err, ServiceError::Engine(EngineError::Integrity { .. })), "{err}");
-        assert_eq!(repairs.load(Ordering::SeqCst), 1);
-        svc.shutdown();
-        assert_eq!(svc.metrics().counter("integrity_failures_total"), 2);
-        assert_eq!(svc.metrics().counter("integrity_repairs_total"), 1);
-        assert_eq!(svc.metrics().counter("service_failed_total"), 1);
-    }
-
-    fn sealed_scrub_catalog(rows: usize) -> Catalog {
-        use wimpi_storage::{DataType, Field, Schema, Table};
-        let schema =
-            Schema::new(vec![Field::new("k", DataType::Int64), Field::new("v", DataType::Int64)]);
-        let t = Table::new(
-            schema,
-            vec![
-                Column::Int64((0..rows as i64).collect()),
-                Column::Int64((0..rows as i64).map(|x| x * 3).collect()),
-            ],
-        )
-        .unwrap()
-        .with_integrity();
-        let mut cat = Catalog::new();
-        cat.register("t", t);
-        cat
-    }
-
-    #[test]
-    fn scrubber_passes_a_clean_catalog_and_wraps() {
-        let svc = tiny(1, 1000, 8);
-        let cat = sealed_scrub_catalog(100);
-        let ctx = QueryContext::new();
-        let r = svc.scrub(&cat, 64, &ctx).unwrap();
-        assert_eq!(r.checks, 2, "two columns, one chunk each");
-        assert!(r.violations.is_empty());
-        assert!(r.wrapped);
-        assert_eq!(svc.metrics().counter("integrity_checks_total"), 2);
-    }
-
-    #[test]
-    fn scrubber_finds_corruption_and_resumes_across_slices() {
-        let svc = tiny(1, 1000, 8);
-        let mut cat = sealed_scrub_catalog(100);
-        // Corrupt column "v" (unit index 1) while keeping the sealed
-        // manifest, exactly as a BitFlip fault would.
-        let t = Arc::clone(cat.table("t").unwrap());
-        let dirty = wimpi_storage::integrity::flip_bits(t.column(1).as_ref(), 0..100, 1, 42);
-        cat.register("t", t.with_replaced_column(1, dirty).unwrap());
-        let ctx = QueryContext::new();
-        // Slice 1 covers only "k": clean, no wrap.
-        let first = svc.scrub(&cat, 1, &ctx).unwrap();
-        assert_eq!((first.checks, first.violations.len(), first.wrapped), (1, 0, false));
-        // Slice 2 resumes at "v" and trips over the flip.
-        let second = svc.scrub(&cat, 1, &ctx).unwrap();
-        assert_eq!(second.checks, 1);
-        assert_eq!(second.violations.len(), 1);
-        assert!(second.wrapped, "cursor wrapped after the last unit");
-        let (table, v) = &second.violations[0];
-        assert_eq!((table.as_str(), v.column.as_str(), v.chunk), ("t", "v", 0));
-        assert_ne!(v.expected, v.actual);
-        assert_eq!(svc.metrics().counter("integrity_failures_total"), 1);
-    }
-
-    #[test]
-    fn scrubber_respects_cancellation_but_keeps_progress() {
-        let svc = tiny(1, 1000, 8);
-        let cat = sealed_scrub_catalog(100);
-        let token = CancelToken::new();
-        let ctx = QueryContext::new().with_cancel_token(token.clone());
-        token.cancel();
-        let err = svc.scrub(&cat, 64, &ctx).unwrap_err();
-        assert_eq!(err, EngineError::Cancelled);
-        // A fresh context picks up at the persisted cursor.
-        let r = svc.scrub(&cat, 64, &QueryContext::new()).unwrap();
-        assert_eq!(r.checks, 2);
     }
 }

@@ -123,8 +123,7 @@ impl IntegrityManifest {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// Total chunk checksums held (data chunks + dictionary pseudo-chunks)
-    /// — the unit the background scrubber budgets in.
+    /// Total chunk checksums held (data chunks + dictionary pseudo-chunks).
     pub fn total_chunks(&self) -> usize {
         self.columns.iter().map(|c| c.chunks.len() + usize::from(c.dict.is_some())).sum()
     }

@@ -37,7 +37,6 @@ fn main() {
         workers,
         queue_depth: 32,
         small_cutoff: 256 << 10,
-        ..ServiceConfig::default()
     });
 
     // Act 1 — a burst of choke-point queries with deliberately tight

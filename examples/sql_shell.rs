@@ -26,8 +26,9 @@
 //! Integrity: `SET verify_checksums = on` seals an integrity manifest over
 //! every table (first time only) and verifies each scan against it — a
 //! corrupt chunk fails the query with a typed violation instead of silently
-//! skewing the answer. `\metrics` includes the `integrity_*` counters in
-//! both direct and service mode.
+//! skewing the answer. `\metrics` includes `integrity_checks_total` and
+//! `integrity_failures_total` in both direct and service mode. Neither mode
+//! repairs or retries a violation: repair is the cluster's (DESIGN.md §12).
 //!
 //! Execution: `SET executor = fused | materialize` switches between the
 //! materializing operator-at-a-time interpreter and the fused

@@ -113,12 +113,11 @@ fn cancellation_suppresses_the_budget_retry() {
         });
         let attempts = Arc::new(AtomicU32::new(0));
         let a = Arc::clone(&attempts);
-        let spec = QuerySpec::new("self-cancelling");
-        let token = spec.cancel.clone();
+        let spec = QuerySpec::new("self-cancelling").with_estimate(1_000);
         let err = svc
-            .run_blocking(spec.with_estimate(1_000), move |ctx| {
+            .run_blocking(spec, move |ctx| {
                 a.fetch_add(1, Ordering::SeqCst);
-                token.cancel(); // fires mid-attempt, before the exhaustion
+                ctx.cancel.cancel(); // fires mid-attempt, before the exhaustion
                 ctx.reserve(500_000, "big build").map(|_| 0u64)
             })
             .expect_err("cannot succeed under a 1 KB grant");
@@ -163,7 +162,6 @@ fn service_answers_are_bit_exact_with_serial_unconstrained_runs() {
             workers,
             queue_depth: 64,
             small_cutoff: 64 << 10,
-            ..ServiceConfig::default()
         });
         let mut tickets = Vec::new();
         for round in 0..2 {
@@ -227,7 +225,6 @@ fn contended_closed_loop_never_oversubscribes_and_tallies_match_the_ledger() {
         workers: 2,
         queue_depth: QUEUE_DEPTH,
         small_cutoff: estimate,
-        ..ServiceConfig::default()
     });
 
     // [completed, shed, exhausted, cancelled], summed over the clients.

@@ -1,16 +1,16 @@
-//! Group-by aggregation: one morsel-driven fold, under both executors.
+//! Group-by aggregation: one morsel-driven fold, under both price lists.
 //!
-//! [`exec_aggregate`] is the fused pipeline of DESIGN.md §13 with no filter
-//! conjunct; `fused::exec_fused` runs the same `fold` with the conjuncts it
-//! peeled off the plan. Group keys and aggregate inputs are arbitrary
+//! The interpreter hands [`exec_aggregate`] an aggregate's source together
+//! with the `Filter` chain beneath it, whose conjuncts the fold runs per
+//! morsel (DESIGN.md §13). Group keys and aggregate inputs are arbitrary
 //! expressions, compiled once into [`Program`]s. Each worker takes one morsel
 //! of the source — a dense range, or the rows the conjuncts kept — evaluates
 //! the key programs into pooled slot buffers, resolves every row's group
 //! once, then evaluates and sweeps one aggregate input at a time with the
 //! accumulator dispatch outside the row loop. No intermediate column exists
-//! between the source and the fold. `Executor` decides only what the
-//! expression work is *priced* as: MonetDB's full materialization
-//! (`bytecode::Cost`) or the base columns streamed.
+//! between the source and the fold. `Executor` decides only what the work is
+//! *priced* as: MonetDB's full materialization (`bytecode::Cost`, each
+//! filter's gather included) or the base columns streamed.
 //!
 //! The morsel partials are merged **in morsel order**, so the global group
 //! order is exactly the serial first-appearance order and every float
@@ -32,11 +32,12 @@
 //! over fixed-point inputs (decimal/int) likewise sums mantissas in `i128`
 //! and divides once at the end, and `min`/`max` keep the first extreme slot
 //! in the order of its type — all independent of where the morsels are cut,
-//! which is what lets a fused run fold base-table morsels and still equal the
-//! materializing one. Float `sum`/`avg` are exact in the morsels they were
-//! cut in only: under peeled filters the fold hands such a plan back
-//! (`fold`). `avg` over an empty group yields `0.0` — SQL would say NULL,
-//! but no reproduced query aggregates an empty group (DESIGN.md §7).
+//! which is what lets the fold cut base-table morsels under a filter and
+//! still equal an aggregate over the filtered relation. Float `sum`/`avg` are
+//! exact in the morsels they were cut in only: under a filter the fold
+//! aggregates the filtered relation instead. `avg` over an empty group yields
+//! `0.0` — SQL would say NULL, but no reproduced query aggregates an empty
+//! group (DESIGN.md §7).
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -44,12 +45,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::bytecode::{self, Program, Rows, Ty};
-use super::ensure_u32_indexable;
-use super::filter::Conjuncts;
+use super::filter::{exec_filter, Conjuncts};
 use super::hash::{FxMap, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
+use super::{ensure_u32_indexable, expr_sketch, Scope};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::governor::{QueryContext, Reservation};
@@ -59,13 +60,30 @@ use crate::stats::WorkProfile;
 use wimpi_obs::{Span, Tracer};
 use wimpi_storage::{selection, Column, StorageError, Table};
 
-/// Executes an aggregation over every row of `rel`; empty `group_by` means
-/// one global group. When tracing, a `partials` stage span (labelled `runs`
-/// or `hash` after the form merged, with per-morsel children) covering the
-/// morsel-local partials and their in-order merge is attached to the open
-/// aggregate span.
+/// The one aggregation fold (see the module doc): the rows of `src` that pass
+/// `filters` — the predicates of the `Filter` nodes beneath the aggregate,
+/// innermost first; with none, every row — grouped and accumulated morsel by
+/// morsel, merged in morsel order and materialized; empty `group_by` means
+/// one global group. `table` is the table `src` scans, when its zone maps may
+/// prune the innermost filter's morsels (DESIGN.md §14). When tracing, a
+/// `partials` stage span (labelled `runs` or `hash` after the form merged,
+/// with per-morsel children) is attached to the open aggregate span.
+///
+/// Two shapes fold dense input instead: a float `sum`/`avg` under a filter
+/// (its sums are cut in the filtered rows' morsels), and a merged group
+/// table over budget under a filter (the ladder partitions a relation, not a
+/// selection). The filters then run as the `Filter` operator, each in its own
+/// span, and the fold aggregates the last one's output. Without filters, an
+/// over-budget table descends the ladder here.
+///
+/// The hash form's coordinator merge reserves one `width`-byte table entry
+/// per distinct group (the same constant the work profile charges to
+/// `hash_bytes`); the run form reserves nothing, so its merge always fits.
+#[allow(clippy::too_many_arguments)]
 pub fn exec_aggregate(
-    rel: &Relation,
+    src: &Relation,
+    filters: &[&Expr],
+    table: Option<&Table>,
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
     prof: &mut WorkProfile,
@@ -73,48 +91,23 @@ pub fn exec_aggregate(
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<Relation> {
-    let folded = fold(rel, None, group_by, aggs, prof, cfg, tracer, ctx)?;
-    Ok(folded.unwrap_or_else(|why| unreachable!("nothing was peeled to unfuse: {why}")))
-}
-
-/// The filter chain a fused aggregate peeled off its input.
-pub(super) struct Peeled<'a> {
-    /// The predicates, innermost (first-executed) first.
-    pub filters: Vec<&'a Expr>,
-    /// The table the source scans, when its zone maps may prune morsels
-    /// (DESIGN.md §14).
-    pub table: Option<&'a Table>,
-}
-
-/// The one aggregation fold (see the module doc): the rows of `src` that pass
-/// the peeled filters — every row, with none — grouped and accumulated
-/// morsel by morsel, merged in morsel order and materialized.
-///
-/// With `peeled` filters the inner `Err` hands the plan back unrun, naming
-/// the reason, for the two shapes whose answer would not be the materializing
-/// operators': a float `sum`/`avg` under a filter (its morsels are not the
-/// filtered relation's), and a merged group table over budget (it wants the
-/// ladder, which partitions a relation, not a selection). Without, the fold
-/// always answers: an over-budget table descends the ladder here.
-///
-/// The hash form's coordinator merge reserves one `width`-byte table entry
-/// per distinct group (the same constant the work profile charges to
-/// `hash_bytes`); the run form reserves nothing, so its merge always fits.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn fold(
-    src: &Relation,
-    peeled: Option<&Peeled>,
-    group_by: &[(Expr, String)],
-    aggs: &[AggExpr],
-    prof: &mut WorkProfile,
-    cfg: &EngineConfig,
-    tracer: &Tracer,
-    ctx: &QueryContext,
-) -> Result<std::result::Result<Relation, &'static str>> {
     let n = src.num_rows();
     ensure_u32_indexable(n, "aggregate")?;
+    let dense = |prof: &mut WorkProfile| -> Result<Relation> {
+        let mut rel = src.clone();
+        for (i, f) in filters.iter().enumerate() {
+            ctx.checkpoint()?;
+            let span = Scope::open(tracer, prof, || ("filter", expr_sketch(f)));
+            let out = exec_filter(&rel, f, table.filter(|_| i == 0), prof, cfg, tracer, ctx)?;
+            ctx.track(out.stream_bytes() as u64); // as the interpreter tracks it
+            prof.peak_bytes = prof.peak_bytes.max(ctx.high_water());
+            span.close(rel.num_rows() as u64, out.num_rows() as u64, prof);
+            rel = out;
+        }
+        exec_aggregate(&rel, &[], None, group_by, aggs, prof, cfg, tracer, ctx)
+    };
     // 1. Compile the conjuncts, the keys and the aggregate inputs.
-    let chain = Conjuncts::compile(peeled.map_or(&[][..], |p| &p.filters[..]), src)?;
+    let chain = Conjuncts::compile(filters, src)?;
     let compile = |e: &Expr| Program::compile(e, src);
     let keys = group_by.iter().map(|(e, _)| compile(e)).collect::<Result<Vec<_>>>()?;
     let inputs = aggs
@@ -126,11 +119,11 @@ pub(super) fn fold(
         .zip(&inputs)
         .map(|(a, input)| AggState::bind(a.func, input.as_ref()))
         .collect::<Result<Vec<_>>>()?;
-    if !chain.is_empty() && empty.iter().any(AggState::sums_floats) {
-        return Ok(Err("float sum/avg under a filter"));
+    if !filters.is_empty() && empty.iter().any(AggState::sums_floats) {
+        return dense(prof);
     }
     let feed = Feed { keys: &keys, inputs: &inputs, empty: &empty };
-    let pruner = chain.pruner(peeled.and_then(|p| p.table), n);
+    let pruner = chain.pruner(table, n);
 
     // 2. Morsel-local partials, then an in-order merge.
     let sink = tracer.morsel_sink();
@@ -138,7 +131,7 @@ pub(super) fn fold(
     let ranges = morsel_ranges(n, cfg.morsel_rows);
     let morsels = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
         let r = if ctx.interrupted() { 0..0 } else { r };
-        if chain.is_empty() {
+        if filters.is_empty() {
             return (MorselAgg::fold(&Rows::Dense(r.clone()), &feed), r.len(), chain.tally());
         }
         let (sel, tally) = chain.filter_morsel(pruner.as_ref(), r);
@@ -157,7 +150,7 @@ pub(super) fn fold(
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
         Some(merged) => merged,
-        None if peeled.is_some() => return Ok(Err("budget")),
+        None if !filters.is_empty() => return dense(prof),
         None => {
             // Redo the merge down the ladder: partition the groups by key
             // hash and build one bounded table per partition, sequentially.
@@ -174,8 +167,8 @@ pub(super) fn fold(
     };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     states.iter_mut().for_each(|st| st.grow_to(ngroups));
-    // Settled only now: a fold handed back over budget reruns its filters.
-    chain.settle(&tally, n, nsel, None, prof, cfg, tracer);
+    // Settled only now: a fold over budget reruns its filters dense.
+    chain.settle(&tally, n, nsel, None, Some((src, ctx)), prof, cfg, tracer);
     if let Some(started) = stage_started {
         let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
         stage.rows_in = nsel;
@@ -223,7 +216,7 @@ pub(super) fn fold(
         fields.push((agg.name.clone(), Arc::new(st.finish(input.as_ref())?)));
     }
     prof.seq_write_bytes += fields.iter().map(|(_, c)| c.stream_bytes() as u64).sum::<u64>();
-    Ok(Ok(Relation::new(fields)?))
+    Relation::new(fields)
 }
 
 /// What every partial of one fold is built from: the compiled key and input
@@ -774,6 +767,18 @@ mod tests {
     use crate::expr::col;
     use wimpi_storage::Value;
 
+    /// The aggregate over every row of `rel`: no filter beneath it.
+    fn unfiltered(
+        rel: &Relation,
+        group_by: &[(crate::expr::Expr, String)],
+        aggs: &[AggExpr],
+        prof: &mut WorkProfile,
+        cfg: &EngineConfig,
+        ctx: &QueryContext,
+    ) -> Result<Relation> {
+        super::exec_aggregate(rel, &[], None, group_by, aggs, prof, cfg, Tracer::off(), ctx)
+    }
+
     fn exec_aggregate(
         rel: &Relation,
         group_by: &[(crate::expr::Expr, String)],
@@ -781,15 +786,7 @@ mod tests {
         prof: &mut WorkProfile,
     ) -> Result<Relation> {
         let ctx = QueryContext::default();
-        super::exec_aggregate(
-            rel,
-            group_by,
-            aggs,
-            prof,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
+        unfiltered(rel, group_by, aggs, prof, &EngineConfig::serial(), &ctx)
     }
 
     fn rel() -> Relation {
@@ -910,22 +907,11 @@ mod tests {
         let base_cfg = EngineConfig::serial().with_morsel_rows(7);
         let mut base_prof = WorkProfile::new();
         let ctx = QueryContext::default();
-        let base = super::exec_aggregate(
-            &rel,
-            &group,
-            &aggs,
-            &mut base_prof,
-            &base_cfg,
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap();
+        let base = unfiltered(&rel, &group, &aggs, &mut base_prof, &base_cfg, &ctx).unwrap();
         for threads in [2, 4] {
             let cfg = EngineConfig::with_threads(threads).with_morsel_rows(7);
             let mut prof = WorkProfile::new();
-            let out =
-                super::exec_aggregate(&rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx)
-                    .unwrap();
+            let out = unfiltered(&rel, &group, &aggs, &mut prof, &cfg, &ctx).unwrap();
             assert_eq!(out, base, "parallel aggregate diverged at {threads} threads");
             assert_eq!(prof, base_prof, "profile counters diverged at {threads} threads");
         }
@@ -951,13 +937,12 @@ mod tests {
             AggExpr::count_star("n"),
         ];
         let mut base_prof = WorkProfile::new();
-        let base = super::exec_aggregate(
+        let base = unfiltered(
             &rel,
             &group,
             &aggs,
             &mut base_prof,
             &EngineConfig::serial().with_morsel_rows(13),
-            Tracer::off(),
             &QueryContext::default(),
         )
         .unwrap();
@@ -965,9 +950,7 @@ mod tests {
             let cfg = EngineConfig::with_threads(threads).with_morsel_rows(13);
             let ctx = QueryContext::with_budget(640);
             let mut prof = WorkProfile::new();
-            let out =
-                super::exec_aggregate(&rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx)
-                    .unwrap();
+            let out = unfiltered(&rel, &group, &aggs, &mut prof, &cfg, &ctx).unwrap();
             assert_eq!(out, base, "grace aggregate diverged at {threads} threads");
             assert_eq!(prof, base_prof, "grace profile diverged at {threads} threads");
             // Pinned: partition assignment decides the fan-out, and must not
@@ -979,16 +962,8 @@ mod tests {
         // A budget below one table entry cannot be partitioned around.
         let ctx = QueryContext::with_budget(100);
         let mut prof = WorkProfile::new();
-        let err = super::exec_aggregate(
-            &rel,
-            &group,
-            &aggs,
-            &mut prof,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let err =
+            unfiltered(&rel, &group, &aggs, &mut prof, &EngineConfig::serial(), &ctx).unwrap_err();
         match err {
             EngineError::ResourceExhausted { operator, budget, .. } => {
                 assert_eq!(operator, "aggregate");
@@ -1019,13 +994,12 @@ mod tests {
     fn spill_rung_is_bit_exact_past_grace() {
         let (rel, group, aggs) = spill_agg_inputs();
         let mut base_prof = WorkProfile::new();
-        let base = super::exec_aggregate(
+        let base = unfiltered(
             &rel,
             &group,
             &aggs,
             &mut base_prof,
             &EngineConfig::serial().with_morsel_rows(257),
-            Tracer::off(),
             &QueryContext::default(),
         )
         .unwrap();
@@ -1036,9 +1010,7 @@ mod tests {
             ));
             let ctx = QueryContext::with_budget(320).with_spill(Arc::clone(&disk));
             let mut prof = WorkProfile::new();
-            let out =
-                super::exec_aggregate(&rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx)
-                    .unwrap();
+            let out = unfiltered(&rel, &group, &aggs, &mut prof, &cfg, &ctx).unwrap();
             assert_eq!(out, base, "spill aggregate diverged at {threads} threads");
             // Pinned (see the Grace test): three staged attempts of 5 000
             // 12-byte records, the last at 8 192 partitions.
@@ -1053,13 +1025,12 @@ mod tests {
     fn spill_rung_survives_injected_faults_bit_exactly() {
         let (rel, group, aggs) = spill_agg_inputs();
         let mut base_prof = WorkProfile::new();
-        let base = super::exec_aggregate(
+        let base = unfiltered(
             &rel,
             &group,
             &aggs,
             &mut base_prof,
             &EngineConfig::serial().with_morsel_rows(257),
-            Tracer::off(),
             &QueryContext::default(),
         )
         .unwrap();
@@ -1069,13 +1040,12 @@ mod tests {
         let disk = Arc::new(wimpi_storage::SpillDisk::new(disk_cfg));
         let ctx = QueryContext::with_budget(320).with_spill(Arc::clone(&disk));
         let mut prof = WorkProfile::new();
-        let out = super::exec_aggregate(
+        let out = unfiltered(
             &rel,
             &group,
             &aggs,
             &mut prof,
             &EngineConfig::serial().with_morsel_rows(257),
-            Tracer::off(),
             &ctx,
         )
         .unwrap();
@@ -1094,16 +1064,8 @@ mod tests {
         ));
         let ctx = QueryContext::with_budget(32).with_spill(Arc::clone(&disk));
         let mut prof = WorkProfile::new();
-        let err = super::exec_aggregate(
-            &rel,
-            &group,
-            &aggs,
-            &mut prof,
-            &EngineConfig::serial(),
-            Tracer::off(),
-            &ctx,
-        )
-        .unwrap_err();
+        let err =
+            unfiltered(&rel, &group, &aggs, &mut prof, &EngineConfig::serial(), &ctx).unwrap_err();
         assert!(
             matches!(err, EngineError::ResourceExhausted { ref operator, .. } if operator == "aggregate"),
             "got {err:?}"
@@ -1162,8 +1124,7 @@ mod tests {
                 .with_cancel_token(token);
             let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096);
             let mut prof = WorkProfile::new();
-            let out =
-                super::exec_aggregate(rel, &group, &aggs, &mut prof, &cfg, Tracer::off(), &ctx);
+            let out = unfiltered(rel, &group, &aggs, &mut prof, &cfg, &ctx);
             assert_eq!((ctx.used(), disk.used()), (0, 0));
             (out, ctx.fallbacks(), prof.spilled_bytes)
         };

@@ -9,20 +9,22 @@
 //! exactly the candidate-list optimization MonetDB applies, and the reason Q6
 //! is cheap even on a bandwidth-starved Pi (paper §II-D1). The same loop feeds
 //! the `Filter` operator ([`exec_filter`], which gathers the survivors once)
-//! and the aggregation fold a fused aggregate peeled its filters into.
+//! and the aggregation fold, which folds the filters beneath an aggregate.
 //!
 //! The loop is the same under both executors; `Executor` decides only what
-//! it is *priced* as, from the rows each conjunct examined
-//! (`Conjuncts::settle`). `Executor::Fused` charges the base-column bytes
-//! streamed. `Executor::Materialize` charges what MonetDB's column-at-a-time
-//! execution pays for one pass per conjunct: its full-materialization `Cost`
-//! over the rows it examined, plus, once a candidate list exists, the gather
-//! of the columns it touches; a constant conjunct is decided on one row.
+//! it is *priced* as, from the rows each conjunct examined, one `Filter`
+//! node at a time (`Conjuncts::settle`). `Executor::Fused` charges the
+//! base-column bytes streamed. `Executor::Materialize` charges what MonetDB's
+//! column-at-a-time execution pays for one pass per conjunct: its
+//! full-materialization `Cost` over the rows it examined, plus, once a
+//! candidate list exists, the gather of the columns it touches; a constant
+//! conjunct is decided on one row. Under an aggregate it also charges the
+//! survivors' gather the `Filter` operator would have made.
 //!
 //! With a sealed table the zone maps decide per morsel (`prune::ScanPruner`,
-//! DESIGN.md §14): a morsel proven dead is not touched, and a conjunct proven
-//! true over a morsel is skipped there — same survivors, fewer bytes, the
-//! same verdicts under both executors.
+//! DESIGN.md §14) the conjuncts of the node that scans the table: a morsel
+//! proven dead is not touched, and a conjunct proven true over a morsel is
+//! skipped there — same survivors, fewer bytes, under both executors.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -72,7 +74,7 @@ pub fn exec_filter(
         tally.add(&counts);
     }
     let wall_ns = started.map(|s| s.elapsed().as_nanos() as u64);
-    chain.settle(&tally, n, sel.len() as u64, wall_ns, prof, cfg, tracer);
+    chain.settle(&tally, n, sel.len() as u64, wall_ns, None, prof, cfg, tracer);
     let out = rel.take(&sel);
     charge_gather(rel, &out, sel.len(), prof);
     selection::put_scratch(sel);
@@ -101,6 +103,9 @@ pub(super) struct Conjuncts {
     /// the columns it reads — what the materializing gather of them streams.
     /// Zero marks a constant: it reads no column, so it folded to a `Const`.
     priced: Vec<(Cost, u64)>,
+    /// The conjuncts of each predicate compiled — one `Filter` node each,
+    /// innermost first.
+    nodes: Vec<Range<usize>>,
 }
 
 impl Conjuncts {
@@ -108,8 +113,12 @@ impl Conjuncts {
     /// against `src` — every one, so a type error never depends on which
     /// rows survive.
     pub(super) fn compile(predicates: &[&Expr], src: &Relation) -> Result<Conjuncts> {
-        let mut parts = Vec::new();
-        predicates.iter().for_each(|&p| split_conjuncts(p.clone(), &mut parts));
+        let (mut parts, mut nodes) = (Vec::new(), Vec::new());
+        for &p in predicates {
+            let start = parts.len();
+            split_conjuncts(p.clone(), &mut parts);
+            nodes.push(start..parts.len());
+        }
         let (mut preds, mut priced) = (Vec::new(), Vec::new());
         for c in &parts {
             let (pred, cost) = compile_conjunct(c, src)?;
@@ -118,17 +127,15 @@ impl Conjuncts {
             preds.push(pred);
             priced.push((cost, fields.map(|(_, col)| Ty::of_column(col).width()).sum()));
         }
-        Ok(Conjuncts { preds, priced })
-    }
-
-    pub(super) fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        Ok(Conjuncts { preds, priced, nodes })
     }
 
     /// The zone-map pruner over `table`, when it can decide anything for the
-    /// `n` rows filtered (see `ScanPruner::new`).
+    /// `n` rows filtered (see `ScanPruner::new`). It decides the innermost
+    /// node's conjuncts only: the node that scans the table.
     pub(super) fn pruner<'a>(&'a self, t: Option<&'a Table>, n: usize) -> Option<ScanPruner<'a>> {
-        t.and_then(|t| ScanPruner::new(t, &self.preds, n))
+        let scanning = &self.preds[..self.nodes.first().map_or(0, |node| node.end)];
+        t.and_then(|t| ScanPruner::new(t, scanning, n))
     }
 
     /// What no morsel did yet.
@@ -157,7 +164,7 @@ impl Conjuncts {
         let mut narrowed = false;
         for (k, pred) in self.preds.iter().enumerate() {
             let rows = if narrowed { sel.len() } else { r.len() } as u64;
-            if verdicts.as_ref().is_some_and(|v| v[k] == Verdict::True) {
+            if verdicts.as_ref().is_some_and(|v| v.get(k) == Some(&Verdict::True)) {
                 tally.proven[k] = rows;
                 continue;
             }
@@ -180,12 +187,17 @@ impl Conjuncts {
         (sel, tally)
     }
 
-    /// Settles the summed `tally` of the loop over `n` rows that kept `nsel`:
-    /// the pruning counters, the conjuncts' charge in `cfg.executor`'s cost
-    /// form, and — when tracing a non-empty chain — the one `predicates` leaf,
-    /// labelled with the rows each conjunct examined (Q6 at SF 0.01: `4
-    /// conjuncts: 60236 → 43398 → 9347 → 2558`). `wall_ns` is the loop's own
-    /// time, when it can be told apart from its consumer's.
+    /// Settles the summed `tally` of the loop over `n` rows that kept `nsel`,
+    /// one `Filter` node at a time, as that node's own loop would have: the
+    /// pruning counters, the conjuncts' charge in `cfg.executor`'s cost form,
+    /// and — when tracing — one `predicates` leaf per node, labelled with the
+    /// rows each conjunct examined (Q6 at SF 0.01: `4 conjuncts: 60236 → 43398
+    /// → 9347 → 2558`). `wall_ns` is the loop's own time, when it can be told
+    /// apart from its consumer's. `folded` is the source and the governor of
+    /// an aggregate fold standing in for the `Filter` operators: there
+    /// `Executor::Materialize` also charges each node's gather of its
+    /// survivors (as `charge_gather` prices it) and tracks that intermediate,
+    /// as the interpreter tracks an operator's output.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn settle(
         &self,
@@ -193,44 +205,73 @@ impl Conjuncts {
         n: usize,
         nsel: u64,
         wall_ns: Option<u64>,
+        folded: Option<(&Relation, &QueryContext)>,
         prof: &mut WorkProfile,
         cfg: &EngineConfig,
         tracer: &Tracer,
     ) {
         let widths: Vec<u64> = self.preds.iter().map(Pred::width_bytes).collect();
-        // A dead morsel is credited with the first conjunct's scan of it —
-        // the bytes the unpruned loop is guaranteed to have streamed.
-        let first = widths.iter().copied().find(|&w| w > 0).unwrap_or(0);
         prof.pruned_morsels += t.dead_morsels;
-        prof.pruned_bytes += t.dead_rows * first;
         prof.pruned_bytes += t.proven.iter().zip(&widths).map(|(rows, w)| rows * w).sum::<u64>();
-        match cfg.executor {
-            Executor::Materialize => self.charge_materialized(t, prof),
-            Executor::Fused => {
-                for (rows, w) in t.examined.iter().zip(&widths) {
-                    prof.cpu_ops += rows;
-                    prof.seq_read_bytes += rows * w;
+        let mut fed = n as u64;
+        for (i, node) in self.nodes.iter().enumerate() {
+            // A node keeps the rows its successor's first conjunct examined
+            // (zone maps skip no conjunct past the innermost node).
+            let kept = self.nodes.get(i + 1).map_or(nsel, |next| t.examined[next.start]);
+            let (examined, widths) = (&t.examined[node.clone()], &widths[node.clone()]);
+            // Zone maps decide the innermost node only. A dead morsel is
+            // credited with its first conjunct's scan of it — the bytes the
+            // unpruned loop is guaranteed to have streamed — and starts a
+            // candidate list.
+            let (dead_morsels, dead_rows) =
+                if i == 0 { (t.dead_morsels, t.dead_rows) } else { (0, 0) };
+            prof.pruned_bytes += dead_rows * widths.iter().copied().find(|&w| w > 0).unwrap_or(0);
+            match cfg.executor {
+                Executor::Materialize => {
+                    self.charge_materialized(node.clone(), t, dead_morsels > 0, prof);
+                    if let Some((src, ctx)) = folded {
+                        let fields = src.fields().iter();
+                        let width: u64 = fields.map(|(_, col)| Ty::of_column(col).width()).sum();
+                        prof.seq_read_bytes += kept * width;
+                        prof.seq_write_bytes += kept * width;
+                        prof.cpu_ops += kept * src.num_columns().max(1) as u64;
+                        ctx.track(kept * width);
+                        prof.peak_bytes = prof.peak_bytes.max(ctx.high_water());
+                    }
+                }
+                Executor::Fused => {
+                    for (rows, w) in examined.iter().zip(widths) {
+                        prof.cpu_ops += rows;
+                        prof.seq_read_bytes += rows * w;
+                    }
                 }
             }
-        }
-        if tracer.is_enabled() && !self.is_empty() {
-            let flow: Vec<String> = t.examined.iter().map(u64::to_string).collect();
-            let label = format!("{} conjuncts: {}", flow.len(), flow.join(" → "));
-            let mut leaf = Span::leaf("predicates", label);
-            (leaf.rows_in, leaf.rows_out) = (n as u64, nsel);
-            leaf.wall_ns = wall_ns.unwrap_or(0);
-            tracer.attach(leaf);
+            if tracer.is_enabled() {
+                let flow: Vec<String> = examined.iter().map(u64::to_string).collect();
+                let label = format!("{} conjuncts: {}", flow.len(), flow.join(" → "));
+                let mut leaf = Span::leaf("predicates", label);
+                (leaf.rows_in, leaf.rows_out) = (fed, kept);
+                leaf.wall_ns = wall_ns.unwrap_or(0);
+                tracer.attach(leaf);
+            }
+            fed = kept;
         }
     }
 
-    /// The materializing cost form: one column-at-a-time pass per conjunct,
-    /// priced from the rows it examined, until the candidates run out.
-    fn charge_materialized(&self, t: &Tally, prof: &mut WorkProfile) {
-        // Whether a candidate list exists — from then on a conjunct pays for
-        // gathering the columns it reads. Dead morsels start one.
-        let mut seeded = t.dead_morsels > 0;
-        for (k, (pred, (cost, gather))) in self.preds.iter().zip(&self.priced).enumerate() {
-            let rows = t.examined[k];
+    /// The materializing cost form of one node: one column-at-a-time pass
+    /// per conjunct, priced from the rows it examined, until the candidates
+    /// run out. `seeded`: a candidate list already exists.
+    fn charge_materialized(
+        &self,
+        node: Range<usize>,
+        t: &Tally,
+        mut seeded: bool,
+        prof: &mut WorkProfile,
+    ) {
+        // Once a candidate list exists, a conjunct pays for gathering the
+        // columns it reads.
+        for k in node {
+            let (pred, (cost, gather), rows) = (&self.preds[k], &self.priced[k], t.examined[k]);
             if *gather == 0 {
                 // A constant, decided on one row: false empties the
                 // selection, true leaves the candidates as they are.

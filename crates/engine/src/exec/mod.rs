@@ -1,6 +1,10 @@
-//! Physical execution: a recursive, fully materializing (operator-at-a-time)
-//! interpreter over [`LogicalPlan`] — the MonetDB execution style the paper
-//! benchmarks. Every operator charges its work to a [`WorkProfile`].
+//! Physical execution: a recursive operator-at-a-time interpreter over
+//! [`LogicalPlan`]. Each operator hands the next a materialized relation,
+//! except that an aggregate folds the `Filter` chain beneath it, building no
+//! filtered copy. Every operator charges its work to a [`WorkProfile`] in the
+//! price list [`parallel::Executor`] names — MonetDB's full materialization,
+//! the execution style the paper benchmarks, or the base columns streamed —
+//! which changes no result, span or governor decision.
 //!
 //! Tracing is an argument, not a second entry point: [`execute`] threads the
 //! caller's [`Tracer`] through the interpreter, and under an enabled one
@@ -14,7 +18,6 @@
 pub mod aggregate;
 pub mod bytecode;
 pub mod filter;
-mod fused;
 mod hash;
 pub mod join;
 mod ladder;
@@ -31,13 +34,13 @@ use crate::governor::QueryContext;
 use crate::plan::LogicalPlan;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
-use parallel::{EngineConfig, Executor};
+use parallel::EngineConfig;
 use wimpi_obs::Tracer;
 use wimpi_storage::{Catalog, Table};
 
 /// Executes a plan against a catalog — the interpreter's one entry point.
 ///
-/// `cfg` picks the executor, thread count and scan options; results and work
+/// `cfg` picks the price list, thread count and scan options; results and work
 /// profiles are bit-identical at any thread count (see [`parallel`]). `ctx`
 /// is the resource governor: its budget caps operator scratch (joins and
 /// aggregates degrade to Grace partitioning before erroring), its
@@ -114,7 +117,7 @@ pub(crate) fn exec_node(
     ctx: &QueryContext,
 ) -> Result<Relation> {
     ctx.checkpoint()?;
-    let span = Scope::open(tracer, prof, || span_head(plan, cfg));
+    let span = Scope::open(tracer, prof, || span_head(plan));
     let (rows_in, rel) = exec_node_inner(plan, catalog, prof, cfg, tracer, ctx)?;
     finish_node(plan, &rel, prof, ctx);
     span.close(rows_in, rel.num_rows() as u64, prof);
@@ -182,14 +185,20 @@ fn exec_node_inner(
             Ok((rows_in, join::exec_join(&l, &r, on, *join_type, prof, cfg, tracer, ctx)?))
         }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
-            // One fold either way (`aggregate::fold`): the fused executor
-            // first peels the filters beneath the aggregate into it.
-            if cfg.executor == Executor::Fused {
-                return fused::exec_fused(input, group_by, aggs, catalog, prof, cfg, tracer, ctx);
+            // The filters beneath the aggregate fold into it: their source
+            // runs through the interpreter, their conjuncts in the fold.
+            let (mut filters, mut src) = (Vec::new(), input.as_ref());
+            while let LogicalPlan::Filter { input, predicate } = src {
+                filters.push(predicate);
+                src = input;
             }
-            let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
-            let rows_in = rel.num_rows() as u64;
-            Ok((rows_in, aggregate::exec_aggregate(&rel, group_by, aggs, prof, cfg, tracer, ctx)?))
+            filters.reverse(); // innermost (first-executed) first
+            let table = prunable(src, catalog, cfg);
+            let rel = exec_node(src, catalog, prof, cfg, tracer, ctx)?;
+            let out = aggregate::exec_aggregate(
+                &rel, &filters, table, group_by, aggs, prof, cfg, tracer, ctx,
+            )?;
+            Ok((rel.num_rows() as u64, out))
         }
         LogicalPlan::Sort { input, keys } => {
             let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
@@ -288,10 +297,9 @@ fn verify_scan(
 }
 
 /// Span `(op, label)` for a plan node. Labels are short human sketches —
-/// table names, predicate/key summaries — not full expression dumps. A fused
-/// aggregate announces itself as `fused`: the span covers the whole peeled
-/// scan→filter→eval→aggregate pipeline, not just the aggregation.
-fn span_head(plan: &LogicalPlan, cfg: &EngineConfig) -> (&'static str, String) {
+/// table names, predicate/key summaries — not full expression dumps. An
+/// aggregate's span covers the filters folded into it too.
+fn span_head(plan: &LogicalPlan) -> (&'static str, String) {
     match plan {
         LogicalPlan::Scan { table, .. } => ("scan", table.clone()),
         LogicalPlan::Filter { predicate, .. } => ("filter", expr_sketch(predicate)),
@@ -301,8 +309,7 @@ fn span_head(plan: &LogicalPlan, cfg: &EngineConfig) -> (&'static str, String) {
             ("join", format!("{join_type:?} {}", keys.join(",")))
         }
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
-            let op = if cfg.executor == Executor::Fused { "fused" } else { "aggregate" };
-            (op, format!("{} keys, {} aggs", group_by.len(), aggs.len()))
+            ("aggregate", format!("{} keys, {} aggs", group_by.len(), aggs.len()))
         }
         LogicalPlan::Sort { keys, .. } => {
             let ks: Vec<String> = keys

@@ -25,31 +25,28 @@ use std::sync::Mutex;
 
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
-/// Which executor runs the query pipeline (DESIGN.md §13). Both evaluate
-/// every expression with the same compiled programs, filter through the same
-/// per-morsel conjunct loop (`exec::filter`) and fold every aggregate with
-/// the same code (`exec::aggregate`); they differ only in the cost form the
-/// work is charged in and in whether an aggregate's filters are peeled into
-/// its fold — and in no result bit.
+/// Which price list the work is charged in (DESIGN.md §13) — nothing else.
+/// There is one execution: every expression runs through the same compiled
+/// programs, every filter through the same per-morsel conjunct loop
+/// (`exec::filter`), every aggregate through the same fold (`exec::aggregate`),
+/// which folds the filters beneath it. No result bit, span or governor
+/// decision depends on the price list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Column-at-a-time pricing: a filter gathers its survivors before the
-    /// next operator runs, and is charged one pass per conjunct over the rows
-    /// it examined; expressions are priced as MonetDB's full materialization —
-    /// one primitive per node, streaming its operands in and its result out
-    /// (the execution style the paper benchmarks).
+    /// Column-at-a-time prices, MonetDB's (the execution style the paper
+    /// benchmarks): a filter pays one pass per conjunct over the rows it
+    /// examined and the gather of its survivors — also where an aggregate
+    /// folded it — and an expression pays full materialization, one
+    /// primitive per node streaming its operands in and its result out.
     #[default]
     Materialize,
-    /// Morsel-at-a-time fusion: the filters under an aggregate are peeled
-    /// into its fold, so scan→filter→eval→aggregate runs per morsel with no
-    /// intermediate relation, and expressions are priced by the base columns
-    /// they stream. A float `sum`/`avg` under a filter and a group table over
-    /// budget are run one operator at a time instead, transparently.
+    /// Morsel-at-a-time prices: conjuncts and expressions pay for the base
+    /// columns they stream, and nothing is written but operator outputs.
     Fused,
 }
 
 impl Executor {
-    /// The knob's name in `SET executor = …` / trace labels.
+    /// The price list's name in `SET executor = …` and the shell's reports.
     pub fn label(self) -> &'static str {
         match self {
             Executor::Materialize => "materialize",
@@ -74,9 +71,9 @@ pub struct EngineConfig {
     /// first mismatch (DESIGN.md §12). Off by default and zero-cost when
     /// off, like the tracer: one branch per scan, no per-row work.
     pub verify_checksums: bool,
-    /// Which executor runs the pipeline (DESIGN.md §13). Defaults to the
-    /// materializing cost form; [`Executor::Fused`] peels
-    /// aggregate-over-filter pipelines into one morsel-at-a-time fold.
+    /// Which price list the work is charged in (DESIGN.md §13). Defaults to
+    /// the materializing one, the paper's; it changes what a query is
+    /// charged, never what it runs or answers.
     pub executor: Executor,
     /// Consult sealed [`ZoneMap`](wimpi_storage::ZoneMap)s before filtering:
     /// morsels whose min/max range (or dictionary presence bitmap) proves a
@@ -103,7 +100,7 @@ impl EngineConfig {
     }
 
     /// A config with `threads` workers and every other knob at its default:
-    /// the default morsel size, the materializing executor, no checksum
+    /// the default morsel size, the materializing price list, no checksum
     /// verification, no scan pruning.
     pub fn with_threads(threads: usize) -> Self {
         Self {
@@ -128,7 +125,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the executor for supported pipelines.
+    /// Selects the price list.
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self

@@ -1,8 +1,8 @@
 //! The aggregation fold against a reference that shares none of its code.
 //!
 //! `exec::aggregate` folds morsels into run-form or hash-form partials, picks
-//! the merge form from them, and runs under either executor with or without
-//! peeled filters. None of that may show: every configuration must give the
+//! the merge form from them, and runs under either price list with or without
+//! a filter folded in. None of that may show: every configuration must give the
 //! answer of a plain row-at-a-time group-by — float sums included, whose
 //! reduction tree the reference cuts at the same morsel stride — and charge
 //! the form the *data* calls for. The shapes aim at the seams: keys in order,
@@ -60,7 +60,8 @@ fn table(rows: &[Row]) -> Table {
 }
 
 /// Every aggregate kind whose value does not depend on where morsels are cut
-/// — these fold fused under a filter — then the float sums, which do.
+/// — these fold the filter in — then the float sums, which do, and so fold
+/// the filtered rows.
 fn aggs(with_float_sums: bool) -> Vec<AggExpr> {
     let mut aggs = vec![
         AggExpr::count_star("n"),
@@ -113,9 +114,9 @@ fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: u
             }
         };
         groups[g].rows.push(*r);
-        // The materializing aggregate cuts its morsels over the selected rows
-        // (and the fused one has no float sum to cut unless nothing was
-        // filtered away): partials start from 0.0 and add rows in order.
+        // Float sums are cut in morsels of the selected rows: with no filter
+        // those are the table's, under one the `Filter` operator gathers them
+        // first. Partials start from 0.0 and add rows in order.
         match groups[g].float_partials.last_mut() {
             Some((m, sum)) if *m == i / morsel => *sum += r.f,
             _ => groups[g].float_partials.push((i / morsel, 0.0 + r.f)),
@@ -196,8 +197,13 @@ fn assert_matches(rel: &Relation, want: &Expected, what: &str) {
 fn check(rows: &[Row], what: &str) {
     let mut cat = Catalog::new();
     cat.register("t", table(rows));
+    let arms = [
+        ("unfiltered with float sums", false, true),
+        ("filtered with float sums (folds the filtered rows)", true, true),
+        ("filtered (folds the filter in)", true, false),
+    ];
     for arity in 0..=3 {
-        for (filtered, floats) in [(false, true), (true, true), (true, false)] {
+        for (arm, filtered, floats) in arms {
             let scan = PlanBuilder::scan("t");
             let input = if filtered { scan.filter(col("keep").gt(lit(0i64))) } else { scan };
             let group = KEYS[..arity].iter().map(|&k| (col(k), k)).collect();
@@ -208,8 +214,8 @@ fn check(rows: &[Row], what: &str) {
                     let want = reference(rows, arity, filtered, floats, morsel);
                     for threads in [1, 2, 4] {
                         let what = format!(
-                            "{what}: {arity} keys, filtered {filtered}, floats {floats}, \
-                             {executor:?}, {threads} threads, morsels of {morsel}"
+                            "{what}: {arity} keys, {arm}, {executor:?}, {threads} threads, \
+                             morsels of {morsel}"
                         );
                         let cfg = EngineConfig::with_threads(threads)
                             .with_morsel_rows(morsel)
@@ -280,8 +286,8 @@ fn every_configuration_folds_to_the_reference() {
         check(&extremes, "keys in order from i64::MIN to i64::MAX");
 
         // Morsels of 3 are cut at multiples of 3 — of the base table's rows
-        // for a fused run, of the kept rows for a materializing one — so keep
-        // every row around the seams: both cut them alike.
+        // when the filter folds in, of the kept rows under float sums — so
+        // keep every row around the seams: both cut them alike.
         let mut seams = sorted.clone();
         seams.iter_mut().take(12).for_each(|r| r.keep = true);
         let past_every_key = [9, 9, 3];
@@ -303,8 +309,8 @@ fn every_configuration_folds_to_the_reference() {
     }
 }
 
-/// An ill-typed aggregate is one typed error, the same under both executors
-/// and whether or not a filter was peeled from beneath it.
+/// An ill-typed aggregate is one typed error, the same under both price
+/// lists and whether or not a filter folds into it.
 #[test]
 fn ill_typed_aggregates_are_the_same_error_under_both_executors() {
     let mut cat = Catalog::new();

@@ -35,7 +35,8 @@ const BUDGET: u64 = 1280;
 fn run(cfg: &EngineConfig, ctx: &QueryContext) -> wimpi_engine::Result<(Relation, WorkProfile)> {
     let (rel, group, aggs) = input();
     let mut prof = WorkProfile::new();
-    exec_aggregate(&rel, &group, &aggs, &mut prof, cfg, Tracer::off(), ctx).map(|out| (out, prof))
+    exec_aggregate(&rel, &[], None, &group, &aggs, &mut prof, cfg, Tracer::off(), ctx)
+        .map(|out| (out, prof))
 }
 
 #[test]

@@ -30,11 +30,12 @@
 //! `integrity_failures_total` in both direct and service mode. Neither mode
 //! repairs or retries a violation: repair is the cluster's (DESIGN.md §12).
 //!
-//! Execution: `SET executor = fused | materialize` switches between the
-//! materializing operator-at-a-time interpreter and the fused
-//! morsel-at-a-time bytecode executor (DESIGN.md §13); results are
-//! bit-identical, the work profile is not. `EXPLAIN ANALYZE` names the
-//! active executor and shows the fused pipeline as a single `fused` span.
+//! Pricing: `SET executor = fused | materialize` switches the price list the
+//! work is charged in — MonetDB's column-at-a-time materialization (the
+//! paper's, the default) or a fused morsel-at-a-time pipeline's (DESIGN.md
+//! §13). Only the work profile and the `\hw` predictions change: the answer
+//! and the `EXPLAIN ANALYZE` tree are the same under both, and the tree's
+//! footer names the active list.
 //!
 //! Out-of-core: `SET spill = on` attaches a simulated bounded microSD
 //! spill disk (DESIGN.md §16) to every direct statement's governor context:
@@ -50,8 +51,9 @@
 //!
 //! Caching: direct (serviceless) statements go through the coordinator's
 //! governor-reserved [`ResultCache`] (DESIGN.md §15); repeated statements
-//! answer from cache, `SET` knobs that reseal the catalog invalidate it,
-//! and `\metrics` shows the `coord_result_cache_*` counters.
+//! answer from cache — reported as such, with no work and so no `\hw`
+//! predictions — `SET` knobs that reseal the catalog invalidate it, and
+//! `\metrics` shows the `coord_result_cache_*` counters.
 
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -238,11 +240,14 @@ fn main() {
                     "executor" => match value.to_ascii_lowercase().as_str() {
                         "fused" => {
                             executor = Executor::Fused;
-                            println!("executor fused (morsel-at-a-time bytecode pipeline)");
+                            println!("executor fused (work priced as a morsel-at-a-time pipeline)");
                         }
                         "materialize" | "materializing" => {
                             executor = Executor::Materialize;
-                            println!("executor materialize (operator-at-a-time)");
+                            println!(
+                                "executor materialize (work priced as column-at-a-time \
+                                 materialization)"
+                            );
                         }
                         _ => println!("error: executor wants fused|materialize, got {value:?}"),
                     },
@@ -359,7 +364,7 @@ fn main() {
                             .with_prune_scans(prune);
                         svc.run_blocking(make_spec(sql, timeout_ms), move |ctx| {
                             execute_sql_with(&owned, &cat, &cfg, ctx, Tracer::off())
-                                .map(|(rel, work)| (rel, work, ctx.fallbacks()))
+                                .map(|(rel, work)| (rel, Some(work), ctx.fallbacks()))
                                 .map_err(|e| e.into_engine())
                         })
                         .map_err(|e| e.to_string())
@@ -367,7 +372,8 @@ fn main() {
                     None => {
                         let key = sql.trim_end_matches(';').trim_end().to_string();
                         match result_cache.get(&key, &shell_metrics) {
-                            Some(rel) => Ok((rel, wimpi::engine::WorkProfile::default(), 0)),
+                            // No work was done, so there is nothing to price.
+                            Some(rel) => Ok((rel, None, 0)),
                             None => {
                                 let ctx = make_ctx(mem_budget, timeout_ms, spill.as_ref());
                                 let cfg = EngineConfig::serial()
@@ -376,7 +382,7 @@ fn main() {
                                     .with_prune_scans(prune);
                                 let out =
                                     execute_sql_with(sql, &catalog, &cfg, &ctx, Tracer::off())
-                                        .map(|(rel, work)| (rel, work, ctx.fallbacks()))
+                                        .map(|(rel, work)| (rel, Some(work), ctx.fallbacks()))
                                         .map_err(|e| e.to_string());
                                 let checks = ctx.integrity_checks();
                                 if checks > 0 {
@@ -399,7 +405,15 @@ fn main() {
                     }
                 };
                 match outcome {
-                    Ok((rel, work, fallbacks)) => {
+                    Ok((rel, None, _)) => {
+                        println!("{}", rel.to_text(20));
+                        println!(
+                            "({} rows from the result cache in {:.3}s host; no work done)",
+                            rel.num_rows(),
+                            started.elapsed().as_secs_f64()
+                        );
+                    }
+                    Ok((rel, Some(work), fallbacks)) => {
                         println!("{}", rel.to_text(20));
                         println!(
                             "({} rows in {:.3}s host; {:.1} MB streamed, peak {} B)",

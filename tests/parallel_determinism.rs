@@ -112,7 +112,7 @@ fn all_22_queries_parallel_bit_exact() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused executor (DESIGN.md §13): same guarantees, second execution engine.
+// Fused price list (DESIGN.md §13): same guarantees, second cost form.
 // ---------------------------------------------------------------------------
 
 /// Fused runs (threads 1/2/4 × two morsel sizes) must reproduce the serial
@@ -160,9 +160,10 @@ fn all_22_queries_fused_bit_exact() {
     }
 }
 
-/// The headline of the fused executor: scan→filter→eval→aggregate pipelines
-/// stop materializing intermediates, so the profile's `seq_write_bytes` —
-/// the term the paper's bandwidth model charges for — collapses.
+/// The headline of the fused price list: scan→filter→eval→aggregate
+/// pipelines are not charged for materializing intermediates, so the
+/// profile's `seq_write_bytes` — the term the paper's bandwidth model charges
+/// for — collapses.
 #[test]
 fn fused_collapses_materialized_write_traffic() {
     let cat = catalog();
@@ -183,8 +184,8 @@ fn fused_collapses_materialized_write_traffic() {
 }
 
 /// Budgeted fused runs: bit-exact against the budgeted serial materializing
-/// baseline at every thread count and morsel size, whether the fused path
-/// ran natively or fell back under the budget.
+/// baseline at every thread count and morsel size, whether the fold fit the
+/// budget or fell back to dense input under it.
 #[test]
 fn fused_budgeted_runs_stay_bit_exact() {
     let cat = catalog();
@@ -209,11 +210,13 @@ fn fused_budgeted_runs_stay_bit_exact() {
     }
 }
 
-/// When the merged group table exceeds the budget, the fused executor falls
-/// back to the materializing operators — which Grace-partition — and must
-/// reproduce their results *and* work profile exactly. The keys are a
-/// permutation: in key order the aggregate would take the run form, which
-/// reserves nothing and cannot exceed a budget.
+/// When the merged group table exceeds the budget, the fold descends the
+/// ladder — Grace partitioning — under either price list: the same answer
+/// and the same descent. The `Materialize` profile is pinned from the commit
+/// before the fold folded filters under both lists; the `Fused` one is its
+/// own, the same at every thread count. The keys are a permutation: in key
+/// order the aggregate would take the run form, which reserves nothing and
+/// cannot exceed a budget.
 #[test]
 fn fused_budget_fallback_matches_materializing() {
     use wimpi::engine::{col, AggExpr, PlanBuilder};
@@ -232,29 +235,42 @@ fn fused_budget_fallback_matches_materializing() {
     let plan = PlanBuilder::scan("t")
         .aggregate(vec![(col("k"), "k")], vec![AggExpr::sum(col("v"), "s")])
         .build();
-    // 50k distinct 64-byte group slots blow a 64 KB budget; both executors
-    // must degrade identically (fused falls back, materializing Graces).
+    // 50k distinct 64-byte group slots blow a 64 KB budget; both price
+    // lists must degrade identically.
     let mat_ctx = QueryContext::with_budget(64 << 10);
     let (rel0, prof0) =
         execute_query_with(&plan, &cat, &EngineConfig::serial(), &mat_ctx, Tracer::off())
             .expect("budgeted materializing run");
     assert_eq!(rel0.num_rows(), n as usize);
-    assert!(mat_ctx.fallbacks() > 0, "the merged table must really exceed the budget");
+    assert_eq!((mat_ctx.fallbacks(), mat_ctx.max_fallback_parts()), (1, 64));
+    let pinned = wimpi::engine::WorkProfile {
+        cpu_ops: 100_000,
+        seq_write_bytes: 800_000,
+        rand_accesses: 50_000,
+        hash_bytes: 3_200_000,
+        rows_in: 50_000,
+        rows_out: 50_000,
+        peak_bytes: 800_000,
+        ..Default::default()
+    };
+    assert_eq!(prof0, pinned);
+    let mut fused_prof = None;
     for threads in [1, 2, 4] {
         let ctx = QueryContext::with_budget(64 << 10);
         let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
         let (rel, prof) =
             execute_query_with(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("budgeted fused run");
-        assert_eq!(rel, rel0, "fallback result diverged at {threads} threads");
-        assert_eq!(prof, prof0, "fallback profile diverged at {threads} threads");
-        assert_eq!(ctx.fallbacks(), mat_ctx.fallbacks(), "one descent, the materializing one");
+        assert_eq!(rel, rel0, "result diverged at {threads} threads");
+        assert_eq!(prof, *fused_prof.get_or_insert(prof), "profile varied at {threads} threads");
+        assert_eq!(ctx.fallbacks(), mat_ctx.fallbacks(), "one descent, the same one");
+        assert_eq!(ctx.max_fallback_parts(), mat_ctx.max_fallback_parts());
     }
 }
 
-/// `min`/`max` fold fused like every other aggregate: the materializing
-/// answer bit for bit at any thread count, in the fused cost form — the
-/// filter's survivors are never gathered, so nothing is written but the
-/// output.
+/// `min`/`max` fold the filter beneath them like every other aggregate: the
+/// materializing answer bit for bit at any thread count, in the fused cost
+/// form — no gather of the filter's survivors is charged, so nothing is
+/// written but the output.
 #[test]
 fn fused_min_max_stay_fused_and_bit_exact() {
     use wimpi::engine::plan::{AggExpr, AggFunc};

@@ -124,6 +124,74 @@ fn predicates_leaf_labels_each_conjuncts_examined_rows() {
     assert!(rows.windows(2).all(|w| w[0] >= w[1]), "candidates only shrink: {}", labels[0]);
 }
 
+/// One line per span, `op[label] rows_in→rows_out`, indented by depth: the
+/// trace with its counters and wall times left out.
+fn shape(span: &Span, depth: usize, out: &mut String) {
+    let line = format!(
+        "{}{}[{}] {}→{}\n",
+        "  ".repeat(depth),
+        span.op,
+        span.label,
+        span.rows_in,
+        span.rows_out
+    );
+    out.push_str(&line);
+    span.children.iter().for_each(|child| shape(child, depth + 1, out));
+}
+
+/// `Executor` is a price list and nothing else: under either one a query
+/// runs the same operators over the same rows — the same answer, the same
+/// span tree, the same operator scratch and the same descents down the
+/// ladder. Covers the 22 queries and an aggregate over a filter whose group
+/// table outgrows its budget (the fold then runs its filter dense).
+#[test]
+fn price_list_changes_no_execution_decision() {
+    use wimpi::engine::{col, lit, AggExpr, PlanBuilder};
+    use wimpi::queries::QueryPlan;
+    use wimpi::storage::{Column, DataType, Field, Schema, Table};
+
+    let run = |plan: &QueryPlan, cat: &Catalog, budget: Option<u64>, executor| {
+        let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
+        let cfg = EngineConfig::serial().with_executor(executor);
+        let (rel, _, span) = run_traced_governed(plan, cat, &cfg, &ctx).expect("runs");
+        let mut tree = String::new();
+        shape(&span, 0, &mut tree);
+        let governed = (ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts());
+        (rel, tree, governed)
+    };
+    let both = |what: &str, plan: &QueryPlan, cat: &Catalog, budget| {
+        let (rel, tree, governed) = run(plan, cat, budget, Executor::Materialize);
+        let (fused_rel, fused_tree, fused_governed) = run(plan, cat, budget, Executor::Fused);
+        assert_eq!(fused_rel, rel, "{what}: answers");
+        assert_eq!(fused_tree, tree, "{what}: span trees\n{tree}\nvs\n{fused_tree}");
+        assert_eq!(fused_governed, governed, "{what}: scratch peak, fallbacks, fan-out");
+        governed
+    };
+    let cat = catalog();
+    for qn in 1..=22 {
+        both(&format!("Q{qn}"), &query(qn), &cat, None);
+    }
+
+    let n = 50_000i64;
+    let mut keyed = Catalog::new();
+    let table = Table::new(
+        Schema::new(vec![Field::new("k", DataType::Int64), Field::new("v", DataType::Int64)]),
+        vec![
+            Column::Int64((0..n).map(|i| i * 7919 % n).collect()),
+            Column::Int64((0..n).map(|i| i * 3 % 101).collect()),
+        ],
+    )
+    .expect("table builds");
+    keyed.register("t", table);
+    let plan = PlanBuilder::scan("t")
+        .filter(col("v").lt(lit(90i64)))
+        .aggregate(vec![(col("k"), "k")], vec![AggExpr::sum(col("v"), "s")])
+        .build();
+    let plan = QueryPlan::Single(plan);
+    let (_, fallbacks, _) = both("permuted keys under 64 KiB", &plan, &keyed, Some(64 << 10));
+    assert!(fallbacks > 0, "the merged table must really exceed the budget");
+}
+
 #[test]
 fn emitted_json_passes_the_independent_checker() {
     let cat = catalog();

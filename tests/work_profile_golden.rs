@@ -1,4 +1,4 @@
-//! Exact work-count goldens, the fused-fallback census and the form census.
+//! Exact work-count goldens, the float-sum fold and the form census.
 //!
 //! `sim_pi3b_s` is a pure function of the [`WorkProfile`], so a refactor
 //! that moves a single `cpu_ops` unit changes the paper-facing numbers. The
@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wimpi::engine::{EngineConfig, Executor, QueryContext, Span};
+use wimpi::engine::{EngineConfig, Executor, QueryContext, Span, WorkProfile};
 use wimpi::queries::{query, run_governed, run_traced_governed};
 use wimpi::storage::Catalog;
 
@@ -55,9 +55,7 @@ fn work_profiles_match_the_pinned_goldens() {
         for (name, cat, cfg) in &configs {
             let (_, prof) = run_governed(&q, cat, cfg, &QueryContext::default())
                 .unwrap_or_else(|e| panic!("Q{qn} {name}: {e}"));
-            let counters: Vec<String> =
-                prof.counter_pairs().iter().map(|(k, v)| format!("{k}={v}")).collect();
-            lines.push(format!("Q{qn}\t{name}\t{}", counters.join(",")));
+            lines.push(format!("Q{qn}\t{name}\t{}", row(&prof)));
         }
     }
     let actual = lines.join("\n") + "\n";
@@ -98,90 +96,64 @@ fn moved(was: &str, now: &str) -> String {
     format!("{}: {}", head.join(" "), moves.join(", "))
 }
 
-fn fallback_labels(span: &Span, out: &mut Vec<String>) {
-    if span.op == "fallback" {
-        out.push(span.label.clone());
-    }
-    for child in &span.children {
-        fallback_labels(child, out);
-    }
+/// A golden row's counters: `name=value`, comma-separated, zeros left out.
+fn row(prof: &WorkProfile) -> String {
+    let counters: Vec<String> =
+        prof.counter_pairs().iter().map(|(k, v)| format!("{k}={v}")).collect();
+    counters.join(",")
 }
 
-/// Every aggregate function folds fused, so none of the 22 queries hands its
-/// pipeline back to the materializing operators.
+/// A float sum is exact only in the morsels it was cut in, so under a filter
+/// the fold aggregates the filtered rows, gathered by the `Filter` operator,
+/// under either price list: the answer bits are the materializing
+/// operators', and so is the `Materialize` profile — zone-map pruning
+/// included, the filter scanning the sealed table. Both are pinned from the
+/// commit before the fold folded filters under both lists.
 #[test]
-fn no_query_falls_back_under_fused() {
-    let cat = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
-    let cfg = EngineConfig::serial().with_executor(Executor::Fused);
-    for qn in 1..=22 {
-        let (_, _, span) = run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
-            .expect("traced fused run");
-        let mut labels = Vec::new();
-        fallback_labels(&span, &mut labels);
-        assert_eq!(labels, Vec::<String>::new(), "Q{qn}");
-    }
-}
-
-/// The one plan shape left that falls back without a budget: a float sum is
-/// exact only in the morsels it was cut in, and under a peeled filter those
-/// are the filtered relation's. The answer and the charges are then the
-/// materializing executor's — zone-map pruning included.
-#[test]
-fn a_float_sum_under_a_filter_is_the_one_unbudgeted_fallback() {
+fn a_float_sum_under_a_filter_folds_the_filtered_rows() {
     use wimpi::engine::{col, date, execute_query_with, lit, AggExpr, PlanBuilder, Tracer};
 
-    let cat = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
     let unit_price = col("l_extendedprice").div(col("l_quantity"));
-    let plan = |filtered: bool| {
-        let scan = PlanBuilder::scan("lineitem");
-        let input = if filtered { scan.filter(col("l_quantity").lt(lit(25i64))) } else { scan };
-        input.aggregate(
-            vec![(col("l_returnflag"), "f")],
-            vec![AggExpr::sum(unit_price.clone(), "s")],
-        )
-    };
-    let run = |filtered: bool, executor| {
-        let (cfg, tracer) = (EngineConfig::serial().with_executor(executor), Tracer::enabled());
-        let (rel, prof) = execute_query_with(
-            &plan(filtered).build(),
-            &cat,
-            &cfg,
-            &QueryContext::default(),
-            &tracer,
-        )
-        .expect("runs");
-        let mut labels = Vec::new();
-        fallback_labels(&tracer.take_root().expect("a traced run has a root"), &mut labels);
-        (rel, prof, labels)
-    };
-    let (rel, prof, labels) = run(true, Executor::Fused);
-    assert_eq!(labels, ["float sum/avg under a filter"]);
-    let (rel0, prof0, _) = run(true, Executor::Materialize);
-    assert_eq!((rel, prof), (rel0, prof0), "the fallback is the materializing executor");
-    // With no filter to peel the morsels are the relation's own: fused.
-    let (rel, _, labels) = run(false, Executor::Fused);
-    assert_eq!(labels, Vec::<String>::new());
-    assert_eq!(rel, run(false, Executor::Materialize).0);
-
-    // Pruned: the fallback's innermost filter still scans the sealed table
-    // (it used to run unpruned and be charged more than `Materialize`).
-    let clustered = clustered_fine();
-    let pruned = |executor| {
+    let run = |cat: &Catalog, filter, executor, pruned: bool| {
         let plan = PlanBuilder::scan("lineitem")
-            .filter(col("l_shipdate").lt(date("1993-01-01")))
+            .filter(filter)
             .aggregate(
                 vec![(col("l_returnflag"), "f")],
                 vec![AggExpr::sum(unit_price.clone(), "s")],
             )
             .build();
-        let cfg = EngineConfig::serial().with_executor(executor).with_morsel_rows(4096);
-        let ctx = QueryContext::default();
-        execute_query_with(&plan, &clustered, &cfg.with_prune_scans(true), &ctx, Tracer::off())
-            .expect("runs")
+        let cfg = EngineConfig::serial().with_executor(executor);
+        let cfg = if pruned { cfg.with_morsel_rows(4096).with_prune_scans(true) } else { cfg };
+        let (rel, prof) =
+            execute_query_with(&plan, cat, &cfg, &QueryContext::default(), Tracer::off())
+                .expect("runs");
+        let sums = rel.column("s").expect("the sum").as_f64().expect("a float sum");
+        (sums.iter().map(|s| s.to_bits()).collect::<Vec<u64>>(), prof)
     };
-    let (rel, prof) = pruned(Executor::Fused);
-    assert!(prof.pruned_morsels > 0, "the clustered filter must skip morsels");
-    assert_eq!((rel, prof), pruned(Executor::Materialize), "the pruned fallback");
+    let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
+    let cheap = || col("l_quantity").lt(lit(25i64));
+    let (bits, prof) = run(&raw, cheap(), Executor::Materialize, false);
+    assert_eq!(bits, [0x416313c87f5c290f, 0x41735ef4b8f5c280, 0x41638b59c7ffffef]);
+    assert_eq!(
+        row(&prof),
+        "cpu_ops=233954,seq_read_bytes=1524196,seq_write_bytes=870956,rand_accesses=28953,\
+         hash_bytes=192,rows_in=60236,rows_out=3,peak_bytes=579060"
+    );
+    assert_eq!(run(&raw, cheap(), Executor::Fused, false).0, bits);
+
+    let clustered = clustered_fine();
+    let early = || col("l_shipdate").lt(date("1993-01-01"));
+    let (bits, prof) = run(&clustered, early(), Executor::Materialize, true);
+    assert_eq!(bits, [0x4153cc41d51eb850, 0x4153f2f81eb851e8]);
+    assert_eq!(
+        row(&prof),
+        "cpu_ops=60195,seq_read_bytes=329928,seq_write_bytes=258232,rand_accesses=7429,\
+         hash_bytes=128,rows_in=60236,rows_out=2,pruned_morsels=13,pruned_bytes=224560,\
+         peak_bytes=178296"
+    );
+    let (fused_bits, fused) = run(&clustered, early(), Executor::Fused, true);
+    assert_eq!(fused_bits, bits);
+    assert_eq!((fused.pruned_morsels, fused.pruned_bytes), (13, 224560), "the same pruning");
 }
 
 /// The labels of every join `build` and aggregate `partials` stage span under
@@ -195,10 +167,10 @@ fn form_labels(span: &Span, out: &mut Vec<String>) {
     }
 }
 
-fn forms_of(qn: usize, cat: &Catalog, executor: Executor) -> String {
-    let cfg = EngineConfig::serial().with_executor(executor);
+fn forms_of(qn: usize, cat: &Catalog) -> String {
     let (_, _, span) =
-        run_traced_governed(&query(qn), cat, &cfg, &QueryContext::default()).expect("traced run");
+        run_traced_governed(&query(qn), cat, &EngineConfig::serial(), &QueryContext::default())
+            .expect("traced run");
     let mut labels = Vec::new();
     form_labels(&span, &mut labels);
     labels.join(" ")
@@ -209,26 +181,20 @@ fn forms_of(qn: usize, cat: &Catalog, executor: Executor) -> String {
 /// in plan order (inputs before the operator that consumes them). The forms
 /// are read off the key vectors at run time, so nothing but this census stops
 /// a change of generator, plan or operator from silently sending a query back
-/// to hashing — which the benchmark would only report as "slower".
+/// to hashing — which the benchmark would only report as "slower". The price
+/// list decides no form (`trace_spans.rs` checks it), so one census does.
 #[test]
 fn every_join_and_aggregate_takes_its_pinned_form() {
     let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
-    // The forms are observed on the keys, which both executors feed in the
-    // same order: one census for both.
-    for executor in [Executor::Materialize, Executor::Fused] {
-        let census: Vec<String> =
-            (1..=22).map(|qn| format!("Q{qn}: {}", forms_of(qn, &raw, executor))).collect();
-        assert_eq!(census, PINNED_FORMS, "{executor:?}\n{}", census.join("\n"));
-    }
+    let census: Vec<String> = (1..=22).map(|qn| format!("Q{qn}: {}", forms_of(qn, &raw))).collect();
+    assert_eq!(census, PINNED_FORMS, "\n{}", census.join("\n"));
 
     // The clustered catalog orders `lineitem` by `l_shipdate`: the plans
     // pinned above as `runs` over `l_orderkey` (Q18's first aggregate, both
     // of Q21's) must find no order there, and hash.
     let clustered = wimpi::tpch::clustered_catalog(SF).expect("clustered catalog generates");
-    for executor in [Executor::Materialize, Executor::Fused] {
-        assert!(forms_of(18, &clustered, executor).starts_with("hash "));
-        assert!(!forms_of(21, &clustered, executor).contains("runs"));
-    }
+    assert!(forms_of(18, &clustered).starts_with("hash "));
+    assert!(!forms_of(21, &clustered).contains("runs"));
 }
 
 const PINNED_FORMS: [&str; 22] = [

@@ -1,7 +1,7 @@
-//! Runs the entire study once — every table and figure, sharing the
-//! expensive measurements — and writes a `summary.md` recording the paper's
-//! headline claims next to the model's numbers (the source of
-//! EXPERIMENTS.md).
+//! Runs the entire study once — every table and figure of the paper,
+//! sharing the expensive measurements — and writes a `summary.md` recording
+//! the paper's headline claims next to the model's numbers (the source of
+//! EXPERIMENTS.md). The one writer of the paper's artifacts in `results/`.
 
 use wimpi_core::{compare_table2, compare_table3, median, reference, Study};
 use wimpi_obs::status;

@@ -1,40 +1,41 @@
 //! # wimpi-bench
 //!
-//! Shared harness for the experiment-regenerator binaries: the paper's
-//! `table1`–`table3`, `fig2`–`fig7` and `all`, plus this repo's `nam`,
-//! `faults` and `extensions` tables. Each binary is a thin wrapper over a
-//! `wimpi_core::Study` method: it prints the table/figure as aligned text
-//! and writes both `.txt` and `.json` artifacts under `results/`. Apart
-//! from `fig2`'s host-anchor panel (the paper's microbenchmark kernels run
-//! on this machine), every number is simulated time or a work count. Host
-//! timings of the engine live in `benchmark/` (the repo's regression
-//! benchmark) and the Criterion benches under `benches/`; invariants live
-//! in the test suites.
+//! Shared harness for the artifact writers. `all` is the study run and the
+//! one writer of the paper's artifacts under `results/`: Tables I–III,
+//! Figures 2–7, the paper-vs-model comparisons and `summary.md`. `nam`,
+//! `faults` and `extensions` write this repo's extension tables. Each binary
+//! prints its tables/figures as aligned text and writes both `.txt` and
+//! `.json` artifacts. Every number is simulated time or a work count, so two
+//! runs write identical files. Host timings live elsewhere: the engine's in
+//! `benchmark/` (the repo's regression benchmark), the microbenchmark
+//! kernels' and the iperf model's in `examples/microbench_host`, the
+//! execution paradigms' in `examples/strategies_lab`. Invariants live in the
+//! test suites.
 //!
-//! Flags (also readable from environment variables):
+//! Flags:
 //!
-//! * `--sf <f64>` / `WIMPI_SF` — scale factor executed on the host
-//!   (default 0.2; work profiles are extrapolated to the paper's SF 1/10,
-//!   see DESIGN.md §4).
-//! * `--out <dir>` / `WIMPI_OUT` — artifact directory (default `results`).
-//! * `--sizes a,b,c` — cluster sizes for Table III (default the paper's
-//!   4,8,12,16,20,24).
+//! * `--sf <f64>` — scale factor executed on the host (default 0.2; work
+//!   profiles are extrapolated to the paper's SF 1/10, see DESIGN.md §4).
+//! * `--out <dir>` — artifact directory (default `results`).
+//! * `--sizes a,b,c` — cluster sizes, each at least one node (default the
+//!   paper's 4,8,12,16,20,24).
 //!
 //! Anything else — an unknown flag, a missing or unparsable value — prints
-//! a usage line and exits non-zero: `results/` is tracked, and a typo must
-//! not silently regenerate it at the default scale.
+//! a usage line and exits non-zero before any artifact is written:
+//! `results/` is tracked, and a typo must not silently regenerate it at the
+//! default scale or leave it half-regenerated.
 //!
 //! Status chatter goes through [`wimpi_obs::status`] (stderr, silenced by
 //! `WIMPI_QUIET=1`); stdout carries only table/figure data.
 
 use std::fs;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 
 use wimpi_analysis::TextFigure;
 use wimpi_obs::status;
 
-const USAGE: &str = "usage: [--sf <scale factor > 0>] [--out <dir>] [--sizes <n,n,...>] \
-                     (environment: WIMPI_SF, WIMPI_OUT)";
+const USAGE: &str = "usage: [--sf <scale factor > 0>] [--out <dir>] [--sizes <n,n,... each >= 1>]";
 
 /// Parsed harness options.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,25 +55,18 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env` (args override environment variables). On a bad
-    /// command line, prints the reason and a usage line to stderr and exits
-    /// with status 2.
+    /// Parses the command line. On a bad one, prints the reason and a usage
+    /// line to stderr and exits with status 2.
     pub fn parse() -> Self {
-        let mut tokens = Vec::new();
-        for (var, flag) in [("WIMPI_SF", "--sf"), ("WIMPI_OUT", "--out")] {
-            if let Ok(v) = std::env::var(var) {
-                tokens.extend([flag.to_string(), v]);
-            }
-        }
-        tokens.extend(std::env::args().skip(1));
+        let tokens: Vec<String> = std::env::args().skip(1).collect();
         Self::parse_from(&tokens).unwrap_or_else(|e| {
             eprintln!("{e}\n{USAGE}");
             std::process::exit(2)
         })
     }
 
-    /// Parses a flag list (environment values first, so later command-line
-    /// flags override them) on top of the defaults.
+    /// Parses a flag list on top of the defaults; a later flag overrides an
+    /// earlier one.
     fn parse_from(tokens: &[String]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = tokens.iter();
@@ -91,9 +85,9 @@ impl Args {
                     let v = value()?;
                     out.sizes = v
                         .split(',')
-                        .map(|s| s.trim().parse())
+                        .map(|s| s.trim().parse::<NonZeroU32>().map(NonZeroU32::get))
                         .collect::<Result<_, _>>()
-                        .map_err(|_| format!("--sizes: {v:?} is not a list of node counts"))?;
+                        .map_err(|_| format!("--sizes: {v:?} is not a list of node counts >= 1"))?;
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn unparsable_sizes_are_rejected() {
-        for bad in ["x", "4,x", "4,,8", ""] {
+        for bad in ["x", "4,x", "4,,8", "", "0", "4,0"] {
             let err = parse(&["--sizes", bad]).unwrap_err();
             assert!(err.starts_with("--sizes"), "{bad:?}: {err}");
         }

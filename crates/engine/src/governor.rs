@@ -445,8 +445,8 @@ impl std::error::Error for BudgetParseError {}
 /// optional unit. `K`/`KiB`-style suffixes are powers of 1024, `KB`-style
 /// are powers of 1000, both case-insensitive: `64K`, `1.5GiB`, `0.5MB`,
 /// `1048576`. Zero and negative values are rejected with a typed error —
-/// "unlimited" is not a number here. Used by the shell and benches for
-/// `WIMPI_MEM_BUDGET`; the engine core itself never reads the environment.
+/// "unlimited" is not a number here. Used by the shell's
+/// `SET memory_budget`; the engine core itself never reads the environment.
 pub fn parse_budget(s: &str) -> std::result::Result<u64, BudgetParseError> {
     let s = s.trim();
     if s.is_empty() {
@@ -476,12 +476,6 @@ pub fn parse_budget(s: &str) -> std::result::Result<u64, BudgetParseError> {
         return Err(BudgetParseError::NonPositive(s.to_string()));
     }
     Ok(bytes as u64)
-}
-
-/// Reads `WIMPI_MEM_BUDGET` (see [`parse_budget`]); `None` when unset or
-/// unparsable.
-pub fn budget_from_env() -> Option<u64> {
-    std::env::var("WIMPI_MEM_BUDGET").ok().and_then(|s| parse_budget(&s).ok())
 }
 
 #[cfg(test)]

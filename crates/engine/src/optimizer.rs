@@ -2,8 +2,8 @@
 //!
 //! Both rewrites matter enormously to a fully materializing engine: pushing
 //! predicates below joins shrinks every later gather, and pruning scan
-//! projections keeps filters from materializing untouched columns. The
-//! `bench/selection` and ablation benches quantify this.
+//! projections keeps filters from materializing untouched columns. Stacked
+//! filters merge into one, so the conjuncts run as one candidate-list loop.
 
 use std::collections::BTreeSet;
 
@@ -410,6 +410,21 @@ mod tests {
         let join_pos = text.find("Join").unwrap();
         let filter_pos = text.find("Filter").unwrap();
         assert!(filter_pos < join_pos, "cross-side filter must stay above join:\n{text}");
+    }
+
+    #[test]
+    fn stacked_filters_merge_into_one_outer_conjuncts_first() {
+        let cat = catalog();
+        let (a, b, c) = (col("a").gt(lit(1i64)), col("b").lt(lit(6i64)), col("c").gt(lit(7i64)));
+        let plan =
+            PlanBuilder::scan("t").filter(a.clone().and(b.clone())).filter(c.clone()).build();
+        let LogicalPlan::Filter { input, predicate } = optimize(plan, &cat).unwrap() else {
+            panic!("the optimized plan is not a Filter");
+        };
+        assert!(matches!(*input, LogicalPlan::Scan { .. }), "one Filter over the scan: {input:?}");
+        let mut conjs = Vec::new();
+        split_conjuncts(predicate, &mut conjs);
+        assert_eq!(conjs, vec![c, a, b]);
     }
 
     #[test]

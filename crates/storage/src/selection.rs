@@ -1,8 +1,9 @@
 //! Selection vectors — MonetDB-style candidate lists.
 //!
 //! A selection vector is a sorted list of row ids that survive a predicate.
-//! Operators pass these instead of materializing filtered columns; the
-//! `bench/selection` ablation measures the difference.
+//! Operators pass these instead of materializing filtered columns; a
+//! filter's `predicates` trace leaf shows the rows each conjunct examined
+//! as the list shrinks.
 
 /// A sorted list of selected row ids.
 pub type SelVec = Vec<u32>;

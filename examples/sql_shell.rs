@@ -11,9 +11,8 @@
 //! per-machine predictions), `\metrics` (service counters), `\q`.
 //!
 //! Resource governance: `SET memory_budget = 64M` caps each query's operator
-//! scratch (`0` or `unlimited` lifts the cap; the `WIMPI_MEM_BUDGET`
-//! environment variable seeds the initial value; fractional units like
-//! `1.5GiB` or `0.5MB` work), and `SET timeout_ms = 500` gives every query a
+//! scratch (`0` or `unlimited` lifts the cap, the default; fractional units
+//! like `1.5GiB` or `0.5MB` work), and `SET timeout_ms = 500` gives every query a
 //! cooperative deadline (`0` disables it).
 //!
 //! Concurrency: `SET concurrency = N` routes statements through an
@@ -124,7 +123,7 @@ fn main() {
     eprintln!("ready. \\tables lists tables, \\q quits.\n");
     let stdin = std::io::stdin();
     let mut show_hw = false;
-    let mut mem_budget: Option<u64> = governor::budget_from_env();
+    let mut mem_budget: Option<u64> = None;
     let mut timeout_ms: Option<u64> = None;
     let mut concurrency: usize = 0;
     let mut service: Option<Service> = None;

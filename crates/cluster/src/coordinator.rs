@@ -13,16 +13,18 @@
 //!   other run) decides between closing the breaker and re-opening it. A
 //!   probe its query never reaches — cancelled or failed first — is handed
 //!   to the next query.
-//! * **Deterministic caching** — a normalized-plan cache (distribute once
-//!   per plan shape) and a bounded [`ResultCache`] whose entries are
-//!   governor-reserved through [`MemoryReservation`] and invalidated
-//!   whenever integrity repair or lost-partition regeneration touches an
-//!   underlying table. A cache hit is therefore provably bit-exact vs
-//!   recomputation: cached answers are non-degraded, every computed answer
-//!   is a deterministic function of (plan, sealed table bytes), and any
-//!   event that rewrote table bytes bumps the dependency versions first.
+//! * **Deterministic result caching** — a bounded [`ResultCache`] keyed on
+//!   the plan's rendering, whose entries are governor-reserved through
+//!   [`MemoryReservation`] and invalidated whenever integrity repair or
+//!   lost-partition regeneration touches an underlying table. A cache hit
+//!   is therefore provably bit-exact vs recomputation: cached answers are
+//!   non-degraded, every computed answer is a deterministic function of
+//!   (plan, sealed table bytes), and any event that rewrote table bytes
+//!   bumps the dependency versions first.
 //!
-//! Reroutes, straggler copies and degraded answers follow the cluster's one
+//! Every miss distributes the plan the client sent with the paper's driver
+//! strategy ([`Strategy::PartialAggPushdown`]), and reroutes, straggler
+//! copies and degraded answers follow the cluster's one
 //! [`RecoveryPolicy`](crate::faults::RecoveryPolicy), so with every breaker
 //! closed a served answer — result, simulated seconds and recovery report —
 //! is exactly what [`crate::WimpiCluster::run_with`] computes under the same
@@ -38,13 +40,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::distribute::{distribute, touches_partitioned, Distributed, Strategy};
+use crate::distribute::{distribute, touches_partitioned, Strategy};
 use crate::faults::{FaultPlan, RecoveryReport};
 use crate::recovery::{Layout, Outcome, SubRun};
 use crate::{ClusterError, Result, WimpiCluster};
 use wimpi_engine::{
-    bind_params_spanning, strip_params, EngineError, MemoryReservation, QueryContext, QuerySpec,
-    Relation, Service, ServiceConfig, ServiceError, Ticket,
+    EngineError, MemoryReservation, QueryContext, QuerySpec, Relation, Service, ServiceConfig,
+    ServiceError, Ticket,
 };
 use wimpi_obs::Registry;
 use wimpi_queries::{run_phases, QueryPlan};
@@ -58,8 +60,6 @@ pub const LATENCY_BUCKETS: [f64; 9] = [0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0
 /// [`RecoveryPolicy`](crate::faults::RecoveryPolicy).
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Partial-shipping strategy for routed queries.
-    pub strategy: Strategy,
     /// Admission/queue/worker configuration of the embedded service.
     pub service: ServiceConfig,
     /// Consecutive sub-run failures that open a node's circuit breaker.
@@ -74,7 +74,6 @@ pub struct CoordinatorConfig {
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         Self {
-            strategy: Strategy::PartialAggPushdown,
             service: ServiceConfig::default(),
             breaker_threshold: 2,
             breaker_cooldown_s: 5.0,
@@ -173,34 +172,6 @@ struct NodeHealth {
 struct HealthState {
     now_s: f64,
     nodes: Vec<NodeHealth>,
-}
-
-/// The normalized-plan cache: one distributed rewrite per plan shape.
-struct PlanCache {
-    map: Mutex<HashMap<String, Arc<Distributed>>>,
-}
-
-impl PlanCache {
-    fn new() -> Self {
-        Self { map: Mutex::new(HashMap::new()) }
-    }
-
-    fn get_or_build(
-        &self,
-        key: &str,
-        metrics: &Registry,
-        build: impl FnOnce() -> Result<Distributed>,
-    ) -> Result<Arc<Distributed>> {
-        let mut map = self.map.lock().unwrap();
-        if let Some(d) = map.get(key) {
-            metrics.inc("coord_plan_cache_hits_total", 1);
-            return Ok(Arc::clone(d));
-        }
-        metrics.inc("coord_plan_cache_misses_total", 1);
-        let d = Arc::new(build()?);
-        map.insert(key.to_string(), Arc::clone(&d));
-        Ok(d)
-    }
 }
 
 /// One cached answer with its memory cost and dependency versions.
@@ -350,7 +321,6 @@ struct Inner {
     cluster: Arc<WimpiCluster>,
     cfg: CoordinatorConfig,
     health: Mutex<HealthState>,
-    plans: PlanCache,
     results: ResultCache,
     metrics: Registry,
 }
@@ -361,15 +331,13 @@ pub struct Coordinator {
     service: Service,
 }
 
-/// The *result*-cache key of a request: the strategy plus the literal plan
-/// rendering. Unlike the plan cache (keyed on the parameter-stripped shape),
-/// answers depend on the actual parameter values, so the key keeps them.
-/// Two-phase answers are not result-cached: the outer plan depends on a
-/// phase-1 scalar computed from live table bytes, so a key built from the
-/// request alone cannot prove a hit bit-exact.
-fn cache_key(strategy: Strategy, query: &QueryPlan) -> Option<String> {
+/// The result-cache key of a request: the plan's rendering, literals
+/// included. Two-phase answers are not result-cached: the outer plan depends
+/// on a phase-1 scalar computed from live table bytes, so a key built from
+/// the request alone cannot prove a hit bit-exact.
+fn cache_key(query: &QueryPlan) -> Option<String> {
     match query {
-        QueryPlan::Single(p) => Some(format!("{strategy:?}\n{}", p.explain())),
+        QueryPlan::Single(p) => Some(p.explain()),
         QueryPlan::TwoPhase { .. } => None,
     }
 }
@@ -420,7 +388,6 @@ impl Coordinator {
         let inner = Arc::new(Inner {
             cluster,
             health: Mutex::new(HealthState { now_s: 0.0, nodes: vec![closed; nodes] }),
-            plans: PlanCache::new(),
             results: ResultCache::new(cfg.result_cache_bytes),
             metrics: Registry::new(),
             cfg,
@@ -430,12 +397,13 @@ impl Coordinator {
 
     /// Submits a request: a result-cache hit answers immediately (no
     /// admission, no execution); otherwise the request queues through the
-    /// service's admission machinery and executes routed.
+    /// service's admission machinery and executes routed, carrying its cache
+    /// key to the insert.
     pub fn submit(&self, req: QueryRequest) -> std::result::Result<Submitted, ServiceError> {
         self.inner.metrics.inc("coord_requests_total", 1);
-        if let Some(key) = cache_key(self.inner.cfg.strategy, &req.query) {
-            if let Some(rel) = self.inner.results.get(&key, &self.inner.metrics) {
-                self.inner.metrics.inc("coord_cache_answers_total", 1);
+        let key = cache_key(&req.query);
+        if let Some(key) = &key {
+            if let Some(rel) = self.inner.results.get(key, &self.inner.metrics) {
                 return Ok(Submitted::Cached(Answer {
                     result: rel,
                     degraded: false,
@@ -450,8 +418,9 @@ impl Coordinator {
             spec = spec.with_estimate(bytes);
         }
         let inner = Arc::clone(&self.inner);
-        let ticket =
-            self.service.submit(spec, move |ctx| inner.execute(&req, ctx).map_err(to_engine))?;
+        let ticket = self
+            .service
+            .submit(spec, move |ctx| inner.execute(&req, key.as_deref(), ctx).map_err(to_engine))?;
         Ok(Submitted::Queued(ticket))
     }
 
@@ -460,10 +429,11 @@ impl Coordinator {
         self.submit(req)?.wait()
     }
 
-    /// Coordinator counters: request/cache/breaker totals, the sub-run
-    /// ledger, per-node health gauges, and the latency histogram. Retries,
-    /// reroutes and straggler copies are counted in the cluster's
-    /// [`WimpiCluster::metrics`].
+    /// Coordinator counters: request, result-cache and breaker totals, the
+    /// sub-run ledger, degraded answers and the latency histogram. Completed
+    /// queries are counted by the embedded service
+    /// ([`Self::service_metrics`]); retries, reroutes and straggler copies
+    /// in the cluster's [`WimpiCluster::metrics`].
     pub fn metrics(&self) -> &Registry {
         &self.inner.metrics
     }
@@ -506,8 +476,9 @@ impl Inner {
     /// touches lineitem, so node loss during the pre-pass is recovered like
     /// any other run, and the outer plan is served the same way. The phases
     /// share the admission context; only the merge of their two answers
-    /// (costs and recovery reports add) lives here.
-    fn execute(&self, req: &QueryRequest, ctx: &QueryContext) -> Result<Answer> {
+    /// (costs and recovery reports add) lives here. A non-degraded answer
+    /// is cached under `key`, the request's [`cache_key`].
+    fn execute(&self, req: &QueryRequest, key: Option<&str>, ctx: &QueryContext) -> Result<Answer> {
         let answer = run_phases(
             &req.query,
             |plan, scalar_pass| {
@@ -537,8 +508,8 @@ impl Inner {
             self.results.invalidate_tables(&tables, &self.metrics);
         }
         if !answer.degraded {
-            if let Some(key) = cache_key(self.cfg.strategy, &req.query) {
-                self.results.insert(&key, &answer.result, &tables, &self.metrics);
+            if let Some(key) = key {
+                self.results.insert(key, &answer.result, &tables, &self.metrics);
             }
         }
         self.finish(&answer);
@@ -547,15 +518,9 @@ impl Inner {
 
     /// Serves one logical plan through the cluster's recovery machine with
     /// breaker-blocked nodes left out: across every node when it touches
-    /// the partitioned lineitem table, on one node otherwise.
-    ///
-    /// The partitioned path keys the plan cache on the *parameter-stripped*
-    /// shape ([`strip_params`]): submissions differing only in literal values
-    /// (a shipped-before date, a discount band) share one distributed
-    /// rewrite, and the stripped parameters are bound back into the cached
-    /// node and merge plans before execution — the rewrite is shape-based,
-    /// so normalize-then-bind executes exactly the plan the request asked
-    /// for.
+    /// the partitioned lineitem table, on one node otherwise. The
+    /// partitioned path distributes the plan under the paper's driver
+    /// strategy, as [`WimpiCluster::run_with`] does.
     fn execute_plan(
         &self,
         label: &str,
@@ -565,17 +530,8 @@ impl Inner {
     ) -> Result<Answer> {
         let dist;
         let layout = if touches_partitioned(plan) {
-            let (norm, params) = strip_params(plan).map_err(ClusterError::from)?;
-            let key = format!("{:?}\n{}", self.cfg.strategy, norm.explain());
-            let shape = self.plans.get_or_build(&key, &self.metrics, || {
-                distribute(&norm, self.cfg.strategy).map_err(ClusterError::from)
-            })?;
-            let mut bound = bind_params_spanning(&[&shape.node_plan, &shape.merge_plan], &params)
-                .map_err(ClusterError::from)?;
-            let merge_plan = bound.pop().expect("two plans bound");
-            let node_plan = bound.pop().expect("two plans bound");
-            dist = Distributed { node_plan, merge_plan };
-            Layout::Partitioned(&dist, self.cfg.strategy)
+            dist = distribute(plan, Strategy::PartialAggPushdown)?;
+            Layout::Partitioned(&dist, Strategy::PartialAggPushdown)
         } else {
             Layout::Replicated(plan)
         };
@@ -595,27 +551,14 @@ impl Inner {
         })
     }
 
-    /// Post-answer bookkeeping: ledger counters, the latency histogram, the
-    /// clock advance, and the per-node health gauges.
+    /// Post-answer bookkeeping: the degraded counter, the latency histogram
+    /// and the clock advance.
     fn finish(&self, answer: &Answer) {
-        self.metrics.inc("coord_completed_total", 1);
         if answer.degraded {
             self.metrics.inc("coord_degraded_answers_total", 1);
         }
         self.metrics.observe("coord_latency_seconds", &LATENCY_BUCKETS, answer.sim_seconds);
-        let mut st = self.health.lock().unwrap();
-        st.now_s += answer.sim_seconds;
-        let now = st.now_s;
-        for (i, h) in st.nodes.iter().enumerate() {
-            self.metrics.set_gauge(
-                &format!("coord_node_consecutive_failures{{node=\"{i}\"}}"),
-                h.consecutive_failures as f64,
-            );
-            let open = matches!(h.breaker, Breaker::Open { .. });
-            self.metrics
-                .set_gauge(&format!("coord_node_breaker_open{{node=\"{i}\"}}"), open as u64 as f64);
-        }
-        self.metrics.set_gauge("coord_sim_clock_seconds", now);
+        self.health.lock().unwrap().now_s += answer.sim_seconds;
     }
 
     /// Decides under one lock which nodes a run over `homes` home partitions
@@ -795,8 +738,6 @@ mod tests {
         let m = coord.metrics();
         assert_eq!(m.counter("coord_result_cache_hits_total"), 1);
         assert!(coord.result_cache().used_bytes() > 0, "entries are governor-reserved");
-        // Plan cache: distribute ran once even though two requests arrived.
-        assert_eq!(m.counter("coord_plan_cache_misses_total"), 1);
         coord.shutdown();
     }
 
@@ -896,7 +837,7 @@ mod tests {
         let before = coord.metrics().counter("coord_subruns_total");
         let mut ctx = QueryContext::new();
         ctx.cancel = wimpi_engine::CancelToken::after_checks(2);
-        let cut = coord.inner.execute(&QueryRequest::new("q6-cut", query(6)), &ctx);
+        let cut = coord.inner.execute(&QueryRequest::new("q6-cut", query(6)), None, &ctx);
         assert!(matches!(cut, Err(ClusterError::Engine(EngineError::Cancelled))));
         assert_eq!(coord.metrics().counter("coord_subruns_total"), before + 2);
         assert!(coord.breaker_is_open(2), "the unreached probe must be re-armed, not stranded");
@@ -1011,8 +952,6 @@ mod tests {
         let b = coord.run_blocking(QueryRequest::new("q15-again", query(15))).expect("routes");
         assert!(!b.from_cache);
         assert_eq!(b.result, reference);
-        // …but both phases' distributed rewrites come from the plan cache.
-        assert!(m.counter("coord_plan_cache_hits_total") >= 2, "phases share cached rewrites");
         coord.shutdown();
     }
 
@@ -1042,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_normalizes_parameterized_variants() {
+    fn literal_variants_are_separate_answers() {
         use wimpi_engine::expr::{col, date, dec2};
         use wimpi_engine::plan::{AggExpr, PlanBuilder};
         // Two Q6-shaped plans differing only in literal parameters.
@@ -1070,16 +1009,10 @@ mod tests {
         let b = coord
             .run_blocking(QueryRequest::new("v95", q6_variant("1995-01-01", "1996-01-01")))
             .expect("serves");
-        let m = coord.metrics();
-        // One distribute() for both: the second request hit the
-        // parameter-stripped shape in the plan cache…
-        assert_eq!(m.counter("coord_plan_cache_misses_total"), 1);
-        assert!(m.counter("coord_plan_cache_hits_total") >= 1);
-        // …while the result cache correctly kept them apart (different
-        // literals are different answers).
+        // The result cache keys on the literals: a variant is a miss.
         assert!(!b.from_cache);
         assert_ne!(a.result, b.result, "different parameters, different answers");
-        // Each variant still computes its own correct answer.
+        // Each variant is the cluster driver's answer.
         let r94 = cl
             .run(&q6_variant("1994-01-01", "1995-01-01"), Strategy::PartialAggPushdown)
             .expect("runs");

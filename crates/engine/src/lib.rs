@@ -19,7 +19,6 @@ pub mod expr;
 pub mod governor;
 pub mod like;
 pub mod optimizer;
-pub mod params;
 pub mod plan;
 pub mod relation;
 pub mod service;
@@ -30,7 +29,6 @@ pub use exec::execute;
 pub use exec::parallel::{EngineConfig, Executor};
 pub use expr::{col, date, dec2, lit, Expr};
 pub use governor::{BudgetParseError, CancelToken, MemoryReservation, QueryContext, Reservation};
-pub use params::{bind_params, bind_params_spanning, strip_params};
 pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PlanBuilder, SortKey};
 pub use relation::Relation;
 pub use service::{backoff_s, QuerySpec, Service, ServiceConfig, ServiceError, Ticket};

@@ -401,6 +401,26 @@ fn coordinator_serves_bit_exact_under_seeded_chaos() {
     assert!(hits_on_the_ladder > 0, "a hot/cold mix with repeats must hit the result cache");
 }
 
+/// The coordinator serves any plan the cluster driver runs: a string literal
+/// is a value, whatever its text, and the served answer is the driver's.
+#[test]
+fn coordinator_serves_any_string_literal() {
+    use std::sync::Arc;
+    use wimpi::cluster::coordinator::{Coordinator, CoordinatorConfig, QueryRequest};
+    use wimpi::queries::QueryPlan;
+
+    let cluster = Arc::new(WimpiCluster::build(ClusterConfig::new(3, 0.01)).expect("builds"));
+    let sql = "select sum(l_quantity) as q from lineitem where l_shipmode = '$param:0'";
+    let plan = QueryPlan::Single(
+        wimpi::sql::plan(sql, cluster.node_catalog(0)).expect("the statement plans"),
+    );
+    let reference = cluster.run(&plan, Strategy::PartialAggPushdown).expect("the driver runs it");
+    let coord = Coordinator::new(Arc::clone(&cluster), CoordinatorConfig::default());
+    let served = coord.run_blocking(QueryRequest::new("literal", plan)).expect("serves");
+    coord.shutdown();
+    assert_eq!(served.result, reference.result);
+}
+
 #[test]
 fn timing_metadata_is_consistent() {
     let cluster = WimpiCluster::build(ClusterConfig::new(3, SF)).expect("builds");

@@ -4,6 +4,7 @@
 
 use wimpi_analysis::{Series, TextFigure};
 use wimpi_cluster::distribute::Strategy;
+use wimpi_cluster::faults::FaultPlan;
 use wimpi_cluster::nam::NamCluster;
 use wimpi_cluster::{ClusterConfig, WimpiCluster};
 use wimpi_obs::status;
@@ -25,7 +26,7 @@ fn main() {
     );
     fig.rows = CHOKEPOINT_QUERIES.iter().map(|q| format!("Q{q}")).collect();
     let mut all_pi = Vec::new();
-    let mut nam = Vec::new();
+    let (mut nam, none) = (Vec::new(), FaultPlan::none());
     for &q in &CHOKEPOINT_QUERIES {
         let qp = query(q);
         all_pi.push(
@@ -35,7 +36,8 @@ fn main() {
                 .expect("all-pi runs")
                 .total_seconds(),
         );
-        nam.push(hybrid.run(&qp, Strategy::PartialAggPushdown).expect("nam runs").total_seconds());
+        let run = hybrid.run_with(&format!("Q{q}"), &qp, Strategy::PartialAggPushdown, &none);
+        nam.push(run.expect("nam runs").total_seconds());
     }
     fig.push_series(Series::new("all-pi", all_pi.clone()));
     fig.push_series(Series::new("nam-hybrid", nam.clone()));

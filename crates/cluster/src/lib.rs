@@ -52,13 +52,6 @@ use wimpi_tpch::Generator;
 pub enum ClusterError {
     /// A planning/execution failure.
     Engine(EngineError),
-    /// A node index outside `0..nodes` was given to a management call.
-    NoSuchNode {
-        /// The offending index.
-        node: usize,
-        /// Cluster size.
-        nodes: usize,
-    },
     /// A node needed by the query is unreachable and unrecoverable.
     NodeDown {
         /// The query being executed.
@@ -92,9 +85,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Engine(e) => write!(f, "engine: {e}"),
-            ClusterError::NoSuchNode { node, nodes } => {
-                write!(f, "node {node} does not exist (cluster has {nodes} nodes)")
-            }
             ClusterError::NodeDown { query, node } => {
                 write!(f, "{query}: node {node} is down and unrecoverable")
             }
@@ -224,7 +214,9 @@ pub struct WimpiCluster {
     /// Replicated tables (region … partsupp + orders), shared by every node
     /// and by recovery catalogs.
     replicated: Vec<(String, Arc<Table>)>,
-    alive: Vec<bool>,
+    /// The generator the partitions came from, comment pools and all: a
+    /// reroute regenerates a lost partition with it.
+    gen: Generator,
     policy: RecoveryPolicy,
     metrics: Registry,
 }
@@ -265,7 +257,7 @@ impl WimpiCluster {
             node_catalogs.push(cat);
         }
         Ok(Self {
-            alive: vec![true; config.nodes as usize],
+            gen,
             pi: pi3b(),
             config,
             node_catalogs,
@@ -308,38 +300,10 @@ impl WimpiCluster {
         &self.node_catalogs[node]
     }
 
-    fn check_node(&self, node: usize) -> Result<()> {
-        if node < self.alive.len() {
-            Ok(())
-        } else {
-            Err(ClusterError::NoSuchNode { node, nodes: self.alive.len() })
-        }
-    }
-
-    /// Marks a node failed (failure injection). Errors on an out-of-range
-    /// index instead of panicking.
-    pub fn kill_node(&mut self, node: usize) -> Result<()> {
-        self.check_node(node)?;
-        self.alive[node] = false;
-        Ok(())
-    }
-
-    /// Brings a node back. Errors on an out-of-range index.
-    pub fn restore_node(&mut self, node: usize) -> Result<()> {
-        self.check_node(node)?;
-        self.alive[node] = true;
-        Ok(())
-    }
-
-    /// Live nodes (not [`Self::kill_node`]-ed).
-    pub fn alive_nodes(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
-    }
-
     /// Runs a query across the cluster with the given shipping strategy,
-    /// recovering from any nodes downed via [`Self::kill_node`] under the
-    /// cluster's [`RecoveryPolicy`]. Errors name the query by the tables it
-    /// reads.
+    /// fault-free. Errors name the query by the tables it reads; a node is
+    /// lost by running with a [`FaultKind::Crash`](faults::FaultKind::Crash)
+    /// in [`Self::run_with`]'s plan.
     ///
     /// Queries that never touch the partitioned `lineitem` run on one node
     /// only — exactly the paper's Q13 behaviour (§II-D2: "adding more nodes
@@ -486,11 +450,10 @@ mod tests {
 
     #[test]
     fn dead_node_recovers_via_reassignment() {
-        let mut c = small_cluster(3);
+        let c = small_cluster(3);
         let q = query(6);
         let healthy = c.run(&q, Strategy::PartialAggPushdown).unwrap();
-        c.kill_node(1).unwrap();
-        let run = c.run(&q, Strategy::PartialAggPushdown).unwrap();
+        let run = c.run_with("Q6", &q, Strategy::PartialAggPushdown, &FaultPlan::crash(1)).unwrap();
         assert_eq!(
             run.result.column("revenue").unwrap().as_decimal().unwrap(),
             healthy.result.column("revenue").unwrap().as_decimal().unwrap(),
@@ -506,37 +469,28 @@ mod tests {
         );
         assert_eq!(run.nodes_used, 2);
         assert!(!run.recovery.degraded);
-        c.restore_node(1).unwrap();
+        // A fault plan lives for one run: the next fault-free run moves nothing.
         let back = c.run(&q, Strategy::PartialAggPushdown).unwrap();
         assert!(back.recovery.reassignments.is_empty());
     }
 
     #[test]
     fn q13_reroutes_around_dead_node_zero() {
-        let mut c = small_cluster(3);
+        let c = small_cluster(3);
         let reference = c.run(&query(13), Strategy::PartialAggPushdown).unwrap();
-        c.kill_node(0).unwrap();
-        let run = c.run(&query(13), Strategy::PartialAggPushdown).unwrap();
+        let crash = FaultPlan::crash(0);
+        let run = c.run_with("Q13", &query(13), Strategy::PartialAggPushdown, &crash).unwrap();
         assert_eq!(run.result.num_rows(), reference.result.num_rows());
         assert_eq!(run.recovery.reassignments, vec![Reassignment { partition: 0, to: 1 }]);
     }
 
     #[test]
     fn all_nodes_dead_is_an_error_naming_the_query() {
-        let mut c = small_cluster(2);
-        c.kill_node(0).unwrap();
-        c.kill_node(1).unwrap();
-        let err = c.run(&query(6), Strategy::PartialAggPushdown).unwrap_err();
+        let c = small_cluster(2);
+        let crash = FaultPlan::crash(0).with(1, FaultKind::Crash);
+        let err = c.run_with("Q6", &query(6), Strategy::PartialAggPushdown, &crash).unwrap_err();
         assert!(matches!(err, ClusterError::AllNodesFailed { .. }));
-        assert!(err.to_string().contains("lineitem"), "query label in message: {err}");
-    }
-
-    #[test]
-    fn node_management_is_bounds_checked() {
-        let mut c = small_cluster(2);
-        assert!(matches!(c.kill_node(7), Err(ClusterError::NoSuchNode { node: 7, nodes: 2 })));
-        assert!(matches!(c.restore_node(9), Err(ClusterError::NoSuchNode { .. })));
-        assert_eq!(c.alive_nodes(), 2);
+        assert!(err.to_string().contains("Q6"), "query label in message: {err}");
     }
 
     #[test]
@@ -785,10 +739,9 @@ mod tests {
 
     #[test]
     fn unlimited_survivors_absorb_everything() {
-        let mut c = small_cluster(3);
-        c.kill_node(1).unwrap();
-        c.kill_node(2).unwrap();
-        let run = c.run(&query(6), Strategy::PartialAggPushdown).unwrap();
+        let c = small_cluster(3);
+        let crash = FaultPlan::crash(1).with(2, FaultKind::Crash);
+        let run = c.run_with("Q6", &query(6), Strategy::PartialAggPushdown, &crash).unwrap();
         assert!(!run.recovery.degraded);
         assert!((run.recovery.coverage - 1.0).abs() < 1e-12);
         assert_eq!(run.recovery.reassignments.len(), 2);
@@ -801,17 +754,17 @@ mod tests {
         let mut policy = *c.recovery_policy();
         policy.reassign_cap = 1; // one survivor may absorb one partition
         c.set_recovery_policy(policy);
-        c.kill_node(1).unwrap();
-        c.kill_node(2).unwrap();
-        c.kill_node(3).unwrap();
+        let crash = FaultPlan::crash(1).with(2, FaultKind::Crash).with(3, FaultKind::Crash);
+        let run =
+            |c: &WimpiCluster| c.run_with("Q6", &query(6), Strategy::PartialAggPushdown, &crash);
         // Three lost partitions, one survivor with capacity for one: the
         // strict policy refuses …
-        let err = c.run(&query(6), Strategy::PartialAggPushdown).unwrap_err();
+        let err = run(&c).unwrap_err();
         assert!(matches!(err, ClusterError::NodeDown { .. }), "got {err}");
         // … and the degraded policy answers with partial coverage.
         policy.degraded_ok = true;
         c.set_recovery_policy(policy);
-        let run = c.run(&query(6), Strategy::PartialAggPushdown).unwrap();
+        let run = run(&c).unwrap();
         assert!(run.recovery.degraded);
         assert!(run.recovery.coverage > 0.0 && run.recovery.coverage < 1.0);
         assert_eq!(run.recovery.reassignments.len(), 1);

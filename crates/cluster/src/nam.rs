@@ -10,6 +10,7 @@
 //! merge).
 
 use crate::distribute::Strategy;
+use crate::faults::FaultPlan;
 use crate::{DistRun, Result, WimpiCluster};
 use wimpi_hwsim::{predict_all_cores, HwProfile};
 use wimpi_microbench::NetModel;
@@ -31,12 +32,19 @@ impl NamCluster {
         Self { workers, server, server_net: NetModel::gigabit() }
     }
 
-    /// Runs a query: Pi nodes execute their partitions exactly as in the
-    /// all-Pi deployment, recovery included, but partials ship to the
-    /// server, which merges them with its own compute/bandwidth and without
-    /// memory pressure.
-    pub fn run(&self, q: &QueryPlan, strategy: Strategy) -> Result<DistRun> {
-        let base = self.workers.run(q, strategy)?;
+    /// Runs the query named `query` under `faults`: Pi nodes execute their
+    /// partitions exactly as in the all-Pi deployment
+    /// ([`WimpiCluster::run_with`]), recovery included, but partials ship to
+    /// the server, which merges them with its own compute/bandwidth and
+    /// without memory pressure.
+    pub fn run_with(
+        &self,
+        query: &str,
+        q: &QueryPlan,
+        strategy: Strategy,
+        faults: &FaultPlan,
+    ) -> Result<DistRun> {
+        let base = self.workers.run_with(query, q, strategy, faults)?;
         if base.nodes_used == 1 {
             // Single-node queries (Q13): NAM can host them on the server
             // outright — the §III-C1 "tasks that require a large amount of
@@ -98,7 +106,7 @@ mod tests {
         let h = hybrid(3);
         let q = query(6);
         let all_pi = h.workers.run(&q, Strategy::PartialAggPushdown).unwrap();
-        let nam = h.run(&q, Strategy::PartialAggPushdown).unwrap();
+        let nam = h.run_with("Q", &q, Strategy::PartialAggPushdown, &FaultPlan::none()).unwrap();
         assert_eq!(
             nam.result.column("revenue").unwrap().as_decimal().unwrap(),
             all_pi.result.column("revenue").unwrap().as_decimal().unwrap(),
@@ -112,7 +120,8 @@ mod tests {
         for qn in [1usize, 3, 5] {
             let q = query(qn);
             let all_pi = h.workers.run(&q, Strategy::PartialAggPushdown).unwrap();
-            let nam = h.run(&q, Strategy::PartialAggPushdown).unwrap();
+            let nam =
+                h.run_with("Q", &q, Strategy::PartialAggPushdown, &FaultPlan::none()).unwrap();
             assert!(nam.network_seconds <= all_pi.network_seconds, "Q{qn} network");
             assert!(nam.merge_seconds <= all_pi.merge_seconds, "Q{qn} merge");
             assert!(nam.total_seconds() <= all_pi.total_seconds(), "Q{qn} total");
@@ -126,7 +135,7 @@ mod tests {
         let h = hybrid(4);
         let q = query(13);
         let all_pi = h.workers.run(&q, Strategy::PartialAggPushdown).unwrap();
-        let nam = h.run(&q, Strategy::PartialAggPushdown).unwrap();
+        let nam = h.run_with("Q", &q, Strategy::PartialAggPushdown, &FaultPlan::none()).unwrap();
         assert!(
             nam.total_seconds() < all_pi.total_seconds() / 2.0,
             "server-hosted Q13 should be much faster: {} vs {}",
@@ -138,11 +147,11 @@ mod tests {
 
     #[test]
     fn recovery_survives_the_hybrid_path() {
-        let mut h = hybrid(3);
+        let h = hybrid(3);
         let q = query(6);
-        let healthy = h.run(&q, Strategy::PartialAggPushdown).unwrap();
-        h.workers.kill_node(1).unwrap();
-        let run = h.run(&q, Strategy::PartialAggPushdown).unwrap();
+        let healthy =
+            h.run_with("Q", &q, Strategy::PartialAggPushdown, &FaultPlan::none()).unwrap();
+        let run = h.run_with("Q6", &q, Strategy::PartialAggPushdown, &FaultPlan::crash(1)).unwrap();
         assert_eq!(run.recovery.reassignments.len(), 1);
         assert!(run.recovery.recovery_seconds > 0.0);
         assert_eq!(

@@ -39,7 +39,6 @@ use wimpi_engine::{
     WorkProfile,
 };
 use wimpi_storage::{Catalog, Column, Field, Schema, SplitMix64, Table};
-use wimpi_tpch::Generator;
 
 use crate::distribute::{Distributed, Strategy, PARTIALS_TABLE};
 use crate::faults::{
@@ -210,7 +209,7 @@ impl WimpiCluster {
                 if j < parts {
                     partials[j].is_some()
                 } else {
-                    self.alive[j] && faults.fault(j) != Some(FaultKind::Crash) && !skip.contains(&j)
+                    faults.fault(j) != Some(FaultKind::Crash) && !skip.contains(&j)
                 }
             })
             .collect();
@@ -374,9 +373,8 @@ impl WimpiCluster {
         let (cat, regen_s) = match layout {
             Layout::Replicated(_) => (Cow::Borrowed(&self.node_catalogs[j]), 0.0),
             Layout::Partitioned(..) => {
-                let gen = Generator::new(self.config.sf);
                 let (_, lineitem) =
-                    gen.orders_lineitem_chunk(p as u64, self.config.nodes as u64)?;
+                    self.gen.orders_lineitem_chunk(p as u64, self.config.nodes as u64)?;
                 let regen_s = self
                     .regeneration_seconds(lineitem.num_rows() as u64, lineitem.heap_bytes() as u64);
                 let mut rcat = Catalog::new();
@@ -517,7 +515,7 @@ impl WimpiCluster {
     ) -> Result<NodeOutcome> {
         let cat = &self.node_catalogs[node];
         let fault = faults.fault(node);
-        if !self.alive[node] || fault == Some(FaultKind::Crash) {
+        if fault == Some(FaultKind::Crash) {
             report.recovery_seconds += DETECT_S;
             return Ok(NodeOutcome::Lost { available_at: DETECT_S });
         }

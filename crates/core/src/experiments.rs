@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use wimpi_analysis::{Series, TextFigure};
 use wimpi_cluster::distribute::Strategy;
-use wimpi_cluster::faults::FaultPlan;
+use wimpi_cluster::faults::{FaultKind, FaultPlan};
 use wimpi_cluster::memory::MemoryModel;
 use wimpi_cluster::{scan_bytes, ClusterConfig, WimpiCluster};
 use wimpi_engine::{EngineConfig, EngineError, Executor, QueryContext, Result, WorkProfile};
@@ -394,36 +394,42 @@ impl Study {
         })
     }
 
-    /// The availability experiment: for each cluster size, permanently kill
-    /// the `k` highest-index nodes (for each `k` in `kills`) and run every
-    /// choke-point query through the recovery engine, recording the total
-    /// runtime relative to the fault-free baseline, the simulated seconds
-    /// recovery cost, and the worst answer coverage. Deterministic: the
-    /// kill set is a function of `(size, k)` alone.
+    /// The availability experiment: for each cluster size, crash the `k`
+    /// highest-index nodes (for each `k` in `kills`) in every choke-point
+    /// query's fault plan and run it through the recovery engine, recording
+    /// the total runtime relative to the fault-free baseline, the simulated
+    /// seconds recovery cost, and the worst answer coverage. Deterministic:
+    /// the crash set is a function of `(size, k)` alone.
     pub fn availability(&self, cluster_sizes: &[u32], kills: &[u32]) -> Result<AvailabilityTable> {
         let scale = 10.0 / self.measure_sf;
         let mut overhead = Vec::with_capacity(cluster_sizes.len());
         let mut recovery = Vec::with_capacity(cluster_sizes.len());
         let mut coverage = Vec::with_capacity(cluster_sizes.len());
         for &n in cluster_sizes {
-            let mut cluster =
+            let cluster =
                 WimpiCluster::build(ClusterConfig::new(n, self.measure_sf).with_model_scale(scale))
                     .map_err(cluster_err)?;
             let mut o_row = Vec::with_capacity(kills.len());
             let mut r_row = Vec::with_capacity(kills.len());
             let mut c_row = Vec::with_capacity(kills.len());
-            let mut baseline_total = 0.0;
-            for &q in &CHOKEPOINT_QUERIES {
-                let r = cluster
-                    .run_with(
-                        &format!("Q{q}"),
-                        &query(q),
-                        Strategy::PartialAggPushdown,
-                        &FaultPlan::none(),
-                    )
-                    .map_err(cluster_err)?;
-                baseline_total += r.total_seconds();
-            }
+            // (total seconds, recovery seconds, worst coverage) of the
+            // choke-point queries with the `k` highest-index nodes crashed.
+            let strategy = Strategy::PartialAggPushdown;
+            let study = |k: u32| -> Result<(f64, f64, f64)> {
+                let crashed = ((n - k) as usize..n as usize)
+                    .fold(FaultPlan::none(), |plan, node| plan.with(node, FaultKind::Crash));
+                let (mut total, mut rec, mut cov) = (0.0, 0.0, 1.0f64);
+                for &q in &CHOKEPOINT_QUERIES {
+                    let r = cluster
+                        .run_with(&format!("Q{q}"), &query(q), strategy, &crashed)
+                        .map_err(cluster_err)?;
+                    total += r.total_seconds();
+                    rec += r.recovery.recovery_seconds;
+                    cov = cov.min(r.recovery.coverage);
+                }
+                Ok((total, rec, cov))
+            };
+            let (baseline_total, ..) = study(0)?;
             for &k in kills {
                 if k >= n {
                     // Killing the whole cluster leaves nothing to answer.
@@ -432,28 +438,7 @@ impl Study {
                     c_row.push(0.0);
                     continue;
                 }
-                for node in 0..n as usize {
-                    cluster.restore_node(node).map_err(cluster_err)?;
-                }
-                for node in (n - k) as usize..n as usize {
-                    cluster.kill_node(node).map_err(cluster_err)?;
-                }
-                let mut total = 0.0;
-                let mut rec = 0.0;
-                let mut cov = 1.0f64;
-                for &q in &CHOKEPOINT_QUERIES {
-                    let r = cluster
-                        .run_with(
-                            &format!("Q{q}"),
-                            &query(q),
-                            Strategy::PartialAggPushdown,
-                            &FaultPlan::none(),
-                        )
-                        .map_err(cluster_err)?;
-                    total += r.total_seconds();
-                    rec += r.recovery.recovery_seconds;
-                    cov = cov.min(r.recovery.coverage);
-                }
+                let (total, rec, cov) = study(k)?;
                 o_row.push(total / baseline_total);
                 r_row.push(rec);
                 c_row.push(cov);

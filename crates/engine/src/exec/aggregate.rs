@@ -31,13 +31,17 @@
 //! Decimal sums accumulate in `i128`, which is exact and order-free; `avg`
 //! over fixed-point inputs (decimal/int) likewise sums mantissas in `i128`
 //! and divides once at the end, and `min`/`max` keep the first extreme slot
-//! in the order of its type — all independent of where the morsels are cut,
-//! which is what lets the fold cut base-table morsels under a filter and
-//! still equal an aggregate over the filtered relation. Float `sum`/`avg` are
-//! exact in the morsels they were cut in only: under a filter the fold
-//! aggregates the filtered relation instead. `avg` over an empty group yields
-//! `0.0` — SQL would say NULL, but no reproduced query aggregates an empty
-//! group (DESIGN.md §7).
+//! in the order of its type — all independent of where the morsels are cut.
+//! Float `sum`/`avg` are cut like every other accumulator, in the base
+//! table's morsels with or without a filter folded in: their bits depend on
+//! `morsel_rows` and never on the thread count. `avg` over an empty group
+//! yields `0.0` — SQL would say NULL, but no reproduced query aggregates an
+//! empty group (DESIGN.md §7).
+//!
+//! A merged group table over budget descends the degradation ladder
+//! (`exec::ladder`), which partitions the fold's survivors — the rows the
+//! conjuncts kept, named by source row id — so each partition is cut into
+//! the same base-table morsels the fold's partials were.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -45,12 +49,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::bytecode::{self, Program, Rows, Ty};
-use super::filter::{exec_filter, Conjuncts};
+use super::ensure_u32_indexable;
+use super::filter::Conjuncts;
 use super::hash::{FxMap, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
-use super::{ensure_u32_indexable, expr_sketch, Scope};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::governor::{QueryContext, Reservation};
@@ -69,12 +73,8 @@ use wimpi_storage::{selection, Column, StorageError, Table};
 /// `partials` stage span (labelled `runs` or `hash` after the form merged,
 /// with per-morsel children) is attached to the open aggregate span.
 ///
-/// Two shapes fold dense input instead: a float `sum`/`avg` under a filter
-/// (its sums are cut in the filtered rows' morsels), and a merged group
-/// table over budget under a filter (the ladder partitions a relation, not a
-/// selection). The filters then run as the `Filter` operator, each in its own
-/// span, and the fold aggregates the last one's output. Without filters, an
-/// over-budget table descends the ladder here.
+/// A merged table over budget descends the ladder over the survivors (see
+/// the module doc); the filters are charged, and traced, once either way.
 ///
 /// The hash form's coordinator merge reserves one `width`-byte table entry
 /// per distinct group (the same constant the work profile charges to
@@ -93,19 +93,6 @@ pub fn exec_aggregate(
 ) -> Result<Relation> {
     let n = src.num_rows();
     ensure_u32_indexable(n, "aggregate")?;
-    let dense = |prof: &mut WorkProfile| -> Result<Relation> {
-        let mut rel = src.clone();
-        for (i, f) in filters.iter().enumerate() {
-            ctx.checkpoint()?;
-            let span = Scope::open(tracer, prof, || ("filter", expr_sketch(f)));
-            let out = exec_filter(&rel, f, table.filter(|_| i == 0), prof, cfg, tracer, ctx)?;
-            ctx.track(out.stream_bytes() as u64); // as the interpreter tracks it
-            prof.peak_bytes = prof.peak_bytes.max(ctx.high_water());
-            span.close(rel.num_rows() as u64, out.num_rows() as u64, prof);
-            rel = out;
-        }
-        exec_aggregate(&rel, &[], None, group_by, aggs, prof, cfg, tracer, ctx)
-    };
     // 1. Compile the conjuncts, the keys and the aggregate inputs.
     let chain = Conjuncts::compile(filters, src)?;
     let compile = |e: &Expr| Program::compile(e, src);
@@ -119,9 +106,6 @@ pub fn exec_aggregate(
         .zip(&inputs)
         .map(|(a, input)| AggState::bind(a.func, input.as_ref()))
         .collect::<Result<Vec<_>>>()?;
-    if !filters.is_empty() && empty.iter().any(AggState::sums_floats) {
-        return dense(prof);
-    }
     let feed = Feed { keys: &keys, inputs: &inputs, empty: &empty };
     let pruner = chain.pruner(table, n);
 
@@ -147,28 +131,34 @@ pub fn exec_aggregate(
         nsel += rows as u64;
         tally.add(&kept);
     }
+    chain.settle(&tally, n, nsel, None, Some((src, ctx)), prof, cfg, tracer);
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
         Some(merged) => merged,
-        None if !filters.is_empty() => return dense(prof),
         None => {
-            // Redo the merge down the ladder: partition the groups by key
-            // hash and build one bounded table per partition, sequentially.
-            let encoded: Vec<Vec<i64>> =
-                keys.iter().map(|k| k.slots_of(&Rows::Dense(0..n))).collect();
+            // Redo the merge down the ladder: partition the fold's survivors
+            // by key hash and build one bounded table per partition,
+            // sequentially. The conjuncts run again to name the survivors
+            // (every row, without a filter); their work was charged above.
+            let mut survivors = Vec::with_capacity(nsel as usize);
+            for r in &ranges {
+                let (sel, _) = chain.filter_morsel(pruner.as_ref(), r.clone());
+                survivors.extend_from_slice(&sel);
+                selection::put_scratch(sel);
+            }
+            let rows = Rows::Sparse(&survivors);
+            let encoded: Vec<Vec<i64>> = keys.iter().map(|k| k.slots_of(&rows)).collect();
             let morsel_len = ranges.first().map_or(1, |r| r.len());
-            ctx.track(n as u64 * Partitioner::BYTES_PER_ROW);
+            ctx.track(nsel * Partitioner::BYTES_PER_ROW);
             let (first_rows, states) =
-                ladder::descend(ctx, prof, "aggregate", &[(n, &encoded)], |att| {
-                    attempt(att, morsel_len, &feed, width, ctx)
+                ladder::descend(ctx, prof, "aggregate", &[(survivors.len(), &encoded)], |att| {
+                    attempt(att, &survivors, morsel_len, &feed, width, ctx)
                 })?;
             (first_rows, states, false)
         }
     };
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     states.iter_mut().for_each(|st| st.grow_to(ngroups));
-    // Settled only now: a fold over budget reruns its filters dense.
-    chain.settle(&tally, n, nsel, None, Some((src, ctx)), prof, cfg, tracer);
     if let Some(started) = stage_started {
         let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
         stage.rows_in = nsel;
@@ -336,16 +326,20 @@ impl<'p> GroupTable<'p> {
 /// in-memory merge: aggregate one partition of the groups at a time, each
 /// against its own reservation. Only the routing is staged: keys and inputs
 /// are evaluated from the resident source by row id, like any other morsel.
+/// The ladder partitions positions in `survivors`, the source row ids the
+/// fold kept; each position is mapped back to its row id before it is cut
+/// or folded.
 ///
 /// Bit-exactness: every row of a group lands in the same partition and a
 /// partition's rows are walked in ascending order, cut into partials at the
-/// morsel stride, so each group's accumulator sees exactly the per-morsel
-/// partial values of the unpartitioned merge, folded in the same morsel
-/// order. Distinct groups have distinct first rows, so sorting the stitched
-/// groups by first row reproduces the unpartitioned first-appearance group
-/// order exactly.
+/// base-table morsel stride, so each group's accumulator sees exactly the
+/// per-morsel partial values of the unpartitioned merge, folded in the same
+/// morsel order. Distinct groups have distinct first rows, so sorting the
+/// stitched groups by first row reproduces the unpartitioned
+/// first-appearance group order exactly.
 fn attempt<'p>(
     att: &mut Attempt<'_, Key>,
+    survivors: &[u32],
     morsel_len: usize,
     feed: &Feed<'p>,
     width: u64,
@@ -363,7 +357,7 @@ fn attempt<'p>(
         // The partition's rows of each morsel (`row / morsel_len`) form one
         // partial: within a morsel a group's rows are the rows the
         // unpartitioned partial saw, so its local sums are identical.
-        let mut rows = parts.rows(0, p)?.map(|(row, _)| row).peekable();
+        let mut rows = parts.rows(0, p)?.map(|(at, _)| survivors[at as usize]).peekable();
         let (mut sel, mut fits) = (selection::take_scratch(), true);
         while let (true, Some(&row0)) = (fits, rows.peek()) {
             let morsel = row0 as usize / morsel_len;
@@ -626,11 +620,6 @@ impl<'p> AggState<'p> {
             },
             (AggFunc::CountStar, _) => unreachable!("returned above"),
         })
-    }
-
-    /// A float accumulation: exact only in the morsels it was cut in.
-    fn sums_floats(&self) -> bool {
-        matches!(self, AggState::SumFloat(_) | AggState::Avg { .. })
     }
 
     fn grow_to(&mut self, ngroups: usize) {

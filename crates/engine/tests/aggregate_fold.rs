@@ -2,24 +2,26 @@
 //!
 //! `exec::aggregate` folds morsels into run-form or hash-form partials, picks
 //! the merge form from them, and runs under either price list with or without
-//! a filter folded in. None of that may show: every configuration must give the
-//! answer of a plain row-at-a-time group-by — float sums included, whose
-//! reduction tree the reference cuts at the same morsel stride — and charge
-//! the form the *data* calls for. The shapes aim at the seams: keys in order,
-//! one inversion inside a morsel, one exactly at a morsel boundary, groups
-//! straddling boundaries, and a morsel whose filter keeps no row.
+//! a filter folded in, with or without a budget that sends the merge down the
+//! degradation ladder. None of that may show: every configuration must give
+//! the answer of a plain row-at-a-time group-by — float sums included, whose
+//! reduction tree the reference cuts at the same base-table morsel stride —
+//! and charge the form the *data* calls for. The shapes aim at the seams: keys
+//! in order, one inversion inside a morsel, one exactly at a morsel boundary,
+//! groups straddling boundaries, and a morsel whose filter keeps no row.
 //!
 //! A failure prints the seed that replays it.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::rng::Rng;
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, AggFunc, PlanBuilder};
 use wimpi_engine::{execute, EngineConfig, EngineError, Executor, QueryContext, Relation, Tracer};
 use wimpi_storage::{
-    Catalog, Column, DataType, Date32, Decimal64, DictColumn, Field, Schema, StorageError, Table,
-    Value,
+    Catalog, Column, DataType, Date32, Decimal64, DictColumn, Field, Schema, SpillConfig,
+    SpillDisk, StorageError, Table, Value,
 };
 
 /// Dictionaries whose code order is not their string order.
@@ -59,9 +61,8 @@ fn table(rows: &[Row]) -> Table {
     Table::new(schema, fields.into_iter().map(|(_, _, c)| c).collect()).expect("table builds")
 }
 
-/// Every aggregate kind whose value does not depend on where morsels are cut
-/// — these fold the filter in — then the float sums, which do, and so fold
-/// the filtered rows.
+/// Every aggregate kind whose value does not depend on where morsels are cut,
+/// then the float sums, which do.
 fn aggs(with_float_sums: bool) -> Vec<AggExpr> {
     let mut aggs = vec![
         AggExpr::count_star("n"),
@@ -102,10 +103,11 @@ struct Expected {
 }
 
 fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: usize) -> Expected {
-    let selected: Vec<Row> = rows.iter().copied().filter(|r| r.keep || !filtered).collect();
+    let selected: Vec<(usize, Row)> =
+        rows.iter().copied().enumerate().filter(|(_, r)| r.keep || !filtered).collect();
     let key = |r: &Row| r.key[..arity].to_vec();
     let mut groups: Vec<Group> = Vec::new();
-    for (i, r) in selected.iter().enumerate() {
+    for &(i, ref r) in &selected {
         let g = match groups.iter().position(|g| key(&g.first) == key(r)) {
             Some(g) => g,
             None => {
@@ -114,9 +116,9 @@ fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: u
             }
         };
         groups[g].rows.push(*r);
-        // Float sums are cut in morsels of the selected rows: with no filter
-        // those are the table's, under one the `Filter` operator gathers them
-        // first. Partials start from 0.0 and add rows in order.
+        // Float sums are cut in morsels of the table's rows, whether or not a
+        // filter is folded in: `i` is the base row index. Partials start from
+        // 0.0 and add rows in order.
         match groups[g].float_partials.last_mut() {
             Some((m, sum)) if *m == i / morsel => *sum += r.f,
             _ => groups[g].float_partials.push((i / morsel, 0.0 + r.f)),
@@ -170,7 +172,7 @@ fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: u
         column("sum_f", &|g| Value::F64(total(g)));
         column("avg_f", &|g| mean(total(g), g.rows.len()));
     }
-    let in_order = selected.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
+    let in_order = selected.windows(2).all(|w| key(&w[0].1) <= key(&w[1].1));
     Expected { columns, nsel: selected.len() as u64, in_order }
 }
 
@@ -194,36 +196,51 @@ fn assert_matches(rel: &Relation, want: &Expected, what: &str) {
 }
 
 /// Runs one shape under every configuration and holds each to the reference.
+///
+/// The budgeted arm gives the merge one table entry fewer than it has groups,
+/// with a spill disk: keys out of order then always descend the ladder, which
+/// partitions the fold's survivors; keys in order merge in the run form, which
+/// reserves nothing.
 fn check(rows: &[Row], what: &str) {
     let mut cat = Catalog::new();
     cat.register("t", table(rows));
+    let disk = || Arc::new(SpillDisk::new(SpillConfig::with_capacity(16 << 20)));
     let arms = [
-        ("unfiltered with float sums", false, true),
-        ("filtered with float sums (folds the filtered rows)", true, true),
-        ("filtered (folds the filter in)", true, false),
+        ("unfiltered", false, true),
+        ("filtered", true, true),
+        ("filtered without float sums", true, false),
     ];
     for arity in 0..=3 {
-        for (arm, filtered, floats) in arms {
+        for ((arm, filtered, floats), budgeted) in
+            arms.into_iter().flat_map(|arm| [(arm, false), (arm, true)])
+        {
             let scan = PlanBuilder::scan("t");
             let input = if filtered { scan.filter(col("keep").gt(lit(0i64))) } else { scan };
             let group = KEYS[..arity].iter().map(|&k| (col(k), k)).collect();
-            let plan = input.aggregate(group, aggs(floats)).build();
+            let aggs = aggs(floats);
+            let width = 32 * (arity + aggs.len()) as u64;
+            let plan = input.aggregate(group, aggs).build();
             for executor in [Executor::Materialize, Executor::Fused] {
                 let mut first: Option<(Relation, _)> = None;
                 for morsel in [1, 3, 4096] {
                     let want = reference(rows, arity, filtered, floats, morsel);
+                    let groups = want.columns[0].1.len() as u64;
+                    let budget = budgeted.then(|| groups.saturating_sub(1).max(1) * width);
                     for threads in [1, 2, 4] {
                         let what = format!(
-                            "{what}: {arity} keys, {arm}, {executor:?}, {threads} threads, \
-                             morsels of {morsel}"
+                            "{what}: {arity} keys, {arm}, budgeted {budgeted}, {executor:?}, \
+                             {threads} threads, morsels of {morsel}"
                         );
                         let cfg = EngineConfig::with_threads(threads)
                             .with_morsel_rows(morsel)
                             .with_executor(executor);
-                        let ctx = QueryContext::default();
+                        let ctx = budget.map_or_else(QueryContext::default, |b| {
+                            QueryContext::with_budget(b).with_spill(disk())
+                        });
                         let (rel, prof) =
                             execute(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("runs");
                         assert_matches(&rel, &want, &what);
+                        assert_eq!(ctx.fallbacks() > 0, budgeted && !want.in_order, "{what}");
                         // The form is the data's: only a hash table is
                         // charged for, besides count(distinct)'s set inserts.
                         let probes = if want.in_order { 0 } else { want.nsel };
@@ -285,9 +302,9 @@ fn every_configuration_folds_to_the_reference() {
         (extremes[0].key[0], extremes[n - 1].key[0]) = (i64::MIN, i64::MAX);
         check(&extremes, "keys in order from i64::MIN to i64::MAX");
 
-        // Morsels of 3 are cut at multiples of 3 — of the base table's rows
-        // when the filter folds in, of the kept rows under float sums — so
-        // keep every row around the seams: both cut them alike.
+        // Morsels of 3 are cut at multiples of 3 of the base table's rows;
+        // keep every row around the seams, so the filter leaves the
+        // inversions where they were placed.
         let mut seams = sorted.clone();
         seams.iter_mut().take(12).for_each(|r| r.keep = true);
         let past_every_key = [9, 9, 3];

@@ -12,7 +12,11 @@
 //!    Pattern selectivities (`%special%requests%`, `%Customer%Complaints%`)
 //!    are unchanged because pool entries come from the same distribution;
 //!    memory drops by an order of magnitude, which is what lets a laptop—or
-//!    a simulated 1 GB Pi node—hold SF 10 partitions.
+//!    a simulated 1 GB Pi node—hold SF 10 partitions. The orders and lineitem
+//!    pools depend only on the scale factor, so a [`Generator`] builds them
+//!    once, on its first chunk, and every later chunk reuses them.
+
+use std::sync::OnceLock;
 
 use crate::rng::{RowRng, Stream};
 use crate::schema;
@@ -75,9 +79,17 @@ impl CommentPool {
 /// let customers = g.customer_table().unwrap();
 /// assert_eq!(customers.num_rows(), 150);
 /// ```
-#[derive(Debug, Clone, Copy)]
 pub struct Generator {
     sf: f64,
+    /// The orders and lineitem comment pools, built by the first
+    /// [`Generator::orders_lineitem_chunk`] call.
+    pools: OnceLock<(CommentPool, CommentPool)>,
+}
+
+impl std::fmt::Debug for Generator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Generator").field("sf", &self.sf).finish_non_exhaustive()
+    }
 }
 
 impl Generator {
@@ -85,7 +97,7 @@ impl Generator {
     /// tests and examples).
     pub fn new(sf: f64) -> Self {
         assert!(sf > 0.0, "scale factor must be positive");
-        Self { sf }
+        Self { sf, pools: OnceLock::new() }
     }
 
     /// The scale factor.
@@ -335,28 +347,22 @@ impl Generator {
 
     /// Generates chunk `chunk` of `nchunks` of `orders`/`lineitem`, split by
     /// contiguous order-index (and therefore order-key) ranges. This is the
-    /// entry point the cluster partitioner uses: chunks are deterministic and
-    /// independent of every other chunk.
+    /// entry point the cluster partitioner uses: every RNG stream is seeded
+    /// by absolute row index, so a chunk is deterministic and independent of
+    /// every other chunk, and the chunks of any grid concatenate to
+    /// [`Generator::orders_lineitem`] byte for byte. Peak memory is one chunk
+    /// plus the comment pools, which depend only on the scale factor: the
+    /// first call builds them and every later call on this generator reuses
+    /// them (DESIGN.md §16).
     pub fn orders_lineitem_chunk(&self, chunk: u64, nchunks: u64) -> Result<(Table, Table)> {
-        let total = self.num_orders();
-        let o_pool = CommentPool::new(Stream::OrderComment, 19, 78, total);
-        let l_pool = CommentPool::new(Stream::LineComment, 10, 43, total * 4);
-        self.orders_lineitem_chunk_with_pools(chunk, nchunks, &o_pool, &l_pool)
-    }
-
-    /// [`Generator::orders_lineitem_chunk`] against caller-held comment
-    /// pools. The pools depend only on the scale factor — never on the
-    /// chunk grid — so the streaming path builds them once and reuses them
-    /// for every chunk without changing a single generated byte.
-    fn orders_lineitem_chunk_with_pools(
-        &self,
-        chunk: u64,
-        nchunks: u64,
-        o_pool: &CommentPool,
-        l_pool: &CommentPool,
-    ) -> Result<(Table, Table)> {
         assert!(nchunks > 0 && chunk < nchunks, "bad chunk {chunk}/{nchunks}");
         let total = self.num_orders();
+        let (o_pool, l_pool) = self.pools.get_or_init(|| {
+            (
+                CommentPool::new(Stream::OrderComment, 19, 78, total),
+                CommentPool::new(Stream::LineComment, 10, 43, total * 4),
+            )
+        });
         let (lo, hi) = chunk_range(total, chunk, nchunks);
         let n = (hi - lo) as usize;
         let customers = self.num_customers() as i64;
@@ -516,28 +522,6 @@ impl Generator {
         Ok((orders, lineitem))
     }
 
-    /// Streams `orders`/`lineitem` in bounded-memory chunks of at most
-    /// `orders_per_chunk` orders each (DESIGN.md §16).
-    ///
-    /// Every RNG stream is counter-based (seeded by absolute row index), so
-    /// each chunk is generated independently of every other chunk and the
-    /// concatenation of the streamed chunks is byte-identical to
-    /// [`Generator::orders_lineitem`] at any chunk size. Peak memory is one
-    /// chunk plus the shared comment pools — this is what lets SF 10
-    /// lineitem come into existence on a node that could never hold it
-    /// whole.
-    pub fn stream_orders_lineitem(&self, orders_per_chunk: u64) -> OrdersLineitemStream {
-        assert!(orders_per_chunk > 0, "orders_per_chunk must be positive");
-        let total = self.num_orders();
-        OrdersLineitemStream {
-            gen: *self,
-            nchunks: total.div_ceil(orders_per_chunk).max(1),
-            next: 0,
-            o_pool: CommentPool::new(Stream::OrderComment, 19, 78, total),
-            l_pool: CommentPool::new(Stream::LineComment, 10, 43, total * 4),
-        }
-    }
-
     /// Generates the whole database into a catalog — the single-node setup.
     pub fn generate_catalog(&self) -> Result<Catalog> {
         let mut cat = Catalog::new();
@@ -553,53 +537,6 @@ impl Generator {
         Ok(cat)
     }
 }
-
-/// A bounded-memory iterator over `orders`/`lineitem` chunks, produced by
-/// [`Generator::stream_orders_lineitem`]. The comment pools (the only
-/// allocation whose size does not shrink with the chunk grid) are built once
-/// and shared across all chunks; each `next()` materializes exactly one
-/// chunk. Chunks can also be regenerated at random via
-/// [`OrdersLineitemStream::chunk`] — the same index always yields the same
-/// bytes, independent of what was generated before.
-pub struct OrdersLineitemStream {
-    gen: Generator,
-    nchunks: u64,
-    next: u64,
-    o_pool: CommentPool,
-    l_pool: CommentPool,
-}
-
-impl OrdersLineitemStream {
-    /// Total number of chunks this stream will yield.
-    pub fn num_chunks(&self) -> u64 {
-        self.nchunks
-    }
-
-    /// Regenerates chunk `c` out of order (deterministic random access).
-    pub fn chunk(&self, c: u64) -> Result<(Table, Table)> {
-        self.gen.orders_lineitem_chunk_with_pools(c, self.nchunks, &self.o_pool, &self.l_pool)
-    }
-}
-
-impl Iterator for OrdersLineitemStream {
-    type Item = Result<(Table, Table)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.nchunks {
-            return None;
-        }
-        let c = self.next;
-        self.next += 1;
-        Some(self.chunk(c))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.nchunks - self.next) as usize;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for OrdersLineitemStream {}
 
 /// Rounds a scaled cardinality, keeping at least one row.
 fn scaled(sf: f64, per_sf: f64) -> u64 {
@@ -816,31 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn chunked_generation_matches_full() {
+    fn chunks_concatenate_to_the_full_tables() {
         let g = Generator::new(0.001);
         let (full_o, full_l) = g.orders_lineitem().unwrap();
-        let mut okeys = Vec::new();
-        let mut lkeys = Vec::new();
-        for c in 0..4 {
-            let (o, l) = g.orders_lineitem_chunk(c, 4).unwrap();
-            okeys.extend_from_slice(o.column_by_name("o_orderkey").unwrap().as_i64().unwrap());
-            lkeys.extend_from_slice(l.column_by_name("l_orderkey").unwrap().as_i64().unwrap());
-        }
-        assert_eq!(okeys, full_o.column_by_name("o_orderkey").unwrap().as_i64().unwrap());
-        assert_eq!(lkeys, full_l.column_by_name("l_orderkey").unwrap().as_i64().unwrap());
-    }
-
-    #[test]
-    fn streamed_chunks_concatenate_to_the_full_tables() {
-        let g = Generator::new(0.001);
-        let (full_o, full_l) = g.orders_lineitem().unwrap();
-        let stream = g.stream_orders_lineitem(57);
-        assert_eq!(stream.num_chunks(), 1500u64.div_ceil(57));
-        let mut chunks_o = Vec::new();
-        let mut chunks_l = Vec::new();
-        for part in stream {
-            let (o, l) = part.unwrap();
-            assert!(o.num_rows() <= 57, "chunk exceeds orders_per_chunk");
+        let nchunks = 1500u64.div_ceil(57);
+        let (mut chunks_o, mut chunks_l) = (Vec::new(), Vec::new());
+        for c in 0..nchunks {
+            let (o, l) = g.orders_lineitem_chunk(c, nchunks).unwrap();
+            assert!(o.num_rows() <= 57, "chunk {c} exceeds its share of orders");
             chunks_o.push(o);
             chunks_l.push(l);
         }
@@ -851,38 +771,36 @@ mod tests {
                 assert_eq!(
                     &glued,
                     full.column(ci).as_ref(),
-                    "column {ci} differs between streamed and full generation"
+                    "column {ci} differs between chunked and full generation"
                 );
             }
         }
     }
 
     #[test]
-    fn streamed_chunks_are_deterministic_under_random_access() {
+    fn chunks_are_deterministic_under_random_access() {
         let g = Generator::new(0.001);
-        let stream = g.stream_orders_lineitem(100);
         // Regenerate a middle chunk twice, plus out of order: identical bytes.
-        let (o1, l1) = stream.chunk(7).unwrap();
-        let (_, _) = stream.chunk(2).unwrap();
-        let (o2, l2) = stream.chunk(7).unwrap();
-        for ci in 0..o1.num_columns() {
-            assert_eq!(o1.column(ci).as_ref(), o2.column(ci).as_ref());
-        }
-        for ci in 0..l1.num_columns() {
-            assert_eq!(l1.column(ci).as_ref(), l2.column(ci).as_ref());
+        let (o1, l1) = g.orders_lineitem_chunk(7, 15).unwrap();
+        g.orders_lineitem_chunk(2, 15).unwrap();
+        let (o2, l2) = g.orders_lineitem_chunk(7, 15).unwrap();
+        for (a, b) in [(&o1, &o2), (&l1, &l2)] {
+            for ci in 0..a.num_columns() {
+                assert_eq!(a.column(ci).as_ref(), b.column(ci).as_ref(), "column {ci}");
+            }
         }
     }
 
     #[test]
-    fn streamed_chunk_memory_is_bounded() {
+    fn chunk_memory_is_bounded() {
         let g = Generator::new(0.01);
         let (full_o, full_l) = g.orders_lineitem().unwrap();
         let full_bytes = full_o.heap_bytes() + full_l.heap_bytes();
-        let mut max_chunk = 0usize;
-        for part in g.stream_orders_lineitem(1000) {
-            let (o, l) = part.unwrap();
-            max_chunk = max_chunk.max(o.heap_bytes() + l.heap_bytes());
-        }
+        let max_chunk = (0..15)
+            .map(|c| g.orders_lineitem_chunk(c, 15).unwrap())
+            .map(|(o, l)| o.heap_bytes() + l.heap_bytes())
+            .max()
+            .unwrap();
         assert!(
             max_chunk * 4 < full_bytes,
             "peak chunk {max_chunk} B is not small vs full {full_bytes} B"

@@ -1,4 +1,4 @@
-//! A fault drill against the WIMPI cluster: kill nodes mid-study, inject
+//! A fault drill against the WIMPI cluster: crash nodes mid-study, inject
 //! transient OOMs and stragglers, and print the recovery timeline — which
 //! partitions were reassigned where, what the retries and regeneration cost
 //! in simulated seconds, and what a degraded answer covers when recovery is
@@ -22,22 +22,24 @@ fn main() {
     println!("building a {nodes}-node WIMPI cluster holding TPC-H SF {sf} …\n");
     let mut cluster = WimpiCluster::build(ClusterConfig::new(nodes, sf)).expect("cluster builds");
 
-    // Phase 1 — the study starts healthy, then nodes die under it.
+    // Phase 1 — the study starts healthy, then nodes die under it: every
+    // later query runs with the dead nodes crashed in its fault plan.
     println!("=== phase 1: permanent failures mid-study ===");
     println!("query  answer     total       recovery   reassignments");
+    let mut dead = FaultPlan::none();
     for (i, &q) in CHOKEPOINT_QUERIES.iter().enumerate() {
         // The drill: one node dies a third of the way in, another two
         // thirds of the way in.
         if i == CHOKEPOINT_QUERIES.len() / 3 {
-            cluster.kill_node(nodes as usize - 1).expect("in range");
+            dead = dead.with(nodes as usize - 1, FaultKind::Crash);
             println!("  ** node {} died **", nodes - 1);
         }
         if i == 2 * CHOKEPOINT_QUERIES.len() / 3 {
-            cluster.kill_node(nodes as usize - 2).expect("in range");
+            dead = dead.with(nodes as usize - 2, FaultKind::Crash);
             println!("  ** node {} died **", nodes - 2);
         }
         let run = cluster
-            .run(&query(q), Strategy::PartialAggPushdown)
+            .run_with(&format!("Q{q}"), &query(q), Strategy::PartialAggPushdown, &dead)
             .unwrap_or_else(|e| panic!("Q{q} failed: {e}"));
         let moves: Vec<String> = run
             .recovery
@@ -52,9 +54,6 @@ fn main() {
             run.recovery.recovery_seconds,
             if moves.is_empty() { "-".to_string() } else { moves.join(" ") },
         );
-    }
-    for node in 0..nodes as usize {
-        cluster.restore_node(node).expect("in range");
     }
 
     // Phase 2 — transient faults and stragglers on a healthy cluster.
@@ -96,10 +95,10 @@ fn main() {
     let mut policy = RecoveryPolicy::degraded();
     policy.reassign_cap = 1;
     cluster.set_recovery_policy(policy);
-    for node in 1..nodes as usize {
-        cluster.kill_node(node).expect("in range");
-    }
-    let run = cluster.run(&query(6), Strategy::PartialAggPushdown).expect("degrades");
+    let most =
+        (1..nodes as usize).fold(FaultPlan::none(), |plan, n| plan.with(n, FaultKind::Crash));
+    let run =
+        cluster.run_with("Q6", &query(6), Strategy::PartialAggPushdown, &most).expect("degrades");
     println!("{} of {nodes} nodes dead, the survivor capped at 1 reassignment:", nodes - 1);
     println!(
         "  answer covers {:.1}% of lineitem (degraded={}, {} partition recovered, \

@@ -184,8 +184,8 @@ fn fused_collapses_materialized_write_traffic() {
 }
 
 /// Budgeted fused runs: bit-exact against the budgeted serial materializing
-/// baseline at every thread count and morsel size, whether the fold fit the
-/// budget or fell back to dense input under it.
+/// baseline at every thread count and morsel size, whether the merge fit the
+/// budget or descended the ladder under it.
 #[test]
 fn fused_budgeted_runs_stay_bit_exact() {
     let cat = catalog();

@@ -12,10 +12,12 @@
 //!    hand-rolled checker, including the Σ self == root-total invariant.
 
 use wimpi::core::validate_trace_json;
-use wimpi::engine::{EngineConfig, Executor, QueryContext, Span, Tracer};
-use wimpi::queries::{query, run_governed, run_traced_governed};
+use wimpi::engine::{
+    col, lit, AggExpr, EngineConfig, Executor, PlanBuilder, QueryContext, Relation, Span, Tracer,
+};
+use wimpi::queries::{query, run_governed, run_traced_governed, QueryPlan};
 use wimpi::sql::{execute_sql_with, strip_explain_analyze};
-use wimpi::storage::Catalog;
+use wimpi::storage::{Catalog, Column, DataType, Field, Schema, Table};
 use wimpi::tpch::Generator;
 
 const SF: f64 = 0.01;
@@ -139,39 +141,23 @@ fn shape(span: &Span, depth: usize, out: &mut String) {
     span.children.iter().for_each(|child| shape(child, depth + 1, out));
 }
 
-/// `Executor` is a price list and nothing else: under either one a query
-/// runs the same operators over the same rows — the same answer, the same
-/// span tree, the same operator scratch and the same descents down the
-/// ladder. Covers the 22 queries and an aggregate over a filter whose group
-/// table outgrows its budget (the fold then runs its filter dense).
-#[test]
-fn price_list_changes_no_execution_decision() {
-    use wimpi::engine::{col, lit, AggExpr, PlanBuilder};
-    use wimpi::queries::QueryPlan;
-    use wimpi::storage::{Column, DataType, Field, Schema, Table};
+/// A traced run's answer, span-tree `shape`, and the governor's scratch
+/// peak, fallbacks and largest fan-out.
+type Traced = (Relation, String, (u64, u32, u32));
 
-    let run = |plan: &QueryPlan, cat: &Catalog, budget: Option<u64>, executor| {
-        let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
-        let cfg = EngineConfig::serial().with_executor(executor);
-        let (rel, _, span) = run_traced_governed(plan, cat, &cfg, &ctx).expect("runs");
-        let mut tree = String::new();
-        shape(&span, 0, &mut tree);
-        let governed = (ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts());
-        (rel, tree, governed)
-    };
-    let both = |what: &str, plan: &QueryPlan, cat: &Catalog, budget| {
-        let (rel, tree, governed) = run(plan, cat, budget, Executor::Materialize);
-        let (fused_rel, fused_tree, fused_governed) = run(plan, cat, budget, Executor::Fused);
-        assert_eq!(fused_rel, rel, "{what}: answers");
-        assert_eq!(fused_tree, tree, "{what}: span trees\n{tree}\nvs\n{fused_tree}");
-        assert_eq!(fused_governed, governed, "{what}: scratch peak, fallbacks, fan-out");
-        governed
-    };
-    let cat = catalog();
-    for qn in 1..=22 {
-        both(&format!("Q{qn}"), &query(qn), &cat, None);
-    }
+/// One traced serial run of `plan` under `budget` and the `ex` price list.
+fn traced(plan: &QueryPlan, cat: &Catalog, budget: Option<u64>, ex: Executor) -> Traced {
+    let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
+    let cfg = EngineConfig::serial().with_executor(ex);
+    let (rel, _, span) = run_traced_governed(plan, cat, &cfg, &ctx).expect("runs");
+    let mut tree = String::new();
+    shape(&span, 0, &mut tree);
+    (rel, tree, (ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts()))
+}
 
+/// An aggregate over a filter whose group table outgrows [`PERMUTED_BUDGET`]:
+/// 50 000 permuted keys, nine in ten rows kept.
+fn permuted_keys() -> (QueryPlan, Catalog) {
     let n = 50_000i64;
     let mut keyed = Catalog::new();
     let table = Table::new(
@@ -187,9 +173,49 @@ fn price_list_changes_no_execution_decision() {
         .filter(col("v").lt(lit(90i64)))
         .aggregate(vec![(col("k"), "k")], vec![AggExpr::sum(col("v"), "s")])
         .build();
-    let plan = QueryPlan::Single(plan);
-    let (_, fallbacks, _) = both("permuted keys under 64 KiB", &plan, &keyed, Some(64 << 10));
+    (QueryPlan::Single(plan), keyed)
+}
+
+const PERMUTED_BUDGET: u64 = 64 << 10;
+
+/// `Executor` is a price list and nothing else: under either one a query
+/// runs the same operators over the same rows — the same answer, the same
+/// span tree, the same operator scratch and the same descents down the
+/// ladder. Covers the 22 queries and the permuted keys under 64 KiB.
+#[test]
+fn price_list_changes_no_execution_decision() {
+    let both = |what: &str, plan: &QueryPlan, cat: &Catalog, budget| {
+        let (rel, tree, governed) = traced(plan, cat, budget, Executor::Materialize);
+        let (fused_rel, fused_tree, fused_governed) = traced(plan, cat, budget, Executor::Fused);
+        assert_eq!(fused_rel, rel, "{what}: answers");
+        assert_eq!(fused_tree, tree, "{what}: span trees\n{tree}\nvs\n{fused_tree}");
+        assert_eq!(fused_governed, governed, "{what}: scratch peak, fallbacks, fan-out");
+        governed
+    };
+    let cat = catalog();
+    for qn in 1..=22 {
+        both(&format!("Q{qn}"), &query(qn), &cat, None);
+    }
+    let (plan, keyed) = permuted_keys();
+    let (_, fallbacks, _) = both("permuted keys", &plan, &keyed, Some(PERMUTED_BUDGET));
     assert!(fallbacks > 0, "the merged table must really exceed the budget");
+}
+
+/// A budget changes no execution decision either: the aggregate over budget
+/// still folds its filter — one `predicates` leaf, no `filter` span — and
+/// the ladder partitions the fold's survivors, so its span tree is the
+/// unbudgeted run's and so is its answer.
+#[test]
+fn an_aggregate_over_budget_still_folds_its_filter() {
+    let (plan, keyed) = permuted_keys();
+    for executor in [Executor::Materialize, Executor::Fused] {
+        let (rel, tree, (_, fallbacks, _)) = traced(&plan, &keyed, Some(PERMUTED_BUDGET), executor);
+        let (free_rel, free_tree, _) = traced(&plan, &keyed, None, executor);
+        assert!(fallbacks > 0 && rel == free_rel, "{executor:?}: over budget, the same answer");
+        assert_eq!(tree, free_tree, "{executor:?}: span trees\n{tree}\nvs\n{free_tree}");
+        assert!(!tree.contains("filter["), "{executor:?}: no filter span\n{tree}");
+        assert_eq!(tree.matches("predicates[").count(), 1, "{executor:?}\n{tree}");
+    }
 }
 
 #[test]

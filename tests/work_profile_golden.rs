@@ -103,18 +103,20 @@ fn row(prof: &WorkProfile) -> String {
     counters.join(",")
 }
 
-/// A float sum is exact only in the morsels it was cut in, so under a filter
-/// the fold aggregates the filtered rows, gathered by the `Filter` operator,
-/// under either price list: the answer bits are the materializing
-/// operators', and so is the `Materialize` profile — zone-map pruning
-/// included, the filter scanning the sealed table. Both are pinned from the
-/// commit before the fold folded filters under both lists.
+/// A float sum under a filter folds the filter like every aggregate: its
+/// partials are cut in the base table's morsels, so its bits follow
+/// `morsel_rows` and never the thread count or the price list. The
+/// `Materialize` profile is still the materializing operators' — the
+/// gathers charged from counts, zone-map pruning included, the filter
+/// scanning the sealed table — pinned from the commit before the fold folded
+/// filters under both lists. The bits were re-pinned when the fold stopped
+/// gathering a float sum's filtered rows first (CHANGES.md).
 #[test]
-fn a_float_sum_under_a_filter_folds_the_filtered_rows() {
+fn a_float_sum_under_a_filter_is_cut_in_base_table_morsels() {
     use wimpi::engine::{col, date, execute_query_with, lit, AggExpr, PlanBuilder, Tracer};
 
     let unit_price = col("l_extendedprice").div(col("l_quantity"));
-    let run = |cat: &Catalog, filter, executor, pruned: bool| {
+    let run = |cat: &Catalog, filter, executor, threads, pruned: bool| {
         let plan = PlanBuilder::scan("lineitem")
             .filter(filter)
             .aggregate(
@@ -122,8 +124,8 @@ fn a_float_sum_under_a_filter_folds_the_filtered_rows() {
                 vec![AggExpr::sum(unit_price.clone(), "s")],
             )
             .build();
-        let cfg = EngineConfig::serial().with_executor(executor);
-        let cfg = if pruned { cfg.with_morsel_rows(4096).with_prune_scans(true) } else { cfg };
+        let cfg = EngineConfig::with_threads(threads).with_executor(executor);
+        let cfg = cfg.with_morsel_rows(4096).with_prune_scans(pruned);
         let (rel, prof) =
             execute_query_with(&plan, cat, &cfg, &QueryContext::default(), Tracer::off())
                 .expect("runs");
@@ -132,18 +134,20 @@ fn a_float_sum_under_a_filter_folds_the_filtered_rows() {
     };
     let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
     let cheap = || col("l_quantity").lt(lit(25i64));
-    let (bits, prof) = run(&raw, cheap(), Executor::Materialize, false);
-    assert_eq!(bits, [0x416313c87f5c290f, 0x41735ef4b8f5c280, 0x41638b59c7ffffef]);
+    let (bits, prof) = run(&raw, cheap(), Executor::Materialize, 1, false);
+    assert_eq!(bits, [0x416313c87f5c28f4, 0x41735ef4b8f5c28e, 0x41638b59c8000000]);
     assert_eq!(
         row(&prof),
         "cpu_ops=233954,seq_read_bytes=1524196,seq_write_bytes=870956,rand_accesses=28953,\
          hash_bytes=192,rows_in=60236,rows_out=3,peak_bytes=579060"
     );
-    assert_eq!(run(&raw, cheap(), Executor::Fused, false).0, bits);
+    for (ex, threads) in [(Executor::Materialize, 2), (Executor::Fused, 1), (Executor::Fused, 2)] {
+        assert_eq!(run(&raw, cheap(), ex, threads, false).0, bits, "{ex:?} at {threads}");
+    }
 
     let clustered = clustered_fine();
     let early = || col("l_shipdate").lt(date("1993-01-01"));
-    let (bits, prof) = run(&clustered, early(), Executor::Materialize, true);
+    let (bits, prof) = run(&clustered, early(), Executor::Materialize, 1, true);
     assert_eq!(bits, [0x4153cc41d51eb850, 0x4153f2f81eb851e8]);
     assert_eq!(
         row(&prof),
@@ -151,7 +155,7 @@ fn a_float_sum_under_a_filter_folds_the_filtered_rows() {
          hash_bytes=128,rows_in=60236,rows_out=2,pruned_morsels=13,pruned_bytes=224560,\
          peak_bytes=178296"
     );
-    let (fused_bits, fused) = run(&clustered, early(), Executor::Fused, true);
+    let (fused_bits, fused) = run(&clustered, early(), Executor::Fused, 2, true);
     assert_eq!(fused_bits, bits);
     assert_eq!((fused.pruned_morsels, fused.pruned_bytes), (13, 224560), "the same pruning");
 }

@@ -5,9 +5,10 @@
 //! morsel (DESIGN.md §13). Group keys and aggregate inputs are arbitrary
 //! expressions, compiled once into [`Program`]s. Each worker takes one morsel
 //! of the source — a dense range, or the rows the conjuncts kept — evaluates
-//! the key programs into pooled slot buffers, resolves every row's group
-//! once, then evaluates and sweeps one aggregate input at a time with the
-//! accumulator dispatch outside the row loop. No intermediate column exists
+//! the key programs into pooled slot buffers, finds its groups once (its
+//! runs of equal keys, or through a map), then evaluates and folds one
+//! aggregate input at a time with the accumulator dispatch outside the row
+//! loop. No intermediate column exists
 //! between the source and the fold. `Executor` decides only what the work is
 //! *priced* as: MonetDB's full materialization (`bytecode::Cost`, each
 //! filter's gather included) or the base columns streamed.
@@ -17,16 +18,22 @@
 //! reduction tree depends only on the data and the morsel size — never on the
 //! thread count (bit-exact determinism; see `exec::parallel`).
 //!
-//! The form is observed where the keys are (DESIGN.md §5.1). A morsel whose
-//! key tuples never decrease (`in_key_order`, one early-exit pass over its
-//! key buffers) has contiguous groups: its partial is cut at the run
-//! boundaries and builds no map. When every partial is in that **run form**
-//! and no key falls across a morsel boundary the whole input is in key order,
-//! and the merge too compares with the previous key: no table, nothing
-//! reserved (its memory is its output), never the degradation ladder.
-//! Otherwise the merge is the hash form, which takes partials of either kind.
-//! Both forms cut and merge the same partials, so every accumulator sees the
-//! same values in the same order and the output is bit-identical.
+//! The form is observed where the keys are (DESIGN.md §5.1). One pass over
+//! a morsel's key buffers (`key_runs`) records where each run of equal key
+//! tuples starts, and stops at an inversion. A morsel whose tuples never
+//! decrease has contiguous groups, and its partial is cut in the **run
+//! form**: one `u32` start per run, no map and no per-row group id. Each
+//! aggregate folds its input run by run; `count(distinct)` deduplicates each
+//! run in place, through a set only when the run is long. The partial keeps
+//! per group only its key slots and first row. When every partial is in the
+//! run form and none starts below the key its predecessor ended on, the whole
+//! input is in key order and the merge appends: a partial's first group may
+//! continue the table's last, and the rest move in behind it. No table,
+//! nothing reserved (its memory is its output), never the degradation
+//! ladder. Otherwise the merge is the hash form, which takes partials of
+//! either kind. Both forms cut and merge the same partials, so every
+//! accumulator sees the same values in the same order and the output is
+//! bit-identical.
 //!
 //! Decimal sums accumulate in `i128`, which is exact and order-free; `avg`
 //! over fixed-point inputs (decimal/int) likewise sums mantissas in `i128`
@@ -51,7 +58,7 @@ use std::time::Instant;
 use super::bytecode::{self, Program, Rows, Ty};
 use super::ensure_u32_indexable;
 use super::filter::Conjuncts;
-use super::hash::{FxMap, SmallSet};
+use super::hash::{FxMap, FxSet, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
@@ -188,6 +195,8 @@ pub fn exec_aggregate(
         prof.rand_accesses += nsel;
         prof.hash_bytes += ngroups as u64 * width;
     }
+    // `count(distinct)` is one hashed insert per row in either form: that is
+    // MonetDB's price, though the run form deduplicates in the slot buffer.
     let distincts = aggs.iter().filter(|a| a.func == AggFunc::CountDistinct).count();
     prof.rand_accesses += nsel * distincts as u64;
 
@@ -217,17 +226,62 @@ struct Feed<'p> {
     empty: &'p [AggState<'p>],
 }
 
-/// True when the key tuples never decrease, lexicographically, over the `n`
-/// rows — so every group's rows are contiguous and the run form applies. One
-/// pass that stops at the first inversion; zero key columns (the global
-/// group) are trivially in order.
-fn in_key_order(cols: &[Vec<i64>], n: usize) -> bool {
+/// Fills `starts` with the first row of every run of equal key tuples over
+/// the `n` rows, then `n`, and returns true — or returns false once a row's
+/// tuple is lexicographically below its predecessor's: the rows are then not
+/// in key order, and their groups need not be contiguous. Zero key columns
+/// (the global group) are one run, read off `n` alone.
+fn key_runs(cols: &[Vec<i64>], n: usize, starts: &mut Vec<u32>) -> bool {
     match cols {
-        [c] => c.windows(2).all(|w| w[0] <= w[1]),
-        _ => (1..n).all(|i| {
-            cols.iter().map(|c| c[i - 1].cmp(&c[i])).find(|o| o.is_ne()) != Some(Ordering::Greater)
+        [] => {
+            starts.clear();
+            starts.extend((n > 0).then_some(0));
+            starts.push(n as u32);
+            true
+        }
+        [c] => runs_by(n, starts, |i| (c[i - 1] != c[i], c[i - 1] > c[i])),
+        _ => runs_by(n, starts, |i| {
+            let (mut new, mut down) = (false, false);
+            for c in cols {
+                down |= !new & (c[i - 1] > c[i]);
+                new |= c[i - 1] != c[i];
+            }
+            (new, down)
         }),
     }
+}
+
+/// [`key_runs`] over `step(i)`: whether row `i` starts a run, and whether
+/// its key is below row `i - 1`'s. No branch depends on the keys: every row
+/// writes its index at the end of `starts` and only a new run keeps it, and
+/// order is checked once per block of rows, so an inversion stops the pass
+/// within a block.
+fn runs_by(n: usize, starts: &mut Vec<u32>, step: impl Fn(usize) -> (bool, bool)) -> bool {
+    const BLOCK: usize = 1024;
+    starts.clear();
+    starts.resize(n + 1, 0);
+    let mut kept = usize::from(n > 0);
+    for from in (1..n).step_by(BLOCK) {
+        let mut ordered = true;
+        for i in from..(from + BLOCK).min(n) {
+            let (new, down) = step(i);
+            starts[kept] = i as u32;
+            kept += usize::from(new);
+            ordered &= !down;
+        }
+        if !ordered {
+            return false;
+        }
+    }
+    starts[kept] = n as u32;
+    starts.truncate(kept + 1);
+    true
+}
+
+/// How group `i` of the key columns `a` compares with group `j` of `b`:
+/// lexicographically, slot by slot (zero columns compare equal).
+fn cmp_keys(a: &[Vec<i64>], i: usize, b: &[Vec<i64>], j: usize) -> Ordering {
+    a.iter().zip(b).map(|(x, y)| x[i].cmp(&y[j])).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 /// Every group's first row, the merged states, and whether the merge took the
@@ -247,70 +301,98 @@ fn merge_partials<'p>(
     width: u64,
     ctx: &QueryContext,
 ) -> Option<Merged<'p>> {
-    let mut last = None;
-    let runs = partials.iter().filter(|p| !p.keys.is_empty()).all(|p| {
-        let follows = p.runs && last <= p.keys.first();
-        last = p.keys.last();
-        follows
-    });
-    let mut table = GroupTable::new(feed.empty.to_vec(), width, runs, ctx)?;
+    // Whether each partial's first group continues the group the non-empty
+    // partial before it ended on.
+    let (mut runs, mut prev) = (true, None::<(&[Vec<i64>], usize)>);
+    let continues: Vec<bool> = partials
+        .iter()
+        .map(|p| match &p.keys {
+            _ if p.first_rows.is_empty() => false,
+            GroupKeys::Runs(keys) => {
+                let order = prev.map(|(last, at)| cmp_keys(last, at, keys, 0));
+                runs &= order != Some(Ordering::Greater);
+                prev = Some((keys, p.first_rows.len() - 1));
+                order == Some(Ordering::Equal)
+            }
+            GroupKeys::Hash(_) => {
+                runs = false;
+                false
+            }
+        })
+        .collect();
+    if runs {
+        let (first_rows, states) = append_runs(partials, &continues, feed);
+        return Some((first_rows, states, true));
+    }
+    let mut table = GroupTable::new(feed.empty.to_vec(), width, ctx)?;
     for partial in partials {
         if !table.absorb(partial) {
             return None;
         }
     }
-    Some((table.first_rows, table.states, runs))
+    Some((table.first_rows, table.states, false))
 }
 
-/// One budgeted group table — the whole input's, or one partition's: a
+/// The run form's merge: the whole input is in key order, so each partial's
+/// groups follow the table's, and only its first may continue the table's
+/// last (`continues`, per partial). That one group is folded in; the rest are
+/// moved in behind it. No map, no reservation, and the states are sized once,
+/// for every partial group.
+fn append_runs<'p>(
+    partials: Vec<MorselAgg<'p>>,
+    continues: &[bool],
+    feed: &Feed<'p>,
+) -> (Vec<u32>, Vec<AggState<'p>>) {
+    let total = partials.iter().map(|p| p.first_rows.len()).sum();
+    let mut first_rows = Vec::with_capacity(total);
+    let mut states: Vec<AggState> = feed.empty.iter().map(|st| st.run_table(total)).collect();
+    for (partial, &joins) in partials.into_iter().zip(continues) {
+        first_rows.extend_from_slice(&partial.first_rows[joins as usize..]);
+        for (st, part) in states.iter_mut().zip(partial.states) {
+            st.append(part, joins);
+        }
+    }
+    (first_rows, states)
+}
+
+/// One budgeted hash group table — the whole input's, or one partition's: a
 /// reservation grown by `width` bytes per distinct group (the same constant
 /// the work profile charges to `hash_bytes`), the key → group map, and the
-/// accumulated states. Dropping the table releases the reservation. In the
-/// run form it is only the states: the map stays empty, nothing is reserved,
-/// and `last` — the newest group's key — is all it compares with.
+/// accumulated states. It absorbs partials of either form. Dropping the
+/// table releases the reservation.
 struct GroupTable<'p> {
     guard: Reservation,
     width: u64,
-    runs: bool,
     map: KeyMap,
-    last: Option<Key>,
     first_rows: Vec<u32>,
     states: Vec<AggState<'p>>,
 }
 
 impl<'p> GroupTable<'p> {
-    fn new(states: Vec<AggState<'p>>, width: u64, runs: bool, ctx: &QueryContext) -> Option<Self> {
+    fn new(states: Vec<AggState<'p>>, width: u64, ctx: &QueryContext) -> Option<Self> {
         let guard = ctx.try_reserve(0)?;
-        let (map, last, first_rows) = (KeyMap::default(), None, Vec::new());
-        Some(GroupTable { guard, width, runs, map, last, first_rows, states })
+        Some(GroupTable { guard, width, map: KeyMap::default(), first_rows: Vec::new(), states })
     }
 
     /// Folds one morsel partial in. Returns `false` — leaving the table
     /// unusable — as soon as a new group no longer fits the budget.
     fn absorb(&mut self, partial: MorselAgg<'p>) -> bool {
-        let mut gid_map: Vec<u32> = Vec::with_capacity(partial.keys.len());
-        for (k, fr) in partial.keys.into_iter().zip(partial.first_rows) {
+        let ngroups = partial.first_rows.len();
+        let keys = match partial.keys {
+            GroupKeys::Runs(cols) => (0..ngroups).map(|g| Key::at(&cols, g)).collect(),
+            GroupKeys::Hash(keys) => keys,
+        };
+        let mut gid_map: Vec<u32> = Vec::with_capacity(ngroups);
+        for (k, &fr) in keys.into_iter().zip(&partial.first_rows) {
             let next = self.first_rows.len() as u32;
-            gid_map.push(if self.runs {
-                // A partial's first run may continue the table's last one;
-                // every other run is a new group.
-                if self.last.as_ref() == Some(&k) {
-                    next - 1
-                } else {
-                    self.last = Some(k);
-                    self.first_rows.push(fr);
-                    next
-                }
-            } else {
-                match self.map.entry(k) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if !self.guard.grow(self.width) {
-                            return false;
-                        }
-                        self.first_rows.push(fr);
-                        *e.insert(next)
+            gid_map.push(match self.map.entry(k) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    if !self.guard.grow(self.width) {
+                        return false;
                     }
+                    self.first_rows.push(fr);
+                    *e.insert(next)
                 }
             });
         }
@@ -352,7 +434,7 @@ fn attempt<'p>(
     let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(parts.len());
     for p in parts.iter() {
         let p = p?;
-        let mut table = GroupTable::new(feed.empty.to_vec(), width, false, ctx)
+        let mut table = GroupTable::new(feed.empty.to_vec(), width, ctx)
             .expect("an empty reservation always fits");
         // The partition's rows of each morsel (`row / morsel_len`) form one
         // partial: within a morsel a group's rows are the rows the
@@ -402,9 +484,10 @@ fn attempt<'p>(
 type KeyMap = FxMap<Key, u32>;
 
 /// A group key of `key_values`-encoded slots, as the key programs emit them:
-/// the common 0/1/2-column cases avoid heap allocation. Keys of one fold
-/// share a variant, so the derived order is the tuples' lexicographic one.
-#[derive(Clone, Debug, Hash, PartialEq, Eq, PartialOrd, Ord)]
+/// the common 0/1/2-column cases avoid heap allocation. The hash form builds
+/// one per row; the run form keeps key slots, and builds keys from them only
+/// when a hash merge takes its partial.
+#[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub(super) enum Key {
     Unit,
     One(i64),
@@ -436,74 +519,87 @@ impl FromSlots for Key {
 
 /// One morsel's thread-local partial aggregation.
 struct MorselAgg<'p> {
-    /// Cut in the run form: the morsel's key tuples never decreased, so its
-    /// groups are its runs and `keys` ascends.
-    runs: bool,
-    keys: Vec<Key>,
+    keys: GroupKeys,
     first_rows: Vec<u32>,
     states: Vec<AggState<'p>>,
 }
 
+/// A partial's group keys, in first-appearance order, as its form found them.
+enum GroupKeys {
+    /// Cut in the run form: the morsel's key tuples never decreased, so its
+    /// groups are its runs and their keys ascend. Each group's key slots, one
+    /// vector per key column (the layout [`FromSlots::at`] reads): the run
+    /// merge compares a partial's first with the last before it, and a hash
+    /// merge makes them keys.
+    Runs(Vec<Vec<i64>>),
+    /// Cut in the hash form: the keys the morsel's map held.
+    Hash(Vec<Key>),
+}
+
 impl<'p> MorselAgg<'p> {
-    /// Folds the given rows of the source: one group-resolution pass over
-    /// the key buffers, then one accumulation sweep per aggregate with the
-    /// state dispatch hoisted out of the row loop. `first_rows` carry the
-    /// source's own row ids, so the merged group order and the key gathers do
-    /// not depend on how the rows were selected.
+    /// Folds the given rows of the source. One pass over the key buffers
+    /// finds the runs of equal keys; when it meets no inversion the morsel
+    /// is cut in runs, and each aggregate folds its input run by run, with
+    /// no per-row group id. Otherwise one group-resolution pass through a
+    /// map gives every row its group, and each aggregate sweeps its input
+    /// by group id. Either way the state dispatch is hoisted out of the row
+    /// loop. `first_rows` carry the source's own row ids, so the merged
+    /// group order and the key gathers do not depend on how the rows were
+    /// selected. Scratch buffers come from the thread-local pools; what the
+    /// partial keeps is allocated at its final size.
     fn fold(rows: &Rows, feed: &Feed<'p>) -> Self {
         let keybufs: Vec<Vec<i64>> = feed.keys.iter().map(|k| k.slots_of(rows)).collect();
-        let runs = in_key_order(&keybufs, rows.len());
-        let (keys, first_rows, states) = (Vec::new(), Vec::new(), feed.empty.to_vec());
-        let mut partial = MorselAgg { runs, keys, first_rows, states };
-        let mut gids = selection::take_scratch();
-        match rows {
-            Rows::Dense(r) => partial.resolve(&keybufs, r.clone().map(|i| i as u32), &mut gids),
-            Rows::Sparse(s) => partial.resolve(&keybufs, s.iter().copied(), &mut gids),
-        }
-        keybufs.into_iter().for_each(bytecode::put_slots);
-        let ngroups = partial.keys.len();
-        for (st, input) in partial.states.iter_mut().zip(feed.inputs) {
-            st.grow_to(ngroups);
-            let slots = input.as_ref().map(|p| p.slots_of(rows));
-            st.push_batch(&gids, slots.as_deref());
-            slots.into_iter().for_each(bytecode::put_slots);
-        }
-        selection::put_scratch(gids);
-        partial
-    }
-
-    /// Resolves each row's local group from the key buffers: in the run form
-    /// a row opens a group exactly when its key differs from the row before
-    /// it, in the hash form when the morsel's map has not seen its key.
-    fn resolve(
-        &mut self,
-        keybufs: &[Vec<i64>],
-        ids: impl Iterator<Item = u32>,
-        gids: &mut Vec<u32>,
-    ) {
-        if self.runs {
-            for (i, row) in ids.enumerate() {
-                if i == 0 || keybufs.iter().any(|c| c[i - 1] != c[i]) {
-                    self.keys.push(Key::at(keybufs, i));
-                    self.first_rows.push(row);
-                }
-                gids.push(self.keys.len() as u32 - 1);
+        let row_id = |i: usize| match rows {
+            Rows::Dense(r) => (r.start + i) as u32,
+            Rows::Sparse(s) => s[i],
+        };
+        let mut starts = selection::take_scratch();
+        let mut states = feed.empty.to_vec();
+        let partial = if key_runs(&keybufs, rows.len(), &mut starts) {
+            let groups = &starts[..starts.len() - 1];
+            for (st, input) in states.iter_mut().zip(feed.inputs) {
+                st.push_runs(&starts, input.as_ref().map(|p| p.slots_of(rows)));
             }
-            return;
-        }
-        let mut map = KeyMap::default();
-        for (i, row) in ids.enumerate() {
-            let key = Key::at(keybufs, i);
-            // `get` first, not `entry`: rows of known groups dominate, and the
-            // entry API measured 10 % slower on them (it moves the key around).
-            gids.push(map.get(&key).copied().unwrap_or_else(|| {
-                let g = self.keys.len() as u32;
-                map.insert(key.clone(), g);
-                self.keys.push(key);
-                self.first_rows.push(row);
-                g
-            }));
-        }
+            MorselAgg {
+                keys: GroupKeys::Runs(
+                    keybufs
+                        .iter()
+                        .map(|c| groups.iter().map(|&s| c[s as usize]).collect())
+                        .collect(),
+                ),
+                first_rows: groups.iter().map(|&s| row_id(s as usize)).collect(),
+                states,
+            }
+        } else {
+            // The hash form: each row's local group is the one the morsel's
+            // map holds for its key, or a new one.
+            let (mut map, mut keys, mut first_rows) = (KeyMap::default(), Vec::new(), Vec::new());
+            let mut gids = selection::take_scratch();
+            for i in 0..rows.len() {
+                let key = Key::at(&keybufs, i);
+                // `get` first, not `entry`: rows of known groups dominate, and
+                // the entry API measured 10 % slower on them (it moves the key
+                // around).
+                gids.push(map.get(&key).copied().unwrap_or_else(|| {
+                    let g = first_rows.len() as u32;
+                    map.insert(key.clone(), g);
+                    keys.push(key);
+                    first_rows.push(row_id(i));
+                    g
+                }));
+            }
+            for (st, input) in states.iter_mut().zip(feed.inputs) {
+                st.grow_to(first_rows.len());
+                let slots = input.as_ref().map(|p| p.slots_of(rows));
+                st.push_batch(&gids, slots.as_deref());
+                slots.into_iter().for_each(bytecode::put_slots);
+            }
+            selection::put_scratch(gids);
+            MorselAgg { keys: GroupKeys::Hash(keys), first_rows, states }
+        };
+        selection::put_scratch(starts);
+        keybufs.into_iter().for_each(bytecode::put_slots);
+        partial
     }
 }
 
@@ -546,7 +642,18 @@ impl SlotOrder<'_> {
 enum AggState<'p> {
     /// `count(*)` (no input) and `count_if` (0/1 slots).
     Count(Vec<i64>),
+    /// `count(distinct)` in the hash form: one set per group.
     Distinct(Vec<SmallSet>),
+    /// `count(distinct)` in the run form: each group's distinct count. A
+    /// partial keeps every group's distinct values back to back in `vals`,
+    /// `counts[g]` of them per group, because a hash merge may yet need them;
+    /// the run merge keeps only its last group's, the one group a later
+    /// partial can continue, in `open`.
+    DistinctRuns {
+        counts: Vec<i64>,
+        vals: Vec<i64>,
+        open: SmallSet,
+    },
     SumDec(Vec<i128>, u8),
     SumInt(Vec<i64>),
     SumFloat(Vec<f64>),
@@ -570,6 +677,28 @@ enum AggState<'p> {
         want: Ordering,
         order: SlotOrder<'p>,
     },
+}
+
+/// Runs longer than this deduplicate their `count(distinct)` values through a
+/// hash set; shorter ones by a scan of the values already kept.
+const LONG_RUN: usize = 16;
+
+/// A float partial sum over `xs` (`f64::to_bits` slots): from `+0.0`, adding
+/// in row order — the order the hash form adds them into a fresh group.
+fn float_sum(xs: &[i64]) -> f64 {
+    xs.iter().fold(0.0, |sum, &x| sum + f64::from_bits(x as u64))
+}
+
+/// Appends a partial's per-group values to the run merge's: when `joins`,
+/// its first group continues the table's last and is folded into it.
+fn append_with<T>(g: &mut Vec<T>, l: Vec<T>, joins: bool, fold: impl Fn(&mut T, T)) {
+    let mut l = l.into_iter();
+    if let (true, Some(last)) = (joins, g.last_mut()) {
+        if let Some(x) = l.next() {
+            fold(last, x);
+        }
+    }
+    g.extend(l);
 }
 
 impl<'p> AggState<'p> {
@@ -626,6 +755,7 @@ impl<'p> AggState<'p> {
         match self {
             AggState::Count(v) | AggState::SumInt(v) => v.resize(ngroups, 0),
             AggState::Distinct(v) => v.resize_with(ngroups, SmallSet::default),
+            AggState::DistinctRuns { counts, .. } => counts.resize(ngroups, 0),
             AggState::SumDec(v, _) => v.resize(ngroups, 0),
             AggState::SumFloat(v) => v.resize(ngroups, 0.0),
             AggState::AvgFixed { sum, cnt, .. } => {
@@ -640,6 +770,148 @@ impl<'p> AggState<'p> {
         }
     }
 
+    /// This empty state as the run merge's table, with room for `cap` groups.
+    fn run_table(&self, cap: usize) -> Self {
+        match self {
+            AggState::Count(_) => AggState::Count(Vec::with_capacity(cap)),
+            AggState::Distinct(_) | AggState::DistinctRuns { .. } => AggState::DistinctRuns {
+                counts: Vec::with_capacity(cap),
+                vals: Vec::new(),
+                open: SmallSet::default(),
+            },
+            AggState::SumDec(_, s) => AggState::SumDec(Vec::with_capacity(cap), *s),
+            AggState::SumInt(_) => AggState::SumInt(Vec::with_capacity(cap)),
+            AggState::SumFloat(_) => AggState::SumFloat(Vec::with_capacity(cap)),
+            AggState::AvgFixed { scale, .. } => AggState::AvgFixed {
+                sum: Vec::with_capacity(cap),
+                cnt: Vec::with_capacity(cap),
+                scale: *scale,
+            },
+            AggState::Avg { .. } => {
+                AggState::Avg { sum: Vec::with_capacity(cap), cnt: Vec::with_capacity(cap) }
+            }
+            AggState::Extreme { want, order, .. } => {
+                AggState::Extreme { best: Vec::with_capacity(cap), want: *want, order: *order }
+            }
+        }
+    }
+
+    /// Accumulates one morsel cut in runs: group `g` is rows
+    /// `starts[g]..starts[g + 1]` and is fed their `slots` in row order (no
+    /// slots: `count(*)`), so the state is built at its final size and no row
+    /// needs a group id. `count(distinct)` deduplicates each run in place in
+    /// the slot buffer; the slot buffer goes back to its pool.
+    fn push_runs(&mut self, starts: &[u32], slots: Option<Vec<i64>>) {
+        let runs = || starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
+        let Some(mut xs) = slots else {
+            if let AggState::Count(v) = self {
+                *v = runs().map(|r| r.len() as i64).collect();
+            }
+            return;
+        };
+        match self {
+            AggState::Count(v) | AggState::SumInt(v) => {
+                *v = runs().map(|r| xs[r].iter().sum()).collect()
+            }
+            AggState::SumDec(v, _) => {
+                *v = runs().map(|r| xs[r].iter().map(|&x| x as i128).sum()).collect()
+            }
+            AggState::SumFloat(v) => *v = runs().map(|r| float_sum(&xs[r])).collect(),
+            AggState::AvgFixed { sum, cnt, .. } => {
+                *sum = runs().map(|r| xs[r].iter().map(|&x| x as i128).sum()).collect();
+                *cnt = runs().map(|r| r.len() as i64).collect();
+            }
+            AggState::Avg { sum, cnt } => {
+                *sum = runs().map(|r| float_sum(&xs[r])).collect();
+                *cnt = runs().map(|r| r.len() as i64).collect();
+            }
+            AggState::Extreme { best, want, order } => {
+                *best = runs()
+                    .map(|r| {
+                        let mut b = None;
+                        xs[r].iter().for_each(|&x| order.offer(&mut b, x, *want));
+                        b
+                    })
+                    .collect()
+            }
+            AggState::Distinct(_) | AggState::DistinctRuns { .. } => {
+                // Each run's distinct values are moved down to `kept`, which
+                // never passes the row being read.
+                let (mut kept, mut seen) = (0, FxSet::default());
+                let counts = runs()
+                    .map(|r| {
+                        let (from, long) = (kept, r.len() > LONG_RUN);
+                        seen.clear();
+                        for i in r {
+                            let x = xs[i];
+                            if if long { seen.insert(x) } else { !xs[from..kept].contains(&x) } {
+                                xs[kept] = x;
+                                kept += 1;
+                            }
+                        }
+                        (kept - from) as i64
+                    })
+                    .collect();
+                let vals = xs[..kept].to_vec();
+                *self = AggState::DistinctRuns { counts, vals, open: SmallSet::default() };
+            }
+        }
+        bytecode::put_slots(xs);
+    }
+
+    /// Moves a partial's groups in behind the run merge's, folding its first
+    /// into the table's last when `joins`. Moving a group in equals folding
+    /// it into a fresh one: counts and exact sums start at 0 and `min`/`max`
+    /// at `None`; a float partial sum starts at `+0.0`, so it is never `-0.0`
+    /// (`+0.0 + -0.0` is `+0.0`) and has the bits of `0.0 + x`.
+    fn append(&mut self, part: AggState<'p>, joins: bool) {
+        match (self, part) {
+            (AggState::Count(g), AggState::Count(l))
+            | (AggState::SumInt(g), AggState::SumInt(l)) => {
+                append_with(g, l, joins, |a, b| *a += b)
+            }
+            (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
+                append_with(g, l, joins, |a, b| *a += b)
+            }
+            (AggState::SumFloat(g), AggState::SumFloat(l)) => {
+                append_with(g, l, joins, |a, b| *a += b)
+            }
+            (
+                AggState::AvgFixed { sum: gs, cnt: gc, .. },
+                AggState::AvgFixed { sum: ls, cnt: lc, .. },
+            ) => {
+                append_with(gs, ls, joins, |a, b| *a += b);
+                append_with(gc, lc, joins, |a, b| *a += b);
+            }
+            (AggState::Avg { sum: gs, cnt: gc }, AggState::Avg { sum: ls, cnt: lc }) => {
+                append_with(gs, ls, joins, |a, b| *a += b);
+                append_with(gc, lc, joins, |a, b| *a += b);
+            }
+            (AggState::Extreme { best: g, want, order }, AggState::Extreme { best: l, .. }) => {
+                append_with(g, l, joins, |a, b| {
+                    b.into_iter().for_each(|x| order.offer(a, x, *want))
+                })
+            }
+            (
+                AggState::DistinctRuns { counts: gc, open, .. },
+                AggState::DistinctRuns { counts: lc, vals, .. },
+            ) => {
+                let mut rest = &lc[..];
+                if let (true, Some(last), Some(&first)) = (joins, gc.last_mut(), lc.first()) {
+                    vals[..first as usize].iter().for_each(|&v| open.insert(v));
+                    *last = open.len() as i64;
+                    rest = &lc[1..];
+                }
+                gc.extend_from_slice(rest);
+                if let Some(&n) = rest.last() {
+                    // The partial's last group is new: it is the one left open.
+                    *open = SmallSet::default();
+                    vals[vals.len() - n as usize..].iter().for_each(|&v| open.insert(v));
+                }
+            }
+            _ => unreachable!("partials share one state layout"),
+        }
+    }
     /// Accumulates one morsel: row `i` belongs to group `gids[i]` and feeds
     /// it `slots[i]` (no slots: `count(*)`), in row order.
     fn push_batch(&mut self, gids: &[u32], slots: Option<&[i64]>) {
@@ -647,9 +919,8 @@ impl<'p> AggState<'p> {
         match self {
             AggState::Count(v) if slots.is_none() => gids.iter().for_each(|&g| v[g as usize] += 1),
             AggState::Count(v) | AggState::SumInt(v) => rows.for_each(|(g, x)| v[g] += x),
-            AggState::Distinct(v) => rows.for_each(|(g, x)| {
-                v[g].insert(x);
-            }),
+            AggState::Distinct(v) => rows.for_each(|(g, x)| v[g].insert(x)),
+            AggState::DistinctRuns { .. } => unreachable!("a hash-form partial starts unbound"),
             AggState::SumDec(v, _) => rows.for_each(|(g, x)| v[g] += x as i128),
             AggState::SumFloat(v) => rows.for_each(|(g, x)| v[g] += f64::from_bits(x as u64)),
             AggState::AvgFixed { sum, cnt, .. } => rows.for_each(|(g, x)| {
@@ -678,6 +949,12 @@ impl<'p> AggState<'p> {
             }
             (AggState::Distinct(g), AggState::Distinct(l)) => {
                 l.into_iter().enumerate().for_each(|(lg, set)| g[global(lg)].absorb(set))
+            }
+            (AggState::Distinct(g), AggState::DistinctRuns { counts, vals, .. }) => {
+                let mut vals = vals.into_iter();
+                for (lg, n) in counts.into_iter().enumerate() {
+                    vals.by_ref().take(n as usize).for_each(|v| g[global(lg)].insert(v));
+                }
             }
             (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
                 l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
@@ -716,6 +993,7 @@ impl<'p> AggState<'p> {
         Ok(match self {
             AggState::Count(v) | AggState::SumInt(v) => Column::Int64(v),
             AggState::Distinct(v) => Column::Int64(v.into_iter().map(|s| s.len() as i64).collect()),
+            AggState::DistinctRuns { counts, .. } => Column::Int64(counts),
             AggState::SumDec(v, s) => {
                 let narrow = |x| i64::try_from(x).map_err(|_| StorageError::DecimalOverflow);
                 Column::Decimal(
@@ -1068,20 +1346,27 @@ mod tests {
 
     #[test]
     fn key_order_is_the_tuples_lexicographic_order() {
+        // The run starts (then the row count), or `None` at an inversion.
+        let runs = |cols: &[Vec<i64>], n: usize| {
+            let mut starts = vec![7];
+            key_runs(cols, n, &mut starts).then_some(starts)
+        };
         let cols = |a: &[i64], b: &[i64]| [a.to_vec(), b.to_vec()];
-        assert!(in_key_order(&[], 5), "the global group");
-        assert!(in_key_order(&[vec![]], 0) && in_key_order(&[vec![4]], 1));
-        assert!(in_key_order(&[vec![1, 1, 2, 2, 9]], 5) && !in_key_order(&[vec![1, 2, 9, 8]], 4));
-        assert!(in_key_order(&[vec![i64::MIN, -1, i64::MAX]], 3));
-        assert!(
-            in_key_order(&cols(&[1, 1, 2], &[5, 5, 0]), 3),
+        assert_eq!(runs(&[], 5), Some(vec![0, 5]), "the global group is one run");
+        assert_eq!(runs(&[], 0), Some(vec![0]), "no rows, no run");
+        assert_eq!(runs(&[vec![]], 0), Some(vec![0]));
+        assert_eq!(runs(&[vec![4]], 1), Some(vec![0, 1]));
+        assert_eq!(runs(&[vec![1, 1, 2, 2, 9]], 5), Some(vec![0, 2, 4, 5]));
+        assert_eq!(runs(&[vec![1, 2, 9, 8]], 4), None);
+        assert_eq!(runs(&[vec![i64::MIN, -1, i64::MAX]], 3), Some(vec![0, 1, 2, 3]));
+        assert_eq!(
+            runs(&cols(&[1, 1, 2], &[5, 5, 0]), 3),
+            Some(vec![0, 2, 3]),
             "a later column may fall when an earlier one rises"
         );
-        assert!(
-            !in_key_order(&cols(&[1, 1, 2], &[5, 4, 0]), 3),
-            "ties are broken by the next column"
-        );
-        assert!(!in_key_order(&cols(&[1, 1, 0], &[5, 5, 9]), 3));
+        assert_eq!(runs(&cols(&[1, 1, 1], &[5, 6, 6]), 3), Some(vec![0, 1, 3]));
+        assert_eq!(runs(&cols(&[1, 1, 2], &[5, 4, 0]), 3), None, "ties go to the next column");
+        assert_eq!(runs(&cols(&[1, 1, 0], &[5, 5, 9]), 3), None);
     }
 
     /// The run form reserves nothing: under an 8 KiB budget with a spill disk

@@ -34,6 +34,7 @@ impl BuildHasher for FxBuild {
 }
 
 pub(super) type FxMap<K, V> = HashMap<K, V, FxBuild>;
+pub(super) type FxSet<K> = HashSet<K, FxBuild>;
 
 /// An empty [`FxMap`] with room for `n` entries.
 pub(super) fn fx_map<K, V>(n: usize) -> FxMap<K, V> {
@@ -105,11 +106,14 @@ impl Hasher for FxHasher {
 
 /// A set of `i64`s sized for `count(distinct)` groups, most of which hold a
 /// handful of values: up to [`SmallSet::INLINE`] values live in place and are
-/// scanned linearly; past that the set moves to a hash set.
+/// scanned linearly; past that the set moves to a hash set. It serves the
+/// aggregate's hash form, one set per group, and the run form's merge, one
+/// set for the last group only; a run-form partial deduplicates its runs in
+/// place and keeps no set.
 #[derive(Clone)]
 pub(super) enum SmallSet {
     Inline { len: u8, vals: [i64; SmallSet::INLINE] },
-    Heap(HashSet<i64, FxBuild>),
+    Heap(FxSet<i64>),
 }
 
 impl Default for SmallSet {
@@ -133,7 +137,7 @@ impl SmallSet {
                     vals[n] = v;
                     *len += 1;
                 } else {
-                    let mut set: HashSet<i64, FxBuild> = vals.iter().copied().collect();
+                    let mut set: FxSet<i64> = vals.iter().copied().collect();
                     set.insert(v);
                     *self = SmallSet::Heap(set);
                 }

@@ -8,7 +8,8 @@
 //! reduction tree the reference cuts at the same base-table morsel stride —
 //! and charge the form the *data* calls for. The shapes aim at the seams: keys
 //! in order, one inversion inside a morsel, one exactly at a morsel boundary,
-//! groups straddling boundaries, and a morsel whose filter keeps no row.
+//! groups straddling boundaries, a morsel whose filter keeps no row, groups
+//! whose float rows are all `-0.0`, and long runs of many distinct values.
 //!
 //! A failure prints the seed that replays it.
 
@@ -318,12 +319,46 @@ fn every_configuration_folds_to_the_reference() {
         dead[6..9].iter_mut().for_each(|r| r.keep = false);
         check(&dead, "a morsel whose filter keeps no row");
 
+        // A float partial sum starts at +0.0, so these groups sum to +0.0
+        // and their `min_f` is -0.0: moving a partial sum into the run
+        // merge must give the bits of adding it to a fresh +0.0.
+        let mut negative_zeros = sorted.clone();
+        negative_zeros.iter_mut().filter(|r| r.key[0] % 2 == 0).for_each(|r| r.f = -0.0);
+        check(&negative_zeros, "groups whose float rows are all -0.0");
+
         let mut shuffled = sorted;
         for i in (1..shuffled.len()).rev() {
             shuffled.swap(i, rng.below(i as u64 + 1) as usize);
         }
         check(&shuffled, "keys in no order");
     }
+}
+
+/// Groups of hundreds of rows holding dozens of distinct `s` values. In key
+/// order each group is one long run, so `count(distinct)` deduplicates long
+/// runs, and the run merge carries a group's values across morsel
+/// boundaries at every morsel size (one group spans the 4096-row boundary).
+/// Out of order, the hash form's sets outgrow their inline capacity.
+#[test]
+fn long_runs_of_many_distinct_values_fold_to_the_reference() {
+    let mut rng = Rng::for_case("aggregate_fold_long_runs", 0);
+    let mut sorted: Vec<Row> = (0..5_000)
+        .map(|i| Row {
+            key: [i / 2_400, rng.below(2) as i64, rng.below(2) as i64],
+            d: rng.below(2001) as i64 - 1000,
+            f: (rng.below(1 << 20) as f64 - 5e5) * 0.37,
+            s: rng.below(40) as i64 - 20,
+            b: rng.below(2) == 0,
+            t: rng.below(4) as usize,
+            keep: rng.below(8) > 0,
+        })
+        .collect();
+    sorted.sort_by_key(|r| r.key);
+    check(&sorted, "long runs in key order");
+    for i in (1..sorted.len()).rev() {
+        sorted.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    check(&sorted, "long groups in no order");
 }
 
 /// An ill-typed aggregate is one typed error, the same under both price

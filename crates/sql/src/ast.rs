@@ -29,6 +29,9 @@ pub enum SqlOp {
     Or,
 }
 
+/// The functions the subset knows, all of them aggregates (lower-cased).
+pub const AGGREGATES: [&str; 5] = ["sum", "avg", "count", "min", "max"];
+
 /// A scalar SQL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlExpr {
@@ -101,7 +104,7 @@ pub enum SqlExpr {
         /// False branch.
         otherwise: Box<SqlExpr>,
     },
-    /// Aggregate or scalar function call.
+    /// Aggregate function call: the parser accepts no other name.
     Func {
         /// Lower-cased function name.
         name: String,
@@ -134,9 +137,7 @@ impl SqlExpr {
     /// True when the tree contains an aggregate function call.
     pub fn contains_aggregate(&self) -> bool {
         match self {
-            SqlExpr::Func { name, .. } => {
-                matches!(name.as_str(), "sum" | "avg" | "count" | "min" | "max")
-            }
+            SqlExpr::Func { name, .. } => AGGREGATES.contains(&name.as_str()),
             SqlExpr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
             }

@@ -424,6 +424,13 @@ impl Parser {
                     // Function call.
                     self.advance();
                     let name = w.to_lowercase();
+                    if !AGGREGATES.contains(&name.as_str()) {
+                        let hint =
+                            if name == "substr" { "; use SUBSTRING(x FROM a FOR b)" } else { "" };
+                        return Err(SqlError::Unsupported(format!(
+                            "unknown function {name}(){hint}"
+                        )));
+                    }
                     if self.peek() == Some(&Token::Star) {
                         self.advance();
                         self.expect(Token::RParen)?;

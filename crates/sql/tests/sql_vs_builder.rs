@@ -226,6 +226,29 @@ fn helpful_errors_for_unsupported_sql() {
     ));
 }
 
+/// A function outside the aggregate set is refused by name, wherever it
+/// stands, not reported as a misplaced or miscombined aggregate.
+#[test]
+fn unknown_functions_are_refused_by_name() {
+    let cat = catalog();
+    let unknown = |sql: &str, want: &str| {
+        let err = plan(sql, &cat).unwrap_err();
+        assert_eq!(err, SqlError::Unsupported(want.to_string()), "{sql}");
+    };
+    let foo = "unknown function foo()";
+    unknown("select foo(l_quantity) as x from lineitem", foo);
+    unknown("select l_returnflag, foo(l_quantity) as x from lineitem group by l_returnflag", foo);
+    unknown(
+        "select l_returnflag, sum(l_quantity) as q from lineitem \
+         group by l_returnflag having foo(l_quantity) > 1",
+        foo,
+    );
+    unknown(
+        "select substr(l_comment, 1, 2) as s from lineitem",
+        "unknown function substr(); use SUBSTRING(x FROM a FOR b)",
+    );
+}
+
 #[test]
 fn select_star_passthrough() {
     let cat = catalog();

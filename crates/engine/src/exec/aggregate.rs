@@ -155,6 +155,7 @@ pub fn exec_aggregate(
             }
             let rows = Rows::Sparse(&survivors);
             let encoded: Vec<Vec<i64>> = keys.iter().map(|k| k.slots_of(&rows)).collect();
+            let encoded = ladder::as_slices(&encoded);
             let morsel_len = ranges.first().map_or(1, |r| r.len());
             ctx.track(nsel * Partitioner::BYTES_PER_ROW);
             let (first_rows, states) =
@@ -379,7 +380,10 @@ impl<'p> GroupTable<'p> {
     fn absorb(&mut self, partial: MorselAgg<'p>) -> bool {
         let ngroups = partial.first_rows.len();
         let keys = match partial.keys {
-            GroupKeys::Runs(cols) => (0..ngroups).map(|g| Key::at(&cols, g)).collect(),
+            GroupKeys::Runs(cols) => {
+                let cols = ladder::as_slices(&cols);
+                (0..ngroups).map(|g| Key::at(&cols, g)).collect()
+            }
             GroupKeys::Hash(keys) => keys,
         };
         let mut gid_map: Vec<u32> = Vec::with_capacity(ngroups);
@@ -497,7 +501,7 @@ pub(super) enum Key {
 
 impl FromSlots for Key {
     #[inline]
-    fn at(cols: &[Vec<i64>], i: usize) -> Key {
+    fn at(cols: &[&[i64]], i: usize) -> Key {
         match cols.len() {
             0 => Key::Unit,
             1 => Key::One(cols[0][i]),
@@ -575,8 +579,9 @@ impl<'p> MorselAgg<'p> {
             // map holds for its key, or a new one.
             let (mut map, mut keys, mut first_rows) = (KeyMap::default(), Vec::new(), Vec::new());
             let mut gids = selection::take_scratch();
+            let keycols = ladder::as_slices(&keybufs);
             for i in 0..rows.len() {
-                let key = Key::at(&keybufs, i);
+                let key = Key::at(&keycols, i);
                 // `get` first, not `entry`: rows of known groups dominate, and
                 // the entry API measured 10 % slower on them (it moves the key
                 // around).

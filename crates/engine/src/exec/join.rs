@@ -1,15 +1,22 @@
 //! Equi-joins: inner, semi, anti, and left outer — morsel-driven.
 //!
-//! The right input is the build side (query authors put the smaller relation
-//! there, as the TPC-H plans in `wimpi-queries` do). *How* a probe key finds
-//! its build rows is not theirs to pick: every invocation looks at the key
-//! vectors it has just encoded and takes one of three `Form`s (DESIGN.md
-//! §5) — a forward cursor when both sides are already in key order, an array
-//! indexed by `key − min` when the build's key domain is compact, the hash
-//! table otherwise. All three resolve a probe row to the head of its build
-//! chain and hand it to one `emit_row`, so join types, duplicate expansion
-//! and output order exist once. Duplicate build keys use the classic
-//! head+next chain layout, avoiding per-key allocations.
+//! The right input is the build side, as the plan puts it; the join does not
+//! swap them. The TPC-H plans in `wimpi-queries` mostly build on the smaller
+//! relation, but not always: Q4 and Q18 build on `lineitem` against a probe
+//! of about 11 000 and 14 rows at SF 0.2. *How* a probe key finds its build
+//! rows is not the plan's to pick: every invocation looks at the key columns,
+//! read in place, and takes one of three `Form`s (DESIGN.md §5.1) — a forward
+//! cursor when both sides are already in key order, an array indexed by
+//! `key − min` when the build's key domain is compact, the hash table
+//! otherwise. All three resolve a probe row to the head of its build chain
+//! and hand it to one `emit_row`, so join types, duplicate expansion and
+//! output order exist once. Duplicate build keys use the classic head+next
+//! chain layout, avoiding per-key allocations.
+//!
+//! Ahead of every form, a bitset of the leading build key may reject the
+//! probe rows that cannot match (`Bits`, chosen from the same key vectors):
+//! one branch-free pass per probe morsel collects the candidates, and only
+//! they reach the form's resolver — or the degradation ladder's partitions.
 //!
 //! Parallel hash builds partition the build by a deterministic key hash: each
 //! partition owner scans all build keys and inserts only its own rows, in
@@ -19,6 +26,7 @@
 //! morsel order — the output row order is bit-identical to the serial join
 //! at any thread count (see `exec::parallel`).
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::Range;
@@ -35,7 +43,7 @@ use crate::plan::JoinType;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use wimpi_obs::{MorselSink, MorselSpan, Span, Tracer};
-use wimpi_storage::{Column, DataType};
+use wimpi_storage::{selection, Column, DataType};
 
 /// Estimated bytes per build-side row per key in the hash table — the same
 /// constant the work profile charges to `hash_bytes`, so the governor's
@@ -66,23 +74,27 @@ enum Form {
 
 impl Form {
     /// One early-exit order pass per side, then one min/max pass over the
-    /// build keys. The offset array is taken only when it weighs no more than
-    /// the hash table it replaces, so it fits whenever that would have.
-    fn observe(lkeys: &[Vec<i64>], rkeys: &[Vec<i64>]) -> Form {
-        let ([lk], [rk]) = (lkeys, rkeys) else { return Form::Hash };
-        if rk.windows(2).all(|w| w[0] < w[1]) && lk.windows(2).all(|w| w[0] <= w[1]) {
-            return Form::Cursor;
+    /// leading build key (the cursor's are its ends). The offset array is
+    /// taken only when it weighs no more than the hash table it replaces, so
+    /// it fits whenever that would have. Also returns that key's `(min,
+    /// max)`, which [`Bits::observe`] reads; `None` for an empty build.
+    fn observe(lkeys: &[&[i64]], rkeys: &[&[i64]]) -> (Form, Option<(i64, i64)>) {
+        let (lk, rk) = (lkeys[0], rkeys[0]);
+        let one = rkeys.len() == 1;
+        if one && rk.windows(2).all(|w| w[0] < w[1]) && lk.windows(2).all(|w| w[0] <= w[1]) {
+            return (Form::Cursor, rk.first().zip(rk.last()).map(|(&lo, &hi)| (lo, hi)));
         }
-        let Some(&first) = rk.first() else { return Form::Hash };
+        let Some(&first) = rk.first() else { return (Form::Hash, None) };
         let (min, max) = rk.iter().fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
         // In i128: `i64::MIN` and `i64::MAX` may both be build keys.
         let span = max as i128 - min as i128 + 1;
         let hash_bytes = Form::Hash.table_bytes(rk.len(), 1) as i128;
-        if 4 * (span + rk.len() as i128) <= hash_bytes {
+        let form = if one && 4 * (span + rk.len() as i128) <= hash_bytes {
             Form::Offsets { min, span: span as usize }
         } else {
             Form::Hash
-        }
+        };
+        (form, Some((min, max)))
     }
 
     fn label(self) -> &'static str {
@@ -109,6 +121,64 @@ impl Form {
 #[inline]
 fn offset(k: i64, min: i64) -> usize {
     k.wrapping_sub(min) as u64 as usize
+}
+
+/// The leading build key's bitset over its span `[min, min + span)`: the
+/// filter ahead of every probe. A probe row whose leading key is not in it
+/// cannot match; on a one-key join the converse holds too.
+#[derive(Debug)]
+struct Bits {
+    min: i64,
+    span: u64,
+    /// One bit per key of the span, then at least one clear bit: every key
+    /// outside the span tests bit `span`.
+    words: Vec<u64>,
+    /// The join has one key, so a candidate is a match.
+    exact: bool,
+}
+
+impl Bits {
+    /// The filter the key vectors call for, from the leading build key's
+    /// `(min, max)`: a bitset when it weighs at most one byte per probe row
+    /// (`span ≤ 8 × nleft`) and the build keys leave a hole in their span;
+    /// otherwise none. A build that covers its span — all of `part`, say —
+    /// rejects nothing the forms' own range checks do not.
+    fn observe(rk: &[i64], nleft: usize, (min, max): (i64, i64), exact: bool) -> Option<Bits> {
+        // In i128, as the offset array's span.
+        let span = max as i128 - min as i128 + 1;
+        if span > 8 * nleft as i128 {
+            return None;
+        }
+        let bits = Bits::new(rk, min, span as u64, exact);
+        let set: u64 = bits.words.iter().map(|w| w.count_ones() as u64).sum();
+        (set < bits.span).then_some(bits)
+    }
+
+    /// The bitset of `rk`, every key of which lies in `[min, min + span)`.
+    fn new(rk: &[i64], min: i64, span: u64, exact: bool) -> Bits {
+        let mut words = vec![0u64; (span / 64 + 1) as usize];
+        for &k in rk {
+            let o = k.wrapping_sub(min) as u64;
+            words[(o / 64) as usize] |= 1 << (o % 64);
+        }
+        Bits { min, span, words, exact }
+    }
+
+    /// Appends to `out` the rows of `r` whose leading key `lk[i]` is in the
+    /// set, ascending. Branch-free: each row is written, and kept by
+    /// advancing past it when its bit is set — one dependent load per row.
+    fn candidates(&self, lk: &[i64], r: Range<usize>, out: &mut Vec<u32>) {
+        let start = out.len();
+        out.resize(start + r.len(), 0);
+        let dst = &mut out[start..];
+        let mut m = 0;
+        for (i, &k) in r.clone().zip(&lk[r]) {
+            let o = (k.wrapping_sub(self.min) as u64).min(self.span);
+            dst[m] = i as u32;
+            m += (self.words[(o / 64) as usize] >> (o % 64)) as usize & 1;
+        }
+        out.truncate(start + m);
+    }
 }
 
 /// Executes an equi-join.
@@ -139,23 +209,25 @@ pub fn exec_join(
             )));
         }
     }
-    let lkeys: Vec<Vec<i64>> =
-        on.iter().map(|(l, _)| key_values(left.column(l)?.as_ref())).collect::<Result<_>>()?;
-    let rkeys: Vec<Vec<i64>> =
-        on.iter().map(|(_, r)| key_values(right.column(r)?.as_ref())).collect::<Result<_>>()?;
+    // Read in place: `Int64` keys are borrowed, not copied.
+    let lcols: Vec<Cow<[i64]>> =
+        on.iter().map(|(l, _)| Ok(key_values(left.column(l)?))).collect::<Result<_>>()?;
+    let rcols: Vec<Cow<[i64]>> =
+        on.iter().map(|(_, r)| Ok(key_values(right.column(r)?))).collect::<Result<_>>()?;
+    let lkeys: Vec<&[i64]> = lcols.iter().map(|c| &**c).collect();
+    let rkeys: Vec<&[i64]> = rcols.iter().map(|c| &**c).collect();
 
-    let form = Form::observe(&lkeys, &rkeys);
-    let (lsel, rsel) = match on.len() {
-        1 => probe::<i64>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
-        2 => probe::<(i64, i64)>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
-        _ => probe::<Vec<i64>>(cfg, &lkeys, &rkeys, form, join_type, tracer, ctx, prof),
-    }?;
+    let (form, range) = Form::observe(&lkeys, &rkeys);
+    let bits = range.and_then(|r| Bits::observe(rkeys[0], lkeys[0].len(), r, on.len() == 1));
+    let keys = Keys { left: &lkeys, right: &rkeys, form, bits: bits.as_ref() };
+    let (lsel, rsel) = join_rows(cfg, &keys, join_type, tracer, ctx, prof)?;
 
     // Work: build inserts + probe lookups are random accesses — except under
     // the cursor, which makes none — and the build table's real footprint
     // informs the LLC model. Charged once from global row counts and the
     // form, so parallel, serial and budget-degraded runs record identical
-    // profiles.
+    // profiles. A bit test is one dependent load per probe row, as the
+    // lookup it stands in for is, so the filter moves no charge.
     let rows = (left.num_rows() + right.num_rows()) as u64;
     if form != Form::Cursor {
         prof.rand_accesses += rows;
@@ -188,6 +260,34 @@ pub fn exec_join(
     Ok(out)
 }
 
+/// [`probe`] at the hash key type the key count calls for.
+fn join_rows(
+    cfg: &EngineConfig,
+    keys: &Keys<'_>,
+    join_type: JoinType,
+    tracer: &Tracer,
+    ctx: &QueryContext,
+    prof: &mut WorkProfile,
+) -> Result<Sels> {
+    match keys.left.len() {
+        1 => probe::<i64>(cfg, keys, join_type, tracer, ctx, prof),
+        2 => probe::<(i64, i64)>(cfg, keys, join_type, tracer, ctx, prof),
+        _ => probe::<Vec<i64>>(cfg, keys, join_type, tracer, ctx, prof),
+    }
+}
+
+/// Selected row ids per side: `(left, right)`.
+type Sels = (Vec<u32>, Vec<u32>);
+
+/// Both sides' key columns, as read in place, and what the join observed in
+/// them: the form and the filter.
+struct Keys<'a> {
+    left: &'a [&'a [i64]],
+    right: &'a [&'a [i64]],
+    form: Form,
+    bits: Option<&'a Bits>,
+}
+
 /// Links build row `row` into its key's chain: `head` maps a key to its most
 /// recent build row, `next` threads through the earlier ones.
 #[inline]
@@ -205,14 +305,8 @@ fn chain<K: Hash + Eq>(head: &mut FxMap<K, u32>, next: &mut [u32], k: K, row: u3
 /// partitioned probe. A build row past the end of `next` has no chain (the
 /// cursor form, whose build keys are unique, passes an empty one).
 #[inline]
-fn emit_row(
-    i: usize,
-    hit: Option<u32>,
-    next: &[u32],
-    join_type: JoinType,
-    lsel: &mut Vec<u32>,
-    rsel: &mut Vec<u32>,
-) {
+fn emit_row(i: usize, hit: Option<u32>, next: &[u32], join_type: JoinType, out: &mut Sels) {
+    let (lsel, rsel) = out;
     match join_type {
         JoinType::Inner => {
             let mut cur = hit;
@@ -247,6 +341,33 @@ fn emit_row(
     }
 }
 
+/// Walks the probe rows `rows` given their candidates `cand` (ascending,
+/// within `rows`): `matched(j, i, out)` emits the `j`-th candidate, row `i`,
+/// and every other row is a miss, which only anti and left-outer joins emit
+/// — in row order either way, so the output is the one an unfiltered walk
+/// gives.
+#[inline]
+fn walk_candidates(
+    rows: Range<usize>,
+    cand: impl IntoIterator<Item = usize>,
+    join_type: JoinType,
+    out: &mut Sels,
+    mut matched: impl FnMut(usize, usize, &mut Sels),
+) {
+    let misses = matches!(join_type, JoinType::Anti | JoinType::LeftOuter);
+    let mut at = rows.start;
+    for (j, c) in cand.into_iter().enumerate() {
+        if misses {
+            (at..c).for_each(|i| emit_row(i, None, &[], join_type, out));
+        }
+        matched(j, c, out);
+        at = c + 1;
+    }
+    if misses {
+        (at..rows.end).for_each(|i| emit_row(i, None, &[], join_type, out));
+    }
+}
+
 /// Builds on the right (in the form the key vectors allow), probes with the
 /// left. Returns selected row ids per side; for semi/anti the right vector is
 /// empty; for left outer, unmatched right slots hold `NONE_ROW`.
@@ -254,27 +375,27 @@ fn emit_row(
 /// The whole build table is reserved against the query budget up front; when
 /// it does not fit, [`partitioned_probe`] degrades to a partitioned hash
 /// build with the same output and trace structure.
-#[allow(clippy::too_many_arguments)]
 fn probe<K: FromSlots + Send + Sync>(
     cfg: &EngineConfig,
-    lkeys: &[Vec<i64>],
-    rkeys: &[Vec<i64>],
-    form: Form,
+    keys: &Keys<'_>,
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
     prof: &mut WorkProfile,
-) -> Result<(Vec<u32>, Vec<u32>)> {
-    let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
+) -> Result<Sels> {
+    let (lkeys, rkeys, form) = (keys.left, keys.right, keys.form);
+    let nright = rkeys[0].len();
     let Some(_guard) = ctx.try_reserve(form.table_bytes(nright, rkeys.len())) else {
-        return partitioned_probe::<K>(cfg, lkeys, rkeys, form, join_type, tracer, ctx, prof);
+        return partitioned_probe::<K>(cfg, keys, join_type, tracer, ctx, prof);
     };
     let build_started = tracer.is_enabled().then(Instant::now);
-    let phase = ProbePhase { cfg, form, join_type, tracer, ctx, nleft, nright, build_started };
-    let (lk, rk) = (&lkeys[0], &rkeys[0]);
+    let (lk, rk) = (lkeys[0], rkeys[0]);
+    let bits = keys.bits;
+    let phase = ProbePhase { cfg, form, bits, join_type, tracer, ctx, lk, nright, build_started };
     match form {
         // Binary-search each morsel's start so morsels stay independent,
-        // then only ever step forward: both sides ascend.
+        // then only ever step forward: both sides ascend, and so do the
+        // candidates.
         Form::Cursor => phase.run(&[], |start| {
             let mut at = rk.partition_point(|&k| k < lk[start]);
             move |i| {
@@ -323,7 +444,7 @@ fn probe<K: FromSlots + Send + Sync>(
 /// uses the table hasher, not the fallbacks' SipHash.)
 fn build_hash<K: FromSlots + Send + Sync>(
     cfg: &EngineConfig,
-    rkeys: &[Vec<i64>],
+    rkeys: &[&[i64]],
     next: &mut [u32],
     ctx: &QueryContext,
 ) -> Vec<FxMap<K, u32>> {
@@ -371,20 +492,24 @@ fn build_hash<K: FromSlots + Send + Sync>(
 /// done: walks the left-side morsels — inline on one thread, in parallel on
 /// more — and concatenates the per-morsel selections in morsel order, which
 /// is the serial output order. `start(first row)` opens one morsel's resolver
-/// from probe row to chain head. Workers bail out at morsel boundaries once
-/// cancellation is signalled (the partial result is discarded — the final
-/// checkpoint turns it into `Cancelled`).
+/// from probe row to chain head; under a filter it sees the morsel's
+/// candidates only, in ascending order. Workers bail out at morsel
+/// boundaries once cancellation is signalled (the partial result is
+/// discarded — the final checkpoint turns it into `Cancelled`).
 ///
-/// When tracing, `build` (labelled with the form) and `probe` phase spans are
-/// attached to the open join span; the probe span gets one child per
-/// `morsel_ranges(nleft, morsel_rows)` morsel at any thread count.
+/// When tracing, `build` (labelled with the form) and `probe` (labelled with
+/// the filter) phase spans are attached to the open join span; the probe span
+/// gets one child per `morsel_ranges(nleft, morsel_rows)` morsel at any
+/// thread count.
 struct ProbePhase<'a> {
     cfg: &'a EngineConfig,
     form: Form,
+    bits: Option<&'a Bits>,
     join_type: JoinType,
     tracer: &'a Tracer,
     ctx: &'a QueryContext,
-    nleft: usize,
+    /// The leading probe key.
+    lk: &'a [i64],
     nright: usize,
     build_started: Option<Instant>,
 }
@@ -394,31 +519,48 @@ impl ProbePhase<'_> {
         &self,
         next: &[u32],
         start: impl Fn(usize) -> R + Sync,
-    ) -> Result<(Vec<u32>, Vec<u32>)> {
+    ) -> Result<Sels> {
         let build_ns = elapsed_ns(&self.build_started);
         let probe_started = self.tracer.is_enabled().then(Instant::now);
         let sink = self.tracer.morsel_sink();
-        let ranges = morsel_ranges(self.nleft, self.cfg.morsel_rows);
+        let nleft = self.lk.len();
+        let jt = self.join_type;
+        let ranges = morsel_ranges(nleft, self.cfg.morsel_rows);
         let parts = run_morsels_spanned(self.cfg, &ranges, &sink, |_, r| {
-            let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-            if self.ctx.interrupted() {
-                return (lsel, rsel);
+            let mut out = Sels::default();
+            if self.ctx.interrupted() || r.is_empty() {
+                return (out, 0);
             }
             let mut resolve = start(r.start);
-            for i in r {
-                emit_row(i, resolve(i), next, self.join_type, &mut lsel, &mut rsel);
-            }
-            (lsel, rsel)
+            let Some(bits) = self.bits else {
+                r.for_each(|i| emit_row(i, resolve(i), next, jt, &mut out));
+                return (out, 0);
+            };
+            // Two passes: the bit test over every row, then the resolver
+            // over the candidates. A semi or anti join on one key reads only
+            // whether a row has a hit, and the bitset already says.
+            let mut cand = selection::take_scratch();
+            bits.candidates(self.lk, r.clone(), &mut cand);
+            let known = bits.exact && matches!(jt, JoinType::Semi | JoinType::Anti);
+            let rows = cand.iter().map(|&i| i as usize);
+            walk_candidates(r, rows, jt, &mut out, |_, i, out| {
+                let hit = if known { Some(NONE_ROW) } else { resolve(i) };
+                emit_row(i, hit, next, jt, out);
+            });
+            let ncand = cand.len();
+            selection::put_scratch(cand);
+            (out, ncand)
         });
         self.ctx.checkpoint()?;
         let mut parts = parts.into_iter();
-        let (mut lsel, mut rsel) = parts.next().unwrap_or_default();
-        for (l, r) in parts {
+        let ((mut lsel, mut rsel), mut ncand) = parts.next().unwrap_or_default();
+        for ((l, r), n) in parts {
             lsel.extend(l);
             rsel.extend(r);
+            ncand += n;
         }
-        let (nleft, nright) = (self.nleft, self.nright);
-        attach_phases(self.tracer, self.form, nright, build_ns, nleft, &lsel, &probe_started, sink);
+        let probe = ProbeSpan { rows_out: lsel.len(), ncand, started: probe_started, sink };
+        attach_phases(self.tracer, self.form, self.nright, build_ns, nleft, self.bits, probe);
         Ok((lsel, rsel))
     }
 }
@@ -428,7 +570,11 @@ impl ProbePhase<'_> {
 /// time, then splice the per-partition outputs back into global left-row
 /// order. An attempt fits when the *largest* partition's build table does —
 /// sized from the bucket lengths before anything is staged, so a join that
-/// spills stages once.
+/// spills stages once. Under a filter only the probe's candidates are
+/// partitioned: their key slots are gathered and their row ids mapped back,
+/// so a rejected row is never hashed, bucketed or staged, and the splice
+/// reinserts it as a miss. The build side is the unfiltered join's, so is
+/// every fan-out.
 ///
 /// Determinism argument: all rows of one key hash to one partition, and each
 /// partition inserts its build rows in ascending global row order — so every
@@ -437,19 +583,17 @@ impl ProbePhase<'_> {
 /// The splice then visits left rows 0..nleft in order, which reproduces the
 /// serial output byte for byte. Partition choice depends only on row counts
 /// and the budget, never on the thread count.
-#[allow(clippy::too_many_arguments)]
 fn partitioned_probe<K: FromSlots>(
     cfg: &EngineConfig,
-    lkeys: &[Vec<i64>],
-    rkeys: &[Vec<i64>],
-    form: Form,
+    keys: &Keys<'_>,
     join_type: JoinType,
     tracer: &Tracer,
     ctx: &QueryContext,
     prof: &mut WorkProfile,
-) -> Result<(Vec<u32>, Vec<u32>)> {
+) -> Result<Sels> {
     const BUILD: usize = 0;
     const PROBE: usize = 1;
+    let (lkeys, rkeys) = (keys.left, keys.right);
     let (nleft, nright) = (lkeys[0].len(), rkeys[0].len());
     let traced = tracer.is_enabled();
     let sink = tracer.morsel_sink();
@@ -461,9 +605,24 @@ fn partitioned_probe<K: FromSlots>(
     // the cluster's MemoryModel draws around `hash_bytes`).
     ctx.track((nleft + nright) as u64 * 8);
 
+    // The probe rows the ladder partitions: the candidates, with their key
+    // slots gathered, or every row, with its key columns as they are.
+    let cand = keys.bits.map(|bits| {
+        let mut cand = Vec::new();
+        bits.candidates(lkeys[0], 0..nleft, &mut cand);
+        cand
+    });
+    let gathered: Vec<Vec<i64>> = match &cand {
+        Some(cand) => lkeys.iter().map(|k| cand.iter().map(|&i| k[i as usize]).collect()).collect(),
+        None => Vec::new(),
+    };
+    let pkeys = if cand.is_some() { ladder::as_slices(&gathered) } else { lkeys.to_vec() };
+    let nprobe = cand.as_ref().map_or(nleft, Vec::len);
+    let row_of = |at: usize| cand.as_ref().map_or(at, |c| c[at] as usize);
+
     let table_bytes = |rows: usize| Form::Hash.table_bytes(rows, rkeys.len());
-    let inputs = [(nright, rkeys), (nleft, lkeys)];
-    let (lsel, rsel, build_ns, probe_started) =
+    let inputs = [(nright, rkeys), (nprobe, &pkeys[..])];
+    let (sels, build_ns, probe_started) =
         ladder::descend::<K, _>(ctx, prof, "join build", &inputs, |att| {
             let need = table_bytes(att.largest(BUILD));
             if ctx.try_reserve(need).is_none() {
@@ -473,32 +632,37 @@ fn partitioned_probe<K: FromSlots>(
             let build_ns = elapsed_ns(&build_started);
             let probe_started = traced.then(Instant::now);
 
-            // One partition at a time: build, probe, drop.
+            // One partition at a time: build, probe, drop. Each partition's
+            // output is keyed by global row ids, ascending.
             let mut next: Vec<u32> = vec![NONE_ROW; nright];
-            let mut part_sels: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(parts.len());
+            let mut part_sels: Vec<Sels> = Vec::with_capacity(parts.len());
             for p in parts.iter() {
                 let p = p?;
                 let _table = ctx.reserve(table_bytes(parts.rows_in(BUILD, p)), "join build")?;
                 let mut head: FxMap<K, u32> = fx_map(parts.rows_in(BUILD, p));
-                let mut lsel = Vec::new();
-                let mut rsel = Vec::new();
+                let mut out = Sels::default();
                 for (row, k) in parts.rows(BUILD, p)? {
                     chain(&mut head, &mut next, k, row);
                 }
-                for (row, k) in parts.rows(PROBE, p)? {
-                    let hit = head.get(&k).copied();
-                    emit_row(row as usize, hit, &next, join_type, &mut lsel, &mut rsel);
+                for (at, k) in parts.rows(PROBE, p)? {
+                    emit_row(
+                        row_of(at as usize),
+                        head.get(&k).copied(),
+                        &next,
+                        join_type,
+                        &mut out,
+                    );
                 }
-                part_sels.push((lsel, rsel));
+                part_sels.push(out);
             }
 
-            // Splice back to global left-row order (per-partition outputs are
-            // already ascending in the left row id).
+            // Splice back to global left-row order, the rejected rows as
+            // misses between the candidates.
             let mut cursors = vec![0usize; parts.len()];
-            let mut lsel = Vec::new();
-            let mut rsel = Vec::new();
-            for i in 0..nleft {
-                let p = parts.part_of(PROBE, i);
+            let mut out = Sels::default();
+            let cand_rows = (0..nprobe).map(row_of);
+            walk_candidates(0..nleft, cand_rows, join_type, &mut out, |at, i, (lsel, rsel)| {
+                let p = parts.part_of(PROBE, at);
                 let (pl, pr) = &part_sels[p];
                 let c = &mut cursors[p];
                 while *c < pl.len() && pl[*c] == i as u32 {
@@ -508,8 +672,8 @@ fn partitioned_probe<K: FromSlots>(
                     }
                     *c += 1;
                 }
-            }
-            Ok(Verdict::Fit((lsel, rsel, build_ns, probe_started)))
+            });
+            Ok(Verdict::Fit((out, build_ns, probe_started)))
         })?;
 
     // Identical trace structure to the resident-build paths: the probe span
@@ -520,8 +684,9 @@ fn partitioned_probe<K: FromSlots>(
             sink.record(MorselSpan { index: mi, rows: r.len() as u64, worker: 0, wall_ns: 0 });
         }
     }
-    attach_phases(tracer, form, nright, build_ns, nleft, &lsel, &probe_started, sink);
-    Ok((lsel, rsel))
+    let probe = ProbeSpan { rows_out: sels.0.len(), ncand: nprobe, started: probe_started, sink };
+    attach_phases(tracer, keys.form, nright, build_ns, nleft, keys.bits, probe);
+    Ok(sels)
 }
 
 #[inline]
@@ -529,20 +694,29 @@ fn elapsed_ns(started: &Option<Instant>) -> u64 {
     started.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
 }
 
+/// What the `probe` span reports: its output rows, the filter's candidates,
+/// its start and its morsel children.
+struct ProbeSpan {
+    rows_out: usize,
+    ncand: usize,
+    started: Option<Instant>,
+    sink: MorselSink,
+}
+
 /// Attaches `build` (labelled with the form the key vectors selected — also
-/// when the budget degraded it to partitions) and `probe` phase spans (with
-/// the probe's morsel children) to the open join span. No-op when the tracer
-/// is disabled.
-#[allow(clippy::too_many_arguments)]
+/// when the budget degraded it to partitions) and `probe` (labelled `bits:
+/// <candidates>` under a filter, else empty; with its morsel children) phase
+/// spans to the open join span. Both labels come from the data, so the tree
+/// is the same at any thread count and budget. No-op when the tracer is
+/// disabled.
 fn attach_phases(
     tracer: &Tracer,
     form: Form,
     nright: usize,
     build_ns: u64,
     nleft: usize,
-    lsel: &[u32],
-    probe_started: &Option<Instant>,
-    sink: MorselSink,
+    bits: Option<&Bits>,
+    span: ProbeSpan,
 ) {
     if !tracer.is_enabled() {
         return;
@@ -551,11 +725,12 @@ fn attach_phases(
     build.rows_in = nright as u64;
     build.rows_out = nright as u64;
     build.wall_ns = build_ns;
-    let mut probe = Span::leaf("probe", "");
+    let label = bits.map_or_else(String::new, |_| format!("bits: {}", span.ncand));
+    let mut probe = Span::leaf("probe", &label);
     probe.rows_in = nleft as u64;
-    probe.rows_out = lsel.len() as u64;
-    probe.wall_ns = elapsed_ns(probe_started);
-    probe.children = sink.into_spans();
+    probe.rows_out = span.rows_out as u64;
+    probe.wall_ns = elapsed_ns(&span.started);
+    probe.children = span.sink.into_spans();
     tracer.attach(build);
     tracer.attach(probe);
 }
@@ -798,6 +973,70 @@ mod tests {
         }
     }
 
+    /// A selective join: 12 500 probe keys against 20 000 build keys spread
+    /// over a 99 996-key span (every fifth), so one probe row in five is a
+    /// candidate and the bitset filters the probe — through the ladder too.
+    fn selective_join_inputs() -> (Relation, Relation) {
+        let l = rel(vec![("lk", (0..12_500i64).map(|i| i * 7919 % 100_000).collect())]);
+        let r = rel(vec![
+            ("rk", (0..20_000i64).map(|i| i * 5).collect()),
+            ("rv", (0..20_000i64).collect()),
+        ]);
+        (l, r)
+    }
+
+    /// One traced join: its answer, its profile and its `probe` label.
+    fn traced_join(
+        l: &Relation,
+        r: &Relation,
+        jt: JoinType,
+        cfg: &EngineConfig,
+        ctx: &QueryContext,
+    ) -> (Relation, WorkProfile, String) {
+        let tracer = Tracer::enabled();
+        tracer.push("join", "");
+        let (mut p, on) = (WorkProfile::new(), [("lk".to_string(), "rk".to_string())]);
+        let out = exec_join(l, r, &on, jt, &mut p, cfg, &tracer, ctx).unwrap();
+        tracer.pop(0, 0, Vec::new());
+        let span = tracer.take_root().unwrap();
+        assert_eq!(span.children[1].op, "probe");
+        (out, p, span.children[1].label.clone())
+    }
+
+    /// Down the ladder — Grace, and the spill rung with a disk — the filter
+    /// partitions the candidates only: the same answer and the same `probe`
+    /// label as the resident run at every thread count, the same fan-out as
+    /// an unfiltered probe would take (the build side decides it), and staged
+    /// records for the 2 500 candidates, not the 12 500 probe rows.
+    #[test]
+    fn the_ladder_partitions_only_the_candidates() {
+        let (l, r) = selective_join_inputs();
+        for jt in ALL_TYPES {
+            let serial = EngineConfig::serial();
+            let (want, want_prof, label) =
+                traced_join(&l, &r, jt, &serial, &QueryContext::default());
+            assert_eq!(label, "bits: 2500", "{jt:?}");
+            for threads in [1, 2, 4] {
+                let cfg = EngineConfig::with_threads(threads).with_morsel_rows(1000);
+                let ctx = QueryContext::with_budget(8 << 10);
+                let (got, p, got_label) = traced_join(&l, &r, jt, &cfg, &ctx);
+                assert_eq!((&got, &got_label), (&want, &label), "{jt:?} Grace, {threads} threads");
+                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 64), "{jt:?}");
+                assert_eq!((p.spilled_bytes, p.hash_bytes), (0, want_prof.hash_bytes));
+                assert_eq!(ctx.used(), 0, "{jt:?}: all reservations released");
+
+                let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(4 << 20));
+                let ctx = QueryContext::with_budget(128).with_spill(Arc::clone(&disk));
+                let (got, p, got_label) = traced_join(&l, &r, jt, &cfg, &ctx);
+                assert_eq!((&got, &got_label), (&want, &label), "{jt:?} spill, {threads} threads");
+                assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 32768), "{jt:?}");
+                // Pinned: 20 000 build + 2 500 candidate 12-byte records.
+                assert_eq!(p.spilled_bytes, 12 * 22_500, "{jt:?}: candidates only");
+                assert_eq!((ctx.used(), disk.used()), (0, 0), "{jt:?}: all released");
+            }
+        }
+    }
+
     #[test]
     fn spill_rung_survives_injected_faults_bit_exactly() {
         use wimpi_storage::SpillFaults;
@@ -883,23 +1122,50 @@ mod tests {
     const ALL_TYPES: [JoinType; 4] =
         [JoinType::Inner, JoinType::Semi, JoinType::Anti, JoinType::LeftOuter];
 
-    /// Row selections of `lk ⋈ rk` in `form`, called the way `exec_join`
-    /// calls it — the form is an argument here, never a switch out there.
-    fn sels(lk: &[i64], rk: &[i64], form: Form, jt: JoinType, cfg: &EngineConfig) -> Sels {
+    /// Row selections of `lkeys ⋈ rkeys` in `form` behind the filter `bits`,
+    /// called the way `exec_join` calls them — the form and the filter are
+    /// arguments here, never a switch out there.
+    fn sels(
+        (lkeys, rkeys): (&[&[i64]], &[&[i64]]),
+        form: Form,
+        bits: Option<&Bits>,
+        jt: JoinType,
+        cfg: &EngineConfig,
+    ) -> Sels {
         let (ctx, mut p) = (QueryContext::default(), WorkProfile::new());
-        let (lkeys, rkeys) = ([lk.to_vec()], [rk.to_vec()]);
-        let out = probe::<i64>(cfg, &lkeys, &rkeys, form, jt, Tracer::off(), &ctx, &mut p);
+        let keys = Keys { left: lkeys, right: rkeys, form, bits };
+        let out = join_rows(cfg, &keys, jt, Tracer::off(), &ctx, &mut p);
         assert_eq!(ctx.used(), 0);
         out.unwrap()
     }
-    type Sels = (Vec<u32>, Vec<u32>);
+
+    const CONFIGS: [(usize, usize); 6] = [(1, 5), (2, 5), (4, 5), (1, 64), (2, 64), (4, 64)];
+
+    /// The filters that are *valid* for a build: none, the observed one, and
+    /// a bitset over the leading key's whole span when that is small enough
+    /// to allocate — the empty span for an empty build.
+    fn filters(lkeys: &[&[i64]], rkeys: &[&[i64]]) -> Vec<Option<Bits>> {
+        let (rk, exact) = (rkeys[0], rkeys.len() == 1);
+        let (_, range) = Form::observe(lkeys, rkeys);
+        let mut out = vec![None, range.and_then(|r| Bits::observe(rk, lkeys[0].len(), r, exact))];
+        match range {
+            None => out.push(Some(Bits::new(rk, 0, 0, exact))),
+            Some((min, max)) => {
+                if let Some(span) = max.checked_sub(min).filter(|d| *d < 1 << 16) {
+                    out.push(Some(Bits::new(rk, min, span as u64 + 1, exact)));
+                }
+            }
+        }
+        out
+    }
 
     /// Every form that is *valid* for the input (the observed one, and the
-    /// offset array over any domain small enough to allocate) selects exactly
-    /// the hash form's rows in the hash form's order, for every join type, at
-    /// 1/2/4 threads and two morsel sizes.
+    /// offset array over any domain small enough to allocate), behind every
+    /// valid filter, selects exactly the unfiltered hash form's rows in its
+    /// order, for every join type, at 1/2/4 threads and two morsel sizes.
     fn forms_match_the_hash_form(lk: &[i64], rk: &[i64]) {
-        let observed = Form::observe(&[lk.to_vec()], &[rk.to_vec()]);
+        let keys: (&[&[i64]], &[&[i64]]) = (&[lk], &[rk]);
+        let (observed, _) = Form::observe(keys.0, keys.1);
         let mut forms = vec![observed];
         if let (Some(&min), Some(&max)) = (rk.iter().min(), rk.iter().max()) {
             if let Some(span) = max.checked_sub(min).filter(|d| *d < 1 << 16) {
@@ -909,13 +1175,18 @@ mod tests {
         let strictly_up = rk.windows(2).all(|w| w[0] < w[1]);
         let up = lk.windows(2).all(|w| w[0] <= w[1]);
         assert_eq!(observed == Form::Cursor, strictly_up && up, "cursor iff both sides in order");
+        let filters = filters(keys.0, keys.1);
         for jt in ALL_TYPES {
-            let want = sels(lk, rk, Form::Hash, jt, &EngineConfig::serial());
+            let want = sels(keys, Form::Hash, None, jt, &EngineConfig::serial());
             for form in &forms {
-                for (threads, morsel) in [(1, 5), (2, 5), (4, 5), (1, 64), (2, 64), (4, 64)] {
-                    let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
-                    let got = sels(lk, rk, *form, jt, &cfg);
-                    assert_eq!(got, want, "{form:?} {jt:?} {threads} threads, morsel {morsel}");
+                for bits in &filters {
+                    for (threads, morsel) in CONFIGS {
+                        let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                        let got = sels(keys, *form, bits.as_ref(), jt, &cfg);
+                        let what =
+                            format!("{form:?} {bits:?} {jt:?} {threads} threads, morsel {morsel}");
+                        assert_eq!(got, want, "{what}");
+                    }
                 }
             }
         }
@@ -928,11 +1199,55 @@ mod tests {
         let mut inverted = up.clone();
         inverted.push(0); // one inversion, at the very end
         let extremes = [i64::MIN, -1, 0, i64::MAX];
-        let shapes: [&[i64]; 8] =
-            [&up, &dups, &inverted, &[7; 9], &[], &[5], &extremes, &[i64::MAX, i64::MIN]];
+        // Probe keys below the build's `min` and above its `max`, around it.
+        let outside: Vec<i64> = (-20..140).step_by(7).collect();
+        // 80 probe rows against a 640-key span with a hole: exactly one byte
+        // of bitset per probe row, so the filter is taken; 79 rows, not.
+        let sparse: Vec<i64> = (0..640).filter(|k| k % 5 == 0 || *k == 639).collect();
+        let at_limit: Vec<i64> = (0..80).map(|i| i * 11 % 700 - 30).collect();
+        let short = &at_limit[..79];
+        let shapes: [&[i64]; 11] = [
+            &up,
+            &dups,
+            &inverted,
+            &[7; 9],
+            &[],
+            &[5],
+            &extremes,
+            &[i64::MAX, i64::MIN],
+            &outside,
+            &at_limit,
+            short,
+        ];
         for lk in shapes {
-            for rk in shapes {
+            for rk in shapes.iter().copied().chain([&sparse[..]]) {
                 forms_match_the_hash_form(lk, rk);
+            }
+        }
+    }
+
+    /// On two keys the filter tests the leading key only — a necessary
+    /// condition — and the hash form, with or without it, selects the same
+    /// rows in the same order.
+    #[test]
+    fn a_leading_key_filter_matches_the_unfiltered_two_key_join() {
+        let l0: Vec<i64> = (0..300).map(|i| i * 7 % 200).collect();
+        let l1: Vec<i64> = (0..300).map(|i| i % 3).collect();
+        let r0: Vec<i64> = (0..60).map(|i| i * 13 % 190).collect();
+        let r1: Vec<i64> = (0..60).map(|i| i % 2).collect();
+        let keys: (&[&[i64]], &[&[i64]]) = (&[&l0, &l1], &[&r0, &r1]);
+        assert_eq!(Form::observe(keys.0, keys.1).0, Form::Hash);
+        let filters = filters(keys.0, keys.1);
+        let observed = filters[1].as_ref().expect("a sparse leading key is filtered");
+        assert!(!observed.exact, "two keys: the filter is only necessary");
+        for jt in ALL_TYPES {
+            let want = sels(keys, Form::Hash, None, jt, &EngineConfig::serial());
+            for bits in &filters {
+                for (threads, morsel) in CONFIGS {
+                    let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                    let got = sels(keys, Form::Hash, bits.as_ref(), jt, &cfg);
+                    assert_eq!(got, want, "{bits:?} {jt:?} {threads} threads, morsel {morsel}");
+                }
             }
         }
     }
@@ -965,7 +1280,7 @@ mod tests {
 
     #[test]
     fn observe_reads_the_form_off_the_key_vectors() {
-        let form = |lk: &[i64], rk: &[i64]| Form::observe(&[lk.to_vec()], &[rk.to_vec()]);
+        let form = |lk: &[i64], rk: &[i64]| Form::observe(&[lk], &[rk]).0;
         assert_eq!(form(&[1, 1, 4, 9], &[1, 4, 1000]), Form::Cursor);
         assert_eq!(form(&[], &[]), Form::Cursor, "nothing to build, nothing to probe");
         // Duplicate build keys, or a probe out of order: never the cursor.
@@ -984,16 +1299,79 @@ mod tests {
             "offsets"
         );
         // More than one key column: the hash form.
-        let two = [vec![1i64, 2], vec![1, 2]];
-        assert_eq!(Form::observe(&two, &two), Form::Hash);
+        let two: [&[i64]; 2] = [&[1, 2], &[1, 2]];
+        assert_eq!(Form::observe(&two, &two).0, Form::Hash);
+    }
+
+    /// The filter is read off the key vectors and the probe row count alone:
+    /// a bitset over the leading build key's span when that weighs at most
+    /// one byte per probe row and the build leaves a hole in it.
+    #[test]
+    fn observe_reads_the_filter_off_the_key_vectors() {
+        let kind = |lkeys: &[&[i64]], rkeys: &[&[i64]]| {
+            let (_, range) = Form::observe(lkeys, rkeys);
+            let bits = range.and_then(|r| Bits::observe(rkeys[0], lkeys[0].len(), r, false));
+            bits.map(|b| (b.min, b.span))
+        };
+        let kind1 = |lk: &[i64], rk: &[i64]| kind(&[lk], &[rk]);
+        let probe = |n: i64| (0..n).map(|i| i * 37 % 500).collect::<Vec<_>>();
+        // An 800-key span with a hole: ≥ 100 probe rows take the bitset.
+        let sparse = [0i64, 500, 799];
+        assert_eq!(kind1(&probe(100), &sparse), Some((0, 800)), "span / 8 == probe rows");
+        assert_eq!(kind1(&probe(99), &sparse), None, "one probe row short");
+        assert_eq!(kind1(&probe(1000), &sparse), Some((0, 800)));
+        // The same under the cursor, whose range is its ends.
+        let mut sorted = probe(100);
+        sorted.sort_unstable();
+        assert_eq!(Form::observe(&[&sorted], &[&sparse]).0, Form::Cursor);
+        assert_eq!(kind1(&sorted, &sparse), Some((0, 800)));
+        // A build that covers its span gets none, duplicates or not.
+        let dense: Vec<i64> = (0..800).rev().collect();
+        assert_eq!(kind1(&probe(1000), &dense), None, "dense");
+        let dense_dups: Vec<i64> = dense.iter().chain(&[5, 5, 799]).copied().collect();
+        assert_eq!(kind1(&probe(1000), &dense_dups), None, "dense with duplicates");
+        let mut holed = dense.clone();
+        holed[400] = 0;
+        assert_eq!(kind1(&probe(1000), &holed), Some((0, 800)), "one hole is enough");
+        // No build, no range, no filter; and the span is taken in i128.
+        assert_eq!(kind1(&probe(100), &[]), None, "empty build");
+        assert_eq!(kind1(&probe(100), &[i64::MIN, i64::MAX]), None);
+        assert_eq!(kind1(&probe(100), &[i64::MAX, i64::MAX - 9]), Some((i64::MAX - 9, 10)));
+        assert_eq!(kind1(&[i64::MIN, 0], &[i64::MIN + 2, i64::MIN]), Some((i64::MIN, 3)));
+        // Two keys: the leading one decides, whatever the second holds.
+        let (l1, r1) = (vec![0; 100], vec![1, 2, 3]);
+        assert_eq!(kind(&[&probe(100), &l1], &[&sparse, &r1]), Some((0, 800)));
+        assert_eq!(kind(&[&probe(100), &l1], &[&dense[..3], &r1]), None);
+    }
+
+    /// The bit test keeps exactly the rows whose key is a build key, in
+    /// order, whatever the span and wherever the keys fall outside it.
+    #[test]
+    fn candidates_are_the_rows_whose_key_is_in_the_build() {
+        for (rk, min) in [(vec![3i64, 9, 70, 64, 63], 3), (vec![i64::MIN, i64::MIN + 5], i64::MIN)]
+        {
+            let max = *rk.iter().max().unwrap();
+            let bits = Bits::new(&rk, min, (max - min) as u64 + 1, true);
+            let lk: Vec<i64> =
+                rk.iter().flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)]).collect();
+            let lk: Vec<i64> = lk.into_iter().chain([i64::MIN, i64::MAX, 0, -1]).collect();
+            let want: Vec<u32> =
+                (0..lk.len() as u32).filter(|&i| rk.contains(&lk[i as usize])).collect();
+            let mut got = vec![99];
+            bits.candidates(&lk, 0..lk.len(), &mut got);
+            assert_eq!(got[1..], want[..], "appended after what was there");
+            let mut tail = Vec::new();
+            bits.candidates(&lk, 4..lk.len(), &mut tail);
+            assert_eq!(tail, want.iter().copied().filter(|&i| i >= 4).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn offsets_chain_duplicates_most_recent_first() {
         let got = sels(
-            &[7, 5, 6],
-            &[5, 7, 5, 5],
+            (&[&[7, 5, 6]], &[&[5, 7, 5, 5]]),
             Form::Offsets { min: 5, span: 3 },
+            None,
             JoinType::Inner,
             &EngineConfig::serial(),
         );
@@ -1098,13 +1476,15 @@ mod tests {
             let ctx = QueryContext::with_budget(8 << 10)
                 .with_spill(Arc::clone(&disk))
                 .with_cancel_token(token.clone());
+            let lk = vec![0; 60_000];
             let phase = ProbePhase {
                 cfg: &cfg,
                 form: Form::Cursor,
+                bits: None,
                 join_type: JoinType::Inner,
                 tracer: Tracer::off(),
                 ctx: &ctx,
-                nleft: 60_000,
+                lk: &lk,
                 nright: 20_000,
                 build_started: None,
             };

@@ -26,16 +26,23 @@ use crate::stats::WorkProfile;
 pub(crate) const MAX_GRACE_PARTS: usize = 1024;
 
 /// A hash-table key built from `key_values`-encoded `i64` slots: read from
-/// column-major key columns, or from one row-major decoded spill record. The
-/// two must agree, so a staged partition rebuilds exactly the keys it hashed.
+/// column-major key columns (borrowed, never copied), or from one row-major
+/// decoded spill record. The two must agree, so a staged partition rebuilds
+/// exactly the keys it hashed.
 pub(super) trait FromSlots: Hash + Eq + Sized {
-    fn at(cols: &[Vec<i64>], i: usize) -> Self;
+    fn at(cols: &[&[i64]], i: usize) -> Self;
     fn from_row(slots: &[i64]) -> Self;
+}
+
+/// Column-major key slots owned as vectors, borrowed as the slices
+/// [`FromSlots::at`] and [`descend`] read.
+pub(super) fn as_slices(cols: &[Vec<i64>]) -> Vec<&[i64]> {
+    cols.iter().map(Vec::as_slice).collect()
 }
 
 impl FromSlots for i64 {
     #[inline]
-    fn at(cols: &[Vec<i64>], i: usize) -> Self {
+    fn at(cols: &[&[i64]], i: usize) -> Self {
         cols[0][i]
     }
     #[inline]
@@ -46,7 +53,7 @@ impl FromSlots for i64 {
 
 impl FromSlots for (i64, i64) {
     #[inline]
-    fn at(cols: &[Vec<i64>], i: usize) -> Self {
+    fn at(cols: &[&[i64]], i: usize) -> Self {
         (cols[0][i], cols[1][i])
     }
     #[inline]
@@ -57,7 +64,7 @@ impl FromSlots for (i64, i64) {
 
 impl FromSlots for Vec<i64> {
     #[inline]
-    fn at(cols: &[Vec<i64>], i: usize) -> Self {
+    fn at(cols: &[&[i64]], i: usize) -> Self {
         cols.iter().map(|c| c[i]).collect()
     }
     #[inline]
@@ -100,10 +107,10 @@ pub(super) fn descend<K: FromSlots, T>(
     ctx: &QueryContext,
     prof: &mut WorkProfile,
     operator: &'static str,
-    inputs: &[(usize, &[Vec<i64>])],
+    inputs: &[(usize, &[&[i64]])],
     mut attempt: impl FnMut(&mut Attempt<'_, K>) -> Result<Verdict<T>>,
 ) -> Result<T> {
-    let hashed: Vec<(&[Vec<i64>], Partitioner)> = inputs
+    let hashed: Vec<(&[&[i64]], Partitioner)> = inputs
         .iter()
         .map(|&(rows, cols)| (cols, Partitioner::new(rows, |i| K::at(cols, i))))
         .collect();
@@ -139,7 +146,7 @@ pub(super) fn descend<K: FromSlots, T>(
 pub(super) struct Attempt<'a, K> {
     ctx: &'a QueryContext,
     operator: &'static str,
-    inputs: &'a [(&'a [Vec<i64>], Partitioner)],
+    inputs: &'a [(&'a [&'a [i64]], Partitioner)],
     nparts: usize,
     staging: bool,
     /// Each input's counting-sorted row ids, sorted on first use.
@@ -181,7 +188,7 @@ impl<K: FromSlots> Attempt<'_, K> {
 /// One attempt's partitions, resident or staged.
 pub(super) struct Partitions<'t, K> {
     ctx: &'t QueryContext,
-    inputs: &'t [(&'t [Vec<i64>], Partitioner)],
+    inputs: &'t [(&'t [&'t [i64]], Partitioner)],
     buckets: Vec<&'t Buckets>,
     /// The chunk set and each input's per-partition chunk index.
     staged: Option<(SpillSet<'t>, Vec<Vec<Option<usize>>>)>,
@@ -225,7 +232,7 @@ impl<K: FromSlots> Partitions<'_, K> {
 
 /// A partition's `(row id, key)` stream.
 pub(super) enum Rows<'p, K> {
-    Resident(std::slice::Iter<'p, u32>, &'p [Vec<i64>], PhantomData<fn() -> K>),
+    Resident(std::slice::Iter<'p, u32>, &'p [&'p [i64]], PhantomData<fn() -> K>),
     Staged(SpillRowReader),
 }
 
@@ -260,7 +267,7 @@ mod tests {
     /// At every power-of-two fan-out, each partition's stream read back from
     /// staged chunks equals the one read from the buckets: the rows routed
     /// there, ascending, each with the key its columns hold.
-    fn staged_streams_equal_resident<K: FromSlots + std::fmt::Debug>(cols: &[Vec<i64>], n: usize) {
+    fn staged_streams_equal_resident<K: FromSlots + std::fmt::Debug>(cols: &[&[i64]], n: usize) {
         let ctx = ctx(1 << 20, true);
         let disk = ctx.spill().unwrap();
         let inputs = [(cols, Partitioner::new(n, |i| K::at(cols, i)))];
@@ -306,8 +313,9 @@ mod tests {
         fn staged_partitions_stream_what_resident_ones_do(
             rows in proptest::collection::vec((-40i64..40, -(1i64 << 40)..1i64 << 40, 0i64..3), 0..120),
         ) {
-            let cols: [Vec<i64>; 3] =
+            let owned: [Vec<i64>; 3] =
                 [rows.iter().map(|r| r.0).collect(), rows.iter().map(|r| r.1).collect(), rows.iter().map(|r| r.2).collect()];
+            let cols = as_slices(&owned);
             staged_streams_equal_resident::<i64>(&cols[..1], rows.len());
             staged_streams_equal_resident::<(i64, i64)>(&cols[..2], rows.len());
             for ncols in 0..=3 {
@@ -324,7 +332,8 @@ mod tests {
     /// fallback telemetry.
     type Driven = (Result<usize>, Vec<(usize, bool)>, u64, (u32, u32));
     fn drive(disk: bool, verdict: impl Fn(usize) -> Result<Verdict<usize>>) -> Driven {
-        let (ctx, cols) = (ctx(64, disk), [(0..100i64).collect::<Vec<_>>()]);
+        let (ctx, keys) = (ctx(64, disk), (0..100i64).collect::<Vec<_>>());
+        let cols = [&keys[..]];
         let (mut prof, mut seen) = (WorkProfile::new(), Vec::new());
         let result = descend::<i64, _>(&ctx, &mut prof, "toy", &[(100, &cols)], |att| {
             let _table = ctx.reserve(8, "toy")?;

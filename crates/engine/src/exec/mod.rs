@@ -27,6 +27,8 @@ mod prune;
 pub mod sort;
 mod spill;
 
+use std::borrow::Cow;
+
 use crate::error::{EngineError, Result};
 use crate::eval::Evaluator;
 use crate::expr::Expr;
@@ -351,23 +353,23 @@ pub(crate) fn ensure_u32_indexable(n: usize, op: &str) -> Result<()> {
     Ok(())
 }
 
-/// Extracts a join key column as `i64` values — the slot encoding the
-/// expression programs emit, which is what group keys are read in.
+/// A join key column as `i64` values — the slot encoding the expression
+/// programs emit, which is what group keys are read in. Borrowed where the
+/// column already holds `i64`s (every TPC-H join key is `Int64`), so a join
+/// reads its keys in place; narrower columns convert.
 ///
 /// Strings use their dictionary codes (valid within one column; joins on
 /// strings are rejected at a higher level), decimals their mantissas, floats
 /// their IEEE bits — all injective encodings.
-pub(crate) fn key_values(col: &wimpi_storage::Column) -> Result<Vec<i64>> {
+pub(crate) fn key_values(col: &wimpi_storage::Column) -> Cow<'_, [i64]> {
     use wimpi_storage::Column;
-    Ok(match col {
-        Column::Int64(v) => v.clone(),
-        Column::Int32(v) => v.iter().map(|&x| x as i64).collect(),
-        Column::Date(v) => v.iter().map(|&x| x as i64).collect(),
-        Column::Decimal(v, _) => v.clone(),
+    match col {
+        Column::Int64(v) | Column::Decimal(v, _) => Cow::Borrowed(v),
+        Column::Int32(v) | Column::Date(v) => v.iter().map(|&x| x as i64).collect(),
         Column::Bool(v) => v.iter().map(|&b| b as i64).collect(),
         Column::Str(d) => d.codes().iter().map(|&c| c as i64).collect(),
         Column::Float64(v) => v.iter().map(|&f| f.to_bits() as i64).collect(),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub(super) fn spill_row_bytes(nkeys: usize) -> usize {
 
 /// Appends one row to a partition staging buffer.
 #[inline]
-pub(super) fn encode_spill_row(buf: &mut Vec<u8>, row: u32, slots: &[Vec<i64>], i: usize) {
+pub(super) fn encode_spill_row(buf: &mut Vec<u8>, row: u32, slots: &[&[i64]], i: usize) {
     buf.extend_from_slice(&row.to_le_bytes());
     for col in slots {
         buf.extend_from_slice(&col[i].to_le_bytes());
@@ -135,7 +135,7 @@ impl<'a> SpillSet<'a> {
     pub(super) fn stage(
         &mut self,
         buckets: &Buckets,
-        slots: &[Vec<i64>],
+        slots: &[&[i64]],
         ctx: &QueryContext,
     ) -> crate::error::Result<Vec<Option<usize>>> {
         ctx.track((buckets.max_len() * spill_row_bytes(slots.len())) as u64);
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)] // `i` walks rows and columns alike
     fn row_codec_roundtrips() {
-        let slots = vec![vec![1i64, -5, i64::MAX], vec![7i64, 0, i64::MIN]];
+        let slots: [&[i64]; 2] = [&[1, -5, i64::MAX], &[7, 0, i64::MIN]];
         let mut buf = Vec::new();
         for i in 0..3 {
             encode_spill_row(&mut buf, i as u32 * 10, &slots, i);

@@ -218,6 +218,34 @@ fn an_aggregate_over_budget_still_folds_its_filter() {
     }
 }
 
+/// A budget changes no join decision either: a join whose probe a bitset
+/// of its build keys filters partitions only the candidates down the ladder,
+/// so under a budget that forces Grace the span tree, `bits: N` labels
+/// included, is the unbudgeted run's, and so is the answer. Under 4 KiB, Q9
+/// degrades its `partsupp` join and its aggregate, while its filtered
+/// `lineitem ⋈ part` fits; Q3's filtered `customer ⋈ orders` (a 4 640 B
+/// hash table) degrades itself.
+#[test]
+fn a_join_over_budget_still_filters_its_probe() {
+    let cat = catalog();
+    for (qn, filtered) in
+        [(9, &["probe[bits: 3156]"][..]), (3, &["probe[bits: 261]", "probe[bits: 1387]"])]
+    {
+        let plan = query(qn);
+        for executor in [Executor::Materialize, Executor::Fused] {
+            let (rel, tree, (_, fallbacks, _)) = traced(&plan, &cat, Some(4 << 10), executor);
+            let (free_rel, free_tree, (_, free_fallbacks, _)) = traced(&plan, &cat, None, executor);
+            let what = format!("Q{qn} {executor:?}");
+            assert!(fallbacks > 0 && free_fallbacks == 0, "{what}: the budget forces Grace");
+            assert!(rel == free_rel, "{what}: over budget, the same answer");
+            assert_eq!(tree, free_tree, "{what}: span trees\n{tree}\nvs\n{free_tree}");
+            for label in filtered {
+                assert_eq!(tree.matches(label).count(), 1, "{what}: {label}\n{tree}");
+            }
+        }
+    }
+}
+
 #[test]
 fn emitted_json_passes_the_independent_checker() {
     let cat = catalog();

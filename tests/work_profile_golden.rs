@@ -160,13 +160,20 @@ fn a_float_sum_under_a_filter_is_cut_in_base_table_morsels() {
     assert_eq!((fused.pruned_morsels, fused.pruned_bytes), (13, 224560), "the same pruning");
 }
 
-/// The labels of every join `build` and aggregate `partials` stage span under
-/// `span`, in plan order: which form each join and aggregate took.
+/// The form of every join and aggregate under `span`, in plan order: the
+/// label of each aggregate's `partials` stage span, and of each join's `build`
+/// stage span — with `+bits` when its `probe` sibling reports a filter.
 fn form_labels(span: &Span, out: &mut Vec<String>) {
-    if span.op == "build" || span.op == "partials" {
+    if span.op == "partials" {
         out.push(span.label.clone());
     }
-    for child in &span.children {
+    for (i, child) in span.children.iter().enumerate() {
+        if child.op == "build" {
+            let probe = &span.children[i + 1];
+            assert_eq!(probe.op, "probe", "a join's build is followed by its probe");
+            let filter = if probe.label.starts_with("bits: ") { "+bits" } else { "" };
+            out.push(format!("{}{filter}", child.label));
+        }
         form_labels(child, out);
     }
 }
@@ -180,9 +187,10 @@ fn forms_of(qn: usize, cat: &Catalog) -> String {
     labels.join(" ")
 }
 
-/// Which form every join (`cursor` / `offsets` / `hash`) and every aggregate
-/// (`runs` / `hash`) of the 22 queries takes on the raw, key-ordered catalog,
-/// in plan order (inputs before the operator that consumes them). The forms
+/// Which form every join (`cursor` / `offsets` / `hash`, each `+bits` when a
+/// bitset of its build keys filters its probe) and every aggregate (`runs` /
+/// `hash`) of the 22 queries takes on the raw, key-ordered catalog, in plan
+/// order (inputs before the operator that consumes them). Forms and filters
 /// are read off the key vectors at run time, so nothing but this census stops
 /// a change of generator, plan or operator from silently sending a query back
 /// to hashing — which the benchmark would only report as "slower". The price
@@ -203,25 +211,25 @@ fn every_join_and_aggregate_takes_its_pinned_form() {
 
 const PINNED_FORMS: [&str; 22] = [
     "Q1: hash",
-    "Q2: offsets offsets offsets hash offsets offsets hash runs cursor",
-    "Q3: hash cursor runs",
+    "Q2: offsets offsets offsets+bits hash+bits offsets offsets+bits hash+bits runs cursor",
+    "Q3: hash+bits cursor+bits runs",
     "Q4: offsets hash",
-    "Q5: offsets cursor offsets hash hash hash",
+    "Q5: offsets cursor+bits offsets hash+bits hash+bits hash",
     "Q6: runs",
-    "Q7: cursor offsets offsets offsets offsets hash",
-    "Q8: hash cursor offsets offsets hash offsets offsets hash",
-    "Q9: hash offsets hash cursor offsets hash",
-    "Q10: cursor offsets offsets hash",
-    "Q11: offsets hash runs offsets hash runs",
+    "Q7: cursor+bits offsets offsets offsets offsets hash",
+    "Q8: hash+bits cursor offsets offsets hash+bits offsets offsets hash",
+    "Q9: hash+bits offsets hash cursor offsets hash",
+    "Q10: cursor+bits offsets offsets hash",
+    "Q11: offsets hash+bits runs offsets hash+bits runs",
     "Q12: cursor hash",
-    "Q13: offsets runs hash",
+    "Q13: offsets+bits runs hash",
     "Q14: offsets runs",
     "Q15: hash runs hash cursor",
-    "Q16: cursor offsets hash",
+    "Q16: cursor+bits offsets hash",
     "Q17: hash hash runs cursor runs",
     "Q18: runs cursor cursor offsets runs",
     "Q19: offsets runs",
-    "Q20: offsets cursor hash hash offsets",
-    "Q21: cursor offsets offsets runs cursor runs cursor hash",
+    "Q20: offsets cursor+bits hash hash offsets",
+    "Q21: cursor+bits offsets offsets runs cursor runs cursor hash",
     "Q22: runs offsets hash",
 ];

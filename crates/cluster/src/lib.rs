@@ -39,8 +39,8 @@ use memory::MemoryModel;
 pub use pricing::scan_bytes;
 use recovery::Layout;
 use wimpi_engine::{EngineError, QueryContext, Relation, WorkProfile};
+use wimpi_hwsim::kernels::NetModel;
 use wimpi_hwsim::{pi3b, HwProfile};
-use wimpi_microbench::NetModel;
 use wimpi_obs::Registry;
 use wimpi_queries::QueryPlan;
 use wimpi_storage::{Catalog, Column, Table};

@@ -12,8 +12,9 @@
 use crate::distribute::Strategy;
 use crate::faults::FaultPlan;
 use crate::{DistRun, Result, WimpiCluster};
+use wimpi_hwsim::kernels::NetModel;
+use wimpi_hwsim::normalize;
 use wimpi_hwsim::{predict_all_cores, HwProfile};
-use wimpi_microbench::NetModel;
 use wimpi_queries::QueryPlan;
 
 /// A hybrid cluster: Pi workers plus one big-memory merge server.
@@ -68,16 +69,12 @@ impl NamCluster {
 
     /// MSRP of the hybrid: the Pi nodes plus the server's CPU list price.
     pub fn msrp(&self) -> Option<f64> {
-        let server = self.server.msrp_usd? * self.server.sockets as f64;
-        Some(wimpi_analysis::wimpi_msrp(self.workers.num_nodes()) + server)
+        Some(normalize::wimpi_msrp(self.workers.num_nodes()) + normalize::msrp(&self.server)?)
     }
 
     /// Peak power: Pi nodes plus the server's TDP.
     pub fn power_w(&self) -> Option<f64> {
-        Some(
-            wimpi_analysis::wimpi_power_w(self.workers.num_nodes())
-                + self.server.tdp_watts? * self.server.sockets as f64,
-        )
+        Some(normalize::wimpi_power_w(self.workers.num_nodes()) + normalize::power_w(&self.server)?)
     }
 }
 
@@ -164,7 +161,7 @@ mod tests {
     fn hybrid_costing_includes_server() {
         let h = hybrid(8);
         let msrp = h.msrp().expect("op-e5 has an MSRP");
-        assert!(msrp > wimpi_analysis::wimpi_msrp(8));
+        assert!(msrp > normalize::wimpi_msrp(8));
         let power = h.power_w().expect("op-e5 has a TDP");
         assert!((power - (8.0 * 5.1 + 2.0 * 95.0)).abs() < 1e-9);
     }

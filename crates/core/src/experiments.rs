@@ -6,13 +6,13 @@
 
 use std::sync::Arc;
 
-use wimpi_analysis::{Series, TextFigure};
 use wimpi_cluster::distribute::Strategy;
 use wimpi_cluster::faults::{FaultKind, FaultPlan};
 use wimpi_cluster::memory::MemoryModel;
 use wimpi_cluster::{scan_bytes, ClusterConfig, WimpiCluster};
 use wimpi_engine::{EngineConfig, EngineError, Executor, QueryContext, Result, WorkProfile};
 use wimpi_hwsim::micro;
+use wimpi_hwsim::normalize::{improvement, msrp, power_w, wimpi_hourly, wimpi_msrp, wimpi_power_w};
 use wimpi_hwsim::{all_profiles, predict_all_cores, predict_single_core, HwProfile};
 use wimpi_queries::{query, run as run_query, run_governed, QueryPlan, CHOKEPOINT_QUERIES};
 use wimpi_storage::morsel::DEFAULT_MORSEL_ROWS;
@@ -20,6 +20,8 @@ use wimpi_storage::spill::{SpillConfig, SpillDisk};
 use wimpi_storage::Catalog;
 use wimpi_strategies::{Paradigm, STRATEGY_QUERIES};
 use wimpi_tpch::Generator;
+
+use crate::report::{Series, TextFigure};
 
 /// Study-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -617,7 +619,7 @@ pub fn fig3(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
 pub fn fig5(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
     // The paper's SF 1 comparison prices the single Pi at its bare $35 MSRP
     // (peripherals enter only the cluster costing, §II-B).
-    let pi_msrp = wimpi_analysis::msrp(&wimpi_hwsim::pi3b()).expect("pi msrp");
+    let pi_msrp = msrp(&wimpi_hwsim::pi3b()).expect("pi msrp");
     let mut f1 = TextFigure::new(
         "Fig 5 (left) — SF 1 MSRP-normalized improvement of pi3b+ (>1 favours the Pi)",
         "query",
@@ -625,13 +627,13 @@ pub fn fig5(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
     f1.rows = sf1.queries.iter().map(|q| format!("Q{q}")).collect();
     for server in ["op-e5", "op-gold"] {
         let hw = wimpi_hwsim::profile(server).expect("profile exists");
-        let m = wimpi_analysis::msrp(&hw).expect("on-prem MSRP known");
+        let m = msrp(&hw).expect("on-prem MSRP known");
         f1.push_series(Series::new(
             format!("vs {server}"),
             sf1.queries
                 .iter()
                 .map(|&q| {
-                    wimpi_analysis::improvement(
+                    improvement(
                         sf1.get("pi3b+", q).expect("pi present"),
                         pi_msrp,
                         sf1.get(server, q).expect("server present"),
@@ -644,7 +646,7 @@ pub fn fig5(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
     let mut out = vec![f1];
     for server in ["op-e5", "op-gold"] {
         let hw = wimpi_hwsim::profile(server).expect("profile exists");
-        let m = wimpi_analysis::msrp(&hw).expect("on-prem MSRP known");
+        let m = msrp(&hw).expect("on-prem MSRP known");
         let mut f = TextFigure::new(
             format!("Fig 5 (right) — SF 10 MSRP-normalized improvement of WIMPI vs {server}"),
             "nodes",
@@ -657,9 +659,9 @@ pub fn fig5(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
                     .iter()
                     .zip(&sf10.wimpi_seconds)
                     .map(|(&n, row)| {
-                        wimpi_analysis::improvement(
+                        improvement(
                             row[c],
-                            wimpi_analysis::wimpi_msrp(n),
+                            wimpi_msrp(n),
                             sf10.servers.get(server, *q).expect("server present"),
                             m,
                         )
@@ -687,9 +689,9 @@ pub fn fig6(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
             sf1.queries
                 .iter()
                 .map(|&q| {
-                    wimpi_analysis::improvement(
+                    improvement(
                         sf1.get("pi3b+", q).expect("pi present"),
-                        wimpi_analysis::wimpi_hourly(1),
+                        wimpi_hourly(1),
                         sf1.get(cloud.name, q).expect("cloud present"),
                         hourly,
                     )
@@ -717,29 +719,30 @@ pub fn fig6(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
             sf10.cluster_sizes
                 .iter()
                 .zip(&sf10.wimpi_seconds)
-                .map(|(&n, row)| best_cloud / (row[c] * wimpi_analysis::wimpi_hourly(n)))
+                .map(|(&n, row)| best_cloud / (row[c] * wimpi_hourly(n)))
                 .collect(),
         ));
     }
     vec![f1, f2]
 }
 
-/// Figure 7: TDP-energy-normalized improvement over the on-premises servers.
+/// Figure 7: TDP-energy-normalized improvement over the on-premises servers,
+/// both sockets counted as in Figure 5's MSRP.
 pub fn fig7(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
     let mut f1 =
         TextFigure::new("Fig 7 (left) — SF 1 energy-normalized improvement of pi3b+", "query");
     f1.rows = sf1.queries.iter().map(|q| format!("Q{q}")).collect();
     for server in ["op-e5", "op-gold"] {
         let hw = wimpi_hwsim::profile(server).expect("profile exists");
-        let w = hw.tdp_watts.expect("on-prem TDP known");
+        let w = power_w(&hw).expect("on-prem TDP known");
         f1.push_series(Series::new(
             format!("vs {server}"),
             sf1.queries
                 .iter()
                 .map(|&q| {
-                    wimpi_analysis::improvement(
+                    improvement(
                         sf1.get("pi3b+", q).expect("pi present"),
-                        wimpi_analysis::wimpi_power_w(1),
+                        wimpi_power_w(1),
                         sf1.get(server, q).expect("server present"),
                         w,
                     )
@@ -752,8 +755,7 @@ pub fn fig7(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
         "nodes",
     );
     f2.rows = sf10.cluster_sizes.iter().map(|n| format!("x{n}")).collect();
-    let e5 = wimpi_hwsim::profile("op-e5").expect("profile exists");
-    let e5_w = e5.tdp_watts.expect("TDP known") * e5.sockets as f64;
+    let e5_w = power_w(&wimpi_hwsim::profile("op-e5").expect("profile exists")).expect("TDP known");
     for (c, q) in sf10.queries.iter().enumerate() {
         f2.push_series(Series::new(
             format!("Q{q}"),
@@ -761,9 +763,9 @@ pub fn fig7(sf1: &SingleNodeTable, sf10: &DistributedTable) -> Vec<TextFigure> {
                 .iter()
                 .zip(&sf10.wimpi_seconds)
                 .map(|(&n, row)| {
-                    wimpi_analysis::improvement(
+                    improvement(
                         row[c],
-                        wimpi_analysis::wimpi_power_w(n),
+                        wimpi_power_w(n),
                         sf10.servers.get("op-e5", *q).expect("server present"),
                         e5_w,
                     )

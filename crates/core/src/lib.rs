@@ -3,8 +3,9 @@
 //! The reproduced study itself: one experiment runner per table/figure of
 //! the paper ([`experiments`]), the paper's published numbers for
 //! side-by-side comparison ([`mod@reference`]), and report generation
-//! ([`report`]). The `wimpi-bench` binaries are thin wrappers over this
-//! crate.
+//! ([`report`]). The four binaries under `src/bin/` (`all`, `nam`,
+//! `faults`, `extensions`) are thin wrappers over this crate; [`report`]
+//! documents their flags.
 
 pub mod experiments;
 // Named `reference` like the primitive; rustdoc disambiguates via the module path.

@@ -180,4 +180,27 @@ mod tests {
             assert!(beats, "WIMPI@24 should beat someone on Q{q}");
         }
     }
+
+    #[test]
+    fn paper_medians_count_both_sockets() {
+        // §III-A1 / §III-B1: the Pi's median MSRP improvement over op-e5 is
+        // 22× and its median energy improvement ≈ 10×. From Table II those
+        // hold only when op-e5's MSRP *and* TDP count both sockets; one
+        // socket's 95 W would give an energy median of 5.2×.
+        use crate::report::median;
+        use wimpi_hwsim::normalize::{improvement, msrp, power_w};
+        use wimpi_hwsim::{pi3b, profile};
+        let (pi, e5) = (pi3b(), profile("op-e5").unwrap());
+        let medians = |metric: fn(&wimpi_hwsim::HwProfile) -> Option<f64>| {
+            let (m_pi, m_e5) = (metric(&pi).unwrap(), metric(&e5).unwrap());
+            let imps: Vec<f64> = (0..22)
+                .map(|q| improvement(TABLE2_SECONDS[9][q], m_pi, TABLE2_SECONDS[0][q], m_e5))
+                .collect();
+            median(&imps)
+        };
+        let msrp_median = medians(msrp);
+        assert!((21.0..=24.0).contains(&msrp_median), "MSRP median {msrp_median}");
+        let energy_median = medians(power_w);
+        assert!((9.5..=11.5).contains(&energy_median), "energy median {energy_median}");
+    }
 }

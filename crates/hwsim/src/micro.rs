@@ -1,6 +1,6 @@
 //! Microbenchmark score prediction (Figure 2 of the paper).
 //!
-//! The real kernels live in `wimpi-microbench`; this module turns a
+//! The real kernels live in [`crate::kernels`]; this module turns a
 //! [`HwProfile`] into the scores those kernels would report on that machine,
 //! using the calibrated per-core rates.
 

@@ -375,8 +375,6 @@ pub fn pi3b() -> HwProfile {
 
 /// The 24-node WIMPI cluster constants (paper §II-B, §II-C3).
 pub mod wimpi {
-    /// Nodes in the prototype cluster.
-    pub const MAX_NODES: u32 = 24;
     /// Effective per-node network bandwidth: the GbE port shares a USB 2.0
     /// bus, capping it at ≈ 220 Mbps (iperf-measured in the paper).
     pub const NODE_NET_MBPS: f64 = 220.0;

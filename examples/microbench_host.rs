@@ -5,8 +5,8 @@
 //! cargo run --release --example microbench_host
 //! ```
 
+use wimpi::hwsim::kernels::{dhrystone, membw, primes, whetstone, NetModel};
 use wimpi::hwsim::micro;
-use wimpi::microbench::{dhrystone, membw, network::NetModel, primes, whetstone};
 
 fn main() {
     println!("running the four kernels on this host (single-threaded) …\n");

@@ -4,12 +4,10 @@
 //! on 'Wimpy' Nodes" (ICDE 2021). Re-exports every sub-crate so examples and
 //! integration tests can use a single dependency.
 
-pub use wimpi_analysis as analysis;
 pub use wimpi_cluster as cluster;
 pub use wimpi_core as core;
 pub use wimpi_engine as engine;
 pub use wimpi_hwsim as hwsim;
-pub use wimpi_microbench as microbench;
 pub use wimpi_obs as obs;
 pub use wimpi_queries as queries;
 pub use wimpi_sql as sql;

@@ -6,9 +6,10 @@
 //! expressions, compiled once into [`Program`]s. Each worker takes one morsel
 //! of the source — a dense range, or the rows the conjuncts kept — evaluates
 //! the key programs into pooled slot buffers, finds its groups once (its
-//! runs of equal keys, or through a map), then evaluates and folds one
-//! aggregate input at a time with the accumulator dispatch outside the row
-//! loop. No intermediate column exists
+//! runs of equal keys, by index into a compact key domain, or through a
+//! map), then evaluates and folds one aggregate input at a time with the
+//! accumulator dispatch outside the row loop; aggregates over equal input
+//! expressions share one evaluation. No intermediate column exists
 //! between the source and the fold. `Executor` decides only what the work is
 //! *priced* as: MonetDB's full materialization (`bytecode::Cost`, each
 //! filter's gather included) or the base columns streamed.
@@ -25,15 +26,26 @@
 //! form**: one `u32` start per run, no map and no per-row group id. Each
 //! aggregate folds its input run by run; `count(distinct)` deduplicates each
 //! run in place, through a set only when the run is long. The partial keeps
-//! per group only its key slots and first row. When every partial is in the
-//! run form and none starts below the key its predecessor ended on, the whole
-//! input is in key order and the merge appends: a partial's first group may
-//! continue the table's last, and the rest move in behind it. No table,
-//! nothing reserved (its memory is its output), never the degradation
-//! ladder. Otherwise the merge is the hash form, which takes partials of
-//! either kind. Both forms cut and merge the same partials, so every
-//! accumulator sees the same values in the same order and the output is
-//! bit-identical.
+//! per group only its key slots and first row.
+//!
+//! A morsel out of order whose key columns' spans multiply to at most
+//! `COMPACT_GROUPS` is cut in the **compact form**: each row's mixed-radix
+//! slot indexes one array of group ids, handed out in first-appearance order,
+//! and a stable counting sort orders the rows by group. Each aggregate then
+//! folds its input, permuted into that order, through the run form's fold:
+//! no map, no key per row, no per-row scatter. Its partial carries one key
+//! per group, like a hash partial, so only a hash merge takes it. Anything
+//! else is cut in the **hash form**, through a map.
+//!
+//! When every partial is in the run form and none starts below the key its
+//! predecessor ended on, the whole input is in key order and the merge
+//! appends: a partial's first group may continue the table's last, and the
+//! rest move in behind it. No table, nothing reserved (its memory is its
+//! output), never the degradation ladder. Otherwise the merge is the hash
+//! form, which takes partials of every kind. Every form feeds each group its rows in row order and every
+//! merge folds the partials in morsel order, so every accumulator sees the
+//! same values in the same order and the output is bit-identical. The
+//! compact form is priced as the hash form.
 //!
 //! Decimal sums accumulate in `i128`, which is exact and order-free; `avg`
 //! over fixed-point inputs (decimal/int) likewise sums mantissas in `i128`
@@ -77,15 +89,16 @@ use wimpi_storage::{selection, Column, StorageError, Table};
 /// morsel, merged in morsel order and materialized; empty `group_by` means
 /// one global group. `table` is the table `src` scans, when its zone maps may
 /// prune the innermost filter's morsels (DESIGN.md §14). When tracing, a
-/// `partials` stage span (labelled `runs` or `hash` after the form merged,
-/// with per-morsel children) is attached to the open aggregate span.
+/// `partials` stage span (labelled `runs` when the merge took the run form,
+/// else `compact` when no morsel was cut in the hash form, else `hash`, with
+/// per-morsel children) is attached to the open aggregate span.
 ///
 /// A merged table over budget descends the ladder over the survivors (see
 /// the module doc); the filters are charged, and traced, once either way.
 ///
-/// The hash form's coordinator merge reserves one `width`-byte table entry
-/// per distinct group (the same constant the work profile charges to
-/// `hash_bytes`); the run form reserves nothing, so its merge always fits.
+/// The hash merge reserves one `width`-byte table entry per distinct group
+/// (the same constant the work profile charges to `hash_bytes`); the run
+/// merge reserves nothing, so it always fits.
 #[allow(clippy::too_many_arguments)]
 pub fn exec_aggregate(
     src: &Relation,
@@ -113,7 +126,17 @@ pub fn exec_aggregate(
         .zip(&inputs)
         .map(|(a, input)| AggState::bind(a.func, input.as_ref()))
         .collect::<Result<Vec<_>>>()?;
-    let feed = Feed { keys: &keys, inputs: &inputs, empty: &empty };
+    // Aggregates over equal inputs share one evaluation per morsel; a
+    // `count(distinct)` deduplicates its slots in place, so it shares none.
+    let shares = |i: usize| inputs[i].is_some() && aggs[i].func != AggFunc::CountDistinct;
+    let share: Vec<Option<usize>> = (0..aggs.len())
+        .map(|i| {
+            inputs[i].as_ref()?;
+            let same = |&j: &usize| shares(i) && shares(j) && aggs[j].expr == aggs[i].expr;
+            Some((0..i).find(same).unwrap_or(i))
+        })
+        .collect();
+    let feed = Feed { keys: &keys, inputs: &inputs, share: &share, empty: &empty };
     let pruner = chain.pruner(table, n);
 
     // 2. Morsel-local partials, then an in-order merge.
@@ -131,7 +154,7 @@ pub fn exec_aggregate(
         folded
     });
     ctx.checkpoint()?;
-    let mut partials = Vec::with_capacity(morsels.len());
+    let mut partials: Vec<MorselAgg> = Vec::with_capacity(morsels.len());
     let (mut nsel, mut tally) = (0u64, chain.tally());
     for (partial, rows, kept) in morsels {
         partials.push(partial);
@@ -140,6 +163,9 @@ pub fn exec_aggregate(
     }
     chain.settle(&tally, n, nsel, None, Some((src, ctx)), prof, cfg, tracer);
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
+    // The fold above runs the same with or without a budget, so the form it
+    // cut its partials in names the stage at any budget.
+    let hashed = partials.iter().any(|p| p.hashed);
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
         Some(merged) => merged,
         None => {
@@ -168,7 +194,12 @@ pub fn exec_aggregate(
     let ngroups = if group_by.is_empty() { 1 } else { first_rows.len() };
     states.iter_mut().for_each(|st| st.grow_to(ngroups));
     if let Some(started) = stage_started {
-        let mut stage = Span::leaf("partials", if runs { "runs" } else { "hash" });
+        let form = match (runs, hashed) {
+            (true, _) => "runs",
+            (false, false) => "compact",
+            (false, true) => "hash",
+        };
+        let mut stage = Span::leaf("partials", form);
         stage.rows_in = nsel;
         stage.rows_out = ngroups as u64;
         stage.wall_ns = started.elapsed().as_nanos() as u64;
@@ -220,11 +251,41 @@ pub fn exec_aggregate(
 }
 
 /// What every partial of one fold is built from: the compiled key and input
-/// programs (`None`: `count(*)`) and each aggregate's empty state.
+/// programs (`None`: `count(*)`), which aggregate's evaluation each
+/// aggregate reads (`None`: it has no input), and each aggregate's empty
+/// state.
 struct Feed<'p> {
     keys: &'p [Program],
     inputs: &'p [Option<Program>],
+    share: &'p [Option<usize>],
     empty: &'p [AggState<'p>],
+}
+
+impl<'p> Feed<'p> {
+    /// Feeds every aggregate's state its input slots through `fold`, in
+    /// aggregate order. `eval` gives an input program's slots; each input is
+    /// evaluated once, when the first aggregate over it comes, every later
+    /// aggregate over an equal expression reads the same buffer, and the
+    /// buffer goes back to its pool after the last of them.
+    fn fold_inputs(
+        &self,
+        states: &mut [AggState<'p>],
+        eval: impl Fn(&Program) -> Vec<i64>,
+        mut fold: impl FnMut(&mut AggState<'p>, Option<&mut [i64]>),
+    ) {
+        let mut bufs: Vec<Option<Vec<i64>>> = self.share.iter().map(|_| None).collect();
+        for (a, (st, &share)) in states.iter_mut().zip(self.share).enumerate() {
+            let Some(o) = share else {
+                fold(st, None);
+                continue;
+            };
+            let input = self.inputs[o].as_ref().expect("a shared input is compiled");
+            fold(st, Some(bufs[o].get_or_insert_with(|| eval(input))));
+            if !self.share[a + 1..].contains(&share) {
+                bufs[o].take().into_iter().for_each(bytecode::put_slots);
+            }
+        }
+    }
 }
 
 /// Fills `starts` with the first row of every run of equal key tuples over
@@ -277,6 +338,93 @@ fn runs_by(n: usize, starts: &mut Vec<u32>, step: impl Fn(usize) -> (bool, bool)
     starts[kept] = n as u32;
     starts.truncate(kept + 1);
     true
+}
+
+/// The most groups a morsel's key domain may hold for its partial to be cut
+/// in the compact form: the product of its key columns' spans. A group-id
+/// array of this many `u32`s is 16 KiB, well inside L1 + L2 on either host
+/// the study models. The join's offset array weighs its domain against the
+/// hash table instead (DESIGN.md §5.1).
+const COMPACT_GROUPS: u64 = 4096;
+
+/// The compact form's group resolution over `n` rows of the key columns
+/// `cols`: when the spans `max − min + 1` of the columns multiply to at most
+/// [`COMPACT_GROUPS`] (in checked `u64`: a column spanning all of `i64`
+/// overflows and fails), fills `gids` with each row's group and `firsts`
+/// with each group's first row, both in first-appearance order, and returns
+/// true. Each row's mixed-radix slot indexes one array of group ids; no key
+/// is built and nothing is hashed. Otherwise returns false, and `gids` and
+/// `firsts` are unspecified.
+fn compact_groups(cols: &[Vec<i64>], n: usize, gids: &mut Vec<u32>, firsts: &mut Vec<u32>) -> bool {
+    let mut radix = Vec::with_capacity(cols.len());
+    let mut size = 1u64;
+    for c in cols {
+        let Some((lo, hi)) = bounds(&c[..n]) else { break };
+        match hi.abs_diff(lo).checked_add(1).and_then(|span| size.checked_mul(span)) {
+            Some(next) if next <= COMPACT_GROUPS => {
+                radix.push((lo, std::mem::replace(&mut size, next)))
+            }
+            _ => return false,
+        }
+    }
+    gids.clear();
+    gids.resize(n, 0);
+    for (c, &(lo, stride)) in cols.iter().zip(&radix) {
+        for (slot, &k) in gids.iter_mut().zip(c) {
+            // Every slot is below `size`, at most `COMPACT_GROUPS`.
+            *slot += k.wrapping_sub(lo) as u32 * stride as u32;
+        }
+    }
+    let mut group_of = vec![u32::MAX; size as usize];
+    firsts.clear();
+    for (i, slot) in gids.iter_mut().enumerate() {
+        let g = &mut group_of[*slot as usize];
+        if *g == u32::MAX {
+            *g = firsts.len() as u32;
+            firsts.push(i as u32);
+        }
+        *slot = *g;
+    }
+    true
+}
+
+/// The least and the greatest of `c`, or `None` when it is empty. Four lanes
+/// keep the compare chains apart: one `(min, max)` fold is twice as slow.
+fn bounds(c: &[i64]) -> Option<(i64, i64)> {
+    let &k0 = c.first()?;
+    let (mut lo, mut hi) = ([k0; 4], [k0; 4]);
+    let chunks = c.chunks_exact(4);
+    for &k in chunks.remainder() {
+        (lo[0], hi[0]) = (lo[0].min(k), hi[0].max(k));
+    }
+    for ks in chunks {
+        for j in 0..4 {
+            (lo[j], hi[j]) = (lo[j].min(ks[j]), hi[j].max(ks[j]));
+        }
+    }
+    Some((lo.into_iter().min()?, hi.into_iter().max()?))
+}
+
+/// A stable counting sort of the rows by their group ids `gids`, which are
+/// below `ngroups`: fills `order` with the row indices group by group, each
+/// group's in row order, and `starts` with where each group begins in it,
+/// then the row count — the runs [`AggState::push_runs`] folds.
+fn sort_by_group(gids: &[u32], ngroups: usize, starts: &mut Vec<u32>, order: &mut Vec<u32>) {
+    starts.clear();
+    starts.resize(ngroups + 1, 0);
+    gids.iter().for_each(|&g| starts[g as usize + 1] += 1);
+    for g in 0..ngroups {
+        starts[g + 1] += starts[g];
+    }
+    let mut at = selection::take_scratch();
+    at.extend_from_slice(&starts[..ngroups]);
+    order.clear();
+    order.resize(gids.len(), 0);
+    for (i, &g) in gids.iter().enumerate() {
+        order[at[g as usize] as usize] = i as u32;
+        at[g as usize] += 1;
+    }
+    selection::put_scratch(at);
 }
 
 /// How group `i` of the key columns `a` compares with group `j` of `b`:
@@ -526,6 +674,9 @@ struct MorselAgg<'p> {
     keys: GroupKeys,
     first_rows: Vec<u32>,
     states: Vec<AggState<'p>>,
+    /// Whether the morsel's groups were found through a map (the hash
+    /// form), rather than by their runs or by index.
+    hashed: bool,
 }
 
 /// A partial's group keys, in first-appearance order, as its form found them.
@@ -536,7 +687,7 @@ enum GroupKeys {
     /// merge compares a partial's first with the last before it, and a hash
     /// merge makes them keys.
     Runs(Vec<Vec<i64>>),
-    /// Cut in the hash form: the keys the morsel's map held.
+    /// Cut in the compact or the hash form: one `Key` per group.
     Hash(Vec<Key>),
 }
 
@@ -544,26 +695,31 @@ impl<'p> MorselAgg<'p> {
     /// Folds the given rows of the source. One pass over the key buffers
     /// finds the runs of equal keys; when it meets no inversion the morsel
     /// is cut in runs, and each aggregate folds its input run by run, with
-    /// no per-row group id. Otherwise one group-resolution pass through a
-    /// map gives every row its group, and each aggregate sweeps its input
-    /// by group id. Either way the state dispatch is hoisted out of the row
-    /// loop. `first_rows` carry the source's own row ids, so the merged
-    /// group order and the key gathers do not depend on how the rows were
-    /// selected. Scratch buffers come from the thread-local pools; what the
-    /// partial keeps is allocated at its final size.
+    /// no per-row group id. Otherwise, when the key domain is compact, one
+    /// array indexed by each row's key gives it its group, a stable counting
+    /// sort orders the rows by group, and each aggregate folds its input,
+    /// permuted into that order, group by group as runs. Otherwise one
+    /// group-resolution pass through a map gives every row its group, and
+    /// each aggregate sweeps its input by group id. Either way the state
+    /// dispatch is hoisted out of the row loop. `first_rows` carry the
+    /// source's own row ids, so the merged group order and the key gathers
+    /// do not depend on how the rows were selected. Scratch buffers come from
+    /// the thread-local pools; what the partial keeps is allocated at its
+    /// final size.
     fn fold(rows: &Rows, feed: &Feed<'p>) -> Self {
         let keybufs: Vec<Vec<i64>> = feed.keys.iter().map(|k| k.slots_of(rows)).collect();
         let row_id = |i: usize| match rows {
             Rows::Dense(r) => (r.start + i) as u32,
             Rows::Sparse(s) => s[i],
         };
+        let keycols = ladder::as_slices(&keybufs);
         let mut starts = selection::take_scratch();
+        let mut gids = selection::take_scratch();
         let mut states = feed.empty.to_vec();
+        let mut firsts = Vec::new();
         let partial = if key_runs(&keybufs, rows.len(), &mut starts) {
             let groups = &starts[..starts.len() - 1];
-            for (st, input) in states.iter_mut().zip(feed.inputs) {
-                st.push_runs(&starts, input.as_ref().map(|p| p.slots_of(rows)));
-            }
+            feed.fold_inputs(&mut states, |p| p.slots_of(rows), |st, x| st.push_runs(&starts, x));
             MorselAgg {
                 keys: GroupKeys::Runs(
                     keybufs
@@ -573,13 +729,36 @@ impl<'p> MorselAgg<'p> {
                 ),
                 first_rows: groups.iter().map(|&s| row_id(s as usize)).collect(),
                 states,
+                hashed: false,
+            }
+        } else if compact_groups(&keybufs, rows.len(), &mut gids, &mut firsts) {
+            // The compact form: sorted by group, stably, each group is a run
+            // of its rows in row order, which is the order the hash form
+            // feeds them in.
+            let mut order = selection::take_scratch();
+            sort_by_group(&gids, firsts.len(), &mut starts, &mut order);
+            let permuted = |p: &Program| {
+                let xs = p.slots_of(rows);
+                let mut out = bytecode::take_slots();
+                out.extend(order.iter().map(|&i| xs[i as usize]));
+                bytecode::put_slots(xs);
+                out
+            };
+            feed.fold_inputs(&mut states, permuted, |st, x| st.push_runs(&starts, x));
+            selection::put_scratch(order);
+            MorselAgg {
+                keys: GroupKeys::Hash(
+                    firsts.iter().map(|&i| Key::at(&keycols, i as usize)).collect(),
+                ),
+                first_rows: firsts.iter().map(|&i| row_id(i as usize)).collect(),
+                states,
+                hashed: false,
             }
         } else {
             // The hash form: each row's local group is the one the morsel's
             // map holds for its key, or a new one.
             let (mut map, mut keys, mut first_rows) = (KeyMap::default(), Vec::new(), Vec::new());
-            let mut gids = selection::take_scratch();
-            let keycols = ladder::as_slices(&keybufs);
+            gids.clear();
             for i in 0..rows.len() {
                 let key = Key::at(&keycols, i);
                 // `get` first, not `entry`: rows of known groups dominate, and
@@ -593,16 +772,19 @@ impl<'p> MorselAgg<'p> {
                     g
                 }));
             }
-            for (st, input) in states.iter_mut().zip(feed.inputs) {
-                st.grow_to(first_rows.len());
-                let slots = input.as_ref().map(|p| p.slots_of(rows));
-                st.push_batch(&gids, slots.as_deref());
-                slots.into_iter().for_each(bytecode::put_slots);
-            }
-            selection::put_scratch(gids);
-            MorselAgg { keys: GroupKeys::Hash(keys), first_rows, states }
+            let ngroups = first_rows.len();
+            feed.fold_inputs(
+                &mut states,
+                |p| p.slots_of(rows),
+                |st, x| {
+                    st.grow_to(ngroups);
+                    st.push_batch(&gids, x.as_deref());
+                },
+            );
+            MorselAgg { keys: GroupKeys::Hash(keys), first_rows, states, hashed: true }
         };
         selection::put_scratch(starts);
+        selection::put_scratch(gids);
         keybufs.into_iter().for_each(bytecode::put_slots);
         partial
     }
@@ -805,10 +987,10 @@ impl<'p> AggState<'p> {
     /// `starts[g]..starts[g + 1]` and is fed their `slots` in row order (no
     /// slots: `count(*)`), so the state is built at its final size and no row
     /// needs a group id. `count(distinct)` deduplicates each run in place in
-    /// the slot buffer; the slot buffer goes back to its pool.
-    fn push_runs(&mut self, starts: &[u32], slots: Option<Vec<i64>>) {
+    /// the slot buffer, which it therefore shares with no other aggregate.
+    fn push_runs(&mut self, starts: &[u32], slots: Option<&mut [i64]>) {
         let runs = || starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
-        let Some(mut xs) = slots else {
+        let Some(xs) = slots else {
             if let AggState::Count(v) = self {
                 *v = runs().map(|r| r.len() as i64).collect();
             }
@@ -861,7 +1043,6 @@ impl<'p> AggState<'p> {
                 *self = AggState::DistinctRuns { counts, vals, open: SmallSet::default() };
             }
         }
-        bytecode::put_slots(xs);
     }
 
     /// Moves a partial's groups in behind the run merge's, folding its first
@@ -1372,6 +1553,52 @@ mod tests {
         assert_eq!(runs(&cols(&[1, 1, 1], &[5, 6, 6]), 3), Some(vec![0, 1, 3]));
         assert_eq!(runs(&cols(&[1, 1, 2], &[5, 4, 0]), 3), None, "ties go to the next column");
         assert_eq!(runs(&cols(&[1, 1, 0], &[5, 5, 9]), 3), None);
+    }
+
+    #[test]
+    fn compact_groups_are_first_appearances_found_by_index() {
+        // Each row's group and each group's first row, or `None` when the
+        // key domain is not compact.
+        let groups = |cols: &[Vec<i64>], n: usize| {
+            let (mut gids, mut firsts) = (vec![7], vec![7]);
+            compact_groups(cols, n, &mut gids, &mut firsts).then_some((gids, firsts))
+        };
+        let ids = |gids: &[u32], firsts: &[u32]| Some((gids.to_vec(), firsts.to_vec()));
+        assert_eq!(groups(&[vec![5, -3, 5, 7, -3]], 5), ids(&[0, 1, 0, 2, 1], &[0, 1, 3]));
+        assert_eq!(
+            groups(&[vec![1, 2, 1, 2], vec![2, 1, 1, 2]], 4),
+            ids(&[0, 1, 2, 3], &[0, 1, 2, 3]),
+            "a tuple is its slots, not their sum"
+        );
+        assert_eq!(groups(&[vec![4, 4, 9], vec![0, 0, 0]], 2), ids(&[0, 0], &[0]), "rows past n");
+        assert_eq!(groups(&[vec![]], 0), ids(&[], &[]), "no rows, no group");
+        assert_eq!(groups(&[], 0), ids(&[], &[]));
+        // The spans' product against the bound.
+        assert!(groups(&[vec![-2048, 2047]], 2).is_some());
+        assert!(groups(&[vec![-2048, 2048]], 2).is_none());
+        assert!(groups(&[vec![0, 63, 5], vec![-9, 54, 0]], 3).is_some(), "64 × 64");
+        assert!(groups(&[vec![0, 63, 5], vec![-9, 55, 0]], 3).is_none(), "64 × 65");
+        // Spans that overflow `u64`, alone or multiplied, never wrap.
+        assert!(groups(&[vec![i64::MAX, 0, i64::MIN]], 3).is_none());
+        assert!(groups(&[vec![0, 1], vec![i64::MIN + 1, i64::MAX]], 2).is_none());
+    }
+
+    #[test]
+    fn bounds_are_the_least_and_greatest() {
+        assert_eq!(bounds(&[]), None);
+        assert_eq!(bounds(&[3]), Some((3, 3)));
+        assert_eq!(bounds(&[5, 1, 9, 2, 7, -4, 0]), Some((-4, 9)), "lanes and remainder");
+        assert_eq!(bounds(&[0, 0, 0, 0, i64::MIN, i64::MAX]), Some((i64::MIN, i64::MAX)));
+    }
+
+    #[test]
+    fn rows_sort_by_group_stably() {
+        let (mut starts, mut order) = (vec![9], vec![9]);
+        sort_by_group(&[0, 1, 0, 2, 1, 0], 3, &mut starts, &mut order);
+        assert_eq!((starts, order), (vec![0, 3, 5, 6], vec![0, 2, 5, 1, 4, 3]));
+        let (mut starts, mut order) = (vec![9], vec![9]);
+        sort_by_group(&[], 0, &mut starts, &mut order);
+        assert_eq!((starts, order), (vec![0], vec![]));
     }
 
     /// The run form reserves nothing: under an 8 KiB budget with a spill disk

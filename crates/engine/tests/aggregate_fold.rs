@@ -1,15 +1,17 @@
 //! The aggregation fold against a reference that shares none of its code.
 //!
-//! `exec::aggregate` folds morsels into run-form or hash-form partials, picks
-//! the merge form from them, and runs under either price list with or without
-//! a filter folded in, with or without a budget that sends the merge down the
-//! degradation ladder. None of that may show: every configuration must give
-//! the answer of a plain row-at-a-time group-by — float sums included, whose
-//! reduction tree the reference cuts at the same base-table morsel stride —
-//! and charge the form the *data* calls for. The shapes aim at the seams: keys
-//! in order, one inversion inside a morsel, one exactly at a morsel boundary,
-//! groups straddling boundaries, a morsel whose filter keeps no row, groups
-//! whose float rows are all `-0.0`, and long runs of many distinct values.
+//! `exec::aggregate` folds morsels into run-form, compact-form or hash-form
+//! partials, picks the merge form from them, and runs under either price list
+//! with or without a filter folded in, with or without a budget that sends the
+//! merge down the degradation ladder. None of that may show: every
+//! configuration must give the answer of a plain row-at-a-time group-by —
+//! float sums included, whose reduction tree the reference cuts at the same
+//! base-table morsel stride — and take, label and charge the form the *data*
+//! calls for. The shapes aim at the seams: keys in order, one inversion inside
+//! a morsel, one exactly at a morsel boundary, groups straddling boundaries, a
+//! morsel whose filter keeps no row, groups whose float rows are all `-0.0`,
+//! long runs of many distinct values, and key domains at the compact form's
+//! bound, past it, spanning all of `i64`, and negative.
 //!
 //! A failure prints the seed that replays it.
 
@@ -19,7 +21,9 @@ use std::sync::Arc;
 use proptest::rng::Rng;
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, AggFunc, PlanBuilder};
-use wimpi_engine::{execute, EngineConfig, EngineError, Executor, QueryContext, Relation, Tracer};
+use wimpi_engine::{
+    execute, EngineConfig, EngineError, Executor, QueryContext, Relation, Span, Tracer,
+};
 use wimpi_storage::{
     Catalog, Column, DataType, Date32, Decimal64, DictColumn, Field, Schema, SpillConfig,
     SpillDisk, StorageError, Table, Value,
@@ -95,12 +99,46 @@ struct Group {
     float_partials: Vec<(usize, f64)>,
 }
 
-/// The expected output, column by column, and whether the selected keys are
-/// in order (which decides the form, hence the charges).
+/// The expected output, column by column, whether the selected keys are in
+/// order (which decides the merge, hence the charges), and the `partials`
+/// label the fold's forms give.
 struct Expected {
     columns: Vec<(String, Vec<Value>)>,
     nsel: u64,
     in_order: bool,
+    form: &'static str,
+}
+
+/// The most groups a key domain may hold for a morsel out of order to be cut
+/// in the compact form: the product of its key columns' spans.
+const COMPACT_GROUPS: i128 = 4096;
+
+/// The label the fold's partials give: `runs` when the selected keys are in
+/// order (every partial is then cut in runs, and the merge appends them);
+/// otherwise `hash` when a morsel (of the base table's rows) whose selected
+/// keys are out of order has a key domain past [`COMPACT_GROUPS`], else
+/// `compact`.
+fn form(selected: &[(usize, Row)], arity: usize, morsel: usize, in_order: bool) -> &'static str {
+    let key = |r: &Row| r.key[..arity].to_vec();
+    // In `i128`, which holds any span times the bound.
+    let compact = |rows: &[(usize, Row)]| {
+        (0..arity)
+            .try_fold(1i128, |size, c| {
+                let keys = rows.iter().map(|(_, r)| r.key[c] as i128);
+                let span = keys.clone().max()? - keys.min()? + 1;
+                Some(size * span).filter(|&size| size <= COMPACT_GROUPS)
+            })
+            .is_some()
+    };
+    let hashed = selected.chunk_by(|a, b| a.0 / morsel == b.0 / morsel).any(|rows| {
+        let ordered = rows.windows(2).all(|w| key(&w[0].1) <= key(&w[1].1));
+        !ordered && !compact(rows)
+    });
+    match (in_order, hashed) {
+        (true, _) => "runs",
+        (false, false) => "compact",
+        (false, true) => "hash",
+    }
 }
 
 fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: usize) -> Expected {
@@ -174,7 +212,8 @@ fn reference(rows: &[Row], arity: usize, filtered: bool, floats: bool, morsel: u
         column("avg_f", &|g| mean(total(g), g.rows.len()));
     }
     let in_order = selected.windows(2).all(|w| key(&w[0].1) <= key(&w[1].1));
-    Expected { columns, nsel: selected.len() as u64, in_order }
+    let form = form(&selected, arity, morsel, in_order);
+    Expected { columns, nsel: selected.len() as u64, in_order, form }
 }
 
 fn same_bits(a: &Value, b: &Value) -> bool {
@@ -238,10 +277,14 @@ fn check(rows: &[Row], what: &str) {
                         let ctx = budget.map_or_else(QueryContext::default, |b| {
                             QueryContext::with_budget(b).with_spill(disk())
                         });
-                        let (rel, prof) =
-                            execute(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("runs");
+                        let tracer = Tracer::enabled();
+                        let (rel, prof) = execute(&plan, &cat, &cfg, &ctx, &tracer).expect("runs");
                         assert_matches(&rel, &want, &what);
                         assert_eq!(ctx.fallbacks() > 0, budgeted && !want.in_order, "{what}");
+                        // The label is the fold's, at any budget.
+                        let mut forms = Vec::new();
+                        partials_labels(&tracer.take_root().expect("traced"), &mut forms);
+                        assert_eq!(forms, [want.form], "{what}");
                         // The form is the data's: only a hash table is
                         // charged for, besides count(distinct)'s set inserts.
                         let probes = if want.in_order { 0 } else { want.nsel };
@@ -258,6 +301,13 @@ fn check(rows: &[Row], what: &str) {
             }
         }
     }
+}
+
+fn partials_labels(span: &Span, out: &mut Vec<String>) {
+    if span.op == "partials" {
+        out.push(span.label.clone());
+    }
+    span.children.iter().for_each(|child| partials_labels(child, out));
 }
 
 /// Prints the seed of the case being checked if the test panics.
@@ -286,15 +336,9 @@ fn every_configuration_folds_to_the_reference() {
         let mut rng = Rng::for_case("aggregate_fold", seed as u32);
         let n = 13 + rng.below(28) as usize;
         let mut sorted: Vec<Row> = (0..n)
-            .map(|_| Row {
-                key: [rng.below(4) as i64 - 1, rng.below(3) as i64, rng.below(4) as i64],
-                d: rng.below(2001) as i64 - 1000,
-                // Sums of these round differently in different orders.
-                f: (rng.below(1 << 20) as f64 - 5e5) * 0.37 + 1.0 / (1 + rng.below(9)) as f64,
-                s: rng.below(7) as i64 - 2,
-                b: rng.below(2) == 0,
-                t: rng.below(4) as usize,
-                keep: rng.below(4) > 0,
+            .map(|_| {
+                let key = [rng.below(4) as i64 - 1, rng.below(3) as i64, rng.below(4) as i64];
+                row_at(&mut rng, key)
             })
             .collect();
         sorted.sort_by_key(|r| r.key);
@@ -338,7 +382,9 @@ fn every_configuration_folds_to_the_reference() {
 /// order each group is one long run, so `count(distinct)` deduplicates long
 /// runs, and the run merge carries a group's values across morsel
 /// boundaries at every morsel size (one group spans the 4096-row boundary).
-/// Out of order, the hash form's sets outgrow their inline capacity.
+/// Out of order, the compact form sorts each group into one long run; spread
+/// past the compact bound, the hash form's sets outgrow their inline
+/// capacity.
 #[test]
 fn long_runs_of_many_distinct_values_fold_to_the_reference() {
     let mut rng = Rng::for_case("aggregate_fold_long_runs", 0);
@@ -359,6 +405,88 @@ fn long_runs_of_many_distinct_values_fold_to_the_reference() {
         sorted.swap(i, rng.below(i as u64 + 1) as usize);
     }
     check(&sorted, "long groups in no order");
+    sorted.iter_mut().for_each(|r| r.key[0] *= 4096);
+    check(&sorted, "long groups in no order, past the compact bound");
+}
+
+/// A row of random values under `key`, kept by the filter unless `rng` says
+/// otherwise.
+fn row_at(rng: &mut Rng, key: [i64; 3]) -> Row {
+    Row {
+        key,
+        d: rng.below(2001) as i64 - 1000,
+        // Sums of these round differently in different orders.
+        f: (rng.below(1 << 20) as f64 - 5e5) * 0.37 + 1.0 / (1 + rng.below(9)) as f64,
+        s: rng.below(7) as i64 - 2,
+        b: rng.below(2) == 0,
+        t: rng.below(4) as usize,
+        keep: rng.below(4) > 0,
+    }
+}
+
+/// `ends` — kept by the filter, so they bound every arm's key domain — and
+/// then `n` rows under keys from `key`, shuffled.
+fn shuffled(
+    rng: &mut Rng,
+    ends: &[[i64; 3]],
+    n: usize,
+    key: impl Fn(&mut Rng) -> [i64; 3],
+) -> Vec<Row> {
+    let mut rows: Vec<Row> = ends.iter().map(|&k| Row { keep: true, ..row_at(rng, k) }).collect();
+    rows.extend((0..n).map(|_| {
+        let k = key(rng);
+        row_at(rng, k)
+    }));
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    rows
+}
+
+/// The compact form's seams, every shape in no order: key domains of exactly
+/// [`COMPACT_GROUPS`] slots and of one more (three keys, string codes among
+/// them, so the mixed radix is exercised at the bound), keys spanning all of
+/// `i64` (their span overflows `u64`, and must fall through to the hash form
+/// rather than wrap), and negative keys. In one morsel of the whole table the
+/// first and the last two take the compact form and the others hash; smaller
+/// morsels see smaller domains.
+#[test]
+fn compact_key_domains_fold_to_the_reference() {
+    let mut rng = Rng::for_case("aggregate_fold_compact", 0);
+    let below = |rng: &mut Rng, lo: i64, span: u64| lo + rng.below(span) as i64;
+    let whole = |rows: &[Row]| {
+        let selected: Vec<(usize, Row)> = rows.iter().copied().enumerate().collect();
+        form(&selected, 3, 4096, false)
+    };
+
+    // 512 × 4 × 2 = 4096 and 241 × 17 × 1 = 4097 slots.
+    let at_bound = shuffled(&mut rng, &[[-300, 0, 0], [211, 3, 1]], 40, |rng| {
+        [below(rng, -300, 512), below(rng, 0, 4), below(rng, 0, 2)]
+    });
+    assert_eq!(whole(&at_bound), "compact");
+    check(&at_bound, "a key domain of exactly 4096 slots");
+    let past = shuffled(&mut rng, &[[-120, 0, 2], [120, 16, 2]], 40, |rng| {
+        [below(rng, -120, 241), below(rng, 0, 17), 2]
+    });
+    assert_eq!(whole(&past), "hash");
+    check(&past, "a key domain of 4097 slots");
+
+    let extremes = shuffled(&mut rng, &[[i64::MIN, 0, 0], [i64::MAX, 0, 0]], 30, |rng| {
+        [below(rng, -2, 5), below(rng, 0, 3), below(rng, 0, 4)]
+    });
+    assert_eq!(whole(&extremes), "hash");
+    check(&extremes, "keys in no order from i64::MIN to i64::MAX");
+
+    let negative = shuffled(&mut rng, &[], 40, |rng| {
+        [below(rng, -60, 50), below(rng, -9, 6), below(rng, 0, 4)]
+    });
+    assert_eq!(whole(&negative), "compact");
+    check(&negative, "negative keys in no order");
+
+    let three =
+        shuffled(&mut rng, &[], 40, |rng| [below(rng, 0, 3), below(rng, 0, 3), below(rng, 0, 4)]);
+    assert_eq!(whole(&three), "compact");
+    check(&three, "three keys in no order, string codes among them");
 }
 
 /// An ill-typed aggregate is one typed error, the same under both price

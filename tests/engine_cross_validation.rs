@@ -3,9 +3,11 @@
 //! the hand-coded strategies. Agreement between them is strong evidence that
 //! both compute the specification's answer.
 
-use wimpi::engine::{EngineConfig, QueryContext, Tracer};
-use wimpi::queries::{query, run};
-use wimpi::storage::Catalog;
+use std::collections::BTreeMap;
+
+use wimpi::engine::{EngineConfig, QueryContext, Relation, Tracer};
+use wimpi::queries::{query, run, run_governed};
+use wimpi::storage::{Catalog, Value};
 use wimpi::strategies::{run as run_strategy, Paradigm};
 use wimpi::tpch::Generator;
 
@@ -15,24 +17,71 @@ fn catalog() -> Catalog {
     Generator::new(SF).generate_catalog().expect("generation succeeds")
 }
 
+/// Q1 against a row-at-a-time oracle that shares no aggregate code: one
+/// `BTreeMap` pass over the base columns, keyed by `(l_returnflag,
+/// l_linestatus)`, summing mantissas in `i128`. Counts and sums must match
+/// exactly, and each average must be the oracle's sum, scaled, over its count
+/// — at 1, 2 and 4 threads, in morsels of 4096 rows and of the default size,
+/// unbudgeted and under a budget that sends the merge down the ladder. The
+/// hand-coded strategy must find as many groups.
 #[test]
 fn q1_engine_matches_strategies() {
     let cat = catalog();
-    let (rel, _) = run(&query(1), &cat).expect("engine runs");
-    // Recompute the strategy digest from the engine's own output: the group
-    // checksum folds counts and sums identically.
-    let strategy = run_strategy(1, Paradigm::DataCentric, &cat);
-    assert_eq!(strategy.digest.rows as usize, rel.num_rows(), "group count");
-    // Engine group totals must reconcile with the digest's total row count:
-    let engine_rows: i64 =
-        rel.column("count_order").expect("col").as_i64().expect("i64").iter().sum();
-    // Recompute selected-row count directly from base data.
     let li = cat.table("lineitem").expect("lineitem");
-    let ship = li.column_by_name("l_shipdate").expect("col");
-    let ship = ship.as_date().expect("date");
+    let column = |name| li.column_by_name(name).expect("a lineitem column");
+    let text = |name| column(name).as_str().expect("a string column");
+    let (flag, status) = (text("l_returnflag"), text("l_linestatus"));
+    let dec = |name| column(name).as_decimal().expect("a decimal column").0;
+    let (qty, price, disc, tax) =
+        (dec("l_quantity"), dec("l_extendedprice"), dec("l_discount"), dec("l_tax"));
+    let ship = column("l_shipdate").as_date().expect("a date column");
     let cutoff = wimpi::storage::Date32::from_ymd(1998, 9, 2).0;
-    let selected = ship.iter().filter(|&&d| d <= cutoff).count() as i64;
-    assert_eq!(engine_rows, selected);
+    // Per group: count, Σ qty, Σ price, Σ price·(1 − disc) at scale 4,
+    // Σ price·(1 − disc)·(1 + tax) at scale 6, Σ disc.
+    let mut oracle: BTreeMap<(&str, &str), [i128; 6]> = BTreeMap::new();
+    for i in (0..li.num_rows()).filter(|&i| ship[i] <= cutoff) {
+        let (q, p, d, t) = (qty[i] as i128, price[i] as i128, disc[i] as i128, tax[i] as i128);
+        let row = [1, q, p, p * (100 - d), p * (100 - d) * (100 + t), d];
+        let acc = oracle.entry((flag.get(i), status.get(i))).or_default();
+        acc.iter_mut().zip(row).for_each(|(a, x)| *a += x);
+    }
+    let strategy = run_strategy(1, Paradigm::DataCentric, &cat);
+    assert_eq!(strategy.digest.rows as usize, oracle.len(), "group count");
+
+    let check = |rel: &Relation, what: &str| {
+        assert_eq!(rel.num_rows(), oracle.len(), "{what}: groups");
+        for (g, (&(f, s), acc)) in oracle.iter().enumerate() {
+            let at = |name| rel.value(g, name).expect("an output column");
+            let key = (Value::Str(f.to_string()), Value::Str(s.to_string()));
+            assert_eq!((at("l_returnflag"), at("l_linestatus")), key, "{what}: group {g}");
+            let count = acc[0];
+            assert_eq!(at("count_order"), Value::I64(count as i64), "{what}: group {g}");
+            let sums =
+                [("sum_qty", 2), ("sum_base_price", 2), ("sum_disc_price", 4), ("sum_charge", 6)];
+            for ((name, scale), &sum) in sums.into_iter().zip(&acc[1..5]) {
+                let (m, s) = rel.column(name).expect("a sum").as_decimal().expect("decimal");
+                assert_eq!((m[g] as i128, s), (sum, scale), "{what}: {name}[{g}]");
+            }
+            for (name, sum) in [("avg_qty", acc[1]), ("avg_price", acc[2]), ("avg_disc", acc[5])] {
+                let want = (sum as f64 / 100.0) / count as f64;
+                assert_eq!(at(name), Value::F64(want), "{what}: {name}[{g}]");
+            }
+        }
+    };
+    let default = EngineConfig::default().morsel_rows;
+    for threads in [1, 2, 4] {
+        for morsel in [4096, default] {
+            // Two of Q1's 320-byte group entries: the merge degrades.
+            for budget in [None, Some(640)] {
+                let what = format!("{threads} threads, morsels of {morsel}, budget {budget:?}");
+                let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
+                let (rel, _) = run_governed(&query(1), &cat, &cfg, &ctx).expect("engine runs");
+                assert_eq!(ctx.fallbacks() > 0, budget.is_some(), "{what}: the merge degrades");
+                check(&rel, &what);
+            }
+        }
+    }
 }
 
 #[test]

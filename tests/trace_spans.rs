@@ -246,6 +246,30 @@ fn a_join_over_budget_still_filters_its_probe() {
     }
 }
 
+/// Q1's four groups are a compact key domain, and the `partials` label is
+/// the fold's, which a budget does not touch: under a budget that sends the
+/// merge down the ladder the span tree is the unbudgeted one, structure and
+/// counters alike, and both read `partials[compact]`.
+#[test]
+fn q1_is_compact_at_any_budget() {
+    let cat = catalog();
+    let run = |ctx: &QueryContext| {
+        run_traced_governed(&query(1), &cat, &EngineConfig::serial(), ctx).expect("Q1 runs")
+    };
+    let (free_rel, _, free) = run(&QueryContext::default());
+    // Two of Q1's 320-byte group entries.
+    let ctx = QueryContext::with_budget(640);
+    let (rel, _, budgeted) = run(&ctx);
+    assert!(ctx.fallbacks() > 0, "the budget forces Grace");
+    assert_eq!(rel, free_rel, "over budget, the same answer");
+    assert!(budgeted.structure_eq(&free), "{}\nvs\n{}", budgeted.render(), free.render());
+    for span in [&free, &budgeted] {
+        let mut forms = Vec::new();
+        labels_of(span, "partials", &mut forms);
+        assert_eq!(forms, ["compact"], "{}", span.render());
+    }
+}
+
 #[test]
 fn emitted_json_passes_the_independent_checker() {
     let cat = catalog();

@@ -189,12 +189,13 @@ fn forms_of(qn: usize, cat: &Catalog) -> String {
 
 /// Which form every join (`cursor` / `offsets` / `hash`, each `+bits` when a
 /// bitset of its build keys filters its probe) and every aggregate (`runs` /
-/// `hash`) of the 22 queries takes on the raw, key-ordered catalog, in plan
-/// order (inputs before the operator that consumes them). Forms and filters
-/// are read off the key vectors at run time, so nothing but this census stops
-/// a change of generator, plan or operator from silently sending a query back
-/// to hashing — which the benchmark would only report as "slower". The price
-/// list decides no form (`trace_spans.rs` checks it), so one census does.
+/// `compact` / `hash`) of the 22 queries takes on the raw, key-ordered
+/// catalog, in plan order (inputs before the operator that consumes them).
+/// Forms and filters are read off the key vectors at run time, so nothing but
+/// this census stops a change of generator, plan or operator from silently
+/// sending a query back to hashing — which the benchmark would only report as
+/// "slower". The price list decides no form (`trace_spans.rs` checks it), so
+/// one census does.
 #[test]
 fn every_join_and_aggregate_takes_its_pinned_form() {
     let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
@@ -210,26 +211,26 @@ fn every_join_and_aggregate_takes_its_pinned_form() {
 }
 
 const PINNED_FORMS: [&str; 22] = [
-    "Q1: hash",
+    "Q1: compact",
     "Q2: offsets offsets offsets+bits hash+bits offsets offsets+bits hash+bits runs cursor",
     "Q3: hash+bits cursor+bits runs",
-    "Q4: offsets hash",
-    "Q5: offsets cursor+bits offsets hash+bits hash+bits hash",
+    "Q4: offsets compact",
+    "Q5: offsets cursor+bits offsets hash+bits hash+bits compact",
     "Q6: runs",
-    "Q7: cursor+bits offsets offsets offsets offsets hash",
-    "Q8: hash+bits cursor offsets offsets hash+bits offsets offsets hash",
-    "Q9: hash+bits offsets hash cursor offsets hash",
+    "Q7: cursor+bits offsets offsets offsets offsets compact",
+    "Q8: hash+bits cursor offsets offsets hash+bits offsets offsets compact",
+    "Q9: hash+bits offsets hash cursor offsets compact",
     "Q10: cursor+bits offsets offsets hash",
     "Q11: offsets hash+bits runs offsets hash+bits runs",
-    "Q12: cursor hash",
-    "Q13: offsets+bits runs hash",
+    "Q12: cursor compact",
+    "Q13: offsets+bits runs compact",
     "Q14: offsets runs",
-    "Q15: hash runs hash cursor",
+    "Q15: compact runs compact cursor",
     "Q16: cursor+bits offsets hash",
     "Q17: hash hash runs cursor runs",
     "Q18: runs cursor cursor offsets runs",
     "Q19: offsets runs",
     "Q20: offsets cursor+bits hash hash offsets",
-    "Q21: cursor+bits offsets offsets runs cursor runs cursor hash",
-    "Q22: runs offsets hash",
+    "Q21: cursor+bits offsets offsets runs cursor runs cursor compact",
+    "Q22: runs offsets compact",
 ];

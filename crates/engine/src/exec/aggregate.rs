@@ -6,13 +6,14 @@
 //! expressions, compiled once into [`Program`]s. Each worker takes one morsel
 //! of the source — a dense range, or the rows the conjuncts kept — evaluates
 //! the key programs into pooled slot buffers, finds its groups once (its
-//! runs of equal keys, by index into a compact key domain, or through a
-//! map), then evaluates and folds one aggregate input at a time with the
-//! accumulator dispatch outside the row loop; aggregates over equal input
-//! expressions share one evaluation. No intermediate column exists
-//! between the source and the fold. `Executor` decides only what the work is
-//! *priced* as: MonetDB's full materialization (`bytecode::Cost`, each
-//! filter's gather included) or the base columns streamed.
+//! runs of equal keys, or by index into a compact key domain or through a
+//! map, then sorted into runs), then evaluates and folds one aggregate input
+//! at a time, run by run, with the accumulator dispatch outside the row loop;
+//! aggregates over equal input expressions share one evaluation. No
+//! intermediate column exists between the source and the fold. `Executor`
+//! decides only what the work is *priced* as: MonetDB's full materialization
+//! (`bytecode::Cost`, each filter's gather included) or the base columns
+//! streamed.
 //!
 //! The morsel partials are merged **in morsel order**, so the global group
 //! order is exactly the serial first-appearance order and every float
@@ -25,17 +26,18 @@
 //! decrease has contiguous groups, and its partial is cut in the **run
 //! form**: one `u32` start per run, no map and no per-row group id. Each
 //! aggregate folds its input run by run; `count(distinct)` deduplicates each
-//! run in place, through a set only when the run is long. The partial keeps
-//! per group only its key slots and first row.
+//! run in place, through a set only when the run is long.
 //!
-//! A morsel out of order whose key columns' spans multiply to at most
-//! `COMPACT_GROUPS` is cut in the **compact form**: each row's mixed-radix
-//! slot indexes one array of group ids, handed out in first-appearance order,
-//! and a stable counting sort orders the rows by group. Each aggregate then
-//! folds its input, permuted into that order, through the run form's fold:
-//! no map, no key per row, no per-row scatter. Its partial carries one key
-//! per group, like a hash partial, so only a hash merge takes it. Anything
-//! else is cut in the **hash form**, through a map.
+//! Any other morsel first gives each row a group id, handed out in
+//! first-appearance order: in the **compact form** by index, when its key
+//! columns' spans multiply to at most `COMPACT_GROUPS` (each row's
+//! mixed-radix slot indexes one array of group ids), else in the **hash
+//! form**, through a map of each row's key. The two forms differ in nothing
+//! else. A stable counting sort orders the rows by group, and each aggregate
+//! folds its input, permuted into that order, as runs: one accumulator
+//! kernel for every form and no per-row scatter. Every partial keeps per
+//! group only its key slots and first row; only a hash merge takes one cut
+//! out of key order.
 //!
 //! When every partial is in the run form and none starts below the key its
 //! predecessor ended on, the whole input is in key order and the merge
@@ -68,12 +70,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::bytecode::{self, Program, Rows, Ty};
-use super::ensure_u32_indexable;
 use super::filter::Conjuncts;
 use super::hash::{FxMap, FxSet, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
+use super::{bounds, ensure_u32_indexable};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::governor::{QueryContext, Reservation};
@@ -165,7 +167,7 @@ pub fn exec_aggregate(
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     // The fold above runs the same with or without a budget, so the form it
     // cut its partials in names the stage at any budget.
-    let hashed = partials.iter().any(|p| p.hashed);
+    let hashed = partials.iter().any(|p| p.cut == Cut::Hash);
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
         Some(merged) => merged,
         None => {
@@ -227,7 +229,7 @@ pub fn exec_aggregate(
         prof.rand_accesses += nsel;
         prof.hash_bytes += ngroups as u64 * width;
     }
-    // `count(distinct)` is one hashed insert per row in either form: that is
+    // `count(distinct)` is one hashed insert per row in every form: that is
     // MonetDB's price, though the run form deduplicates in the slot buffer.
     let distincts = aggs.iter().filter(|a| a.func == AggFunc::CountDistinct).count();
     prof.rand_accesses += nsel * distincts as u64;
@@ -388,21 +390,26 @@ fn compact_groups(cols: &[Vec<i64>], n: usize, gids: &mut Vec<u32>, firsts: &mut
     true
 }
 
-/// The least and the greatest of `c`, or `None` when it is empty. Four lanes
-/// keep the compare chains apart: one `(min, max)` fold is twice as slow.
-fn bounds(c: &[i64]) -> Option<(i64, i64)> {
-    let &k0 = c.first()?;
-    let (mut lo, mut hi) = ([k0; 4], [k0; 4]);
-    let chunks = c.chunks_exact(4);
-    for &k in chunks.remainder() {
-        (lo[0], hi[0]) = (lo[0].min(k), hi[0].max(k));
+/// The hash form's group resolution, with [`compact_groups`]'s contract over
+/// any key domain: fills `gids` with the group of each of the `n` rows and
+/// `firsts` with each group's first row, both in first-appearance order,
+/// through a map of each row's [`Key`].
+fn hash_groups(cols: &[Vec<i64>], n: usize, gids: &mut Vec<u32>, firsts: &mut Vec<u32>) {
+    let cols = ladder::as_slices(cols);
+    let mut map = KeyMap::default();
+    gids.clear();
+    firsts.clear();
+    for i in 0..n {
+        let key = Key::at(&cols, i);
+        // `get` first, not `entry`: rows of known groups dominate, and the
+        // entry API measured 10 % slower on them (it moves the key around).
+        gids.push(map.get(&key).copied().unwrap_or_else(|| {
+            let g = firsts.len() as u32;
+            map.insert(key, g);
+            firsts.push(i as u32);
+            g
+        }));
     }
-    for ks in chunks {
-        for j in 0..4 {
-            (lo[j], hi[j]) = (lo[j].min(ks[j]), hi[j].max(ks[j]));
-        }
-    }
-    Some((lo.into_iter().min()?, hi.into_iter().max()?))
 }
 
 /// A stable counting sort of the rows by their group ids `gids`, which are
@@ -455,18 +462,14 @@ fn merge_partials<'p>(
     let (mut runs, mut prev) = (true, None::<(&[Vec<i64>], usize)>);
     let continues: Vec<bool> = partials
         .iter()
-        .map(|p| match &p.keys {
-            _ if p.first_rows.is_empty() => false,
-            GroupKeys::Runs(keys) => {
-                let order = prev.map(|(last, at)| cmp_keys(last, at, keys, 0));
-                runs &= order != Some(Ordering::Greater);
-                prev = Some((keys, p.first_rows.len() - 1));
-                order == Some(Ordering::Equal)
+        .map(|p| {
+            if p.first_rows.is_empty() {
+                return false;
             }
-            GroupKeys::Hash(_) => {
-                runs = false;
-                false
-            }
+            let order = prev.map(|(last, at)| cmp_keys(last, at, &p.keys, 0));
+            runs &= p.cut == Cut::Runs && order != Some(Ordering::Greater);
+            prev = Some((&p.keys, p.first_rows.len() - 1));
+            order == Some(Ordering::Equal)
         })
         .collect();
     if runs {
@@ -507,7 +510,7 @@ fn append_runs<'p>(
 /// One budgeted hash group table — the whole input's, or one partition's: a
 /// reservation grown by `width` bytes per distinct group (the same constant
 /// the work profile charges to `hash_bytes`), the key → group map, and the
-/// accumulated states. It absorbs partials of either form. Dropping the
+/// accumulated states. It absorbs partials of every form. Dropping the
 /// table releases the reservation.
 struct GroupTable<'p> {
     guard: Reservation,
@@ -526,18 +529,11 @@ impl<'p> GroupTable<'p> {
     /// Folds one morsel partial in. Returns `false` — leaving the table
     /// unusable — as soon as a new group no longer fits the budget.
     fn absorb(&mut self, partial: MorselAgg<'p>) -> bool {
-        let ngroups = partial.first_rows.len();
-        let keys = match partial.keys {
-            GroupKeys::Runs(cols) => {
-                let cols = ladder::as_slices(&cols);
-                (0..ngroups).map(|g| Key::at(&cols, g)).collect()
-            }
-            GroupKeys::Hash(keys) => keys,
-        };
-        let mut gid_map: Vec<u32> = Vec::with_capacity(ngroups);
-        for (k, &fr) in keys.into_iter().zip(&partial.first_rows) {
+        let cols = ladder::as_slices(&partial.keys);
+        let mut gid_map: Vec<u32> = Vec::with_capacity(partial.first_rows.len());
+        for (g, &fr) in partial.first_rows.iter().enumerate() {
             let next = self.first_rows.len() as u32;
-            gid_map.push(match self.map.entry(k) {
+            gid_map.push(match self.map.entry(Key::at(&cols, g)) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
                     if !self.guard.grow(self.width) {
@@ -636,9 +632,9 @@ fn attempt<'p>(
 type KeyMap = FxMap<Key, u32>;
 
 /// A group key of `key_values`-encoded slots, as the key programs emit them:
-/// the common 0/1/2-column cases avoid heap allocation. The hash form builds
-/// one per row; the run form keeps key slots, and builds keys from them only
-/// when a hash merge takes its partial.
+/// the common 0/1/2-column cases avoid heap allocation. The hash form's
+/// resolver builds one per row to look its group up; every partial keeps key
+/// slots, and a hash merge builds one per partial group from them.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub(super) enum Key {
     Unit,
@@ -671,70 +667,60 @@ impl FromSlots for Key {
 
 /// One morsel's thread-local partial aggregation.
 struct MorselAgg<'p> {
-    keys: GroupKeys,
+    /// Each group's key slots, in first-appearance order, one vector per key
+    /// column (the layout [`FromSlots::at`] reads): the run merge compares a
+    /// partial's first with the last before it, and a hash merge makes them
+    /// keys.
+    keys: Vec<Vec<i64>>,
     first_rows: Vec<u32>,
     states: Vec<AggState<'p>>,
-    /// Whether the morsel's groups were found through a map (the hash
-    /// form), rather than by their runs or by index.
-    hashed: bool,
+    cut: Cut,
 }
 
-/// A partial's group keys, in first-appearance order, as its form found them.
-enum GroupKeys {
-    /// Cut in the run form: the morsel's key tuples never decreased, so its
-    /// groups are its runs and their keys ascend. Each group's key slots, one
-    /// vector per key column (the layout [`FromSlots::at`] reads): the run
-    /// merge compares a partial's first with the last before it, and a hash
-    /// merge makes them keys.
-    Runs(Vec<Vec<i64>>),
-    /// Cut in the compact or the hash form: one `Key` per group.
-    Hash(Vec<Key>),
+/// How a morsel found its groups, which names its form.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    /// Its runs: the key tuples never decreased, so its groups are
+    /// contiguous and their keys ascend.
+    Runs,
+    /// By index into a compact key domain, then sorted into runs.
+    Compact,
+    /// Through a map, then sorted into runs.
+    Hash,
 }
 
 impl<'p> MorselAgg<'p> {
     /// Folds the given rows of the source. One pass over the key buffers
     /// finds the runs of equal keys; when it meets no inversion the morsel
     /// is cut in runs, and each aggregate folds its input run by run, with
-    /// no per-row group id. Otherwise, when the key domain is compact, one
-    /// array indexed by each row's key gives it its group, a stable counting
-    /// sort orders the rows by group, and each aggregate folds its input,
-    /// permuted into that order, group by group as runs. Otherwise one
-    /// group-resolution pass through a map gives every row its group, and
-    /// each aggregate sweeps its input by group id. Either way the state
-    /// dispatch is hoisted out of the row loop. `first_rows` carry the
-    /// source's own row ids, so the merged group order and the key gathers
-    /// do not depend on how the rows were selected. Scratch buffers come from
-    /// the thread-local pools; what the partial keeps is allocated at its
-    /// final size.
+    /// no per-row group id. Otherwise each row is given its group — by one
+    /// array indexed by its key when the key domain is compact, else through
+    /// a map — a stable counting sort orders the rows by group, and each
+    /// aggregate folds its input, permuted into that order, group by group
+    /// as runs. Either way the state dispatch is hoisted out of the row loop.
+    /// `first_rows` carry the source's own row ids, so the merged group order
+    /// and the key gathers do not depend on how the rows were selected.
+    /// Scratch buffers come from the thread-local pools; what the partial
+    /// keeps is allocated at its final size.
     fn fold(rows: &Rows, feed: &Feed<'p>) -> Self {
+        let n = rows.len();
         let keybufs: Vec<Vec<i64>> = feed.keys.iter().map(|k| k.slots_of(rows)).collect();
-        let row_id = |i: usize| match rows {
-            Rows::Dense(r) => (r.start + i) as u32,
-            Rows::Sparse(s) => s[i],
-        };
-        let keycols = ladder::as_slices(&keybufs);
-        let mut starts = selection::take_scratch();
-        let mut gids = selection::take_scratch();
         let mut states = feed.empty.to_vec();
-        let mut firsts = Vec::new();
-        let partial = if key_runs(&keybufs, rows.len(), &mut starts) {
-            let groups = &starts[..starts.len() - 1];
+        let mut starts = selection::take_scratch();
+        let (mut gids, mut firsts) = (selection::take_scratch(), selection::take_scratch());
+        let cut = if key_runs(&keybufs, n, &mut starts) {
             feed.fold_inputs(&mut states, |p| p.slots_of(rows), |st, x| st.push_runs(&starts, x));
-            MorselAgg {
-                keys: GroupKeys::Runs(
-                    keybufs
-                        .iter()
-                        .map(|c| groups.iter().map(|&s| c[s as usize]).collect())
-                        .collect(),
-                ),
-                first_rows: groups.iter().map(|&s| row_id(s as usize)).collect(),
-                states,
-                hashed: false,
-            }
-        } else if compact_groups(&keybufs, rows.len(), &mut gids, &mut firsts) {
-            // The compact form: sorted by group, stably, each group is a run
-            // of its rows in row order, which is the order the hash form
-            // feeds them in.
+            firsts.extend_from_slice(&starts[..starts.len() - 1]);
+            Cut::Runs
+        } else {
+            let cut = if compact_groups(&keybufs, n, &mut gids, &mut firsts) {
+                Cut::Compact
+            } else {
+                hash_groups(&keybufs, n, &mut gids, &mut firsts);
+                Cut::Hash
+            };
+            // Sorted by group, stably, each group is a run of its rows in
+            // row order.
             let mut order = selection::take_scratch();
             sort_by_group(&gids, firsts.len(), &mut starts, &mut order);
             let permuted = |p: &Program| {
@@ -746,45 +732,19 @@ impl<'p> MorselAgg<'p> {
             };
             feed.fold_inputs(&mut states, permuted, |st, x| st.push_runs(&starts, x));
             selection::put_scratch(order);
-            MorselAgg {
-                keys: GroupKeys::Hash(
-                    firsts.iter().map(|&i| Key::at(&keycols, i as usize)).collect(),
-                ),
-                first_rows: firsts.iter().map(|&i| row_id(i as usize)).collect(),
-                states,
-                hashed: false,
-            }
-        } else {
-            // The hash form: each row's local group is the one the morsel's
-            // map holds for its key, or a new one.
-            let (mut map, mut keys, mut first_rows) = (KeyMap::default(), Vec::new(), Vec::new());
-            gids.clear();
-            for i in 0..rows.len() {
-                let key = Key::at(&keycols, i);
-                // `get` first, not `entry`: rows of known groups dominate, and
-                // the entry API measured 10 % slower on them (it moves the key
-                // around).
-                gids.push(map.get(&key).copied().unwrap_or_else(|| {
-                    let g = first_rows.len() as u32;
-                    map.insert(key.clone(), g);
-                    keys.push(key);
-                    first_rows.push(row_id(i));
-                    g
-                }));
-            }
-            let ngroups = first_rows.len();
-            feed.fold_inputs(
-                &mut states,
-                |p| p.slots_of(rows),
-                |st, x| {
-                    st.grow_to(ngroups);
-                    st.push_batch(&gids, x.as_deref());
-                },
-            );
-            MorselAgg { keys: GroupKeys::Hash(keys), first_rows, states, hashed: true }
+            cut
         };
-        selection::put_scratch(starts);
-        selection::put_scratch(gids);
+        let row_id = |i: u32| match rows {
+            Rows::Dense(r) => r.start as u32 + i,
+            Rows::Sparse(s) => s[i as usize],
+        };
+        let partial = MorselAgg {
+            keys: keybufs.iter().map(|c| firsts.iter().map(|&i| c[i as usize]).collect()).collect(),
+            first_rows: firsts.iter().map(|&i| row_id(i)).collect(),
+            states,
+            cut,
+        };
+        [starts, gids, firsts].into_iter().for_each(selection::put_scratch);
         keybufs.into_iter().for_each(bytecode::put_slots);
         partial
     }
@@ -829,7 +789,8 @@ impl SlotOrder<'_> {
 enum AggState<'p> {
     /// `count(*)` (no input) and `count_if` (0/1 slots).
     Count(Vec<i64>),
-    /// `count(distinct)` in the hash form: one set per group.
+    /// `count(distinct)` in a hash merge's table, and the empty state every
+    /// partial starts from: one set per group.
     Distinct(Vec<SmallSet>),
     /// `count(distinct)` in the run form: each group's distinct count. A
     /// partial keeps every group's distinct values back to back in `vals`,
@@ -871,7 +832,7 @@ enum AggState<'p> {
 const LONG_RUN: usize = 16;
 
 /// A float partial sum over `xs` (`f64::to_bits` slots): from `+0.0`, adding
-/// in row order — the order the hash form adds them into a fresh group.
+/// in row order.
 fn float_sum(xs: &[i64]) -> f64 {
     xs.iter().fold(0.0, |sum, &x| sum + f64::from_bits(x as u64))
 }
@@ -983,11 +944,12 @@ impl<'p> AggState<'p> {
         }
     }
 
-    /// Accumulates one morsel cut in runs: group `g` is rows
-    /// `starts[g]..starts[g + 1]` and is fed their `slots` in row order (no
-    /// slots: `count(*)`), so the state is built at its final size and no row
-    /// needs a group id. `count(distinct)` deduplicates each run in place in
-    /// the slot buffer, which it therefore shares with no other aggregate.
+    /// Accumulates one morsel whose rows are in runs of their groups, the one
+    /// kernel every form feeds: group `g` is rows `starts[g]..starts[g + 1]`
+    /// and is fed their `slots` in row order (no slots: `count(*)`), so the
+    /// state is built at its final size and no row needs a group id.
+    /// `count(distinct)` deduplicates each run in place in the slot buffer,
+    /// which it therefore shares with no other aggregate.
     fn push_runs(&mut self, starts: &[u32], slots: Option<&mut [i64]>) {
         let runs = || starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
         let Some(xs) = slots else {
@@ -1096,30 +1058,6 @@ impl<'p> AggState<'p> {
                 }
             }
             _ => unreachable!("partials share one state layout"),
-        }
-    }
-    /// Accumulates one morsel: row `i` belongs to group `gids[i]` and feeds
-    /// it `slots[i]` (no slots: `count(*)`), in row order.
-    fn push_batch(&mut self, gids: &[u32], slots: Option<&[i64]>) {
-        let rows = gids.iter().map(|&g| g as usize).zip(slots.unwrap_or_default().iter().copied());
-        match self {
-            AggState::Count(v) if slots.is_none() => gids.iter().for_each(|&g| v[g as usize] += 1),
-            AggState::Count(v) | AggState::SumInt(v) => rows.for_each(|(g, x)| v[g] += x),
-            AggState::Distinct(v) => rows.for_each(|(g, x)| v[g].insert(x)),
-            AggState::DistinctRuns { .. } => unreachable!("a hash-form partial starts unbound"),
-            AggState::SumDec(v, _) => rows.for_each(|(g, x)| v[g] += x as i128),
-            AggState::SumFloat(v) => rows.for_each(|(g, x)| v[g] += f64::from_bits(x as u64)),
-            AggState::AvgFixed { sum, cnt, .. } => rows.for_each(|(g, x)| {
-                sum[g] += x as i128;
-                cnt[g] += 1;
-            }),
-            AggState::Avg { sum, cnt } => rows.for_each(|(g, x)| {
-                sum[g] += f64::from_bits(x as u64);
-                cnt[g] += 1;
-            }),
-            AggState::Extreme { best, want, order } => {
-                rows.for_each(|(g, x)| order.offer(&mut best[g], x, *want))
-            }
         }
     }
 
@@ -1584,11 +1522,49 @@ mod tests {
     }
 
     #[test]
-    fn bounds_are_the_least_and_greatest() {
-        assert_eq!(bounds(&[]), None);
-        assert_eq!(bounds(&[3]), Some((3, 3)));
-        assert_eq!(bounds(&[5, 1, 9, 2, 7, -4, 0]), Some((-4, 9)), "lanes and remainder");
-        assert_eq!(bounds(&[0, 0, 0, 0, i64::MIN, i64::MAX]), Some((i64::MIN, i64::MAX)));
+    fn hash_groups_are_first_appearances_found_through_a_map() {
+        let groups = |cols: &[Vec<i64>], n: usize| {
+            let (mut gids, mut firsts) = (vec![7], vec![7]);
+            hash_groups(cols, n, &mut gids, &mut firsts);
+            (gids, firsts)
+        };
+        assert_eq!(groups(&[vec![5, -3, 5, 7, -3]], 5), (vec![0, 1, 0, 2, 1], vec![0, 1, 3]));
+        assert_eq!(groups(&[vec![4, 4, 9]], 2), (vec![0, 0], vec![0]), "rows past n");
+        assert_eq!(groups(&[vec![]], 0), (vec![], vec![]), "no rows, no group");
+        let three = [vec![1, 1, 1, 1, 2], vec![2, 2, 3, 2, 2], vec![5, 6, 5, 5, 5]];
+        assert_eq!(
+            groups(&three, 5),
+            (vec![0, 1, 2, 0, 3], vec![0, 1, 2, 4]),
+            "three columns are one `Key::Many` tuple"
+        );
+        assert_eq!(
+            groups(&[vec![i64::MAX, i64::MIN, i64::MAX, 0, i64::MIN]], 5),
+            (vec![0, 1, 0, 2, 1], vec![0, 1, 3])
+        );
+    }
+
+    /// Over any key domain compact enough for both, the two resolvers hand
+    /// every row the same group and every group the same first row.
+    #[test]
+    fn compact_and_hash_groups_agree() {
+        for seed in 0..64 {
+            let mut rng = proptest::rng::Rng::for_case("compact_vs_hash_groups", seed);
+            let n = [1, 2, 4096][rng.below(3) as usize];
+            let mut room = COMPACT_GROUPS;
+            let cols: Vec<Vec<i64>> = (0..1 + rng.below(3))
+                .map(|_| {
+                    let span = 1 + rng.below(room);
+                    room /= span;
+                    let lo = rng.below(2001) as i64 - 1000;
+                    (0..n).map(|_| lo + rng.below(span) as i64).collect()
+                })
+                .collect();
+            let (mut compact, mut hashed) = ((vec![], vec![]), (vec![], vec![]));
+            let fits = compact_groups(&cols, n, &mut compact.0, &mut compact.1);
+            hash_groups(&cols, n, &mut hashed.0, &mut hashed.1);
+            assert!(fits, "replay seed {seed}: spans multiply past the bound");
+            assert_eq!(compact, hashed, "replay seed {seed}: the resolvers disagree");
+        }
     }
 
     #[test]

@@ -106,10 +106,10 @@ impl Hasher for FxHasher {
 
 /// A set of `i64`s sized for `count(distinct)` groups, most of which hold a
 /// handful of values: up to [`SmallSet::INLINE`] values live in place and are
-/// scanned linearly; past that the set moves to a hash set. It serves the
-/// aggregate's hash form, one set per group, and the run form's merge, one
-/// set for the last group only; a run-form partial deduplicates its runs in
-/// place and keeps no set.
+/// scanned linearly; past that the set moves to a hash set. It lives only in
+/// the aggregate's merges: the hash merge's table holds one set per group,
+/// the run merge one for its open (last) group. A partial of any form
+/// deduplicates its runs in place and keeps no set.
 #[derive(Clone)]
 pub(super) enum SmallSet {
     Inline { len: u8, vals: [i64; SmallSet::INLINE] },

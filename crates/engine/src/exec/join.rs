@@ -36,7 +36,7 @@ use std::time::Instant;
 use super::hash::{fx_map, fx_slot, FxMap};
 use super::ladder::{self, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels, run_morsels_spanned, EngineConfig};
-use super::{ensure_u32_indexable, key_values};
+use super::{bounds, ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::governor::QueryContext;
 use crate::plan::JoinType;
@@ -84,8 +84,7 @@ impl Form {
         if one && rk.windows(2).all(|w| w[0] < w[1]) && lk.windows(2).all(|w| w[0] <= w[1]) {
             return (Form::Cursor, rk.first().zip(rk.last()).map(|(&lo, &hi)| (lo, hi)));
         }
-        let Some(&first) = rk.first() else { return (Form::Hash, None) };
-        let (min, max) = rk.iter().fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let Some((min, max)) = bounds(rk) else { return (Form::Hash, None) };
         // In i128: `i64::MIN` and `i64::MAX` may both be build keys.
         let span = max as i128 - min as i128 + 1;
         let hash_bytes = Form::Hash.table_bytes(rk.len(), 1) as i128;

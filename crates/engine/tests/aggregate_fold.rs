@@ -382,9 +382,9 @@ fn every_configuration_folds_to_the_reference() {
 /// order each group is one long run, so `count(distinct)` deduplicates long
 /// runs, and the run merge carries a group's values across morsel
 /// boundaries at every morsel size (one group spans the 4096-row boundary).
-/// Out of order, the compact form sorts each group into one long run; spread
-/// past the compact bound, the hash form's sets outgrow their inline
-/// capacity.
+/// Out of order, the compact form sorts each group into one long run, and so
+/// does the hash form past the compact bound; either way the hash merge's
+/// sets outgrow their inline capacity.
 #[test]
 fn long_runs_of_many_distinct_values_fold_to_the_reference() {
     let mut rng = Rng::for_case("aggregate_fold_long_runs", 0);

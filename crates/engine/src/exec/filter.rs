@@ -8,8 +8,9 @@
 //! fraction of the bytes a naive evaluate-everything-fully filter would —
 //! exactly the candidate-list optimization MonetDB applies, and the reason Q6
 //! is cheap even on a bandwidth-starved Pi (paper §II-D1). The same loop feeds
-//! the `Filter` operator ([`exec_filter`], which gathers the survivors once)
-//! and the aggregation fold, which folds the filters beneath an aggregate.
+//! the `Filter` operator ([`exec_filter`], which hands on the survivors as
+//! row ids) and the aggregation fold, which folds the filters beneath an
+//! aggregate.
 //!
 //! The loop is the same under both executors; `Executor` decides only what
 //! it is *priced* as, from the rows each conjunct examined, one `Filter`
@@ -30,7 +31,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use crate::error::Result;
-use crate::exec::bytecode::{Cost, Program, Ty};
+use crate::exec::bytecode::{Cost, Program};
 use crate::exec::ensure_u32_indexable;
 use crate::exec::parallel::{morsel_ranges, run_morsels, EngineConfig, Executor};
 use crate::exec::prune::{ScanPruner, Verdict};
@@ -42,8 +43,9 @@ use crate::stats::WorkProfile;
 use wimpi_obs::{Span, Tracer};
 use wimpi_storage::{selection, Table};
 
-/// Filters `rel` by `predicate` and gathers the surviving rows of every
-/// column, charged in `cfg.executor`'s cost form (see the module docs).
+/// Filters `rel` by `predicate` and hands on the survivors as row ids — the
+/// candidate list, gathering no column — charged in `cfg.executor`'s cost
+/// form (see the module docs) as the gather of every column it selects.
 ///
 /// When `table` is the sealed table this filter scans (passed only under
 /// `cfg.prune_scans`), its zone maps may prove whole morsels dead and
@@ -66,25 +68,26 @@ pub fn exec_filter(
         chain.filter_morsel(pruner.as_ref(), if ctx.interrupted() { 0..0 } else { r })
     });
     ctx.checkpoint()?;
-    let (mut sel, mut tally) = (selection::take_scratch(), chain.tally());
-    sel.reserve_exact(morsels.iter().map(|(kept, _)| kept.len()).sum());
+    let mut sel = Vec::with_capacity(morsels.iter().map(|(kept, _)| kept.len()).sum());
+    let mut tally = chain.tally();
     for (kept, counts) in morsels {
         sel.extend_from_slice(&kept);
         selection::put_scratch(kept);
         tally.add(&counts);
     }
-    let wall_ns = started.map(|s| s.elapsed().as_nanos() as u64);
-    chain.settle(&tally, n, sel.len() as u64, wall_ns, None, prof, cfg, tracer);
-    let out = rel.take(&sel);
-    charge_gather(rel, &out, sel.len(), prof);
-    selection::put_scratch(sel);
+    let (wall_ns, nsel) = (started.map(|s| s.elapsed().as_nanos() as u64), sel.len());
+    chain.settle(&tally, n, nsel as u64, wall_ns, None, prof, cfg, tracer);
+    let out = rel.take_ids(sel, false);
+    charge_gather(rel, &out, nsel, prof);
     Ok(out)
 }
 
-/// Charges a gather/materialization. Selection vectors are sorted, so the
-/// gather walks every column *forward* — it is priced as streaming (reads
-/// of the touched fraction plus the written output), not as random access;
-/// random pricing is reserved for hash probes.
+/// Charges the gather of every column of `output`, made now or on its first
+/// read (computed from its types and row count: see
+/// [`Relation::stream_bytes`]). Selection vectors are sorted, so the gather
+/// walks every column *forward* — it is priced as streaming (reads of the
+/// touched fraction plus the written output), not as random access; random
+/// pricing is reserved for hash probes.
 pub(crate) fn charge_gather(
     input: &Relation,
     output: &Relation,
@@ -123,9 +126,9 @@ impl Conjuncts {
         for c in &parts {
             let (pred, cost) = compile_conjunct(c, src)?;
             let needed = c.column_set();
-            let fields = src.fields().iter().filter(|(name, _)| needed.contains(name));
+            let widths = src.widths().filter(|(name, _)| needed.contains(*name));
             preds.push(pred);
-            priced.push((cost, fields.map(|(_, col)| Ty::of_column(col).width()).sum()));
+            priced.push((cost, widths.map(|(_, w)| w).sum()));
         }
         Ok(Conjuncts { preds, priced, nodes })
     }
@@ -230,8 +233,7 @@ impl Conjuncts {
                 Executor::Materialize => {
                     self.charge_materialized(node.clone(), t, dead_morsels > 0, prof);
                     if let Some((src, ctx)) = folded {
-                        let fields = src.fields().iter();
-                        let width: u64 = fields.map(|(_, col)| Ty::of_column(col).width()).sum();
+                        let width: u64 = src.widths().map(|(_, w)| w).sum();
                         prof.seq_read_bytes += kept * width;
                         prof.seq_write_bytes += kept * width;
                         prof.cpu_ops += kept * src.num_columns().max(1) as u64;

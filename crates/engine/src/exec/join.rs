@@ -40,7 +40,7 @@ use super::{bounds, ensure_u32_indexable, key_values};
 use crate::error::{EngineError, Result};
 use crate::governor::QueryContext;
 use crate::plan::JoinType;
-use crate::relation::Relation;
+use crate::relation::{Relation, NONE_ROW};
 use crate::stats::WorkProfile;
 use wimpi_obs::{MorselSink, MorselSpan, Span, Tracer};
 use wimpi_storage::{selection, Column, DataType};
@@ -52,8 +52,6 @@ const BUILD_BYTES_PER_ROW_KEY: u64 = 16;
 
 /// Synthetic column marking matched rows in a left outer join.
 pub const MATCHED_COL: &str = "__matched";
-
-const NONE_ROW: u32 = u32::MAX;
 
 /// How probe keys find their build rows. Chosen per invocation by
 /// [`Form::observe`] from the encoded key vectors alone — never a knob, the
@@ -235,27 +233,21 @@ pub fn exec_join(
     prof.hash_bytes += form.table_bytes(right.num_rows(), on.len());
     prof.seq_read_bytes += rows * 8 * on.len() as u64;
 
+    // The output selects rows and gathers no column: each side's fields
+    // compose one id vector per source, the unmatched rows of a left outer
+    // join reading as their type's default.
+    let nsel = lsel.len();
+    let kept = left.take_ids(lsel, false);
     let out = match join_type {
-        JoinType::Inner => {
-            let mut fields = left.take(&lsel).fields().to_vec();
-            let rtaken = right.take(&rsel);
-            fields.extend(rtaken.fields().iter().cloned());
-            Relation::new(fields)?
-        }
-        JoinType::Semi | JoinType::Anti => left.take(&lsel),
+        JoinType::Inner => kept.concat(right.take_ids(rsel, false))?,
+        JoinType::Semi | JoinType::Anti => kept,
         JoinType::LeftOuter => {
-            let mut fields = left.take(&lsel).fields().to_vec();
-            for (name, c) in right.fields() {
-                fields.push((name.clone(), Arc::new(take_optional(c, &rsel))));
-            }
-            fields.push((
-                MATCHED_COL.to_string(),
-                Arc::new(Column::Bool(rsel.iter().map(|&r| r != NONE_ROW).collect())),
-            ));
-            Relation::new(fields)?
+            let matched = Column::Bool(rsel.iter().map(|&r| r != NONE_ROW).collect());
+            let matched = Relation::new(vec![(MATCHED_COL.to_string(), Arc::new(matched))])?;
+            kept.concat(right.take_ids(rsel, true))?.concat(matched)?
         }
     };
-    super::filter::charge_gather(left, &out, lsel.len(), prof);
+    super::filter::charge_gather(left, &out, nsel, prof);
     Ok(out)
 }
 
@@ -734,35 +726,12 @@ fn attach_phases(
     tracer.attach(probe);
 }
 
-/// Gathers rows, substituting a type default where the index is `NONE_ROW`.
-fn take_optional(col: &Column, sel: &[u32]) -> Column {
-    match col {
-        Column::Int64(v) => Column::Int64(
-            sel.iter().map(|&i| if i == NONE_ROW { 0 } else { v[i as usize] }).collect(),
-        ),
-        Column::Int32(v) => Column::Int32(
-            sel.iter().map(|&i| if i == NONE_ROW { 0 } else { v[i as usize] }).collect(),
-        ),
-        Column::Float64(v) => Column::Float64(
-            sel.iter().map(|&i| if i == NONE_ROW { 0.0 } else { v[i as usize] }).collect(),
-        ),
-        Column::Decimal(v, s) => Column::Decimal(
-            sel.iter().map(|&i| if i == NONE_ROW { 0 } else { v[i as usize] }).collect(),
-            *s,
-        ),
-        Column::Date(v) => Column::Date(
-            sel.iter().map(|&i| if i == NONE_ROW { 0 } else { v[i as usize] }).collect(),
-        ),
-        Column::Bool(v) => {
-            Column::Bool(sel.iter().map(|&i| i != NONE_ROW && v[i as usize]).collect())
-        }
-        Column::Str(d) => Column::Str(d.take_or_empty(sel, NONE_ROW)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::filter::exec_filter;
+    use crate::expr::{col, lit};
+    use wimpi_storage::Value;
 
     fn rel(pairs: Vec<(&str, Vec<i64>)>) -> Relation {
         Relation::new(
@@ -1498,36 +1467,209 @@ mod tests {
         }
     }
 
-    /// The left-outer string gather shares the build side's dictionary and
-    /// decodes exactly as the row-by-row rebuild it replaced.
-    #[test]
-    fn take_optional_gathers_strings_over_the_shared_dictionary() {
-        let rebuild = |d: &wimpi_storage::DictColumn, sel: &[u32]| -> Vec<String> {
-            sel.iter()
-                .map(|&i| if i == NONE_ROW { String::new() } else { d.get(i as usize).to_string() })
-                .collect()
-        };
-        let with_empty: wimpi_storage::DictColumn = ["b", "", "a", "b"].into_iter().collect();
-        let without: wimpi_storage::DictColumn = ["b", "c", "a", "b"].into_iter().collect();
-        for d in [&with_empty, &without] {
-            for sel in [&[3u32, 0, 2][..], &[NONE_ROW, 3, NONE_ROW, 1], &[NONE_ROW], &[]] {
-                let Column::Str(got) = take_optional(&Column::Str(d.clone()), sel) else {
-                    panic!("a string column")
-                };
-                let decoded: Vec<String> = got.iter().map(str::to_string).collect();
-                assert_eq!(decoded, rebuild(d, sel));
-                let grew = sel.contains(&NONE_ROW) && d.code_of("").is_none();
-                assert_eq!(
-                    got.cardinality(),
-                    d.cardinality() + grew as usize,
-                    "\"\" is coded at most once"
-                );
-                assert_eq!(
-                    std::ptr::eq(got.values().as_ptr(), d.values().as_ptr()),
-                    !grew,
-                    "shared unless it grew"
-                );
+    /// A relation as plain rows of values: what the reference join reads
+    /// and writes, and what a join's answer is compared as — equal whatever
+    /// codes a dictionary gave its strings.
+    #[derive(Debug, PartialEq)]
+    struct Rows {
+        names: Vec<String>,
+        types: Vec<DataType>,
+        rows: Vec<Vec<Value>>,
+    }
+
+    fn rows_of(rel: &Relation) -> Rows {
+        let names: Vec<String> = rel.names().map(str::to_string).collect();
+        let types = names.iter().map(|n| rel.data_type(n).unwrap()).collect();
+        let rows = (0..rel.num_rows())
+            .map(|i| names.iter().map(|n| rel.value(i, n).unwrap()).collect())
+            .collect();
+        Rows { names, types, rows }
+    }
+
+    /// `rel` narrowed to the rows where `f > 0` by the `Filter` operator — a
+    /// lazy relation — and the same rows picked out of its plain rows (`f`
+    /// is never negative).
+    fn filtered(rel: &Relation, f: &str) -> (Relation, Rows) {
+        let (mut p, ctx, serial) =
+            (WorkProfile::new(), QueryContext::default(), EngineConfig::serial());
+        let pred = col(f).gt(lit(0i64));
+        let lazy = exec_filter(rel, &pred, None, &mut p, &serial, Tracer::off(), &ctx).unwrap();
+        let mut want = rows_of(rel);
+        let at = want.names.iter().position(|n| n == f).unwrap();
+        want.rows.retain(|row| row[at] != Value::I64(0));
+        (lazy, want)
+    }
+
+    /// The reference join, a nested loop over plain rows: each left row in
+    /// order with its matching right rows latest first — the chain order
+    /// every form emits — and the unmatched rows as the join type says, a
+    /// left outer join's right side reading as its type's default.
+    fn nested_loop(l: &Rows, r: &Rows, (lk, rk): (&str, &str), jt: JoinType) -> Rows {
+        let (li, ri) = (l.names.iter().position(|n| n == lk), r.names.iter().position(|n| n == rk));
+        let (li, ri) = (li.unwrap(), ri.unwrap());
+        let defaults: Vec<Value> = r.types.iter().map(|&t| default_of(t)).collect();
+        let mut rows = Vec::new();
+        for left in &l.rows {
+            let hits: Vec<&Vec<Value>> =
+                r.rows.iter().rev().filter(|row| row[ri] == left[li]).collect();
+            let joined = |right: &[Value], matched: bool| {
+                let mut row = left.clone();
+                row.extend_from_slice(right);
+                if jt == JoinType::LeftOuter {
+                    row.push(Value::Bool(matched));
+                }
+                row
+            };
+            match jt {
+                JoinType::Semi if !hits.is_empty() => rows.push(left.clone()),
+                JoinType::Anti if hits.is_empty() => rows.push(left.clone()),
+                JoinType::LeftOuter if hits.is_empty() => rows.push(joined(&defaults, false)),
+                JoinType::Inner | JoinType::LeftOuter => {
+                    rows.extend(hits.into_iter().map(|right| joined(right, true)))
+                }
+                _ => {}
             }
         }
+        let (mut names, mut types) = (l.names.clone(), l.types.clone());
+        if matches!(jt, JoinType::Inner | JoinType::LeftOuter) {
+            names.extend(r.names.iter().cloned());
+            types.extend(&r.types);
+        }
+        if jt == JoinType::LeftOuter {
+            names.push(MATCHED_COL.to_string());
+            types.push(DataType::Bool);
+        }
+        Rows { names, types, rows }
+    }
+
+    fn default_of(t: DataType) -> Value {
+        match t {
+            DataType::Int64 => Value::I64(0),
+            DataType::Int32 => Value::I32(0),
+            DataType::Float64 => Value::F64(0.0),
+            DataType::Decimal(s) => Value::Dec(wimpi_storage::Decimal64::new(0, s)),
+            DataType::Date => Value::Date(wimpi_storage::Date32(0)),
+            DataType::Utf8 => Value::Str(String::new()),
+            DataType::Bool => Value::Bool(false),
+        }
+    }
+
+    /// The three regimes every join runs under: unbudgeted, a 300 B budget
+    /// (Grace partitions), and a 32 B budget with a spill disk (the spill
+    /// rung), each at 1/2/4 threads on 13-row morsels. Runs `f` under each
+    /// and checks the regime engaged: `f` returns the profile of its joins.
+    fn under_every_regime(mut f: impl FnMut(&EngineConfig, &QueryContext) -> WorkProfile) {
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::with_threads(threads).with_morsel_rows(13);
+            let ctx = QueryContext::default();
+            f(&cfg, &ctx);
+            assert_eq!(ctx.fallbacks(), 0, "{threads} threads, unbudgeted");
+
+            let ctx = QueryContext::with_budget(300);
+            let p = f(&cfg, &ctx);
+            assert!(ctx.fallbacks() > 0 && p.spilled_bytes == 0, "{threads} threads, Grace");
+            assert_eq!(ctx.used(), 0);
+
+            let disk = spill_disk(wimpi_storage::SpillConfig::with_capacity(16 << 20));
+            let ctx = QueryContext::with_budget(32).with_spill(Arc::clone(&disk));
+            let p = f(&cfg, &ctx);
+            assert!(p.spilled_bytes > 0, "{threads} threads: the spill rung must engage");
+            assert_eq!((ctx.used(), disk.used()), (0, 0));
+        }
+    }
+
+    /// A relation of `n` rows: a key `{key}` from `k(i)`, a second key
+    /// `{key}2` (`5i mod 200`), a filter column `{key}_f` that keeps two rows
+    /// in three, and payloads of four types named after `key`.
+    fn source(key: &str, n: i64, k: impl Fn(i64) -> i64) -> Relation {
+        let names = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL"];
+        let int = |f: &dyn Fn(i64) -> i64| Arc::new(Column::Int64((0..n).map(f).collect()));
+        let strs = Column::Str((0..n).map(|i| names[i as usize % 5]).collect());
+        Relation::new(vec![
+            (key.to_string(), int(&k)),
+            (format!("{key}2"), int(&|i| i * 5 % 200)),
+            (format!("{key}_f"), int(&|i| i % 3)),
+            (format!("{key}_i"), Arc::new(Column::Int32((1..=n as i32).collect()))),
+            (format!("{key}_s"), Arc::new(strs)),
+            (format!("{key}_b"), Arc::new(Column::Bool((0..n).map(|i| i % 4 != 0).collect()))),
+            (
+                format!("{key}_d"),
+                Arc::new(Column::Decimal((0..n).map(|i| i * 25 + 1).collect(), 2)),
+            ),
+        ])
+        .unwrap()
+    }
+
+    /// Each join type with a lazy probe side and a lazy build side — both
+    /// the `Filter` operator's output, made afresh for every run — answers
+    /// what the nested loop over the inputs' plain rows does, in every regime;
+    /// a left outer join's unmatched rows read `0`, `""` and `false`.
+    #[test]
+    fn every_join_type_over_lazy_inputs_answers_the_nested_loop() {
+        // 600 probe keys over 0..500 against the even keys of 3j mod 1000,
+        // some twice.
+        let inputs = || {
+            let (l, lg) = filtered(&source("lk", 600, |i| i * 7 % 500), "lk_f");
+            let (r, rg) = filtered(&source("rk", 400, |j| j * 3 % 1000 / 2 * 2), "rk_f");
+            ((l, r), (lg, rg))
+        };
+        let (_, (lg, rg)) = inputs();
+        for jt in ALL_TYPES {
+            let want = nested_loop(&lg, &rg, ("lk", "rk"), jt);
+            if jt == JoinType::LeftOuter {
+                let cell = |row: &[Value], n: &str| {
+                    row[want.names.iter().position(|m| m == n).unwrap()].clone()
+                };
+                let miss =
+                    want.rows.iter().find(|row| cell(row, MATCHED_COL) == Value::Bool(false));
+                let miss = miss.expect("some row is unmatched");
+                assert_eq!(cell(miss, "rk_i"), Value::I32(0));
+                assert_eq!(cell(miss, "rk_s"), Value::Str(String::new()));
+                assert_eq!(cell(miss, "rk_b"), Value::Bool(false));
+            }
+            under_every_regime(|cfg, ctx| {
+                let ((l, r), _) = inputs();
+                let (mut p, on) = (WorkProfile::new(), [("lk".to_string(), "rk".to_string())]);
+                let got = exec_join(&l, &r, &on, jt, &mut p, cfg, Tracer::off(), ctx).unwrap();
+                assert_eq!(rows_of(&got), want, "{jt:?}");
+                p
+            });
+        }
+    }
+
+    /// A three-level inner chain whose inputs are each filtered, lazy
+    /// relations — the second level joins on a key of the first level's
+    /// build side, the third on the probe's again — answers what the nested
+    /// loop does level by level over the inputs' plain rows, in every regime.
+    #[test]
+    fn a_three_level_chain_over_lazy_inputs_answers_the_nested_loop() {
+        let inputs = || {
+            [
+                ("ak", source("ak", 900, |i| i * 11 % 450)),
+                ("bk", source("bk", 300, |j| j * 3 / 2)),
+                ("ck", source("ck", 250, |j| j)),
+                ("dk", source("dk", 260, |j| 199 - j % 200)),
+            ]
+            .map(|(k, rel)| filtered(&rel, &format!("{k}_f")))
+        };
+        let keys = [("ak", "bk"), ("bk2", "ck"), ("ak2", "dk")];
+        let [(_, ag), (_, bg), (_, cg), (_, dg)] = inputs();
+        let inner = JoinType::Inner;
+        let mut want = ag;
+        for ((lk, rk), build) in keys.iter().zip([&bg, &cg, &dg]) {
+            want = nested_loop(&want, build, (lk, rk), inner);
+        }
+        assert!(want.rows.len() > 100, "a chain that keeps rows: {}", want.rows.len());
+        under_every_regime(|cfg, ctx| {
+            let [(a, _), (b, _), (c, _), (d, _)] = inputs();
+            let mut p = WorkProfile::new();
+            let mut acc = a;
+            for ((lk, rk), build) in keys.iter().zip([&b, &c, &d]) {
+                let on = [(lk.to_string(), rk.to_string())];
+                acc = exec_join(&acc, build, &on, inner, &mut p, cfg, Tracer::off(), ctx).unwrap();
+            }
+            assert_eq!(rows_of(&acc), want);
+            p
+        });
     }
 }

@@ -1,10 +1,15 @@
 //! Physical execution: a recursive operator-at-a-time interpreter over
-//! [`LogicalPlan`]. Each operator hands the next a materialized relation,
-//! except that an aggregate folds the `Filter` chain beneath it, building no
-//! filtered copy. Every operator charges its work to a [`WorkProfile`] in the
-//! price list [`parallel::Executor`] names — MonetDB's full materialization,
-//! the execution style the paper benchmarks, or the base columns streamed —
-//! which changes no result, span or governor decision.
+//! [`LogicalPlan`]. Operators hand on row ids, not gathered copies: a filter
+//! passes its candidate list and a join its two index vectors, composed into
+//! one id vector per source ([`Relation`]), and a column is gathered once,
+//! where it is first read — a join key, a program's input, a sort key — or at
+//! the root, which [`execute`] returns gathered. An aggregate also folds the
+//! `Filter` chain beneath it, building no candidate list. Every operator
+//! charges its work to a [`WorkProfile`] in the price list
+//! [`parallel::Executor`] names — MonetDB's full materialization, the
+//! execution style the paper benchmarks, or the base columns streamed — from
+//! column widths and row counts, so where a gather happens changes no charge,
+//! span or governor decision.
 //!
 //! Tracing is an argument, not a second entry point: [`execute`] threads the
 //! caller's [`Tracer`] through the interpreter, and under an enabled one
@@ -34,7 +39,7 @@ use crate::eval::Evaluator;
 use crate::expr::Expr;
 use crate::governor::QueryContext;
 use crate::plan::LogicalPlan;
-use crate::relation::Relation;
+use crate::relation::{Field, Relation};
 use crate::stats::WorkProfile;
 use parallel::EngineConfig;
 use wimpi_obs::Tracer;
@@ -51,7 +56,8 @@ use wimpi_storage::{Catalog, Table};
 /// ungoverned. `tracer` is [`Tracer::off`] for an untraced run; an `EXPLAIN
 /// ANALYZE` caller passes [`Tracer::enabled`] and takes its root afterwards —
 /// a `query` span whose counters equal the returned profile exactly (one
-/// tracer records one call). Tracing never changes results or profiles.
+/// tracer records one call). Tracing never changes results or profiles. The
+/// returned relation has every column gathered: no row ids are left pending.
 pub fn execute(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -61,7 +67,7 @@ pub fn execute(
 ) -> Result<(Relation, WorkProfile)> {
     let mut prof = WorkProfile::new();
     let span = Scope::open(tracer, &prof, || ("query", String::new()));
-    let rel = exec_node(plan, catalog, &mut prof, cfg, tracer, ctx)?;
+    let rel = exec_node(plan, catalog, &mut prof, cfg, tracer, ctx)?.gather_all();
     prof.rows_out = rel.num_rows() as u64;
     span.close(prof.rows_in, prof.rows_out, &prof);
     Ok((rel, prof))
@@ -126,12 +132,13 @@ pub(crate) fn exec_node(
     Ok(rel)
 }
 
-/// Closes out one operator under the governor: materialized intermediates
-/// count toward the measured peak (scans share the catalog's columns and are
-/// not an allocation), and the profile's `peak_bytes` ratchets up to the
-/// query-wide high-water mark. The ratchet is monotone over the operator
-/// sequence, so traced span deltas telescope to exactly the root's peak —
-/// the property the independent trace checker validates.
+/// Closes out one operator under the governor: intermediates count toward the
+/// measured peak as their gathered form weighs, gathered yet or not (scans
+/// share the catalog's columns and are not an allocation), and the profile's
+/// `peak_bytes` ratchets up to the query-wide high-water mark. The ratchet is
+/// monotone over the operator sequence, so traced span deltas telescope to
+/// exactly the root's peak — the property the independent trace checker
+/// validates.
 fn finish_node(plan: &LogicalPlan, rel: &Relation, prof: &mut WorkProfile, ctx: &QueryContext) {
     if !matches!(plan, LogicalPlan::Scan { .. }) {
         ctx.track(rel.stream_bytes() as u64);
@@ -171,14 +178,18 @@ fn exec_node_inner(
             let mut fields = Vec::with_capacity(exprs.len());
             for (e, name) in exprs {
                 let span = Scope::open(tracer, prof, || ("eval", name.clone()));
-                let col = Evaluator::with_config(&rel, prof, *cfg).eval(e)?;
+                // A bare column is renamed and stays as it is, pending or not.
+                let field = match e {
+                    Expr::Col(c) => rel.field(c)?.clone(),
+                    _ => Field::dense(Evaluator::with_config(&rel, prof, *cfg).eval(e)?),
+                };
                 span.close(n, n, prof);
-                fields.push((name.clone(), col));
+                fields.push((name.clone(), field));
             }
             if fields.is_empty() {
                 return Err(EngineError::Plan("empty projection".to_string()));
             }
-            Ok((n, Relation::new(fields)?))
+            Ok((n, Relation::from_fields(fields)?))
         }
         LogicalPlan::Join { left, right, on, join_type } => {
             let l = exec_node(left, catalog, prof, cfg, tracer, ctx)?;
@@ -217,8 +228,7 @@ fn exec_node_inner(
                 return Ok((rows_in, rel));
             }
             ensure_u32_indexable(keep, "limit")?;
-            let sel: Vec<u32> = (0..keep as u32).collect();
-            Ok((rows_in, rel.take(&sel)))
+            Ok((rows_in, rel.take_ids((0..keep as u32).collect(), false)))
         }
     }
 }
@@ -343,7 +353,7 @@ pub(crate) fn expr_sketch(e: &Expr) -> String {
 ///
 /// Every operator that builds a `u32` row-index vector (`filter`, `join`,
 /// `aggregate`, `sort`, `limit`) guards its input through this before
-/// casting; `Relation::take` can then assume in-range indices.
+/// casting; a relation's row ids can then assume in-range indices.
 pub(crate) fn ensure_u32_indexable(n: usize, op: &str) -> Result<()> {
     if n >= u32::MAX as usize {
         return Err(EngineError::Unsupported(format!(

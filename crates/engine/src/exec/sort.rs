@@ -31,7 +31,8 @@ impl KeyRep {
     }
 }
 
-/// Sorts the relation by `keys` (most significant first).
+/// Sorts the relation by `keys` (most significant first) and hands on the
+/// order as row ids: only the key columns are gathered here.
 ///
 /// Sorting has no Grace-style fallback — the key representations and the
 /// index vector are the algorithm — so the whole buffer is reserved up
@@ -53,7 +54,7 @@ pub fn exec_sort(
     // 4 B/row index vector being sorted.
     let mut key_width = 4u64;
     for k in keys {
-        key_width += rel.column(&k.column)?.data_type().sort_key_bytes();
+        key_width += rel.data_type(&k.column)?.sort_key_bytes();
     }
     let idx = match ctx.try_reserve(n as u64 * key_width) {
         Some(_guard) => resident_order(rel, keys, n, ctx)?,
@@ -79,7 +80,7 @@ pub fn exec_sort(
     let logn = (n.max(2) as f64).log2().round() as u64;
     prof.cpu_ops += n as u64 * logn * keys.len() as u64;
     prof.seq_read_bytes += n as u64 * (key_width - 4);
-    let out = rel.take(&idx);
+    let out = rel.take_ids(idx, false);
     super::filter::charge_gather(rel, &out, n, prof);
     Ok(out)
 }

@@ -67,15 +67,7 @@ impl Column {
     /// their 4-byte codes (the dictionary itself is small and cache-hot).
     /// Use [`Column::heap_bytes`] for *resident memory* accounting instead.
     pub fn stream_bytes(&self) -> usize {
-        match self {
-            Column::Int64(v) => v.len() * 8,
-            Column::Int32(v) => v.len() * 4,
-            Column::Float64(v) => v.len() * 8,
-            Column::Decimal(v, _) => v.len() * 8,
-            Column::Date(v) => v.len() * 4,
-            Column::Str(d) => d.len() * 4,
-            Column::Bool(v) => v.len(),
-        }
+        self.len() * self.data_type().stream_width()
     }
 
     /// Bytes the column occupies in a system that stores strings *raw*

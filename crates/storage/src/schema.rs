@@ -40,6 +40,17 @@ impl DataType {
             _ => 8,
         }
     }
+
+    /// Bytes per row a column of this type streams when scanned: fixed-width
+    /// payloads in full, strings as their 4-byte dictionary codes, booleans
+    /// as one byte — the width behind [`crate::Column::stream_bytes`].
+    pub fn stream_width(&self) -> usize {
+        match self {
+            DataType::Int64 | DataType::Float64 | DataType::Decimal(_) => 8,
+            DataType::Int32 | DataType::Date | DataType::Utf8 => 4,
+            DataType::Bool => 1,
+        }
+    }
 }
 
 impl fmt::Display for DataType {

@@ -1,40 +1,17 @@
-//! The engine's one table hasher, plus the small set built on it.
+//! The engine's hash maps, plus the small set built on them.
 //!
-//! Every join `head` map and every group map hashes with [`FxBuild`]: a
-//! deterministic multiply-xor hasher (the FxHash construction). The default
-//! SipHash spends more per-row time hashing a one- or two-slot key than the
-//! operators spend chaining or accumulating it. Iteration order of these maps
-//! is never observed — join output order comes from row ids and the `next`
-//! chains, group order from `first_rows` — so the hasher cannot change any
-//! result. Keys are engine-encoded `i64` slots, never text from outside the
-//! program, so SipHash's flooding resistance buys nothing here. The price of
-//! the single multiply: a product's low bits are only as varied as the key's,
-//! so a column whose values all share many trailing zero bits would crowd the
-//! table's low buckets. The reproduced queries' keys (TPC-H surrogate keys,
-//! dates, dictionary codes) vary in their low bits, and a finishing rotate
-//! that would cure it measured 10 % slower on the key-ordered catalog.
+//! Every join `head` map and every group map hashes with the workspace's one
+//! table hasher, [`FxBuild`]; [`wimpi_storage::hash`] says why FxHash and not
+//! SipHash. Keys are engine-encoded `i64` slots.
 //!
 //! Budget-fallback *partition assignment* is a different matter: it decides
 //! fan-outs and spill traffic, which are observable, and stays on the fixed
 //! SipHash of [`super::partition`].
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
-/// Builds [`FxHasher`]s; zero-sized, so a map carries no per-instance seed.
-#[derive(Clone, Copy, Default)]
-pub(super) struct FxBuild;
-
-impl BuildHasher for FxBuild {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0)
-    }
-}
-
-pub(super) type FxMap<K, V> = HashMap<K, V, FxBuild>;
-pub(super) type FxSet<K> = HashSet<K, FxBuild>;
+pub(super) use wimpi_storage::hash::{FxBuild, FxMap, FxSet};
 
 /// An empty [`FxMap`] with room for `n` entries.
 pub(super) fn fx_map<K, V>(n: usize) -> FxMap<K, V> {
@@ -48,60 +25,6 @@ pub(super) fn fx_map<K, V>(n: usize) -> FxMap<K, V> {
 #[inline]
 pub(super) fn fx_slot<K: Hash>(k: &K, n: usize) -> usize {
     (((FxBuild.hash_one(k) >> 32) * n as u64) >> 32) as usize
-}
-
-pub(super) struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// One round per 8-byte little-endian word (an `[i64]` key hashes as its
-    /// raw bytes), then one per tail byte.
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")));
-        }
-        for &b in words.remainder() {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v)
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64)
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.add(v as u64)
-    }
 }
 
 /// A set of `i64`s sized for `count(distinct)` groups, most of which hold a
@@ -176,20 +99,10 @@ impl SmallSet {
 mod tests {
     use super::super::aggregate::Key;
     use super::*;
+    use std::collections::HashSet;
 
     fn fx<K: Hash>(k: &K) -> u64 {
         FxBuild.hash_one(k)
-    }
-
-    #[test]
-    fn write_folds_words_then_tail_bytes() {
-        let mut by_words = FxHasher(0);
-        by_words.write_u64(0x0807_0605_0403_0201);
-        by_words.write_u8(9);
-        by_words.write_u8(10);
-        let mut by_bytes = FxHasher(0);
-        by_bytes.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        assert_eq!(by_bytes.finish(), by_words.finish());
     }
 
     #[test]

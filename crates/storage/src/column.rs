@@ -266,13 +266,8 @@ impl Column {
                 Ok(Column::Date(out))
             }
             Column::Str(_) => {
-                let mut b = DictBuilder::new();
-                for p in parts {
-                    for s in p.as_str()?.iter() {
-                        b.push(s);
-                    }
-                }
-                Ok(Column::Str(b.finish()))
+                let dicts = parts.iter().map(|p| p.as_str()).collect::<Result<Vec<_>>>()?;
+                Ok(Column::Str(DictColumn::concat(&dicts)))
             }
             Column::Bool(_) => {
                 let mut out = Vec::new();

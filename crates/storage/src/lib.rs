@@ -13,6 +13,7 @@ pub mod date;
 pub mod decimal;
 pub mod dict;
 pub mod error;
+pub mod hash;
 pub mod integrity;
 pub mod morsel;
 pub mod schema;
@@ -27,7 +28,7 @@ pub use checksum::crc32c;
 pub use column::Column;
 pub use date::Date32;
 pub use decimal::Decimal64;
-pub use dict::{DictBuilder, DictColumn};
+pub use dict::{DictBuilder, DictColumn, IndexInterner};
 pub use error::{Result, StorageError};
 pub use integrity::{IntegrityManifest, IntegrityViolation};
 pub use schema::{DataType, Field, Schema, SchemaRef};

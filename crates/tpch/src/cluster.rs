@@ -9,6 +9,8 @@
 //! (DESIGN.md §14). Clustering is a pure row permutation: every query
 //! result is bit-identical to the unclustered catalog's.
 
+use std::cmp::Ordering;
+
 use wimpi_storage::{Catalog, Column, Result, StorageError, Table};
 
 use crate::gen::Generator;
@@ -26,19 +28,26 @@ pub fn cluster_by(table: &Table, column: &str) -> Result<Table> {
             right: u32::MAX as usize,
         });
     }
-    let key = table.column_by_name(column)?;
-    let mut order: Vec<u32> = (0..table.num_rows() as u32).collect();
-    match key.as_ref() {
-        Column::Int64(v) => order.sort_by_key(|&i| v[i as usize]),
-        Column::Int32(v) => order.sort_by_key(|&i| v[i as usize]),
-        Column::Date(v) => order.sort_by_key(|&i| v[i as usize]),
-        Column::Decimal(v, _) => order.sort_by_key(|&i| v[i as usize]),
-        Column::Bool(v) => order.sort_by_key(|&i| v[i as usize]),
-        Column::Float64(v) => order.sort_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize])),
-        Column::Str(d) => order.sort_by_key(|&i| d.get(i as usize)),
-    }
+    let order = match table.column_by_name(column)?.as_ref() {
+        Column::Int64(v) | Column::Decimal(v, _) => stable_order(v.iter().copied(), i64::cmp),
+        Column::Int32(v) | Column::Date(v) => stable_order(v.iter().copied(), i32::cmp),
+        Column::Bool(v) => stable_order(v.iter().copied(), bool::cmp),
+        Column::Float64(v) => stable_order(v.iter().copied(), f64::total_cmp),
+        Column::Str(d) => stable_order(d.iter(), <&str>::cmp),
+    };
     let columns = (0..table.num_columns()).map(|j| table.column(j).take(&order)).collect();
     Table::new(table.schema().as_ref().clone(), columns)
+}
+
+/// The row ids in ascending key order, equal keys in row order: the stable
+/// argsort. It sorts `(key, row)` pairs stably by key, so a comparison reads
+/// its keys in place rather than loading them through row ids. The ids are
+/// copied out into a vector of their own (collecting in place would keep
+/// the pairs' allocation alive through the gather that follows).
+fn stable_order<K>(keys: impl Iterator<Item = K>, cmp: impl Fn(&K, &K) -> Ordering) -> Vec<u32> {
+    let mut pairs: Vec<(K, u32)> = keys.zip(0u32..).collect();
+    pairs.sort_by(|a, b| cmp(&a.0, &b.0));
+    pairs.iter().map(|&(_, row)| row).collect()
 }
 
 /// The single-node catalog with `lineitem` clustered by `l_shipdate` and
@@ -92,6 +101,36 @@ mod tests {
         for j in 0..sorted.num_columns() {
             assert_eq!(sorted.column(j), again.column(j));
         }
+    }
+
+    #[test]
+    fn pair_sort_equals_the_stable_argsort() {
+        // Keys with many ties, in every order the row ids must break.
+        let keys: Vec<i64> = (0..5000u64).map(|i| ((i * 7919) % 13) as i64 - 6).collect();
+        let mut want: Vec<u32> = (0..keys.len() as u32).collect();
+        want.sort_by_key(|&i| keys[i as usize]);
+        assert_eq!(stable_order(keys.iter().copied(), i64::cmp), want);
+
+        let floats = [0.5, -0.0, f64::NAN, 0.0, -1.5, 0.5, f64::INFINITY, -0.0, -f64::NAN];
+        let mut want: Vec<u32> = (0..floats.len() as u32).collect();
+        want.sort_by(|&a, &b| floats[a as usize].total_cmp(&floats[b as usize]));
+        let table = |col: Column| {
+            let schema =
+                wimpi_storage::Schema::new(vec![wimpi_storage::Field::new("k", col.data_type())]);
+            Table::new(schema, vec![col]).unwrap()
+        };
+        let sorted = cluster_by(&table(Column::Float64(floats.to_vec())), "k").unwrap();
+        let want_f: Vec<u64> = want.iter().map(|&i| floats[i as usize].to_bits()).collect();
+        let got_f: Vec<u64> =
+            sorted.column(0).as_f64().unwrap().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got_f, want_f);
+
+        let words = ["pear", "fig", "apple", "fig", "kiwi", "apple", "pear", "fig"];
+        let col = Column::Str(words.iter().copied().collect());
+        let sorted = cluster_by(&table(col.clone()), "k").unwrap();
+        let mut want: Vec<u32> = (0..words.len() as u32).collect();
+        want.sort_by_key(|&i| words[i as usize]);
+        assert_eq!(sorted.column(0).as_ref(), &col.take(&want));
     }
 
     #[test]

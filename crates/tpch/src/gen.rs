@@ -8,20 +8,33 @@
 //!    from the reference dbgen while every distribution and selectivity is
 //!    preserved.
 //! 2. Free-text comments are drawn from a per-table pool of up to 65,536
-//!    distinct grammar-generated texts instead of one fresh text per row.
-//!    Pattern selectivities (`%special%requests%`, `%Customer%Complaints%`)
-//!    are unchanged because pool entries come from the same distribution;
+//!    grammar-generated texts instead of one fresh text per row. Pattern
+//!    selectivities (`%special%requests%`, `%Customer%Complaints%`) are
+//!    unchanged because pool entries come from the same distribution;
 //!    memory drops by an order of magnitude, which is what lets a laptop—or
 //!    a simulated 1 GB Pi node—hold SF 10 partitions. The orders and lineitem
 //!    pools depend only on the scale factor, so a [`Generator`] builds them
-//!    once, on its first chunk, and every later chunk reuses them.
+//!    once, on its first chunk, and every later chunk reuses them. Short
+//!    texts repeat within a pool (SF 0.01's 2,000 part comments hold 1,730
+//!    distinct texts), and equal pool texts share one dictionary code: a
+//!    pool maps each index to the first index holding its text, once, when
+//!    it is built.
+//!
+//! Every string a row draws by index — from a comment pool, a fixed word
+//! list, or a numbered domain such as `Clerk#…` — is interned by that index
+//! ([`IndexInterner`]): the row's text is never hashed, copied or formatted,
+//! and each distinct value is built once per column. Only free-form values
+//! (addresses, phone numbers, part names, the spliced supplier comments) go
+//! through a [`DictBuilder`]. Both produce the encoding pushing every row's
+//! text would: codes in first-appearance order.
 
 use std::sync::OnceLock;
 
 use crate::rng::{RowRng, Stream};
 use crate::schema;
 use crate::text;
-use wimpi_storage::{Catalog, Column, Date32, Decimal64, DictBuilder, Result, Table};
+use wimpi_storage::hash::{FxBuild, FxMap};
+use wimpi_storage::{Catalog, Column, Date32, DictBuilder, IndexInterner, Result, Table};
 
 /// TPC-H population constants (spec §4.2.3).
 pub const CUSTOMERS_PER_SF: f64 = 150_000.0;
@@ -55,21 +68,50 @@ const COMMENT_POOL_MAX: usize = 65_536;
 /// A pool of pre-generated pseudo-text comments.
 struct CommentPool {
     texts: Vec<String>,
+    /// Each index's first index holding the same text: the index a row's
+    /// comment is interned by, so equal texts share one code.
+    first: Vec<u32>,
 }
 
 impl CommentPool {
     fn new(stream: Stream, min: usize, max: usize, rows: u64) -> Self {
         let size = (rows as usize).clamp(1, COMMENT_POOL_MAX);
-        let texts =
+        let texts: Vec<String> =
             (0..size).map(|j| text::pseudo_text(&mut stream.rng(j as u64), min, max)).collect();
-        Self { texts }
+        let mut seen: FxMap<&str, u32> = FxMap::with_capacity_and_hasher(size, FxBuild);
+        let first =
+            (0..size as u32).map(|j| *seen.entry(&texts[j as usize]).or_insert(j)).collect();
+        Self { texts, first }
     }
 
-    /// Deterministically picks the comment for a row.
-    fn get(&self, rng: &mut RowRng) -> &str {
-        &self.texts[rng.index(self.texts.len())]
+    /// Deterministically picks the comment for a row: the first pool index
+    /// holding its text.
+    fn draw(&self, rng: &mut RowRng) -> usize {
+        self.first[rng.index(self.texts.len())] as usize
+    }
+
+    /// An interner over the pool, with room for `rows` rows.
+    fn interner(&self, rows: usize) -> IndexInterner {
+        IndexInterner::new(self.texts.len(), rows)
+    }
+
+    /// The comment column of the drawn indices.
+    fn finish(&self, comments: IndexInterner) -> Column {
+        Column::Str(comments.finish(|i| self.texts[i].clone()))
     }
 }
+
+/// The column of the indices drawn from a fixed word list.
+fn finish_list(list: &[&str], drawn: IndexInterner) -> Column {
+    Column::Str(drawn.finish(|i| list[i].to_string()))
+}
+
+/// `L_RETURNFLAG` values, by draw index.
+const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
+/// `L_LINESTATUS` values: shipped, open.
+const LINE_STATUSES: [&str; 2] = ["F", "O"];
+/// `O_ORDERSTATUS` values: all lines shipped, none, some.
+const ORDER_STATUSES: [&str; 3] = ["F", "O", "P"];
 
 /// The TPC-H data generator for one scale factor.
 ///
@@ -132,40 +174,42 @@ impl Generator {
 
     /// The fixed `region` table.
     pub fn region_table(&self) -> Result<Table> {
-        let pool = CommentPool::new(Stream::RegionComment, 31, 115, 5);
-        let mut name = DictBuilder::new();
-        let mut comment = DictBuilder::new();
+        let n = text::REGIONS.len();
+        let pool = CommentPool::new(Stream::RegionComment, 31, 115, n as u64);
+        let mut name = IndexInterner::new(n, n);
+        let mut comment = pool.interner(n);
         let mut key = Vec::new();
-        for (i, r) in text::REGIONS.iter().enumerate() {
+        for i in 0..n {
             key.push(i as i64);
-            name.push(r);
-            comment.push(pool.get(&mut Stream::RegionComment.rng(1000 + i as u64)));
+            name.push(i);
+            comment.push(pool.draw(&mut Stream::RegionComment.rng(1000 + i as u64)));
         }
         Table::new(
             schema::region(),
-            vec![Column::Int64(key), Column::Str(name.finish()), Column::Str(comment.finish())],
+            vec![Column::Int64(key), finish_list(text::REGIONS, name), pool.finish(comment)],
         )
     }
 
     /// The fixed `nation` table.
     pub fn nation_table(&self) -> Result<Table> {
-        let pool = CommentPool::new(Stream::NationComment, 31, 114, 25);
-        let mut name = DictBuilder::new();
-        let mut comment = DictBuilder::new();
+        let n = text::NATIONS.len();
+        let pool = CommentPool::new(Stream::NationComment, 31, 114, n as u64);
+        let mut name = IndexInterner::new(n, n);
+        let mut comment = pool.interner(n);
         let (mut key, mut rkey) = (Vec::new(), Vec::new());
-        for (i, &(n, r)) in text::NATIONS.iter().enumerate() {
+        for (i, &(_, r)) in text::NATIONS.iter().enumerate() {
             key.push(i as i64);
-            name.push(n);
+            name.push(i);
             rkey.push(r);
-            comment.push(pool.get(&mut Stream::NationComment.rng(1000 + i as u64)));
+            comment.push(pool.draw(&mut Stream::NationComment.rng(1000 + i as u64)));
         }
         Table::new(
             schema::nation(),
             vec![
                 Column::Int64(key),
-                Column::Str(name.finish()),
+                Column::Str(name.finish(|i| text::NATIONS[i].0.to_string())),
                 Column::Int64(rkey),
-                Column::Str(comment.finish()),
+                pool.finish(comment),
             ],
         )
     }
@@ -175,7 +219,7 @@ impl Generator {
         let n = self.num_suppliers();
         let pool = CommentPool::new(Stream::SuppComment, 25, 100, n);
         let mut key = Vec::with_capacity(n as usize);
-        let mut name = DictBuilder::with_capacity(n as usize);
+        let mut name = IndexInterner::new(n as usize, n as usize);
         let mut address = DictBuilder::with_capacity(n as usize);
         let mut nation = Vec::with_capacity(n as usize);
         let mut phone = DictBuilder::with_capacity(n as usize);
@@ -184,26 +228,25 @@ impl Generator {
         for i in 0..n {
             let suppkey = i as i64 + 1;
             key.push(suppkey);
-            name.push(&format!("Supplier#{suppkey:09}"));
+            name.push(i as usize);
             address.push(&Stream::SuppAddress.rng(i).v_string(10, 40));
             let nk = Stream::SuppNation.rng(i).uniform_i64(0, 24);
             nation.push(nk);
             phone.push(&phone_for(nk, &mut Stream::SuppPhone.rng(i)));
             acctbal.push(Stream::SuppAcctbal.rng(i).uniform_i64(-99_999, 999_999));
             // Spec §4.2.3: 5 per 10,000 suppliers complain, 5 recommend.
-            let base = pool.get(&mut Stream::SuppComment.rng(i)).to_string();
-            let text = match suppkey % 2000 {
-                13 => splice(&base, "Customer Complaints"),
-                1987 => splice(&base, "Customer Recommends"),
-                _ => base,
-            };
-            comment.push(&text);
+            let base = &pool.texts[pool.draw(&mut Stream::SuppComment.rng(i))];
+            match suppkey % 2000 {
+                13 => comment.push(&splice(base, "Customer Complaints")),
+                1987 => comment.push(&splice(base, "Customer Recommends")),
+                _ => comment.push(base),
+            }
         }
         Table::new(
             schema::supplier(),
             vec![
                 Column::Int64(key),
-                Column::Str(name.finish()),
+                Column::Str(name.finish(|i| format!("Supplier#{:09}", i + 1))),
                 Column::Str(address.finish()),
                 Column::Int64(nation),
                 Column::Str(phone.finish()),
@@ -218,36 +261,35 @@ impl Generator {
         let n = self.num_customers();
         let pool = CommentPool::new(Stream::CustComment, 29, 116, n);
         let mut key = Vec::with_capacity(n as usize);
-        let mut name = DictBuilder::with_capacity(n as usize);
+        let mut name = IndexInterner::new(n as usize, n as usize);
         let mut address = DictBuilder::with_capacity(n as usize);
         let mut nation = Vec::with_capacity(n as usize);
         let mut phone = DictBuilder::with_capacity(n as usize);
         let mut acctbal = Vec::with_capacity(n as usize);
-        let mut segment = DictBuilder::with_capacity(n as usize);
-        let mut comment = DictBuilder::with_capacity(n as usize);
+        let mut segment = IndexInterner::new(text::SEGMENTS.len(), n as usize);
+        let mut comment = pool.interner(n as usize);
         for i in 0..n {
-            let custkey = i as i64 + 1;
-            key.push(custkey);
-            name.push(&format!("Customer#{custkey:09}"));
+            key.push(i as i64 + 1);
+            name.push(i as usize);
             address.push(&Stream::CustAddress.rng(i).v_string(10, 40));
             let nk = Stream::CustNation.rng(i).uniform_i64(0, 24);
             nation.push(nk);
             phone.push(&phone_for(nk, &mut Stream::CustPhone.rng(i)));
             acctbal.push(Stream::CustAcctbal.rng(i).uniform_i64(-99_999, 999_999));
-            segment.push(text::SEGMENTS[Stream::CustSegment.rng(i).index(text::SEGMENTS.len())]);
-            comment.push(pool.get(&mut Stream::CustComment.rng(i)));
+            segment.push(Stream::CustSegment.rng(i).index(text::SEGMENTS.len()));
+            comment.push(pool.draw(&mut Stream::CustComment.rng(i)));
         }
         Table::new(
             schema::customer(),
             vec![
                 Column::Int64(key),
-                Column::Str(name.finish()),
+                Column::Str(name.finish(|i| format!("Customer#{:09}", i + 1))),
                 Column::Str(address.finish()),
                 Column::Int64(nation),
                 Column::Str(phone.finish()),
                 Column::Decimal(acctbal, 2),
-                Column::Str(segment.finish()),
-                Column::Str(comment.finish()),
+                finish_list(text::SEGMENTS, segment),
+                pool.finish(comment),
             ],
         )
     }
@@ -257,51 +299,54 @@ impl Generator {
         let n = self.num_parts();
         let pool = CommentPool::new(Stream::PartComment, 5, 22, n);
         let mut key = Vec::with_capacity(n as usize);
+        let (t2, t3) = (text::TYPES_2.len(), text::TYPES_3.len());
+        let c2 = text::CONTAINERS_2.len();
         let mut name = DictBuilder::with_capacity(n as usize);
-        let mut mfgr = DictBuilder::with_capacity(n as usize);
-        let mut brand = DictBuilder::with_capacity(n as usize);
-        let mut ptype = DictBuilder::with_capacity(n as usize);
+        let mut mfgr = IndexInterner::new(5, n as usize);
+        let mut brand = IndexInterner::new(5 * 5, n as usize);
+        let mut ptype = IndexInterner::new(text::TYPES_1.len() * t2 * t3, n as usize);
         let mut size = Vec::with_capacity(n as usize);
-        let mut container = DictBuilder::with_capacity(n as usize);
+        let mut container = IndexInterner::new(text::CONTAINERS_1.len() * c2, n as usize);
         let mut retail = Vec::with_capacity(n as usize);
-        let mut comment = DictBuilder::with_capacity(n as usize);
+        let mut comment = pool.interner(n as usize);
         for i in 0..n {
             let partkey = i as i64 + 1;
             key.push(partkey);
             name.push(&part_name(&mut Stream::PartName.rng(i)));
-            let m = Stream::PartMfgr.rng(i).uniform_i64(1, 5);
-            mfgr.push(&format!("Manufacturer#{m}"));
-            let b = Stream::PartBrand.rng(i).uniform_i64(1, 5);
-            brand.push(&format!("Brand#{m}{b}"));
+            // Manufacturer#M and Brand#MN, M and N uniform in 1..=5.
+            let m = Stream::PartMfgr.rng(i).index(5);
+            mfgr.push(m);
+            brand.push(m * 5 + Stream::PartBrand.rng(i).index(5));
             let mut trng = Stream::PartType.rng(i);
-            ptype.push(&format!(
-                "{} {} {}",
-                text::TYPES_1[trng.index(text::TYPES_1.len())],
-                text::TYPES_2[trng.index(text::TYPES_2.len())],
-                text::TYPES_3[trng.index(text::TYPES_3.len())],
-            ));
+            let t1 = trng.index(text::TYPES_1.len());
+            let t = (t1 * t2 + trng.index(t2)) * t3;
+            ptype.push(t + trng.index(t3));
             size.push(Stream::PartSize.rng(i).uniform_i64(1, 50) as i32);
             let mut crng = Stream::PartContainer.rng(i);
-            container.push(&format!(
-                "{} {}",
-                text::CONTAINERS_1[crng.index(text::CONTAINERS_1.len())],
-                text::CONTAINERS_2[crng.index(text::CONTAINERS_2.len())],
-            ));
+            let c1 = crng.index(text::CONTAINERS_1.len());
+            container.push(c1 * c2 + crng.index(c2));
             retail.push(retail_price_cents(partkey));
-            comment.push(pool.get(&mut Stream::PartComment.rng(i)));
+            comment.push(pool.draw(&mut Stream::PartComment.rng(i)));
         }
+        let type_of = |i: usize| {
+            let (t1, t) = (i / (t2 * t3), i % (t2 * t3));
+            let (a, b, c) = (text::TYPES_1[t1], text::TYPES_2[t / t3], text::TYPES_3[t % t3]);
+            format!("{a} {b} {c}")
+        };
+        let container_of =
+            |i: usize| format!("{} {}", text::CONTAINERS_1[i / c2], text::CONTAINERS_2[i % c2]);
         Table::new(
             schema::part(),
             vec![
                 Column::Int64(key),
                 Column::Str(name.finish()),
-                Column::Str(mfgr.finish()),
-                Column::Str(brand.finish()),
-                Column::Str(ptype.finish()),
+                Column::Str(mfgr.finish(|m| format!("Manufacturer#{}", m + 1))),
+                Column::Str(brand.finish(|b| format!("Brand#{}{}", b / 5 + 1, b % 5 + 1))),
+                Column::Str(ptype.finish(type_of)),
                 Column::Int32(size),
-                Column::Str(container.finish()),
+                Column::Str(container.finish(container_of)),
                 Column::Decimal(retail, 2),
-                Column::Str(comment.finish()),
+                pool.finish(comment),
             ],
         )
     }
@@ -316,7 +361,7 @@ impl Generator {
         let mut skey = Vec::with_capacity(rows as usize);
         let mut avail = Vec::with_capacity(rows as usize);
         let mut cost = Vec::with_capacity(rows as usize);
-        let mut comment = DictBuilder::with_capacity(rows as usize);
+        let mut comment = pool.interner(rows as usize);
         for i in 0..parts {
             let partkey = i as i64 + 1;
             for j in 0..4i64 {
@@ -325,7 +370,7 @@ impl Generator {
                 skey.push(supplier_for_part(partkey, j, suppliers));
                 avail.push(Stream::PsAvailQty.rng(row).uniform_i64(1, 9999) as i32);
                 cost.push(Stream::PsSupplyCost.rng(row).uniform_i64(100, 100_000));
-                comment.push(pool.get(&mut Stream::PsComment.rng(row)));
+                comment.push(pool.draw(&mut Stream::PsComment.rng(row)));
             }
         }
         Table::new(
@@ -335,7 +380,7 @@ impl Generator {
                 Column::Int64(skey),
                 Column::Int32(avail),
                 Column::Decimal(cost, 2),
-                Column::Str(comment.finish()),
+                pool.finish(comment),
             ],
         )
     }
@@ -375,13 +420,13 @@ impl Generator {
         // orders columns
         let mut o_key = Vec::with_capacity(n);
         let mut o_cust = Vec::with_capacity(n);
-        let mut o_status = DictBuilder::with_capacity(n);
+        let mut o_status = IndexInterner::new(ORDER_STATUSES.len(), n);
         let mut o_total = Vec::with_capacity(n);
         let mut o_date = Vec::with_capacity(n);
-        let mut o_prio = DictBuilder::with_capacity(n);
-        let mut o_clerk = DictBuilder::with_capacity(n);
+        let mut o_prio = IndexInterner::new(text::PRIORITIES.len(), n);
+        let mut o_clerk = IndexInterner::new(clerks.max(1) as usize, n);
         let mut o_ship = Vec::with_capacity(n);
-        let mut o_comment = DictBuilder::with_capacity(n);
+        let mut o_comment = o_pool.interner(n);
 
         // lineitem columns (≈4 lines/order on average)
         let cap = n * 4;
@@ -393,23 +438,22 @@ impl Generator {
         let mut l_ext = Vec::with_capacity(cap);
         let mut l_disc = Vec::with_capacity(cap);
         let mut l_tax = Vec::with_capacity(cap);
-        let mut l_rflag = DictBuilder::with_capacity(cap);
-        let mut l_status = DictBuilder::with_capacity(cap);
+        let mut l_rflag = IndexInterner::new(RETURN_FLAGS.len(), cap);
+        let mut l_status = IndexInterner::new(LINE_STATUSES.len(), cap);
         let mut l_sdate = Vec::with_capacity(cap);
         let mut l_cdate = Vec::with_capacity(cap);
         let mut l_rdate = Vec::with_capacity(cap);
-        let mut l_instr = DictBuilder::with_capacity(cap);
-        let mut l_mode = DictBuilder::with_capacity(cap);
-        let mut l_comment = DictBuilder::with_capacity(cap);
+        let mut l_instr = IndexInterner::new(text::INSTRUCTIONS.len(), cap);
+        let mut l_mode = IndexInterner::new(text::MODES.len(), cap);
+        let mut l_comment = l_pool.interner(cap);
 
-        let one = Decimal64::one(2);
         for idx in lo..hi {
             let orderkey = order_key_for_index(idx);
             let custkey = draw_custkey(customers, idx);
             let odate =
                 start_date().0 + Stream::OrderDate.rng(idx).uniform_i64(0, date_span) as i32;
             let nlines = Stream::LineCount.rng(idx).uniform_i64(1, 7);
-            let mut total_price = Decimal64::zero(2);
+            let mut total_price = 0;
             let mut f_lines = 0;
             for line in 0..nlines {
                 let lrow = idx * 8 + line as u64;
@@ -432,56 +476,42 @@ impl Generator {
                 l_ext.push(ext);
                 l_disc.push(disc);
                 l_tax.push(tax);
-                if Date32(rdate) <= today {
-                    l_rflag.push(if Stream::LineReturnFlag.rng(lrow).index(2) == 0 {
-                        "R"
-                    } else {
-                        "A"
-                    });
+                // R or A once returned, else N.
+                l_rflag.push(if Date32(rdate) <= today {
+                    Stream::LineReturnFlag.rng(lrow).index(2)
                 } else {
-                    l_rflag.push("N");
-                }
+                    2
+                });
                 let shipped = Date32(sdate) <= today;
-                l_status.push(if shipped { "F" } else { "O" });
+                l_status.push(usize::from(!shipped));
                 if shipped {
                     f_lines += 1;
                 }
                 l_sdate.push(sdate);
                 l_cdate.push(cdate);
                 l_rdate.push(rdate);
-                l_instr.push(
-                    text::INSTRUCTIONS
-                        [Stream::LineInstruct.rng(lrow).index(text::INSTRUCTIONS.len())],
-                );
-                l_mode.push(text::MODES[Stream::LineMode.rng(lrow).index(text::MODES.len())]);
-                l_comment.push(l_pool.get(&mut Stream::LineComment.rng(lrow)));
+                l_instr.push(Stream::LineInstruct.rng(lrow).index(text::INSTRUCTIONS.len()));
+                l_mode.push(Stream::LineMode.rng(lrow).index(text::MODES.len()));
+                l_comment.push(l_pool.draw(&mut Stream::LineComment.rng(lrow)));
 
-                // o_totalprice += ext * (1 - disc) * (1 + tax), exact decimals
-                let ext_d = Decimal64::new(ext, 2);
-                let disc_d = Decimal64::new(disc, 2);
-                let tax_d = Decimal64::new(tax, 2);
-                let discounted = ext_d.mul(one.sub(disc_d)?, 4)?;
-                let charged = discounted.mul(one.add(tax_d)?, 2)?;
-                total_price = total_price.add(charged)?;
+                // o_totalprice += ext × (1 − disc) × (1 + tax): exact at
+                // scale 6, rounded half up to cents (every term is positive).
+                total_price += (ext * (100 - disc) * (100 + tax) + 5_000) / 10_000;
             }
             o_key.push(orderkey);
             o_cust.push(custkey);
-            o_status.push(if f_lines == nlines {
-                "F"
-            } else if f_lines == 0 {
-                "O"
-            } else {
-                "P"
+            // F when every line shipped, O when none did, else P.
+            o_status.push(match f_lines {
+                f if f == nlines => 0,
+                0 => 1,
+                _ => 2,
             });
-            o_total.push(total_price.mantissa());
+            o_total.push(total_price);
             o_date.push(odate);
-            o_prio.push(
-                text::PRIORITIES[Stream::OrderPriority.rng(idx).index(text::PRIORITIES.len())],
-            );
-            let clerk = Stream::OrderClerk.rng(idx).uniform_i64(1, clerks.max(1));
-            o_clerk.push(&format!("Clerk#{clerk:09}"));
+            o_prio.push(Stream::OrderPriority.rng(idx).index(text::PRIORITIES.len()));
+            o_clerk.push(Stream::OrderClerk.rng(idx).index(clerks.max(1) as usize));
             o_ship.push(0);
-            o_comment.push(o_pool.get(&mut Stream::OrderComment.rng(idx)));
+            o_comment.push(o_pool.draw(&mut Stream::OrderComment.rng(idx)));
         }
 
         let orders = Table::new(
@@ -489,13 +519,13 @@ impl Generator {
             vec![
                 Column::Int64(o_key),
                 Column::Int64(o_cust),
-                Column::Str(o_status.finish()),
+                finish_list(&ORDER_STATUSES, o_status),
                 Column::Decimal(o_total, 2),
                 Column::Date(o_date),
-                Column::Str(o_prio.finish()),
-                Column::Str(o_clerk.finish()),
+                finish_list(text::PRIORITIES, o_prio),
+                Column::Str(o_clerk.finish(|c| format!("Clerk#{:09}", c + 1))),
                 Column::Int32(o_ship),
-                Column::Str(o_comment.finish()),
+                o_pool.finish(o_comment),
             ],
         )?;
         let lineitem = Table::new(
@@ -509,14 +539,14 @@ impl Generator {
                 Column::Decimal(l_ext, 2),
                 Column::Decimal(l_disc, 2),
                 Column::Decimal(l_tax, 2),
-                Column::Str(l_rflag.finish()),
-                Column::Str(l_status.finish()),
+                finish_list(&RETURN_FLAGS, l_rflag),
+                finish_list(&LINE_STATUSES, l_status),
                 Column::Date(l_sdate),
                 Column::Date(l_cdate),
                 Column::Date(l_rdate),
-                Column::Str(l_instr.finish()),
-                Column::Str(l_mode.finish()),
-                Column::Str(l_comment.finish()),
+                finish_list(text::INSTRUCTIONS, l_instr),
+                finish_list(text::MODES, l_mode),
+                l_pool.finish(l_comment),
             ],
         )?;
         Ok((orders, lineitem))

@@ -159,3 +159,74 @@ fn optimizer_never_changes_answers() {
         }
     }
 }
+
+/// A left outer join's unmatched build-side rows, read column by column:
+/// `customer` ⟕ the urgent `orders` against a nested loop over `Value`
+/// rows. A customer with no urgent order keeps one row whose order columns
+/// read as their type's default — `0`, `0.00`, `""` — and `__matched` false;
+/// the build side arrives as a filter's row ids, so the join composes them
+/// with its unmatched marks.
+#[test]
+fn left_outer_join_reads_unmatched_build_rows_as_defaults() {
+    use wimpi::engine::{col, lit, JoinType, PlanBuilder};
+
+    let cat = catalog();
+    let read = ["o_orderkey", "o_totalprice", "o_orderstatus", "o_comment"];
+    let plan = PlanBuilder::scan("customer")
+        .join(
+            PlanBuilder::scan("orders").filter(col("o_orderpriority").eq(lit("1-URGENT"))),
+            vec![("c_custkey", "o_custkey")],
+            JoinType::LeftOuter,
+        )
+        .build();
+    let row = |key: &Value, order: &[Value], matched: bool| {
+        let cells: Vec<String> = order.iter().map(Value::to_string).collect();
+        format!("{key}|{}|{matched}", cells.join("|"))
+    };
+
+    let (customer, orders) = (cat.table("customer").unwrap(), cat.table("orders").unwrap());
+    let cell = |t: &wimpi::storage::Table, name, i| t.column_by_name(name).unwrap().value(i);
+    let urgent: Vec<usize> = (0..orders.num_rows())
+        .filter(|&j| cell(orders, "o_orderpriority", j) == Value::Str("1-URGENT".into()))
+        .collect();
+    let mut want = Vec::new();
+    for i in 0..customer.num_rows() {
+        let key = cell(customer, "c_custkey", i);
+        let hits: Vec<usize> =
+            urgent.iter().copied().filter(|&j| cell(orders, "o_custkey", j) == key).collect();
+        for &j in &hits {
+            let order: Vec<Value> = read.iter().map(|&name| cell(orders, name, j)).collect();
+            want.push(row(&key, &order, true));
+        }
+        if hits.is_empty() {
+            let zero = wimpi::storage::Decimal64::zero(2);
+            let defaults = [
+                Value::I64(0),
+                Value::Dec(zero),
+                Value::Str(String::new()),
+                Value::Str(String::new()),
+            ];
+            assert_eq!(row(&key, &defaults, false), format!("{key}|0|0.00|||false"));
+            want.push(row(&key, &defaults, false));
+        }
+    }
+    want.sort();
+
+    let (cfg, ctx) = (EngineConfig::serial(), QueryContext::default());
+    let (rel, _) =
+        wimpi::engine::exec::execute(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("runs");
+    let mut got: Vec<String> = (0..rel.num_rows())
+        .map(|i| {
+            let order: Vec<Value> = read.iter().map(|&name| rel.value(i, name).unwrap()).collect();
+            let matched = rel.value(i, "__matched").unwrap() == Value::Bool(true);
+            row(&rel.value(i, "c_custkey").unwrap(), &order, matched)
+        })
+        .collect();
+    got.sort();
+    let unmatched = want.iter().filter(|r| r.ends_with("|false")).count();
+    assert!(unmatched > customer.num_rows() / 4, "a third of customers place no order");
+    assert_eq!(got.len(), want.len(), "row count");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w);
+    }
+}

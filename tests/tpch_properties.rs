@@ -136,3 +136,73 @@ fn date_windows_follow_spec() {
     let hi = wimpi::storage::Date32::from_ymd(1998, 8, 2).0;
     assert!(od.iter().all(|&d| (lo..=hi).contains(&d)));
 }
+
+/// The generator's bytes, pinned: one CRC32C per table over its codes,
+/// dictionary values and numeric column bytes, at two scale factors, in
+/// `tests/golden/catalog.tsv`. A change to how the generator builds a column
+/// (how it interns strings, say) must leave every line as it is; a change
+/// that moves a line on purpose re-blesses the file with
+/// `WIMPI_BLESS_GOLDEN=1 cargo test --test tpch_properties generated_catalog`
+/// and says in CHANGES.md what moved and why.
+#[test]
+fn generated_catalog_matches_the_pinned_checksums() {
+    use wimpi::storage::checksum::Crc32c;
+    use wimpi::storage::Column;
+
+    const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/catalog.tsv");
+    let mut lines = Vec::new();
+    for sf in [0.01, 0.05] {
+        let cat = Generator::new(sf).generate_catalog().expect("generates");
+        let mut names: Vec<&str> = cat.names().collect();
+        names.sort_unstable();
+        for name in names {
+            let table = cat.table(name).expect("table");
+            let mut crc = Crc32c::new();
+            for (i, field) in table.schema().fields().iter().enumerate() {
+                match table.column(i).as_ref() {
+                    Column::Int64(v) | Column::Decimal(v, _) => {
+                        v.iter().for_each(|&x| crc.update_u64(x as u64))
+                    }
+                    Column::Int32(v) | Column::Date(v) => {
+                        v.iter().for_each(|&x| crc.update_u32(x as u32))
+                    }
+                    Column::Float64(v) => v.iter().for_each(|&x| crc.update_u64(x.to_bits())),
+                    Column::Bool(v) => v.iter().for_each(|&x| crc.update(&[x as u8])),
+                    Column::Str(d) => {
+                        let distinct: HashSet<&str> =
+                            d.values().iter().map(String::as_str).collect();
+                        assert_eq!(
+                            distinct.len(),
+                            d.cardinality(),
+                            "{name}.{}: repeated value",
+                            field.name
+                        );
+                        let used: HashSet<u32> = d.codes().iter().copied().collect();
+                        assert_eq!(
+                            used.len(),
+                            d.cardinality(),
+                            "{name}.{}: unused value",
+                            field.name
+                        );
+                        for v in d.values() {
+                            crc.update_u32(v.len() as u32);
+                            crc.update(v.as_bytes());
+                        }
+                        d.codes().iter().for_each(|&c| crc.update_u32(c));
+                    }
+                }
+            }
+            lines.push(format!("{sf}\t{name}\t{}\t{:08x}", table.num_rows(), crc.finish()));
+        }
+    }
+    let actual = lines.join("\n") + "\n";
+    if std::env::var_os("WIMPI_BLESS_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, &actual).expect("golden file is writable");
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN).expect("golden file exists");
+    for (want, got) in expected.lines().zip(actual.lines()) {
+        assert_eq!(got, want, "generated catalog drifted from the pinned checksums");
+    }
+    assert_eq!(actual.lines().count(), expected.lines().count(), "golden row count");
+}

@@ -60,9 +60,10 @@
 //! empty group (DESIGN.md §7).
 //!
 //! A merged group table over budget descends the degradation ladder
-//! (`exec::ladder`), which partitions the fold's survivors — the rows the
-//! conjuncts kept, named by source row id — so each partition is cut into
-//! the same base-table morsels the fold's partials were.
+//! (`exec::ladder`) over the partials the fold already cut: it partitions
+//! their groups by key, so a partition's table merges, partial by partial in
+//! morsel order, exactly the per-morsel values the resident merge would have.
+//! Nothing is filtered, evaluated or folded twice.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -95,8 +96,9 @@ use wimpi_storage::{selection, Column, StorageError, Table};
 /// else `compact` when no morsel was cut in the hash form, else `hash`, with
 /// per-morsel children) is attached to the open aggregate span.
 ///
-/// A merged table over budget descends the ladder over the survivors (see
-/// the module doc); the filters are charged, and traced, once either way.
+/// A merged table over budget descends the ladder over the partials' groups
+/// (see the module doc); the filters run, and are charged and traced, once
+/// either way.
 ///
 /// The hash merge reserves one `width`-byte table entry per distinct group
 /// (the same constant the work profile charges to `hash_bytes`); the run
@@ -144,8 +146,7 @@ pub fn exec_aggregate(
     // 2. Morsel-local partials, then an in-order merge.
     let sink = tracer.morsel_sink();
     let stage_started = tracer.is_enabled().then(Instant::now);
-    let ranges = morsel_ranges(n, cfg.morsel_rows);
-    let morsels = run_morsels_spanned(cfg, &ranges, &sink, |_, r| {
+    let morsels = run_morsels_spanned(cfg, &morsel_ranges(n, cfg.morsel_rows), &sink, |_, r| {
         let r = if ctx.interrupted() { 0..0 } else { r };
         if filters.is_empty() {
             return (MorselAgg::fold(&Rows::Dense(r.clone()), &feed), r.len(), chain.tally());
@@ -169,26 +170,22 @@ pub fn exec_aggregate(
     // cut its partials in names the stage at any budget.
     let hashed = partials.iter().any(|p| p.cut == Cut::Hash);
     let (first_rows, mut states, runs) = match merge_partials(partials, &feed, width, ctx) {
-        Some(merged) => merged,
-        None => {
-            // Redo the merge down the ladder: partition the fold's survivors
-            // by key hash and build one bounded table per partition,
-            // sequentially. The conjuncts run again to name the survivors
-            // (every row, without a filter); their work was charged above.
-            let mut survivors = Vec::with_capacity(nsel as usize);
-            for r in &ranges {
-                let (sel, _) = chain.filter_morsel(pruner.as_ref(), r.clone());
-                survivors.extend_from_slice(&sel);
-                selection::put_scratch(sel);
-            }
-            let rows = Rows::Sparse(&survivors);
-            let encoded: Vec<Vec<i64>> = keys.iter().map(|k| k.slots_of(&rows)).collect();
-            let encoded = ladder::as_slices(&encoded);
-            let morsel_len = ranges.first().map_or(1, |r| r.len());
+        Ok(merged) => merged,
+        Err(partials) => {
+            // Redo the merge down the ladder: partition the partials' groups
+            // by key hash and merge one bounded table per partition,
+            // sequentially. The partitioner keeps 6 B per group, but the
+            // rows the fold kept are tracked: never fewer, and unlike the
+            // groups, not a function of where the morsels were cut.
+            let slots: Vec<Vec<i64>> = (0..keys.len())
+                .map(|c| partials.iter().flat_map(|p| &p.keys[c]).copied().collect())
+                .collect();
+            let slots = ladder::as_slices(&slots);
+            let groups = partials.iter().map(|p| p.first_rows.len()).sum();
             ctx.track(nsel * Partitioner::BYTES_PER_ROW);
             let (first_rows, states) =
-                ladder::descend(ctx, prof, "aggregate", &[(survivors.len(), &encoded)], |att| {
-                    attempt(att, &survivors, morsel_len, &feed, width, ctx)
+                ladder::descend(ctx, prof, "aggregate", &[(groups, &slots)], |att| {
+                    attempt(att, &partials, &feed, width, ctx)
                 })?;
             (first_rows, states, false)
         }
@@ -447,16 +444,16 @@ type Merged<'p> = (Vec<u32>, Vec<AggState<'p>>, bool);
 /// Merges the morsel partials into one global table, in morsel order (see the
 /// module doc): in the run form when every non-empty partial was cut in it
 /// and starts at or after the key its predecessor ended on — the whole input
-/// is then in key order — else in the hash form. Returns `None` as soon as a
-/// new group no longer fits the query budget. The reservation is released on
-/// return either way: the table's peak is already recorded, and what survives
-/// the merge is the output itself.
+/// is then in key order — else in the hash form. Hands the partials back as
+/// soon as a new group no longer fits the query budget. The reservation is
+/// released on return either way: the table's peak is already recorded, and
+/// what survives the merge is the output itself.
 fn merge_partials<'p>(
     partials: Vec<MorselAgg<'p>>,
     feed: &Feed<'p>,
     width: u64,
     ctx: &QueryContext,
-) -> Option<Merged<'p>> {
+) -> std::result::Result<Merged<'p>, Vec<MorselAgg<'p>>> {
     // Whether each partial's first group continues the group the non-empty
     // partial before it ended on.
     let (mut runs, mut prev) = (true, None::<(&[Vec<i64>], usize)>);
@@ -474,15 +471,16 @@ fn merge_partials<'p>(
         .collect();
     if runs {
         let (first_rows, states) = append_runs(partials, &continues, feed);
-        return Some((first_rows, states, true));
+        return Ok((first_rows, states, true));
     }
-    let mut table = GroupTable::new(feed.empty.to_vec(), width, ctx)?;
-    for partial in partials {
-        if !table.absorb(partial) {
-            return None;
-        }
+    let groups = partials.iter().map(|p| p.first_rows.len()).sum();
+    let Some(mut table) = GroupTable::new(feed.empty.to_vec(), width, ctx) else {
+        return Err(partials);
+    };
+    if !table.absorb(&partials, 0..groups) {
+        return Err(partials);
     }
-    Some((table.first_rows, table.states, false))
+    Ok((table.first_rows, table.states, false))
 }
 
 /// The run form's merge: the whole input is in key order, so each partial's
@@ -526,77 +524,77 @@ impl<'p> GroupTable<'p> {
         Some(GroupTable { guard, width, map: KeyMap::default(), first_rows: Vec::new(), states })
     }
 
-    /// Folds one morsel partial in. Returns `false` — leaving the table
-    /// unusable — as soon as a new group no longer fits the budget.
-    fn absorb(&mut self, partial: MorselAgg<'p>) -> bool {
-        let cols = ladder::as_slices(&partial.keys);
-        let mut gid_map: Vec<u32> = Vec::with_capacity(partial.first_rows.len());
-        for (g, &fr) in partial.first_rows.iter().enumerate() {
-            let next = self.first_rows.len() as u32;
-            gid_map.push(match self.map.entry(Key::at(&cols, g)) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if !self.guard.grow(self.width) {
-                        return false;
+    /// Folds in the partials' groups at the positions `at`, ascending. A
+    /// position numbers one group of one partial, the partials' groups laid
+    /// end to end in morsel order, so the groups arrive partial by partial,
+    /// each partial's in its first-appearance order. The partials are only
+    /// read. Returns `false` — leaving the table unusable — as soon as a new
+    /// group no longer fits the budget.
+    fn absorb(&mut self, partials: &[MorselAgg<'p>], at: impl Iterator<Item = usize>) -> bool {
+        let (mut at, mut end) = (at.peekable(), 0);
+        // (local group, table group) of each absorbed group of a partial.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for partial in partials {
+            let from = end;
+            end += partial.first_rows.len();
+            pairs.clear();
+            pairs.extend(std::iter::from_fn(|| at.next_if(|&i| i < end)).map(|i| (i - from, 0)));
+            if pairs.is_empty() {
+                continue;
+            }
+            let cols = ladder::as_slices(&partial.keys);
+            for (g, global) in &mut pairs {
+                let next = self.first_rows.len();
+                *global = match self.map.entry(Key::at(&cols, *g)) {
+                    Entry::Occupied(e) => *e.get() as usize,
+                    Entry::Vacant(e) => {
+                        if !self.guard.grow(self.width) {
+                            return false;
+                        }
+                        self.first_rows.push(partial.first_rows[*g]);
+                        *e.insert(next as u32) as usize
                     }
-                    self.first_rows.push(fr);
-                    *e.insert(next)
-                }
-            });
-        }
-        for (gst, lst) in self.states.iter_mut().zip(partial.states) {
-            gst.grow_to(self.first_rows.len());
-            gst.merge_from(lst, &gid_map);
+                };
+            }
+            for (gst, lst) in self.states.iter_mut().zip(&partial.states) {
+                gst.grow_to(self.first_rows.len());
+                gst.merge_from(lst, &pairs);
+            }
         }
         true
     }
 }
 
 /// One attempt of the degradation ladder ([`ladder::descend`]) below the
-/// in-memory merge: aggregate one partition of the groups at a time, each
-/// against its own reservation. Only the routing is staged: keys and inputs
-/// are evaluated from the resident source by row id, like any other morsel.
-/// The ladder partitions positions in `survivors`, the source row ids the
-/// fold kept; each position is mapped back to its row id before it is cut
-/// or folded.
+/// in-memory merge: merge one partition of the groups at a time, each into
+/// its own table against its own reservation. The ladder partitions
+/// positions among the `partials`' groups, laid end to end in morsel order
+/// ([`GroupTable::absorb`]); only that routing is staged, and every group's
+/// state is read from its partial.
 ///
-/// Bit-exactness: every row of a group lands in the same partition and a
-/// partition's rows are walked in ascending order, cut into partials at the
-/// base-table morsel stride, so each group's accumulator sees exactly the
-/// per-morsel partial values of the unpartitioned merge, folded in the same
-/// morsel order. Distinct groups have distinct first rows, so sorting the
-/// stitched groups by first row reproduces the unpartitioned
-/// first-appearance group order exactly.
+/// Bit-exactness: a group's partition depends only on its key, so each
+/// partition's table absorbs every group it holds from every partial, in
+/// morsel order, with exactly the per-morsel values of the unpartitioned
+/// merge. Distinct groups have distinct first rows, so sorting the stitched
+/// groups by first row reproduces the unpartitioned first-appearance group
+/// order exactly.
 fn attempt<'p>(
     att: &mut Attempt<'_, Key>,
-    survivors: &[u32],
-    morsel_len: usize,
+    partials: &[MorselAgg<'p>],
     feed: &Feed<'p>,
     width: u64,
     ctx: &QueryContext,
 ) -> Result<Verdict<(Vec<u32>, Vec<AggState<'p>>)>> {
     let parts = att.stage()?;
     // (first row, partition, local gid) of every group, in discovery
-    // order, plus each partition's group count and accumulated states.
+    // order, plus each partition's accumulated states.
     let mut order: Vec<(u32, u32, u32)> = Vec::new();
-    let mut part_states: Vec<(usize, Vec<AggState>)> = Vec::with_capacity(parts.len());
+    let mut part_states: Vec<Vec<AggState>> = Vec::with_capacity(parts.len());
     for p in parts.iter() {
         let p = p?;
         let mut table = GroupTable::new(feed.empty.to_vec(), width, ctx)
             .expect("an empty reservation always fits");
-        // The partition's rows of each morsel (`row / morsel_len`) form one
-        // partial: within a morsel a group's rows are the rows the
-        // unpartitioned partial saw, so its local sums are identical.
-        let mut rows = parts.rows(0, p)?.map(|(at, _)| survivors[at as usize]).peekable();
-        let (mut sel, mut fits) = (selection::take_scratch(), true);
-        while let (true, Some(&row0)) = (fits, rows.peek()) {
-            let morsel = row0 as usize / morsel_len;
-            sel.clear();
-            sel.extend(std::iter::from_fn(|| rows.next_if(|&r| r as usize / morsel_len == morsel)));
-            fits = table.absorb(MorselAgg::fold(&Rows::Sparse(&sel), feed));
-        }
-        selection::put_scratch(sel);
-        if !fits {
+        if !table.absorb(partials, parts.rows(0, p)?.map(|(at, _)| at as usize)) {
             // A partition of one group cannot shrink further.
             let alone = table.first_rows.is_empty();
             let verdict = if alone { Verdict::Hopeless } else { Verdict::Double };
@@ -604,7 +602,7 @@ fn attempt<'p>(
         }
         let groups = table.first_rows.iter().enumerate();
         order.extend(groups.map(|(lg, &fr)| (fr, p as u32, lg as u32)));
-        part_states.push((table.first_rows.len(), table.states));
+        part_states.push(table.states);
         // `table.guard` drops here: the partition's table scratch is
         // released before the next partition reserves its own.
     }
@@ -612,21 +610,18 @@ fn attempt<'p>(
     // order; folding each partition total into a fresh accumulator is
     // exact (0 + x, None → x, set ∪ ∅).
     order.sort_unstable_by_key(|&(fr, _, _)| fr);
-    let first_rows: Vec<u32> = order.iter().map(|&(fr, _, _)| fr).collect();
-    let mut gid_maps: Vec<Vec<u32>> = part_states.iter().map(|&(c, _)| vec![0; c]).collect();
+    let mut pairs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); part_states.len()];
     for (g, &(_, p, lg)) in order.iter().enumerate() {
-        gid_maps[p as usize][lg as usize] = g as u32;
+        pairs[p as usize].push((lg as usize, g));
     }
     let mut gstates = feed.empty.to_vec();
-    for st in &mut gstates {
-        st.grow_to(first_rows.len());
-    }
-    for ((_, pstates), gid_map) in part_states.into_iter().zip(&gid_maps) {
+    for (pstates, pairs) in part_states.iter().zip(&pairs) {
         for (gst, lst) in gstates.iter_mut().zip(pstates) {
-            gst.merge_from(lst, gid_map);
+            gst.grow_to(order.len());
+            gst.merge_from(lst, pairs);
         }
     }
-    Ok(Verdict::Fit((first_rows, gstates)))
+    Ok(Verdict::Fit((order.into_iter().map(|(fr, _, _)| fr).collect(), gstates)))
 }
 
 type KeyMap = FxMap<Key, u32>;
@@ -792,16 +787,14 @@ enum AggState<'p> {
     /// `count(distinct)` in a hash merge's table, and the empty state every
     /// partial starts from: one set per group.
     Distinct(Vec<SmallSet>),
-    /// `count(distinct)` in the run form: each group's distinct count. A
-    /// partial keeps every group's distinct values back to back in `vals`,
-    /// `counts[g]` of them per group, because a hash merge may yet need them;
-    /// the run merge keeps only its last group's, the one group a later
-    /// partial can continue, in `open`.
-    DistinctRuns {
-        counts: Vec<i64>,
-        vals: Vec<i64>,
-        open: SmallSet,
-    },
+    /// `count(distinct)` in a partial, `(starts, vals)`: every group's
+    /// distinct values back to back, group `g`'s at `starts[g]..starts[g + 1]`,
+    /// because a merge may yet need them.
+    DistinctRuns(Vec<u32>, Vec<i64>),
+    /// `count(distinct)` in the run merge, `(counts, open)`: each group's
+    /// distinct count, and the values of its last group, the one a later
+    /// partial can continue.
+    DistinctCounts(Vec<i64>, SmallSet),
     SumDec(Vec<i128>, u8),
     SumInt(Vec<i64>),
     SumFloat(Vec<f64>),
@@ -902,8 +895,9 @@ impl<'p> AggState<'p> {
     fn grow_to(&mut self, ngroups: usize) {
         match self {
             AggState::Count(v) | AggState::SumInt(v) => v.resize(ngroups, 0),
+            AggState::DistinctCounts(v, _) => v.resize(ngroups, 0),
             AggState::Distinct(v) => v.resize_with(ngroups, SmallSet::default),
-            AggState::DistinctRuns { counts, .. } => counts.resize(ngroups, 0),
+            AggState::DistinctRuns(..) => unreachable!("a partial is never grown"),
             AggState::SumDec(v, _) => v.resize(ngroups, 0),
             AggState::SumFloat(v) => v.resize(ngroups, 0.0),
             AggState::AvgFixed { sum, cnt, .. } => {
@@ -922,11 +916,9 @@ impl<'p> AggState<'p> {
     fn run_table(&self, cap: usize) -> Self {
         match self {
             AggState::Count(_) => AggState::Count(Vec::with_capacity(cap)),
-            AggState::Distinct(_) | AggState::DistinctRuns { .. } => AggState::DistinctRuns {
-                counts: Vec::with_capacity(cap),
-                vals: Vec::new(),
-                open: SmallSet::default(),
-            },
+            AggState::Distinct(_) | AggState::DistinctRuns(..) | AggState::DistinctCounts(..) => {
+                AggState::DistinctCounts(Vec::with_capacity(cap), SmallSet::default())
+            }
             AggState::SumDec(_, s) => AggState::SumDec(Vec::with_capacity(cap), *s),
             AggState::SumInt(_) => AggState::SumInt(Vec::with_capacity(cap)),
             AggState::SumFloat(_) => AggState::SumFloat(Vec::with_capacity(cap)),
@@ -983,26 +975,24 @@ impl<'p> AggState<'p> {
                     })
                     .collect()
             }
-            AggState::Distinct(_) | AggState::DistinctRuns { .. } => {
+            AggState::Distinct(_) | AggState::DistinctRuns(..) | AggState::DistinctCounts(..) => {
                 // Each run's distinct values are moved down to `kept`, which
                 // never passes the row being read.
                 let (mut kept, mut seen) = (0, FxSet::default());
-                let counts = runs()
-                    .map(|r| {
-                        let (from, long) = (kept, r.len() > LONG_RUN);
-                        seen.clear();
-                        for i in r {
-                            let x = xs[i];
-                            if if long { seen.insert(x) } else { !xs[from..kept].contains(&x) } {
-                                xs[kept] = x;
-                                kept += 1;
-                            }
+                let ends = runs().map(|r| {
+                    let (from, long) = (kept, r.len() > LONG_RUN);
+                    seen.clear();
+                    for i in r {
+                        let x = xs[i];
+                        if if long { seen.insert(x) } else { !xs[from..kept].contains(&x) } {
+                            xs[kept] = x;
+                            kept += 1;
                         }
-                        (kept - from) as i64
-                    })
-                    .collect();
-                let vals = xs[..kept].to_vec();
-                *self = AggState::DistinctRuns { counts, vals, open: SmallSet::default() };
+                    }
+                    kept as u32
+                });
+                let starts = std::iter::once(0).chain(ends).collect();
+                *self = AggState::DistinctRuns(starts, xs[..kept].to_vec());
             }
         }
     }
@@ -1040,70 +1030,68 @@ impl<'p> AggState<'p> {
                     b.into_iter().for_each(|x| order.offer(a, x, *want))
                 })
             }
-            (
-                AggState::DistinctRuns { counts: gc, open, .. },
-                AggState::DistinctRuns { counts: lc, vals, .. },
-            ) => {
-                let mut rest = &lc[..];
-                if let (true, Some(last), Some(&first)) = (joins, gc.last_mut(), lc.first()) {
-                    vals[..first as usize].iter().for_each(|&v| open.insert(v));
+            (AggState::DistinctCounts(counts, open), AggState::DistinctRuns(starts, vals)) => {
+                let group = |g: usize| &vals[starts[g] as usize..starts[g + 1] as usize];
+                let (groups, mut from) = (starts.len() - 1, 0);
+                if let (true, Some(last)) = (joins && groups > 0, counts.last_mut()) {
+                    group(0).iter().for_each(|&v| open.insert(v));
                     *last = open.len() as i64;
-                    rest = &lc[1..];
+                    from = 1;
                 }
-                gc.extend_from_slice(rest);
-                if let Some(&n) = rest.last() {
+                counts.extend(starts[from..].windows(2).map(|w| i64::from(w[1] - w[0])));
+                if groups > from {
                     // The partial's last group is new: it is the one left open.
                     *open = SmallSet::default();
-                    vals[vals.len() - n as usize..].iter().for_each(|&v| open.insert(v));
+                    group(groups - 1).iter().for_each(|&v| open.insert(v));
                 }
             }
             _ => unreachable!("partials share one state layout"),
         }
     }
 
-    /// Folds a morsel-local state into this global one; `gid_map` maps local
-    /// group ids to global ones. Merging in morsel order keeps float sums
-    /// and min/max tie-breaks identical to the serial scan.
-    fn merge_from(&mut self, other: AggState, gid_map: &[u32]) {
-        let global = |lg: usize| gid_map[lg] as usize;
+    /// Folds groups of a morsel-local state into this global one: each
+    /// `(local, global)` of `pairs` folds local group `local` into global
+    /// group `global`. Merging in morsel order keeps float sums and min/max
+    /// tie-breaks identical to the serial scan.
+    fn merge_from(&mut self, other: &AggState, pairs: &[(usize, usize)]) {
         match (self, other) {
             (AggState::Count(g), AggState::Count(l))
             | (AggState::SumInt(g), AggState::SumInt(l)) => {
-                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
+                pairs.iter().for_each(|&(lg, gg)| g[gg] += l[lg])
             }
             (AggState::Distinct(g), AggState::Distinct(l)) => {
-                l.into_iter().enumerate().for_each(|(lg, set)| g[global(lg)].absorb(set))
+                pairs.iter().for_each(|&(lg, gg)| g[gg].absorb(&l[lg]))
             }
-            (AggState::Distinct(g), AggState::DistinctRuns { counts, vals, .. }) => {
-                let mut vals = vals.into_iter();
-                for (lg, n) in counts.into_iter().enumerate() {
-                    vals.by_ref().take(n as usize).for_each(|v| g[global(lg)].insert(v));
+            (AggState::Distinct(g), AggState::DistinctRuns(starts, vals)) => {
+                for &(lg, gg) in pairs {
+                    let group = &vals[starts[lg] as usize..starts[lg + 1] as usize];
+                    group.iter().for_each(|&v| g[gg].insert(v));
                 }
             }
             (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
-                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
+                pairs.iter().for_each(|&(lg, gg)| g[gg] += l[lg])
             }
             (AggState::SumFloat(g), AggState::SumFloat(l)) => {
-                l.into_iter().enumerate().for_each(|(lg, x)| g[global(lg)] += x)
+                pairs.iter().for_each(|&(lg, gg)| g[gg] += l[lg])
             }
             (
                 AggState::AvgFixed { sum: gs, cnt: gc, .. },
                 AggState::AvgFixed { sum: ls, cnt: lc, .. },
             ) => {
-                for (lg, (s, c)) in ls.into_iter().zip(lc).enumerate() {
-                    gs[global(lg)] += s;
-                    gc[global(lg)] += c;
+                for &(lg, gg) in pairs {
+                    gs[gg] += ls[lg];
+                    gc[gg] += lc[lg];
                 }
             }
             (AggState::Avg { sum: gs, cnt: gc }, AggState::Avg { sum: ls, cnt: lc }) => {
-                for (lg, (s, c)) in ls.into_iter().zip(lc).enumerate() {
-                    gs[global(lg)] += s;
-                    gc[global(lg)] += c;
+                for &(lg, gg) in pairs {
+                    gs[gg] += ls[lg];
+                    gc[gg] += lc[lg];
                 }
             }
             (AggState::Extreme { best: g, want, order }, AggState::Extreme { best: l, .. }) => {
-                for (lg, x) in l.into_iter().enumerate().filter_map(|(lg, x)| Some((lg, x?))) {
-                    order.offer(&mut g[global(lg)], x, *want);
+                for &(lg, gg) in pairs {
+                    l[lg].into_iter().for_each(|x| order.offer(&mut g[gg], x, *want));
                 }
             }
             _ => unreachable!("partials share one state layout"),
@@ -1116,8 +1104,9 @@ impl<'p> AggState<'p> {
         let mean = |sum: f64, cnt: i64| if cnt == 0 { 0.0 } else { sum / cnt as f64 };
         Ok(match self {
             AggState::Count(v) | AggState::SumInt(v) => Column::Int64(v),
+            AggState::DistinctCounts(v, _) => Column::Int64(v),
             AggState::Distinct(v) => Column::Int64(v.into_iter().map(|s| s.len() as i64).collect()),
-            AggState::DistinctRuns { counts, .. } => Column::Int64(counts),
+            AggState::DistinctRuns(..) => unreachable!("a partial is merged before it finishes"),
             AggState::SumDec(v, s) => {
                 let narrow = |x| i64::try_from(x).map_err(|_| StorageError::DecimalOverflow);
                 Column::Decimal(
@@ -1406,6 +1395,44 @@ mod tests {
             // Pinned (see the Grace test): three staged attempts of 5 000
             // 12-byte records, the last at 8 192 partitions.
             assert_eq!(prof.spilled_bytes, 180_000, "the spill rung must engage");
+            assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 8192));
+            assert_eq!(disk.used(), 0, "all spill chunks freed");
+            assert_eq!(ctx.used(), 0, "all reservations released");
+        }
+    }
+
+    /// The spill rung stages the partials' groups, not the rows the fold
+    /// kept: 5 000 hash-form groups of three adjacent rows each, out of key
+    /// order. 257-row morsels cut 39 of them in two (a boundary at `257·m`
+    /// splits a group unless `3 | m`), so the partials hold 5 039 groups
+    /// against 15 000 rows. The key set is `spill_agg_inputs`', so the ladder
+    /// takes the same three staged attempts to 8 192 partitions.
+    #[test]
+    fn spill_rung_stages_groups_not_rows() {
+        let n = 15_000i64;
+        let rel = Relation::new(vec![
+            ("g".into(), Arc::new(Column::Int64((0..n).map(|i| (i / 3 * 1237) % 5_000).collect()))),
+            ("d".into(), Arc::new(Column::Decimal((0..n).map(|i| i * 3).collect(), 2))),
+        ])
+        .unwrap();
+        let group = vec![(col("g"), "g".to_string())];
+        let aggs = vec![AggExpr::sum(col("d"), "sd")];
+        let serial = EngineConfig::serial().with_morsel_rows(257);
+        let mut base_prof = WorkProfile::new();
+        let free = QueryContext::default();
+        let base = unfiltered(&rel, &group, &aggs, &mut base_prof, &serial, &free).unwrap();
+        assert_eq!(base.num_rows(), 5_000);
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::with_threads(threads).with_morsel_rows(257);
+            let disk = Arc::new(wimpi_storage::SpillDisk::new(
+                wimpi_storage::SpillConfig::with_capacity(16 << 20),
+            ));
+            let ctx = QueryContext::with_budget(320).with_spill(Arc::clone(&disk));
+            let mut prof = WorkProfile::new();
+            let out = unfiltered(&rel, &group, &aggs, &mut prof, &cfg, &ctx).unwrap();
+            assert_eq!(out, base, "spill aggregate diverged at {threads} threads");
+            // Three staged attempts of 5 039 12-byte records.
+            assert_eq!(prof.spilled_bytes, 3 * 5_039 * 12, "one record per partial group");
             assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 8192));
             assert_eq!(disk.used(), 0, "all spill chunks freed");
             assert_eq!(ctx.used(), 0, "all reservations released");

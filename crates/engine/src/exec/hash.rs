@@ -78,16 +78,16 @@ impl SmallSet {
         }
     }
 
-    /// Set union, consuming `other`.
-    pub(super) fn absorb(&mut self, other: SmallSet) {
+    /// Set union.
+    pub(super) fn absorb(&mut self, other: &SmallSet) {
         match other {
             SmallSet::Inline { len, vals } => {
-                for &v in &vals[..len as usize] {
+                for &v in &vals[..*len as usize] {
                     self.insert(v);
                 }
             }
             SmallSet::Heap(set) => {
-                for v in set {
+                for &v in set {
                     self.insert(v);
                 }
             }
@@ -153,13 +153,13 @@ mod tests {
             assert_eq!(s.len(), want.len(), "{n} inserts");
             // Union with itself and with a disjoint set, in both sizes.
             let mut u = s.clone();
-            u.absorb(s.clone());
+            u.absorb(&s);
             assert_eq!(u.len(), want.len());
             let mut other = SmallSet::default();
             for v in 1000..1000 + n as i64 {
                 other.insert(v);
             }
-            u.absorb(other);
+            u.absorb(&other);
             assert_eq!(u.len(), want.len() + n);
         }
     }

@@ -8,8 +8,10 @@
 //! attempts, staging the partitions on the disk past `MAX_GRACE_PARTS`, the
 //! per-partition checkpoint, the fallback note, the typed `ResourceExhausted`
 //! and the spill ledger. The operator supplies the attempt body, answers with
-//! a [`Verdict`], and reads each partition as one `(row id, key)` stream
-//! without learning whether it came from memory or from the disk.
+//! a [`Verdict`], and reads each partition as one `(id, key)` stream without
+//! learning whether it came from memory or from the disk. An id is whatever
+//! the operator numbered its input by: a source row for the join, a position
+//! among the morsel partials' groups for the aggregate.
 
 use std::hash::Hash;
 use std::marker::PhantomData;

@@ -4,7 +4,8 @@
 //! one id vector per source ([`Relation`]), and a column is gathered once,
 //! where it is first read — a join key, a program's input, a sort key — or at
 //! the root, which [`execute`] returns gathered. An aggregate also folds the
-//! `Filter` chain beneath it, building no candidate list. Every operator
+//! `Filter` chain beneath it, building no candidate list at any budget: over
+//! budget it partitions the groups that fold already cut. Every operator
 //! charges its work to a [`WorkProfile`] in the price list
 //! [`parallel::Executor`] names — MonetDB's full materialization, the
 //! execution style the paper benchmarks, or the base columns streamed — from

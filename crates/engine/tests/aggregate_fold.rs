@@ -239,8 +239,8 @@ fn assert_matches(rel: &Relation, want: &Expected, what: &str) {
 ///
 /// The budgeted arm gives the merge one table entry fewer than it has groups,
 /// with a spill disk: keys out of order then always descend the ladder, which
-/// partitions the fold's survivors; keys in order merge in the run form, which
-/// reserves nothing.
+/// partitions the groups of the fold's morsel partials; keys in order merge in
+/// the run form, which reserves nothing.
 fn check(rows: &[Row], what: &str) {
     let mut cat = Catalog::new();
     cat.register("t", table(rows));

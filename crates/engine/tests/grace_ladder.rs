@@ -1,7 +1,7 @@
 //! The Grace rung of the aggregate's budget ladder, through the public
 //! operator: float folds stay bit-exact across morsel boundaries when a
-//! partition's rows are walked from the partitioner's buckets, and the
-//! coordinator checkpoints — one after the morsel partials, then one per
+//! partition's groups are merged from the morsel partials in the order the
+//! partitioner's buckets list them, and the coordinator checkpoints — one after the morsel partials, then one per
 //! partition per fan-out attempt — fall where they always have.
 
 use std::sync::Arc;

@@ -203,8 +203,8 @@ fn price_list_changes_no_execution_decision() {
 
 /// A budget changes no execution decision either: the aggregate over budget
 /// still folds its filter — one `predicates` leaf, no `filter` span — and
-/// the ladder partitions the fold's survivors, so its span tree is the
-/// unbudgeted run's and so is its answer.
+/// the ladder partitions the groups of the fold's partials, so its span tree
+/// is the unbudgeted run's and so is its answer.
 #[test]
 fn an_aggregate_over_budget_still_folds_its_filter() {
     let (plan, keyed) = permuted_keys();

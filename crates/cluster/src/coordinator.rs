@@ -443,11 +443,6 @@ impl Coordinator {
         self.service.metrics()
     }
 
-    /// p-quantile of end-to-end simulated latency, if any query completed.
-    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.inner.metrics.histogram_quantile("coord_latency_seconds", q)
-    }
-
     /// True while `node`'s circuit breaker blocks routing.
     pub fn breaker_is_open(&self, node: usize) -> bool {
         let st = self.inner.health.lock().unwrap();

@@ -161,13 +161,6 @@ impl ClusterConfig {
         self.model_scale = scale;
         self
     }
-
-    /// Sets the per-node software thread count (see `node_threads`).
-    pub fn with_node_threads(mut self, threads: u32) -> Self {
-        assert!(threads > 0, "nodes need at least one thread");
-        self.node_threads = threads;
-        self
-    }
 }
 
 /// One distributed run's outcome and simulated timing.

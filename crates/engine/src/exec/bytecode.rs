@@ -899,11 +899,6 @@ impl Program {
         self.cols.iter().map(|c| Ty::of_column(c).width()).sum()
     }
 
-    /// Number of distinct columns read.
-    pub fn num_cols(&self) -> usize {
-        self.cols.len()
-    }
-
     /// The peephole-specialized predicate form, when one was recognized.
     pub(crate) fn quick(&self) -> Option<&Quick> {
         self.quick.as_ref()

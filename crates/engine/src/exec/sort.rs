@@ -1,11 +1,17 @@
-//! Multi-key sorting.
+//! Multi-key sorting over one key encoding (DESIGN.md §16).
 //!
-//! Keys are prepared as cheap orderable representations (dictionary codes are
-//! replaced by lexicographic ranks), then row indices are sorted with a
-//! stable comparison — ties preserve input order, keeping results
-//! deterministic across runs and cluster merges.
+//! Every key is a normalized key: [`SortCol::at`] maps it to a `u64` whose
+//! unsigned order is the key's order (sign-flipped integers, the IEEE
+//! total-order trick for floats, lexicographic dictionary ranks, all bits
+//! flipped for a descending key). [`order`] is the one run sort: it encodes
+//! a range of rows once and stable-sorts their ids, so ties keep input
+//! order — the `(keys, row id)` rule that keeps results deterministic
+//! across runs, thread counts and cluster merges. The resident sort is one
+//! run over every row; the external sort stages budget-sized runs on the
+//! spill disk and merges them.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::error::{EngineError, Result};
 use crate::governor::QueryContext;
@@ -14,31 +20,15 @@ use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use wimpi_storage::{Column, DictColumn};
 
-/// One prepared sort key.
-enum KeyRep {
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-    Rank(Vec<u32>),
-}
-
-impl KeyRep {
-    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        match self {
-            KeyRep::I64(v) => v[a].cmp(&v[b]),
-            KeyRep::F64(v) => v[a].total_cmp(&v[b]),
-            KeyRep::Rank(v) => v[a].cmp(&v[b]),
-        }
-    }
-}
-
 /// Sorts the relation by `keys` (most significant first) and hands on the
 /// order as row ids: only the key columns are gathered here.
 ///
-/// Sorting has no Grace-style fallback — the key representations and the
-/// index vector are the algorithm — so the whole buffer is reserved up
-/// front. When it does not fit and a spill disk is attached, it degrades to
-/// [`external_order`] (DESIGN.md §16); otherwise an impossible budget fails
-/// fast with `ResourceExhausted`.
+/// Sorting has no Grace-style fallback — the encoded keys and the id vector
+/// are the algorithm — so the whole buffer is reserved up front and the
+/// rows are ordered as one run. When it does not fit and a spill disk is
+/// attached, it degrades to [`external_order`] over the same encoding
+/// (DESIGN.md §16); otherwise an impossible budget fails fast with
+/// `ResourceExhausted`.
 pub fn exec_sort(
     rel: &Relation,
     keys: &[SortKey],
@@ -50,16 +40,21 @@ pub fn exec_sort(
     }
     let n = rel.num_rows();
     super::ensure_u32_indexable(n, "sort")?;
-    // Key reps at their real widths (4 B ranks, 8 B ints/floats) plus the
-    // 4 B/row index vector being sorted.
+    // Encoded keys at their real widths (4 B ranks, 8 B ints/floats) plus
+    // the 4 B/row id vector being sorted.
     let mut key_width = 4u64;
+    let mut cols = Vec::with_capacity(keys.len());
     for k in keys {
         key_width += rel.data_type(&k.column)?.sort_key_bytes();
+        cols.push(SortCol::new(rel.column(&k.column)?, k.descending));
     }
     let idx = match ctx.try_reserve(n as u64 * key_width) {
-        Some(_guard) => resident_order(rel, keys, n, ctx)?,
+        Some(_guard) => {
+            ctx.checkpoint()?;
+            order(&cols, 0..n)
+        }
         None if ctx.spill().is_some() => {
-            super::ladder::ledgered(ctx, prof, || external_order(rel, keys, n, ctx))?
+            super::ladder::ledgered(ctx, prof, || external_order(&cols, n, ctx))?
         }
         None => {
             return Err(EngineError::ResourceExhausted {
@@ -72,7 +67,7 @@ pub fn exec_sort(
     // n log n comparisons over all keys, plus the output gather. log2 is
     // rounded to nearest — truncation undercharged by up to one comparison
     // level per row (e.g. n=1000 paid for 9 of its ~10 levels). Each
-    // comparison streams the key representations at their real widths (4 B
+    // comparison streams the encoded keys at their real widths (4 B
     // dictionary ranks, 8 B integer/float keys — charging 8 B for a rank
     // would over-price ORDER BY on dictionary columns by 2×). The charges do
     // not depend on which path ordered the rows (spill traffic is ledgered
@@ -85,62 +80,112 @@ pub fn exec_sort(
     Ok(out)
 }
 
-/// The stable in-memory sort: the permutation that orders `rel` by `keys`.
-fn resident_order(
-    rel: &Relation,
-    keys: &[SortKey],
-    n: usize,
-    ctx: &QueryContext,
-) -> Result<Vec<u32>> {
-    let mut reps = Vec::with_capacity(keys.len());
-    for k in keys {
-        let col = rel.column(&k.column)?;
-        reps.push((prepare_key(col), k.descending));
+/// One sort key: its column resolved once to a typed slice, and its
+/// direction as a mask.
+struct SortCol<'a> {
+    vals: Vals<'a>,
+    /// All ones for a descending key, zero for an ascending one.
+    flip: u64,
+}
+
+enum Vals<'a> {
+    I64(&'a [i64]), // Int64 and Decimal
+    I32(&'a [i32]), // Int32 and Date
+    Bool(&'a [bool]),
+    F64(&'a [f64]),
+    /// Dictionary codes and the lexicographic rank of each code.
+    Rank(&'a [u32], Vec<u32>),
+}
+
+impl<'a> SortCol<'a> {
+    fn new(col: &'a Column, descending: bool) -> Self {
+        let vals = match col {
+            Column::Int64(v) | Column::Decimal(v, _) => Vals::I64(v),
+            Column::Int32(v) | Column::Date(v) => Vals::I32(v),
+            Column::Bool(v) => Vals::Bool(v),
+            Column::Float64(v) => Vals::F64(v),
+            Column::Str(d) => Vals::Rank(d.codes(), dict_ranks(d)),
+        };
+        SortCol { vals, flip: if descending { u64::MAX } else { 0 } }
     }
-    ctx.checkpoint()?;
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_by(|&a, &b| {
-        for (rep, desc) in &reps {
-            let ord = rep.cmp_rows(a as usize, b as usize);
-            if ord != Ordering::Equal {
-                return if *desc { ord.reverse() } else { ord };
+
+    /// Row `i`'s key as an order-preserving `u64`: integers sign-flipped,
+    /// floats in IEEE total order (negatives complemented, the rest with the
+    /// sign bit set, so `u64` order is `f64::total_cmp`'s), strings as their
+    /// rank; then XORed with the flip mask.
+    #[inline]
+    fn at(&self, i: usize) -> u64 {
+        const SIGN: u64 = 1 << 63;
+        let v = match &self.vals {
+            Vals::I64(v) => v[i] as u64 ^ SIGN,
+            Vals::I32(v) => v[i] as i64 as u64 ^ SIGN,
+            Vals::Bool(v) => v[i] as u64,
+            Vals::F64(v) => {
+                let b = v[i].to_bits(); // a negative flips every bit, the rest the sign
+                b ^ ((b as i64 >> 63) as u64 | SIGN)
             }
-        }
-        Ordering::Equal
+            Vals::Rank(codes, rank) => rank[codes[i] as usize] as u64,
+        };
+        v ^ self.flip
+    }
+}
+
+/// A key encoded over one run: dictionary ranks keep their 4 B width.
+enum Encoded {
+    Wide(Vec<u64>),
+    Narrow(Vec<u32>),
+}
+
+/// The one run sort: the ids of `rows` in key order, ties in row order.
+///
+/// Each key is encoded once over the range — a rank XORed with the low half
+/// of the flip mask, which orders it as [`SortCol::at`] does — then the
+/// ascending ids are stable-sorted, so equal keys keep row order: the
+/// `(keys, row id)` order the external merge continues across runs.
+fn order(cols: &[SortCol], rows: Range<usize>) -> Vec<u32> {
+    let lo = rows.start;
+    let keys: Vec<Encoded> = cols
+        .iter()
+        .map(|c| match &c.vals {
+            Vals::Rank(codes, rank) => Encoded::Narrow(
+                codes[rows.clone()].iter().map(|&k| rank[k as usize] ^ c.flip as u32).collect(),
+            ),
+            _ => Encoded::Wide(rows.clone().map(|i| c.at(i)).collect()),
+        })
+        .collect();
+    let mut ids: Vec<u32> = (lo as u32..rows.end as u32).collect();
+    ids.sort_by(|&a, &b| {
+        let (a, b) = (a as usize - lo, b as usize - lo);
+        keys.iter()
+            .map(|k| match k {
+                Encoded::Wide(v) => v[a].cmp(&v[b]),
+                Encoded::Narrow(v) => v[a].cmp(&v[b]),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     });
-    Ok(idx)
+    ids
 }
 
 /// The sort below its resident path (DESIGN.md §16): an external merge
 /// sort over the spill disk.
 ///
-/// Each key is mapped to an order-preserving `u64` (sign-flipped integers,
-/// the IEEE total-order trick for floats, lexicographic dictionary ranks;
-/// descending keys are bitwise-complemented), so row order under the
-/// in-memory comparator equals lexicographic order of `(encoded keys,
-/// row id)` — the unique row id tie-break *is* the stable sort's
-/// preserve-input-order rule. Sorted runs of budget-bounded size are staged
-/// on the disk in fixed-size pages; the merge holds one page per run and
-/// emits the globally least row each step. Everything is decided by row
-/// counts and the budget on the coordinator thread, so the permutation is
-/// bit-identical to the in-memory stable sort at any thread count.
-fn external_order(
-    rel: &Relation,
-    keys: &[SortKey],
-    n: usize,
-    ctx: &QueryContext,
-) -> Result<Vec<u32>> {
+/// Budget-sized runs are ordered by [`order`] and staged on the disk as
+/// fixed-size pages of `(row id, at(i)…)` records; the merge holds one page
+/// per run and emits the least `(keys, row id)` record each step. A run's
+/// ties are in row order and runs cover ascending row ranges, so the
+/// permutation is the resident sort's. Everything is decided by row counts
+/// and the budget on the coordinator thread, so it is bit-identical at any
+/// thread count.
+fn external_order(cols: &[SortCol], n: usize, ctx: &QueryContext) -> Result<Vec<u32>> {
     use super::spill::{SpillRowReader, SpillSet};
 
-    let nkeys = keys.len();
+    let nkeys = cols.len();
     let rb = 4 + 8 * nkeys as u64; // serialized row: u32 id + u64 per key
-    let mut encs = Vec::with_capacity(nkeys);
-    for k in keys {
-        let enc = RowEnc::new(rel.column(&k.column)?, k.descending);
-        if let Some(rank) = &enc.rank {
+    for c in cols {
+        if let Vals::Rank(_, rank) = &c.vals {
             ctx.track(rank.len() as u64 * 4);
         }
-        encs.push(enc);
     }
 
     // Split the remaining budget between run scratch and merge pages.
@@ -152,32 +197,19 @@ fn external_order(
     let mut set = SpillSet::new(ctx, "sort").expect("disk attached");
     let mut run_chunks: Vec<Vec<usize>> = Vec::with_capacity(nruns);
     {
-        // Sorted runs: encode a budget-sized slice, sort its row ids, stage
-        // the (row id, keys) records in sorted order as merge-sized pages.
+        // Sorted runs: order a budget-sized slice, stage its records in
+        // sorted order as merge-sized pages.
         let _scratch = ctx.reserve(run_rows as u64 * rb, "sort")?;
-        let mut keybuf: Vec<u64> = Vec::with_capacity(run_rows * nkeys);
         for r in 0..nruns {
             ctx.checkpoint()?;
-            let (lo, hi) = (r * run_rows, ((r + 1) * run_rows).min(n));
-            keybuf.clear();
-            for i in lo..hi {
-                for e in &encs {
-                    keybuf.push(e.at(i));
-                }
-            }
-            let mut order: Vec<u32> = (lo as u32..hi as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (ka, kb) = ((a as usize - lo) * nkeys, (b as usize - lo) * nkeys);
-                keybuf[ka..ka + nkeys].cmp(&keybuf[kb..kb + nkeys]).then(a.cmp(&b))
-            });
+            let run = order(cols, r * run_rows..((r + 1) * run_rows).min(n));
             let mut chunks = Vec::new();
-            for page in order.chunks(page_rows) {
+            for page in run.chunks(page_rows) {
                 let mut buf = Vec::with_capacity(page.len() * rb as usize);
                 for &i in page {
                     buf.extend_from_slice(&i.to_le_bytes());
-                    let k = (i as usize - lo) * nkeys;
-                    for &e in &keybuf[k..k + nkeys] {
-                        buf.extend_from_slice(&e.to_le_bytes());
+                    for c in cols {
+                        buf.extend_from_slice(&c.at(i as usize).to_le_bytes());
                     }
                 }
                 chunks.push(set.write(&buf)?);
@@ -242,77 +274,6 @@ fn external_order(
     debug_assert_eq!(idx.len(), n);
     ctx.note_fallback(nruns as u32);
     Ok(idx)
-}
-
-/// Per-row order-preserving `u64` key encoder for the external sort.
-struct RowEnc<'a> {
-    col: &'a Column,
-    /// Lexicographic rank per dictionary code (string keys only).
-    rank: Option<Vec<u32>>,
-    desc: bool,
-}
-
-impl<'a> RowEnc<'a> {
-    fn new(col: &'a Column, desc: bool) -> Self {
-        let rank = match col {
-            Column::Str(d) => Some(dict_ranks(d)),
-            _ => None,
-        };
-        RowEnc { col, rank, desc }
-    }
-
-    #[inline]
-    fn at(&self, i: usize) -> u64 {
-        let v = match self.col {
-            Column::Int64(v) => enc_i64(v[i]),
-            Column::Int32(v) => enc_i64(v[i] as i64),
-            Column::Date(v) => enc_i64(v[i] as i64),
-            Column::Decimal(v, _) => enc_i64(v[i]),
-            Column::Bool(v) => v[i] as u64,
-            Column::Float64(v) => enc_f64(v[i]),
-            Column::Str(d) => {
-                self.rank.as_ref().expect("built for Str")[d.codes()[i] as usize] as u64
-            }
-        };
-        if self.desc {
-            !v
-        } else {
-            v
-        }
-    }
-}
-
-/// Sign-flip: `u64` order equals `i64` order.
-#[inline]
-fn enc_i64(x: i64) -> u64 {
-    (x as u64) ^ (1 << 63)
-}
-
-/// IEEE-754 total-order trick: `u64` order equals `f64::total_cmp` order
-/// (negatives complemented, positives offset above them).
-#[inline]
-fn enc_f64(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-fn prepare_key(col: &Column) -> KeyRep {
-    match col {
-        Column::Int64(v) => KeyRep::I64(v.clone()),
-        Column::Int32(v) => KeyRep::I64(v.iter().map(|&x| x as i64).collect()),
-        Column::Date(v) => KeyRep::I64(v.iter().map(|&x| x as i64).collect()),
-        Column::Decimal(v, _) => KeyRep::I64(v.clone()),
-        Column::Bool(v) => KeyRep::I64(v.iter().map(|&b| b as i64).collect()),
-        Column::Float64(v) => KeyRep::F64(v.clone()),
-        Column::Str(d) => {
-            let rank = dict_ranks(d);
-            KeyRep::Rank(d.codes().iter().map(|&c| rank[c as usize]).collect())
-        }
-    }
 }
 
 /// The lexicographic rank of each dictionary code, computed once per key.
@@ -496,5 +457,146 @@ mod tests {
         assert_eq!(got, want, "faulted spill sort must stay bit-exact");
         assert!(p.spill_corruptions_detected > 0, "fault injection must fire");
         assert_eq!(disk.used(), 0);
+    }
+
+    /// A key column of the oracle's table, kept as the typed values it was
+    /// built from.
+    enum Typed {
+        I64(Vec<i64>),
+        I32(Vec<i32>),
+        Bool(Vec<bool>),
+        F64(Vec<f64>),
+        Str(Vec<&'static str>),
+    }
+
+    impl Typed {
+        /// The values' own order: no encoding, no ranks.
+        fn cmp(&self, a: usize, b: usize) -> Ordering {
+            match self {
+                Typed::I64(v) => v[a].cmp(&v[b]),
+                Typed::I32(v) => v[a].cmp(&v[b]),
+                Typed::Bool(v) => v[a].cmp(&v[b]),
+                Typed::F64(v) => v[a].total_cmp(&v[b]),
+                Typed::Str(v) => v[a].cmp(v[b]),
+            }
+        }
+    }
+
+    /// Seven key columns, one per column type, drawn from small pools (heavy
+    /// ties) that hold each type's extremes and negatives, ±0.0, ±∞, NaN of
+    /// both signs, and `""`; plus `id`, the row id, to read permutations by.
+    fn oracle_table(n: usize) -> (Relation, Vec<(&'static str, Typed)>) {
+        let mut rng = wimpi_storage::SplitMix64::new(n as u64);
+        let mut draws = |k: usize| -> Vec<usize> {
+            (0..n).map(|_| (rng.next_u64() % k as u64) as usize).collect()
+        };
+        let pick =
+            |d: Vec<usize>, pool: &[i64]| -> Vec<i64> { d.iter().map(|&i| pool[i]).collect() };
+        let i64s = pick(draws(6), &[i64::MIN, -7, -1, 0, 5, i64::MAX]);
+        let decs = pick(draws(5), &[-123_456, -1, 0, 99, 100]);
+        let i32s: Vec<i32> = pick(draws(6), &[i32::MIN as i64, -40_000, -1, 0, 3, i32::MAX as i64])
+            .into_iter()
+            .map(|v| v as i32)
+            .collect();
+        let dates: Vec<i32> = draws(4).iter().map(|&i| [-3_650, -1, 0, 9_000][i]).collect();
+        let bools: Vec<bool> = draws(2).iter().map(|&i| i == 1).collect();
+        let floats = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, -2.5, 1.25];
+        let f64s: Vec<f64> = draws(8).iter().map(|&i| floats[i]).collect();
+        // Codes are assigned out of lexicographic order.
+        let words = ["pear", "", "apple", "zebra", "Apple", "pea"];
+        let codes: Vec<u32> = draws(6).iter().map(|&i| i as u32).collect();
+        let strs: Vec<&'static str> = codes.iter().map(|&c| words[c as usize]).collect();
+        let dict = DictColumn::from_parts(codes, words.iter().map(|w| w.to_string()).collect());
+        let cols = vec![
+            ("i64", Column::Int64(i64s.clone()), Typed::I64(i64s)),
+            ("dec", Column::Decimal(decs.clone(), 2), Typed::I64(decs)),
+            ("i32", Column::Int32(i32s.clone()), Typed::I32(i32s)),
+            ("date", Column::Date(dates.clone()), Typed::I32(dates)),
+            ("bool", Column::Bool(bools.clone()), Typed::Bool(bools)),
+            ("f64", Column::Float64(f64s.clone()), Typed::F64(f64s)),
+            ("str", Column::Str(dict), Typed::Str(strs)),
+        ];
+        let mut fields = vec![("id".to_string(), Arc::new(Column::Int64((0..n as i64).collect())))];
+        let mut typed = Vec::new();
+        for (name, col, t) in cols {
+            fields.push((name.to_string(), Arc::new(col)));
+            typed.push((name, t));
+        }
+        (Relation::new(fields).unwrap(), typed)
+    }
+
+    /// `exec_sort` against `slice::sort_by` over the typed values, with
+    /// every key set in every direction, unbudgeted (the resident sort, one
+    /// run) and at spill budgets that force 4, 12 and 50 runs. A spilled
+    /// sort always has two runs or more: one run of n rows needs 2·n·(4 + 8
+    /// per key) bytes, more than the resident path's reservation.
+    #[test]
+    fn sort_matches_an_oracle_that_shares_no_encoding() {
+        let key_sets: [&[usize]; 14] = [
+            &[0],
+            &[1],
+            &[2],
+            &[3],
+            &[4],
+            &[5],
+            &[6],
+            &[6, 5],
+            &[4, 0],
+            &[3, 1],
+            &[2, 6],
+            &[4, 6, 5],
+            &[1, 4, 2],
+            &[5, 3, 6],
+        ];
+        for n in [0, 1, 2, 2_000] {
+            let (rel, typed) = oracle_table(n);
+            for set in key_sets {
+                for dirs in 0..1u32 << set.len() {
+                    let desc = |j: usize| dirs >> j & 1 == 1;
+                    let keys: Vec<SortKey> = set
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &c)| SortKey {
+                            column: typed[c].0.to_string(),
+                            descending: desc(j),
+                        })
+                        .collect();
+                    let mut want: Vec<i64> = (0..n as i64).collect();
+                    want.sort_by(|&a, &b| {
+                        let (a, b) = (a as usize, b as usize);
+                        set.iter()
+                            .enumerate()
+                            .map(|(j, &c)| {
+                                let o = typed[c].1.cmp(a, b);
+                                if desc(j) {
+                                    o.reverse()
+                                } else {
+                                    o
+                                }
+                            })
+                            .find(|o| o.is_ne())
+                            .unwrap_or(Ordering::Equal)
+                    });
+                    let ids = |ctx: &QueryContext| {
+                        let out = exec_sort(&rel, &keys, &mut WorkProfile::new(), ctx).unwrap();
+                        out.column("id").unwrap().as_i64().unwrap().to_vec()
+                    };
+                    assert_eq!(ids(&QueryContext::default()), want, "n={n} {keys:?}");
+                    let rb = 4 + 8 * keys.len() as u64;
+                    for runs in [4, 12, 50] {
+                        let budget = 2 * rb * n.div_ceil(runs).max(1) as u64;
+                        let disk = Arc::new(wimpi_storage::SpillDisk::new(
+                            wimpi_storage::SpillConfig::with_capacity(4 << 20),
+                        ));
+                        let ctx = QueryContext::with_budget(budget).with_spill(Arc::clone(&disk));
+                        assert_eq!(ids(&ctx), want, "n={n} {keys:?} at {runs} runs");
+                        if n == 2_000 {
+                            assert_eq!(ctx.max_fallback_parts(), runs as u32, "{keys:?}");
+                        }
+                        assert_eq!(disk.used(), 0);
+                    }
+                }
+            }
+        }
     }
 }

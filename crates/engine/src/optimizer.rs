@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::plan::{JoinType, LogicalPlan};
 use wimpi_storage::Catalog;
@@ -266,89 +266,12 @@ fn prune(
     }
 }
 
-/// Validates that every column a plan references exists — a cheap sanity
-/// check used by tests and the cluster rewrite.
-pub fn check(plan: &LogicalPlan, catalog: &Catalog) -> Result<()> {
-    // Walking output_columns covers Scan validity; expression references are
-    // checked here.
-    fn walk(plan: &LogicalPlan, catalog: &Catalog) -> Result<BTreeSet<String>> {
-        let avail: BTreeSet<String> = match plan {
-            LogicalPlan::Scan { .. } => return output_columns(plan, catalog),
-            LogicalPlan::Join { left, right, join_type, on } => {
-                let l = walk(left, catalog)?;
-                let r = walk(right, catalog)?;
-                for (lk, rk) in on {
-                    if !l.contains(lk) {
-                        return Err(EngineError::Plan(format!("join key {lk} not in left")));
-                    }
-                    if !r.contains(rk) {
-                        return Err(EngineError::Plan(format!("join key {rk} not in right")));
-                    }
-                }
-                let mut cols = l;
-                match join_type {
-                    JoinType::Semi | JoinType::Anti => {}
-                    JoinType::Inner => cols.extend(r),
-                    JoinType::LeftOuter => {
-                        cols.extend(r);
-                        cols.insert(crate::exec::join::MATCHED_COL.to_string());
-                    }
-                }
-                cols
-            }
-            _ => {
-                let mut cols = BTreeSet::new();
-                for c in plan.inputs() {
-                    cols = walk(c, catalog)?;
-                }
-                cols
-            }
-        };
-        let need = |exprs: Vec<&Expr>| -> Result<()> {
-            for e in exprs {
-                for c in e.column_set() {
-                    if !avail.contains(&c) {
-                        return Err(EngineError::Plan(format!("unknown column {c}")));
-                    }
-                }
-            }
-            Ok(())
-        };
-        match plan {
-            LogicalPlan::Filter { predicate, .. } => need(vec![predicate])?,
-            LogicalPlan::Project { exprs, .. } => {
-                need(exprs.iter().map(|(e, _)| e).collect())?;
-                return Ok(exprs.iter().map(|(_, n)| n.clone()).collect());
-            }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
-                need(group_by.iter().map(|(e, _)| e).collect())?;
-                need(aggs.iter().filter_map(|a| a.expr.as_ref()).collect())?;
-                return Ok(group_by
-                    .iter()
-                    .map(|(_, n)| n.clone())
-                    .chain(aggs.iter().map(|a| a.name.clone()))
-                    .collect());
-            }
-            LogicalPlan::Sort { keys, .. } => {
-                for k in keys {
-                    if !avail.contains(&k.column) {
-                        return Err(EngineError::Plan(format!("unknown sort key {}", k.column)));
-                    }
-                }
-            }
-            _ => {}
-        }
-        Ok(avail)
-    }
-    walk(plan, catalog).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::plan::{AggExpr, PlanBuilder};
-    use wimpi_storage::{Column, DataType, Field, Schema, Table};
+    use wimpi_storage::{Column, DataType, Field, Schema, StorageError, Table};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -451,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_plan_passes_check_and_runs() {
+    fn optimized_plan_runs_to_the_same_answer() {
         let cat = catalog();
         let plan = PlanBuilder::scan("t")
             .inner_join(PlanBuilder::scan("u"), vec![("a", "x")])
@@ -459,7 +382,6 @@ mod tests {
             .aggregate(vec![], vec![AggExpr::sum(col("y"), "s")])
             .build();
         let opt = optimize(plan.clone(), &cat).unwrap();
-        check(&opt, &cat).unwrap();
         let run = |p: &LogicalPlan| {
             let (cfg, ctx) = (crate::EngineConfig::serial(), crate::QueryContext::default());
             crate::exec::execute(p, &cat, &cfg, &ctx, crate::Tracer::off()).unwrap().0
@@ -472,10 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn check_rejects_unknown_columns() {
+    fn executing_an_unknown_column_errors_typed() {
         let cat = catalog();
         let plan = PlanBuilder::scan("t").filter(col("zzz").gt(lit(1i64))).build();
-        assert!(check(&plan, &cat).is_err());
+        let (cfg, ctx) = (crate::EngineConfig::serial(), crate::QueryContext::default());
+        let err = crate::exec::execute(&plan, &cat, &cfg, &ctx, crate::Tracer::off()).unwrap_err();
+        assert!(
+            matches!(err, crate::EngineError::Storage(StorageError::ColumnNotFound(ref c)) if c == "zzz"),
+            "got {err:?}"
+        );
     }
 
     #[test]

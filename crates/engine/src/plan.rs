@@ -281,11 +281,6 @@ impl PlanBuilder {
         Self { plan: LogicalPlan::Scan { table: table.into(), projection: None } }
     }
 
-    /// Starts from an existing plan.
-    pub fn from_plan(plan: LogicalPlan) -> Self {
-        Self { plan }
-    }
-
     /// Adds a filter.
     pub fn filter(self, predicate: Expr) -> Self {
         Self { plan: LogicalPlan::Filter { input: Box::new(self.plan), predicate } }

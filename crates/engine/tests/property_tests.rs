@@ -1,13 +1,12 @@
-//! Property-based tests over the engine's core data structures and
-//! operators: selection-vector algebra, decimal arithmetic through the
-//! evaluator, join/aggregate identities on arbitrary data.
+//! Property-based tests over the engine's operators: decimal arithmetic
+//! through the evaluator, join/aggregate identities on arbitrary data.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, JoinType, PlanBuilder, SortKey};
 use wimpi_engine::{execute_query, Relation};
-use wimpi_storage::{selection, Catalog, Column, DataType, Field, Schema, Table, Value};
+use wimpi_storage::{Catalog, Column, DataType, Field, Schema, Table, Value};
 
 fn table_from(keys: Vec<i64>, vals: Vec<i64>) -> Table {
     Table::new(
@@ -19,22 +18,6 @@ fn table_from(keys: Vec<i64>, vals: Vec<i64>) -> Table {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Selection algebra: De Morgan over arbitrary masks.
-    #[test]
-    fn selection_de_morgan(mask_a in prop::collection::vec(any::<bool>(), 0..200),
-                           mask_b in prop::collection::vec(any::<bool>(), 0..200)) {
-        let n = mask_a.len().min(mask_b.len());
-        let a = selection::from_mask(&mask_a[..n]);
-        let b = selection::from_mask(&mask_b[..n]);
-        // ¬(A ∪ B) == ¬A ∩ ¬B
-        let lhs = selection::complement(&selection::union(&a, &b), n);
-        let rhs = selection::intersect(
-            &selection::complement(&a, n),
-            &selection::complement(&b, n),
-        );
-        prop_assert_eq!(lhs, rhs);
-    }
 
     /// Filter + count == direct count of matching elements.
     #[test]

@@ -169,11 +169,6 @@ impl Decimal64 {
             .map(|m| Self { mantissa: m, scale: out_scale })
             .map_err(|_| StorageError::DecimalOverflow)
     }
-
-    /// Division via `f64` (documented lossy path).
-    pub fn div_f64(self, other: Self) -> f64 {
-        self.to_f64() / other.to_f64()
-    }
 }
 
 /// Rescales a raw i128 mantissa between scales, rounding half away from zero

@@ -279,11 +279,6 @@ impl SpillDisk {
         self.inner.lock().unwrap().used
     }
 
-    /// Live (written, not yet freed) chunk count.
-    pub fn live_chunks(&self) -> usize {
-        self.inner.lock().unwrap().chunks.len()
-    }
-
     /// Snapshot of the lifetime counters.
     pub fn counters(&self) -> SpillCounters {
         self.inner.lock().unwrap().counters

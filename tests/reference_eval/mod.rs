@@ -23,7 +23,7 @@ use wimpi::engine::expr::{BinOp, Expr};
 use wimpi::engine::like::like_match;
 use wimpi::engine::optimizer::split_conjuncts;
 use wimpi::engine::{EngineConfig, EngineError, Relation, Result, WorkProfile};
-use wimpi::storage::{selection, Column, DictBuilder, DictColumn, Value};
+use wimpi::storage::{Column, DictBuilder, DictColumn, Value};
 
 /// The reference runs serially: one chunk, in row order.
 fn par_map_concat<T>(_: &EngineConfig, n: usize, f: impl Fn(Range<usize>) -> Vec<T>) -> Vec<T> {
@@ -653,12 +653,14 @@ pub fn reference_filter(
                 break;
             }
             if sel.is_none() {
-                sel = Some(selection::identity(rel.num_rows()));
+                sel = Some((0..rel.num_rows() as u32).collect());
             }
             continue;
         }
         sel = Some(match sel.take() {
-            None => selection::from_mask(&Interpreter::new(rel, prof).eval_mask(&conjunct)?),
+            None => (Interpreter::new(rel, prof).eval_mask(&conjunct)?.into_iter().zip(0u32..))
+                .filter_map(|(keep, i)| keep.then_some(i))
+                .collect(),
             Some(candidates) => {
                 if candidates.is_empty() {
                     sel = Some(candidates);

@@ -30,7 +30,7 @@ pub enum FaultKind {
     /// The node's first `failures` execution attempts abort with an
     /// out-of-memory error (the paper's dominant failure mode), after which
     /// the node succeeds. Recoverable by retrying with backoff while
-    /// `failures <=` [`RecoveryPolicy::max_retries`]; beyond that the node
+    /// `failures <=` [`MAX_RETRIES`]; beyond that the node
     /// is declared dead and its partition reassigned.
     TransientOom {
         /// Number of leading attempts that fail.
@@ -159,6 +159,10 @@ impl FaultPlan {
 /// partition is reassigned.
 pub const DETECT_S: f64 = 0.2;
 
+/// Retry budget for transient faults (and for re-running a node whose data
+/// failed verification) before the node is declared dead.
+pub const MAX_RETRIES: u32 = 3;
+
 /// A slow node past this multiple of the median runtime of the run's
 /// non-slow survivors gets a speculative copy of its partition on the
 /// least-loaded other node, when [`RecoveryPolicy::speculation`] is on. A
@@ -171,8 +175,6 @@ pub const STRAGGLER_THRESHOLD: f64 = 2.0;
 /// seconds priced alongside the hwsim/net models.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryPolicy {
-    /// Retry budget for transient faults before the node is declared dead.
-    pub max_retries: u32,
     /// Enables speculative re-execution of stragglers.
     pub speculation: bool,
     /// Most lost partitions a single survivor may absorb before recovery
@@ -187,7 +189,7 @@ pub struct RecoveryPolicy {
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self { max_retries: 3, speculation: true, reassign_cap: usize::MAX, degraded_ok: false }
+        Self { speculation: true, reassign_cap: usize::MAX, degraded_ok: false }
     }
 }
 

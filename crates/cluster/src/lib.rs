@@ -120,7 +120,8 @@ impl From<wimpi_storage::StorageError> for ClusterError {
 /// Result alias.
 pub type Result<T> = std::result::Result<T, ClusterError>;
 
-/// Cluster construction parameters.
+/// Cluster construction parameters. Every node's work is priced at all of
+/// the Pi's hardware threads, as the paper runs MonetDB fully parallel.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Node count (the paper sweeps 4–24).
@@ -135,10 +136,6 @@ pub struct ClusterConfig {
     /// bytes before pricing (DESIGN.md §4): a cluster *built* at SF `sf` but
     /// *modelled* as holding SF `sf × model_scale`. 1.0 = no extrapolation.
     pub model_scale: f64,
-    /// Software threads each node runs its query slice with. Defaults to the
-    /// Pi's 4 hardware threads (the paper runs MonetDB fully parallel);
-    /// lower it to model partially-loaded nodes.
-    pub node_threads: u32,
 }
 
 impl ClusterConfig {
@@ -151,7 +148,6 @@ impl ClusterConfig {
             memory: MemoryModel::wimpi_node(),
             net: NetModel::wimpi_node(),
             model_scale: 1.0,
-            node_threads: pi3b().threads,
         }
     }
 
@@ -563,7 +559,7 @@ mod tests {
     fn transient_oom_beyond_budget_reassigns() {
         let c = small_cluster(3);
         let q = query(6);
-        let budget = c.recovery_policy().max_retries;
+        let budget = faults::MAX_RETRIES;
         let plan = FaultPlan::none().with(0, FaultKind::TransientOom { failures: budget + 5 });
         let run = c.run_with("Q", &q, Strategy::PartialAggPushdown, &plan).unwrap();
         assert_eq!(run.recovery.retries, budget);
@@ -839,7 +835,7 @@ mod tests {
         let run = c.run_with("Q", &q, Strategy::PartialAggPushdown, &plan).unwrap();
         assert!(run.recovery.integrity_detected >= 1);
         assert_eq!(run.recovery.integrity_repaired, 0, "local repair can never verify");
-        assert!(run.recovery.retries >= c.recovery_policy().max_retries);
+        assert!(run.recovery.retries >= faults::MAX_RETRIES);
         assert_eq!(run.recovery.reassignments.len(), 1, "{:?}", run.recovery);
         assert_eq!(run.recovery.reassignments[0].partition, 0);
         assert!(!run.recovery.degraded);

@@ -6,7 +6,7 @@ use wimpi_engine::{
     optimizer, CancelToken, EngineConfig, EngineError, LogicalPlan, QueryContext, Relation, Tracer,
     WorkProfile,
 };
-use wimpi_hwsim::predict;
+use wimpi_hwsim::predict_all_cores;
 use wimpi_storage::Catalog;
 
 use crate::faults::RecoveryReport;
@@ -68,8 +68,7 @@ impl WimpiCluster {
                         self.metrics.inc("cluster_degraded_budget_runs_total", 1);
                         report.budget_degraded += 1;
                     }
-                    let exec_s =
-                        predict(&self.pi, &prof, self.config.node_threads).total_s() + penalty_s;
+                    let exec_s = predict_all_cores(&self.pi, &prof).total_s() + penalty_s;
                     return Ok(Priced::Fit { rel, prof, exec_s, cancel: ctx.cancel });
                 }
                 Err(short) => needed = short,
@@ -100,7 +99,7 @@ impl WimpiCluster {
             seq_read_bytes: scanned_bytes,
             ..WorkProfile::default()
         };
-        predict(&self.pi, &work, self.config.node_threads).total_s()
+        predict_all_cores(&self.pi, &work).total_s()
     }
 
     /// Simulated seconds for a survivor to regenerate a lineitem chunk:
@@ -118,7 +117,7 @@ impl WimpiCluster {
             rows_in: scaled_rows,
             ..WorkProfile::default()
         };
-        predict(&self.pi, &work, self.config.node_threads).total_s()
+        predict_all_cores(&self.pi, &work).total_s()
             + self.config.memory.reload_seconds(scaled_heap)
     }
 }

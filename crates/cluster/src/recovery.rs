@@ -42,7 +42,7 @@ use wimpi_storage::{Catalog, Column, Field, Schema, SplitMix64, Table};
 
 use crate::distribute::{Distributed, Strategy, PARTIALS_TABLE};
 use crate::faults::{
-    FaultKind, FaultPlan, Reassignment, RecoveryReport, DETECT_S, STRAGGLER_THRESHOLD,
+    FaultKind, FaultPlan, Reassignment, RecoveryReport, DETECT_S, MAX_RETRIES, STRAGGLER_THRESHOLD,
 };
 use crate::pricing::{scan_bytes, Priced};
 use crate::{ClusterError, DistRun, Result, WimpiCluster};
@@ -528,8 +528,7 @@ impl WimpiCluster {
         };
         match fault {
             Some(FaultKind::TransientOom { failures }) => {
-                let budget = self.policy.max_retries;
-                if failures <= budget {
+                if failures <= MAX_RETRIES {
                     // Fails `failures` times, then succeeds: the wasted
                     // attempts and backoff delays precede the good run.
                     let mut waste = 0.0;
@@ -543,10 +542,10 @@ impl WimpiCluster {
                     // Retry budget exhausted: declared dead; its partition
                     // becomes reassignable once the attempts have burned.
                     let mut waste = 0.0;
-                    for a in 0..=budget {
+                    for a in 0..=MAX_RETRIES {
                         waste += exec_s + self.observed_backoff_s(a);
                     }
-                    report.retries += budget;
+                    report.retries += MAX_RETRIES;
                     report.recovery_seconds += waste;
                     Ok(NodeOutcome::Lost { available_at: waste })
                 }
@@ -629,7 +628,7 @@ impl WimpiCluster {
         // Detection already cost one verified scan; every repair attempt
         // costs the repair work plus the re-verified run.
         let mut waste = job.verify_s + repair_s;
-        for attempt in 0..=self.policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match self.priced_execution(
                 &verify_cfg,
                 node_plan,

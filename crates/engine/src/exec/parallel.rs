@@ -1,7 +1,8 @@
-//! Morsel-driven parallel execution: a small work-stealing pool over fixed
-//! ~64K-row morsels (Leis et al., SIGMOD 2014), built on `std::thread::scope`
-//! and per-worker crossbeam-style deques (implemented here with
-//! `Mutex<VecDeque>` — the build environment cannot reach crates.io).
+//! Morsel-driven parallel execution: a small pool over fixed ~64K-row
+//! morsels (Leis et al., SIGMOD 2014), built on `std::thread::scope`. Every
+//! morsel exists before the workers start, so the pool is one shared atomic
+//! cursor: each worker claims the next morsel index until the cursor passes
+//! the last one.
 //!
 //! ## Determinism contract
 //!
@@ -19,9 +20,8 @@
 //! [`crate::stats::WorkProfile::merge`] for combining profiles that were
 //! accumulated independently.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
@@ -140,11 +140,9 @@ impl EngineConfig {
 
 /// Runs `f` over every morsel, returning results in morsel-index order.
 ///
-/// With one worker (or one morsel) everything runs inline. Otherwise morsel
-/// indices are dealt round-robin into per-worker deques; each worker pops
-/// its own deque LIFO (cache-warm) and steals FIFO from the others (coldest
-/// first) when its deque drains. Jobs are only enqueued before the workers
-/// start, so an empty sweep over all deques means the pool is done.
+/// With one worker (or one morsel) everything runs inline. Otherwise each
+/// worker claims morsel indices in ascending order from one shared cursor
+/// until it passes the last morsel.
 pub(crate) fn run_morsels<T, F>(cfg: &EngineConfig, ranges: &[Range<usize>], f: F) -> Vec<T>
 where
     T: Send,
@@ -198,13 +196,8 @@ where
     if nworkers == 1 {
         return ranges.iter().enumerate().map(|(i, r)| f(0, i, r.clone())).collect();
     }
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..nworkers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..ranges.len() {
-        deques[i % nworkers].lock().unwrap().push_back(i);
-    }
-    let deques = &deques;
-    let f = &f;
+    let cursor = AtomicUsize::new(0);
+    let (cursor, f) = (&cursor, &f);
     let mut partials: Vec<Vec<(usize, T)>> = Vec::with_capacity(nworkers);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..nworkers)
@@ -212,24 +205,10 @@ where
                 s.spawn(move || {
                     let mut done = Vec::new();
                     loop {
-                        // The own-deque pop must be a standalone statement: its
-                        // temporary MutexGuard lives to the end of the enclosing
-                        // statement, so folding the steal into `.or_else(..)` on
-                        // the same expression would hold deque[w] while locking
-                        // the others — a lock cycle once every worker goes
-                        // stealing at once. Pop, release, then steal.
-                        let own = deques[w].lock().unwrap().pop_back();
-                        let job = own.or_else(|| {
-                            (1..nworkers).find_map(|d| {
-                                deques[(w + d) % nworkers].lock().unwrap().pop_front()
-                            })
-                        });
-                        match job {
-                            Some(i) => done.push((i, f(w, i, ranges[i].clone()))),
-                            None => break,
-                        }
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(r) = ranges.get(i) else { break done };
+                        done.push((i, f(w, i, r.clone())));
                     }
-                    done
                 })
             })
             .collect();
@@ -248,7 +227,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_config_reproduces_defaults() {
@@ -259,17 +237,22 @@ mod tests {
 
     #[test]
     fn every_morsel_runs_exactly_once_in_order() {
-        let cfg = EngineConfig::with_threads(4).with_morsel_rows(10);
-        let ranges = morsel_ranges(1000, 10);
-        let calls = AtomicUsize::new(0);
-        let out = run_morsels(&cfg, &ranges, |i, r| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (i, r.start, r.end)
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 100);
-        for (i, (idx, start, end)) in out.iter().enumerate() {
-            assert_eq!(*idx, i, "results in morsel order");
-            assert_eq!((*start, *end), (i * 10, (i + 1) * 10));
+        // Many morsels per worker, more workers than morsels, and no
+        // morsels at all.
+        for (threads, rows) in [(4usize, 1000usize), (8, 30), (4, 0)] {
+            let cfg = EngineConfig::with_threads(threads).with_morsel_rows(10);
+            let ranges = morsel_ranges(rows, 10);
+            let calls = AtomicUsize::new(0);
+            let out = run_morsels(&cfg, &ranges, |i, r| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (i, r.start, r.end)
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), rows / 10, "threads={threads}");
+            assert_eq!(out.len(), rows / 10);
+            for (i, (idx, start, end)) in out.iter().enumerate() {
+                assert_eq!(*idx, i, "results in morsel order");
+                assert_eq!((*start, *end), (i * 10, (i + 1) * 10));
+            }
         }
     }
 
@@ -317,13 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_stealing_does_not_deadlock() {
-        // Regression: the own-deque pop used to hold its MutexGuard across
-        // the steal sweep (guard temporaries live to the end of the `let`
-        // statement), so workers that went stealing at the same instant
-        // formed a lock cycle — worker w holding deque[w], waiting on
-        // deque[w+1]. Trivial jobs over many rounds push every worker into
-        // the steal path together; with the cycle present this test hangs.
+    fn workers_racing_for_trivial_morsels_all_finish() {
+        // Trivial jobs over many rounds keep every worker at the cursor at
+        // once, including the round where more than one claims past the
+        // last morsel: each run must end, with every result in order.
         let cfg = EngineConfig::with_threads(4).with_morsel_rows(1);
         for n in [4usize, 5, 8, 64] {
             let ranges = morsel_ranges(n, 1);
@@ -335,9 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_uneven_work() {
-        // One slow morsel must not serialize the rest: all work completes
-        // and results stay ordered even with pathological imbalance.
+    fn one_slow_morsel_does_not_hold_back_the_rest() {
+        // While one worker sits on a slow morsel, the others claim the
+        // rest: all work completes and results stay ordered even with
+        // pathological imbalance.
         let cfg = EngineConfig::with_threads(4).with_morsel_rows(1);
         let ranges = morsel_ranges(64, 1);
         let out = run_morsels(&cfg, &ranges, |i, r| {

@@ -10,7 +10,8 @@
 //! run over every row; the external sort stages budget-sized runs on the
 //! spill disk and merges them.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 
 use crate::error::{EngineError, Result};
@@ -218,58 +219,63 @@ fn external_order(cols: &[SortCol], n: usize, ctx: &QueryContext) -> Result<Vec<
         }
     }
 
-    // Merge: one resident page per run, emit the least (keys, row id) row.
+    // Merge: one resident page per run, and a min-heap of each run's head
+    // record, which yields the least (keys, row id) record at each step.
     let _pages = ctx.reserve(nruns as u64 * page_rows as u64 * rb, "sort")?;
-    struct Cursor {
+    struct Run {
         chunks: std::vec::IntoIter<usize>,
         /// The resident page.
         page: SpillRowReader,
-        cur_row: u32,
-        cur_keys: Vec<u64>,
-        exhausted: bool,
     }
-    impl Cursor {
-        fn advance(&mut self, set: &SpillSet, nkeys: usize, ctx: &QueryContext) -> Result<()> {
+    impl Run {
+        /// The run's next row id, its keys written into `keys`; `None` once
+        /// the run is drained.
+        fn next(
+            &mut self,
+            keys: &mut Vec<u64>,
+            set: &SpillSet,
+            nkeys: usize,
+            ctx: &QueryContext,
+        ) -> Result<Option<u32>> {
             loop {
                 if let Some((row, slots)) = self.page.next() {
-                    self.cur_row = row;
-                    self.cur_keys.clear();
-                    self.cur_keys.extend(slots.iter().map(|&s| s as u64));
-                    return Ok(());
+                    keys.clear();
+                    keys.extend(slots.iter().map(|&s| s as u64));
+                    return Ok(Some(row));
                 }
-                let Some(chunk) = self.chunks.next() else {
-                    self.exhausted = true;
-                    return Ok(());
-                };
+                let Some(chunk) = self.chunks.next() else { return Ok(None) };
                 ctx.checkpoint()?;
                 self.page = SpillRowReader::new(set.read(chunk)?, nkeys);
             }
         }
     }
-    let mut cursors: Vec<Cursor> = run_chunks
+    let mut runs: Vec<Run> = run_chunks
         .into_iter()
-        .map(|chunks| Cursor {
+        .map(|chunks| Run {
             chunks: chunks.into_iter(),
             page: SpillRowReader::new(Vec::new(), nkeys),
-            cur_row: 0,
-            cur_keys: Vec::with_capacity(nkeys),
-            exhausted: false,
         })
         .collect();
-    for c in cursors.iter_mut() {
-        c.advance(&set, nkeys, ctx)?;
+    // Heads as `(keys, row id, run)`: row ids are distinct, so the run
+    // index never decides an order.
+    let mut heads = BinaryHeap::with_capacity(nruns);
+    for (r, run) in runs.iter_mut().enumerate() {
+        let mut keys = Vec::with_capacity(nkeys);
+        if let Some(row) = run.next(&mut keys, &set, nkeys, ctx)? {
+            heads.push(Reverse((keys, row, r)));
+        }
     }
     // The output permutation is a sequential append, tracked like any
     // materialized intermediate.
     ctx.track(n as u64 * 4);
     let mut idx: Vec<u32> = Vec::with_capacity(n);
-    while let Some(least) = cursors
-        .iter_mut()
-        .filter(|c| !c.exhausted)
-        .min_by(|a, b| (&a.cur_keys, a.cur_row).cmp(&(&b.cur_keys, b.cur_row)))
-    {
-        idx.push(least.cur_row);
-        least.advance(&set, nkeys, ctx)?;
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((keys, row, r)) = &mut *head;
+        idx.push(*row);
+        match runs[*r].next(keys, &set, nkeys, ctx)? {
+            Some(next) => *row = next,
+            None => drop(PeekMut::pop(head)),
+        }
     }
     debug_assert_eq!(idx.len(), n);
     ctx.note_fallback(nruns as u32);
@@ -527,9 +533,11 @@ mod tests {
 
     /// `exec_sort` against `slice::sort_by` over the typed values, with
     /// every key set in every direction, unbudgeted (the resident sort, one
-    /// run) and at spill budgets that force 4, 12 and 50 runs. A spilled
-    /// sort always has two runs or more: one run of n rows needs 2·n·(4 + 8
-    /// per key) bytes, more than the resident path's reservation.
+    /// run) and at spill budgets that force 4, 12, 50 and 100 runs. A
+    /// spilled sort always has two runs or more: one run of n rows needs
+    /// 2·n·(4 + 8 per key) bytes, more than the resident path's reservation.
+    /// The merge holds a page per run within the budget, so a sort of n rows
+    /// has at most √(2n) runs: 100 runs take n ≥ 5 000.
     #[test]
     fn sort_matches_an_oracle_that_shares_no_encoding() {
         let key_sets: [&[usize]; 14] = [
@@ -548,7 +556,7 @@ mod tests {
             &[1, 4, 2],
             &[5, 3, 6],
         ];
-        for n in [0, 1, 2, 2_000] {
+        for n in [0, 1, 2, 8_000] {
             let (rel, typed) = oracle_table(n);
             for set in key_sets {
                 for dirs in 0..1u32 << set.len() {
@@ -583,14 +591,14 @@ mod tests {
                     };
                     assert_eq!(ids(&QueryContext::default()), want, "n={n} {keys:?}");
                     let rb = 4 + 8 * keys.len() as u64;
-                    for runs in [4, 12, 50] {
+                    for runs in [4, 12, 50, 100] {
                         let budget = 2 * rb * n.div_ceil(runs).max(1) as u64;
                         let disk = Arc::new(wimpi_storage::SpillDisk::new(
                             wimpi_storage::SpillConfig::with_capacity(4 << 20),
                         ));
                         let ctx = QueryContext::with_budget(budget).with_spill(Arc::clone(&disk));
                         assert_eq!(ids(&ctx), want, "n={n} {keys:?} at {runs} runs");
-                        if n == 2_000 {
+                        if n == 8_000 {
                             assert_eq!(ctx.max_fallback_parts(), runs as u32, "{keys:?}");
                         }
                         assert_eq!(disk.used(), 0);

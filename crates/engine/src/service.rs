@@ -16,10 +16,9 @@
 //! query then runs under a private [`QueryContext`] whose budget is the
 //! grant — so real reservations are capped per query, grants sum to at most
 //! the node budget, and the shared tracker's high-water mark can never pass
-//! it. Waiting queries sit in a bounded FIFO queue split into a *small* and
-//! a *large* class (by estimate) so cheap choke-point queries are not stuck
-//! behind a giant build; a bypass cap (eight small admissions past a waiting
-//! large head) keeps the large head from starving. When the queue is full,
+//! it. Waiting queries sit in one bounded FIFO queue: the head is admitted
+//! once its grant fits, and nothing behind it is admitted first, so no query
+//! waits forever behind later ones. When the queue is full,
 //! [`Service::submit`] sheds the query with a typed
 //! [`ServiceError::Overloaded`] — never a panic, never an unbounded block.
 //!
@@ -95,10 +94,6 @@ const LATENCY_BUCKETS: [f64; 6] = [0.001, 0.01, 0.05, 0.25, 1.0, 10.0];
 /// Scratch estimate of a [`QuerySpec`] that declares none.
 const DEFAULT_ESTIMATE: u64 = 16 << 20;
 
-/// Small-class admissions that may bypass a waiting large-class head before
-/// the service admits only large queries until that head fits.
-const MAX_SMALL_BYPASS: u32 = 8;
-
 /// Tuning for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -108,16 +103,14 @@ pub struct ServiceConfig {
     pub node_budget: u64,
     /// Worker threads — the maximum number of in-flight queries.
     pub workers: usize,
-    /// Maximum *waiting* submissions (both classes combined) before
-    /// [`Service::submit`] sheds with [`ServiceError::Overloaded`].
+    /// Maximum *waiting* submissions before [`Service::submit`] sheds with
+    /// [`ServiceError::Overloaded`].
     pub queue_depth: usize,
-    /// Estimates at or below this many bytes queue in the small class.
-    pub small_cutoff: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { node_budget: UNLIMITED, workers: 4, queue_depth: 64, small_cutoff: 1 << 20 }
+        ServiceConfig { node_budget: UNLIMITED, workers: 4, queue_depth: 64 }
     }
 }
 
@@ -305,11 +298,9 @@ struct Pending {
 
 /// Queue + bookkeeping behind the service mutex.
 struct Inner {
-    small: VecDeque<Pending>,
-    large: VecDeque<Pending>,
+    queue: VecDeque<Pending>,
     in_flight: usize,
     in_flight_tokens: Vec<(u64, CancelToken)>,
-    large_bypass: u32,
     shutdown: bool,
     next_id: u64,
 }
@@ -324,7 +315,7 @@ struct Shared {
 
 impl Shared {
     fn update_queue_gauges(&self, st: &Inner) {
-        let depth = (st.small.len() + st.large.len()) as f64;
+        let depth = st.queue.len() as f64;
         self.metrics.set_gauge("service_queue_depth", depth);
         self.metrics.max_gauge("service_queue_depth_peak", depth);
         self.metrics.set_gauge("service_in_flight", st.in_flight as f64);
@@ -348,12 +339,8 @@ impl Drop for Grant {
 }
 
 fn remove_by_id(st: &mut Inner, id: u64) -> Option<Pending> {
-    for q in [&mut st.small, &mut st.large] {
-        if let Some(pos) = q.iter().position(|p| p.id == id) {
-            return q.remove(pos);
-        }
-    }
-    None
+    let pos = st.queue.iter().position(|p| p.id == id)?;
+    st.queue.remove(pos)
 }
 
 /// The concurrent query service. Owns the node-wide reservation, the
@@ -379,11 +366,9 @@ impl Service {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(Inner {
-                small: VecDeque::new(),
-                large: VecDeque::new(),
+                queue: VecDeque::new(),
                 in_flight: 0,
                 in_flight_tokens: Vec::new(),
-                large_bypass: 0,
                 shutdown: false,
                 next_id: 0,
             }),
@@ -427,7 +412,7 @@ impl Service {
         if st.shutdown {
             return Err(ServiceError::ShuttingDown);
         }
-        let depth = st.small.len() + st.large.len();
+        let depth = st.queue.len();
         if depth >= cfg.queue_depth {
             self.shared.metrics.inc("service_shed_total", 1);
             return Err(ServiceError::Overloaded {
@@ -447,11 +432,7 @@ impl Service {
             run,
             resolve_err,
         };
-        if grant <= cfg.small_cutoff {
-            st.small.push_back(pending);
-        } else {
-            st.large.push_back(pending);
-        }
+        st.queue.push_back(pending);
         self.shared.metrics.inc("service_submitted_total", 1);
         self.shared.update_queue_gauges(&st);
         drop(st);
@@ -474,10 +455,9 @@ impl Service {
         &self.shared.metrics
     }
 
-    /// Waiting submissions right now (both classes).
+    /// Waiting submissions right now.
     pub fn queue_depth(&self) -> usize {
-        let st = self.shared.state.lock().unwrap();
-        st.small.len() + st.large.len()
+        self.shared.state.lock().unwrap().queue.len()
     }
 
     /// Admitted queries currently executing.
@@ -515,16 +495,15 @@ impl Service {
         // `shutdown` (typed refusal, no ticket) or enqueued before the
         // drain (its pending is drained here and resolved `Cancelled`).
         // Nothing can slip in between: after this section every future
-        // submit is refused, so the queues stay empty and the workers'
-        // exit condition (`shutdown && queues empty`) is stable.
+        // submit is refused, so the queue stays empty and the workers'
+        // exit condition (`shutdown && queue empty`) is stable.
         let drained = {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
             for (_, token) in &st.in_flight_tokens {
                 token.cancel();
             }
-            let mut drained: Vec<Pending> = st.small.drain(..).collect();
-            drained.extend(st.large.drain(..));
+            let drained: Vec<Pending> = st.queue.drain(..).collect();
             self.shared.update_queue_gauges(&st);
             drained
         };
@@ -549,40 +528,24 @@ impl Drop for Service {
     }
 }
 
-/// Picks the next admissible query under the class policy and carves its
-/// grant. Small-first FIFO until the large head has been bypassed
-/// [`MAX_SMALL_BYPASS`] times; then large-only until that head admits, so
-/// big queries cannot starve behind a stream of small ones.
+/// Admits the head of the queue once its grant fits, carving the grant. The
+/// queries behind a head that does not fit yet wait with it.
 fn admit_one(shared: &Arc<Shared>, st: &mut Inner) -> Option<(Pending, Grant)> {
-    let small_first = st.large.front().is_none() || st.large_bypass < MAX_SMALL_BYPASS;
-    let classes: &[bool] = if small_first { &[true, false] } else { &[false] };
-    for &small in classes {
-        let queue = if small { &mut st.small } else { &mut st.large };
-        let Some(front) = queue.front() else { continue };
-        if !shared.node.try_reserve(front.grant) {
-            // Head-of-line within the class keeps FIFO honest; try the other
-            // class (when allowed) rather than scanning deeper.
-            continue;
-        }
-        let p = queue.pop_front().expect("front exists");
-        if small && !st.large.is_empty() {
-            st.large_bypass += 1;
-        } else if !small {
-            st.large_bypass = 0;
-        }
-        st.in_flight += 1;
-        st.in_flight_tokens.push((p.id, p.cancel.clone()));
-        shared.metrics.inc("service_admitted_total", 1);
-        shared.metrics.observe(
-            "service_wait_seconds",
-            &LATENCY_BUCKETS,
-            p.submitted.elapsed().as_secs_f64(),
-        );
-        shared.update_queue_gauges(st);
-        let grant = Grant { shared: Arc::clone(shared), bytes: p.grant };
-        return Some((p, grant));
+    if !shared.node.try_reserve(st.queue.front()?.grant) {
+        return None;
     }
-    None
+    let p = st.queue.pop_front().expect("front exists");
+    st.in_flight += 1;
+    st.in_flight_tokens.push((p.id, p.cancel.clone()));
+    shared.metrics.inc("service_admitted_total", 1);
+    shared.metrics.observe(
+        "service_wait_seconds",
+        &LATENCY_BUCKETS,
+        p.submitted.elapsed().as_secs_f64(),
+    );
+    shared.update_queue_gauges(st);
+    let grant = Grant { shared: Arc::clone(shared), bytes: p.grant };
+    Some((p, grant))
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -593,7 +556,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 if let Some(pair) = admit_one(&shared, &mut st) {
                     break Some(pair);
                 }
-                if st.shutdown && st.small.is_empty() && st.large.is_empty() {
+                if st.shutdown && st.queue.is_empty() {
                     break None;
                 }
                 // A dropped `Grant` returns its bytes to the node reservation
@@ -646,8 +609,8 @@ fn run_admitted(shared: &Arc<Shared>, p: Pending, grant: Grant) {
                         backoff,
                     );
                     // The retried query has already waited its turn once:
-                    // re-admit it at the head of the big-query class.
-                    st.large.push_front(Pending { grant: shared.cfg.node_budget, ..p });
+                    // re-admit it at the head of the queue.
+                    st.queue.push_front(Pending { grant: shared.cfg.node_budget, ..p });
                     shared.update_queue_gauges(&st);
                     drop(st);
                     shared.work.notify_all();
@@ -705,7 +668,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn tiny(workers: usize, node_budget: u64, queue_depth: usize) -> Service {
-        Service::new(ServiceConfig { workers, node_budget, queue_depth, small_cutoff: 256 })
+        Service::new(ServiceConfig { workers, node_budget, queue_depth })
     }
 
     /// A job that blocks until the returned sender is dropped or pinged,
@@ -942,46 +905,64 @@ mod tests {
         assert_eq!(svc.metrics().counter("service_exhausted_total"), 1);
     }
 
-    #[test]
-    fn small_class_bypasses_large_but_not_forever() {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            node_budget: 1000,
-            queue_depth: 64,
-            small_cutoff: 100,
-        });
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let ran = Arc::new(AtomicU32::new(0));
-        let (gate, job) = gate_job(Arc::clone(&ran));
-        let busy = svc.submit(QuerySpec::new("busy").with_estimate(50), job).expect("admits");
-        spin_until_running(&ran);
-        // While the single worker is pinned: queue one large, then one more
-        // small than the bypass cap lets past it. Execution must go
-        // s1 … s{cap}, L, s{cap + 1}.
-        let cap = MAX_SMALL_BYPASS as usize;
-        let mut queued = vec![("L".to_string(), 900u64)];
-        queued.extend((1..=cap + 1).map(|i| (format!("s{i}"), 10)));
-        let mut tickets = Vec::new();
-        for (label, est) in queued {
-            let o = Arc::clone(&order);
-            tickets.push(
-                svc.submit(QuerySpec::new(label.clone()).with_estimate(est), move |_| {
-                    o.lock().unwrap().push(label.clone());
+    /// Queues `(label, estimate)` jobs that log their label when they run.
+    fn submit_logged(
+        svc: &Service,
+        jobs: &[(&'static str, u64)],
+        log: &Arc<Mutex<Vec<&'static str>>>,
+    ) -> Vec<Ticket<u32>> {
+        jobs.iter()
+            .map(|&(label, est)| {
+                let log = Arc::clone(log);
+                svc.submit(QuerySpec::new(label).with_estimate(est), move |_| {
+                    log.lock().unwrap().push(label);
                     Ok(0u32)
                 })
-                .expect("queues"),
-            );
-        }
+                .expect("queues")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn admission_is_first_in_first_out() {
+        // With the one worker pinned, grants of mixed sizes queue up and are
+        // admitted in submission order, the big ones included.
+        let svc = tiny(1, 1000, 64);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ran = Arc::new(AtomicU32::new(0));
+        let (gate, job) = gate_job(Arc::clone(&ran));
+        let busy = svc.submit(QuerySpec::new("busy").with_estimate(200), job).expect("admits");
+        spin_until_running(&ran);
+        let jobs = [("s1", 10), ("big", 900), ("s2", 10), ("mid", 500), ("s3", 10)];
+        let tickets = submit_logged(&svc, &jobs, &log);
         drop(gate);
         busy.wait().expect("gated job finishes");
         for t in tickets {
             t.wait().expect("all queued queries run");
         }
-        let mut expected: Vec<String> = (1..=cap).map(|i| format!("s{i}")).collect();
-        expected.push("L".to_string());
-        expected.push(format!("s{}", cap + 1));
-        assert_eq!(*order.lock().unwrap(), expected, "bypass cap admits the large head");
+        let submitted: Vec<&str> = jobs.iter().map(|&(label, _)| label).collect();
+        assert_eq!(*log.lock().unwrap(), submitted, "admitted in submission order");
         svc.shutdown();
+
+        // A head whose grant does not fit yet holds back the smaller grant
+        // behind it, though a worker is free and the smaller grant would fit.
+        let svc = tiny(2, 1000, 64);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ran = Arc::new(AtomicU32::new(0));
+        let (gate, job) = gate_job(Arc::clone(&ran));
+        let busy = svc.submit(QuerySpec::new("busy").with_estimate(200), job).expect("admits");
+        spin_until_running(&ran);
+        let tickets = submit_logged(&svc, &[("big", 900), ("small", 10)], &log);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(svc.queue_depth(), 2, "nothing passes the head");
+        assert!(log.lock().unwrap().is_empty());
+        drop(gate);
+        busy.wait().expect("gated job finishes");
+        for t in tickets {
+            t.wait().expect("both run once busy ends");
+        }
+        svc.shutdown();
+        assert!(svc.node_high_water() <= 1000);
     }
 
     #[test]

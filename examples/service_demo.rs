@@ -32,15 +32,10 @@ fn main() {
         node_budget,
         if node_budget == UNLIMITED { " (unlimited)" } else { "" }
     );
-    let svc = Service::new(ServiceConfig {
-        node_budget,
-        workers,
-        queue_depth: 32,
-        small_cutoff: 256 << 10,
-    });
+    let svc = Service::new(ServiceConfig { node_budget, workers, queue_depth: 32 });
 
     // Act 1 — a burst of choke-point queries with deliberately tight
-    // declared estimates: some admit small, some engage Grace degradation,
+    // declared estimates: some fit them, some engage Grace degradation,
     // and anything that still exhausts gets the one full-budget retry.
     println!("=== burst: 2×{} choke-point queries ===", CHOKEPOINT_QUERIES.len());
     let mut tickets = Vec::new();

@@ -338,8 +338,8 @@ fn main() {
                         );
                         if ctx.fallbacks() > 0 {
                             println!(
-                                "(degraded: {} operator(s) fell back to Grace partitioning, \
-                                 up to {} partitions)",
+                                "(degraded: {} operator(s) fell back to Grace partitioning \
+                                 or an external sort, up to {} partitions or runs)",
                                 ctx.fallbacks(),
                                 ctx.max_fallback_parts()
                             );
@@ -424,7 +424,7 @@ fn main() {
                         if fallbacks > 0 {
                             println!(
                                 "(degraded: {fallbacks} operator(s) fell back to \
-                                 Grace partitioning)"
+                                 Grace partitioning or an external sort)"
                             );
                         }
                         if work.spilled_bytes > 0 {

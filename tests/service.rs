@@ -55,12 +55,7 @@ fn queued_cancellation_is_immediate_and_budget_free() {
     for workers in [1usize, 2, 4] {
         let node_budget = 1_000_000u64;
         let pin_bytes = 1_000u64;
-        let svc = Service::new(ServiceConfig {
-            node_budget,
-            workers,
-            queue_depth: 16,
-            ..ServiceConfig::default()
-        });
+        let svc = Service::new(ServiceConfig { node_budget, workers, queue_depth: 16 });
         let gates = pin_workers(&svc, workers, pin_bytes);
 
         let ran = Arc::new(AtomicU32::new(0));
@@ -157,12 +152,7 @@ fn service_answers_are_bit_exact_with_serial_unconstrained_runs() {
     for workers in [1usize, 2, 4] {
         // Tight node budget: declared estimates are deliberately small so
         // some attempts exhaust and take the full-budget retry path.
-        let svc = Service::new(ServiceConfig {
-            node_budget: 4 << 20,
-            workers,
-            queue_depth: 64,
-            small_cutoff: 64 << 10,
-        });
+        let svc = Service::new(ServiceConfig { node_budget: 4 << 20, workers, queue_depth: 64 });
         let mut tickets = Vec::new();
         for round in 0..2 {
             for &qn in &subset {
@@ -220,12 +210,7 @@ fn contended_closed_loop_never_oversubscribes_and_tallies_match_the_ledger() {
     }
     let node_budget = max_peak.max(1);
     let estimate = (max_peak / 2048).max(256);
-    let svc = Service::new(ServiceConfig {
-        node_budget,
-        workers: 2,
-        queue_depth: QUEUE_DEPTH,
-        small_cutoff: estimate,
-    });
+    let svc = Service::new(ServiceConfig { node_budget, workers: 2, queue_depth: QUEUE_DEPTH });
 
     // [completed, shed, exhausted, cancelled], summed over the clients.
     let mut tally = [0u64; 4];
@@ -311,7 +296,6 @@ fn shutdown_racing_submit_resolves_every_ticket_exactly_once() {
             node_budget: UNLIMITED,
             workers,
             queue_depth: 256,
-            ..ServiceConfig::default()
         }));
         let submitters = 4usize;
         let per_thread = 50usize;

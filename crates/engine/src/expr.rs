@@ -251,27 +251,28 @@ impl Expr {
         Expr::Substr { expr: Box::new(self), start, len }
     }
 
+    /// The operand expressions of this node, left to right (none for a
+    /// column or a literal).
+    pub(crate) fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => Vec::new(),
+            Expr::Bin { left, right, .. } => vec![left, right],
+            Expr::Not(e) | Expr::ExtractYear(e) => vec![e],
+            Expr::Like { expr, .. }
+            | Expr::InList { expr, .. }
+            | Expr::Between { expr, .. }
+            | Expr::Substr { expr, .. } => vec![expr],
+            Expr::Case { when, then, otherwise } => vec![when, then, otherwise],
+        }
+    }
+
     /// Collects every column name this expression references.
     pub fn columns(&self, out: &mut BTreeSet<String>) {
         match self {
             Expr::Col(n) => {
                 out.insert(n.clone());
             }
-            Expr::Lit(_) => {}
-            Expr::Bin { left, right, .. } => {
-                left.columns(out);
-                right.columns(out);
-            }
-            Expr::Not(e) | Expr::ExtractYear(e) => e.columns(out),
-            Expr::Like { expr, .. }
-            | Expr::InList { expr, .. }
-            | Expr::Between { expr, .. }
-            | Expr::Substr { expr, .. } => expr.columns(out),
-            Expr::Case { when, then, otherwise } => {
-                when.columns(out);
-                then.columns(out);
-                otherwise.columns(out);
-            }
+            e => e.children().into_iter().for_each(|c| c.columns(out)),
         }
     }
 

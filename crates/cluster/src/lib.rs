@@ -43,8 +43,9 @@ use wimpi_hwsim::kernels::NetModel;
 use wimpi_hwsim::{pi3b, HwProfile};
 use wimpi_obs::Registry;
 use wimpi_queries::QueryPlan;
-use wimpi_storage::{Catalog, Column, Table};
-use wimpi_tpch::Generator;
+use wimpi_storage::morsel::{pool_workers, run_each};
+use wimpi_storage::{Catalog, Table};
+use wimpi_tpch::{Generator, PartitionedTables};
 
 /// Cluster-level errors. Every query-time variant names the query so
 /// multi-query studies can attribute failures.
@@ -216,35 +217,27 @@ impl WimpiCluster {
     /// host — each simulated node still *accounts* for its full replica).
     pub fn build(config: ClusterConfig) -> Result<Self> {
         let gen = Generator::new(config.sf);
+        let PartitionedTables { replicated, lineitem } =
+            gen.generate_partitioned(config.nodes as u64)?;
         // Every resident table is sealed with an integrity manifest at build
         // time — the trusted reference scan-time verification checks against
-        // (DESIGN.md §12). Replicated tables share one sealed Arc.
-        let mut replicated: Vec<(String, Arc<Table>)> = vec![
-            ("region".into(), Arc::new(gen.region_table()?.with_integrity())),
-            ("nation".into(), Arc::new(gen.nation_table()?.with_integrity())),
-            ("supplier".into(), Arc::new(gen.supplier_table()?.with_integrity())),
-            ("customer".into(), Arc::new(gen.customer_table()?.with_integrity())),
-            ("part".into(), Arc::new(gen.part_table()?.with_integrity())),
-            ("partsupp".into(), Arc::new(gen.partsupp_table()?.with_integrity())),
-        ];
-        let mut lineitems = Vec::with_capacity(config.nodes as usize);
-        let mut order_chunks = Vec::with_capacity(config.nodes as usize);
-        for c in 0..config.nodes as u64 {
-            let (orders, lineitem) = gen.orders_lineitem_chunk(c, config.nodes as u64)?;
-            order_chunks.push(orders);
-            lineitems.push(lineitem);
-        }
-        replicated
-            .push(("orders".into(), Arc::new(concat_tables(&order_chunks)?.with_integrity())));
-        let mut node_catalogs = Vec::with_capacity(config.nodes as usize);
-        for lineitem in lineitems {
-            let mut cat = Catalog::new();
-            for (name, t) in &replicated {
-                cat.register_shared(name.clone(), Arc::clone(t));
-            }
-            cat.register("lineitem", lineitem.with_integrity());
-            node_catalogs.push(cat);
-        }
+        // (DESIGN.md §12) — a table a task on the pool. Replicated tables
+        // share one sealed Arc.
+        let names: Vec<&str> = replicated.iter().map(|&(name, _)| name).collect();
+        let tables = replicated.into_iter().map(|(_, t)| t).chain(lineitem).collect();
+        let mut sealed = run_each(pool_workers(), tables, Table::with_integrity).into_iter();
+        let replicated: Vec<(String, Arc<Table>)> =
+            names.iter().zip(sealed.by_ref()).map(|(&n, t)| (n.to_string(), Arc::new(t))).collect();
+        let node_catalogs = sealed
+            .map(|lineitem| {
+                let mut cat = Catalog::new();
+                for (name, t) in &replicated {
+                    cat.register_shared(name.clone(), Arc::clone(t));
+                }
+                cat.register("lineitem", lineitem);
+                cat
+            })
+            .collect();
         Ok(Self {
             gen,
             pi: pi3b(),
@@ -340,18 +333,6 @@ impl WimpiCluster {
     }
 }
 
-/// Concatenates same-schema tables (used to assemble the replicated orders
-/// table from per-chunk generation).
-fn concat_tables(parts: &[Table]) -> Result<Table> {
-    let schema = parts.first().expect("at least one part").schema().as_ref().clone();
-    let mut columns = Vec::with_capacity(schema.len());
-    for i in 0..schema.len() {
-        let cols: Vec<&Column> = parts.iter().map(|t| t.column(i).as_ref()).collect();
-        columns.push(Column::concat(&cols)?);
-    }
-    Ok(Table::new(schema, columns)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +368,30 @@ mod tests {
             let hi = *keys.iter().max().unwrap();
             assert!(lo > last_max, "partitions must be disjoint on orderkey");
             last_max = hi;
+        }
+    }
+
+    #[test]
+    fn any_worker_count_builds_the_same_node_catalogs() {
+        use wimpi_storage::morsel::with_pool_workers;
+        let build = |workers| {
+            with_pool_workers(workers, || WimpiCluster::build(ClusterConfig::new(4, 0.01)).unwrap())
+        };
+        let serial = build(1);
+        for workers in [2, 3, 4] {
+            let c = build(workers);
+            for node in 0..4 {
+                let (a, b) = (c.node_catalog(node), serial.node_catalog(node));
+                assert_eq!(a.names().collect::<Vec<_>>(), b.names().collect::<Vec<_>>());
+                for name in b.names() {
+                    let (x, y) = (a.table(name).unwrap(), b.table(name).unwrap());
+                    for ci in 0..y.num_columns() {
+                        assert_eq!(x.column(ci), y.column(ci), "node {node} {name} column {ci}");
+                    }
+                    assert_eq!(x.manifest(), y.manifest(), "node {node} {name} at {workers}");
+                    assert!(x.manifest().is_some(), "node {node} {name} is sealed");
+                }
+            }
         }
     }
 

@@ -1,8 +1,8 @@
-//! Morsel-driven parallel execution: a small pool over fixed ~64K-row
-//! morsels (Leis et al., SIGMOD 2014), built on `std::thread::scope`. Every
-//! morsel exists before the workers start, so the pool is one shared atomic
-//! cursor: each worker claims the next morsel index until the cursor passes
-//! the last one.
+//! Morsel-driven parallel execution over fixed ~64K-row morsels (Leis et
+//! al., SIGMOD 2014), on the workspace's one pool
+//! ([`wimpi_storage::morsel::run_indexed`]). Every morsel exists before the
+//! workers start, so the pool is one shared atomic cursor: each worker
+//! claims the next morsel index until the cursor passes the last one.
 //!
 //! ## Determinism contract
 //!
@@ -21,7 +21,6 @@
 //! accumulated independently.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
@@ -185,48 +184,21 @@ where
     })
 }
 
-/// The worker-aware core: `f(worker, morsel_index, range)`. The inline path
-/// runs everything as worker 0.
+/// The worker-aware core: `f(worker, morsel_index, range)` on
+/// `cfg.threads` workers of the one pool. The inline path runs everything
+/// as worker 0.
 fn run_morsels_indexed<T, F>(cfg: &EngineConfig, ranges: &[Range<usize>], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize, Range<usize>) -> T + Sync,
 {
-    let nworkers = cfg.threads.min(ranges.len()).max(1);
-    if nworkers == 1 {
-        return ranges.iter().enumerate().map(|(i, r)| f(0, i, r.clone())).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (cursor, f) = (&cursor, &f);
-    let mut partials: Vec<Vec<(usize, T)>> = Vec::with_capacity(nworkers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nworkers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = ranges.get(i) else { break done };
-                        done.push((i, f(w, i, r.clone())));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            partials.push(h.join().expect("morsel worker panicked"));
-        }
-    });
-    let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    for (i, t) in partials.into_iter().flatten() {
-        debug_assert!(results[i].is_none(), "morsel {i} executed twice");
-        results[i] = Some(t);
-    }
-    results.into_iter().map(|t| t.expect("every morsel executed exactly once")).collect()
+    wimpi_storage::morsel::run_indexed(cfg.threads, ranges.len(), |w, i| f(w, i, ranges[i].clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_config_reproduces_defaults() {

@@ -144,6 +144,43 @@ impl Column {
         }
     }
 
+    /// A column of `len` rows of this column's type, every value zero (a
+    /// string column: code 0, sharing this column's dictionary) — an output
+    /// for [`Column::take_into`], allocated where it is called. The zero
+    /// pages are untouched until the gather writes them.
+    pub fn zeroed_like(&self, len: usize) -> Column {
+        match self {
+            Column::Int64(_) => Column::Int64(vec![0; len]),
+            Column::Int32(_) => Column::Int32(vec![0; len]),
+            Column::Float64(_) => Column::Float64(vec![0.0; len]),
+            Column::Decimal(_, s) => Column::Decimal(vec![0; len], *s),
+            Column::Date(_) => Column::Date(vec![0; len]),
+            Column::Str(d) => Column::Str(d.zeroed_like(len)),
+            Column::Bool(_) => Column::Bool(vec![false; len]),
+        }
+    }
+
+    /// [`Column::take`] into `out`, which [`Column::zeroed_like`] made from
+    /// this column with `sel.len()` rows: the gather, without allocating.
+    pub fn take_into(&self, sel: &[u32], out: &mut Column) {
+        fn gather<T: Copy>(src: &[T], sel: &[u32], dst: &mut [T]) {
+            assert_eq!(sel.len(), dst.len(), "one output row per selected row");
+            for (d, &i) in dst.iter_mut().zip(sel) {
+                *d = src[i as usize];
+            }
+        }
+        match (self, out) {
+            (Column::Int64(v), Column::Int64(o)) => gather(v, sel, o),
+            (Column::Int32(v), Column::Int32(o)) => gather(v, sel, o),
+            (Column::Float64(v), Column::Float64(o)) => gather(v, sel, o),
+            (Column::Decimal(v, _), Column::Decimal(o, _)) => gather(v, sel, o),
+            (Column::Date(v), Column::Date(o)) => gather(v, sel, o),
+            (Column::Str(d), Column::Str(o)) => gather(d.codes(), sel, o.codes_mut()),
+            (Column::Bool(v), Column::Bool(o)) => gather(v, sel, o),
+            (src, out) => panic!("take_into {} into {}", src.data_type(), out.data_type()),
+        }
+    }
+
     /// Borrows the `i64` payload; errors on other types.
     pub fn as_i64(&self) -> Result<&[i64]> {
         match self {

@@ -144,6 +144,17 @@ impl DictColumn {
         DictColumn { codes: self.codes[r].to_vec(), values: Arc::clone(&self.values) }
     }
 
+    /// `len` rows of code 0, sharing this column's dictionary — see
+    /// [`crate::Column::zeroed_like`].
+    pub(crate) fn zeroed_like(&self, len: usize) -> DictColumn {
+        DictColumn { codes: vec![0; len], values: Arc::clone(&self.values) }
+    }
+
+    /// The codes, to be overwritten with codes of this dictionary.
+    pub(crate) fn codes_mut(&mut self) -> &mut [u32] {
+        &mut self.codes
+    }
+
     /// Iterates decoded values in row order.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         self.codes.iter().map(move |&c| self.values[c as usize].as_str())
@@ -280,6 +291,27 @@ impl IndexInterner {
     pub fn new(domain: usize, rows: usize) -> Self {
         assert!(domain < UNSEEN as usize, "a domain index must fit a code");
         Self { codes: Vec::with_capacity(rows), code_of: vec![UNSEEN; domain], firsts: Vec::new() }
+    }
+
+    /// The interner of rows already drawn: `indices` holds each row's
+    /// domain index and becomes its codes in place, in one pass — the
+    /// column pushing the indices one by one would give. This is how rows
+    /// drawn in parallel chunks are encoded: each chunk writes indices into
+    /// its slice of one vector, and the first-appearance order is taken
+    /// once, over the whole vector.
+    pub fn from_indices(domain: usize, mut indices: Vec<u32>) -> Self {
+        assert!(domain < UNSEEN as usize, "a domain index must fit a code");
+        let mut code_of = vec![UNSEEN; domain];
+        let mut firsts = Vec::new();
+        for v in &mut indices {
+            let code = &mut code_of[*v as usize];
+            if *code == UNSEEN {
+                *code = firsts.len() as u32;
+                firsts.push(*v);
+            }
+            *v = *code;
+        }
+        Self { codes: indices, code_of, firsts }
     }
 
     /// Appends the value at domain index `index`.
@@ -423,6 +455,9 @@ mod tests {
         assert_eq!(got.cardinality(), 5, "an index no row drew adds no value");
         let none = IndexInterner::new(domain.len(), 0).finish(|i| domain[i].to_string());
         assert_eq!((none.len(), none.cardinality()), (0, 0));
+        let indices = draws.iter().map(|&i| i as u32).collect();
+        let drawn = IndexInterner::from_indices(domain.len(), indices);
+        assert_eq!(drawn.finish(|i| domain[i].to_string()), want, "indices encoded in place");
     }
 
     #[test]

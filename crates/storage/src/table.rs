@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::{Result, StorageError};
-use crate::integrity::IntegrityManifest;
+use crate::integrity::{self, IntegrityManifest};
+use crate::morsel::{pool_workers, run_each, DEFAULT_MORSEL_ROWS};
 use crate::schema::{Schema, SchemaRef};
-use crate::zonemap::ZoneMap;
+use crate::zonemap::{self, ZoneMap};
 
 /// An immutable in-memory table: a schema plus one column per field, plus an
 /// optional sealed [`IntegrityManifest`] vouching for the column bytes and
@@ -201,35 +202,63 @@ impl Catalog {
     }
 
     /// Seals an [`IntegrityManifest`] over every table that does not carry
-    /// one yet. Tables shared between catalogs lose their sharing here (the
-    /// sealed copy is new); callers replicating tables should seal *before*
-    /// registering the shared handle.
+    /// one yet, each column of each table a task on the pool
+    /// ([`crate::morsel::run_each`]). Tables shared between catalogs
+    /// lose their sharing here (the sealed copy is new); callers
+    /// replicating tables should seal *before* registering the shared
+    /// handle.
     pub fn seal_integrity(&mut self) {
-        let unsealed: Vec<String> = self
-            .tables
-            .iter()
-            .filter(|(_, t)| t.manifest().is_none())
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in unsealed {
-            let sealed = self.tables[&name].as_ref().clone().with_integrity();
-            self.tables.insert(name, Arc::new(sealed));
-        }
+        self.seal_each(
+            |t| t.manifest().is_none(),
+            integrity::seal_column,
+            |t, columns| {
+                t.with_manifest(Arc::new(IntegrityManifest::from_columns(
+                    DEFAULT_MORSEL_ROWS,
+                    columns,
+                )))
+            },
+        );
     }
 
     /// Seals a [`ZoneMap`] over every table that does not carry one yet,
     /// mirroring [`Catalog::seal_integrity`] (including its caveat about
     /// shared handles losing their sharing).
     pub fn seal_zone_maps(&mut self) {
-        let unsealed: Vec<String> = self
+        self.seal_each(
+            |t| t.zones().is_none(),
+            zonemap::seal_column,
+            |mut t, columns| {
+                t.zones = Some(Arc::new(ZoneMap::from_columns(DEFAULT_MORSEL_ROWS, columns)));
+                t
+            },
+        );
+    }
+
+    /// Seals every column of every table `unsealed` picks on the pool, then
+    /// attaches each table's column seals, in schema order, to a copy of it.
+    fn seal_each<S: Send>(
+        &mut self,
+        unsealed: impl Fn(&Table) -> bool,
+        seal_column: impl Fn(&str, &Column, usize) -> S + Sync,
+        attach: impl Fn(Table, Vec<S>) -> Table,
+    ) {
+        let tables: Vec<(String, Arc<Table>)> = self
             .tables
             .iter()
-            .filter(|(_, t)| t.zones().is_none())
-            .map(|(n, _)| n.clone())
+            .filter(|(_, t)| unsealed(t))
+            .map(|(n, t)| (n.clone(), Arc::clone(t)))
             .collect();
-        for name in unsealed {
-            let sealed = self.tables[&name].as_ref().clone().with_zone_maps();
-            self.tables.insert(name, Arc::new(sealed));
+        let cells: Vec<(&Table, usize)> = tables
+            .iter()
+            .flat_map(|(_, t)| (0..t.num_columns()).map(move |c| (t.as_ref(), c)))
+            .collect();
+        let mut seals = run_each(pool_workers(), cells, |(t, c)| {
+            seal_column(&t.schema().fields()[c].name, t.column(c), DEFAULT_MORSEL_ROWS)
+        })
+        .into_iter();
+        for (name, t) in tables {
+            let columns = seals.by_ref().take(t.num_columns()).collect();
+            self.tables.insert(name, Arc::new(attach(t.as_ref().clone(), columns)));
         }
     }
 }
@@ -332,6 +361,34 @@ mod tests {
         let before = Arc::as_ptr(c.table("t").unwrap().zones().unwrap());
         c.seal_zone_maps();
         assert_eq!(before, Arc::as_ptr(c.table("t").unwrap().zones().unwrap()));
+    }
+
+    #[test]
+    fn catalog_seals_equal_table_seals_at_any_worker_count() {
+        use crate::morsel::with_pool_workers;
+        let wide = Table::new(
+            Schema::new(vec![Field::new("k", DataType::Int64), Field::new("s", DataType::Utf8)]),
+            vec![
+                Column::Int64((0..150_000).collect()),
+                Column::Str((0..150_000).map(|i| ["A", "B", "C"][i % 3]).collect()),
+            ],
+        )
+        .unwrap();
+        for workers in [1, 2, 3, 4] {
+            let mut c = Catalog::new();
+            c.register("t", small_table());
+            c.register("wide", wide.clone());
+            with_pool_workers(workers, || {
+                c.seal_integrity();
+                c.seal_zone_maps();
+            });
+            for (name, t) in [("t", small_table()), ("wide", wide.clone())] {
+                let sealed = c.table(name).unwrap();
+                let want = t.with_integrity().with_zone_maps();
+                assert_eq!(sealed.manifest(), want.manifest(), "{name} at {workers} workers");
+                assert_eq!(sealed.zones(), want.zones(), "{name} at {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,12 @@ impl ZoneMap {
         ZoneMap { chunk_rows, columns }
     }
 
+    /// The zone map over columns sealed one by one ([`seal_column`]), in
+    /// schema order.
+    pub(crate) fn from_columns(chunk_rows: usize, columns: Vec<ColumnZones>) -> ZoneMap {
+        ZoneMap { chunk_rows, columns }
+    }
+
     /// The chunk granularity the summaries were sealed on.
     pub fn chunk_rows(&self) -> usize {
         self.chunk_rows
@@ -138,7 +144,7 @@ impl ZoneMap {
 /// Seals one column. Fixed-scale types get per-chunk min/max in slot
 /// encoding; low-cardinality dictionaries additionally get presence
 /// bitmaps; floats, bools, and high-cardinality strings summarize nothing.
-fn seal_column(name: &str, col: &Column, chunk_rows: usize) -> ColumnZones {
+pub(crate) fn seal_column(name: &str, col: &Column, chunk_rows: usize) -> ColumnZones {
     let chunks = morsel_ranges(col.len(), chunk_rows);
     let ranges = match col {
         Column::Int64(v) | Column::Decimal(v, _) => {

@@ -14,7 +14,7 @@
 //!    memory drops by an order of magnitude, which is what lets a laptop—or
 //!    a simulated 1 GB Pi node—hold SF 10 partitions. The orders and lineitem
 //!    pools depend only on the scale factor, so a [`Generator`] builds them
-//!    once, on its first chunk, and every later chunk reuses them. Short
+//!    once, on first use, and every later chunk reuses them. Short
 //!    texts repeat within a pool (SF 0.01's 2,000 part comments hold 1,730
 //!    distinct texts), and equal pool texts share one dictionary code: a
 //!    pool maps each index to the first index holding its text, once, when
@@ -27,6 +27,13 @@
 //! (addresses, phone numbers, part names, the spliced supplier comments) go
 //! through a [`DictBuilder`]. Both produce the encoding pushing every row's
 //! text would: codes in first-appearance order.
+//!
+//! `orders` and `lineitem` are generated on the pool
+//! ([`wimpi_storage::morsel`]), in pieces that write disjoint slices of
+//! columns the calling thread allocated at their exact length; a piece's
+//! string columns hold drawn indices, which one first-appearance pass per
+//! column encodes afterwards ([`IndexInterner::from_indices`]). So the bytes
+//! do not depend on the worker count or the piece size (DESIGN.md §16).
 
 use std::sync::OnceLock;
 
@@ -34,6 +41,7 @@ use crate::rng::{RowRng, Stream};
 use crate::schema;
 use crate::text;
 use wimpi_storage::hash::{FxBuild, FxMap};
+use wimpi_storage::morsel::{pool_workers, run_each_beside, run_indexed};
 use wimpi_storage::{Catalog, Column, Date32, DictBuilder, IndexInterner, Result, Table};
 
 /// TPC-H population constants (spec §4.2.3).
@@ -75,7 +83,7 @@ struct CommentPool {
 
 impl CommentPool {
     fn new(stream: Stream, min: usize, max: usize, rows: u64) -> Self {
-        let size = (rows as usize).clamp(1, COMMENT_POOL_MAX);
+        let size = pool_size(rows);
         let texts: Vec<String> =
             (0..size).map(|j| text::pseudo_text(&mut stream.rng(j as u64), min, max)).collect();
         let mut seen: FxMap<&str, u32> = FxMap::with_capacity_and_hasher(size, FxBuild);
@@ -90,6 +98,16 @@ impl CommentPool {
         self.first[rng.index(self.texts.len())] as usize
     }
 
+    /// The column of rows that drew the pool indices `drawn` — what
+    /// [`CommentPool::draw`] picks, before the pool itself exists — encoded
+    /// in one pass over the whole column.
+    fn encode(&self, mut drawn: Vec<u32>) -> Column {
+        for j in &mut drawn {
+            *j = self.first[*j as usize];
+        }
+        self.finish(IndexInterner::from_indices(self.texts.len(), drawn))
+    }
+
     /// An interner over the pool, with room for `rows` rows.
     fn interner(&self, rows: usize) -> IndexInterner {
         IndexInterner::new(self.texts.len(), rows)
@@ -99,6 +117,11 @@ impl CommentPool {
     fn finish(&self, comments: IndexInterner) -> Column {
         Column::Str(comments.finish(|i| self.texts[i].clone()))
     }
+}
+
+/// Texts in a pool for a table of `rows` rows.
+fn pool_size(rows: u64) -> usize {
+    (rows as usize).clamp(1, COMMENT_POOL_MAX)
 }
 
 /// The column of the indices drawn from a fixed word list.
@@ -123,9 +146,9 @@ const ORDER_STATUSES: [&str; 3] = ["F", "O", "P"];
 /// ```
 pub struct Generator {
     sf: f64,
-    /// The orders and lineitem comment pools, built by the first
-    /// [`Generator::orders_lineitem_chunk`] call.
-    pools: OnceLock<(CommentPool, CommentPool)>,
+    /// The orders and lineitem comment pools, each built on first use.
+    order_pool: OnceLock<CommentPool>,
+    line_pool: OnceLock<CommentPool>,
 }
 
 impl std::fmt::Debug for Generator {
@@ -139,7 +162,7 @@ impl Generator {
     /// tests and examples).
     pub fn new(sf: f64) -> Self {
         assert!(sf > 0.0, "scale factor must be positive");
-        Self { sf, pools: OnceLock::new() }
+        Self { sf, order_pool: OnceLock::new(), line_pool: OnceLock::new() }
     }
 
     /// The scale factor.
@@ -385,6 +408,18 @@ impl Generator {
         )
     }
 
+    /// The `orders` comment pool.
+    fn order_pool(&self) -> &CommentPool {
+        self.order_pool
+            .get_or_init(|| CommentPool::new(Stream::OrderComment, 19, 78, self.num_orders()))
+    }
+
+    /// The `lineitem` comment pool.
+    fn line_pool(&self) -> &CommentPool {
+        self.line_pool
+            .get_or_init(|| CommentPool::new(Stream::LineComment, 10, 43, self.num_orders() * 4))
+    }
+
     /// Generates `orders` and `lineitem` together for the full database.
     pub fn orders_lineitem(&self) -> Result<(Table, Table)> {
         self.orders_lineitem_chunk(0, 1)
@@ -392,74 +427,133 @@ impl Generator {
 
     /// Generates chunk `chunk` of `nchunks` of `orders`/`lineitem`, split by
     /// contiguous order-index (and therefore order-key) ranges. This is the
-    /// entry point the cluster partitioner uses: every RNG stream is seeded
-    /// by absolute row index, so a chunk is deterministic and independent of
-    /// every other chunk, and the chunks of any grid concatenate to
-    /// [`Generator::orders_lineitem`] byte for byte. Peak memory is one chunk
-    /// plus the comment pools, which depend only on the scale factor: the
-    /// first call builds them and every later call on this generator reuses
-    /// them (DESIGN.md §16).
+    /// entry point the cluster's recovery uses to regenerate a lost
+    /// partition: every RNG stream is seeded by absolute row index, so a
+    /// chunk is deterministic and independent of every other chunk, and the
+    /// chunks of any grid concatenate to [`Generator::orders_lineitem`] byte
+    /// for byte. Peak memory is one chunk plus the comment pools, which
+    /// depend only on the scale factor: the first call builds them and
+    /// every later call on this generator reuses them (DESIGN.md §16). The
+    /// chunk itself is generated on the pool, in pieces of at most
+    /// [`PIECE_ORDERS`] orders.
     pub fn orders_lineitem_chunk(&self, chunk: u64, nchunks: u64) -> Result<(Table, Table)> {
         assert!(nchunks > 0 && chunk < nchunks, "bad chunk {chunk}/{nchunks}");
-        let total = self.num_orders();
-        let (o_pool, l_pool) = self.pools.get_or_init(|| {
-            (
-                CommentPool::new(Stream::OrderComment, 19, 78, total),
-                CommentPool::new(Stream::LineComment, 10, 43, total * 4),
-            )
+        let (lo, hi) = chunk_range(self.num_orders(), chunk, nchunks);
+        let mut layout = self.layout(lo, hi, 1);
+        run_each_beside(
+            pool_workers(),
+            layout.pieces(),
+            |piece| self.write_piece(piece),
+            || (self.order_pool(), self.line_pool()),
+        );
+        let (orders, mut lineitem) = layout.finish(self)?;
+        Ok((orders, lineitem.remove(0)))
+    }
+
+    /// Every table, with `lineitem` cut into `parts` partitions on the
+    /// [`chunk_range`] grid over orders: what a cluster of `parts` nodes
+    /// holds. `orders` comes whole, byte-identical to gluing the chunks'
+    /// orders together, and partition `p` is byte-identical to
+    /// `orders_lineitem_chunk(p, parts)`'s lineitem.
+    ///
+    /// One pool run builds everything: the calling thread builds both
+    /// comment pools and the six small tables, so it allocates every table
+    /// it returns, while the other workers write the `orders`/`lineitem`
+    /// pieces into columns it allocated too; it joins them when it is done
+    /// (DESIGN.md §16).
+    pub fn generate_partitioned(&self, parts: u64) -> Result<PartitionedTables> {
+        assert!(parts > 0, "at least one partition");
+        let mut layout = self.layout(0, self.num_orders(), parts);
+        let (_, small) = run_each_beside(
+            pool_workers(),
+            layout.pieces(),
+            |piece| self.write_piece(piece),
+            || {
+                let small = SMALL_TABLES.map(|(name, table)| (name, table(self)));
+                self.order_pool();
+                self.line_pool();
+                small
+            },
+        );
+        let mut replicated = Vec::with_capacity(SMALL_TABLES.len() + 1);
+        for (name, table) in small {
+            replicated.push((name, table?));
+        }
+        let (orders, lineitem) = layout.finish(self)?;
+        replicated.push(("orders", orders));
+        Ok(PartitionedTables { replicated, lineitem })
+    }
+
+    /// Generates the whole database into a catalog — the single-node setup.
+    pub fn generate_catalog(&self) -> Result<Catalog> {
+        let PartitionedTables { replicated, mut lineitem } = self.generate_partitioned(1)?;
+        let mut cat = Catalog::new();
+        for (name, table) in replicated {
+            cat.register(name, table);
+        }
+        cat.register("lineitem", lineitem.remove(0));
+        Ok(cat)
+    }
+
+    /// Lays out `orders` over order indices `lo..hi` and `lineitem` in
+    /// `parts` partitions on the [`chunk_range`] grid of that range: every
+    /// column allocated here, on the calling thread, at its exact final
+    /// length (a pre-pass over the `LineCount` stream, on the pool, counts
+    /// each piece's lines), zero pages that the pieces' writers touch
+    /// first.
+    fn layout(&self, lo: u64, hi: u64, parts: u64) -> Layout {
+        let mut pieces = Vec::new();
+        for p in 0..parts {
+            let (plo, phi) = chunk_range(hi - lo, p, parts);
+            let (plo, phi) = (lo + plo, lo + phi);
+            let mut start = plo;
+            while start < phi {
+                let end = phi.min(start + PIECE_ORDERS);
+                pieces.push((p as usize, start, end));
+                start = end;
+            }
+        }
+        let lines = run_indexed(pool_workers(), pieces.len(), |_, i| {
+            let (_, start, end) = pieces[i];
+            (start..end).map(line_count).sum::<usize>()
         });
-        let (lo, hi) = chunk_range(total, chunk, nchunks);
-        let n = (hi - lo) as usize;
+        let mut part_lines = vec![0usize; parts as usize];
+        for (&(p, _, _), n) in pieces.iter().zip(&lines) {
+            part_lines[p] += n;
+        }
+        Layout {
+            orders: OrderCols::zeroed((hi - lo) as usize),
+            parts: part_lines.into_iter().map(LineCols::zeroed).collect(),
+            pieces: pieces.into_iter().zip(lines).map(|((p, s, e), n)| (p, s, e, n)).collect(),
+        }
+    }
+
+    /// Writes one piece: orders `lo..hi`, one row each, and their lines.
+    /// Every string column gets the domain index a row drew (the pool
+    /// index for comments: the pools need not exist yet); [`Layout::finish`]
+    /// encodes them.
+    fn write_piece(&self, piece: Piece<'_>) {
+        let Piece { lo, hi, orders: o, lines: l } = piece;
+        let o_pool = pool_size(self.num_orders());
+        let l_pool = pool_size(self.num_orders() * 4);
         let customers = self.num_customers() as i64;
-        let clerks = self.num_clerks() as i64;
+        let clerks = self.num_clerks().max(1) as usize;
         let parts = self.num_parts() as i64;
         let suppliers = self.num_suppliers() as i64;
         let date_span = (last_order_date().0 - start_date().0) as i64;
         let today = current_date();
-
-        // orders columns
-        let mut o_key = Vec::with_capacity(n);
-        let mut o_cust = Vec::with_capacity(n);
-        let mut o_status = IndexInterner::new(ORDER_STATUSES.len(), n);
-        let mut o_total = Vec::with_capacity(n);
-        let mut o_date = Vec::with_capacity(n);
-        let mut o_prio = IndexInterner::new(text::PRIORITIES.len(), n);
-        let mut o_clerk = IndexInterner::new(clerks.max(1) as usize, n);
-        let mut o_ship = Vec::with_capacity(n);
-        let mut o_comment = o_pool.interner(n);
-
-        // lineitem columns (≈4 lines/order on average)
-        let cap = n * 4;
-        let mut l_okey = Vec::with_capacity(cap);
-        let mut l_pkey = Vec::with_capacity(cap);
-        let mut l_skey = Vec::with_capacity(cap);
-        let mut l_num = Vec::with_capacity(cap);
-        let mut l_qty = Vec::with_capacity(cap);
-        let mut l_ext = Vec::with_capacity(cap);
-        let mut l_disc = Vec::with_capacity(cap);
-        let mut l_tax = Vec::with_capacity(cap);
-        let mut l_rflag = IndexInterner::new(RETURN_FLAGS.len(), cap);
-        let mut l_status = IndexInterner::new(LINE_STATUSES.len(), cap);
-        let mut l_sdate = Vec::with_capacity(cap);
-        let mut l_cdate = Vec::with_capacity(cap);
-        let mut l_rdate = Vec::with_capacity(cap);
-        let mut l_instr = IndexInterner::new(text::INSTRUCTIONS.len(), cap);
-        let mut l_mode = IndexInterner::new(text::MODES.len(), cap);
-        let mut l_comment = l_pool.interner(cap);
-
-        for idx in lo..hi {
+        let mut j = 0;
+        for (i, idx) in (lo..hi).enumerate() {
             let orderkey = order_key_for_index(idx);
-            let custkey = draw_custkey(customers, idx);
             let odate =
                 start_date().0 + Stream::OrderDate.rng(idx).uniform_i64(0, date_span) as i32;
-            let nlines = Stream::LineCount.rng(idx).uniform_i64(1, 7);
+            let nlines = line_count(idx);
             let mut total_price = 0;
             let mut f_lines = 0;
             for line in 0..nlines {
                 let lrow = idx * 8 + line as u64;
                 let partkey = Stream::LinePartkey.rng(lrow).uniform_i64(1, parts);
                 let supp_idx = Stream::LineSuppIdx.rng(lrow).uniform_i64(0, 3);
-                let suppkey = supplier_for_part(partkey, supp_idx, suppliers);
                 let qty = Stream::LineQuantity.rng(lrow).uniform_i64(1, 50);
                 let ext = qty * retail_price_cents(partkey); // qty(int) × price(cents)
                 let disc = Stream::LineDiscount.rng(lrow).uniform_i64(0, 10); // 0.00–0.10
@@ -468,103 +562,243 @@ impl Generator {
                 let cdate = odate + Stream::LineCommitDelta.rng(lrow).uniform_i64(30, 90) as i32;
                 let rdate = sdate + Stream::LineReceiptDelta.rng(lrow).uniform_i64(1, 30) as i32;
 
-                l_okey.push(orderkey);
-                l_pkey.push(partkey);
-                l_skey.push(suppkey);
-                l_num.push(line as i32 + 1);
-                l_qty.push(qty * 100);
-                l_ext.push(ext);
-                l_disc.push(disc);
-                l_tax.push(tax);
+                l.okey[j] = orderkey;
+                l.pkey[j] = partkey;
+                l.skey[j] = supplier_for_part(partkey, supp_idx, suppliers);
+                l.num[j] = line as i32 + 1;
+                l.qty[j] = qty * 100;
+                l.ext[j] = ext;
+                l.disc[j] = disc;
+                l.tax[j] = tax;
                 // R or A once returned, else N.
-                l_rflag.push(if Date32(rdate) <= today {
-                    Stream::LineReturnFlag.rng(lrow).index(2)
+                l.rflag[j] = if Date32(rdate) <= today {
+                    Stream::LineReturnFlag.rng(lrow).index(2) as u32
                 } else {
                     2
-                });
+                };
                 let shipped = Date32(sdate) <= today;
-                l_status.push(usize::from(!shipped));
+                l.status[j] = u32::from(!shipped);
                 if shipped {
                     f_lines += 1;
                 }
-                l_sdate.push(sdate);
-                l_cdate.push(cdate);
-                l_rdate.push(rdate);
-                l_instr.push(Stream::LineInstruct.rng(lrow).index(text::INSTRUCTIONS.len()));
-                l_mode.push(Stream::LineMode.rng(lrow).index(text::MODES.len()));
-                l_comment.push(l_pool.draw(&mut Stream::LineComment.rng(lrow)));
+                l.sdate[j] = sdate;
+                l.cdate[j] = cdate;
+                l.rdate[j] = rdate;
+                l.instr[j] = Stream::LineInstruct.rng(lrow).index(text::INSTRUCTIONS.len()) as u32;
+                l.mode[j] = Stream::LineMode.rng(lrow).index(text::MODES.len()) as u32;
+                l.comment[j] = Stream::LineComment.rng(lrow).index(l_pool) as u32;
+                j += 1;
 
                 // o_totalprice += ext × (1 − disc) × (1 + tax): exact at
                 // scale 6, rounded half up to cents (every term is positive).
                 total_price += (ext * (100 - disc) * (100 + tax) + 5_000) / 10_000;
             }
-            o_key.push(orderkey);
-            o_cust.push(custkey);
+            o.key[i] = orderkey;
+            o.cust[i] = draw_custkey(customers, idx);
             // F when every line shipped, O when none did, else P.
-            o_status.push(match f_lines {
+            o.status[i] = match f_lines {
                 f if f == nlines => 0,
                 0 => 1,
                 _ => 2,
-            });
-            o_total.push(total_price);
-            o_date.push(odate);
-            o_prio.push(Stream::OrderPriority.rng(idx).index(text::PRIORITIES.len()));
-            o_clerk.push(Stream::OrderClerk.rng(idx).index(clerks.max(1) as usize));
-            o_ship.push(0);
-            o_comment.push(o_pool.draw(&mut Stream::OrderComment.rng(idx)));
+            };
+            o.total[i] = total_price;
+            o.date[i] = odate;
+            o.prio[i] = Stream::OrderPriority.rng(idx).index(text::PRIORITIES.len()) as u32;
+            o.clerk[i] = Stream::OrderClerk.rng(idx).index(clerks) as u32;
+            o.ship[i] = 0;
+            o.comment[i] = Stream::OrderComment.rng(idx).index(o_pool) as u32;
+        }
+        assert_eq!(j, l.okey.len(), "the line-count pre-pass sized the piece");
+    }
+}
+
+/// Every table of the database, `lineitem` in partitions: see
+/// [`Generator::generate_partitioned`].
+#[derive(Debug)]
+pub struct PartitionedTables {
+    /// `region`, `nation`, `supplier`, `customer`, `part`, `partsupp` and
+    /// `orders`, by name.
+    pub replicated: Vec<(&'static str, Table)>,
+    /// `lineitem`, one table per partition.
+    pub lineitem: Vec<Table>,
+}
+
+/// The most orders one piece of `orders`/`lineitem` generation holds:
+/// ≈ 65 536 lines, a morsel. Pieces are the pool's tasks; their size never
+/// shows in the bytes, since each writes its own slice of the columns and
+/// the strings are encoded over the whole column afterwards.
+pub const PIECE_ORDERS: u64 = 16_384;
+
+/// A table's generator.
+type TableFn = fn(&Generator) -> Result<Table>;
+
+/// The small tables, which the calling thread generates.
+const SMALL_TABLES: [(&str, TableFn); 6] = [
+    ("region", Generator::region_table),
+    ("nation", Generator::nation_table),
+    ("supplier", Generator::supplier_table),
+    ("customer", Generator::customer_table),
+    ("part", Generator::part_table),
+    ("partsupp", Generator::partsupp_table),
+];
+
+/// Lines of order `idx`: 1 to 7.
+fn line_count(idx: u64) -> usize {
+    Stream::LineCount.rng(idx).uniform_i64(1, 7) as usize
+}
+
+/// Declares a table's generated columns twice: owned, at their final
+/// length, and as one piece's disjoint mutable slices of them. A string
+/// column holds each row's domain index until it is encoded.
+macro_rules! columns {
+    ($cols:ident, $out:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        struct $cols {
+            $($f: Vec<$t>,)*
         }
 
+        struct $out<'a> {
+            $($f: &'a mut [$t],)*
+        }
+
+        impl $cols {
+            fn zeroed(n: usize) -> Self {
+                Self { $($f: vec![0; n],)* }
+            }
+
+            fn out(&mut self) -> $out<'_> {
+                $out { $($f: &mut self.$f,)* }
+            }
+        }
+
+        impl<'a> $out<'a> {
+            /// The first `mid` rows, and the rest.
+            fn split_at(self, mid: usize) -> (Self, Self) {
+                $(let $f = self.$f.split_at_mut(mid);)*
+                ($out { $($f: $f.0,)* }, $out { $($f: $f.1,)* })
+            }
+        }
+    };
+}
+
+columns!(
+    OrderCols,
+    OrderOut {
+        key: i64,
+        cust: i64,
+        status: u32,
+        total: i64,
+        date: i32,
+        prio: u32,
+        clerk: u32,
+        ship: i32,
+        comment: u32,
+    }
+);
+
+columns!(
+    LineCols,
+    LineOut {
+        okey: i64,
+        pkey: i64,
+        skey: i64,
+        num: i32,
+        qty: i64,
+        ext: i64,
+        disc: i64,
+        tax: i64,
+        rflag: u32,
+        status: u32,
+        sdate: i32,
+        cdate: i32,
+        rdate: i32,
+        instr: u32,
+        mode: u32,
+        comment: u32,
+    }
+);
+
+/// `orders` over an order range and its `lineitem` partitions, allocated
+/// by [`Generator::layout`].
+struct Layout {
+    orders: OrderCols,
+    parts: Vec<LineCols>,
+    /// (partition, first order, end order, lines) per piece, in order.
+    pieces: Vec<(usize, u64, u64, usize)>,
+}
+
+/// One task's share of a [`Layout`].
+struct Piece<'a> {
+    lo: u64,
+    hi: u64,
+    orders: OrderOut<'a>,
+    lines: LineOut<'a>,
+}
+
+impl Layout {
+    /// Every piece's slices, in order.
+    fn pieces(&mut self) -> Vec<Piece<'_>> {
+        let mut orders = self.orders.out();
+        let mut parts: Vec<Option<LineOut<'_>>> =
+            self.parts.iter_mut().map(|l| Some(l.out())).collect();
+        let mut out = Vec::with_capacity(self.pieces.len());
+        for &(p, lo, hi, lines) in &self.pieces {
+            let (o, rest) = orders.split_at((hi - lo) as usize);
+            orders = rest;
+            let (l, rest) = parts[p].take().expect("a partition's slices").split_at(lines);
+            parts[p] = Some(rest);
+            out.push(Piece { lo, hi, orders: o, lines: l });
+        }
+        out
+    }
+
+    /// Encodes every string column — one first-appearance pass over each
+    /// whole column, on the calling thread — and builds the tables.
+    fn finish(self, gen: &Generator) -> Result<(Table, Vec<Table>)> {
+        let Layout { orders: o, parts: lines, .. } = self;
+        let (o_pool, l_pool) = (gen.order_pool(), gen.line_pool());
+        let clerks = gen.num_clerks().max(1) as usize;
+        let encode = |domain, indices| IndexInterner::from_indices(domain, indices);
         let orders = Table::new(
             schema::orders(),
             vec![
-                Column::Int64(o_key),
-                Column::Int64(o_cust),
-                finish_list(&ORDER_STATUSES, o_status),
-                Column::Decimal(o_total, 2),
-                Column::Date(o_date),
-                finish_list(text::PRIORITIES, o_prio),
-                Column::Str(o_clerk.finish(|c| format!("Clerk#{:09}", c + 1))),
-                Column::Int32(o_ship),
-                o_pool.finish(o_comment),
+                Column::Int64(o.key),
+                Column::Int64(o.cust),
+                finish_list(&ORDER_STATUSES, encode(ORDER_STATUSES.len(), o.status)),
+                Column::Decimal(o.total, 2),
+                Column::Date(o.date),
+                finish_list(text::PRIORITIES, encode(text::PRIORITIES.len(), o.prio)),
+                Column::Str(encode(clerks, o.clerk).finish(|c| format!("Clerk#{:09}", c + 1))),
+                Column::Int32(o.ship),
+                o_pool.encode(o.comment),
             ],
         )?;
-        let lineitem = Table::new(
-            schema::lineitem(),
-            vec![
-                Column::Int64(l_okey),
-                Column::Int64(l_pkey),
-                Column::Int64(l_skey),
-                Column::Int32(l_num),
-                Column::Decimal(l_qty, 2),
-                Column::Decimal(l_ext, 2),
-                Column::Decimal(l_disc, 2),
-                Column::Decimal(l_tax, 2),
-                finish_list(&RETURN_FLAGS, l_rflag),
-                finish_list(&LINE_STATUSES, l_status),
-                Column::Date(l_sdate),
-                Column::Date(l_cdate),
-                Column::Date(l_rdate),
-                finish_list(text::INSTRUCTIONS, l_instr),
-                finish_list(text::MODES, l_mode),
-                l_pool.finish(l_comment),
-            ],
-        )?;
+        let lineitem = lines
+            .into_iter()
+            .map(|l| {
+                Table::new(
+                    schema::lineitem(),
+                    vec![
+                        Column::Int64(l.okey),
+                        Column::Int64(l.pkey),
+                        Column::Int64(l.skey),
+                        Column::Int32(l.num),
+                        Column::Decimal(l.qty, 2),
+                        Column::Decimal(l.ext, 2),
+                        Column::Decimal(l.disc, 2),
+                        Column::Decimal(l.tax, 2),
+                        finish_list(&RETURN_FLAGS, encode(RETURN_FLAGS.len(), l.rflag)),
+                        finish_list(&LINE_STATUSES, encode(LINE_STATUSES.len(), l.status)),
+                        Column::Date(l.sdate),
+                        Column::Date(l.cdate),
+                        Column::Date(l.rdate),
+                        finish_list(text::INSTRUCTIONS, encode(text::INSTRUCTIONS.len(), l.instr)),
+                        finish_list(text::MODES, encode(text::MODES.len(), l.mode)),
+                        l_pool.encode(l.comment),
+                    ],
+                )
+            })
+            .collect::<Result<_>>()?;
         Ok((orders, lineitem))
-    }
-
-    /// Generates the whole database into a catalog — the single-node setup.
-    pub fn generate_catalog(&self) -> Result<Catalog> {
-        let mut cat = Catalog::new();
-        cat.register("region", self.region_table()?);
-        cat.register("nation", self.nation_table()?);
-        cat.register("supplier", self.supplier_table()?);
-        cat.register("customer", self.customer_table()?);
-        cat.register("part", self.part_table()?);
-        cat.register("partsupp", self.partsupp_table()?);
-        let (orders, lineitem) = self.orders_lineitem()?;
-        cat.register("orders", orders);
-        cat.register("lineitem", lineitem);
-        Ok(cat)
     }
 }
 
@@ -804,6 +1038,61 @@ mod tests {
                     "column {ci} differs between chunked and full generation"
                 );
             }
+        }
+    }
+
+    /// Asserts two tables hold the same schema and bytes.
+    fn assert_same(a: &Table, b: &Table, what: &str) {
+        assert_eq!(a.schema(), b.schema(), "{what}");
+        for ci in 0..a.num_columns() {
+            assert_eq!(a.column(ci), b.column(ci), "{what}: column {ci}");
+        }
+    }
+
+    #[test]
+    fn any_worker_count_generates_the_same_bytes() {
+        use wimpi_storage::morsel::with_pool_workers;
+        // SF 0.05: 75 000 orders, five pieces, the last one short.
+        let g = Generator::new(0.05);
+        assert_ne!(g.num_orders() % PIECE_ORDERS, 0);
+        let serial = with_pool_workers(1, || g.generate_catalog().unwrap());
+        assert_eq!(serial.len(), 8);
+        // Seven partitions of 15 000 orders, none of equal size.
+        let small = Generator::new(0.01);
+        assert_ne!(small.num_orders() % 7, 0);
+        let (full_orders, _) = with_pool_workers(1, || small.orders_lineitem().unwrap());
+        for workers in [1, 2, 3, 4] {
+            let cat =
+                with_pool_workers(workers, || Generator::new(0.05).generate_catalog().unwrap());
+            for name in serial.names() {
+                let what = format!("{name} at {workers} workers");
+                assert_same(cat.table(name).unwrap(), serial.table(name).unwrap(), &what);
+            }
+            let parts = with_pool_workers(workers, || small.generate_partitioned(7).unwrap());
+            assert_eq!(parts.lineitem.len(), 7);
+            for (p, lineitem) in parts.lineitem.iter().enumerate() {
+                let (_, chunk) = small.orders_lineitem_chunk(p as u64, 7).unwrap();
+                assert_same(lineitem, &chunk, &format!("partition {p} at {workers} workers"));
+            }
+            let (name, orders) = parts.replicated.last().unwrap();
+            assert_eq!(*name, "orders");
+            assert_same(orders, &full_orders, &format!("orders at {workers} workers"));
+        }
+    }
+
+    #[test]
+    fn lineitem_columns_are_sized_exactly() {
+        let g = Generator::new(0.01);
+        let (_, li) = g.orders_lineitem().unwrap();
+        // 1–7 lines an order average 4 only in expectation; the pre-pass
+        // counts them, so no column grows past its rows.
+        for ci in 0..li.num_columns() {
+            let spare = match li.column(ci).as_ref() {
+                Column::Int64(v) | Column::Decimal(v, _) => v.capacity() - v.len(),
+                Column::Int32(v) | Column::Date(v) => v.capacity() - v.len(),
+                _ => continue,
+            };
+            assert_eq!(spare, 0, "column {ci} holds spare capacity");
         }
     }
 

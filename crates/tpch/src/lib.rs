@@ -15,4 +15,4 @@ pub mod tbl;
 pub mod text;
 
 pub use cluster::{cluster_by, clustered_catalog};
-pub use gen::{current_date, Generator};
+pub use gen::{current_date, Generator, PartitionedTables};

@@ -1,48 +1,33 @@
-//! The failure-aware serving front door (DESIGN.md §15).
+//! The serving front door (DESIGN.md §15).
 //!
 //! [`Coordinator`] composes the single-node admission/queue machinery of
 //! `engine::service` with the cluster's one recovery machine — the phases
 //! behind [`crate::WimpiCluster::run_with`] — into one serving path that
-//! admits *concurrent* client traffic. On top of that machine it adds:
-//!
-//! * **Circuit breakers** — `breaker_threshold` consecutive failed sub-runs
-//!   open a node's breaker; the machine then skips the node's home
-//!   partition (rerouting it like a lost one) and gives the node no other
-//!   work until `breaker_cooldown_s` simulated seconds pass, after which
-//!   exactly one half-open probe (a real home attempt, priced like any
-//!   other run) decides between closing the breaker and re-opening it. A
-//!   probe its query never reaches — cancelled or failed first — is handed
-//!   to the next query.
-//! * **Deterministic result caching** — a bounded [`ResultCache`] keyed on
-//!   the plan's rendering, whose entries are governor-reserved through
-//!   [`MemoryReservation`] and invalidated whenever integrity repair or
-//!   lost-partition regeneration touches an underlying table. A cache hit
-//!   is therefore provably bit-exact vs recomputation: cached answers are
-//!   non-degraded, every computed answer is a deterministic function of
-//!   (plan, sealed table bytes), and any event that rewrote table bytes
-//!   bumps the dependency versions first.
+//! admits *concurrent* client traffic. Around that machine it keeps a
+//! **deterministic result cache**: a bounded [`ResultCache`] keyed on the
+//! plan's rendering, whose entries are governor-reserved through
+//! [`MemoryReservation`] and dropped whenever integrity repair or
+//! lost-partition regeneration touches a table they read. A cache hit is
+//! therefore bit-exact vs recomputation: cached answers are non-degraded,
+//! every computed answer is a deterministic function of (plan, sealed table
+//! bytes), and any event that rewrote table bytes drops its dependents
+//! before the fresh answer is cached.
 //!
 //! Every miss distributes the plan the client sent with the paper's driver
 //! strategy ([`Strategy::PartialAggPushdown`]), and reroutes, straggler
 //! copies and degraded answers follow the cluster's one
-//! [`RecoveryPolicy`](crate::faults::RecoveryPolicy), so with every breaker
-//! closed a served answer — result, simulated seconds and recovery report —
-//! is exactly what [`crate::WimpiCluster::run_with`] computes under the same
-//! faults, whatever was served before it.
-//!
-//! The simulated clock that prices breaker cooldowns advances by each
-//! completed query's end-to-end seconds. Under concurrent workers the
-//! *order* of those advances is scheduling-dependent, so breaker timing may
-//! differ run to run — by construction that only moves *routing* decisions,
-//! never answers: every route executes the same deterministic partition
-//! work.
+//! [`RecoveryPolicy`](crate::faults::RecoveryPolicy). No state carries from
+//! one query to the next, so a served answer — result, simulated seconds and
+//! recovery report — is exactly what [`crate::WimpiCluster::run_with`]
+//! computes under the same faults, whatever was served before it and however
+//! the service's workers interleave.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::distribute::{distribute, touches_partitioned, Strategy};
+use crate::distribute::Strategy;
 use crate::faults::{FaultPlan, RecoveryReport};
-use crate::recovery::{Layout, Outcome, SubRun};
+use crate::recovery::SubRuns;
 use crate::{ClusterError, Result, WimpiCluster};
 use wimpi_engine::{
     EngineError, MemoryReservation, QueryContext, QuerySpec, Relation, Service, ServiceConfig,
@@ -54,31 +39,20 @@ use wimpi_queries::{run_phases, QueryPlan};
 /// Histogram bounds for end-to-end simulated latency (seconds).
 pub const LATENCY_BUCKETS: [f64; 9] = [0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0];
 
-/// Serving-path configuration. Defaults are deliberately conservative: two
-/// consecutive failures trip a breaker, and the result cache holds 64 MiB
-/// of governor-reserved answers. Recovery itself is the cluster's
+/// Serving-path configuration. By default the result cache holds 64 MiB of
+/// governor-reserved answers. Recovery itself is the cluster's
 /// [`RecoveryPolicy`](crate::faults::RecoveryPolicy).
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Admission/queue/worker configuration of the embedded service.
     pub service: ServiceConfig,
-    /// Consecutive sub-run failures that open a node's circuit breaker.
-    pub breaker_threshold: u32,
-    /// Simulated seconds an open breaker blocks routing before the
-    /// half-open probe.
-    pub breaker_cooldown_s: f64,
     /// Result-cache budget in bytes (0 disables result caching).
     pub result_cache_bytes: u64,
 }
 
 impl Default for CoordinatorConfig {
     fn default() -> Self {
-        Self {
-            service: ServiceConfig::default(),
-            breaker_threshold: 2,
-            breaker_cooldown_s: 5.0,
-            result_cache_bytes: 64 << 20,
-        }
+        Self { service: ServiceConfig::default(), result_cache_bytes: 64 << 20 }
     }
 }
 
@@ -150,44 +124,17 @@ impl Submitted {
     }
 }
 
-/// Circuit-breaker state for one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Breaker {
-    /// Healthy: home partitions route here.
-    Closed,
-    /// Tripped: blocked until the simulated clock reaches `until_s`.
-    Open { until_s: f64 },
-    /// One probe is in flight; its outcome decides the next state.
-    HalfOpen,
-}
-
-/// Live health record for one node.
-#[derive(Debug, Clone, Copy)]
-struct NodeHealth {
-    consecutive_failures: u32,
-    breaker: Breaker,
-}
-
-/// Shared mutable health state: the simulated clock plus per-node records.
-struct HealthState {
-    now_s: f64,
-    nodes: Vec<NodeHealth>,
-}
-
-/// One cached answer with its memory cost and dependency versions.
+/// One cached answer with its memory cost and the tables it read.
 struct CacheEntry {
     rel: Relation,
     bytes: u64,
-    /// (table, version-at-insert) — a hit requires every version to still
-    /// match, so any repair/regeneration event since insert voids the entry.
-    deps: Vec<(String, u64)>,
+    /// Invalidating any of these tables drops the entry.
+    tables: Vec<String>,
     last_used: u64,
 }
 
 struct CacheState {
     entries: HashMap<String, CacheEntry>,
-    /// Monotone per-table version, bumped by [`ResultCache::invalidate_tables`].
-    versions: HashMap<String, u64>,
     tick: u64,
 }
 
@@ -196,8 +143,9 @@ struct CacheState {
 /// Entries reserve their byte cost against an internal [`MemoryReservation`]
 /// sized by the configured budget; inserts evict least-recently-used entries
 /// until the reservation fits, and oversized answers are simply not cached.
-/// Invalidation bumps per-table versions and drops every dependent entry —
-/// the mechanism that keeps hits bit-exact under active corruption repair.
+/// Invalidation drops every entry that read a listed table, under the lock
+/// every insert takes — the mechanism that keeps hits bit-exact under
+/// active corruption repair.
 pub struct ResultCache {
     budget: MemoryReservation,
     state: Mutex<CacheState>,
@@ -208,41 +156,22 @@ impl ResultCache {
     pub fn new(budget_bytes: u64) -> Self {
         Self {
             budget: MemoryReservation::with_budget(budget_bytes),
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                versions: HashMap::new(),
-                tick: 0,
-            }),
+            state: Mutex::new(CacheState { entries: HashMap::new(), tick: 0 }),
         }
     }
 
-    /// A version-checked lookup. Counts a hit or a miss on `metrics`.
+    /// A lookup. Counts a hit or a miss on `metrics`.
     pub fn get(&self, key: &str, metrics: &Registry) -> Option<Relation> {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
-        let CacheState { entries, versions, .. } = &mut *st;
-        let stale = match entries.get_mut(key) {
-            Some(e) => {
-                let fresh = e.deps.iter().all(|(t, v)| versions.get(t).copied().unwrap_or(0) == *v);
-                if fresh {
-                    e.last_used = tick;
-                    metrics.inc("coord_result_cache_hits_total", 1);
-                    return Some(e.rel.clone());
-                }
-                true
-            }
-            None => false,
+        let Some(e) = st.entries.get_mut(key) else {
+            metrics.inc("coord_result_cache_misses_total", 1);
+            return None;
         };
-        if stale {
-            // Belt-and-braces: invalidate_tables already drops dependents,
-            // but a racing insert could have slipped a stale entry back in.
-            if let Some(e) = st.entries.remove(key) {
-                self.budget.release(e.bytes);
-            }
-        }
-        metrics.inc("coord_result_cache_misses_total", 1);
-        None
+        e.last_used = tick;
+        metrics.inc("coord_result_cache_hits_total", 1);
+        Some(e.rel.clone())
     }
 
     /// Inserts (or refreshes) an answer whose correctness depends on
@@ -268,35 +197,25 @@ impl ResultCache {
             metrics.inc("coord_result_cache_evictions_total", 1);
         }
         st.tick += 1;
-        let tick = st.tick;
-        let deps =
-            tables.iter().map(|t| (t.clone(), st.versions.get(t).copied().unwrap_or(0))).collect();
-        st.entries
-            .insert(key.to_string(), CacheEntry { rel: rel.clone(), bytes, deps, last_used: tick });
+        let entry =
+            CacheEntry { rel: rel.clone(), bytes, tables: tables.to_vec(), last_used: st.tick };
+        st.entries.insert(key.to_string(), entry);
         metrics.set_gauge("coord_result_cache_bytes", self.budget.used() as f64);
     }
 
-    /// Bumps the version of every listed table and drops dependent entries.
-    /// Call whenever an event may have rewritten table bytes (integrity
-    /// repair, lost-partition regeneration).
+    /// Drops every entry that read a listed table. Call whenever an event
+    /// may have rewritten table bytes (integrity repair, lost-partition
+    /// regeneration).
     pub fn invalidate_tables(&self, tables: &[String], metrics: &Registry) {
         let mut st = self.state.lock().unwrap();
-        for t in tables {
-            *st.versions.entry(t.clone()).or_insert(0) += 1;
-        }
-        let CacheState { entries, versions, .. } = &mut *st;
-        let stale: Vec<String> = entries
-            .iter()
-            .filter(|(_, e)| {
-                e.deps.iter().any(|(t, v)| versions.get(t).copied().unwrap_or(0) != *v)
-            })
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in stale {
-            let e = entries.remove(&k).expect("stale key exists");
-            self.budget.release(e.bytes);
-            metrics.inc("coord_result_cache_invalidations_total", 1);
-        }
+        st.entries.retain(|_, e| {
+            let stale = e.tables.iter().any(|t| tables.contains(t));
+            if stale {
+                self.budget.release(e.bytes);
+                metrics.inc("coord_result_cache_invalidations_total", 1);
+            }
+            !stale
+        });
         metrics.set_gauge("coord_result_cache_bytes", self.budget.used() as f64);
     }
 
@@ -319,8 +238,6 @@ impl ResultCache {
 /// State shared between the coordinator handle and the service workers.
 struct Inner {
     cluster: Arc<WimpiCluster>,
-    cfg: CoordinatorConfig,
-    health: Mutex<HealthState>,
     results: ResultCache,
     metrics: Registry,
 }
@@ -382,23 +299,19 @@ impl Coordinator {
     /// Builds a coordinator over `cluster`, starting `cfg.service.workers`
     /// worker threads.
     pub fn new(cluster: Arc<WimpiCluster>, cfg: CoordinatorConfig) -> Self {
-        let nodes = cluster.num_nodes() as usize;
-        let service = Service::new(cfg.service.clone());
-        let closed = NodeHealth { consecutive_failures: 0, breaker: Breaker::Closed };
         let inner = Arc::new(Inner {
             cluster,
-            health: Mutex::new(HealthState { now_s: 0.0, nodes: vec![closed; nodes] }),
             results: ResultCache::new(cfg.result_cache_bytes),
             metrics: Registry::new(),
-            cfg,
         });
+        let service = Service::new(cfg.service);
         Coordinator { inner, service }
     }
 
     /// Submits a request: a result-cache hit answers immediately (no
     /// admission, no execution); otherwise the request queues through the
-    /// service's admission machinery and executes routed, carrying its cache
-    /// key to the insert.
+    /// service's admission machinery and runs through the cluster's recovery
+    /// machine, carrying its cache key to the insert.
     pub fn submit(&self, req: QueryRequest) -> std::result::Result<Submitted, ServiceError> {
         self.inner.metrics.inc("coord_requests_total", 1);
         let key = cache_key(&req.query);
@@ -429,8 +342,8 @@ impl Coordinator {
         self.submit(req)?.wait()
     }
 
-    /// Coordinator counters: request, result-cache and breaker totals, the
-    /// sub-run ledger, degraded answers and the latency histogram. Completed
+    /// Coordinator counters: request and result-cache totals, the sub-run
+    /// ledger, degraded answers and the latency histogram. Completed
     /// queries are counted by the embedded service
     /// ([`Self::service_metrics`]); retries, reroutes and straggler copies
     /// in the cluster's [`WimpiCluster::metrics`].
@@ -441,12 +354,6 @@ impl Coordinator {
     /// The embedded service's registry (admission ledger, queue gauges).
     pub fn service_metrics(&self) -> &Registry {
         self.service.metrics()
-    }
-
-    /// True while `node`'s circuit breaker blocks routing.
-    pub fn breaker_is_open(&self, node: usize) -> bool {
-        let st = self.inner.health.lock().unwrap();
-        matches!(st.nodes.get(node), Some(NodeHealth { breaker: Breaker::Open { .. }, .. }))
     }
 
     /// The result cache (tests and the shell peek at occupancy).
@@ -467,9 +374,9 @@ impl Inner {
     ///
     /// Two-phase scalar queries (Q15-style) go through the queries layer's
     /// [`run_phases`] with "run one plan" meaning [`Self::execute_plan`]: the
-    /// scalar-producing inner plan is routed across the cluster when it
-    /// touches lineitem, so node loss during the pre-pass is recovered like
-    /// any other run, and the outer plan is served the same way. The phases
+    /// scalar-producing inner plan runs across the cluster when it touches
+    /// lineitem, so node loss during the pre-pass is recovered like any
+    /// other run, and the outer plan is served the same way. The phases
     /// share the admission context; only the merge of their two answers
     /// (costs and recovery reports add) lives here. A non-degraded answer
     /// is cached under `key`, the request's [`cache_key`].
@@ -502,20 +409,20 @@ impl Inner {
             self.metrics.inc("coord_invalidation_events_total", 1);
             self.results.invalidate_tables(&tables, &self.metrics);
         }
-        if !answer.degraded {
-            if let Some(key) = key {
-                self.results.insert(key, &answer.result, &tables, &self.metrics);
-            }
+        if answer.degraded {
+            self.metrics.inc("coord_degraded_answers_total", 1);
+        } else if let Some(key) = key {
+            self.results.insert(key, &answer.result, &tables, &self.metrics);
         }
-        self.finish(&answer);
+        self.metrics.observe("coord_latency_seconds", &LATENCY_BUCKETS, answer.sim_seconds);
         Ok(answer)
     }
 
-    /// Serves one logical plan through the cluster's recovery machine with
-    /// breaker-blocked nodes left out: across every node when it touches
-    /// the partitioned lineitem table, on one node otherwise. The
-    /// partitioned path distributes the plan under the paper's driver
-    /// strategy, as [`WimpiCluster::run_with`] does.
+    /// Serves one logical plan through the cluster's recovery machine under
+    /// the paper's driver strategy, exactly as [`WimpiCluster::run_with`]
+    /// does, and adds its sub-run terminals to the ledger:
+    /// `coord_subruns_total = ok + failed + cancelled`, also when the run
+    /// fails.
     fn execute_plan(
         &self,
         label: &str,
@@ -523,18 +430,14 @@ impl Inner {
         faults: &FaultPlan,
         ctx: &QueryContext,
     ) -> Result<Answer> {
-        let dist;
-        let layout = if touches_partitioned(plan) {
-            dist = distribute(plan, Strategy::PartialAggPushdown)?;
-            Layout::Partitioned(&dist, Strategy::PartialAggPushdown)
-        } else {
-            Layout::Replicated(plan)
-        };
-        let n = self.cluster.num_nodes() as usize;
-        let (skip, probes) = self.route(layout.partitions(n));
-        let mut subruns = Vec::new();
-        let run = self.cluster.recover(label, layout, faults, ctx, &skip, &mut subruns);
-        self.record_subruns(&subruns, &probes);
+        let mut subruns = SubRuns::default();
+        let strategy = Strategy::PartialAggPushdown;
+        let run = self.cluster.recover(label, plan, strategy, faults, ctx, &mut subruns);
+        let SubRuns { ok, failed, cancelled } = subruns;
+        self.metrics.inc("coord_subruns_total", ok + failed + cancelled);
+        self.metrics.inc("coord_subruns_ok_total", ok);
+        self.metrics.inc("coord_subruns_failed_total", failed);
+        self.metrics.inc("coord_subruns_cancelled_total", cancelled);
         let run = run?;
         let sim_seconds = run.total_seconds();
         Ok(Answer {
@@ -544,97 +447,6 @@ impl Inner {
             sim_seconds,
             recovery: run.recovery,
         })
-    }
-
-    /// Post-answer bookkeeping: the degraded counter, the latency histogram
-    /// and the clock advance.
-    fn finish(&self, answer: &Answer) {
-        if answer.degraded {
-            self.metrics.inc("coord_degraded_answers_total", 1);
-        }
-        self.metrics.observe("coord_latency_seconds", &LATENCY_BUCKETS, answer.sim_seconds);
-        self.health.lock().unwrap().now_s += answer.sim_seconds;
-    }
-
-    /// Decides under one lock which nodes a run over `homes` home partitions
-    /// skips, and which probes it starts. A node whose breaker is open, or
-    /// whose probe another query has in flight, is skipped: its home
-    /// partition is rerouted and it takes over no work. A home node whose
-    /// cooldown has passed turns half-open instead, and this run's home
-    /// attempt is its one probe — once that attempt succeeds, the node may
-    /// take over work like any other.
-    fn route(&self, homes: usize) -> (Vec<usize>, Vec<usize>) {
-        let mut st = self.health.lock().unwrap();
-        let now = st.now_s;
-        let (mut skip, mut probes) = (Vec::new(), Vec::new());
-        for (node, h) in st.nodes.iter_mut().enumerate() {
-            match h.breaker {
-                Breaker::Closed => {}
-                Breaker::Open { until_s } if node < homes && now >= until_s => {
-                    h.breaker = Breaker::HalfOpen;
-                    self.metrics.inc("coord_probes_total", 1);
-                    probes.push(node);
-                }
-                _ => {
-                    if node < homes {
-                        self.metrics.inc("coord_breaker_blocked_total", 1);
-                    }
-                    skip.push(node);
-                }
-            }
-        }
-        (skip, probes)
-    }
-
-    /// Folds one run's sub-run terminals into the breakers — a failure
-    /// counts against its node, any other terminal closes its breaker — and
-    /// into the ledger: `coord_subruns_total = ok + failed + cancelled` must
-    /// hold. A probe the run never reached (it was cancelled or failed
-    /// first) has no terminal, so its breaker is re-opened with its cooldown
-    /// already passed: the next query probes the node.
-    fn record_subruns(&self, subruns: &[SubRun], probes: &[usize]) {
-        for s in subruns {
-            match s.outcome {
-                Outcome::Failed => self.record_failure(s.node),
-                Outcome::Ok | Outcome::Cancelled => self.record_success(s.node),
-            }
-        }
-        let count = |o: Outcome| subruns.iter().filter(|s| s.outcome == o).count() as u64;
-        self.metrics.inc("coord_subruns_total", subruns.len() as u64);
-        self.metrics.inc("coord_subruns_ok_total", count(Outcome::Ok));
-        self.metrics.inc("coord_subruns_failed_total", count(Outcome::Failed));
-        self.metrics.inc("coord_subruns_cancelled_total", count(Outcome::Cancelled));
-        let mut st = self.health.lock().unwrap();
-        let now = st.now_s;
-        for &p in probes {
-            let h = &mut st.nodes[p];
-            if h.breaker == Breaker::HalfOpen {
-                h.breaker = Breaker::Open { until_s: now };
-            }
-        }
-    }
-
-    /// Records a sub-run on `node` that did not fail: closes its breaker
-    /// and resets the failure streak.
-    fn record_success(&self, node: usize) {
-        let mut st = self.health.lock().unwrap();
-        let h = &mut st.nodes[node];
-        h.consecutive_failures = 0;
-        h.breaker = Breaker::Closed;
-    }
-
-    /// Records a failed sub-run on `node`, tripping the breaker at the
-    /// configured threshold (a failed half-open probe re-opens immediately).
-    fn record_failure(&self, node: usize) {
-        let mut st = self.health.lock().unwrap();
-        let now = st.now_s;
-        let h = &mut st.nodes[node];
-        h.consecutive_failures += 1;
-        let probing = h.breaker == Breaker::HalfOpen;
-        if probing || h.consecutive_failures >= self.cfg.breaker_threshold {
-            h.breaker = Breaker::Open { until_s: now + self.cfg.breaker_cooldown_s };
-            self.metrics.inc("coord_breaker_trips_total", 1);
-        }
     }
 }
 
@@ -657,8 +469,7 @@ mod tests {
 
     #[test]
     fn routed_answers_match_the_cluster_driver_bit_exactly() {
-        // With every breaker closed the coordinator is the cluster driver:
-        // the same answer, the same simulated seconds to the bit and the
+        // The coordinator is the cluster driver: the same answer, the same simulated seconds to the bit and the
         // same recovery report, under every kind of fault.
         let cl = cluster(3);
         let cases = [
@@ -758,90 +569,63 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trips_blocks_routing_and_recovers_via_probe() {
-        let cl = cluster(3);
+    fn a_node_that_fails_every_request_is_recovered_afresh_every_time() {
+        // One coordinator serves a mix at 1 and then 2 concurrent clients
+        // while node 1 fails on every request: each answer is the cluster
+        // driver's under the same faults, whatever was served before it and
+        // however the two workers interleave.
+        let cl = cluster(4);
         let cfg = CoordinatorConfig {
-            breaker_threshold: 1,
-            breaker_cooldown_s: 1e-6, // expires by the next query
-            result_cache_bytes: 0,    // force re-execution every time
-            ..CoordinatorConfig::default()
-        };
-        let coord = coordinator(&cl, cfg);
-        let reference = cl.run(&query(6), Strategy::PartialAggPushdown).expect("runs");
-        let a = coord
-            .run_blocking(QueryRequest::new("q6-crash", query(6)).with_faults(FaultPlan::crash(1)))
-            .expect("recovers");
-        assert_eq!(a.result, reference.result);
-        assert!(coord.breaker_is_open(1), "one failure must trip at threshold 1");
-        assert!(coord.metrics().counter("coord_breaker_trips_total") >= 1);
-        // The cooldown has expired (the clock advanced by the first run), so
-        // the fault-free rerun probes node 1 half-open and closes it.
-        let b = coord.run_blocking(QueryRequest::new("q6-probe", query(6))).expect("serves");
-        assert_eq!(b.result, reference.result);
-        assert!(coord.metrics().counter("coord_probes_total") >= 1);
-        assert!(!coord.breaker_is_open(1), "successful probe must close the breaker");
-        coord.shutdown();
-    }
-
-    #[test]
-    fn open_breaker_reroutes_without_attempting_the_home_node() {
-        let cl = cluster(3);
-        let cfg = CoordinatorConfig {
-            breaker_threshold: 1,
-            breaker_cooldown_s: 1e9, // never cools down in this test
+            service: ServiceConfig { workers: 2, ..ServiceConfig::default() },
             result_cache_bytes: 0,
-            ..CoordinatorConfig::default()
         };
         let coord = coordinator(&cl, cfg);
-        let reference = cl.run(&query(6), Strategy::PartialAggPushdown).expect("runs");
-        coord
-            .run_blocking(QueryRequest::new("q6-crash", query(6)).with_faults(FaultPlan::crash(1)))
-            .expect("recovers");
-        assert!(coord.breaker_is_open(1));
-        // Fault-free rerun: node 1 is skipped outright; the answer is still
-        // complete because its partition reroutes to a healthy node.
-        let b = coord.run_blocking(QueryRequest::new("q6-blocked", query(6))).expect("serves");
-        assert_eq!(b.result, reference.result);
-        let moved = &b.recovery.reassignments;
-        assert!(
-            moved.len() == 1 && moved[0].partition == 1 && moved[0].to != 1,
-            "the blocked partition must be rerouted: {moved:?}"
-        );
-        assert!(coord.metrics().counter("coord_breaker_blocked_total") >= 1);
-        assert!(coord.breaker_is_open(1), "no probe before the cooldown");
+        let mix = [1, 6, 3, 14, 5];
+        let faults = FaultPlan::crash(1);
+        let reference: Vec<_> = mix
+            .iter()
+            .map(|&q| {
+                let label = format!("q{q}");
+                cl.run_with(&label, &query(q), Strategy::PartialAggPushdown, &faults)
+                    .expect("recovers")
+            })
+            .collect();
+        let mut requests = 0;
+        for clients in [1, 2] {
+            std::thread::scope(|s| {
+                for c in 0..clients {
+                    let (coord, faults, reference) = (&coord, &faults, &reference);
+                    s.spawn(move || {
+                        for i in 0..mix.len() {
+                            // Each client starts at its own place in the mix.
+                            let at = (i + c) % mix.len();
+                            let (q, r) = (mix[at], &reference[at]);
+                            let req = QueryRequest::new(format!("c{c}q{q}"), query(q))
+                                .with_faults(faults.clone());
+                            let a = coord.run_blocking(req).expect("serves");
+                            let case =
+                                format!("{clients} client(s), client {c}, request {i}: Q{q}");
+                            assert_eq!(a.result, r.result, "{case}");
+                            assert_eq!(
+                                a.sim_seconds.to_bits(),
+                                r.total_seconds().to_bits(),
+                                "{case}: {} vs {}",
+                                a.sim_seconds,
+                                r.total_seconds()
+                            );
+                            assert_eq!(a.recovery, r.recovery, "{case}");
+                        }
+                    });
+                }
+            });
+            requests += clients * mix.len();
+        }
         coord.shutdown();
-    }
-
-    #[test]
-    fn a_probe_its_query_never_reaches_passes_to_the_next_query() {
-        let cl = cluster(3);
-        let cfg = CoordinatorConfig {
-            breaker_threshold: 1,
-            breaker_cooldown_s: 1e-6, // expires by the next query
-            result_cache_bytes: 0,
-            ..CoordinatorConfig::default()
-        };
-        let coord = coordinator(&cl, cfg);
-        coord
-            .run_blocking(QueryRequest::new("q6-crash", query(6)).with_faults(FaultPlan::crash(2)))
-            .expect("recovers");
-        assert!(coord.breaker_is_open(2));
-        // The next query turns node 2's cooled breaker half-open, then is
-        // cancelled at its third checkpoint: nodes 0 and 1 ran, node 2's
-        // probe never did.
-        let before = coord.metrics().counter("coord_subruns_total");
-        let mut ctx = QueryContext::new();
-        ctx.cancel = wimpi_engine::CancelToken::after_checks(2);
-        let cut = coord.inner.execute(&QueryRequest::new("q6-cut", query(6)), None, &ctx);
-        assert!(matches!(cut, Err(ClusterError::Engine(EngineError::Cancelled))));
-        assert_eq!(coord.metrics().counter("coord_subruns_total"), before + 2);
-        assert!(coord.breaker_is_open(2), "the unreached probe must be re-armed, not stranded");
-        // A later query probes node 2 and closes its breaker.
-        let c = coord.run_blocking(QueryRequest::new("q6-probe", query(6))).expect("serves");
-        assert!(c.recovery.reassignments.is_empty(), "node 2 ran its own partition");
-        assert!(!coord.breaker_is_open(2), "the probe must close the breaker");
-        assert_eq!(coord.metrics().counter("coord_probes_total"), 2);
-        coord.shutdown();
+        // Every request attempted node 1 and lost it, and every partition
+        // ended in one successful sub-run.
+        let m = coord.metrics();
+        assert_eq!(m.counter("coord_subruns_failed_total"), requests as u64);
+        assert_eq!(m.counter("coord_subruns_ok_total"), 4 * requests as u64);
     }
 
     #[test]
@@ -955,11 +739,10 @@ mod tests {
         let cl = cluster(3);
         let full = wimpi_tpch::Generator::new(SF).generate_catalog().expect("catalog");
         let (reference, _) = wimpi_queries::run(&query(15), &full).expect("reference");
+        // One coordinator for every trial: the same crash hits both phases,
+        // and nothing of it may carry into the next trial.
+        let coord = coordinator(&cl, CoordinatorConfig::default());
         for node in 0..3 {
-            // Fresh coordinator per crash: the same fault hits both phases,
-            // which legitimately trips the node's breaker — state that must
-            // not leak into the next iteration's routing.
-            let coord = coordinator(&cl, CoordinatorConfig::default());
             let a = coord
                 .run_blocking(
                     QueryRequest::new("q15-crash", query(15)).with_faults(FaultPlan::crash(node)),
@@ -971,8 +754,8 @@ mod tests {
                 !a.recovery.reassignments.is_empty(),
                 "node {node}'s partition must have been regenerated on a survivor"
             );
-            coord.shutdown();
         }
+        coord.shutdown();
     }
 
     #[test]

@@ -33,11 +33,11 @@ mod recovery;
 use std::fmt;
 use std::sync::Arc;
 
-use distribute::{distribute, touches_partitioned, Strategy};
+use distribute::Strategy;
 use faults::{FaultPlan, RecoveryPolicy, RecoveryReport};
 use memory::MemoryModel;
 pub use pricing::scan_bytes;
-use recovery::Layout;
+use recovery::SubRuns;
 use wimpi_engine::{EngineError, QueryContext, Relation, WorkProfile};
 use wimpi_hwsim::kernels::NetModel;
 use wimpi_hwsim::{pi3b, HwProfile};
@@ -314,14 +314,7 @@ impl WimpiCluster {
                 "{query}: two-phase scalar queries are not distributed; run them single-node"
             )));
         };
-        let dist;
-        let layout = if touches_partitioned(plan) {
-            dist = distribute(plan, strategy)?;
-            Layout::Partitioned(&dist, strategy)
-        } else {
-            Layout::Replicated(plan)
-        };
-        self.recover(query, layout, faults, &QueryContext::new(), &[], &mut Vec::new())
+        self.recover(query, plan, strategy, faults, &QueryContext::new(), &mut SubRuns::default())
     }
 
     /// (rows, heap bytes) of a node's lineitem partition.
@@ -336,7 +329,7 @@ impl WimpiCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribute::Distributed;
+    use crate::distribute::{distribute, Distributed};
     use crate::faults::{FaultKind, Reassignment};
     use wimpi_engine::{EngineConfig, Tracer};
     use wimpi_queries::query;

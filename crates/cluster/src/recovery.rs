@@ -1,15 +1,16 @@
 //! The one recovery machine every cluster run goes through, whoever drives
 //! it — [`WimpiCluster::run_with`] directly, or the serving
-//! [`crate::coordinator::Coordinator`] with its breakers.
+//! [`crate::coordinator::Coordinator`] on a result-cache miss.
 //!
 //! A run is a set of partitions, each homed at one node: one per node for a
-//! query over the partitioned `lineitem`, a single one homed at node 0 for a
-//! query over replicated tables only. The phases are:
+//! query over the partitioned `lineitem` (distributed under the run's
+//! strategy), a single one homed at node 0 for a query over replicated
+//! tables only. The phases are:
 //!
-//! 1. **Home attempts.** Every node not ruled out by the caller runs its home
-//!    partition. Transient OOMs retry in place under capped backoff; a
-//!    silently corrupted partition is detected, repaired and re-verified; a
-//!    crash, or a node out of retries, loses its partition.
+//! 1. **Home attempts.** Every node runs its home partition. Transient OOMs
+//!    retry in place under capped backoff; a silently corrupted partition is
+//!    detected, repaired and re-verified; a crash, or a node out of retries,
+//!    loses its partition.
 //! 2. **Reroutes.** Each lost partition moves to the least-busy *taker* —
 //!    a node whose home attempt completed, or for a replicated query any
 //!    live replica — at most [`RecoveryPolicy::reassign_cap`] per taker and
@@ -26,7 +27,8 @@
 //! When recovery is exhausted the run fails, or — under
 //! [`RecoveryPolicy::degraded_ok`], for a partitioned run — answers from the
 //! partitions it has, with their coverage. Every decision depends on this
-//! run alone, so a faulted answer's simulated time never depends on history.
+//! run's plan, strategy and faults alone: no state carries from one run to
+//! the next, so a faulted answer's simulated time never depends on history.
 //!
 //! [`RecoveryPolicy::reassign_cap`]: crate::faults::RecoveryPolicy::reassign_cap
 //! [`RecoveryPolicy::degraded_ok`]: crate::faults::RecoveryPolicy::degraded_ok
@@ -40,7 +42,7 @@ use wimpi_engine::{
 };
 use wimpi_storage::{Catalog, Column, Field, Schema, SplitMix64, Table};
 
-use crate::distribute::{Distributed, Strategy, PARTIALS_TABLE};
+use crate::distribute::{distribute, touches_partitioned, Distributed, Strategy, PARTIALS_TABLE};
 use crate::faults::{
     FaultKind, FaultPlan, Reassignment, RecoveryReport, DETECT_S, MAX_RETRIES, STRAGGLER_THRESHOLD,
 };
@@ -61,7 +63,7 @@ const CORRUPTION_SALT: u64 = 0x5bd1_e995_7b7d_159f;
 
 /// What one run executes.
 #[derive(Clone, Copy)]
-pub(crate) enum Layout<'a> {
+enum Layout<'a> {
     /// A `lineitem` query: one partition per node, partials shipped to the
     /// driver and merged there under the strategy.
     Partitioned(&'a Distributed, Strategy),
@@ -73,7 +75,7 @@ pub(crate) enum Layout<'a> {
 impl Layout<'_> {
     /// Partitions in a run on `nodes` nodes; partition `p` is homed at node
     /// `p`.
-    pub(crate) fn partitions(&self, nodes: usize) -> usize {
+    fn partitions(&self, nodes: usize) -> usize {
         match self {
             Layout::Partitioned(..) => nodes,
             Layout::Replicated(_) => 1,
@@ -88,22 +90,17 @@ impl Layout<'_> {
     }
 }
 
-/// How one sub-run — one partition's execution on one node — ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Outcome {
-    /// It produced the partition's answer.
-    Ok,
-    /// It failed: a crash, exhausted retries or repairs, or an OOM.
-    Failed,
-    /// A straggler whose copy finished first; stopped through its token.
-    Cancelled,
-}
-
-/// The terminal of one sub-run and the node it ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SubRun {
-    pub(crate) node: usize,
-    pub(crate) outcome: Outcome,
+/// How a run's sub-runs — each one partition's execution on one node —
+/// ended. Every partition a run answers ends in exactly one `ok`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SubRuns {
+    /// Sub-runs that produced their partition's answer.
+    pub(crate) ok: u64,
+    /// Sub-runs that failed: a crash, exhausted retries or repairs, or an
+    /// OOM.
+    pub(crate) failed: u64,
+    /// Stragglers whose copy finished first, stopped through their token.
+    pub(crate) cancelled: u64,
 }
 
 /// Outcome of one node's attempt at its home partition.
@@ -133,26 +130,32 @@ struct RepairJob {
 }
 
 impl WimpiCluster {
-    /// Runs `layout` through the recovery phases (module docs) under
-    /// `faults`. The home attempts of the nodes in `skip` are not made, and
-    /// those nodes take over no work. `ctx` is checked for cancellation
-    /// before every sub-run. Each sub-run's terminal is appended to
-    /// `subruns`, also when the run fails.
+    /// Runs `plan` through the recovery phases (module docs) under
+    /// `faults`: across every node, distributed under `strategy`, when it
+    /// touches the partitioned `lineitem`, on one node otherwise. `ctx` is
+    /// checked for cancellation before every sub-run. Each sub-run's
+    /// terminal is counted into `subruns`, also when the run fails.
     pub(crate) fn recover(
         &self,
         query: &str,
-        layout: Layout<'_>,
+        plan: &LogicalPlan,
+        strategy: Strategy,
         faults: &FaultPlan,
         ctx: &QueryContext,
-        skip: &[usize],
-        subruns: &mut Vec<SubRun>,
+        subruns: &mut SubRuns,
     ) -> Result<DistRun> {
+        let dist;
+        let layout = if touches_partitioned(plan) {
+            dist = distribute(plan, strategy)?;
+            Layout::Partitioned(&dist, strategy)
+        } else {
+            Layout::Replicated(plan)
+        };
         let n = self.node_catalogs.len();
         let parts = layout.partitions(n);
         let node_plan = layout.node_plan();
         // A replicated query's one partition is its whole answer.
         let may_degrade = self.policy.degraded_ok && matches!(layout, Layout::Partitioned(..));
-        let first_subrun = subruns.len();
         let mut report = RecoveryReport::default();
 
         // Phase 1 — every home attempt, collecting *all* outcomes instead of
@@ -169,19 +172,9 @@ impl WimpiCluster {
         let mut oom: Option<(usize, u64)> = None;
         for p in 0..parts {
             ctx.checkpoint()?;
-            if skip.contains(&p) {
-                lost.push((p, 0.0));
-                continue;
-            }
-            let outcome = self.attempt_home_partition(node_plan, p, faults, &mut report)?;
-            let terminal = if matches!(outcome, NodeOutcome::Done(..)) {
-                Outcome::Ok
-            } else {
-                Outcome::Failed
-            };
-            subruns.push(SubRun { node: p, outcome: terminal });
-            match outcome {
+            match self.attempt_home_partition(node_plan, p, faults, &mut report)? {
                 NodeOutcome::Done(rel, prof, secs, cancel) => {
+                    subruns.ok += 1;
                     busy[p] = secs;
                     exec_cost[p] = secs;
                     partials[p] = Some(rel);
@@ -189,8 +182,12 @@ impl WimpiCluster {
                     cancels[p] = Some(cancel);
                     survivors.push(p);
                 }
-                NodeOutcome::Lost { available_at } => lost.push((p, available_at)),
+                NodeOutcome::Lost { available_at } => {
+                    subruns.failed += 1;
+                    lost.push((p, available_at));
+                }
                 NodeOutcome::Oom { needed } => {
+                    subruns.failed += 1;
                     oom.get_or_insert((p, needed));
                 }
             }
@@ -209,7 +206,7 @@ impl WimpiCluster {
                 if j < parts {
                     partials[j].is_some()
                 } else {
-                    faults.fault(j) != Some(FaultKind::Crash) && !skip.contains(&j)
+                    faults.fault(j) != Some(FaultKind::Crash)
                 }
             })
             .collect();
@@ -240,11 +237,11 @@ impl WimpiCluster {
             let (rel, prof, exec_s) = match priced {
                 Priced::Fit { rel, prof, exec_s, .. } => (rel, prof, exec_s),
                 Priced::Oom { needed } => {
-                    subruns.push(SubRun { node: j, outcome: Outcome::Failed });
+                    subruns.failed += 1;
                     return Err(ClusterError::NodeOom { query: query.into(), node: j, needed });
                 }
             };
-            subruns.push(SubRun { node: j, outcome: Outcome::Ok });
+            subruns.ok += 1;
             let start = busy[j].max(available_at);
             busy[j] = start + regen_s + exec_s;
             report.recovery_seconds += regen_s + exec_s;
@@ -312,10 +309,9 @@ impl WimpiCluster {
                         tok.cancel();
                     }
                     executor[i] = j;
-                    if let Some(home) = subruns[first_subrun..].iter_mut().find(|s| s.node == i) {
-                        home.outcome = Outcome::Cancelled;
-                    }
-                    subruns.push(SubRun { node: j, outcome: Outcome::Ok });
+                    // The straggler's `ok` turns `cancelled`, and the copy's
+                    // run is the partition's one `ok`.
+                    subruns.cancelled += 1;
                 }
             }
         }

@@ -61,8 +61,9 @@ impl WimpiCluster {
                 Err(EngineError::ResourceExhausted { .. }) if budgeted => break,
                 run => run?,
             };
+            let peak = scaled_peak(&ctx, prof.peak_bytes, scale);
             let prof = prof.scale(scale);
-            match self.config.memory.evaluate_measured(base, &prof, scaled_peak(&ctx, scale)) {
+            match self.config.memory.evaluate_measured(base, &prof, peak) {
                 Ok(penalty_s) => {
                     if budgeted {
                         self.metrics.inc("cluster_degraded_budget_runs_total", 1);
@@ -122,13 +123,15 @@ impl WimpiCluster {
     }
 }
 
-/// The governor's measured peaks, scaled to the modelled SF. `None` when the
-/// run reserved and tracked nothing (e.g. a bare scan) — the model estimate
-/// stands in then.
-fn scaled_peak(ctx: &QueryContext, scale: f64) -> Option<MeasuredPeak> {
-    (ctx.high_water() > 0).then(|| MeasuredPeak {
+/// The run's peaks, scaled to the modelled SF: the governor's scratch peak,
+/// and the run's `peak_bytes` — the paper list's, the one the cluster prices,
+/// which also counts the survivors' gathers an aggregate fold stands in for
+/// and no run makes. `None` when the run reserved and held nothing (e.g. a
+/// bare scan) — the model estimate stands in then.
+fn scaled_peak(ctx: &QueryContext, peak_bytes: u64, scale: f64) -> Option<MeasuredPeak> {
+    (peak_bytes > 0).then(|| MeasuredPeak {
         hard_bytes: (ctx.hard_high_water() as f64 * scale) as u64,
-        transient_bytes: (ctx.high_water() as f64 * scale) as u64,
+        transient_bytes: (peak_bytes as f64 * scale) as u64,
     })
 }
 

@@ -10,11 +10,13 @@ use wimpi_cluster::distribute::Strategy;
 use wimpi_cluster::faults::{FaultKind, FaultPlan};
 use wimpi_cluster::memory::MemoryModel;
 use wimpi_cluster::{scan_bytes, ClusterConfig, WimpiCluster};
-use wimpi_engine::{EngineConfig, EngineError, Executor, QueryContext, Result, WorkProfile};
+use wimpi_engine::{EngineConfig, EngineError, QueryContext, Result, WorkProfile};
 use wimpi_hwsim::micro;
 use wimpi_hwsim::normalize::{improvement, msrp, power_w, wimpi_hourly, wimpi_msrp, wimpi_power_w};
 use wimpi_hwsim::{all_profiles, predict_all_cores, predict_single_core, HwProfile};
-use wimpi_queries::{query, run as run_query, run_governed, QueryPlan, CHOKEPOINT_QUERIES};
+use wimpi_queries::{
+    query, run as run_query, run_governed, run_priced, QueryPlan, CHOKEPOINT_QUERIES,
+};
 use wimpi_storage::morsel::DEFAULT_MORSEL_ROWS;
 use wimpi_storage::spill::{SpillConfig, SpillDisk};
 use wimpi_storage::Catalog;
@@ -460,14 +462,15 @@ impl Study {
     }
 
     /// The extensions' modelled gains (see [`ExtensionsTable`]). Each
-    /// choke-point query runs four times at `measure_sf` — materializing and
-    /// fused on the raw catalog, fused with pruning on the clustered one,
-    /// and materializing under a budget small enough to push the largest
-    /// builds past Grace onto a spill disk — and hwsim prices the profiles,
-    /// scaled to SF 1 like every other table. Zone-map grid and budget shrink
-    /// with `measure_sf`, so a morsel spans the share of the date domain, and
-    /// the budget the share of a build, that the default 64 Ki-row grid and
-    /// 200 KiB would at SF 1: the table barely moves with `measure_sf`.
+    /// choke-point query runs three times at `measure_sf` — on the raw
+    /// catalog, priced in both lists; with pruning on the clustered one,
+    /// priced fused; and under a budget small enough to push the largest
+    /// builds past Grace onto a spill disk, priced materializing — and hwsim
+    /// prices the profiles, scaled to SF 1 like every other table. Zone-map
+    /// grid and budget shrink with `measure_sf`, so a morsel spans the share
+    /// of the date domain, and the budget the share of a build, that the
+    /// default 64 Ki-row grid and 200 KiB would at SF 1: the table barely
+    /// moves with `measure_sf`.
     pub fn extensions(&self) -> Result<ExtensionsTable> {
         let raw = generate(self.measure_sf)?;
         let grid =
@@ -481,8 +484,7 @@ impl Study {
         }
         let budget = (200.0 * 1024.0 * self.measure_sf) as u64;
         let serial = EngineConfig::serial();
-        let fused = serial.with_executor(Executor::Fused);
-        let pruning = fused.with_morsel_rows(grid).with_prune_scans(true);
+        let pruning = serial.with_morsel_rows(grid).with_prune_scans(true);
 
         // Per query: materializing, fused, pruned and spilled profiles at SF 1.
         let scale = 1.0 / self.measure_sf;
@@ -491,10 +493,12 @@ impl Study {
             let plan = query(q);
             let disk = Arc::new(SpillDisk::new(SpillConfig::with_capacity(u64::MAX)));
             let ctx = QueryContext::with_budget(budget).with_spill(disk);
+            let (_, both) = run_priced(&plan, &raw, &serial, &QueryContext::default())?;
+            let (_, pruned) = run_priced(&plan, &clustered, &pruning, &QueryContext::default())?;
             runs.push([
-                run_governed(&plan, &raw, &serial, &QueryContext::default())?.1.scale(scale),
-                run_governed(&plan, &raw, &fused, &QueryContext::default())?.1.scale(scale),
-                run_governed(&plan, &clustered, &pruning, &QueryContext::default())?.1.scale(scale),
+                both.materialize.scale(scale),
+                both.fused.scale(scale),
+                pruned.fused.scale(scale),
                 run_governed(&plan, &raw, &serial, &ctx)?.1.scale(scale),
             ]);
         }

@@ -12,9 +12,9 @@
 //! or by index into a compact key domain or through a map, then sorted into
 //! runs), then evaluates the inputs and folds one aggregate at a time, run
 //! by run, with the accumulator dispatch outside the row loop. No
-//! intermediate column exists between the source and the fold. `Executor`
-//! decides only what the work is *priced* as: MonetDB's full materialization
-//! (`bytecode::Cost`, each filter's gather included) or the base columns
+//! intermediate column exists between the source and the fold. The work is
+//! *priced* twice from the same counts: as MonetDB's full materialization
+//! (`bytecode::Cost`, each filter's gather included) and as the base columns
 //! streamed.
 //!
 //! The morsel partials are merged **in morsel order**, so the global group
@@ -80,6 +80,7 @@ use super::hash::{FxMap, FxSet, SmallSet};
 use super::ladder::{self, Attempt, FromSlots, Verdict};
 use super::parallel::{morsel_ranges, run_morsels_spanned, EngineConfig, Executor};
 use super::partition::Partitioner;
+use super::Ledger;
 use super::{bounds, ensure_u32_indexable};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -114,7 +115,7 @@ pub fn exec_aggregate(
     table: Option<&Table>,
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
-    prof: &mut WorkProfile,
+    led: &mut Ledger,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
@@ -155,7 +156,7 @@ pub fn exec_aggregate(
         nsel += rows as u64;
         tally.add(&kept);
     }
-    chain.settle(&tally, n, nsel, None, Some((src, ctx)), prof, cfg, tracer);
+    chain.settle(&tally, n, nsel, None, Some((src, ctx)), led, tracer);
     let width = 32 * (group_by.len() + aggs.len()).max(1) as u64;
     // The fold above runs the same with or without a budget, so the form it
     // cut its partials in names the stage at any budget.
@@ -175,7 +176,7 @@ pub fn exec_aggregate(
             let groups = partials.iter().map(|p| p.first_rows.len()).sum();
             ctx.track(nsel * Partitioner::BYTES_PER_ROW);
             let (first_rows, states) =
-                ladder::descend(ctx, prof, "aggregate", &[(groups, &slots)], |att| {
+                ladder::descend(ctx, &mut led.shared, "aggregate", &[(groups, &slots)], |att| {
                     attempt(att, &partials, &feed, width, ctx)
                 })?;
             (first_rows, states, false)
@@ -197,21 +198,11 @@ pub fn exec_aggregate(
         tracer.attach(stage);
     }
 
-    // 3. Charge the work. The expression programs are priced in the
-    //    executor's cost form: full materialization streams every node's
-    //    operands in and its result out; the fused form reads the base
-    //    columns and *writes nothing* — the intermediate `seq_write_bytes`
-    //    term collapses to just the output.
+    // 3. Charge the work, the expression programs in both price lists.
     let programs = || keys.iter().chain(inputs.outputs().flatten());
-    match cfg.executor {
-        Executor::Materialize => programs().for_each(|p| p.cost().charge(nsel, prof)),
-        Executor::Fused => {
-            for p in programs() {
-                prof.cpu_ops += nsel;
-                prof.seq_read_bytes += nsel * p.width_bytes();
-            }
-        }
-    }
+    led.lists.materialize += price(programs(), nsel, Executor::Materialize);
+    led.lists.fused += price(programs(), nsel, Executor::Fused);
+    let prof = &mut led.shared;
     prof.cpu_ops += nsel * (1 + aggs.len() as u64);
     if !runs {
         prof.rand_accesses += nsel;
@@ -238,6 +229,28 @@ pub fn exec_aggregate(
     }
     prof.seq_write_bytes += fields.iter().map(|(_, c)| c.stream_bytes() as u64).sum::<u64>();
     Relation::new(fields)
+}
+
+/// What evaluating `programs` over `rows` rows costs in `list`: full
+/// materialization streams every node's operands in and its result out; the
+/// fused form reads the base columns and *writes nothing* — the intermediate
+/// `seq_write_bytes` term collapses to just the output.
+fn price<'p>(
+    programs: impl Iterator<Item = &'p Program>,
+    rows: u64,
+    list: Executor,
+) -> WorkProfile {
+    let mut p = WorkProfile::new();
+    for program in programs {
+        match list {
+            Executor::Materialize => program.cost().charge(rows, &mut p),
+            Executor::Fused => {
+                p.cpu_ops += rows;
+                p.seq_read_bytes += rows * program.width_bytes();
+            }
+        }
+    }
+    p
 }
 
 /// The rows of the morsel `r` that its filter kept, as
@@ -1134,7 +1147,20 @@ mod tests {
         cfg: &EngineConfig,
         ctx: &QueryContext,
     ) -> Result<Relation> {
-        super::exec_aggregate(rel, &[], None, group_by, aggs, prof, cfg, Tracer::off(), ctx)
+        let mut led = Ledger::default();
+        let out = super::exec_aggregate(
+            rel,
+            &[],
+            None,
+            group_by,
+            aggs,
+            &mut led,
+            cfg,
+            Tracer::off(),
+            ctx,
+        );
+        *prof += led.prices().materialize;
+        out
     }
 
     fn exec_aggregate(
@@ -1719,20 +1745,20 @@ mod tests {
                 let run = |cfg: &EngineConfig| {
                     let group = [(col(key), key.to_string())];
                     let ctx = QueryContext::default();
-                    let mut prof = WorkProfile::new();
+                    let mut led = Ledger::default();
                     let out = super::exec_aggregate(
                         &rel,
                         &filters,
                         None,
                         &group,
                         &aggs,
-                        &mut prof,
+                        &mut led,
                         cfg,
                         Tracer::off(),
                         &ctx,
                     )
                     .unwrap();
-                    (out, prof)
+                    (out, led.prices())
                 };
                 let serial = run(&EngineConfig::serial().with_morsel_rows(700));
                 for threads in [2, 4] {

@@ -19,10 +19,10 @@
 //! Compilation also yields the expression's [`Cost`]: the work MonetDB-style
 //! full materialization performs for it — one primitive per node, streaming
 //! its operands in and its result out — as per-row rates plus the
-//! per-dictionary constants. `Executor::Materialize` charges that form for
-//! the rows each expression was evaluated over; `Executor::Fused` charges
-//! only the base columns it streams ([`Program::width_bytes`]). The loops
-//! are the same under both: what they are priced as is the only difference.
+//! per-dictionary constants. The materializing price list charges that form
+//! for the rows each expression was evaluated over; the fused list charges
+//! only the base columns it streams ([`Program::width_bytes`]). Both price
+//! the same loops of the same run.
 
 use std::cell::RefCell;
 use std::ops::Range;

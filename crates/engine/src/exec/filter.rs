@@ -12,29 +12,30 @@
 //! row ids) and the aggregation fold, which folds the filters beneath an
 //! aggregate.
 //!
-//! The loop is the same under both executors; `Executor` decides only what
-//! it is *priced* as, from the rows each conjunct examined, one `Filter`
-//! node at a time (`Conjuncts::settle`). `Executor::Fused` charges the
-//! base-column bytes streamed. `Executor::Materialize` charges what MonetDB's
-//! column-at-a-time execution pays for one pass per conjunct: its
-//! full-materialization `Cost` over the rows it examined, plus, once a
-//! candidate list exists, the gather of the columns it touches; a constant
-//! conjunct is decided on one row. Under an aggregate it also charges the
-//! survivors' gather the `Filter` operator would have made.
+//! The loop runs once and is *priced* in both lists from the rows each
+//! conjunct examined, one `Filter` node at a time (`Conjuncts::settle`, by
+//! the pure `Conjuncts::price`). The fused list charges the base-column bytes
+//! streamed. The materializing list charges what MonetDB's column-at-a-time
+//! execution pays for one pass per conjunct: its full-materialization `Cost`
+//! over the rows it examined, plus, once a candidate list exists, the gather
+//! of the columns it touches; a constant conjunct is decided on one row.
+//! Under an aggregate it also charges the survivors' gather the `Filter`
+//! operator would have made, and counts the largest in its `peak_bytes`;
+//! no run makes that gather, so the governor never tracks it.
 //!
 //! With a sealed table the zone maps decide per morsel (`prune::ScanPruner`,
 //! DESIGN.md §14) the conjuncts of the node that scans the table: a morsel
 //! proven dead is not touched, and a conjunct proven true over a morsel is
-//! skipped there — same survivors, fewer bytes, under both executors.
+//! skipped there — same survivors, fewer bytes, in both price lists.
 
 use std::ops::Range;
 use std::time::Instant;
 
 use crate::error::Result;
 use crate::exec::bytecode::{Cost, Program};
-use crate::exec::ensure_u32_indexable;
 use crate::exec::parallel::{morsel_ranges, run_morsels, EngineConfig, Executor};
 use crate::exec::prune::{ScanPruner, Verdict};
+use crate::exec::{ensure_u32_indexable, Ledger};
 use crate::expr::{BinOp, Expr};
 use crate::governor::QueryContext;
 use crate::optimizer::split_conjuncts;
@@ -44,8 +45,8 @@ use wimpi_obs::{Span, Tracer};
 use wimpi_storage::{selection, Table};
 
 /// Filters `rel` by `predicate` and hands on the survivors as row ids — the
-/// candidate list, gathering no column — charged in `cfg.executor`'s cost
-/// form (see the module docs) as the gather of every column it selects.
+/// candidate list, gathering no column — charged to `led` in both price lists
+/// (see the module docs) and as the gather of every column it selects.
 ///
 /// When `table` is the sealed table this filter scans (passed only under
 /// `cfg.prune_scans`), its zone maps may prove whole morsels dead and
@@ -54,7 +55,7 @@ pub fn exec_filter(
     rel: &Relation,
     predicate: &Expr,
     table: Option<&Table>,
-    prof: &mut WorkProfile,
+    led: &mut Ledger,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
@@ -83,9 +84,9 @@ pub fn exec_filter(
         tally.add(&counts);
     }
     let (wall_ns, nsel) = (started.map(|s| s.elapsed().as_nanos() as u64), sel.len());
-    chain.settle(&tally, n, nsel as u64, wall_ns, None, prof, cfg, tracer);
+    chain.settle(&tally, n, nsel as u64, wall_ns, None, led, tracer);
     let out = rel.take_ids(sel, false);
-    charge_gather(rel, &out, nsel, prof);
+    charge_gather(rel, &out, nsel, &mut led.shared);
     Ok(out)
 }
 
@@ -202,15 +203,16 @@ impl Conjuncts {
 
     /// Settles the summed `tally` of the loop over `n` rows that kept `nsel`,
     /// one `Filter` node at a time, as that node's own loop would have: the
-    /// pruning counters, the conjuncts' charge in `cfg.executor`'s cost form,
-    /// and — when tracing — one `predicates` leaf per node, labelled with the
-    /// rows each conjunct examined (Q6 at SF 0.01: `4 conjuncts: 60236 → 43398
-    /// → 9347 → 2558`). `wall_ns` is the loop's own time, when it can be told
-    /// apart from its consumer's. `folded` is the source and the governor of
-    /// an aggregate fold standing in for the `Filter` operators: there
-    /// `Executor::Materialize` also charges each node's gather of its
-    /// survivors (as `charge_gather` prices it) and tracks that intermediate,
-    /// as the interpreter tracks an operator's output.
+    /// pruning counters, the conjuncts' charge in both price lists
+    /// ([`Conjuncts::price`]), and — when tracing — one `predicates` leaf per
+    /// node, labelled with the rows each conjunct examined (Q6 at SF 0.01: `4
+    /// conjuncts: 60236 → 43398 → 9347 → 2558`). `wall_ns` is the loop's own
+    /// time, when it can be told apart from its consumer's. `folded` is the
+    /// source and the governor of an aggregate fold standing in for the
+    /// `Filter` operators: there the paper list also pays each node's gather
+    /// of its survivors, and its `peak_bytes` counts the largest of them on
+    /// top of what the query holds — a gather no run makes, so the governor
+    /// never tracks it.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn settle(
         &self,
@@ -219,61 +221,93 @@ impl Conjuncts {
         nsel: u64,
         wall_ns: Option<u64>,
         folded: Option<(&Relation, &QueryContext)>,
-        prof: &mut WorkProfile,
-        cfg: &EngineConfig,
+        led: &mut Ledger,
         tracer: &Tracer,
     ) {
         let widths: Vec<u64> = self.preds.iter().map(Pred::width_bytes).collect();
-        prof.pruned_morsels += t.dead_morsels;
-        prof.pruned_bytes += t.proven.iter().zip(&widths).map(|(rows, w)| rows * w).sum::<u64>();
-        let mut fed = n as u64;
-        for (i, node) in self.nodes.iter().enumerate() {
-            // A node keeps the rows its successor's first conjunct examined
-            // (zone maps skip no conjunct past the innermost node).
-            let kept = self.nodes.get(i + 1).map_or(nsel, |next| t.examined[next.start]);
-            let (examined, widths) = (&t.examined[node.clone()], &widths[node.clone()]);
-            // Zone maps decide the innermost node only. A dead morsel is
-            // credited with its first conjunct's scan of it — the bytes the
-            // unpruned loop is guaranteed to have streamed — and starts a
-            // candidate list.
-            let (dead_morsels, dead_rows) =
-                if i == 0 { (t.dead_morsels, t.dead_rows) } else { (0, 0) };
-            prof.pruned_bytes += dead_rows * widths.iter().copied().find(|&w| w > 0).unwrap_or(0);
-            match cfg.executor {
-                Executor::Materialize => {
-                    self.charge_materialized(node.clone(), t, dead_morsels > 0, prof);
-                    if let Some((src, ctx)) = folded {
-                        let width: u64 = src.widths().map(|(_, w)| w).sum();
-                        prof.seq_read_bytes += kept * width;
-                        prof.seq_write_bytes += kept * width;
-                        prof.cpu_ops += kept * src.num_columns().max(1) as u64;
-                        ctx.track(kept * width);
-                        prof.peak_bytes = prof.peak_bytes.max(ctx.high_water());
-                    }
-                }
-                Executor::Fused => {
-                    for (rows, w) in examined.iter().zip(widths) {
-                        prof.cpu_ops += rows;
-                        prof.seq_read_bytes += rows * w;
-                    }
-                }
-            }
-            if tracer.is_enabled() {
-                let flow: Vec<String> = examined.iter().map(u64::to_string).collect();
+        led.shared.pruned_morsels += t.dead_morsels;
+        led.shared.pruned_bytes +=
+            t.proven.iter().zip(&widths).map(|(rows, w)| rows * w).sum::<u64>();
+        // Zone maps decide the innermost node only. A dead morsel is credited
+        // with its first conjunct's scan of it — the bytes the unpruned loop
+        // is guaranteed to have streamed.
+        if let Some(node) = self.nodes.first() {
+            let first = widths[node.clone()].iter().copied().find(|&w| w > 0).unwrap_or(0);
+            led.shared.pruned_bytes += t.dead_rows * first;
+        }
+        let gather =
+            folded.map(|(src, _)| (src.widths().map(|(_, w)| w).sum::<u64>(), src.num_columns()));
+        led.lists.materialize += self.price(t, nsel, gather, Executor::Materialize);
+        led.lists.fused += self.price(t, nsel, gather, Executor::Fused);
+        if let (Some((_, ctx)), Some((width, _)), Some(largest)) =
+            (folded, gather, self.kept(t, nsel).max())
+        {
+            let peak = &mut led.lists.materialize.peak_bytes;
+            *peak = (*peak).max(ctx.high_water()).max(ctx.used() + largest * width);
+        }
+        if tracer.is_enabled() {
+            let mut fed = n as u64;
+            for (node, kept) in self.nodes.iter().zip(self.kept(t, nsel)) {
+                let flow: Vec<String> =
+                    t.examined[node.clone()].iter().map(u64::to_string).collect();
                 let label = format!("{} conjuncts: {}", flow.len(), flow.join(" → "));
                 let mut leaf = Span::leaf("predicates", label);
                 (leaf.rows_in, leaf.rows_out) = (fed, kept);
                 leaf.wall_ns = wall_ns.unwrap_or(0);
                 tracer.attach(leaf);
+                fed = kept;
             }
-            fed = kept;
         }
+    }
+
+    /// The rows each `Filter` node kept, innermost first: the rows its
+    /// successor's first conjunct examined (zone maps skip no conjunct past
+    /// the innermost node), the last node's being `nsel`.
+    fn kept<'a>(&'a self, t: &'a Tally, nsel: u64) -> impl Iterator<Item = u64> + 'a {
+        let next = self.nodes.iter().skip(1).map(|next| t.examined[next.start]);
+        next.chain(std::iter::once(nsel)).take(self.nodes.len())
+    }
+
+    /// What the conjuncts cost in `list`, from the rows each examined and the
+    /// `nsel` the loop kept. `Fused`: the base-column bytes each conjunct
+    /// streamed. `Materialize`: one column-at-a-time pass per conjunct, and
+    /// under a fold each node's gather of its survivors from a source of
+    /// `gather`'s bytes per row and columns.
+    fn price(
+        &self,
+        t: &Tally,
+        nsel: u64,
+        gather: Option<(u64, usize)>,
+        list: Executor,
+    ) -> WorkProfile {
+        let mut p = WorkProfile::new();
+        for (i, (node, kept)) in self.nodes.iter().zip(self.kept(t, nsel)).enumerate() {
+            match list {
+                Executor::Materialize => {
+                    // A dead morsel starts a candidate list.
+                    let seeded = i == 0 && t.dead_morsels > 0;
+                    self.price_materialized(node.clone(), t, seeded, &mut p);
+                    if let Some((width, columns)) = gather {
+                        p.seq_read_bytes += kept * width;
+                        p.seq_write_bytes += kept * width;
+                        p.cpu_ops += kept * columns.max(1) as u64;
+                    }
+                }
+                Executor::Fused => {
+                    for k in node.clone() {
+                        p.cpu_ops += t.examined[k];
+                        p.seq_read_bytes += t.examined[k] * self.preds[k].width_bytes();
+                    }
+                }
+            }
+        }
+        p
     }
 
     /// The materializing cost form of one node: one column-at-a-time pass
     /// per conjunct, priced from the rows it examined, until the candidates
     /// run out. `seeded`: a candidate list already exists.
-    fn charge_materialized(
+    fn price_materialized(
         &self,
         node: Range<usize>,
         t: &Tally,
@@ -493,8 +527,18 @@ mod tests {
     use wimpi_storage::Column;
 
     fn exec_filter(rel: &Relation, pred: &Expr, prof: &mut WorkProfile) -> Result<Relation> {
-        let ctx = QueryContext::default();
-        super::exec_filter(rel, pred, None, prof, &EngineConfig::serial(), Tracer::off(), &ctx)
+        let (mut led, ctx) = (Ledger::default(), QueryContext::default());
+        let out = super::exec_filter(
+            rel,
+            pred,
+            None,
+            &mut led,
+            &EngineConfig::serial(),
+            Tracer::off(),
+            &ctx,
+        );
+        *prof += led.prices().materialize;
+        out
     }
 
     fn rel() -> Relation {
@@ -585,7 +629,7 @@ mod tests {
     }
 
     /// What filtering `full` (or its first zero rows) by each shape charges
-    /// under both executors on 25-row morsels — `[cpu_ops, seq_read_bytes,
+    /// in both price lists, from one run on 25-row morsels — `[cpu_ops, seq_read_bytes,
     /// seq_write_bytes, pruned_morsels, pruned_bytes]`, the gather included —
     /// pinned from the two loops this one replaced. Every `Materialize` row is
     /// the conjunct-at-a-time loop's to the unit. The `Fused` rows marked
@@ -595,7 +639,7 @@ mod tests {
     /// false run (the old fused loop dropped a constant true and returned
     /// nothing, charging nothing, on a false).
     #[test]
-    fn charges_on_edge_shapes_under_both_executors() {
+    fn charges_on_edge_shapes_in_both_price_lists() {
         use wimpi_storage::{DataType, Field, Schema, Value};
         let n = 100i64;
         let sealed = Table::new(
@@ -644,24 +688,18 @@ mod tests {
             ("dead, proven later", v().gt(lit(10i64)).and(k().lt(lit(50i64))), false, true,
                 [232, 1680, 1330, 2, 752], [182, 1280, 880, 2, 752]),
         ];
-        let ctx = QueryContext::default();
+        let (ctx, cfg) = (QueryContext::default(), EngineConfig::serial().with_morsel_rows(25));
+        let got = |p: WorkProfile| {
+            [p.cpu_ops, p.seq_read_bytes, p.seq_write_bytes, p.pruned_morsels, p.pruned_bytes]
+        };
         for (shape, pred, zero_rows, pruned, materialize, fused) in cases {
             let rel = if zero_rows { full.take(&[]) } else { full.clone() };
-            for (executor, want) in [(Executor::Materialize, materialize), (Executor::Fused, fused)]
-            {
-                let cfg = EngineConfig::serial().with_morsel_rows(25).with_executor(executor);
-                let mut p = WorkProfile::new();
-                let table = pruned.then_some(&sealed);
-                super::exec_filter(&rel, &pred, table, &mut p, &cfg, Tracer::off(), &ctx).unwrap();
-                let got = [
-                    p.cpu_ops,
-                    p.seq_read_bytes,
-                    p.seq_write_bytes,
-                    p.pruned_morsels,
-                    p.pruned_bytes,
-                ];
-                assert_eq!(got, want, "{shape} under {executor:?}");
-            }
+            let mut led = Ledger::default();
+            let table = pruned.then_some(&sealed);
+            super::exec_filter(&rel, &pred, table, &mut led, &cfg, Tracer::off(), &ctx).unwrap();
+            let prices = led.prices();
+            assert_eq!(got(prices.materialize), materialize, "{shape}: materialize");
+            assert_eq!(got(prices.fused), fused, "{shape}: fused");
         }
     }
 }

@@ -730,6 +730,7 @@ fn attach_phases(
 mod tests {
     use super::*;
     use crate::exec::filter::exec_filter;
+    use crate::exec::Ledger;
     use crate::expr::{col, lit};
     use wimpi_storage::Value;
 
@@ -1490,10 +1491,10 @@ mod tests {
     /// lazy relation — and the same rows picked out of its plain rows (`f`
     /// is never negative).
     fn filtered(rel: &Relation, f: &str) -> (Relation, Rows) {
-        let (mut p, ctx, serial) =
-            (WorkProfile::new(), QueryContext::default(), EngineConfig::serial());
+        let (mut led, ctx, serial) =
+            (Ledger::default(), QueryContext::default(), EngineConfig::serial());
         let pred = col(f).gt(lit(0i64));
-        let lazy = exec_filter(rel, &pred, None, &mut p, &serial, Tracer::off(), &ctx).unwrap();
+        let lazy = exec_filter(rel, &pred, None, &mut led, &serial, Tracer::off(), &ctx).unwrap();
         let mut want = rows_of(rel);
         let at = want.names.iter().position(|n| n == f).unwrap();
         want.rows.retain(|row| row[at] != Value::I64(0));

@@ -6,11 +6,11 @@
 //! the root, which [`execute`] returns gathered. An aggregate also folds the
 //! `Filter` chain beneath it, building no candidate list at any budget: over
 //! budget it partitions the groups that fold already cut. Every operator
-//! charges its work to a [`WorkProfile`] in the price list
-//! [`parallel::Executor`] names — MonetDB's full materialization, the
-//! execution style the paper benchmarks, or the base columns streamed — from
-//! column widths and row counts, so where a gather happens changes no charge,
-//! span or governor decision.
+//! charges its work to one [`Ledger`] in both price lists at once —
+//! MonetDB's full materialization, the execution style the paper
+//! benchmarks, and the base columns streamed — from column widths and row
+//! counts, so where a gather happens changes no charge, span or governor
+//! decision, and [`execute_priced`] returns both [`Prices`] of one run.
 //!
 //! Tracing is an argument, not a second entry point: [`execute`] threads the
 //! caller's [`Tracer`] through the interpreter, and under an enabled one
@@ -41,24 +41,13 @@ use crate::expr::Expr;
 use crate::governor::QueryContext;
 use crate::plan::LogicalPlan;
 use crate::relation::{Field, Relation};
-use crate::stats::WorkProfile;
-use parallel::EngineConfig;
+use crate::stats::{Prices, WorkProfile};
+use parallel::{EngineConfig, Executor};
 use wimpi_obs::Tracer;
 use wimpi_storage::{Catalog, Table};
 
-/// Executes a plan against a catalog — the interpreter's one entry point.
-///
-/// `cfg` picks the price list, thread count and scan options; results and work
-/// profiles are bit-identical at any thread count (see [`parallel`]). `ctx`
-/// is the resource governor: its budget caps operator scratch (joins and
-/// aggregates degrade to Grace partitioning before erroring), its
-/// token/deadline cancel cooperatively at morsel boundaries, and the measured
-/// peak lands in [`WorkProfile::peak_bytes`]; the default context is
-/// ungoverned. `tracer` is [`Tracer::off`] for an untraced run; an `EXPLAIN
-/// ANALYZE` caller passes [`Tracer::enabled`] and takes its root afterwards —
-/// a `query` span whose counters equal the returned profile exactly (one
-/// tracer records one call). Tracing never changes results or profiles. The
-/// returned relation has every column gathered: no row ids are left pending.
+/// Executes a plan against a catalog and returns its result with the work
+/// in `cfg.executor`'s price list: [`execute_priced`] with one list picked.
 pub fn execute(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -66,41 +55,93 @@ pub fn execute(
     ctx: &QueryContext,
     tracer: &Tracer,
 ) -> Result<(Relation, WorkProfile)> {
-    let mut prof = WorkProfile::new();
-    let span = Scope::open(tracer, &prof, || ("query", String::new()));
-    let rel = exec_node(plan, catalog, &mut prof, cfg, tracer, ctx)?.gather_all();
-    prof.rows_out = rel.num_rows() as u64;
-    span.close(prof.rows_in, prof.rows_out, &prof);
-    Ok((rel, prof))
+    let (rel, prices) = execute_priced(plan, catalog, cfg, ctx, tracer)?;
+    Ok((rel, prices.get(cfg.executor)))
 }
 
-/// One open trace span around a stretch of work on a profile. [`Scope::close`]
-/// records the rows and the profile delta since [`Scope::open`]; a scope
-/// dropped unclosed — an early `?` — closes empty, which keeps the span stack
-/// balanced (the trace is discarded on error anyway). With the tracer off a
-/// scope is inert: no label is built, no profile snapshot taken.
+/// Executes a plan against a catalog — the interpreter's one entry point —
+/// and prices the one run in both lists (DESIGN.md §13).
+///
+/// `cfg` sets the thread count and scan options; results and work profiles
+/// are bit-identical at any thread count (see [`parallel`]). `ctx` is the
+/// resource governor: its budget caps operator scratch (joins and aggregates
+/// degrade to Grace partitioning before erroring), its token/deadline cancel
+/// cooperatively at morsel boundaries, and the measured peak lands in
+/// [`WorkProfile::peak_bytes`]; the default context is ungoverned. `tracer`
+/// is [`Tracer::off`] for an untraced run; an `EXPLAIN ANALYZE` caller passes
+/// [`Tracer::enabled`] and takes its root afterwards — a `query` span whose
+/// counters equal `cfg.executor`'s list exactly (one tracer records one
+/// call). Neither the list nor tracing changes a result or a decision. The
+/// returned relation has every column gathered: no row ids are left pending.
+pub fn execute_priced(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    cfg: &EngineConfig,
+    ctx: &QueryContext,
+    tracer: &Tracer,
+) -> Result<(Relation, Prices)> {
+    let mut led = Ledger::default();
+    let span = Scope::open(tracer, &led, cfg, || ("query", String::new()));
+    let rel = exec_node(plan, catalog, &mut led, cfg, tracer, ctx)?.gather_all();
+    led.shared.rows_out = rel.num_rows() as u64;
+    span.close(led.shared.rows_in, led.shared.rows_out, &led);
+    Ok((rel, led.prices()))
+}
+
+/// What a run has charged so far (DESIGN.md §13). `shared` is the work both
+/// price lists charge alike, its `peak_bytes` the governor's high-water mark
+/// ratcheted at operator exits. `lists` is what each list charges on top for
+/// a filter's conjuncts and an aggregate's programs, the only work they
+/// price differently, and the paper list's peak with the gathers a fold
+/// stands in for.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ledger {
+    pub(crate) shared: WorkProfile,
+    pub(crate) lists: Prices,
+}
+
+impl Ledger {
+    /// Both lists so far: the shared work plus each list's own, and of the
+    /// two peaks the larger.
+    pub fn prices(&self) -> Prices {
+        let list = |own: WorkProfile| WorkProfile {
+            peak_bytes: self.shared.peak_bytes.max(own.peak_bytes),
+            ..self.shared + own
+        };
+        Prices { materialize: list(self.lists.materialize), fused: list(self.lists.fused) }
+    }
+}
+
+/// One open trace span around a stretch of work on a ledger. [`Scope::close`]
+/// records the rows and `cfg.executor`'s profile delta since [`Scope::open`];
+/// a scope dropped unclosed — an early `?` — closes empty, which keeps the
+/// span stack balanced (the trace is discarded on error anyway). With the
+/// tracer off a scope is inert: no label is built, no profile snapshot taken.
 pub(crate) struct Scope<'a> {
     tracer: &'a Tracer,
+    list: Executor,
     before: Option<WorkProfile>,
 }
 
 impl<'a> Scope<'a> {
     pub(crate) fn open(
         tracer: &'a Tracer,
-        prof: &WorkProfile,
+        led: &Ledger,
+        cfg: &EngineConfig,
         head: impl FnOnce() -> (&'static str, String),
     ) -> Self {
         let before = tracer.is_enabled().then(|| {
             let (op, label) = head();
             tracer.push(op, &label);
-            *prof
+            led.prices().get(cfg.executor)
         });
-        Scope { tracer, before }
+        Scope { tracer, list: cfg.executor, before }
     }
 
-    pub(crate) fn close(mut self, rows_in: u64, rows_out: u64, prof: &WorkProfile) {
+    pub(crate) fn close(mut self, rows_in: u64, rows_out: u64, led: &Ledger) {
         if let Some(before) = self.before.take() {
-            self.tracer.pop(rows_in, rows_out, prof.delta_since(&before).counter_pairs());
+            let delta = led.prices().get(self.list).delta_since(&before);
+            self.tracer.pop(rows_in, rows_out, delta.counter_pairs());
         }
     }
 }
@@ -120,16 +161,16 @@ impl Drop for Scope<'_> {
 pub(crate) fn exec_node(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    prof: &mut WorkProfile,
+    led: &mut Ledger,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
 ) -> Result<Relation> {
     ctx.checkpoint()?;
-    let span = Scope::open(tracer, prof, || span_head(plan));
-    let (rows_in, rel) = exec_node_inner(plan, catalog, prof, cfg, tracer, ctx)?;
-    finish_node(plan, &rel, prof, ctx);
-    span.close(rows_in, rel.num_rows() as u64, prof);
+    let span = Scope::open(tracer, led, cfg, || span_head(plan));
+    let (rows_in, rel) = exec_node_inner(plan, catalog, led, cfg, tracer, ctx)?;
+    finish_node(plan, &rel, &mut led.shared, ctx);
+    span.close(rows_in, rel.num_rows() as u64, led);
     Ok(rel)
 }
 
@@ -152,7 +193,7 @@ fn finish_node(plan: &LogicalPlan, rel: &Relation, prof: &mut WorkProfile, ctx: 
 fn exec_node_inner(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    prof: &mut WorkProfile,
+    led: &mut Ledger,
     cfg: &EngineConfig,
     tracer: &Tracer,
     ctx: &QueryContext,
@@ -164,27 +205,27 @@ fn exec_node_inner(
                 verify_scan(table, t, projection.as_deref(), ctx)?;
             }
             let rel = Relation::from_table(t, projection.as_deref())?;
-            prof.rows_in += rel.num_rows() as u64;
+            led.shared.rows_in += rel.num_rows() as u64;
             Ok((0, rel))
         }
         LogicalPlan::Filter { input, predicate } => {
-            let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
+            let rel = exec_node(input, catalog, led, cfg, tracer, ctx)?;
             let rows_in = rel.num_rows() as u64;
             let table = prunable(input, catalog, cfg);
-            Ok((rows_in, filter::exec_filter(&rel, predicate, table, prof, cfg, tracer, ctx)?))
+            Ok((rows_in, filter::exec_filter(&rel, predicate, table, led, cfg, tracer, ctx)?))
         }
         LogicalPlan::Project { input, exprs } => {
-            let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
+            let rel = exec_node(input, catalog, led, cfg, tracer, ctx)?;
             let n = rel.num_rows() as u64;
             let mut fields = Vec::with_capacity(exprs.len());
             for (e, name) in exprs {
-                let span = Scope::open(tracer, prof, || ("eval", name.clone()));
+                let span = Scope::open(tracer, led, cfg, || ("eval", name.clone()));
                 // A bare column is renamed and stays as it is, pending or not.
                 let field = match e {
                     Expr::Col(c) => rel.field(c)?.clone(),
-                    _ => Field::dense(Evaluator::with_config(&rel, prof, *cfg).eval(e)?),
+                    _ => Field::dense(Evaluator::with_config(&rel, &mut led.shared, *cfg).eval(e)?),
                 };
-                span.close(n, n, prof);
+                span.close(n, n, led);
                 fields.push((name.clone(), field));
             }
             if fields.is_empty() {
@@ -193,10 +234,11 @@ fn exec_node_inner(
             Ok((n, Relation::from_fields(fields)?))
         }
         LogicalPlan::Join { left, right, on, join_type } => {
-            let l = exec_node(left, catalog, prof, cfg, tracer, ctx)?;
-            let r = exec_node(right, catalog, prof, cfg, tracer, ctx)?;
+            let l = exec_node(left, catalog, led, cfg, tracer, ctx)?;
+            let r = exec_node(right, catalog, led, cfg, tracer, ctx)?;
             let rows_in = (l.num_rows() + r.num_rows()) as u64;
-            Ok((rows_in, join::exec_join(&l, &r, on, *join_type, prof, cfg, tracer, ctx)?))
+            let out = join::exec_join(&l, &r, on, *join_type, &mut led.shared, cfg, tracer, ctx)?;
+            Ok((rows_in, out))
         }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
             // The filters beneath the aggregate fold into it: their source
@@ -208,19 +250,19 @@ fn exec_node_inner(
             }
             filters.reverse(); // innermost (first-executed) first
             let table = prunable(src, catalog, cfg);
-            let rel = exec_node(src, catalog, prof, cfg, tracer, ctx)?;
+            let rel = exec_node(src, catalog, led, cfg, tracer, ctx)?;
             let out = aggregate::exec_aggregate(
-                &rel, &filters, table, group_by, aggs, prof, cfg, tracer, ctx,
+                &rel, &filters, table, group_by, aggs, led, cfg, tracer, ctx,
             )?;
             Ok((rel.num_rows() as u64, out))
         }
         LogicalPlan::Sort { input, keys } => {
-            let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
+            let rel = exec_node(input, catalog, led, cfg, tracer, ctx)?;
             let rows_in = rel.num_rows() as u64;
-            Ok((rows_in, sort::exec_sort(&rel, keys, prof, ctx)?))
+            Ok((rows_in, sort::exec_sort(&rel, keys, &mut led.shared, ctx)?))
         }
         LogicalPlan::Limit { input, n } => {
-            let rel = exec_node(input, catalog, prof, cfg, tracer, ctx)?;
+            let rel = exec_node(input, catalog, led, cfg, tracer, ctx)?;
             let rows_in = rel.num_rows() as u64;
             let keep = rel.num_rows().min(*n);
             if keep == rel.num_rows() {

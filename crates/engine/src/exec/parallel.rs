@@ -24,12 +24,15 @@ use std::ops::Range;
 
 pub use wimpi_storage::morsel::{morsel_ranges, DEFAULT_MORSEL_ROWS};
 
-/// Which price list the work is charged in (DESIGN.md §13) — nothing else.
-/// There is one execution: every expression runs through the same compiled
-/// programs, every filter through the same per-morsel conjunct loop
-/// (`exec::filter`), every aggregate through the same fold (`exec::aggregate`),
-/// which folds the filters beneath it. No result bit, span or governor
-/// decision depends on the price list.
+/// A price list (DESIGN.md §13). There is one execution, priced in both
+/// lists at once ([`crate::stats::Prices`]): every expression runs through
+/// the same compiled programs, every filter through the same per-morsel
+/// conjunct loop (`exec::filter`), every aggregate through the same fold
+/// (`exec::aggregate`), which folds the filters beneath it. The lists differ
+/// only in what those conjuncts and programs cost, and in the paper list's
+/// `peak_bytes`, which counts the survivors' gather a fold stands in for —
+/// never tracked by the governor. No result bit, span structure or governor
+/// decision depends on a list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
     /// Column-at-a-time prices, MonetDB's (the execution style the paper
@@ -45,7 +48,7 @@ pub enum Executor {
 }
 
 impl Executor {
-    /// The price list's name in `SET executor = …` and the shell's reports.
+    /// The price list's name in the shell's reports.
     pub fn label(self) -> &'static str {
         match self {
             Executor::Materialize => "materialize",
@@ -70,9 +73,10 @@ pub struct EngineConfig {
     /// first mismatch (DESIGN.md §12). Off by default and zero-cost when
     /// off, like the tracer: one branch per scan, no per-row work.
     pub verify_checksums: bool,
-    /// Which price list the work is charged in (DESIGN.md §13). Defaults to
-    /// the materializing one, the paper's; it changes what a query is
-    /// charged, never what it runs or answers.
+    /// Which price list a single-profile entry point reports, and the trace's
+    /// counters read (DESIGN.md §13). Defaults to the materializing one, the
+    /// paper's; it changes what a query is reported as charged, never what
+    /// it runs or answers. [`crate::exec::execute_priced`] reports both.
     pub executor: Executor,
     /// Consult sealed [`ZoneMap`](wimpi_storage::ZoneMap)s before filtering:
     /// morsels whose min/max range (or dictionary presence bitmap) proves a
@@ -124,7 +128,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the price list.
+    /// Selects the price list a single-profile entry point reports.
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self

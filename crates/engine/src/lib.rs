@@ -25,14 +25,14 @@ pub mod service;
 pub mod stats;
 
 pub use error::{EngineError, Result};
-pub use exec::execute;
 pub use exec::parallel::{EngineConfig, Executor};
+pub use exec::{execute, execute_priced};
 pub use expr::{col, date, dec2, lit, Expr};
 pub use governor::{BudgetParseError, CancelToken, MemoryReservation, QueryContext, Reservation};
 pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PlanBuilder, SortKey};
 pub use relation::Relation;
 pub use service::{backoff_s, QuerySpec, Service, ServiceConfig, ServiceError, Ticket};
-pub use stats::WorkProfile;
+pub use stats::{Prices, WorkProfile};
 pub use wimpi_obs::{Span, Tracer};
 
 use wimpi_storage::Catalog;

@@ -8,6 +8,8 @@
 
 use std::ops::{Add, AddAssign};
 
+use crate::exec::parallel::Executor;
+
 /// Counters accumulated over one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkProfile {
@@ -157,6 +159,43 @@ impl Add for WorkProfile {
 impl AddAssign for WorkProfile {
     fn add_assign(&mut self, o: WorkProfile) {
         *self = *self + o;
+    }
+}
+
+/// One run's work in both price lists (DESIGN.md §13): the same execution
+/// priced as MonetDB's column-at-a-time materialization and as a fused
+/// morsel pipeline. The lists differ only in what a filter's conjuncts and an
+/// aggregate's programs cost, and in the paper list's `peak_bytes`, which
+/// counts the survivors' gather a fold stands in for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Prices {
+    /// The paper's list: every intermediate materialized.
+    pub materialize: WorkProfile,
+    /// The fused pipeline's list: base columns streamed, only outputs written.
+    pub fused: WorkProfile,
+}
+
+impl Prices {
+    /// The profile of one list.
+    pub fn get(&self, list: Executor) -> WorkProfile {
+        match list {
+            Executor::Materialize => self.materialize,
+            Executor::Fused => self.fused,
+        }
+    }
+
+    /// Both lists with their names, the paper's first.
+    pub fn lists(&self) -> [(Executor, WorkProfile); 2] {
+        [(Executor::Materialize, self.materialize), (Executor::Fused, self.fused)]
+    }
+}
+
+impl Add for Prices {
+    type Output = Prices;
+
+    /// Each list's `+`.
+    fn add(self, o: Prices) -> Prices {
+        Prices { materialize: self.materialize + o.materialize, fused: self.fused + o.fused }
     }
 }
 

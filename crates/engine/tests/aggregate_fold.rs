@@ -22,7 +22,7 @@ use proptest::rng::Rng;
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, AggFunc, PlanBuilder};
 use wimpi_engine::{
-    execute, EngineConfig, EngineError, Executor, QueryContext, Relation, Span, Tracer,
+    execute, execute_priced, EngineConfig, EngineError, QueryContext, Relation, Span, Tracer,
 };
 use wimpi_storage::{
     Catalog, Column, DataType, Date32, Decimal64, DictColumn, Field, Schema, SpillConfig,
@@ -260,43 +260,43 @@ fn check(rows: &[Row], what: &str) {
             let aggs = aggs(floats);
             let width = 32 * (arity + aggs.len()) as u64;
             let plan = input.aggregate(group, aggs).build();
-            for executor in [Executor::Materialize, Executor::Fused] {
-                let mut first: Option<(Relation, _)> = None;
-                for morsel in [1, 3, 4096] {
-                    let want = reference(rows, arity, filtered, floats, morsel);
-                    let groups = want.columns[0].1.len() as u64;
-                    let budget = budgeted.then(|| groups.saturating_sub(1).max(1) * width);
-                    for threads in [1, 2, 4] {
-                        let what = format!(
-                            "{what}: {arity} keys, {arm}, budgeted {budgeted}, {executor:?}, \
-                             {threads} threads, morsels of {morsel}"
-                        );
-                        let cfg = EngineConfig::with_threads(threads)
-                            .with_morsel_rows(morsel)
-                            .with_executor(executor);
-                        let ctx = budget.map_or_else(QueryContext::default, |b| {
-                            QueryContext::with_budget(b).with_spill(disk())
-                        });
-                        let tracer = Tracer::enabled();
-                        let (rel, prof) = execute(&plan, &cat, &cfg, &ctx, &tracer).expect("runs");
-                        assert_matches(&rel, &want, &what);
-                        assert_eq!(ctx.fallbacks() > 0, budgeted && !want.in_order, "{what}");
-                        // The label is the fold's, at any budget.
-                        let mut forms = Vec::new();
-                        partials_labels(&tracer.take_root().expect("traced"), &mut forms);
-                        assert_eq!(forms, [want.form], "{what}");
-                        // The form is the data's: only a hash table is
-                        // charged for, besides count(distinct)'s set inserts.
-                        let probes = if want.in_order { 0 } else { want.nsel };
-                        assert_eq!(prof.rand_accesses, want.nsel + probes, "{what}");
-                        assert_eq!(prof.hash_bytes == 0, want.in_order, "{what}");
-                        // One profile per executor, whatever the threads and
-                        // the morsel size; and without float sums (whose bits
-                        // the morsel size decides) one relation too.
-                        let (rel0, prof0) = first.get_or_insert((rel.clone(), prof));
-                        assert_eq!(prof, *prof0, "{what}");
-                        assert!(floats || rel == *rel0, "{what}");
+            let mut first: Option<(Relation, _)> = None;
+            for morsel in [1, 3, 4096] {
+                let want = reference(rows, arity, filtered, floats, morsel);
+                let groups = want.columns[0].1.len() as u64;
+                let budget = budgeted.then(|| groups.saturating_sub(1).max(1) * width);
+                for threads in [1, 2, 4] {
+                    let what = format!(
+                        "{what}: {arity} keys, {arm}, budgeted {budgeted}, {threads} threads, \
+                         morsels of {morsel}"
+                    );
+                    let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel);
+                    let ctx = budget.map_or_else(QueryContext::default, |b| {
+                        QueryContext::with_budget(b).with_spill(disk())
+                    });
+                    let tracer = Tracer::enabled();
+                    let (rel, prices) =
+                        execute_priced(&plan, &cat, &cfg, &ctx, &tracer).expect("runs");
+                    assert_matches(&rel, &want, &what);
+                    assert_eq!(ctx.fallbacks() > 0, budgeted && !want.in_order, "{what}");
+                    // The label is the fold's, at any budget.
+                    let mut forms = Vec::new();
+                    partials_labels(&tracer.take_root().expect("traced"), &mut forms);
+                    assert_eq!(forms, [want.form], "{what}");
+                    // The form is the data's: in either list only a hash
+                    // table is charged for, besides count(distinct)'s set
+                    // inserts.
+                    let probes = if want.in_order { 0 } else { want.nsel };
+                    for (list, prof) in prices.lists() {
+                        assert_eq!(prof.rand_accesses, want.nsel + probes, "{what}, {list:?}");
+                        assert_eq!(prof.hash_bytes == 0, want.in_order, "{what}, {list:?}");
                     }
+                    // One profile per list, whatever the threads and the
+                    // morsel size; and without float sums (whose bits the
+                    // morsel size decides) one relation too.
+                    let (rel0, prices0) = first.get_or_insert((rel.clone(), prices));
+                    assert_eq!(prices, *prices0, "{what}");
+                    assert!(floats || rel == *rel0, "{what}");
                 }
             }
         }
@@ -489,29 +489,23 @@ fn compact_key_domains_fold_to_the_reference() {
     check(&three, "three keys in no order, string codes among them");
 }
 
-/// An ill-typed aggregate is one typed error, the same under both price
-/// lists and whether or not a filter folds into it.
+/// An ill-typed aggregate is one typed error, whether or not a filter folds
+/// into it.
 #[test]
-fn ill_typed_aggregates_are_the_same_error_under_both_executors() {
+fn ill_typed_aggregates_are_the_same_error_filtered_or_not() {
     let mut cat = Catalog::new();
     cat.register("t", table(&[]));
-    let run = |agg: AggExpr, filtered: bool, executor: Executor| {
+    let run = |agg: AggExpr, filtered: bool| {
         let scan = PlanBuilder::scan("t");
         let input = if filtered { scan.filter(col("keep").gt(lit(0i64))) } else { scan };
         let plan = input.aggregate(vec![(col("k"), "k")], vec![agg]).build();
-        let cfg = EngineConfig::serial().with_executor(executor);
+        let cfg = EngineConfig::serial();
         execute(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off()).unwrap_err()
     };
     let both = |agg: AggExpr| {
-        let errors: Vec<EngineError> = [false, true]
-            .into_iter()
-            .flat_map(|filtered| {
-                [Executor::Materialize, Executor::Fused].map(|ex| run(agg.clone(), filtered, ex))
-            })
-            .collect();
-        let first = errors[0].to_string();
-        assert!(errors.iter().all(|e| e.to_string() == first), "{errors:?}");
-        errors.into_iter().next().expect("four runs")
+        let [plain, filtered] = [false, true].map(|filtered| run(agg.clone(), filtered));
+        assert_eq!(plain.to_string(), filtered.to_string(), "{plain:?} vs {filtered:?}");
+        plain
     };
 
     let err = both(AggExpr::count_if(col("s"), "n"));

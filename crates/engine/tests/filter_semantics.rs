@@ -1,11 +1,11 @@
-//! Filter semantics both executors must share: exact `IN` lists, sound
-//! zone-map elision, type errors that do not depend on the data, and the
-//! string forms (`SUBSTR`, column-vs-column compares) running fused.
+//! Filter semantics: exact `IN` lists, sound zone-map elision, type errors
+//! that do not depend on the data, and the string forms (`SUBSTR`,
+//! column-vs-column compares) in the one compiled loop.
 
 use wimpi_engine::expr::{col, lit};
 use wimpi_engine::plan::{AggExpr, PlanBuilder};
 use wimpi_engine::{
-    execute, EngineConfig, EngineError, Executor, Expr, QueryContext, Relation, Tracer,
+    execute, execute_priced, EngineConfig, EngineError, Expr, QueryContext, Relation, Tracer,
 };
 use wimpi_storage::{Catalog, Column, DataType, Decimal64, Field, Schema, Table, Value};
 
@@ -34,16 +34,10 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Every executor × pruning combination, on a 100-row morsel grid.
+/// With and without pruning, on a 100-row morsel grid.
 fn configs() -> Vec<EngineConfig> {
-    let mut out = Vec::new();
-    for executor in [Executor::Materialize, Executor::Fused] {
-        for prune in [false, true] {
-            let cfg = EngineConfig::with_threads(2).with_morsel_rows(100);
-            out.push(cfg.with_executor(executor).with_prune_scans(prune));
-        }
-    }
-    out
+    let cfg = EngineConfig::with_threads(2).with_morsel_rows(100);
+    [false, true].map(|prune| cfg.with_prune_scans(prune)).to_vec()
 }
 
 fn filtered(pred: Expr, cfg: &EngineConfig) -> Result<Relation, EngineError> {
@@ -103,7 +97,7 @@ fn type_errors_do_not_depend_on_which_rows_survive() {
 }
 
 #[test]
-fn string_forms_agree_across_executors() {
+fn string_forms_agree_across_configs() {
     let cat = catalog();
     let plan = PlanBuilder::scan("t")
         .filter(col("s").substr(1, 2).eq(lit("al")).and(col("s").neq(col("u"))))
@@ -122,24 +116,20 @@ fn string_forms_agree_across_executors() {
 }
 
 #[test]
-fn both_executors_prune_by_the_same_per_morsel_verdicts() {
+fn both_price_lists_prune_by_the_same_per_morsel_verdicts() {
     // On the 100-row grid `k >= 150` kills morsel 0 and is proven true over
     // morsel 2 only, `k < 250` over morsel 1 only: each is skipped exactly
-    // where it is proven, under either executor.
+    // where it is proven, in either price list.
     let pred =
         col("k").gte(lit(150i64)).and(col("k").lt(lit(250i64))).and(col("s").eq(lit("alpha")));
     let plan = PlanBuilder::scan("t").filter(pred).build();
-    let pruned: Vec<(u64, u64)> = configs()
-        .iter()
-        .filter(|cfg| cfg.prune_scans)
-        .map(|cfg| {
-            let (rel, prof) =
-                execute(&plan, &catalog(), cfg, &QueryContext::default(), Tracer::off())
-                    .expect("runs");
-            assert_eq!(rel.num_rows(), 25, "{cfg:?}");
-            (prof.pruned_morsels, prof.pruned_bytes)
-        })
-        .collect();
+    let cfg = configs()[1];
+    assert!(cfg.prune_scans);
+    let (rel, prices) =
+        execute_priced(&plan, &catalog(), &cfg, &QueryContext::default(), Tracer::off())
+            .expect("runs");
+    assert_eq!(rel.num_rows(), 25);
+    let pruned = prices.lists().map(|(_, p)| (p.pruned_morsels, p.pruned_bytes));
     assert_eq!(pruned[0], pruned[1], "materialize vs fused");
     // Morsel 0's first-conjunct scan, `k < 250` over morsel 1's 50 survivors
     // of `k >= 150`, `k >= 150` over all of morsel 2: 8-byte rows each.

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use wimpi_engine::exec::aggregate::exec_aggregate;
+use wimpi_engine::exec::Ledger;
 use wimpi_engine::expr::{col, Expr};
 use wimpi_engine::plan::AggExpr;
 use wimpi_engine::{
@@ -34,9 +35,9 @@ const BUDGET: u64 = 1280;
 
 fn run(cfg: &EngineConfig, ctx: &QueryContext) -> wimpi_engine::Result<(Relation, WorkProfile)> {
     let (rel, group, aggs) = input();
-    let mut prof = WorkProfile::new();
-    exec_aggregate(&rel, &[], None, &group, &aggs, &mut prof, cfg, Tracer::off(), ctx)
-        .map(|out| (out, prof))
+    let mut led = Ledger::default();
+    exec_aggregate(&rel, &[], None, &group, &aggs, &mut led, cfg, Tracer::off(), ctx)
+        .map(|out| (out, led.prices().materialize))
 }
 
 #[test]

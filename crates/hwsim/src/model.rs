@@ -102,8 +102,8 @@ pub fn modeled_speedup(hw: &HwProfile, work: &WorkProfile, threads: u32) -> f64 
 
 /// Modeled speedup the fused executor buys over the materializing one on
 /// `hw`, all cores: the ratio of predicted runtimes for the two measured
-/// [`WorkProfile`]s of the *same query* (`materialize` from
-/// `Executor::Materialize`, `fused` from `Executor::Fused`). Fusion mostly
+/// [`WorkProfile`]s of the *same run* (its two price lists,
+/// `wimpi_engine::Prices`). Fusion mostly
 /// erases `seq_write_bytes` — intermediate-column traffic — so the gain is
 /// largest where the roofline is bandwidth-limited: a Pi 3B+ with one DDR2
 /// channel sees a bigger ratio than a Xeon with six DDR4 channels, which is

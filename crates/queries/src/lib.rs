@@ -7,9 +7,10 @@
 //! extract one value, instantiate the outer plan with it).
 //!
 //! [`run_governed`] runs a [`QueryPlan`] under a config and a governor,
-//! [`run_traced_governed`] also returns the span tree, and [`run`] is the
-//! all-defaults shorthand. All go through [`run_phases`], the one place the
-//! two-phase protocol is written; the cluster coordinator shares it.
+//! [`run_priced`] prices that one run in both lists, [`run_traced_governed`]
+//! also returns the span tree, and [`run`] is the all-defaults shorthand. All
+//! go through [`run_phases`], the one place the two-phase protocol is
+//! written; the cluster coordinator shares it.
 //!
 //! `CHOKEPOINT_QUERIES` is the 8-query subset the paper uses for its
 //! distributed (SF 10) and execution-strategy experiments: Q1, Q3, Q4, Q5,
@@ -22,8 +23,8 @@ mod q12_17;
 mod q18_22;
 
 use wimpi_engine::{
-    execute_query_with, EngineConfig, EngineError, LogicalPlan, QueryContext, Relation, Result,
-    Span, Tracer, WorkProfile,
+    execute_priced, optimizer, EngineConfig, EngineError, LogicalPlan, Prices, QueryContext,
+    Relation, Result, Span, Tracer, WorkProfile,
 };
 use wimpi_storage::{Catalog, Value};
 
@@ -86,29 +87,32 @@ pub fn run_phases<T, E: From<EngineError>>(
     }
 }
 
-/// Runs every phase of `q` on one catalog, each with its own `new_tracer()`.
-/// Work profiles add. Single-phase queries return the engine's root span
-/// directly; two-phase queries nest each phase's tree under a synthetic root
-/// whose counters are the summed work profile, preserving the invariant that
-/// the root's totals equal the returned [`WorkProfile`].
+/// Runs every phase of `q` on one catalog, optimized, each with its own
+/// `new_tracer()`, and prices it in both lists. Each list's profiles add.
+/// Single-phase queries return the engine's root span directly; two-phase
+/// queries nest each phase's tree under a synthetic root whose counters are
+/// the summed `cfg.executor` profile, preserving the invariant that the
+/// root's totals equal that list's profile.
 fn run_local(
     q: &QueryPlan,
     catalog: &Catalog,
     cfg: &EngineConfig,
     ctx: &QueryContext,
     new_tracer: fn() -> Tracer,
-) -> Result<(Relation, WorkProfile, Option<Span>)> {
+) -> Result<(Relation, Prices, Option<Span>)> {
     let run_one = |plan: &LogicalPlan, _| {
         let tracer = new_tracer();
-        let (rel, prof) = execute_query_with(plan, catalog, cfg, ctx, &tracer)?;
-        Ok((rel, prof, tracer.take_root()))
+        let optimized = optimizer::optimize(plan.clone(), catalog)?;
+        let (rel, prices) = execute_priced(&optimized, catalog, cfg, ctx, &tracer)?;
+        Ok((rel, prices, tracer.take_root()))
     };
     run_phases(
         q,
         run_one,
         |(rel, ..)| rel,
         |(_, p1, s1), (r2, p2, s2)| {
-            let prof = p1 + p2;
+            let prices = p1 + p2;
+            let prof = prices.get(cfg.executor);
             let root = s1.zip(s2).map(|(mut s1, mut s2)| {
                 s1.op = "phase".to_string();
                 s1.label = "1 (scalar)".to_string();
@@ -122,7 +126,7 @@ fn run_local(
                 root.children = vec![s1, s2];
                 root
             });
-            (r2, prof, root)
+            (r2, prices, root)
         },
     )
 }
@@ -146,7 +150,19 @@ pub fn run_governed(
     cfg: &EngineConfig,
     ctx: &QueryContext,
 ) -> Result<(Relation, WorkProfile)> {
-    run_local(q, catalog, cfg, ctx, Tracer::disabled).map(|(rel, prof, _)| (rel, prof))
+    run_priced(q, catalog, cfg, ctx).map(|(rel, prices)| (rel, prices.get(cfg.executor)))
+}
+
+/// [`run_governed`] priced in both lists: the one run's profile as MonetDB's
+/// materialization and as a fused pipeline (DESIGN.md §13).
+/// `cfg.executor` plays no part.
+pub fn run_priced(
+    q: &QueryPlan,
+    catalog: &Catalog,
+    cfg: &EngineConfig,
+    ctx: &QueryContext,
+) -> Result<(Relation, Prices)> {
+    run_local(q, catalog, cfg, ctx, Tracer::disabled).map(|(rel, prices, _)| (rel, prices))
 }
 
 /// [`run_governed`] with operator-level tracing, returning the span tree
@@ -159,8 +175,10 @@ pub fn run_traced_governed(
     cfg: &EngineConfig,
     ctx: &QueryContext,
 ) -> Result<(Relation, WorkProfile, Span)> {
-    run_local(q, catalog, cfg, ctx, Tracer::enabled)
-        .map(|(rel, prof, span)| (rel, prof, span.expect("an enabled tracer yields a root span")))
+    run_local(q, catalog, cfg, ctx, Tracer::enabled).map(|(rel, prices, span)| {
+        let span = span.expect("an enabled tracer yields a root span");
+        (rel, prices.get(cfg.executor), span)
+    })
 }
 
 /// The query numbers evaluated in the paper's distributed and

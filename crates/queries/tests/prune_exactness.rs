@@ -1,6 +1,6 @@
 //! Zone-map pruning must be invisible in every answer.
 //!
-//! Two catalogs, every executor, threads 1/2/4:
+//! Two catalogs, both price lists of each run, threads 1/2/4:
 //!
 //! * an *unsealed* catalog (no zone maps) — `prune_scans` finds nothing to
 //!   consult and must behave as a strict no-op;
@@ -10,11 +10,11 @@
 //!   `rows_in`/`rows_out` untouched (DESIGN.md §14).
 //!
 //! The choke-point subset runs in every build; the full 22-query sweep is
-//! release-only (debug-build TPC-H generation plus 22 × 2 × 3 runs is too
-//! slow for the tier-1 loop).
+//! release-only (debug-build TPC-H generation plus 22 × 4 runs is too slow
+//! for the tier-1 loop).
 
-use wimpi_engine::{EngineConfig, Executor, QueryContext};
-use wimpi_queries::{query, run_governed, CHOKEPOINT_QUERIES};
+use wimpi_engine::{EngineConfig, QueryContext};
+use wimpi_queries::{query, run_priced, CHOKEPOINT_QUERIES};
 use wimpi_storage::Catalog;
 use wimpi_tpch::{clustered_catalog, Generator};
 
@@ -29,36 +29,39 @@ fn assert_prune_invisible(
     let mut any_skipped = 0u64;
     for &qn in queries {
         let plan = query(qn);
-        for executor in [Executor::Materialize, Executor::Fused] {
-            // Baseline shares the morsel grid: float reduction boundaries
-            // (and thus bit-exactness) depend on it.
-            let base = EngineConfig::serial().with_executor(executor).with_morsel_rows(morsel_rows);
-            let (reference, ref_prof) = run_governed(&plan, cat, &base, &QueryContext::default())
-                .unwrap_or_else(|e| panic!("Q{qn} baseline: {e}"));
-            for threads in [1, 2, 4] {
-                let cfg = EngineConfig::with_threads(threads)
-                    .with_executor(executor)
-                    .with_morsel_rows(morsel_rows)
-                    .with_prune_scans(true);
-                let (rel, prof) = run_governed(&plan, cat, &cfg, &QueryContext::default())
-                    .unwrap_or_else(|e| panic!("Q{qn} pruned: {e}"));
-                assert_eq!(
-                    rel, reference,
-                    "Q{qn}: pruned {executor:?} at {threads} threads diverged"
-                );
+        // Baseline shares the morsel grid: float reduction boundaries (and
+        // thus bit-exactness) depend on it.
+        let base = EngineConfig::serial().with_morsel_rows(morsel_rows);
+        let (reference, ref_prices) = run_priced(&plan, cat, &base, &QueryContext::default())
+            .unwrap_or_else(|e| panic!("Q{qn} baseline: {e}"));
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::with_threads(threads)
+                .with_morsel_rows(morsel_rows)
+                .with_prune_scans(true);
+            let (rel, prices) = run_priced(&plan, cat, &cfg, &QueryContext::default())
+                .unwrap_or_else(|e| panic!("Q{qn} pruned: {e}"));
+            assert_eq!(rel, reference, "Q{qn}: pruned at {threads} threads diverged");
+            for ((list, prof), (_, ref_prof)) in prices.lists().into_iter().zip(ref_prices.lists())
+            {
                 assert_eq!(
                     (prof.rows_in, prof.rows_out),
                     (ref_prof.rows_in, ref_prof.rows_out),
-                    "Q{qn}: pruning changed operator row counts"
+                    "Q{qn}: pruning changed operator row counts ({list:?})"
                 );
-                any_skipped += prof.pruned_morsels;
-                if cat.table("lineitem").unwrap().zones().is_none() {
-                    assert_eq!(
-                        (prof.pruned_morsels, prof.pruned_bytes),
-                        (0, 0),
-                        "Q{qn}: no zone maps sealed, yet the profile claims pruning"
-                    );
-                }
+            }
+            let (mat, fused) = (prices.materialize, prices.fused);
+            assert_eq!(
+                (mat.pruned_morsels, mat.pruned_bytes),
+                (fused.pruned_morsels, fused.pruned_bytes),
+                "Q{qn}: both lists prune the same"
+            );
+            any_skipped += mat.pruned_morsels;
+            if cat.table("lineitem").unwrap().zones().is_none() {
+                assert_eq!(
+                    (mat.pruned_morsels, mat.pruned_bytes),
+                    (0, 0),
+                    "Q{qn}: no zone maps sealed, yet the profile claims pruning"
+                );
             }
         }
     }

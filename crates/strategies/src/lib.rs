@@ -14,7 +14,8 @@
 //! * **compiled-fused** — the hybrid kernels with the staged selection
 //!   vectors kept cache-resident instead of materialized: same vectorized
 //!   evaluation work, but the per-batch intermediate write traffic
-//!   collapses to zero (the engine's `Executor::Fused` morsel pipelines).
+//!   collapses to zero (the engine's morsel pipelines, as its fused price
+//!   list charges them).
 //!
 //! Every (query, paradigm) pair computes an exact integer [`Digest`];
 //! paradigms must agree with each other and (tested) with the engine. Each
@@ -52,7 +53,7 @@ pub enum Paradigm {
     AccessAware,
     /// Compiled bytecode pipelines fusing scan→filter→eval→aggregate per
     /// morsel: hybrid's vectorized work minus all intermediate
-    /// materialization (`Executor::Fused`).
+    /// materialization (the engine's fused price list).
     Fused,
 }
 

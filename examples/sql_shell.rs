@@ -29,12 +29,10 @@
 //! `integrity_failures_total` in both direct and service mode. Neither mode
 //! repairs or retries a violation: repair is the cluster's (DESIGN.md §12).
 //!
-//! Pricing: `SET executor = fused | materialize` switches the price list the
-//! work is charged in — MonetDB's column-at-a-time materialization (the
-//! paper's, the default) or a fused morsel-at-a-time pipeline's (DESIGN.md
-//! §13). Only the work profile and the `\hw` predictions change: the answer
-//! and the `EXPLAIN ANALYZE` tree are the same under both, and the tree's
-//! footer names the active list.
+//! Pricing: every statement runs once and is priced in both lists (DESIGN.md
+//! §13) — MonetDB's column-at-a-time materialization (the paper's) and a
+//! fused morsel-at-a-time pipeline's. Each footer and the `\hw` predictions
+//! show both; the `EXPLAIN ANALYZE` tree's counters are the paper's list.
 //!
 //! Out-of-core: `SET spill = on` attaches a simulated bounded microSD
 //! spill disk (DESIGN.md §16) to every direct statement's governor context:
@@ -60,10 +58,11 @@ use std::sync::Arc;
 use wimpi::cluster::coordinator::ResultCache;
 use wimpi::engine::governor::UNLIMITED;
 use wimpi::engine::{
-    governor, EngineConfig, Executor, QueryContext, QuerySpec, Service, ServiceConfig, Tracer,
+    execute_priced, governor, optimizer, EngineConfig, Prices, QueryContext, QuerySpec, Relation,
+    Service, ServiceConfig, Tracer,
 };
 use wimpi::hwsim::{all_profiles, predict_all_cores};
-use wimpi::sql::{execute_sql_with, strip_explain_analyze};
+use wimpi::sql::{strip_explain_analyze, SqlError};
 use wimpi::storage::spill::{SpillConfig, SpillDisk};
 use wimpi::storage::Catalog;
 use wimpi::tpch::Generator;
@@ -115,6 +114,32 @@ fn make_spec(sql: &str, timeout_ms: Option<u64>) -> QuerySpec {
     spec
 }
 
+/// Plans, optimizes and runs one statement, pricing the run in both lists.
+fn run_sql(
+    sql: &str,
+    catalog: &Catalog,
+    cfg: &EngineConfig,
+    ctx: &QueryContext,
+    tracer: &Tracer,
+) -> Result<(Relation, Prices), SqlError> {
+    let plan = optimizer::optimize(wimpi::sql::plan(sql, catalog)?, catalog)?;
+    Ok(execute_priced(&plan, catalog, cfg, ctx, tracer)?)
+}
+
+/// A footer's prices: `materialize: … ; fused: …`.
+fn both_lists(prices: &Prices) -> String {
+    let lists = prices.lists().map(|(list, work)| {
+        format!(
+            "{}: {:.1} MB streamed, {} ops, peak {} B",
+            list.label(),
+            work.seq_bytes() as f64 / 1e6,
+            work.cpu_ops,
+            work.peak_bytes
+        )
+    });
+    lists.join("; ")
+}
+
 fn main() {
     let sf: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.01);
     eprintln!("generating TPC-H SF {sf} …");
@@ -130,14 +155,13 @@ fn main() {
     let mut verify = false;
     let mut prune = false;
     let mut spill: Option<Arc<SpillDisk>> = None;
-    let mut executor = Executor::default();
     // Integrity + cache counters for direct (serviceless) execution; with a
     // service, its own registry carries the service-side counters.
     let shell_metrics = wimpi::obs::Registry::new();
     // Governor-reserved result cache for direct statements, keyed by the
-    // statement text. Knobs never change answers (executor and pruning are
-    // bit-exact by contract), but resealing the catalog swaps table handles
-    // — those knobs invalidate below.
+    // statement text. Knobs never change answers (pruning is bit-exact by
+    // contract), but resealing the catalog swaps table handles — those knobs
+    // invalidate below.
     let result_cache = ResultCache::new(16 << 20);
     let all_tables =
         |catalog: &Catalog| -> Vec<String> { catalog.names().map(String::from).collect() };
@@ -149,6 +173,7 @@ fn main() {
             Err(_) => break,
         };
         let line = line.trim();
+        let cfg = EngineConfig::serial().with_verify_checksums(verify).with_prune_scans(prune);
         match line {
             "" => {}
             "\\q" | "exit" | "quit" => break,
@@ -236,20 +261,6 @@ fn main() {
                         }
                         Err(_) => println!("error: concurrency wants an integer, got {value:?}"),
                     },
-                    "executor" => match value.to_ascii_lowercase().as_str() {
-                        "fused" => {
-                            executor = Executor::Fused;
-                            println!("executor fused (work priced as a morsel-at-a-time pipeline)");
-                        }
-                        "materialize" | "materializing" => {
-                            executor = Executor::Materialize;
-                            println!(
-                                "executor materialize (work priced as column-at-a-time \
-                                 materialization)"
-                            );
-                        }
-                        _ => println!("error: executor wants fused|materialize, got {value:?}"),
-                    },
                     "verify_checksums" => match value.to_ascii_lowercase().as_str() {
                         "on" | "true" | "1" => {
                             // Seal manifests lazily on first use; sealing is
@@ -310,7 +321,7 @@ fn main() {
                         println!(
                             "error: unknown knob {other:?} \
                              (memory_budget, timeout_ms, concurrency, verify_checksums, \
-                             executor, prune_scans, spill)"
+                             prune_scans, spill)"
                         )
                     }
                 }
@@ -319,23 +330,12 @@ fn main() {
                 let inner = strip_explain_analyze(sql).expect("guard matched");
                 let inner = inner.trim_end_matches(';').trim_end();
                 let ctx = make_ctx(mem_budget, timeout_ms, spill.as_ref());
-                let cfg = EngineConfig::serial()
-                    .with_verify_checksums(verify)
-                    .with_executor(executor)
-                    .with_prune_scans(prune);
                 let tracer = Tracer::enabled();
-                match execute_sql_with(inner, &catalog, &cfg, &ctx, &tracer) {
-                    Ok((rel, work)) => {
+                match run_sql(inner, &catalog, &cfg, &ctx, &tracer) {
+                    Ok((rel, prices)) => {
                         let span = tracer.take_root().expect("an enabled tracer yields a root");
                         print!("{}", span.render());
-                        println!(
-                            "(executor: {}; {} rows; {:.1} MB streamed, {} ops, peak {} B)",
-                            executor.label(),
-                            rel.num_rows(),
-                            work.seq_bytes() as f64 / 1e6,
-                            work.cpu_ops,
-                            work.peak_bytes
-                        );
+                        println!("({} rows; {})", rel.num_rows(), both_lists(&prices));
                         if ctx.fallbacks() > 0 {
                             println!(
                                 "(degraded: {} operator(s) fell back to Grace partitioning \
@@ -357,13 +357,9 @@ fn main() {
                     Some(svc) => {
                         let owned = sql.to_string();
                         let cat = Arc::clone(&catalog);
-                        let cfg = EngineConfig::serial()
-                            .with_verify_checksums(verify)
-                            .with_executor(executor)
-                            .with_prune_scans(prune);
                         svc.run_blocking(make_spec(sql, timeout_ms), move |ctx| {
-                            execute_sql_with(&owned, &cat, &cfg, ctx, Tracer::off())
-                                .map(|(rel, work)| (rel, Some(work), ctx.fallbacks()))
+                            run_sql(&owned, &cat, &cfg, ctx, Tracer::off())
+                                .map(|(rel, prices)| (rel, Some(prices), ctx.fallbacks()))
                                 .map_err(|e| e.into_engine())
                         })
                         .map_err(|e| e.to_string())
@@ -375,14 +371,9 @@ fn main() {
                             Some(rel) => Ok((rel, None, 0)),
                             None => {
                                 let ctx = make_ctx(mem_budget, timeout_ms, spill.as_ref());
-                                let cfg = EngineConfig::serial()
-                                    .with_verify_checksums(verify)
-                                    .with_executor(executor)
-                                    .with_prune_scans(prune);
-                                let out =
-                                    execute_sql_with(sql, &catalog, &cfg, &ctx, Tracer::off())
-                                        .map(|(rel, work)| (rel, Some(work), ctx.fallbacks()))
-                                        .map_err(|e| e.to_string());
+                                let out = run_sql(sql, &catalog, &cfg, &ctx, Tracer::off())
+                                    .map(|(rel, prices)| (rel, Some(prices), ctx.fallbacks()))
+                                    .map_err(|e| e.to_string());
                                 let checks = ctx.integrity_checks();
                                 if checks > 0 {
                                     shell_metrics.inc("integrity_checks_total", checks);
@@ -412,15 +403,16 @@ fn main() {
                             started.elapsed().as_secs_f64()
                         );
                     }
-                    Ok((rel, Some(work), fallbacks)) => {
+                    Ok((rel, Some(prices), fallbacks)) => {
                         println!("{}", rel.to_text(20));
                         println!(
-                            "({} rows in {:.3}s host; {:.1} MB streamed, peak {} B)",
+                            "({} rows in {:.3}s host; {})",
                             rel.num_rows(),
                             started.elapsed().as_secs_f64(),
-                            work.seq_bytes() as f64 / 1e6,
-                            work.peak_bytes
+                            both_lists(&prices)
                         );
+                        // Spilling is an execution's, the same in both lists.
+                        let work = prices.materialize;
                         if fallbacks > 0 {
                             println!(
                                 "(degraded: {fallbacks} operator(s) fell back to \
@@ -444,8 +436,10 @@ fn main() {
                         }
                         if show_hw {
                             for hw in all_profiles() {
-                                let p = predict_all_cores(&hw, &work);
-                                println!("  {:12} {:>9.4}s", hw.name, p.total_s());
+                                let [m, f] = prices
+                                    .lists()
+                                    .map(|(_, w)| predict_all_cores(&hw, &w).total_s());
+                                println!("  {:12} {m:>9.4}s materialize {f:>9.4}s fused", hw.name);
                             }
                         }
                     }

@@ -8,10 +8,8 @@
 //! in release CI (`cargo test --workspace --release`); debug runs keep the
 //! Q1/Q6 smoke.
 
-use wimpi::engine::{
-    execute_query_with, EngineConfig, Executor, PlanBuilder, QueryContext, SortKey, Tracer,
-};
-use wimpi::queries::{query, run_governed};
+use wimpi::engine::{execute_query_with, EngineConfig, PlanBuilder, QueryContext, SortKey, Tracer};
+use wimpi::queries::{query, run_governed, run_priced, QueryPlan};
 use wimpi::storage::{Catalog, Value};
 use wimpi::tpch::Generator;
 
@@ -21,26 +19,21 @@ fn catalog() -> Catalog {
     Generator::new(SF).generate_catalog().expect("generation succeeds")
 }
 
-/// Serial vs 2- and 4-thread runs, at the default morsel size and at a tiny
-/// one that forces many morsels per kernel even at SF 0.01.
-fn assert_bit_exact(qn: usize, cat: &Catalog) {
+/// Runs at 1, 2 and 4 threads, at the default morsel size and at a tiny one
+/// that forces many morsels per kernel even at SF 0.01, each under `budget`
+/// when one is given: one answer and one pair of price lists.
+fn assert_bit_exact(qn: usize, cat: &Catalog, budget: Option<u64>) {
     let q = query(qn);
+    let mut first = None;
     for morsel_rows in [wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS, 4096] {
-        let serial_cfg = EngineConfig::serial().with_morsel_rows(morsel_rows);
-        let (rel0, prof0) =
-            run_governed(&q, cat, &serial_cfg, &QueryContext::default()).expect("serial run");
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let cfg = EngineConfig::with_threads(threads).with_morsel_rows(morsel_rows);
-            let (rel, prof) =
-                run_governed(&q, cat, &cfg, &QueryContext::default()).expect("parallel run");
-            assert_eq!(
-                rel, rel0,
-                "Q{qn}: result diverged at {threads} threads, morsel {morsel_rows}"
-            );
-            assert_eq!(
-                prof, prof0,
-                "Q{qn}: work profile diverged at {threads} threads, morsel {morsel_rows}"
-            );
+            let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
+            let (rel, prices) = run_priced(&q, cat, &cfg, &ctx).expect("runs");
+            let (rel0, prices0) = first.get_or_insert_with(|| (rel.clone(), prices));
+            let what = format!("Q{qn} at {threads} threads, morsel {morsel_rows}");
+            assert_eq!(&rel, rel0, "{what}: result diverged");
+            assert_eq!(prices, *prices0, "{what}: work profiles diverged");
         }
     }
 }
@@ -48,8 +41,8 @@ fn assert_bit_exact(qn: usize, cat: &Catalog) {
 #[test]
 fn q1_q6_parallel_bit_exact_smoke() {
     let cat = catalog();
-    assert_bit_exact(1, &cat);
-    assert_bit_exact(6, &cat);
+    assert_bit_exact(1, &cat, None);
+    assert_bit_exact(6, &cat, None);
 }
 
 /// Regression for the sort key-representation sweep: a multi-key sort that
@@ -107,57 +100,19 @@ fn multi_key_string_and_decimal_desc_sort() {
 fn all_22_queries_parallel_bit_exact() {
     let cat = catalog();
     for qn in 1..=22 {
-        assert_bit_exact(qn, &cat);
+        assert_bit_exact(qn, &cat, None);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Fused price list (DESIGN.md §13): same guarantees, second cost form.
+// Fused price list (DESIGN.md §13): same guarantees, second cost form, priced
+// from the same runs as the first.
 // ---------------------------------------------------------------------------
 
-/// Fused runs (threads 1/2/4 × two morsel sizes) must reproduce the serial
-/// materializing result bit-exactly, and the fused work profile itself must
-/// be invariant to thread count and morsel size.
-fn assert_fused_bit_exact(qn: usize, cat: &Catalog) {
-    let q = query(qn);
-    let (mat_rel, _) = run_governed(&q, cat, &EngineConfig::serial(), &QueryContext::default())
-        .expect("materializing run");
-    let mut prof0 = None;
-    for morsel_rows in [wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS, 4096] {
-        for threads in [1, 2, 4] {
-            let cfg = EngineConfig::with_threads(threads)
-                .with_morsel_rows(morsel_rows)
-                .with_executor(Executor::Fused);
-            let (rel, prof) =
-                run_governed(&q, cat, &cfg, &QueryContext::default()).expect("fused run");
-            assert_eq!(
-                rel, mat_rel,
-                "Q{qn}: fused diverged from materializing at {threads} threads, morsel {morsel_rows}"
-            );
-            let baseline = *prof0.get_or_insert(prof);
-            assert_eq!(
-                prof, baseline,
-                "Q{qn}: fused profile varied at {threads} threads, morsel {morsel_rows}"
-            );
-        }
-    }
-}
-
+/// Q19's OR cascade (Q1 and Q6 are the smoke above), both lists.
 #[test]
 fn fused_choke_points_bit_exact_smoke() {
-    let cat = catalog();
-    for qn in [1, 6, 19] {
-        assert_fused_bit_exact(qn, &cat);
-    }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "full 22-query sweep; run with --release")]
-fn all_22_queries_fused_bit_exact() {
-    let cat = catalog();
-    for qn in 1..=22 {
-        assert_fused_bit_exact(qn, &cat);
-    }
+    assert_bit_exact(19, &catalog(), None);
 }
 
 /// The headline of the fused price list: scan→filter→eval→aggregate
@@ -168,12 +123,10 @@ fn all_22_queries_fused_bit_exact() {
 fn fused_collapses_materialized_write_traffic() {
     let cat = catalog();
     for qn in [1, 6, 19] {
-        let q = query(qn);
-        let (_, mat) = run_governed(&q, &cat, &EngineConfig::serial(), &QueryContext::default())
-            .expect("materializing run");
-        let fused_cfg = EngineConfig::serial().with_executor(Executor::Fused);
-        let (_, fused) =
-            run_governed(&q, &cat, &fused_cfg, &QueryContext::default()).expect("fused run");
+        let serial = EngineConfig::serial();
+        let (_, prices) =
+            run_priced(&query(qn), &cat, &serial, &QueryContext::default()).expect("runs");
+        let (mat, fused) = (prices.materialize, prices.fused);
         assert!(
             fused.seq_write_bytes < mat.seq_write_bytes,
             "Q{qn}: fused wrote {} bytes, materializing {}",
@@ -183,40 +136,23 @@ fn fused_collapses_materialized_write_traffic() {
     }
 }
 
-/// Budgeted fused runs: bit-exact against the budgeted serial materializing
-/// baseline at every thread count and morsel size, whether the merge fit the
-/// budget or descended the ladder under it.
+/// Budgeted runs of Q1 and Q6 at 64 KiB: bit-exact at every thread count and
+/// morsel size, whether the merge fit the budget or descended the ladder
+/// under it, with one pair of profiles.
 #[test]
 fn fused_budgeted_runs_stay_bit_exact() {
     let cat = catalog();
-    for qn in [1usize, 6] {
-        let q = query(qn);
-        let serial_ctx = QueryContext::with_budget(64 << 10);
-        let (rel0, _) = run_governed(&q, &cat, &EngineConfig::serial(), &serial_ctx)
-            .expect("budgeted materializing run");
-        let mut prof0 = None;
-        for morsel_rows in [wimpi::engine::exec::parallel::DEFAULT_MORSEL_ROWS, 4096] {
-            for threads in [1, 2, 4] {
-                let ctx = QueryContext::with_budget(64 << 10);
-                let cfg = EngineConfig::with_threads(threads)
-                    .with_morsel_rows(morsel_rows)
-                    .with_executor(Executor::Fused);
-                let (rel, prof) = run_governed(&q, &cat, &cfg, &ctx).expect("budgeted fused run");
-                assert_eq!(rel, rel0, "Q{qn}: budgeted fused diverged at {threads} threads");
-                let baseline = *prof0.get_or_insert(prof);
-                assert_eq!(prof, baseline, "Q{qn}: budgeted fused profile varied");
-            }
-        }
-    }
+    assert_bit_exact(1, &cat, Some(64 << 10));
+    assert_bit_exact(6, &cat, Some(64 << 10));
 }
 
 /// When the merged group table exceeds the budget, the fold descends the
-/// ladder — Grace partitioning — under either price list: the same answer
-/// and the same descent. The `Materialize` profile is pinned from the commit
-/// before the fold folded filters under both lists; the `Fused` one is its
-/// own, the same at every thread count. The keys are a permutation: in key
-/// order the aggregate would take the run form, which reserves nothing and
-/// cannot exceed a budget.
+/// ladder — Grace partitioning — once, priced in both lists: the same answer
+/// and the same descent at every thread count. The `Materialize` profile is
+/// pinned from the commit before the fold folded filters under both lists;
+/// the `Fused` one is its own, the same at every thread count. The keys are
+/// a permutation: in key order the aggregate would take the run form, which
+/// reserves nothing and cannot exceed a budget.
 #[test]
 fn fused_budget_fallback_matches_materializing() {
     use wimpi::engine::{col, AggExpr, PlanBuilder};
@@ -232,17 +168,12 @@ fn fused_budget_fallback_matches_materializing() {
     )
     .expect("table builds");
     cat.register("t", table);
-    let plan = PlanBuilder::scan("t")
-        .aggregate(vec![(col("k"), "k")], vec![AggExpr::sum(col("v"), "s")])
-        .build();
-    // 50k distinct 64-byte group slots blow a 64 KB budget; both price
-    // lists must degrade identically.
-    let mat_ctx = QueryContext::with_budget(64 << 10);
-    let (rel0, prof0) =
-        execute_query_with(&plan, &cat, &EngineConfig::serial(), &mat_ctx, Tracer::off())
-            .expect("budgeted materializing run");
-    assert_eq!(rel0.num_rows(), n as usize);
-    assert_eq!((mat_ctx.fallbacks(), mat_ctx.max_fallback_parts()), (1, 64));
+    let plan = QueryPlan::Single(
+        PlanBuilder::scan("t")
+            .aggregate(vec![(col("k"), "k")], vec![AggExpr::sum(col("v"), "s")])
+            .build(),
+    );
+    // 50k distinct 64-byte group slots blow a 64 KB budget: one descent.
     let pinned = wimpi::engine::WorkProfile {
         cpu_ops: 100_000,
         seq_write_bytes: 800_000,
@@ -253,24 +184,24 @@ fn fused_budget_fallback_matches_materializing() {
         peak_bytes: 800_000,
         ..Default::default()
     };
-    assert_eq!(prof0, pinned);
-    let mut fused_prof = None;
+    let mut first = None;
     for threads in [1, 2, 4] {
         let ctx = QueryContext::with_budget(64 << 10);
-        let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
-        let (rel, prof) =
-            execute_query_with(&plan, &cat, &cfg, &ctx, Tracer::off()).expect("budgeted fused run");
-        assert_eq!(rel, rel0, "result diverged at {threads} threads");
-        assert_eq!(prof, *fused_prof.get_or_insert(prof), "profile varied at {threads} threads");
-        assert_eq!(ctx.fallbacks(), mat_ctx.fallbacks(), "one descent, the same one");
-        assert_eq!(ctx.max_fallback_parts(), mat_ctx.max_fallback_parts());
+        let cfg = EngineConfig::with_threads(threads);
+        let (rel, prices) = run_priced(&plan, &cat, &cfg, &ctx).expect("budgeted run");
+        assert_eq!(rel.num_rows(), n as usize);
+        assert_eq!(prices.materialize, pinned, "at {threads} threads");
+        assert_eq!((ctx.fallbacks(), ctx.max_fallback_parts()), (1, 64), "one descent");
+        let (rel0, fused0) = first.get_or_insert_with(|| (rel.clone(), prices.fused));
+        assert_eq!(&rel, rel0, "result diverged at {threads} threads");
+        assert_eq!(prices.fused, *fused0, "fused profile varied at {threads} threads");
     }
 }
 
-/// `min`/`max` fold the filter beneath them like every other aggregate: the
-/// materializing answer bit for bit at any thread count, in the fused cost
-/// form — no gather of the filter's survivors is charged, so nothing is
-/// written but the output.
+/// `min`/`max` fold the filter beneath them like every other aggregate: one
+/// answer bit for bit at any thread count, and in the fused list no gather
+/// of the filter's survivors is charged, so nothing is written but the
+/// output.
 #[test]
 fn fused_min_max_stay_fused_and_bit_exact() {
     use wimpi::engine::plan::{AggExpr, AggFunc};
@@ -282,36 +213,30 @@ fn fused_min_max_stay_fused_and_bit_exact() {
         expr: Some(col(column)),
         name: name.into(),
     };
-    let plan = PlanBuilder::scan("lineitem")
-        .filter(col("l_quantity").lt(lit(25i64)))
-        .aggregate(
-            vec![(col("l_returnflag"), "f")],
-            vec![
-                agg(AggFunc::Max, "l_extendedprice", "hi"),
-                agg(AggFunc::Min, "l_shipdate", "first"),
-                agg(AggFunc::Max, "l_shipmode", "mode"),
-            ],
-        )
-        .build();
-    let (rel0, prof0) = execute_query_with(
-        &plan,
-        &cat,
-        &EngineConfig::serial(),
-        &QueryContext::default(),
-        Tracer::off(),
-    )
-    .expect("materializing run");
-    let mut fused_prof = None;
+    let plan = QueryPlan::Single(
+        PlanBuilder::scan("lineitem")
+            .filter(col("l_quantity").lt(lit(25i64)))
+            .aggregate(
+                vec![(col("l_returnflag"), "f")],
+                vec![
+                    agg(AggFunc::Max, "l_extendedprice", "hi"),
+                    agg(AggFunc::Min, "l_shipdate", "first"),
+                    agg(AggFunc::Max, "l_shipmode", "mode"),
+                ],
+            )
+            .build(),
+    );
+    let mut first = None;
     for threads in [1, 2, 4] {
-        let cfg = EngineConfig::with_threads(threads).with_executor(Executor::Fused);
-        let (rel, prof) =
-            execute_query_with(&plan, &cat, &cfg, &QueryContext::default(), Tracer::off())
-                .expect("fused run");
-        assert_eq!(rel, rel0, "fused result diverged at {threads} threads");
-        assert_eq!(prof, *fused_prof.get_or_insert(prof), "fused profile varied with threads");
-        assert_eq!(prof.seq_write_bytes, rel.stream_bytes() as u64, "only the output is written");
-        assert!(prof.seq_write_bytes < prof0.seq_write_bytes);
-        assert_eq!((prof.rand_accesses, prof.hash_bytes), (prof0.rand_accesses, prof0.hash_bytes));
+        let cfg = EngineConfig::with_threads(threads);
+        let (rel, prices) = run_priced(&plan, &cat, &cfg, &QueryContext::default()).expect("runs");
+        let (rel0, prices0) = first.get_or_insert_with(|| (rel.clone(), prices));
+        assert_eq!(&rel, rel0, "result diverged at {threads} threads");
+        assert_eq!(prices, *prices0, "profiles varied with threads");
+        let (mat, fused) = (prices.materialize, prices.fused);
+        assert_eq!(fused.seq_write_bytes, rel.stream_bytes() as u64, "only the output is written");
+        assert!(fused.seq_write_bytes < mat.seq_write_bytes);
+        assert_eq!((fused.rand_accesses, fused.hash_bytes), (mat.rand_accesses, mat.hash_bytes));
     }
 }
 
@@ -348,6 +273,7 @@ mod bytecode_vs_evaluator {
     use std::sync::Arc;
     use wimpi::engine::eval::Evaluator;
     use wimpi::engine::exec::filter::exec_filter;
+    use wimpi::engine::exec::Ledger;
     use wimpi::engine::expr::BinOp;
     use wimpi::engine::{
         col, lit, EngineConfig, EngineError, Expr, QueryContext, Relation, Tracer, WorkProfile,
@@ -699,10 +625,11 @@ mod bytecode_vs_evaluator {
                 let reference =
                     typecheck.clone().and_then(|()| reference_filter(rel, &pred, &mut ref_prof));
                 for cfg in configs() {
-                    let mut prof = WorkProfile::new();
+                    let mut led = Ledger::default();
                     let ctx = QueryContext::default();
                     let produced =
-                        exec_filter(rel, &pred, None, &mut prof, &cfg, Tracer::off(), &ctx);
+                        exec_filter(rel, &pred, None, &mut led, &cfg, Tracer::off(), &ctx);
+                    let prof = led.prices().materialize;
                     let diff = divergence((&produced, &prof), (&reference, &ref_prof), rel_bit_eq);
                     prop_assert!(diff.is_none(), "{pred:?} ({cfg:?}): {}", diff.unwrap());
                 }
@@ -791,21 +718,10 @@ fn spill_budget_ladder_stays_parallel_bit_exact() {
 /// enough to force Grace-partitioned builds (64 KB at SF 0.01) must yield
 /// the same relation and work profile at every thread count, because
 /// reservation decisions are taken once on the coordinator — never raced by
-/// workers.
+/// workers. Q3 and Q13 here; Q1 and Q6 are `fused_budgeted_runs_stay_bit_exact`.
 #[test]
 fn budget_constrained_runs_stay_parallel_bit_exact() {
     let cat = catalog();
-    for qn in [1usize, 3, 6, 13] {
-        let q = query(qn);
-        let serial_ctx = QueryContext::with_budget(64 << 10);
-        let (rel0, prof0) = run_governed(&q, &cat, &EngineConfig::serial(), &serial_ctx)
-            .expect("budgeted serial run");
-        for threads in [2, 4] {
-            let ctx = QueryContext::with_budget(64 << 10);
-            let cfg = EngineConfig::with_threads(threads);
-            let (rel, prof) = run_governed(&q, &cat, &cfg, &ctx).expect("budgeted parallel run");
-            assert_eq!(rel, rel0, "Q{qn}: budgeted result diverged at {threads} threads");
-            assert_eq!(prof, prof0, "Q{qn}: budgeted profile diverged at {threads} threads");
-        }
-    }
+    assert_bit_exact(3, &cat, Some(64 << 10));
+    assert_bit_exact(13, &cat, Some(64 << 10));
 }

@@ -13,9 +13,9 @@
 
 use wimpi::core::validate_trace_json;
 use wimpi::engine::{
-    col, lit, AggExpr, EngineConfig, Executor, PlanBuilder, QueryContext, Relation, Span, Tracer,
+    col, lit, AggExpr, EngineConfig, PlanBuilder, QueryContext, Relation, Span, Tracer, WorkProfile,
 };
-use wimpi::queries::{query, run_governed, run_traced_governed, QueryPlan};
+use wimpi::queries::{query, run_governed, run_priced, run_traced_governed, QueryPlan};
 use wimpi::sql::{execute_sql_with, strip_explain_analyze};
 use wimpi::storage::{Catalog, Column, DataType, Field, Schema, Table};
 use wimpi::tpch::Generator;
@@ -68,13 +68,11 @@ fn tracing_never_changes_results_or_profiles() {
 #[test]
 fn trace_structure_is_thread_count_invariant() {
     let cat = catalog();
-    for (qn, executor) in
-        TRACED.iter().flat_map(|&qn| [(qn, Executor::Materialize), (qn, Executor::Fused)])
-    {
+    for qn in TRACED {
         let spans: Vec<_> = [1, 2, 4]
             .iter()
             .map(|&t| {
-                let cfg = EngineConfig::with_threads(t).with_executor(executor);
+                let cfg = EngineConfig::with_threads(t);
                 run_traced_governed(&query(qn), &cat, &cfg, &QueryContext::default())
                     .expect("traced run")
                     .2
@@ -83,7 +81,7 @@ fn trace_structure_is_thread_count_invariant() {
         for (i, s) in spans.iter().enumerate().skip(1) {
             assert!(
                 s.structure_eq(&spans[0]),
-                "Q{qn} {executor:?}: trace structure diverged between 1 and {} threads:\n{}\nvs\n{}",
+                "Q{qn}: trace structure diverged between 1 and {} threads:\n{}\nvs\n{}",
                 [1, 2, 4][i],
                 spans[0].render(),
                 s.render()
@@ -99,26 +97,21 @@ fn labels_of(span: &Span, op: &str, out: &mut Vec<String>) {
     span.children.iter().for_each(|child| labels_of(child, op, out));
 }
 
-/// One conjunct loop, one `predicates` leaf: under either executor a filter
-/// reports the rows each of its conjuncts examined — the per-conjunct
-/// selectivity — and the materializing filter has no per-conjunct children.
+/// One conjunct loop, one `predicates` leaf: a filter reports the rows each
+/// of its conjuncts examined — the per-conjunct selectivity — and has no
+/// per-conjunct children.
 #[test]
 fn predicates_leaf_labels_each_conjuncts_examined_rows() {
     let cat = catalog();
     let lineitem = cat.table("lineitem").expect("generated").num_rows() as u64;
+    let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096);
+    let (_, _, span) =
+        run_traced_governed(&query(6), &cat, &cfg, &QueryContext::default()).expect("traced run");
     let mut labels = Vec::new();
-    for executor in [Executor::Materialize, Executor::Fused] {
-        let cfg = EngineConfig::with_threads(2).with_morsel_rows(4096).with_executor(executor);
-        let (_, _, span) = run_traced_governed(&query(6), &cat, &cfg, &QueryContext::default())
-            .expect("traced run");
-        let mut leaves = Vec::new();
-        labels_of(&span, "predicates", &mut leaves);
-        let mut evals = Vec::new();
-        labels_of(&span, "eval", &mut evals);
-        assert_eq!((leaves.len(), evals.len()), (1, 0), "Q6 {executor:?}:\n{}", span.render());
-        labels.push(leaves.remove(0));
-    }
-    assert_eq!(labels[0], labels[1], "the same loop examines the same rows");
+    labels_of(&span, "predicates", &mut labels);
+    let mut evals = Vec::new();
+    labels_of(&span, "eval", &mut evals);
+    assert_eq!((labels.len(), evals.len()), (1, 0), "Q6:\n{}", span.render());
     let (count, flow) = labels[0].split_once(" conjuncts: ").expect("`N conjuncts: a → b`");
     let rows: Vec<u64> = flow.split(" → ").map(|r| r.parse().expect("a row count")).collect();
     assert_eq!(rows.len(), count.parse::<usize>().unwrap(), "{}", labels[0]);
@@ -141,18 +134,25 @@ fn shape(span: &Span, depth: usize, out: &mut String) {
     span.children.iter().for_each(|child| shape(child, depth + 1, out));
 }
 
-/// A traced run's answer, span-tree `shape`, and the governor's scratch
-/// peak, fallbacks and largest fan-out.
-type Traced = (Relation, String, (u64, u32, u32));
+/// The governor's high-water mark, scratch peak, fallbacks and largest
+/// fan-out after a run.
+type Governed = (u64, u64, u32, u32);
 
-/// One traced serial run of `plan` under `budget` and the `ex` price list.
-fn traced(plan: &QueryPlan, cat: &Catalog, budget: Option<u64>, ex: Executor) -> Traced {
+/// A traced run's answer, reported profile, span-tree `shape`, and what the
+/// governor recorded.
+type Traced = (Relation, WorkProfile, String, Governed);
+
+/// One traced run of `plan` under `budget` and `cfg`.
+fn traced(plan: &QueryPlan, cat: &Catalog, budget: Option<u64>, cfg: &EngineConfig) -> Traced {
     let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
-    let cfg = EngineConfig::serial().with_executor(ex);
-    let (rel, _, span) = run_traced_governed(plan, cat, &cfg, &ctx).expect("runs");
+    let (rel, prof, span) = run_traced_governed(plan, cat, cfg, &ctx).expect("runs");
     let mut tree = String::new();
     shape(&span, 0, &mut tree);
-    (rel, tree, (ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts()))
+    (rel, prof, tree, governed(&ctx))
+}
+
+fn governed(ctx: &QueryContext) -> Governed {
+    (ctx.high_water(), ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts())
 }
 
 /// An aggregate over a filter whose group table outgrows [`PERMUTED_BUDGET`]:
@@ -178,27 +178,59 @@ fn permuted_keys() -> (QueryPlan, Catalog) {
 
 const PERMUTED_BUDGET: u64 = 64 << 10;
 
-/// `Executor` is a price list and nothing else: under either one a query
-/// runs the same operators over the same rows — the same answer, the same
-/// span tree, the same operator scratch and the same descents down the
-/// ladder. Covers the 22 queries and the permuted keys under 64 KiB.
+/// `cfg.executor` decides only which price list a single-profile API
+/// reports: under either list a query runs the same operators over the same
+/// rows — the same answer, the same span tree, the same governor high-water
+/// mark and scratch peak, the same descents down the ladder — and the
+/// profile it reports is that list's entry in the pair one run prices.
+/// Covers the 22 queries and the permuted keys under 64 KiB.
 #[test]
 fn price_list_changes_no_execution_decision() {
-    let both = |what: &str, plan: &QueryPlan, cat: &Catalog, budget| {
-        let (rel, tree, governed) = traced(plan, cat, budget, Executor::Materialize);
-        let (fused_rel, fused_tree, fused_governed) = traced(plan, cat, budget, Executor::Fused);
+    let check = |what: &str, plan: &QueryPlan, cat: &Catalog, budget: Option<u64>| {
+        let ctx = budget.map_or_else(QueryContext::default, QueryContext::with_budget);
+        let (_, prices) = run_priced(plan, cat, &EngineConfig::serial(), &ctx).expect("runs");
+        let [(rel, tree, marks), (fused_rel, fused_tree, fused_marks)] =
+            prices.lists().map(|(list, want)| {
+                let cfg = EngineConfig { executor: list, ..EngineConfig::serial() };
+                let (rel, prof, tree, marks) = traced(plan, cat, budget, &cfg);
+                assert_eq!(prof, want, "{what}: {list:?} reports its entry in the pair");
+                (rel, tree, marks)
+            });
         assert_eq!(fused_rel, rel, "{what}: answers");
         assert_eq!(fused_tree, tree, "{what}: span trees\n{tree}\nvs\n{fused_tree}");
-        assert_eq!(fused_governed, governed, "{what}: scratch peak, fallbacks, fan-out");
-        governed
+        assert_eq!(fused_marks, marks, "{what}: high water, scratch peak, fallbacks, fan-out");
+        assert_eq!(governed(&ctx), marks, "{what}: the pair's run decides the same");
+        marks
     };
     let cat = catalog();
     for qn in 1..=22 {
-        both(&format!("Q{qn}"), &query(qn), &cat, None);
+        check(&format!("Q{qn}"), &query(qn), &cat, None);
     }
     let (plan, keyed) = permuted_keys();
-    let (_, fallbacks, _) = both("permuted keys", &plan, &keyed, Some(PERMUTED_BUDGET));
+    let (_, _, fallbacks, _) = check("permuted keys", &plan, &keyed, Some(PERMUTED_BUDGET));
     assert!(fallbacks > 0, "the merged table must really exceed the budget");
+}
+
+/// The paper list's `peak_bytes` counts the survivors' gather an aggregate
+/// fold stands in for, on top of what the query holds; the governor tracks
+/// only what the query holds. Serial Q1 at SF 0.01 leaves one high-water mark
+/// under either `cfg.executor` — the fused list's peak — below the paper
+/// list's pinned 2 614 348 B.
+#[test]
+fn the_governor_tracks_only_what_a_query_holds() {
+    let cat = catalog();
+    let serial = EngineConfig::serial();
+    let (_, prices) = run_priced(&query(1), &cat, &serial, &QueryContext::default()).expect("runs");
+    assert_eq!(prices.materialize.peak_bytes, 2_614_348, "the golden's paper-list peak");
+    let marks = prices.lists().map(|(list, _)| {
+        let ctx = QueryContext::default();
+        let cfg = EngineConfig { executor: list, ..serial };
+        run_governed(&query(1), &cat, &cfg, &ctx).expect("Q1 runs");
+        ctx.high_water()
+    });
+    assert_eq!(marks[0], marks[1], "one high-water mark under either list");
+    assert_eq!(marks[0], prices.fused.peak_bytes, "the fused list's peak is the held peak");
+    assert!(marks[0] < prices.materialize.peak_bytes, "{} B", marks[0]);
 }
 
 /// A budget changes no execution decision either: the aggregate over budget
@@ -208,14 +240,13 @@ fn price_list_changes_no_execution_decision() {
 #[test]
 fn an_aggregate_over_budget_still_folds_its_filter() {
     let (plan, keyed) = permuted_keys();
-    for executor in [Executor::Materialize, Executor::Fused] {
-        let (rel, tree, (_, fallbacks, _)) = traced(&plan, &keyed, Some(PERMUTED_BUDGET), executor);
-        let (free_rel, free_tree, _) = traced(&plan, &keyed, None, executor);
-        assert!(fallbacks > 0 && rel == free_rel, "{executor:?}: over budget, the same answer");
-        assert_eq!(tree, free_tree, "{executor:?}: span trees\n{tree}\nvs\n{free_tree}");
-        assert!(!tree.contains("filter["), "{executor:?}: no filter span\n{tree}");
-        assert_eq!(tree.matches("predicates[").count(), 1, "{executor:?}\n{tree}");
-    }
+    let serial = EngineConfig::serial();
+    let (rel, _, tree, (.., fallbacks, _)) = traced(&plan, &keyed, Some(PERMUTED_BUDGET), &serial);
+    let (free_rel, _, free_tree, _) = traced(&plan, &keyed, None, &serial);
+    assert!(fallbacks > 0 && rel == free_rel, "over budget, the same answer");
+    assert_eq!(tree, free_tree, "span trees\n{tree}\nvs\n{free_tree}");
+    assert!(!tree.contains("filter["), "no filter span\n{tree}");
+    assert_eq!(tree.matches("predicates[").count(), 1, "{tree}");
 }
 
 /// A budget changes no join decision either: a join whose probe a bitset
@@ -231,17 +262,15 @@ fn a_join_over_budget_still_filters_its_probe() {
     for (qn, filtered) in
         [(9, &["probe[bits: 3156]"][..]), (3, &["probe[bits: 261]", "probe[bits: 1387]"])]
     {
-        let plan = query(qn);
-        for executor in [Executor::Materialize, Executor::Fused] {
-            let (rel, tree, (_, fallbacks, _)) = traced(&plan, &cat, Some(4 << 10), executor);
-            let (free_rel, free_tree, (_, free_fallbacks, _)) = traced(&plan, &cat, None, executor);
-            let what = format!("Q{qn} {executor:?}");
-            assert!(fallbacks > 0 && free_fallbacks == 0, "{what}: the budget forces Grace");
-            assert!(rel == free_rel, "{what}: over budget, the same answer");
-            assert_eq!(tree, free_tree, "{what}: span trees\n{tree}\nvs\n{free_tree}");
-            for label in filtered {
-                assert_eq!(tree.matches(label).count(), 1, "{what}: {label}\n{tree}");
-            }
+        let (plan, serial) = (query(qn), EngineConfig::serial());
+        let (rel, _, tree, (.., fallbacks, _)) = traced(&plan, &cat, Some(4 << 10), &serial);
+        let (free_rel, _, free_tree, (.., free_fallbacks, _)) = traced(&plan, &cat, None, &serial);
+        let what = format!("Q{qn}");
+        assert!(fallbacks > 0 && free_fallbacks == 0, "{what}: the budget forces Grace");
+        assert!(rel == free_rel, "{what}: over budget, the same answer");
+        assert_eq!(tree, free_tree, "{what}: span trees\n{tree}\nvs\n{free_tree}");
+        for label in filtered {
+            assert_eq!(tree.matches(label).count(), 1, "{what}: {label}\n{tree}");
         }
     }
 }

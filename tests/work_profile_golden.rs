@@ -3,8 +3,10 @@
 //! `sim_pi3b_s` is a pure function of the [`WorkProfile`], so a refactor
 //! that moves a single `cpu_ops` unit changes the paper-facing numbers. The
 //! benchmark catches that after the fact; this test catches it in tier-1:
-//! every TPC-H query's profile under the three executor configurations the
-//! repo ships is pinned in `tests/golden/work_profiles_sf001.tsv`.
+//! every TPC-H query's profile in the three configurations the repo ships
+//! is pinned in `tests/golden/work_profiles_sf001.tsv`: both price lists of
+//! one run on the raw catalog, and the fused list of one pruned run on the
+//! clustered catalog.
 //!
 //! The file was generated at the commit *before* the materializing
 //! operators moved onto the bytecode VM (PR 16), so it is the recursive
@@ -19,8 +21,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wimpi::engine::{EngineConfig, Executor, QueryContext, Span, WorkProfile};
-use wimpi::queries::{query, run_governed, run_traced_governed};
+use wimpi::engine::{EngineConfig, QueryContext, Span, WorkProfile};
+use wimpi::queries::{query, run_priced, run_traced_governed};
 use wimpi::storage::Catalog;
 
 const SF: f64 = 0.01;
@@ -43,18 +45,21 @@ fn clustered_fine() -> Catalog {
 fn work_profiles_match_the_pinned_goldens() {
     let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
     let clustered = clustered_fine();
-    let fused = EngineConfig::serial().with_executor(Executor::Fused);
-    let configs: [(&str, &Catalog, EngineConfig); 3] = [
-        ("materialize", &raw, EngineConfig::serial()),
-        ("fused", &raw, fused),
-        ("fused+prune@clustered", &clustered, fused.with_morsel_rows(4096).with_prune_scans(true)),
-    ];
+    let pruning = EngineConfig::serial().with_morsel_rows(4096).with_prune_scans(true);
     let mut lines = Vec::new();
     for qn in 1..=22 {
         let q = query(qn);
-        for (name, cat, cfg) in &configs {
-            let (_, prof) = run_governed(&q, cat, cfg, &QueryContext::default())
-                .unwrap_or_else(|e| panic!("Q{qn} {name}: {e}"));
+        let priced = |cat, cfg| {
+            run_priced(&q, cat, cfg, &QueryContext::default())
+                .unwrap_or_else(|e| panic!("Q{qn}: {e}"))
+                .1
+        };
+        let (both, pruned) = (priced(&raw, &EngineConfig::serial()), priced(&clustered, &pruning));
+        for (name, prof) in [
+            ("materialize", both.materialize),
+            ("fused", both.fused),
+            ("fused+prune@clustered", pruned.fused),
+        ] {
             lines.push(format!("Q{qn}\t{name}\t{}", row(&prof)));
         }
     }
@@ -105,18 +110,20 @@ fn row(prof: &WorkProfile) -> String {
 
 /// A float sum under a filter folds the filter like every aggregate: its
 /// partials are cut in the base table's morsels, so its bits follow
-/// `morsel_rows` and never the thread count or the price list. The
-/// `Materialize` profile is still the materializing operators' — the
-/// gathers charged from counts, zone-map pruning included, the filter
-/// scanning the sealed table — pinned from the commit before the fold folded
-/// filters under both lists. The bits were re-pinned when the fold stopped
-/// gathering a float sum's filtered rows first (CHANGES.md).
+/// `morsel_rows` and never the thread count. The paper list is still the
+/// materializing operators' — the gathers charged from counts, zone-map
+/// pruning included, the filter scanning the sealed table — pinned from the
+/// commit before the fold folded filters under both lists. The bits were
+/// re-pinned when the fold stopped gathering a float sum's filtered rows
+/// first (CHANGES.md).
 #[test]
 fn a_float_sum_under_a_filter_is_cut_in_base_table_morsels() {
-    use wimpi::engine::{col, date, execute_query_with, lit, AggExpr, PlanBuilder, Tracer};
+    use wimpi::engine::{
+        col, date, execute_priced, lit, optimizer, AggExpr, PlanBuilder, Prices, Tracer,
+    };
 
     let unit_price = col("l_extendedprice").div(col("l_quantity"));
-    let run = |cat: &Catalog, filter, executor, threads, pruned: bool| {
+    let run = |cat: &Catalog, filter, threads, pruned: bool| -> (Vec<u64>, Prices) {
         let plan = PlanBuilder::scan("lineitem")
             .filter(filter)
             .aggregate(
@@ -124,40 +131,39 @@ fn a_float_sum_under_a_filter_is_cut_in_base_table_morsels() {
                 vec![AggExpr::sum(unit_price.clone(), "s")],
             )
             .build();
-        let cfg = EngineConfig::with_threads(threads).with_executor(executor);
-        let cfg = cfg.with_morsel_rows(4096).with_prune_scans(pruned);
-        let (rel, prof) =
-            execute_query_with(&plan, cat, &cfg, &QueryContext::default(), Tracer::off())
+        let cfg = EngineConfig::with_threads(threads).with_morsel_rows(4096);
+        let cfg = cfg.with_prune_scans(pruned);
+        let plan = optimizer::optimize(plan, cat).expect("optimizes");
+        let (rel, prices) =
+            execute_priced(&plan, cat, &cfg, &QueryContext::default(), Tracer::off())
                 .expect("runs");
         let sums = rel.column("s").expect("the sum").as_f64().expect("a float sum");
-        (sums.iter().map(|s| s.to_bits()).collect::<Vec<u64>>(), prof)
+        (sums.iter().map(|s| s.to_bits()).collect(), prices)
     };
     let raw = wimpi::tpch::Generator::new(SF).generate_catalog().expect("generation succeeds");
     let cheap = || col("l_quantity").lt(lit(25i64));
-    let (bits, prof) = run(&raw, cheap(), Executor::Materialize, 1, false);
+    let (bits, prices) = run(&raw, cheap(), 1, false);
     assert_eq!(bits, [0x416313c87f5c28f4, 0x41735ef4b8f5c28e, 0x41638b59c8000000]);
     assert_eq!(
-        row(&prof),
+        row(&prices.materialize),
         "cpu_ops=233954,seq_read_bytes=1524196,seq_write_bytes=870956,rand_accesses=28953,\
          hash_bytes=192,rows_in=60236,rows_out=3,peak_bytes=579060"
     );
-    for (ex, threads) in [(Executor::Materialize, 2), (Executor::Fused, 1), (Executor::Fused, 2)] {
-        assert_eq!(run(&raw, cheap(), ex, threads, false).0, bits, "{ex:?} at {threads}");
-    }
+    assert_eq!(run(&raw, cheap(), 2, false), (bits, prices), "at 2 threads");
 
     let clustered = clustered_fine();
     let early = || col("l_shipdate").lt(date("1993-01-01"));
-    let (bits, prof) = run(&clustered, early(), Executor::Materialize, 1, true);
+    let (bits, prices) = run(&clustered, early(), 1, true);
     assert_eq!(bits, [0x4153cc41d51eb850, 0x4153f2f81eb851e8]);
     assert_eq!(
-        row(&prof),
+        row(&prices.materialize),
         "cpu_ops=60195,seq_read_bytes=329928,seq_write_bytes=258232,rand_accesses=7429,\
          hash_bytes=128,rows_in=60236,rows_out=2,pruned_morsels=13,pruned_bytes=224560,\
          peak_bytes=178296"
     );
-    let (fused_bits, fused) = run(&clustered, early(), Executor::Fused, 2, true);
-    assert_eq!(fused_bits, bits);
+    let fused = prices.fused;
     assert_eq!((fused.pruned_morsels, fused.pruned_bytes), (13, 224560), "the same pruning");
+    assert_eq!(run(&clustered, early(), 2, true), (bits, prices), "at 2 threads");
 }
 
 /// The form of every join and aggregate under `span`, in plan order: the
@@ -208,6 +214,31 @@ fn every_join_and_aggregate_takes_its_pinned_form() {
     let clustered = wimpi::tpch::clustered_catalog(SF).expect("clustered catalog generates");
     assert!(forms_of(18, &clustered).starts_with("hash "));
     assert!(!forms_of(21, &clustered).contains("runs"));
+}
+
+/// Zone-map pruning skips bytes, never a decision: on the clustered catalog
+/// at 1 024-row zones and 4 096-row morsels, each of the 22 queries gives the
+/// same answer, every join and aggregate takes the same form, and the
+/// governor records the same scratch peak, fallbacks and fan-out with
+/// `prune_scans` as without.
+#[test]
+fn pruning_changes_no_execution_decision() {
+    let clustered = clustered_fine();
+    let cfg = EngineConfig::serial().with_morsel_rows(4096);
+    for qn in 1..=22 {
+        let [pruned, unpruned] = [true, false].map(|prune| {
+            let ctx = QueryContext::default();
+            let (rel, _, span) =
+                run_traced_governed(&query(qn), &clustered, &cfg.with_prune_scans(prune), &ctx)
+                    .unwrap_or_else(|e| panic!("Q{qn}: {e}"));
+            let mut forms = Vec::new();
+            form_labels(&span, &mut forms);
+            (rel, forms, (ctx.hard_high_water(), ctx.fallbacks(), ctx.max_fallback_parts()))
+        });
+        assert!(pruned.0 == unpruned.0, "Q{qn}: answers");
+        assert_eq!(pruned.1, unpruned.1, "Q{qn}: forms");
+        assert_eq!(pruned.2, unpruned.2, "Q{qn}: scratch peak, fallbacks, fan-out");
+    }
 }
 
 const PINNED_FORMS: [&str; 22] = [
